@@ -13,7 +13,6 @@ import logging
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -64,25 +63,35 @@ def _dump_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _run_algorithm(alg: str, inst: MetricInstance, cfg: SolverConfig):
-    """Returns (plan, bounds) with whichever LP/oracle values the run computed."""
+def _run_algorithm(
+    alg: str,
+    inst: MetricInstance,
+    cfg: SolverConfig,
+    lps: Optional[Dict[str, lp_toolkit.LpSolution]] = None,
+):
+    """Returns (plan, bounds) with whichever LP/oracle values the run computed.
+
+    `lps` maps "lp1"/"lp2"/"lp3" to LPs already solved for `inst` at its
+    horizon; the roundings reuse them instead of solving again."""
+    lps = lps or {}
     if alg == "multidepot":
-        plan = latency_solvers.solve_multidepot(inst, cfg)
+        plan = latency_solvers.solve_multidepot(inst, cfg, lp1sol=lps.get("lp1"))
         diag = latency_solvers.solve_multidepot.last_diagnostics
         return plan, {"lp1": float(diag["lp_objective"])}
     if alg == "kmlp-lp":
-        plan = latency_solvers.solve_kmlp_lp(inst, cfg)
+        plan = latency_solvers.solve_kmlp_lp(inst, cfg, lp3sol=lps.get("lp3"))
         diag = latency_solvers.solve_kmlp_lp.last_diagnostics
         return plan, {"lp3": float(diag["lp_objective"])}
     if alg == "kmlp-comb":
         return latency_solvers.solve_kmlp_combinatorial(inst, cfg), {}
     if alg == "mlp-lp":
-        plan = latency_solvers.solve_mlp_lp(inst, cfg)
+        plan = latency_solvers.solve_mlp_lp(inst, cfg, lp3sol=lps.get("lp3"))
         diag = latency_solvers.solve_mlp_lp.last_diagnostics
         return plan, {"lp3": float(diag["lp_objective"])}
     if alg == "lp2-round":
-        T = time_horizon(inst).T
-        sol2 = lp_toolkit.build_and_solve_lp2(inst, T)
+        sol2 = lps.get("lp2")
+        if sol2 is None:
+            sol2 = lp_toolkit.build_and_solve_lp2(inst, time_horizon(inst).T)
         plan = latency_solvers.round_lp2(inst, sol2, cfg)
         return plan, {"lp2": float(sol2.objective_value)}
     if alg == "bnslb-construct":
@@ -285,16 +294,20 @@ def _bench_row(idx: int, inst: MetricInstance, algs, seed: int) -> Dict:
     except OracleGuardError:
         oracles["bnslb"] = None
     T = time_horizon(inst).T
-    oracles["lp1"] = lp_toolkit.build_and_solve_lp1(inst, T).objective_value
-    oracles["lp2"] = lp_toolkit.build_and_solve_lp2(inst, T).objective_value
-    oracles["lp3"] = lp_toolkit.build_and_solve_lp3(inst, T).objective_value
+    lps = {
+        "lp1": lp_toolkit.build_and_solve_lp1(inst, T),
+        "lp2": lp_toolkit.build_and_solve_lp2(inst, T),
+        "lp3": lp_toolkit.build_and_solve_lp3(inst, T),
+    }
+    for name, sol in lps.items():
+        oracles[name] = sol.objective_value
     for name, val in oracles.items():
         row[name] = _frac_str(val) if val is not None else None
     row["algs"] = {}
     cfg = SolverConfig(seed=seed)
     for alg in algs:
         try:
-            plan, _ = _run_algorithm(alg, inst, cfg)
+            plan, _ = _run_algorithm(alg, inst, cfg, lps)
         except (SolverError, OracleGuardError) as exc:
             row["algs"][alg] = {"error": str(exc)}
             continue
@@ -340,17 +353,11 @@ def cmd_bench(args) -> int:
         _gen_instance(args.n, args.k, args.metric, rng)
         for _ in range(args.trials)
     ]
-    rows: List[Dict]
-    if instances:
-        with ThreadPoolExecutor(max_workers=min(4, len(instances))) as pool:
-            rows = list(
-                pool.map(
-                    lambda it: _bench_row(it[0], it[1], algs, args.seed),
-                    enumerate(instances),
-                )
-            )
-    else:
-        rows = []
+    # rows run one after another: the work is pure Python, so threads would
+    # only contend for the interpreter lock
+    rows = [
+        _bench_row(idx, inst, algs, args.seed) for idx, inst in enumerate(instances)
+    ]
     aggregate: Dict = {}
     for alg in algs:
         for name in ("opt", "bnslb", "lp1", "lp2", "lp3"):

@@ -383,7 +383,10 @@ def _member_nodes(root, member) -> Set:
 
 
 def _solve_lp3_rounding(
-    inst: MetricInstance, cfg: SolverConfig, split: bool
+    inst: MetricInstance,
+    cfg: SolverConfig,
+    split: bool,
+    lp3sol: Optional[lp_toolkit.LpSolution],
 ) -> RoutePlan:
     what = "kmlp-lp" if split else "mlp-lp"
     _require_single_depot(inst, what)
@@ -393,8 +396,14 @@ def _solve_lp3_rounding(
     rng = random.Random(cfg.seed)
     if not inst.clients:
         return _finalize_plan(inst, [[] for _ in range(k)], "plain")
-    T = time_horizon(inst).T
-    sol3 = lp_toolkit.build_and_solve_lp3(inst, T)
+    if lp3sol is not None:
+        if lp3sol.which != "LP3":
+            raise SolverError(f"{what} needs a bidirected LP solution")
+        T = lp3sol.T
+        sol3 = lp3sol
+    else:
+        T = time_horizon(inst).T
+        sol3 = lp_toolkit.build_and_solve_lp3(inst, T)
     xprime, zprime = _aggregate_lp3(inst, sol3)
 
     def in_S(v, t) -> bool:
@@ -446,17 +455,26 @@ def _solve_lp3_rounding(
     return plan
 
 
-def solve_kmlp_lp(inst: MetricInstance, cfg: Optional[SolverConfig] = None) -> RoutePlan:
+def solve_kmlp_lp(
+    inst: MetricInstance,
+    cfg: Optional[SolverConfig] = None,
+    lp3sol: Optional[lp_toolkit.LpSolution] = None,
+) -> RoutePlan:
     """Single-depot rounding of the bidirected LP with k-way tree splits;
-    total latency at most 2*mu* times the LP optimum (derandomized)."""
-    return _solve_lp3_rounding(inst, cfg or SolverConfig(), split=True)
+    total latency at most 2*mu* times the LP optimum (derandomized).
+    `lp3sol` lets callers that already solved the LP reuse it."""
+    return _solve_lp3_rounding(inst, cfg or SolverConfig(), True, lp3sol)
 
 
-def solve_mlp_lp(inst: MetricInstance, cfg: Optional[SolverConfig] = None) -> RoutePlan:
+def solve_mlp_lp(
+    inst: MetricInstance,
+    cfg: Optional[SolverConfig] = None,
+    lp3sol: Optional[lp_toolkit.LpSolution] = None,
+) -> RoutePlan:
     """Single-vehicle specialization: no splitting, factor mu*."""
     if inst.k != 1:
         raise SolverError("mlp-lp requires exactly one vehicle")
-    return _solve_lp3_rounding(inst, cfg or SolverConfig(), split=False)
+    return _solve_lp3_rounding(inst, cfg or SolverConfig(), False, lp3sol)
 
 
 # ---------------------------------------------------------------------------
@@ -518,12 +536,6 @@ def solve_kmlp_combinatorial(
 
 # ---------------------------------------------------------------------------
 # geometric-sampling rounding of the configuration LPs
-
-
-def _lp_metric(inst: MetricInstance) -> Callable:
-    if inst.has_service:
-        return inst.service_symmetric
-    return lambda u, v: Fraction(inst.dist(u, v))
 
 
 def _slot_groups(inst: MetricInstance, groups) -> List[int]:
@@ -609,7 +621,7 @@ def solve_multidepot(
     groups = sol1.meta["groups"]
     columns = sol1.meta["columns"]
     slot_gi = _slot_groups(inst, groups)
-    metric = _lp_metric(inst)
+    metric = lp_toolkit._lp_metric(inst)
     node_pos = {v: i for i, v in enumerate(inst.nodes)}
 
     # per (group, time): deterministic column distribution
@@ -691,7 +703,7 @@ def round_lp2(
     slot_of: List[int] = []
     for r, mult in groups:
         slot_of.extend(i for i, rr in enumerate(inst.roots) if rr == r)
-    metric = _lp_metric(inst)
+    metric = lp_toolkit._lp_metric(inst)
 
     growth = cfg.growth or concat_graph.mu_star(MU_TOL)
     schedule = _geometric_schedule(cfg, growth, inst.n, T, rng)

@@ -1,22 +1,29 @@
 """LP core with a cutting-plane loop, plus the four model builders.
 
-Solving strategy: HiGHS (dual simplex) finds the optimum in floats, the
-result is rounded to small rationals, and a primal/dual pair is verified
-exactly (feasibility, reduced costs, strong duality) in Fraction
-arithmetic. If certification fails the LP is re-solved by the exact
-two-phase simplex in :mod:`mdkmlp.simplex`. Either way callers receive an
-exactly-optimal rational vertex solution, which is what the arborescence
-packing (integer scaling by the denominator LCM) depends on.
+Solving strategy: HiGHS (dual simplex) finds the optimum in floats from a
+sparse (CSR) constraint matrix, the result is rounded to small rationals,
+and a primal/dual pair is verified exactly (feasibility, reduced costs,
+strong duality). The check runs on plain Python integers: each row, the
+primal point and the duals are scaled by the lcm of their denominators,
+so every test is the Fraction one multiplied through by a positive
+integer (after Applegate, Cook, Dash & Espinoza, "Exact solutions to
+linear programming problems", ORL 2007). If certification fails the LP
+is re-solved by the exact two-phase simplex in :mod:`mdkmlp.simplex`.
+Either way callers receive an exactly-optimal rational vertex solution,
+which is what the arborescence packing (integer scaling by the
+denominator LCM) depends on.
 """
 
 import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.sparse import csr_array
 
 from . import flows, pathdp
 from .instance import MetricInstance
@@ -48,7 +55,15 @@ class EnumerationCapError(LpError):
 
 
 class LinearProgram:
-    """Named nonnegative variables, rational objective, growable constraints."""
+    """Named nonnegative variables, rational objective, growable constraints.
+
+    Each row is kept in three index-aligned forms, computed once when it is
+    added: ``rows[i]`` is the canonical ``(coeffs, sense, rhs)`` in
+    Fractions; ``int_rows[i]`` is ``(cols, ints, rhs, d)``, the row times
+    its scale ``d`` (the lcm of its denominators) with ``cols`` sorted; and
+    ``float_rows[i]`` is ``(vals, rhs)`` in floats, ``vals`` in ``cols``
+    order, for the HiGHS matrix.
+    """
 
     def __init__(self):
         self._index: Dict[object, int] = {}
@@ -56,6 +71,8 @@ class LinearProgram:
         self.objective: List[Fraction] = []
         # rows kept canonical with sense '>=' or '=='
         self.rows: List[Tuple[Dict[int, Fraction], str, Fraction]] = []
+        self.int_rows: List[Tuple[List[int], List[int], int, int]] = []
+        self.float_rows: List[Tuple[List[float], float]] = []
         self._row_keys: set = set()
 
     def add_var(self, name, obj=0) -> int:
@@ -75,7 +92,8 @@ class LinearProgram:
 
     @staticmethod
     def _canonical(coeffs: Dict[int, Fraction], sense: str, rhs: Fraction):
-        coeffs = {j: Fraction(c) for j, c in coeffs.items() if Fraction(c) != 0}
+        fracs = ((j, Fraction(c)) for j, c in coeffs.items())
+        coeffs = {j: c for j, c in fracs if c != 0}
         rhs = Fraction(rhs)
         if sense == "<=":
             coeffs = {j: -c for j, c in coeffs.items()}
@@ -84,11 +102,6 @@ class LinearProgram:
         elif sense not in (">=", "=="):
             raise ValueError(f"unknown sense {sense!r}")
         return coeffs, sense, rhs
-
-    @staticmethod
-    def row_key(coeffs: Dict[int, Fraction], sense: str, rhs: Fraction):
-        coeffs, sense, rhs = LinearProgram._canonical(coeffs, sense, rhs)
-        return (frozenset(coeffs.items()), sense, rhs)
 
     def add_constraint(self, coeffs: Dict[object, Fraction], sense: str, rhs) -> None:
         idx_coeffs = {}
@@ -99,29 +112,17 @@ class LinearProgram:
         canon = self._canonical(idx_coeffs, sense, rhs)
         self.rows.append(canon)
         self._row_keys.add((frozenset(canon[0].items()), canon[1], canon[2]))
+        coeffs, _, rhs = canon
+        cols = sorted(coeffs)
+        d = math.lcm(rhs.denominator, *(coeffs[j].denominator for j in cols))
+        ints = [coeffs[j].numerator * (d // coeffs[j].denominator) for j in cols]
+        self.int_rows.append((cols, ints, rhs.numerator * (d // rhs.denominator), d))
+        self.float_rows.append(([float(coeffs[j]) for j in cols], float(rhs)))
 
     def has_constraint(self, coeffs: Dict[object, Fraction], sense: str, rhs) -> bool:
         idx_coeffs = {self._index[name]: Fraction(c) for name, c in coeffs.items()}
         canon = self._canonical(idx_coeffs, sense, rhs)
         return (frozenset(canon[0].items()), canon[1], canon[2]) in self._row_keys
-
-    def dump_lp_format(self) -> str:
-        """The model in CPLEX-LP-style text, for external cross-checking."""
-
-        def term(c, j):
-            return f"{'+' if c >= 0 else '-'} {abs(float(c))} v{j}"
-
-        lines = ["Minimize", " obj: " + " ".join(
-            term(c, j) for j, c in enumerate(self.objective) if c != 0)]
-        lines.append("Subject To")
-        for i, (coeffs, sense, rhs) in enumerate(self.rows):
-            body = " ".join(term(c, j) for j, c in sorted(coeffs.items()))
-            op = ">=" if sense == ">=" else "="
-            lines.append(f" c{i}: {body} {op} {float(rhs)}")
-        lines.append("Bounds")
-        lines.extend(f" v{j} >= 0" for j in range(len(self.names)))
-        lines.append("End")
-        return "\n".join(lines)
 
 
 @dataclass
@@ -155,32 +156,70 @@ def _certify(
     x: List[Fraction],
     duals: List[Fraction],
 ) -> bool:
-    nvars = len(lp.names)
-    # primal feasibility
-    for j in range(nvars):
-        if x[j] < 0:
-            return False
-    for (coeffs, sense, rhs), _ in zip(lp.rows, duals):
-        lhs = sum(c * x[j] for j, c in coeffs.items())
-        if sense == ">=" and lhs < rhs:
-            return False
-        if sense == "==" and lhs != rhs:
-            return False
-    # dual feasibility: y >= 0 on inequality rows, reduced costs >= 0
-    reduced = list(lp.objective)
-    dual_obj = ZERO
-    for (coeffs, sense, rhs), y in zip(lp.rows, duals):
-        if y == 0:
-            continue
-        if sense == ">=" and y < 0:
-            return False
-        for j, c in coeffs.items():
-            reduced[j] -= y * c
-        dual_obj += y * rhs
-    if any(rc < 0 for rc in reduced):
+    """Exact optimality test of a primal/dual pair, on scaled integers.
+
+    With L the lcm of the denominators of x, X = L*x; with w_i = y_i/d_i
+    (d_i the scale of row i's integer form) and M the lcm of the
+    denominators of w, W = M*w; D is the lcm of the objective's
+    denominators. Every test below is the Fraction test (primal
+    feasibility, y >= 0 on '>=' rows, reduced costs >= 0, strong duality)
+    multiplied through by a positive integer, so the two accept the same
+    pairs.
+    """
+    if any(v < 0 for v in x):
         return False
-    primal_obj = sum(lp.objective[j] * x[j] for j in range(nvars) if x[j] != 0)
-    return primal_obj == dual_obj
+    L = math.lcm(*(v.denominator for v in x))
+    X = [v.numerator * (L // v.denominator) for v in x]
+    ws = []
+    for i, ((_, sense, _), (cols, ints, b, d), y) in enumerate(
+        zip(lp.rows, lp.int_rows, duals)
+    ):
+        lhs = sum(a * X[j] for j, a in zip(cols, ints))
+        bL = b * L
+        if lhs < bL or (sense == "==" and lhs != bL):
+            return False
+        if y != 0:
+            if sense == ">=" and y < 0:
+                return False
+            ws.append((i, Fraction(y, d)))
+    M = math.lcm(*(w.denominator for _, w in ws))
+    D = math.lcm(*(c.denominator for c in lp.objective))
+    S = [0] * len(lp.objective)
+    dual_obj = 0  # M * (dual objective)
+    for i, w in ws:
+        W = w.numerator * (M // w.denominator)
+        cols, ints, b, _ = lp.int_rows[i]
+        for j, a in zip(cols, ints):
+            S[j] += W * a
+        dual_obj += W * b
+    primal_obj = 0  # D * L * (primal objective)
+    for c, s_j, x_j in zip(lp.objective, S, X):
+        C = c.numerator * (D // c.denominator)
+        if C * M < D * s_j:  # D * M * (reduced cost) < 0
+            return False
+        primal_obj += C * x_j
+    return primal_obj * M == dual_obj * D * L
+
+
+def _csr(lp: LinearProgram, idx: List[int], negate: bool):
+    """The rows ``idx`` as a CSR matrix and a rhs vector, both negated for
+    ``A_ub``; ``(None, None)`` when there are none."""
+    if not idx:
+        return None, None
+    lengths = [len(lp.int_rows[i][0]) for i in idx]
+    indptr = np.zeros(len(idx) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    nnz = int(indptr[-1])
+    indices = np.fromiter(
+        chain.from_iterable(lp.int_rows[i][0] for i in idx), dtype=np.int64, count=nnz
+    )
+    data = np.fromiter(
+        chain.from_iterable(lp.float_rows[i][0] for i in idx), dtype=float, count=nnz
+    )
+    b = np.array([lp.float_rows[i][1] for i in idx], dtype=float)
+    if negate:
+        data, b = -data, -b
+    return csr_array((data, indices, indptr), shape=(len(idx), len(lp.names))), b
 
 
 def solve_lp(lp: LinearProgram, which: str = "LP", T: Optional[int] = None) -> LpSolution:
@@ -191,20 +230,8 @@ def solve_lp(lp: LinearProgram, which: str = "LP", T: Optional[int] = None) -> L
     c = np.array([float(v) for v in lp.objective])
     ge_rows = [i for i, row in enumerate(lp.rows) if row[1] == ">="]
     eq_rows = [i for i, row in enumerate(lp.rows) if row[1] == "=="]
-    A_ub = np.zeros((len(ge_rows), nvars)) if ge_rows else None
-    b_ub = np.zeros(len(ge_rows)) if ge_rows else None
-    for out_i, i in enumerate(ge_rows):
-        coeffs, _, rhs = lp.rows[i]
-        for j, cf in coeffs.items():
-            A_ub[out_i, j] = -float(cf)
-        b_ub[out_i] = -float(rhs)
-    A_eq = np.zeros((len(eq_rows), nvars)) if eq_rows else None
-    b_eq = np.zeros(len(eq_rows)) if eq_rows else None
-    for out_i, i in enumerate(eq_rows):
-        coeffs, _, rhs = lp.rows[i]
-        for j, cf in coeffs.items():
-            A_eq[out_i, j] = float(cf)
-        b_eq[out_i] = float(rhs)
+    A_ub, b_ub = _csr(lp, ge_rows, negate=True)
+    A_eq, b_eq = _csr(lp, eq_rows, negate=False)
 
     res = linprog(
         c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
@@ -788,6 +815,16 @@ def build_and_solve_lp3(inst: MetricInstance, T: int) -> LpSolution:
         cuts: List[Cut] = []
         for gi, (r, mult) in enumerate(groups):
             arcs = group_arcs[gi]
+            served = [v for v in clients if r in inst.depots_for(v)]
+            # covered[v][t]: x[gi, v, tp] summed over tp <= t
+            covered = {}
+            for v in served:
+                acc = ZERO
+                prefix = [acc]
+                for tp in range(1, T + 1):
+                    acc += sol.value(("x", gi, v, tp))
+                    prefix.append(acc)
+                covered[v] = prefix
             for t in range(1, T + 1):
                 zvals = {a: sol.value(("z", gi, a, t)) for a in arcs}
                 scale, caps = _scaled_int_caps(zvals)
@@ -795,12 +832,8 @@ def build_and_solve_lp3(inst: MetricInstance, T: int) -> LpSolution:
                     (node_idx[u], node_idx[v]): w for (u, v), w in caps.items()
                 }
                 seen = set()
-                for v in clients:
-                    if r not in inst.depots_for(v):
-                        continue
-                    need = sum(
-                        sol.value(("x", gi, v, tp)) for tp in range(1, t + 1)
-                    )
+                for v in served:
+                    need = covered[v][t]
                     if need <= 0:
                         continue
                     val, side = flows.min_cut(

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,7 @@ from conftest import FIX_A_JSON, FIX_B_JSON
 from mdkmlp.cli import main
 
 F = Fraction
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -200,6 +202,18 @@ class TestBench:
             lp1, lp2, lp3 = F(row["lp1"]), F(row["lp2"]), F(row["lp3"])
             assert lp3 <= lp1 <= lp2
             assert lp1 == lp2  # k=1
+
+    @pytest.mark.parametrize("k", [2, 1])
+    def test_golden_json(self, capsys, k):
+        # byte-for-byte reference output (k = 1 also runs mlp-lp); it holds
+        # under any PYTHONHASHSEED, and changes only with the numbers
+        code, out, _ = run(
+            capsys, "bench", "--n", "4", "--k", str(k), "--trials", "3",
+            "--seed", "7",
+        )
+        assert code == 0
+        golden = GOLDEN / f"bench_n4_k{k}_trials3_seed7.json"
+        assert out == golden.read_text(encoding="utf-8")
 
     def test_trials_zero(self, capsys):
         code, out, _ = run(

@@ -7,7 +7,11 @@ from conftest import random_instance
 from mdkmlp.concat_graph import mu_star
 from mdkmlp.exact_oracles import bnslb, exact_kmlp
 from mdkmlp.instance import MetricInstance, evaluate_plan, time_horizon
-from mdkmlp.lp_toolkit import build_and_solve_lp2, build_and_solve_lp3
+from mdkmlp.lp_toolkit import (
+    build_and_solve_lp1,
+    build_and_solve_lp2,
+    build_and_solve_lp3,
+)
 from mdkmlp.latency_solvers import (
     SolverConfig,
     SolverError,
@@ -220,6 +224,22 @@ class TestLpRoundingSolvers:
                 solver(fix_b)
         with pytest.raises(SolverError):
             solve_mlp_lp(fix_b)
+
+    def test_reused_lp3_gives_same_plan(self, fix_a):
+        rng = random.Random(53)
+        shared = random_instance(rng, 5, 2, single_depot=True)
+        cases = [(solve_kmlp_lp, shared), (solve_kmlp_lp, fix_a), (solve_mlp_lp, fix_a)]
+        for solver, inst in cases:
+            sol3 = build_and_solve_lp3(inst, time_horizon(inst).T)
+            cfg = SolverConfig(seed=4)
+            assert solver(inst, cfg, lp3sol=sol3) == solver(inst, cfg)
+            assert solver.last_diagnostics["lp_objective"] == sol3.objective_value
+
+    def test_reused_lp_must_be_lp3(self, fix_a):
+        sol1 = build_and_solve_lp1(fix_a, time_horizon(fix_a).T)
+        for solver in (solve_kmlp_lp, solve_mlp_lp):
+            with pytest.raises(SolverError, match="bidirected LP"):
+                solver(fix_a, lp3sol=sol1)
 
     def test_random_per_run_bounds(self):
         rng = random.Random(47)

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_instance
-from mdkmlp import exact_oracles
+from mdkmlp import exact_oracles, lp_toolkit
 from mdkmlp.instance import MetricInstance, time_horizon
 from mdkmlp.lp_toolkit import (
+    ZERO,
     LinearProgram,
     LpError,
     LpInfeasibleError,
@@ -15,6 +16,7 @@ from mdkmlp.lp_toolkit import (
     build_and_solve_lp2,
     build_and_solve_lp3,
     build_and_solve_pclp,
+    _certify,
     solve_lp,
     solve_with_cuts,
 )
@@ -53,6 +55,137 @@ class TestSolveLp:
         lp.add_constraint({"x": 1}, "<=", 1)
         with pytest.raises(LpInfeasibleError):
             solve_lp(lp)
+
+
+def reference_certify(lp, x, duals):
+    """The certificate test in Fraction arithmetic, row by row; the integer
+    certifier must return the same verdict on every input."""
+    nvars = len(lp.names)
+    if any(x[j] < 0 for j in range(nvars)):
+        return False
+    for (coeffs, sense, rhs), _ in zip(lp.rows, duals):
+        lhs = sum(c * x[j] for j, c in coeffs.items())
+        if lhs < rhs or (sense == "==" and lhs != rhs):
+            return False
+    reduced = list(lp.objective)
+    dual_obj = ZERO
+    for (coeffs, sense, rhs), y in zip(lp.rows, duals):
+        if sense == ">=" and y < 0:
+            return False
+        for j, c in coeffs.items():
+            reduced[j] -= y * c
+        dual_obj += y * rhs
+    if any(rc < 0 for rc in reduced):
+        return False
+    return sum(c * xj for c, xj in zip(lp.objective, x)) == dual_obj
+
+
+def small_lp(objective, rows):
+    lp = LinearProgram()
+    for name, c in objective.items():
+        lp.add_var(name, obj=c)
+    for coeffs, sense, rhs in rows:
+        lp.add_constraint(coeffs, sense, rhs)
+    return lp
+
+
+# (objective, rows, x, duals, accepted); a rejected pair named after a
+# condition of the certificate breaks that condition and no other
+CERTIFY_CASES = {
+    "optimal pair, negative dual on an == row": (
+        {"x": 1, "y": 2},
+        [({"x": 1, "y": 1}, ">=", 2), ({"x": 1, "y": -1}, "==", 0)],
+        [1, 1], [F(3, 2), F(-1, 2)], True,
+    ),
+    "negative x": (
+        {"x": 1, "y": 1}, [({"x": 1, "y": 1}, ">=", 1)],
+        [-1, 2], [1], False,
+    ),
+    "violated >= row": (
+        {"x": 1}, [({"x": 1}, ">=", 2)], [1], [F(1, 2)], False,
+    ),
+    "violated == row, lhs above rhs": (
+        {"x": -1}, [({"x": 1}, "==", 2)], [3], [F(-3, 2)], False,
+    ),
+    "violated <= row": (
+        {"x": -1}, [({"x": 1}, "<=", 2)], [3], [F(3, 2)], False,
+    ),
+    "negative dual on a >= row": (
+        {"x": 1}, [({"x": 1}, ">=", 0)], [0], [-1], False,
+    ),
+    "negative reduced cost": (
+        {"x": 1, "y": 1}, [({"x": 1}, ">=", 1), ({"y": 1}, ">=", 1)],
+        [1, 1], [2, 0], False,
+    ),
+    "duality gap": (
+        {"x": 1}, [({"x": 1}, ">=", 1)], [2], [1], False,
+    ),
+    "non-integer coefficients": (
+        {"x": 1, "y": 1}, [({"x": F(1, 3), "y": F(1, 2)}, ">=", F(5, 6))],
+        [0, F(5, 3)], [2], True,
+    ),
+    "non-integer coefficients, x off by 1/10**6": (
+        {"x": 1, "y": 1}, [({"x": F(1, 3), "y": F(1, 2)}, ">=", F(5, 6))],
+        [0, F(5, 3) - F(1, 10**6)], [2], False,
+    ),
+    "non-integer ==, <= rows and objective": (
+        {"x": F(1, 7), "y": F(2, 5)},
+        [({"x": F(2, 3), "y": F(1, 4)}, "==", F(7, 6)), ({"x": 1}, "<=", F(3, 2))],
+        [F(3, 2), F(2, 3)], [F(8, 5), F(97, 105)], True,
+    ),
+}
+
+
+class TestCertify:
+    @pytest.mark.parametrize("case", sorted(CERTIFY_CASES))
+    def test_verdict(self, case):
+        objective, rows, x, duals, accepted = CERTIFY_CASES[case]
+        lp = small_lp(objective, rows)
+        x, duals = [F(v) for v in x], [F(y) for y in duals]
+        assert _certify(lp, x, duals) is accepted
+        assert reference_certify(lp, x, duals) is accepted
+
+    def test_agrees_with_fraction_reference_under_perturbation(self):
+        rng = random.Random(17)
+        checked = 0
+        for objective, rows, x, duals, _ in CERTIFY_CASES.values():
+            lp = small_lp(objective, rows)
+            for _ in range(40):
+                x2, y2 = [F(v) for v in x], [F(y) for y in duals]
+                vec = x2 if rng.random() < 0.5 else y2
+                i = rng.randrange(len(vec))
+                vec[i] += F(rng.randint(-3, 3), rng.choice([1, 2, 3, 7, 10**6]))
+                assert _certify(lp, x2, y2) == reference_certify(lp, x2, y2)
+                checked += 1
+        assert checked == 40 * len(CERTIFY_CASES)
+
+    def test_solve_lp_returns_certified_fractional_optimum(self):
+        objective, rows, x, _, _ = CERTIFY_CASES["non-integer coefficients"]
+        sol = solve_lp(small_lp(objective, rows))
+        assert sol.objective_value == F(5, 3)
+        assert [sol.value(name) for name in objective] == x
+
+
+class TestExactFallback:
+    def test_failed_certification_falls_back_to_exact_simplex(self, monkeypatch, fix_a):
+        T = time_horizon(fix_a).T
+        lp3 = build_and_solve_lp3(fix_a, T).objective_value
+        lp1 = build_and_solve_lp1(fix_a, T).objective_value
+        objective, rows, _, _, _ = CERTIFY_CASES["non-integer ==, <= rows and objective"]
+        small = solve_lp(small_lp(objective, rows)).objective_value
+        calls = []
+        exact = lp_toolkit.exact_simplex
+
+        def counted(*args):
+            calls.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(lp_toolkit, "_certify", lambda lp, x, duals: False)
+        monkeypatch.setattr(lp_toolkit, "exact_simplex", counted)
+        assert solve_lp(small_lp(objective, rows)).objective_value == small
+        assert build_and_solve_lp1(fix_a, T).objective_value == lp1
+        assert build_and_solve_lp3(fix_a, T).objective_value == lp3
+        assert len(calls) >= 3
 
 
 class TestSolveWithCuts:
