@@ -190,9 +190,7 @@ def _sorted_arcs(F: FrozenSet[Arc]) -> Tuple[Arc, ...]:
     return tuple(sorted(F, key=_arc_key))
 
 
-def pack_arborescences(
-    D: WeightedDigraph, r, K: int, debug: bool = False
-) -> ArbFamily:
+def pack_arborescences(D: WeightedDigraph, r, K: int) -> ArbFamily:
     """Weighted packing: family (gamma_i, F_i), sum gamma = K, arc usage
     within capacity, coverage of u at least min(K, lambda_D(r,u)).
     """
@@ -206,7 +204,6 @@ def pack_arborescences(
 
     work = eulerianize(D, r)
     order = {nd: i for i, nd in enumerate(work.nodes)}
-    trace: List[str] = []
     splits: List[Tuple[Arc, Arc, int, bool]] = []
     remaining = [u for u in work.nodes if u != r]
 
@@ -224,8 +221,6 @@ def pack_arborescences(
                 need = min(K, work.connectivity_value(a, b))
                 if need > 0:
                     protect[(a, b)] = need
-        if debug:
-            trace.append(f"center {u!r} with protected map of size {len(protect)}")
         while work.out_weight(u) > 0:
             out_arcs = sorted(
                 (a for a in work.arcs if a[0] == u), key=_arc_key
@@ -247,14 +242,6 @@ def pack_arborescences(
             if not is_loop:
                 work.add_weight((t, v), x)
             splits.append((e, f, x, is_loop))
-            if debug:
-                for (a, b), need in protect.items():
-                    got = work.connectivity_value(a, b)
-                    if got < need:
-                        raise PackingError(
-                            f"split broke protected pair ({a!r},{b!r}): {got} < {need}"
-                        )
-                trace.append(f"split {x} from {e!r},{f!r}")
         if work.in_weight(u) != 0:
             raise PackingError(f"imbalance after exhausting {u!r}")
         remaining.remove(u)
@@ -268,10 +255,8 @@ def pack_arborescences(
         if not is_loop:
             work.add_weight((t, v), -x)
         members = _undo_split(work, r, K, members, e, f, x, is_loop)
-        if debug:
-            trace.append(f"undid split {x} at {e!r},{f!r}; q={len(members)}")
 
-    result = ArbFamily(
+    return ArbFamily(
         members=tuple(
             sorted(
                 ((g, F) for F, g in members.items()),
@@ -281,9 +266,6 @@ def pack_arborescences(
         K=K,
         root=r,
     )
-    if debug:
-        pack_arborescences.last_trace = "\n".join(trace)  # type: ignore[attr-defined]
-    return result
 
 
 def _undo_split(

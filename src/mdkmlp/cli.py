@@ -27,20 +27,30 @@ from .instance import (
     parse_instance,
     time_horizon,
 )
-from .latency_solvers import SolverConfig, SolverError
+from .latency_solvers import MU_TOL, SolverConfig, SolverError
 
 log = logging.getLogger("mdkmlp.cli")
 
-MU_TOL = Fraction(1, 10**9)
+# LP name -> builder, called with (instance, horizon T). Each entry looks the
+# builder up when called, so a rebinding of the module attribute (a test's
+# monkeypatch, a profiler's wrapper) is seen here too.
+LP_BUILDERS = {
+    "lp1": lambda inst, T: lp_toolkit.build_and_solve_lp1(inst, T),
+    "lp2": lambda inst, T: lp_toolkit.build_and_solve_lp2(inst, T),
+    "lp3": lambda inst, T: lp_toolkit.build_and_solve_lp3(inst, T),
+}
 
-ALGORITHMS = (
-    "multidepot",
-    "kmlp-lp",
-    "kmlp-comb",
-    "mlp-lp",
-    "lp2-round",
-    "bnslb-construct",
-)
+# algorithm -> (bound, rounding). The bound is the LP, or the bottleneck-stroll
+# table, that the algorithm's guarantee is stated against (None: no bound).
+# The rounding is called as (instance, config, that bound solved).
+ALGORITHMS = {
+    "multidepot": ("lp1", lambda i, c, b: latency_solvers.solve_multidepot(i, c, lp1sol=b)),
+    "kmlp-lp": ("lp3", lambda i, c, b: latency_solvers.solve_kmlp_lp(i, c, lp3sol=b)),
+    "kmlp-comb": (None, lambda i, c, b: latency_solvers.solve_kmlp_combinatorial(i, c)),
+    "mlp-lp": ("lp3", lambda i, c, b: latency_solvers.solve_mlp_lp(i, c, lp3sol=b)),
+    "lp2-round": ("lp2", lambda i, c, b: latency_solvers.round_lp2(i, b, c)),
+    "bnslb-construct": ("bnslb", lambda i, c, b: latency_solvers.bnslb_construction(i, b, c)),
+}
 
 
 def _frac(s: str) -> Fraction:
@@ -63,42 +73,33 @@ def _dump_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+def _solve_lp(inst: MetricInstance, which: str) -> lp_toolkit.LpSolution:
+    return LP_BUILDERS[which](inst, time_horizon(inst).T)
+
+
 def _run_algorithm(
     alg: str,
     inst: MetricInstance,
     cfg: SolverConfig,
     lps: Optional[Dict[str, lp_toolkit.LpSolution]] = None,
 ):
-    """Returns (plan, bounds) with whichever LP/oracle values the run computed.
+    """Returns (plan, bounds): the value of the bound the rounding consumed.
 
-    `lps` maps "lp1"/"lp2"/"lp3" to LPs already solved for `inst` at its
-    horizon; the roundings reuse them instead of solving again."""
-    lps = lps or {}
-    if alg == "multidepot":
-        plan = latency_solvers.solve_multidepot(inst, cfg, lp1sol=lps.get("lp1"))
-        diag = latency_solvers.solve_multidepot.last_diagnostics
-        return plan, {"lp1": float(diag["lp_objective"])}
-    if alg == "kmlp-lp":
-        plan = latency_solvers.solve_kmlp_lp(inst, cfg, lp3sol=lps.get("lp3"))
-        diag = latency_solvers.solve_kmlp_lp.last_diagnostics
-        return plan, {"lp3": float(diag["lp_objective"])}
-    if alg == "kmlp-comb":
-        return latency_solvers.solve_kmlp_combinatorial(inst, cfg), {}
-    if alg == "mlp-lp":
-        plan = latency_solvers.solve_mlp_lp(inst, cfg, lp3sol=lps.get("lp3"))
-        diag = latency_solvers.solve_mlp_lp.last_diagnostics
-        return plan, {"lp3": float(diag["lp_objective"])}
-    if alg == "lp2-round":
-        sol2 = lps.get("lp2")
-        if sol2 is None:
-            sol2 = lp_toolkit.build_and_solve_lp2(inst, time_horizon(inst).T)
-        plan = latency_solvers.round_lp2(inst, sol2, cfg)
-        return plan, {"lp2": float(sol2.objective_value)}
-    if alg == "bnslb-construct":
+    The bound is solved here, once, and handed to the rounding, so the value
+    reported is the one rounded. `lps` maps "lp1"/"lp2"/"lp3" to LPs already
+    solved for `inst` at its horizon, which are used instead."""
+    bound, rounding = ALGORITHMS[alg]
+    if bound == "lp3":  # fail before building LP3 where its roundings do not apply
+        latency_solvers.check_lp3_rounding(inst, alg)
+    if bound is None:
+        return rounding(inst, cfg, None), {}
+    if bound == "bnslb":
         table = exact_oracles.bnslb(inst)
-        plan = latency_solvers.bnslb_construction(inst, table, cfg)
-        return plan, {"bnslb": float(table.bnslb)}
-    raise SolverError(f"unknown algorithm {alg!r}")
+        return rounding(inst, cfg, table), {bound: float(table.bnslb)}
+    sol = (lps or {}).get(bound)
+    if sol is None:
+        sol = _solve_lp(inst, bound)
+    return rounding(inst, cfg, sol), {bound: float(sol.objective_value)}
 
 
 def cmd_solve(args) -> int:
@@ -133,6 +134,7 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     inst = _read_instance(args.input)
     what = args.what
+    root = args.root if args.root is not None else inst.roots[0]
     out: Dict = {"what": what}
     if what == "opt":
         res = exact_oracles.exact_kmlp(inst)
@@ -142,25 +144,17 @@ def cmd_oracle(args) -> int:
         table = exact_oracles.bnslb(inst)
         out["value"] = _frac_str(table.bnslb)
         out["table"] = [_frac_str(b) for b in table.values]
-    elif what in ("lp1", "lp2", "lp3"):
-        T = time_horizon(inst).T
-        build = {
-            "lp1": lp_toolkit.build_and_solve_lp1,
-            "lp2": lp_toolkit.build_and_solve_lp2,
-            "lp3": lp_toolkit.build_and_solve_lp3,
-        }[what]
-        sol = build(inst, T)
+    elif what in LP_BUILDERS:
+        sol = _solve_lp(inst, what)
         out["value"] = _frac_str(sol.objective_value)
-        out["T"] = T
+        out["T"] = sol.T
         out["nonzeros"] = len(sol.values)
     elif what == "pc-paths":
-        root = args.root if args.root is not None else inst.roots[0]
         pen = {v: args.penalty for v in inst.nodes if v != root}
         res = exact_oracles.exact_pc_paths(inst, root, pen)
         out["value"] = _frac_str(res.value)
         out["paths"] = [list(p) for p in res.witness]
     elif what == "orienteering":
-        root = args.root if args.root is not None else inst.roots[0]
         if args.budget is None:
             raise SolverError("--budget is required for orienteering")
         rewards = {v: Fraction(1) for v in inst.nodes if v != root}
@@ -189,13 +183,7 @@ def _oracle_value(inst: MetricInstance, which: str) -> Fraction:
         return exact_oracles.exact_kmlp(inst).value
     if which == "bnslb":
         return exact_oracles.bnslb(inst).bnslb
-    T = time_horizon(inst).T
-    build = {
-        "lp1": lp_toolkit.build_and_solve_lp1,
-        "lp2": lp_toolkit.build_and_solve_lp2,
-        "lp3": lp_toolkit.build_and_solve_lp3,
-    }[which]
-    return build(inst, T).objective_value
+    return _solve_lp(inst, which).objective_value
 
 
 def cmd_verify(args) -> int:
@@ -285,20 +273,13 @@ def _gen_instance(n: int, k: int, metric: str, rng: random.Random) -> MetricInst
 def _bench_row(idx: int, inst: MetricInstance, algs, seed: int) -> Dict:
     row: Dict = {"instance": idx}
     oracles: Dict[str, Optional[Fraction]] = {}
-    try:
-        oracles["opt"] = exact_oracles.exact_kmlp(inst).value
-    except OracleGuardError:
-        oracles["opt"] = None
-    try:
-        oracles["bnslb"] = exact_oracles.bnslb(inst).bnslb
-    except OracleGuardError:
-        oracles["bnslb"] = None
+    for name in ("opt", "bnslb"):
+        try:
+            oracles[name] = _oracle_value(inst, name)
+        except OracleGuardError:
+            oracles[name] = None
     T = time_horizon(inst).T
-    lps = {
-        "lp1": lp_toolkit.build_and_solve_lp1(inst, T),
-        "lp2": lp_toolkit.build_and_solve_lp2(inst, T),
-        "lp3": lp_toolkit.build_and_solve_lp3(inst, T),
-    }
+    lps = {name: build(inst, T) for name, build in LP_BUILDERS.items()}
     for name, sol in lps.items():
         oracles[name] = sol.objective_value
     for name, val in oracles.items():
@@ -410,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--what",
         required=True,
-        choices=("opt", "bnslb", "lp1", "lp2", "lp3", "pc-paths", "orienteering"),
+        choices=("opt", "bnslb", *LP_BUILDERS, "pc-paths", "orienteering"),
     )
     p.add_argument("--input", required=True)
     p.add_argument("--root", default=None)
@@ -422,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--solution", required=True)
     p.add_argument(
-        "--against", choices=("opt", "bnslb", "lp1", "lp2", "lp3"), default=None
+        "--against", choices=("opt", "bnslb", *LP_BUILDERS), default=None
     )
     p.set_defaults(func=cmd_verify)
 

@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import pathdp
-from .instance import MetricInstance, RoutePlan
-from .lp_toolkit import bottleneck_cover_table, vehicle_groups
+from .instance import MetricInstance, RoutePlan, group_slots, vehicle_groups
+from .lp_toolkit import bottleneck_cover_table
 
 INF = pathdp.INF
 
@@ -137,9 +137,7 @@ def exact_kmlp(inst: MetricInstance) -> OracleResult:
 
     # lay the per-group vehicle orders into the instance's root slots
     routes: List[Optional[Tuple]] = [None] * inst.k
-    for gi, (r, mult) in enumerate(groups):
-        slots = [i for i, rr in enumerate(inst.roots) if rr == r]
-        orders = picks[gi]
+    for (r, mult), slots, orders in zip(groups, group_slots(inst), picks):
         # splits with fewer nonempty parts than vehicles: pad with empties
         orders = orders + [()] * (mult - len(orders))
         for slot, order in zip(slots, orders):
@@ -167,14 +165,10 @@ def _bottleneck_by_size(inst: MetricInstance):
 
 def _witness_routes(inst: MetricInstance, routes: Tuple[Tuple, ...]) -> Tuple[Tuple, ...]:
     """Align witness paths (one per depot-group vehicle) to root slots."""
-    groups = vehicle_groups(inst)
     out: List[Tuple] = [None] * inst.k
-    pos = 0
-    for r, mult in groups:
-        slots = [i for i, rr in enumerate(inst.roots) if rr == r]
-        for slot in slots:
-            out[slot] = routes[pos]
-            pos += 1
+    slots = (slot for group in group_slots(inst) for slot in group)
+    for slot, route in zip(slots, routes):
+        out[slot] = route
     return tuple(out)
 
 
@@ -190,10 +184,7 @@ def exact_bottleneck_stroll(inst: MetricInstance, ell: int) -> OracleResult:
     _guard_clients(inst)
     free = len(inst.root_set)
     if ell <= free:
-        routes = _witness_routes(
-            inst, tuple((r,) for r, mult in vehicle_groups(inst) for _ in range(mult))
-        )
-        return OracleResult(Fraction(0), routes, 0)
+        return OracleResult(Fraction(0), tuple((r,) for r in inst.roots), 0)
     best, explored = _bottleneck_by_size(inst)
     need = ell - free
     val, routes = None, None
@@ -210,7 +201,7 @@ def bnslb(inst: MetricInstance) -> BnsTable:
     _guard_clients(inst)
     best, _ = _bottleneck_by_size(inst)
     free = len(inst.root_set)
-    trivial = tuple((r,) for r, mult in vehicle_groups(inst) for _ in range(mult))
+    trivial = tuple((r,) for r in inst.roots)
     values: List[Fraction] = []
     witnesses: List[Tuple[Tuple, ...]] = []
     # suffix-min so b*_l is the cheapest way to reach coverage >= l
@@ -223,7 +214,7 @@ def bnslb(inst: MetricInstance) -> BnsTable:
     for ell in range(1, inst.n + 1):
         if ell <= free:
             values.append(Fraction(0))
-            witnesses.append(_witness_routes(inst, trivial))
+            witnesses.append(trivial)
             continue
         need = ell - free
         cands = [by_need[s] for s in by_need if s >= need]

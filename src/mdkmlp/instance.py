@@ -193,6 +193,30 @@ class MetricInstance:
         return best
 
 
+def vehicle_groups(inst: MetricInstance) -> List[Tuple[Node, int]]:
+    """Vehicles grouped by shared depot: [(root, multiplicity)], stable order.
+
+    Vehicles at the same depot are interchangeable, and every LP here is
+    convex and symmetric under permuting them, so an optimal solution exists
+    with equal per-vehicle values within a group; sharing variables across a
+    group is exact and shrinks the LPs by a factor of up to k.
+    """
+    groups: Dict[Node, int] = {}
+    for r in inst.roots:
+        groups[r] = groups.get(r, 0) + 1
+    return list(groups.items())
+
+
+def group_slots(inst: MetricInstance) -> List[List[int]]:
+    """For each group of :func:`vehicle_groups`, in order, the indices of
+    its vehicles in ``inst.roots``: how per-group results (LP columns,
+    witness paths, DP splits) map back to the instance's route slots."""
+    return [
+        [i for i, rr in enumerate(inst.roots) if rr == r]
+        for r, _ in vehicle_groups(inst)
+    ]
+
+
 @dataclass(frozen=True)
 class RoutePlan:
     """k rooted node sequences, route i starting at root i."""

@@ -19,12 +19,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import concat_graph, lp_toolkit
 from .arb_packing import WeightedDigraph, pack_arborescences
 from .exact_oracles import BnsTable
-from .instance import MetricInstance, RoutePlan, time_horizon
+from .instance import MetricInstance, RoutePlan, group_slots, time_horizon
 from .pc_tree import BipointTree, RootedTree, coverage_tree
 
 log = logging.getLogger("mdkmlp.solvers")
@@ -135,6 +135,30 @@ def _finalize_plan(
             route.extend(tour)
         routes.append(tuple(route))
     return RoutePlan(routes=tuple(routes), objective_variant=variant)
+
+
+def _orient_into(
+    inst: MetricInstance,
+    draws: Iterable[Tuple[int, Sequence]],
+    metric: Callable,
+    rng: random.Random,
+    derandomize: bool,
+    covered: Set,
+) -> List[List[Tuple]]:
+    """Per-vehicle tour lists from (slot, order) draws taken in turn: each
+    nonempty order becomes a cycle through the slot's root, oriented against
+    the nodes not yet in `covered`. `covered` grows as draws are taken, so a
+    generator of draws can stop as soon as it holds every client."""
+    tours: List[List[Tuple]] = [[] for _ in range(inst.k)]
+    for slot, order in draws:
+        if not order:
+            continue
+        new = set(order) - covered
+        tours[slot].append(_orient_tour(
+            order, inst.roots[slot], new, metric, inst.weight, rng, derandomize
+        ))
+        covered.update(order)
+    return tours
 
 
 def _require_single_depot(inst: MetricInstance, what: str) -> None:
@@ -278,51 +302,52 @@ def _as_cycle(root, seg: Sequence) -> Tuple:
 # envelope / concatenation-graph core shared by the single-depot algorithms
 
 
+def _s_values(
+    points: List[Tuple[int, Fraction, object]], n: int
+) -> Tuple[Fraction, ...]:
+    """s_1..s_n: the lower envelope of the (coverage, cost-bound) points."""
+    env = concat_graph.lower_envelope([(cov, y) for cov, y, _ in points])
+    return tuple(env.value(ell) for ell in range(1, n + 1))
+
+
 def _stitch_by_concat_graph(
     inst: MetricInstance,
     points: List[Tuple[int, Fraction, object]],
     cycles_for: Callable[[object, int], List[Tuple]],
     rng: random.Random,
     derandomize: bool,
-) -> Tuple[List[List[Tuple]], Tuple[Fraction, ...], concat_graph.ConcatPath]:
+) -> List[List[Tuple]]:
     """Envelope -> concatenation-graph shortest path -> stitched tours.
 
     `points` holds (coverage, cost-bound, witness); `cycles_for(witness,
     coverage)` turns a witness into k cycles each of length at most the
-    point's cost bound. Returns (per-vehicle tour lists, s-values, path).
+    point's cost bound. Returns the per-vehicle tour lists.
     """
-    n = inst.n
-    env = concat_graph.lower_envelope([(cov, y) for cov, y, _ in points])
     witness_by_point: Dict[Tuple[Fraction, Fraction], object] = {}
     for cov, y, wit in points:
         key = (Fraction(cov), Fraction(y))
         witness_by_point.setdefault(key, wit)
-    s_values = tuple(env.value(ell) for ell in range(1, n + 1))
+    s_values = _s_values(points, inst.n)
     path = concat_graph.shortest_concat_path(s_values)
-    tours: List[List[Tuple]] = [[] for _ in range(inst.k)]
+
+    def draws():
+        for ell in path.node_indices:
+            if ell == 1:
+                continue
+            key = (Fraction(ell), s_values[ell - 1])
+            if key not in witness_by_point:
+                raise SolverError(
+                    f"no witness for concatenation-path corner {key}"
+                )
+            for slot, cyc in enumerate(cycles_for(witness_by_point[key], ell)):
+                yield slot, cyc[1:]
+
     covered: Set = set(inst.root_set)
-    metric = inst.dist
-    for ell in path.node_indices:
-        if ell == 1:
-            continue
-        key = (Fraction(ell), s_values[ell - 1])
-        if key not in witness_by_point:
-            raise SolverError(
-                f"no witness for concatenation-path corner {key}"
-            )
-        cycles = cycles_for(witness_by_point[key], ell)
-        for i, cyc in enumerate(cycles):
-            root, interior = cyc[0], list(cyc[1:])
-            new = set(interior) - covered
-            oriented = _orient_tour(
-                interior, root, new, metric, inst.weight, rng, derandomize
-            )
-            tours[i].append(oriented)
-            covered.update(interior)
+    tours = _orient_into(inst, draws(), inst.dist, rng, derandomize, covered)
     missing = [v for v in inst.clients if v not in covered]
     if missing:
         raise SolverError(f"stitched solution left nodes uncovered: {missing!r}")
-    return tours, s_values, path
+    return tours
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +399,15 @@ def _family_for_time(
     return fam_members, K
 
 
-def _member_nodes(root, member) -> Set:
-    nodes = {root}
-    for (u, v) in member:
-        nodes.add(u)
-        nodes.add(v)
-    return nodes
+def check_lp3_rounding(inst: MetricInstance, what: str) -> None:
+    """Raise SolverError where the bidirected-LP rounding `what` ("kmlp-lp",
+    k-way split, or "mlp-lp", one vehicle) does not apply. A caller that
+    solves LP3 itself runs this first, so a misuse fails before the LP is
+    built."""
+    if what == "mlp-lp" and inst.k != 1:
+        raise SolverError("mlp-lp requires exactly one vehicle")
+    _require_single_depot(inst, what)
+    _require_plain(inst, what)
 
 
 def _solve_lp3_rounding(
@@ -389,8 +417,7 @@ def _solve_lp3_rounding(
     lp3sol: Optional[lp_toolkit.LpSolution],
 ) -> RoutePlan:
     what = "kmlp-lp" if split else "mlp-lp"
-    _require_single_depot(inst, what)
-    _require_plain(inst, what)
+    check_lp3_rounding(inst, what)
     root = inst.roots[0]
     k = inst.k
     rng = random.Random(cfg.seed)
@@ -419,18 +446,16 @@ def _solve_lp3_rounding(
         members, K = _family_for_time(inst, zprime, t, root, fam_cache)
         S_t = {v for v in inst.nodes if in_S(v, t)}
         for gamma, member in members:
-            nodes = _member_nodes(root, member)
-            cov = len(nodes & S_t)
+            cov = len({root}.union(*member) & S_t)
             cost = sum((Fraction(inst.dist(u, v)) for (u, v) in member), ZERO)
             if split:
                 y = 2 * cost / k + 2 * t
             else:
                 y = 2 * cost
-            points.append((cov, y, (member, t, frozenset(S_t))))
+            points.append((cov, y, (member, cost, frozenset(S_t))))
 
     def cycles_for(wit, ell) -> List[Tuple]:
-        member, t, S_t = wit
-        cost = sum((Fraction(inst.dist(u, v)) for (u, v) in member), ZERO)
+        member, cost, S_t = wit
         tree = RootedTree(root=root, arcs=frozenset(member), cost=cost)
         keep = tree.nodes & S_t
         if split:
@@ -441,18 +466,10 @@ def _solve_lp3_rounding(
         )
         return [(root,) + interior] + [(root,)] * (k - 1)
 
-    tours, s_values, path = _stitch_by_concat_graph(
+    tours = _stitch_by_concat_graph(
         inst, points, cycles_for, rng, cfg.derandomize_directions
     )
-    plan = _finalize_plan(inst, tours, "plain")
-    fn = solve_kmlp_lp if split else solve_mlp_lp
-    fn.last_diagnostics = {
-        "s_values": s_values,
-        "path": path,
-        "lp_objective": sol3.objective_value,
-        "T": T,
-    }
-    return plan
+    return _finalize_plan(inst, tours, "plain")
 
 
 def solve_kmlp_lp(
@@ -472,8 +489,6 @@ def solve_mlp_lp(
     lp3sol: Optional[lp_toolkit.LpSolution] = None,
 ) -> RoutePlan:
     """Single-vehicle specialization: no splitting, factor mu*."""
-    if inst.k != 1:
-        raise SolverError("mlp-lp requires exactly one vehicle")
     return _solve_lp3_rounding(inst, cfg or SolverConfig(), False, lp3sol)
 
 
@@ -481,21 +496,12 @@ def solve_mlp_lp(
 # combinatorial single-depot algorithm
 
 
-def solve_kmlp_combinatorial(
-    inst: MetricInstance, cfg: Optional[SolverConfig] = None
-) -> RoutePlan:
-    """Single-depot algorithm driven by partial-cover trees on distance
-    prefixes; total latency at most 2*mu* times the bottleneck-stroll
-    lower bound (derandomized)."""
-    cfg = cfg or SolverConfig()
-    _require_single_depot(inst, "kmlp-comb")
-    _require_plain(inst, "kmlp-comb")
+def _combinatorial_points(inst: MetricInstance) -> List[Tuple[int, Fraction, object]]:
+    """(coverage, cost bound, tree) for the partial-cover trees on every
+    distance prefix V_j of a single-depot instance: the k-way split of a
+    tree costs 2c(tree)/k plus the round trip to V_j's farthest node."""
     root = inst.roots[0]
     k = inst.k
-    rng = random.Random(cfg.seed)
-    if not inst.clients:
-        return _finalize_plan(inst, [[] for _ in range(k)], "plain")
-
     node_pos = {v: i for i, v in enumerate(inst.nodes)}
     order = sorted(
         inst.nodes, key=lambda v: (inst.dist(root, v), node_pos[v])
@@ -519,29 +525,35 @@ def solve_kmlp_combinatorial(
             for tree in parts:
                 y = 2 * Fraction(tree.cost) / k + reach
                 points.append((len(tree.nodes), y, tree))
+    return points
+
+
+def solve_kmlp_combinatorial(
+    inst: MetricInstance, cfg: Optional[SolverConfig] = None
+) -> RoutePlan:
+    """Single-depot algorithm driven by partial-cover trees on distance
+    prefixes; total latency at most 2*mu* times the bottleneck-stroll
+    lower bound (derandomized)."""
+    cfg = cfg or SolverConfig()
+    _require_single_depot(inst, "kmlp-comb")
+    _require_plain(inst, "kmlp-comb")
+    k = inst.k
+    rng = random.Random(cfg.seed)
+    if not inst.clients:
+        return _finalize_plan(inst, [[] for _ in range(k)], "plain")
 
     def cycles_for(tree: RootedTree, ell) -> List[Tuple]:
         return split_tree_into_k_tours(inst, tree, k)
 
-    tours, s_values, path = _stitch_by_concat_graph(
-        inst, points, cycles_for, rng, cfg.derandomize_directions
+    tours = _stitch_by_concat_graph(
+        inst, _combinatorial_points(inst), cycles_for, rng,
+        cfg.derandomize_directions,
     )
-    plan = _finalize_plan(inst, tours, "plain")
-    solve_kmlp_combinatorial.last_diagnostics = {
-        "s_values": s_values,
-        "path": path,
-    }
-    return plan
+    return _finalize_plan(inst, tours, "plain")
 
 
 # ---------------------------------------------------------------------------
 # geometric-sampling rounding of the configuration LPs
-
-
-def _slot_groups(inst: MetricInstance, groups) -> List[int]:
-    """Group index for each of the k vehicle slots, in roots order."""
-    gi_of_root = {r: gi for gi, (r, mult) in enumerate(groups)}
-    return [gi_of_root[r] for r in inst.roots]
 
 
 def _geometric_schedule(
@@ -592,6 +604,35 @@ def _append_leftovers(
         covered.add(v)
 
 
+def _geometric_rounding(
+    inst: MetricInstance,
+    cfg: SolverConfig,
+    growth: Fraction,
+    T: int,
+    draws_at: Callable[[int], Iterable[Tuple[int, Sequence]]],
+    rng: random.Random,
+) -> RoutePlan:
+    """The loop both configuration-LP roundings share: at each geometric
+    time point t_j, the (slot, order) draws `draws_at(min(T, floor t_j))`,
+    until every client is covered; leftovers get direct visits."""
+    schedule = _geometric_schedule(cfg, growth, inst.n, T, rng)
+    covered: Set = set()
+    clients = set(inst.clients)
+
+    def draws():
+        for tj in schedule:
+            yield from draws_at(min(T, int(tj)))
+            if clients <= covered:
+                return
+
+    metric = lp_toolkit._lp_metric(inst)
+    tours = _orient_into(
+        inst, draws(), metric, rng, cfg.derandomize_directions, covered
+    )
+    _append_leftovers(inst, tours, covered)
+    return _finalize_plan(inst, tours, inst.default_variant)
+
+
 def solve_multidepot(
     inst: MetricInstance,
     cfg: Optional[SolverConfig] = None,
@@ -607,9 +648,8 @@ def solve_multidepot(
     one solved LP."""
     cfg = cfg or SolverConfig()
     rng = random.Random(cfg.seed)
-    variant = inst.default_variant
     if not inst.clients:
-        return _finalize_plan(inst, [[] for _ in range(inst.k)], variant)
+        return _finalize_plan(inst, [[] for _ in range(inst.k)], inst.default_variant)
     if lp1sol is not None:
         if lp1sol.which != "LP1":
             raise SolverError("solve_multidepot needs a per-vehicle LP solution")
@@ -618,10 +658,8 @@ def solve_multidepot(
     else:
         T = time_horizon(inst).T
         sol1 = lp_toolkit.build_and_solve_lp1(inst, T)
-    groups = sol1.meta["groups"]
     columns = sol1.meta["columns"]
-    slot_gi = _slot_groups(inst, groups)
-    metric = lp_toolkit._lp_metric(inst)
+    slot_gi = {s: gi for gi, slots in enumerate(group_slots(inst)) for s in slots}
     node_pos = {v: i for i, v in enumerate(inst.nodes)}
 
     # per (group, time): deterministic column distribution
@@ -633,36 +671,12 @@ def solve_multidepot(
     for key in by_gt:
         by_gt[key].sort(key=lambda item: tuple(node_pos[v] for v in item[0]))
 
-    growth = cfg.growth or DEFAULT_GROWTH
-    schedule = _geometric_schedule(cfg, growth, inst.n, T, rng)
-    tours: List[List[Tuple]] = [[] for _ in range(inst.k)]
-    covered: Set = set()
-    clients = set(inst.clients)
-    for tj in schedule:
-        tt = min(T, int(tj))
+    def draws_at(t):
         for slot in range(inst.k):
-            gi = slot_gi[slot]
-            order = _sample_from(by_gt.get((gi, tt), []), rng)
-            if not order:
-                continue
-            root = inst.roots[slot]
-            new = set(order) - covered
-            oriented = _orient_tour(
-                order, root, new, metric, inst.weight, rng,
-                cfg.derandomize_directions,
-            )
-            tours[slot].append(oriented)
-            covered.update(order)
-        if clients <= covered:
-            break
-    _append_leftovers(inst, tours, covered)
-    plan = _finalize_plan(inst, tours, variant)
-    solve_multidepot.last_diagnostics = {
-        "lp_objective": sol1.objective_value,
-        "T": T,
-        "iterations": len(schedule),
-    }
-    return plan
+            yield slot, _sample_from(by_gt.get((slot_gi[slot], t), []), rng)
+
+    growth = cfg.growth or DEFAULT_GROWTH
+    return _geometric_rounding(inst, cfg, growth, T, draws_at, rng)
 
 
 def round_lp2(
@@ -682,12 +696,10 @@ def round_lp2(
         raise SolverError("round_lp2 needs a joint-configuration LP solution")
     _require_plain(inst, "lp2-round")
     rng = random.Random(cfg.seed)
-    variant = inst.default_variant
     if not inst.clients:
-        return _finalize_plan(inst, [[] for _ in range(inst.k)], variant)
+        return _finalize_plan(inst, [[] for _ in range(inst.k)], inst.default_variant)
     T = lp2sol.T
     configs = lp2sol.meta["configs"]
-    groups = lp2sol.meta["groups"]
     node_pos = {v: i for i, v in enumerate(inst.nodes)}
 
     by_t: Dict[int, List[Tuple[object, Fraction]]] = {}
@@ -700,38 +712,16 @@ def round_lp2(
         by_t[t].sort(key=lambda item: tuple(sorted(node_pos[v] for v in item[0])))
 
     # align each group's witness paths with the instance's root slots
-    slot_of: List[int] = []
-    for r, mult in groups:
-        slot_of.extend(i for i, rr in enumerate(inst.roots) if rr == r)
-    metric = lp_toolkit._lp_metric(inst)
+    slot_of = [slot for slots in group_slots(inst) for slot in slots]
+
+    def draws_at(t):
+        U = _sample_from(by_t.get(t, []), rng)
+        if U is not None:
+            for slot, route in zip(slot_of, configs[U]):
+                yield slot, route[1:]
 
     growth = cfg.growth or concat_graph.mu_star(MU_TOL)
-    schedule = _geometric_schedule(cfg, growth, inst.n, T, rng)
-    tours: List[List[Tuple]] = [[] for _ in range(inst.k)]
-    covered: Set = set()
-    clients = set(inst.clients)
-    for tj in schedule:
-        tt = min(T, int(tj))
-        U = _sample_from(by_t.get(tt, []), rng)
-        if U is None:
-            continue
-        routes = configs[U]
-        for w_idx, route in enumerate(routes):
-            slot = slot_of[w_idx]
-            root, order = route[0], route[1:]
-            if not order:
-                continue
-            new = set(order) - covered
-            oriented = _orient_tour(
-                order, root, new, metric, inst.weight, rng,
-                cfg.derandomize_directions,
-            )
-            tours[slot].append(oriented)
-            covered.update(order)
-        if clients <= covered:
-            break
-    _append_leftovers(inst, tours, covered)
-    return _finalize_plan(inst, tours, variant)
+    return _geometric_rounding(inst, cfg, growth, T, draws_at, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -755,26 +745,17 @@ def bnslb_construction(
         return _finalize_plan(inst, [[] for _ in range(inst.k)], "plain")
     s = tuple(2 * Fraction(b) for b in table.values)
     path = concat_graph.shortest_concat_path(s)
-    tours: List[List[Tuple]] = [[] for _ in range(inst.k)]
+    draws = (
+        (slot, route[1:])
+        for ell in path.node_indices
+        if ell != 1
+        for slot, route in enumerate(table.witnesses[ell - 1])
+    )
     covered: Set = set(inst.root_set)
-    for ell in path.node_indices:
-        if ell == 1:
-            continue
-        witness = table.witnesses[ell - 1]
-        for slot, route in enumerate(witness):
-            root, order = route[0], route[1:]
-            if not order:
-                continue
-            new = set(order) - covered
-            oriented = _orient_tour(
-                order, root, new, inst.dist, inst.weight, rng,
-                cfg.derandomize_directions,
-            )
-            tours[slot].append(oriented)
-            covered.update(order)
+    tours = _orient_into(
+        inst, draws, inst.dist, rng, cfg.derandomize_directions, covered
+    )
     missing = [v for v in inst.clients if v not in covered]
     if missing:
         raise SolverError(f"witnesses left nodes uncovered: {missing!r}")
-    plan = _finalize_plan(inst, tours, "plain")
-    bnslb_construction.last_diagnostics = {"s_values": s, "path": path}
-    return plan
+    return _finalize_plan(inst, tours, "plain")

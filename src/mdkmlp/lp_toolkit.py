@@ -26,7 +26,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_array
 
 from . import flows, pathdp
-from .instance import MetricInstance
+from .instance import MetricInstance, vehicle_groups
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, exact_simplex
 
 log = logging.getLogger("mdkmlp.lp")
@@ -84,9 +84,6 @@ class LinearProgram:
         self.objective.append(Fraction(obj))
         return idx
 
-    def var(self, name) -> int:
-        return self._index[name]
-
     def has_var(self, name) -> bool:
         return name in self._index
 
@@ -137,12 +134,6 @@ class LpSolution:
 
     def value(self, name) -> Fraction:
         return self.values.get(name, ZERO)
-
-    def denominator_lcm(self) -> int:
-        K = 1
-        for v in self.values.values():
-            K = math.lcm(K, Fraction(v).denominator)
-        return K
 
 
 def _round_fraction(val: float) -> Fraction:
@@ -313,6 +304,40 @@ def _scaled_int_caps(values: Dict[Tuple, Fraction]) -> Tuple[int, Dict[Tuple, in
     return scale, {a: int(v * scale) for a, v in values.items() if v > 0}
 
 
+def _violated_cuts(
+    inst: MetricInstance,
+    node_idx: Dict[object, int],
+    root,
+    arc_values: Dict[Tuple, Fraction],
+    demands: Sequence[Tuple[object, Fraction]],
+) -> List[Tuple[FrozenSet, object]]:
+    """Min-cut separation under arc capacities ``arc_values``.
+
+    For each ``(v, need)`` in order with ``need > 0``, a minimum root-v cut
+    of capacity below ``need`` is violated; returns ``(S, v)`` for each,
+    with S the side of the cut holding v (the nodes outside the min cut's
+    source side), so the cut is the arcs entering S. Each ``(S, v)`` is
+    reported once, in the order found. Capacities are scaled to integers
+    once, so the comparison with ``need`` is exact.
+    """
+    scale, caps = _scaled_int_caps(arc_values)
+    icaps = {(node_idx[u], node_idx[v]): w for (u, v), w in caps.items()}
+    found: List[Tuple[FrozenSet, object]] = []
+    seen = set()
+    for v, need in demands:
+        if need <= 0:
+            continue
+        val, side = flows.min_cut(inst.n, icaps, node_idx[root], node_idx[v])
+        if Fraction(val, scale) >= need:
+            continue
+        S = frozenset(w for w in inst.nodes if node_idx[w] not in side)
+        if (S, v) in seen:
+            continue
+        seen.add((S, v))
+        found.append((S, v))
+    return found
+
+
 # ---------------------------------------------------------------------------
 # PC-LP
 
@@ -366,22 +391,9 @@ def build_and_solve_pclp(
 
     def oracle(sol: LpSolution) -> List[Cut]:
         xvals = {a: sol.value(("x", a)) for a in arcs}
-        scale, caps = _scaled_int_caps(xvals)
-        icaps = {(node_idx[u], node_idx[v]): w for (u, v), w in caps.items()}
+        demands = [(v, ONE - sol.value(("z", v))) for v in others]
         cuts: List[Cut] = []
-        seen = set()
-        for v in others:
-            need = ONE - sol.value(("z", v))
-            if need <= 0:
-                continue
-            val, side = flows.min_cut(inst.n, icaps, node_idx[root], node_idx[v])
-            if Fraction(val, scale) >= need:
-                continue
-            S = frozenset(w for w in inst.nodes if node_idx[w] not in side)
-            key = (S, v)
-            if key in seen:
-                continue
-            seen.add(key)
+        for S, v in _violated_cuts(inst, node_idx, root, xvals, demands):
             coeffs: Dict[object, Fraction] = {("z", v): ONE}
             for (a, b) in arcs:
                 if a not in S and b in S:
@@ -395,21 +407,7 @@ def build_and_solve_pclp(
 
 
 # ---------------------------------------------------------------------------
-# vehicle grouping and column enumeration helpers
-
-
-def vehicle_groups(inst: MetricInstance) -> List[Tuple[object, int]]:
-    """Vehicles grouped by shared depot: [(root, multiplicity)], stable order.
-
-    Vehicles at the same depot are interchangeable, and every LP here is
-    convex and symmetric under permuting them, so an optimal solution exists
-    with equal per-vehicle values within a group; sharing variables across a
-    group is exact and shrinks the LPs by a factor of up to k.
-    """
-    groups: Dict[object, int] = {}
-    for r in inst.roots:
-        groups[r] = groups.get(r, 0) + 1
-    return list(groups.items())
+# column enumeration helpers
 
 
 def _count_rooted_paths(
@@ -532,6 +530,30 @@ def build_and_solve_lp1(
 # LP2: global-snapshot configuration LP
 
 
+def _min_max_split(
+    first: List[Fraction], rest: List[Fraction]
+) -> Tuple[List[Fraction], List[int]]:
+    """Bottleneck subset DP step: for every mask, the minimum over its
+    submasks ``sub`` of ``max(first[sub], rest[mask ^ sub])``, and the first
+    minimizing ``sub`` in descending submask order."""
+    full = len(first)
+    cur = [pathdp.INF] * full
+    pick = [0] * full
+    for msk in range(full):
+        sub = msk
+        best, bestsub = pathdp.INF, 0
+        while True:
+            val = max(first[sub], rest[msk ^ sub])
+            if val < best:
+                best, bestsub = val, sub
+            if sub == 0:
+                break
+            sub = (sub - 1) & msk
+        cur[msk] = best
+        pick[msk] = bestsub
+    return cur, pick
+
+
 def bottleneck_cover_table(
     inst: MetricInstance,
     metric: Optional[Callable] = None,
@@ -569,21 +591,7 @@ def bottleneck_cover_table(
         h = [single]
         choice = [[msk for msk in range(full)]]
         for j in range(1, mult):
-            prev = h[-1]
-            cur = [INF] * full
-            pick = [0] * full
-            for msk in range(full):
-                sub = msk
-                best, bestsub = INF, 0
-                while True:
-                    val = max(single[sub], prev[msk ^ sub])
-                    if val < best:
-                        best, bestsub = val, sub
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & msk
-                cur[msk] = best
-                pick[msk] = bestsub
+            cur, pick = _min_max_split(single, h[-1])
             h.append(cur)
             choice.append(pick)
         per_group.append((paths, h[-1], (h, choice)))
@@ -593,22 +601,7 @@ def bottleneck_cover_table(
     F[0][0] = ZERO
     gpick = []
     for gi in range(len(groups)):
-        hg = per_group[gi][1]
-        prev = F[-1]
-        cur = [INF] * full
-        pick = [0] * full
-        for msk in range(full):
-            sub = msk
-            best, bestsub = INF, 0
-            while True:
-                val = max(hg[sub], prev[msk ^ sub])
-                if val < best:
-                    best, bestsub = val, sub
-                if sub == 0:
-                    break
-                sub = (sub - 1) & msk
-            cur[msk] = best
-            pick[msk] = bestsub
+        cur, pick = _min_max_split(per_group[gi][1], F[-1])
         F.append(cur)
         gpick.append(pick)
 
@@ -827,26 +820,8 @@ def build_and_solve_lp3(inst: MetricInstance, T: int) -> LpSolution:
                 covered[v] = prefix
             for t in range(1, T + 1):
                 zvals = {a: sol.value(("z", gi, a, t)) for a in arcs}
-                scale, caps = _scaled_int_caps(zvals)
-                icaps = {
-                    (node_idx[u], node_idx[v]): w for (u, v), w in caps.items()
-                }
-                seen = set()
-                for v in served:
-                    need = covered[v][t]
-                    if need <= 0:
-                        continue
-                    val, side = flows.min_cut(
-                        inst.n, icaps, node_idx[r], node_idx[v]
-                    )
-                    if Fraction(val, scale) >= need:
-                        continue
-                    S = frozenset(
-                        w for w in inst.nodes if node_idx[w] not in side
-                    )
-                    if (S, v) in seen:
-                        continue
-                    seen.add((S, v))
+                demands = [(v, covered[v][t]) for v in served]
+                for S, v in _violated_cuts(inst, node_idx, r, zvals, demands):
                     coeffs: Dict[object, Fraction] = {}
                     for a in arcs:
                         if a[0] not in S and a[1] in S:

@@ -18,6 +18,8 @@ from mdkmlp.concat_graph import lower_envelope, mu_star, shortest_concat_path
 from mdkmlp.instance import MetricInstance, evaluate_plan, time_horizon
 from mdkmlp.latency_solvers import (
     SolverConfig,
+    _combinatorial_points,
+    _s_values,
     bnslb_construction,
     break_cycle_with_service,
     round_lp2,
@@ -204,20 +206,21 @@ def test_criterion_6_single_depot_per_run_bounds():
 
         plan = solve_kmlp_combinatorial(inst)
         assert evaluate_plan(inst, plan) <= 2 * MU * table.bnslb * REL_TOL
-        diag = solve_kmlp_combinatorial.last_diagnostics
-        for ell, s in enumerate(diag["s_values"], start=1):
+        # the s-values the solver stitches along
+        s_values = _s_values(_combinatorial_points(inst), inst.n)
+        for ell, s in enumerate(s_values, start=1):
             assert s <= 4 * table.values[ell - 1]
 
-        plan = solve_kmlp_lp(inst)
-        lp3 = solve_kmlp_lp.last_diagnostics["lp_objective"]
+        sol3 = build_and_solve_lp3(inst, time_horizon(inst).T)
+        lp3 = sol3.objective_value
+        plan = solve_kmlp_lp(inst, lp3sol=sol3)
         assert evaluate_plan(inst, plan) <= 2 * MU * lp3 * REL_TOL
 
         plan = bnslb_construction(inst, table)
         assert evaluate_plan(inst, plan) <= MU * table.bnslb * REL_TOL
 
         if inst.k == 1:
-            plan = solve_mlp_lp(inst)
-            lp3 = solve_mlp_lp.last_diagnostics["lp_objective"]
+            plan = solve_mlp_lp(inst, lp3sol=sol3)
             assert evaluate_plan(inst, plan) <= MU * lp3 * REL_TOL
         checked += 1
     report(6, checked == 50, f"{checked} instances, all per-run bounds hold",

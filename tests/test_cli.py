@@ -1,14 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import FIX_A_JSON, FIX_B_JSON
-from mdkmlp.cli import main
+from mdkmlp import lp_toolkit
+from mdkmlp.cli import ALGORITHMS, main
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
+# one depot and no client: every algorithm applies, every bound is 0
+CLIENT_FREE_JSON = '{"nodes":["r"],"roots":["r"],"costs":[[0]]}'
 
 
 @pytest.fixture
@@ -22,6 +28,13 @@ def fixa_path(tmp_path):
 def fixb_path(tmp_path):
     p = tmp_path / "fixb.json"
     p.write_text(FIX_B_JSON)
+    return str(p)
+
+
+@pytest.fixture
+def empty_path(tmp_path):
+    p = tmp_path / "empty.json"
+    p.write_text(CLIENT_FREE_JSON)
     return str(p)
 
 
@@ -56,6 +69,50 @@ class TestSolve:
         code, out, err = run(capsys, "solve", "--alg", "kmlp-lp", "--input", fixb_path)
         assert code == 3
         assert "single-depot algorithm on multi-depot instance" in err
+
+    @pytest.mark.parametrize(
+        "alg, message",
+        [
+            ("kmlp-lp", "single-depot algorithm on multi-depot instance: kmlp-lp"),
+            ("mlp-lp", "mlp-lp requires exactly one vehicle"),
+        ],
+        ids=["kmlp-lp", "mlp-lp"],
+    )
+    def test_lp3_rounding_on_multi_depot_fails_before_lp3(
+        self, capsys, fixb_path, monkeypatch, alg, message
+    ):
+        def no_build(inst, T):
+            pytest.fail("LP3 built for an algorithm that cannot use it")
+
+        monkeypatch.setattr(lp_toolkit, "build_and_solve_lp3", no_build)
+        code, out, err = run(capsys, "solve", "--alg", alg, "--input", fixb_path)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("alg", list(ALGORITHMS))
+    def test_client_free_instance(self, capsys, empty_path, alg):
+        code, out, _ = run(capsys, "solve", "--alg", alg, "--input", empty_path)
+        assert code == 0
+        sol = json.loads(out)
+        assert sol["routes"] == [["r"]]
+        assert sol["total_latency_exact"] == "0"
+        expect = {
+            "multidepot": {"lp1": 0.0},
+            "kmlp-lp": {"lp3": 0.0},
+            "kmlp-comb": {},
+            "mlp-lp": {"lp3": 0.0},
+            "lp2-round": {"lp2": 0.0},
+            "bnslb-construct": {"bnslb": 0.0},
+        }[alg]
+        assert sol["bounds"] == expect
+
+    def test_bound_is_of_this_instance(self, capsys, fixa_path, empty_path):
+        # the second run reports its own LP, not the one solved before it
+        code, out, _ = run(capsys, "solve", "--alg", "kmlp-lp", "--input", fixa_path)
+        assert code == 0
+        assert json.loads(out)["bounds"] == {"lp3": 4.0}
+        code, out, _ = run(capsys, "solve", "--alg", "kmlp-lp", "--input", empty_path)
+        assert code == 0
+        assert json.loads(out)["bounds"] == {"lp3": 0.0}
 
     def test_seeded_output_is_byte_identical(self, capsys, fixb_path):
         argv = ("solve", "--alg", "multidepot", "--input", fixb_path, "--seed", "7")
@@ -215,6 +272,20 @@ class TestBench:
         golden = GOLDEN / f"bench_n4_k{k}_trials3_seed7.json"
         assert out == golden.read_text(encoding="utf-8")
 
+    def test_one_node(self):
+        # a fresh interpreter, so no state left by an earlier test can help
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "mdkmlp.cli", "bench",
+             "--n", "1", "--k", "1", "--trials", "1"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        row = json.loads(proc.stdout)["rows"][0]
+        assert row["lp1"] == row["lp2"] == row["lp3"] == row["opt"] == "0"
+        assert all(entry["cost"] == "0" for entry in row["algs"].values())
+
     def test_trials_zero(self, capsys):
         code, out, _ = run(
             capsys, "bench", "--n", "4", "--k", "1", "--trials", "0"
@@ -239,3 +310,19 @@ class TestBench:
             "--algs", "wat",
         )
         assert code == 3
+
+
+# stdout and exit code of `solve --seed 3` and `oracle` on the two fixtures,
+# recorded before `solve` handed its roundings the LP it reports; FIX_A and
+# FIX_B in an argv stand for the fixture files
+GOLDEN_CLI = json.loads((GOLDEN / "cli_solve_oracle_seed3.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN_CLI, ids=lambda c: "-".join(c["argv"][i] for i in (0, 2, 4))
+)
+def test_golden_solve_and_oracle(capsys, fixa_path, fixb_path, case):
+    paths = {"FIX_A": fixa_path, "FIX_B": fixb_path}
+    code, out, _ = run(capsys, *(paths.get(a, a) for a in case["argv"]))
+    assert code == case["code"]
+    assert out == case["stdout"]

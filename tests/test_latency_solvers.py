@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_instance
 from mdkmlp.concat_graph import mu_star
+from mdkmlp import lp_toolkit
 from mdkmlp.exact_oracles import bnslb, exact_kmlp
 from mdkmlp.instance import MetricInstance, evaluate_plan, time_horizon
 from mdkmlp.lp_toolkit import (
@@ -15,6 +16,8 @@ from mdkmlp.lp_toolkit import (
 from mdkmlp.latency_solvers import (
     SolverConfig,
     SolverError,
+    _combinatorial_points,
+    _s_values,
     bnslb_construction,
     break_cycle_with_service,
     round_lp2,
@@ -32,6 +35,14 @@ MU = mu_star(F(1, 10**9))
 
 def plan_cost(inst, plan):
     return evaluate_plan(inst, plan)
+
+
+def lp3_of(inst):
+    return build_and_solve_lp3(inst, time_horizon(inst).T)
+
+
+def _no_lp3_build(inst, T):
+    pytest.fail("the solver built LP3 although it was given one")
 
 
 class TestSolverConfig:
@@ -180,23 +191,23 @@ class TestBreakCycleWithService:
 
 class TestLpRoundingSolvers:
     def test_fix_a_kmlp_lp_bound(self, fix_a):
-        plan = solve_kmlp_lp(fix_a)
-        lp3 = solve_kmlp_lp.last_diagnostics["lp_objective"]
-        assert plan_cost(fix_a, plan) <= 2 * MU * lp3
+        sol3 = lp3_of(fix_a)
+        plan = solve_kmlp_lp(fix_a, lp3sol=sol3)
+        assert plan_cost(fix_a, plan) <= 2 * MU * sol3.objective_value
 
     def test_fix_a_duplicate_root_k2(self, fix_a):
         inst = MetricInstance(
             nodes=fix_a.nodes, roots=("r", "r"), cost=fix_a.cost
         )
-        plan = solve_kmlp_lp(inst)
-        lp3 = solve_kmlp_lp.last_diagnostics["lp_objective"]
+        sol3 = lp3_of(inst)
+        plan = solve_kmlp_lp(inst, lp3sol=sol3)
         assert len(plan.routes) == 2
-        assert plan_cost(inst, plan) <= 2 * MU * lp3
+        assert plan_cost(inst, plan) <= 2 * MU * sol3.objective_value
 
     def test_mlp_lp_bound(self, fix_a):
-        plan = solve_mlp_lp(fix_a)
-        lp3 = solve_mlp_lp.last_diagnostics["lp_objective"]
-        assert plan_cost(fix_a, plan) <= MU * lp3
+        sol3 = lp3_of(fix_a)
+        plan = solve_mlp_lp(fix_a, lp3sol=sol3)
+        assert plan_cost(fix_a, plan) <= MU * sol3.objective_value
 
     def test_mlp_lp_two_equidistant_clients(self):
         inst = MetricInstance(
@@ -205,9 +216,9 @@ class TestLpRoundingSolvers:
             cost=((0, 1, 1), (1, 0, 2), (1, 2, 0)),
         )
         assert exact_kmlp(inst).value == 4
-        plan = solve_mlp_lp(inst)
-        lp3 = solve_mlp_lp.last_diagnostics["lp_objective"]
-        assert plan_cost(inst, plan) <= MU * lp3
+        sol3 = lp3_of(inst)
+        plan = solve_mlp_lp(inst, lp3sol=sol3)
+        assert plan_cost(inst, plan) <= MU * sol3.objective_value
 
     def test_single_client(self):
         inst = MetricInstance(
@@ -225,15 +236,18 @@ class TestLpRoundingSolvers:
         with pytest.raises(SolverError):
             solve_mlp_lp(fix_b)
 
-    def test_reused_lp3_gives_same_plan(self, fix_a):
+    def test_reused_lp3_gives_same_plan(self, fix_a, monkeypatch):
         rng = random.Random(53)
         shared = random_instance(rng, 5, 2, single_depot=True)
         cases = [(solve_kmlp_lp, shared), (solve_kmlp_lp, fix_a), (solve_mlp_lp, fix_a)]
         for solver, inst in cases:
-            sol3 = build_and_solve_lp3(inst, time_horizon(inst).T)
+            sol3 = lp3_of(inst)
             cfg = SolverConfig(seed=4)
-            assert solver(inst, cfg, lp3sol=sol3) == solver(inst, cfg)
-            assert solver.last_diagnostics["lp_objective"] == sol3.objective_value
+            fresh = solver(inst, cfg)
+            # given an LP, the solver rounds that LP and never builds its own
+            with monkeypatch.context() as m:
+                m.setattr(lp_toolkit, "build_and_solve_lp3", _no_lp3_build)
+                assert solver(inst, cfg, lp3sol=sol3) == fresh
 
     def test_reused_lp_must_be_lp3(self, fix_a):
         sol1 = build_and_solve_lp1(fix_a, time_horizon(fix_a).T)
@@ -247,9 +261,11 @@ class TestLpRoundingSolvers:
             inst = random_instance(
                 rng, rng.randint(2, 6), rng.randint(1, 2), single_depot=True
             )
-            plan = solve_kmlp_lp(inst, SolverConfig(seed=rng.randint(0, 99)))
-            lp3 = solve_kmlp_lp.last_diagnostics["lp_objective"]
-            assert plan_cost(inst, plan) <= 2 * MU * lp3
+            sol3 = lp3_of(inst)
+            plan = solve_kmlp_lp(
+                inst, SolverConfig(seed=rng.randint(0, 99)), lp3sol=sol3
+            )
+            assert plan_cost(inst, plan) <= 2 * MU * sol3.objective_value
 
 
 class TestCombinatorialSolver:
@@ -273,8 +289,9 @@ class TestCombinatorialSolver:
             )
             plan = solve_kmlp_combinatorial(inst)
             table = bnslb(inst)
-            diag = solve_kmlp_combinatorial.last_diagnostics
-            for ell, s in enumerate(diag["s_values"], start=1):
+            # the s-values the solver stitches along
+            s_values = _s_values(_combinatorial_points(inst), inst.n)
+            for ell, s in enumerate(s_values, start=1):
                 assert s <= 4 * table.values[ell - 1]
             assert plan_cost(inst, plan) <= 2 * MU * table.bnslb
 
