@@ -12,7 +12,7 @@ the shortcut arc's capacity and the center node's coverage on the way back.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from . import flows
 
@@ -86,11 +86,7 @@ class ArbFamily:
     root: object = None
 
     def coverage(self, u) -> int:
-        total = 0
-        for gamma, F in self.members:
-            if u == self.root or any(u in a for a in F):
-                total += gamma
-        return total
+        return sum(gamma for gamma, F in self.members if u in tree_nodes(F, self.root))
 
 
 @dataclass(frozen=True)
@@ -174,12 +170,9 @@ def max_splittable(
     return lo
 
 
-def _tree_nodes(F: FrozenSet[Arc], r) -> Set[object]:
-    nodes = {r}
-    for a, b in F:
-        nodes.add(a)
-        nodes.add(b)
-    return nodes
+def tree_nodes(F: Iterable[Arc], r) -> FrozenSet[object]:
+    """The nodes of arc set F plus its root r."""
+    return frozenset((r,)).union(*F)
 
 
 def _arc_key(a: Arc) -> Tuple[str, str]:
@@ -320,7 +313,7 @@ def _undo_split(
                 raise PackingError("could not repair shortcut capacity")
 
     target = min(K, work.connectivity_value(r, u))
-    coverage = sum(g for F, g in members.items() if u in _tree_nodes(F, r))
+    coverage = sum(g for F, g in members.items() if u in tree_nodes(F, r))
     deficit = target - coverage
     if deficit > 0:
         members = _augment_coverage(work, r, u, deficit, members)
@@ -331,7 +324,7 @@ def _replace_shortcut(
     F: FrozenSet[Arc], g_arc: Arc, e: Arc, f: Arc, u, r
 ) -> FrozenSet[Arc]:
     """Swap the shortcut arc g=(t,v) in a tree for the split pair e,f."""
-    nodes = _tree_nodes(F, r)
+    nodes = tree_nodes(F, r)
     if u not in nodes:
         return F - {g_arc} | {e, f}
     parent = {b: a for a, b in F}
@@ -370,7 +363,7 @@ def _augment_coverage(
         key=_arc_key,
     )
     trees = sorted(
-        (F for F in members if u not in _tree_nodes(F, r)),
+        (F for F in members if u not in tree_nodes(F, r)),
         key=lambda F: tuple(map(_arc_key, _sorted_arcs(F))),
     )
     # layered network: source -> arcs -> trees -> sink
@@ -382,7 +375,7 @@ def _augment_coverage(
         caps[(SRC, 1 + i)] = min(spare, deficit)
     for j, F in enumerate(trees):
         caps[(1 + len(in_arcs) + j, SINK)] = members[F]
-        nodesF = _tree_nodes(F, r)
+        nodesF = tree_nodes(F, r)
         for i, a in enumerate(in_arcs):
             if a[0] in nodesF:
                 caps[(1 + i, 1 + len(in_arcs) + j)] = deficit
@@ -466,7 +459,7 @@ def verify_packing(D: WeightedDigraph, r, K: int, family: ArbFamily) -> Verifica
         if u == r:
             continue
         need = min(K, D.connectivity_value(r, u))
-        got = sum(g for g, F in family.members if u in _tree_nodes(F, r))
+        got = sum(g for g, F in family.members if u in tree_nodes(F, r))
         if got < need:
             failures.append(f"node {u!r} covered {got} < min(K, lambda)={need}")
     return VerificationReport(ok=not failures, failures=tuple(failures))

@@ -81,22 +81,23 @@ def _run_algorithm(
     alg: str,
     inst: MetricInstance,
     cfg: SolverConfig,
-    lps: Optional[Dict[str, lp_toolkit.LpSolution]] = None,
+    solved: Optional[Dict[str, object]] = None,
 ):
     """Returns (plan, bounds): the value of the bound the rounding consumed.
 
     The bound is solved here, once, and handed to the rounding, so the value
-    reported is the one rounded. `lps` maps "lp1"/"lp2"/"lp3" to LPs already
-    solved for `inst` at its horizon, which are used instead."""
+    reported is the one rounded. `solved` maps "lp1"/"lp2"/"lp3" to LPs
+    already solved for `inst` at its horizon, and "bnslb" to its
+    bottleneck-stroll table, which are used instead."""
     bound, rounding = ALGORITHMS[alg]
     if bound == "lp3":  # fail before building LP3 where its roundings do not apply
         latency_solvers.check_lp3_rounding(inst, alg)
     if bound is None:
         return rounding(inst, cfg, None), {}
+    sol = (solved or {}).get(bound)
     if bound == "bnslb":
-        table = exact_oracles.bnslb(inst)
+        table = sol if sol is not None else exact_oracles.bnslb(inst)
         return rounding(inst, cfg, table), {bound: float(table.bnslb)}
-    sol = (lps or {}).get(bound)
     if sol is None:
         sol = _solve_lp(inst, bound)
     return rounding(inst, cfg, sol), {bound: float(sol.objective_value)}
@@ -272,23 +273,30 @@ def _gen_instance(n: int, k: int, metric: str, rng: random.Random) -> MetricInst
 
 def _bench_row(idx: int, inst: MetricInstance, algs, seed: int) -> Dict:
     row: Dict = {"instance": idx}
-    oracles: Dict[str, Optional[Fraction]] = {}
-    for name in ("opt", "bnslb"):
-        try:
-            oracles[name] = _oracle_value(inst, name)
-        except OracleGuardError:
-            oracles[name] = None
+    oracles: Dict[str, Optional[Fraction]] = {"opt": None, "bnslb": None}
+    # bounds solved once for the row and handed to the roundings; past the
+    # oracle guard "bnslb" is missing, so bnslb-construct reports the guard
+    solved: Dict = {}
+    try:
+        oracles["opt"] = exact_oracles.exact_kmlp(inst).value
+    except OracleGuardError:
+        pass
+    try:
+        solved["bnslb"] = exact_oracles.bnslb(inst)
+        oracles["bnslb"] = solved["bnslb"].bnslb
+    except OracleGuardError:
+        pass
     T = time_horizon(inst).T
-    lps = {name: build(inst, T) for name, build in LP_BUILDERS.items()}
-    for name, sol in lps.items():
-        oracles[name] = sol.objective_value
+    for name, build in LP_BUILDERS.items():
+        solved[name] = build(inst, T)
+        oracles[name] = solved[name].objective_value
     for name, val in oracles.items():
         row[name] = _frac_str(val) if val is not None else None
     row["algs"] = {}
     cfg = SolverConfig(seed=seed)
     for alg in algs:
         try:
-            plan, _ = _run_algorithm(alg, inst, cfg, lps)
+            plan, _ = _run_algorithm(alg, inst, cfg, solved)
         except (SolverError, OracleGuardError) as exc:
             row["algs"][alg] = {"error": str(exc)}
             continue

@@ -17,6 +17,8 @@ from .instance import MetricInstance, RoutePlan, group_slots, vehicle_groups
 from .lp_toolkit import bottleneck_cover_table
 
 INF = pathdp.INF
+# Size guard of every exhaustive oracle: the subset DPs grow as 3^clients.
+CLIENT_LIMIT = 9
 
 
 class OracleGuardError(Exception):
@@ -52,10 +54,10 @@ class BnsTable:
             object.__setattr__(self, "bnslb", sum(self.values, Fraction(0)))
 
 
-def _guard_clients(inst: MetricInstance, limit: int = 9) -> None:
-    if len(inst.clients) > limit:
+def _guard_clients(inst: MetricInstance) -> None:
+    if len(inst.clients) > CLIENT_LIMIT:
         raise OracleGuardError(
-            f"exact oracle guard: {len(inst.clients)} clients > limit {limit}"
+            f"exact oracle guard: {len(inst.clients)} clients > limit {CLIENT_LIMIT}"
         )
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import concat_graph, lp_toolkit
-from .arb_packing import WeightedDigraph, pack_arborescences
+from .arb_packing import WeightedDigraph, pack_arborescences, tree_nodes
 from .exact_oracles import BnsTable
 from .instance import MetricInstance, RoutePlan, group_slots, time_horizon
 from .pc_tree import BipointTree, RootedTree, coverage_tree
@@ -51,7 +51,6 @@ class SolverConfig:
     seed: int = 0
     growth: Optional[Fraction] = None
     epsilon: Fraction = Fraction(1, 100)
-    kappa: Fraction = Fraction(1)
     derandomize_directions: bool = True
 
     def __post_init__(self):
@@ -62,8 +61,6 @@ class SolverConfig:
             object.__setattr__(self, "growth", g)
         if Fraction(self.epsilon) <= 0:
             raise ValueError("epsilon must be positive")
-        if Fraction(self.kappa) < 1:
-            raise ValueError("kappa must be at least 1")
 
 
 DEFAULT_GROWTH = Fraction(1616, 1000)
@@ -382,19 +379,12 @@ def _family_for_time(
     cache_key = frozenset(weights_t.items())
     if cache_key in cache:
         return cache[cache_key]
-    if not weights_t:
+    K, caps = lp_toolkit.scaled_int_caps(weights_t)
+    if not caps:
         fam_members = ((1, frozenset()),)
-        K = 1
     else:
-        K = 1
-        for val in weights_t.values():
-            K = math.lcm(K, val.denominator)
-        D = WeightedDigraph(
-            nodes=inst.nodes,
-            arcs={a: int(v * K) for a, v in weights_t.items()},
-        )
-        fam = pack_arborescences(D, root, K)
-        fam_members = fam.members
+        D = WeightedDigraph(nodes=inst.nodes, arcs=caps)
+        fam_members = pack_arborescences(D, root, K).members
     cache[cache_key] = (fam_members, K)
     return fam_members, K
 
@@ -446,7 +436,7 @@ def _solve_lp3_rounding(
         members, K = _family_for_time(inst, zprime, t, root, fam_cache)
         S_t = {v for v in inst.nodes if in_S(v, t)}
         for gamma, member in members:
-            cov = len({root}.union(*member) & S_t)
+            cov = len(tree_nodes(member, root) & S_t)
             cost = sum((Fraction(inst.dist(u, v)) for (u, v) in member), ZERO)
             if split:
                 y = 2 * cost / k + 2 * t
@@ -564,9 +554,7 @@ def _geometric_schedule(
     D = 0
     while h * c**D < T:
         D += 1
-    extra = math.ceil(
-        float(cfg.kappa) * math.log(max(n * T / float(cfg.epsilon), math.e))
-    )
+    extra = math.ceil(math.log(max(n * T / float(cfg.epsilon), math.e)))
     N = D + extra
     return [h * c**j for j in range(N + 1)]
 
@@ -667,7 +655,7 @@ def solve_multidepot(
     for (gi, C, t), order in columns.items():
         val = sol1.value(("z", gi, C, t))
         if val > 0:
-            by_gt.setdefault((gi, t), []).append((order, val / cfg.kappa))
+            by_gt.setdefault((gi, t), []).append((order, val))
     for key in by_gt:
         by_gt[key].sort(key=lambda item: tuple(node_pos[v] for v in item[0]))
 
@@ -707,7 +695,7 @@ def round_lp2(
         if name[0] != "z" or val <= 0:
             continue
         _, U, t = name
-        by_t.setdefault(t, []).append((U, val / cfg.kappa))
+        by_t.setdefault(t, []).append((U, val))
     for t in by_t:
         by_t[t].sort(key=lambda item: tuple(sorted(node_pos[v] for v in item[0])))
 

@@ -37,6 +37,11 @@ ONE = Fraction(1)
 _ROUND_DENOM = 10**6
 _FLOAT_EPS = 1e-7
 
+# Size guards: past these the LP code raises instead of enumerating on.
+PATH_CAP = 200_000  # LP1: rooted path columns per depot group
+TUPLE_CAP = 500_000  # LP2: k-tuples of rooted paths
+MAX_CUTS = 10_000  # cuts one solve_with_cuts call may add
+
 
 class LpError(Exception):
     pass
@@ -277,7 +282,6 @@ def solve_with_cuts(
     oracle: Callable[[LpSolution], List[Cut]],
     which: str = "LP",
     T: Optional[int] = None,
-    max_cuts: int = 10000,
 ) -> LpSolution:
     """Solve, separate, add cuts, repeat until the oracle is satisfied."""
     added = 0
@@ -293,11 +297,13 @@ def solve_with_cuts(
                 )
             lp.add_constraint(coeffs, sense, rhs)
             added += 1
-            if added > max_cuts:
-                raise LpError(f"cut limit {max_cuts} exceeded for {which}")
+            if added > MAX_CUTS:
+                raise LpError(f"cut limit {MAX_CUTS} exceeded for {which}")
 
 
-def _scaled_int_caps(values: Dict[Tuple, Fraction]) -> Tuple[int, Dict[Tuple, int]]:
+def scaled_int_caps(values: Dict[Tuple, Fraction]) -> Tuple[int, Dict[Tuple, int]]:
+    """(scale, caps): the lcm of the denominators of `values`, and each
+    positive value times it, an integer."""
     scale = 1
     for v in values.values():
         scale = math.lcm(scale, v.denominator)
@@ -320,7 +326,7 @@ def _violated_cuts(
     reported once, in the order found. Capacities are scaled to integers
     once, so the comparison with ``need`` is exact.
     """
-    scale, caps = _scaled_int_caps(arc_values)
+    scale, caps = scaled_int_caps(arc_values)
     icaps = {(node_idx[u], node_idx[v]): w for (u, v), w in caps.items()}
     found: List[Tuple[FrozenSet, object]] = []
     seen = set()
@@ -346,7 +352,6 @@ def build_and_solve_pclp(
     inst: MetricInstance,
     root,
     penalties: Dict[object, Fraction],
-    arc_cost: Optional[Callable[[object, object], Fraction]] = None,
 ) -> LpSolution:
     """Bidirected prize-collecting LP with min-cut separation.
 
@@ -355,7 +360,6 @@ def build_and_solve_pclp(
     """
     if root not in inst.nodes:
         raise ValueError(f"unknown root {root!r}")
-    cost = arc_cost or (lambda u, v: Fraction(inst.dist(u, v)))
     others = [v for v in inst.nodes if v != root]
     pen = {}
     for v in others:
@@ -372,7 +376,7 @@ def build_and_solve_pclp(
         if u != v and v != root
     ]
     for a in arcs:
-        lp.add_var(("x", a), obj=Fraction(cost(*a)))
+        lp.add_var(("x", a), obj=Fraction(inst.dist(*a)))
     for v in others:
         lp.add_var(("z", v), obj=pen[v])
         lp.add_constraint({("z", v): ONE}, "<=", ONE)
@@ -441,9 +445,7 @@ def _lp_metric(inst: MetricInstance) -> Callable[[object, object], Fraction]:
 # LP1: per-vehicle configuration LP
 
 
-def build_and_solve_lp1(
-    inst: MetricInstance, T: int, path_cap: int = 200_000
-) -> LpSolution:
+def build_and_solve_lp1(inst: MetricInstance, T: int) -> LpSolution:
     """Configuration LP with per-vehicle path columns, solved exactly.
 
     Columns are collapsed from ordered paths to covered client sets with a
@@ -466,10 +468,10 @@ def build_and_solve_lp1(
     if T < 1:
         raise LpInfeasibleError("LP1 infeasible: T < 1 with clients present")
     for r, _ in groups:
-        total = _count_rooted_paths(r, clients, metric, Fraction(T), path_cap)
-        if total > path_cap:
+        total = _count_rooted_paths(r, clients, metric, Fraction(T), PATH_CAP)
+        if total > PATH_CAP:
             raise EnumerationCapError(
-                f"instance too large for enumeration: > {path_cap} rooted paths"
+                f"instance too large for enumeration: > {PATH_CAP} rooted paths"
             )
 
     lp = LinearProgram()
@@ -556,7 +558,7 @@ def _min_max_split(
 
 def bottleneck_cover_table(
     inst: MetricInstance,
-    metric: Optional[Callable] = None,
+    metric: Callable,
 ) -> Dict[FrozenSet, Tuple[Fraction, Tuple[Tuple, ...]]]:
     """For each client set U: (min over k-vehicle covers of the max path
     length, witness tuple of k rooted paths covering U exactly).
@@ -566,7 +568,6 @@ def bottleneck_cover_table(
     """
     clients = inst.clients
     groups = vehicle_groups(inst)
-    metric = metric or _lp_metric(inst)
     m = len(clients)
     bit_of = {v: 1 << i for i, v in enumerate(clients)}
 
@@ -636,9 +637,7 @@ def bottleneck_cover_table(
     return table
 
 
-def build_and_solve_lp2(
-    inst: MetricInstance, T: int, tuple_cap: int = 500_000
-) -> LpSolution:
+def build_and_solve_lp2(inst: MetricInstance, T: int) -> LpSolution:
     """Global-snapshot configuration LP over k-tuple columns, solved exactly.
 
     Columns are collapsed to the covered client union with a witness tuple:
@@ -660,16 +659,16 @@ def build_and_solve_lp2(
         raise LpInfeasibleError("LP2 infeasible: T < 1 with clients present")
     per_root = 1
     for r, mult in groups:
-        cnt = 1 + _count_rooted_paths(r, clients, metric, Fraction(T), tuple_cap)
+        cnt = 1 + _count_rooted_paths(r, clients, metric, Fraction(T), TUPLE_CAP)
         for _ in range(mult):
-            if per_root > tuple_cap // max(cnt, 1) + 1:
+            if per_root > TUPLE_CAP // max(cnt, 1) + 1:
                 raise EnumerationCapError(
-                    f"instance too large for enumeration: > {tuple_cap} k-tuples"
+                    f"instance too large for enumeration: > {TUPLE_CAP} k-tuples"
                 )
             per_root *= cnt
-    if per_root > tuple_cap:
+    if per_root > TUPLE_CAP:
         raise EnumerationCapError(
-            f"instance too large for enumeration: > {tuple_cap} k-tuples"
+            f"instance too large for enumeration: > {TUPLE_CAP} k-tuples"
         )
 
     table = bottleneck_cover_table(inst, metric)

@@ -26,13 +26,8 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class RootedTree:
-    """An out-tree of directed arcs rooted at `root`.
-
-    `cost` is the sum of arc costs under whichever arc-cost function built
-    the tree (with the directed service metric this is edge cost plus the
-    service times of all non-root tree nodes, since every node has exactly
-    one in-arc).
-    """
+    """An out-tree of directed arcs rooted at `root`; `cost` is the sum of
+    its arc costs."""
 
     root: object
     arcs: FrozenSet[Tuple[object, object]]
@@ -55,11 +50,7 @@ class RootedTree:
 
     @property
     def nodes(self) -> FrozenSet[object]:
-        out = {self.root}
-        for (u, v) in self.arcs:
-            out.add(u)
-            out.add(v)
-        return frozenset(out)
+        return arb_packing.tree_nodes(self.arcs, self.root)
 
     @property
     def coverage(self) -> int:
@@ -99,26 +90,17 @@ class BipointTree:
         return self.a * w1 + self.b * w2
 
 
-def _tree_from_member(
-    root, member: FrozenSet, cost_fn: Callable
-) -> RootedTree:
-    cost = sum((Fraction(cost_fn(u, v)) for (u, v) in member), ZERO)
-    return RootedTree(root=root, arcs=frozenset(member), cost=cost)
-
-
 def pc_tree(
     inst: MetricInstance,
     root,
     penalties: Dict[object, Fraction],
-    arc_cost: Optional[Callable] = None,
 ) -> Tuple[RootedTree, Fraction]:
     """A rooted tree whose cost plus uncovered penalties is at most the
     prize-collecting LP optimum.
 
-    Returns (tree, objective). Nothing here needs symmetric costs, so the
-    directed service metric is a legal `arc_cost`.
+    Returns (tree, objective).
     """
-    tree, obj, _ = _pc_tree_probe(inst, root, penalties, arc_cost)
+    tree, obj, _ = _pc_tree_probe(inst, root, penalties)
     return tree, obj
 
 
@@ -126,137 +108,143 @@ def _pc_tree_probe(
     inst: MetricInstance,
     root,
     penalties: Dict[object, Fraction],
-    arc_cost: Optional[Callable] = None,
 ) -> Tuple[RootedTree, Fraction, int]:
     """pc_tree plus the max denominator of the LP vertex encountered."""
-    cost_fn = arc_cost or (lambda u, v: Fraction(inst.dist(u, v)))
     pen = {
         v: Fraction(penalties.get(v, 0)) for v in inst.nodes if v != root
     }
-    sol = lp_toolkit.build_and_solve_pclp(inst, root, pen, arc_cost=arc_cost)
+    sol = lp_toolkit.build_and_solve_pclp(inst, root, pen)
     max_denom = 1
     for val in sol.values.values():
         max_denom = max(max_denom, val.denominator)
-    xvals = {
-        a: sol.value(("x", a)) for a in sol.meta["arcs"] if sol.value(("x", a)) > 0
-    }
-    K = 1
-    for val in xvals.values():
-        K = math.lcm(K, val.denominator)
-    if not xvals or K == 0:
+    K, caps = lp_toolkit.scaled_int_caps(
+        {a: sol.value(("x", a)) for a in sol.meta["arcs"]}
+    )
+    if not caps:
         # LP pays every penalty: the trivial tree achieves the optimum
         obj = sum(pen.values(), ZERO)
         return RootedTree(root=root, arcs=frozenset(), cost=ZERO), obj, max_denom
-    D = arb_packing.WeightedDigraph(
-        nodes=inst.nodes, arcs={a: int(v * K) for a, v in xvals.items()}
-    )
+    D = arb_packing.WeightedDigraph(nodes=inst.nodes, arcs=caps)
     family = arb_packing.pack_arborescences(D, root, K)
     node_pos = {v: i for i, v in enumerate(inst.nodes)}
 
     def member_key(item):
         gamma, F = item
-        nodes = {root}
-        for (u, v) in F:
-            nodes.add(u)
-            nodes.add(v)
-        obj = sum((Fraction(cost_fn(u, v)) for (u, v) in F), ZERO)
-        obj += sum(p for v, p in pen.items() if v not in nodes)
+        nodes = arb_packing.tree_nodes(F, root)
+        cost = sum((Fraction(inst.dist(u, v)) for (u, v) in F), ZERO)
+        obj = cost + sum(p for v, p in pen.items() if v not in nodes)
         arcs_key = tuple(
             sorted((node_pos[u], node_pos[v]) for (u, v) in F)
         )
-        return (obj, len(nodes), arcs_key)
+        return (obj, len(nodes), arcs_key, cost)  # arcs_key settles every tie
 
     best = min(family.members, key=member_key)
-    obj, _, _ = member_key(best)
-    tree = _tree_from_member(root, best[1], cost_fn)
+    obj, _, _, cost = member_key(best)
     if obj > sol.objective_value:
         raise arb_packing.PackingError(
             "prize-collecting guarantee violated: best member exceeds LP optimum"
         )
-    return tree, obj, max_denom
+    return RootedTree(root=root, arcs=frozenset(best[1]), cost=cost), obj, max_denom
 
 
 def uniform_pc_tree(
     inst: MetricInstance,
     root,
     lam: Fraction,
-    arc_cost: Optional[Callable] = None,
 ) -> Tuple[RootedTree, Fraction]:
     """pc_tree with every penalty equal to lam."""
     lam = Fraction(lam)
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     pen = {v: lam for v in inst.nodes if v != root}
-    return pc_tree(inst, root, pen, arc_cost=arc_cost)
+    return pc_tree(inst, root, pen)
 
 
 ProbeCache = Dict[Fraction, Tuple[RootedTree, Fraction, int]]
 
 
-def _probe(
-    inst, root, lam: Fraction, weights, arc_cost, cache: ProbeCache
-) -> Tuple[RootedTree, Fraction, int]:
-    if lam not in cache:
-        pen = {v: lam * Fraction(weights(v)) for v in inst.nodes if v != root}
-        cache[lam] = _pc_tree_probe(inst, root, pen, arc_cost)
-    return cache[lam]
+def _max_arc_cost(inst: MetricInstance) -> int:
+    return max(map(max, inst.cost))  # costs are >= 0 with a zero diagonal
+
+
+def _lagrangian_search(
+    inst: MetricInstance,
+    root,
+    weights: Dict[object, Fraction],
+    measure: Callable[[RootedTree], Fraction],
+    target: Fraction,
+    hi: Fraction,
+    scale: Fraction,
+    cache: ProbeCache,
+):
+    """Bisect the uniform penalty lam (node v pays lam * weights[v]) for a
+    tree whose `measure` equals `target`.
+
+    `measure` (coverage, cost) is nondecreasing in lam. The probe at lam = 0
+    is returned if it already reaches the target, and the probe at lam = hi
+    if it does not exceed it; the caller reads which from the measure.
+    Otherwise the search keeps a bracket [lo, hi] with measure below and
+    above the target and stops either at an exact hit or once the interval
+    is narrower than 1/(2 * scale * max LP denominator), too narrow to
+    contain two parametric breakpoints, at which point the convex
+    combination of the bracket trees hits the target exactly in expectation.
+    """
+
+    def probe(lam: Fraction) -> Tuple[RootedTree, int]:
+        if lam not in cache:
+            pen = {v: lam * w for v, w in weights.items()}
+            cache[lam] = _pc_tree_probe(inst, root, pen)
+        tree, _, denom = cache[lam]
+        return tree, denom
+
+    lo = ZERO
+    tree_lo, max_denom = probe(lo)
+    if measure(tree_lo) >= target:
+        return tree_lo
+    tree_hi, denom = probe(hi)
+    max_denom = max(max_denom, denom)
+    if measure(tree_hi) <= target:
+        return tree_hi
+    while hi - lo >= ONE / (2 * scale * max_denom):
+        mid = (lo + hi) / 2
+        tree_mid, denom = probe(mid)
+        max_denom = max(max_denom, denom)
+        got = measure(tree_mid)
+        if got == target:
+            return tree_mid
+        if got < target:
+            lo, tree_lo = mid, tree_mid
+        else:
+            hi, tree_hi = mid, tree_mid
+    m1, m2 = measure(tree_lo), measure(tree_hi)
+    a = Fraction(m2 - target, m2 - m1)
+    return BipointTree(a=a, b=1 - a, T1=tree_lo, T2=tree_hi)
 
 
 def coverage_tree(
     inst: MetricInstance,
     root,
     B: int,
-    arc_cost: Optional[Callable] = None,
     cache: Optional[ProbeCache] = None,
 ):
     """A tree (or bipoint tree) of cost at most the cheapest rooted-path
     collection spanning >= B nodes, with (expected) node count exactly B.
 
-    Binary search on the uniform penalty: coverage is nondecreasing in the
-    penalty, so the search keeps a bracket [lo, hi] with coverage below and
-    above B and stops either at an exact hit or once the interval is too
-    narrow to contain two parametric breakpoints, at which point the convex
-    combination of the bracket trees hits B exactly in expectation.
+    Coverage is nondecreasing in the uniform penalty, so the Lagrangian
+    search finds it. `cache` keeps the probes by penalty, for callers that
+    ask for several B on one instance.
     """
     if not 1 <= B <= inst.n:
         raise ValueError(f"coverage target {B} out of range 1..{inst.n}")
-    cache = {} if cache is None else cache
-    weights = lambda v: ONE
-
-    def coverage(tree: RootedTree) -> int:
-        return len(tree.nodes)
-
-    cost_fn = arc_cost or (lambda u, v: Fraction(inst.dist(u, v)))
-    cmax = max(
-        (Fraction(cost_fn(u, v)) for u in inst.nodes for v in inst.nodes if u != v),
-        default=ZERO,
+    weights = {v: ONE for v in inst.nodes if v != root}
+    out = _lagrangian_search(
+        inst, root, weights, lambda tree: tree.coverage, B,
+        hi=inst.n * _max_arc_cost(inst) + 1, scale=inst.n * inst.n,
+        cache={} if cache is None else cache,
     )
-    lo = ZERO
-    hi = inst.n * cmax + 1
-    tree_lo, _, m1 = _probe(inst, root, lo, weights, arc_cost, cache)
-    max_denom = m1
-    if coverage(tree_lo) >= B:
-        return tree_lo
-    tree_hi, _, m2 = _probe(inst, root, hi, weights, arc_cost, cache)
-    max_denom = max(max_denom, m2)
-    if coverage(tree_hi) == B:
-        return tree_hi
-    if coverage(tree_hi) < B:
+    if isinstance(out, RootedTree) and out.coverage < B:
         raise ValueError(f"instance cannot span {B} nodes from {root!r}")
-    while hi - lo >= Fraction(1, 2 * inst.n * inst.n * max_denom):
-        mid = (lo + hi) / 2
-        tree_mid, _, md = _probe(inst, root, mid, weights, arc_cost, cache)
-        max_denom = max(max_denom, md)
-        cov = coverage(tree_mid)
-        if cov == B:
-            return tree_mid
-        if cov < B:
-            lo, tree_lo = mid, tree_mid
-        else:
-            hi, tree_hi = mid, tree_mid
-    n1, n2 = coverage(tree_lo), coverage(tree_hi)
-    a = Fraction(n2 - B, n2 - n1)
-    return BipointTree(a=a, b=1 - a, T1=tree_lo, T2=tree_hi)
+    return out
 
 
 def budget_tree(
@@ -264,8 +252,6 @@ def budget_tree(
     root,
     weights: Dict[object, Fraction],
     C: Fraction,
-    arc_cost: Optional[Callable] = None,
-    cache: Optional[ProbeCache] = None,
 ):
     """A tree (or bipoint tree) of cost exactly C whose (expected) covered
     node weight is at least that of any rooted-path collection of cost <= C.
@@ -279,44 +265,18 @@ def budget_tree(
     wmap = {v: Fraction(weights.get(v, 1)) for v in inst.nodes if v != root}
     if any(w < 0 for w in wmap.values()):
         raise ValueError("negative weight")
-    wfun = lambda v: wmap.get(v, ZERO)
-    cache = {} if cache is None else cache
-    cost_fn = arc_cost or (lambda u, v: Fraction(inst.dist(u, v)))
-    cmax = max(
-        (Fraction(cost_fn(u, v)) for u in inst.nodes for v in inst.nodes if u != v),
-        default=ZERO,
-    )
     W = sum(wmap.values(), ZERO)
-    lo = ZERO
-    hi = inst.n * cmax * max(W, 1) + 1
-    tree_lo, _, m1 = _probe(inst, root, lo, wfun, arc_cost, cache)
-    max_denom = m1
-    if tree_lo.cost == C:
-        return tree_lo
-    if tree_lo.cost > C:
+    Wd = math.lcm(*(w.denominator for w in wmap.values()))
+    out = _lagrangian_search(
+        inst, root, wmap, lambda tree: tree.cost, C,
+        hi=inst.n * _max_arc_cost(inst) * max(W, 1) + 1, scale=max(W * W * Wd, 1),
+        cache={},
+    )
+    if isinstance(out, RootedTree) and out.cost > C:
         raise ValueError("zero-penalty tree already exceeds the budget")
-    tree_hi, _, m2 = _probe(inst, root, hi, wfun, arc_cost, cache)
-    max_denom = max(max_denom, m2)
-    if tree_hi.cost == C:
-        return tree_hi
-    if tree_hi.cost < C:
+    if isinstance(out, RootedTree) and out.cost < C:
         log.warning(
             "budget %s exceeds the full-coverage tree cost %s; returning it",
-            C, tree_hi.cost,
+            C, out.cost,
         )
-        return tree_hi
-    Wd = max(int(math.lcm(*[w.denominator for w in wmap.values()])) if wmap else 1, 1)
-    width_denom = max(W * W * Wd, 1)
-    while hi - lo >= Fraction(1, 2) / width_denom / max_denom:
-        mid = (lo + hi) / 2
-        tree_mid, _, md = _probe(inst, root, mid, wfun, arc_cost, cache)
-        max_denom = max(max_denom, md)
-        if tree_mid.cost == C:
-            return tree_mid
-        if tree_mid.cost < C:
-            lo, tree_lo = mid, tree_mid
-        else:
-            hi, tree_hi = mid, tree_mid
-    c1, c2 = tree_lo.cost, tree_hi.cost
-    a = (c2 - C) / (c2 - c1)
-    return BipointTree(a=a, b=1 - a, T1=tree_lo, T2=tree_hi)
+    return out

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from conftest import FIX_A_JSON, FIX_B_JSON
-from mdkmlp import lp_toolkit
-from mdkmlp.cli import ALGORITHMS, main
+from mdkmlp import exact_oracles, lp_toolkit
+from mdkmlp.cli import ALGORITHMS, _bench_row, main
+from mdkmlp.instance import parse_instance
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -259,6 +260,33 @@ class TestBench:
             lp1, lp2, lp3 = F(row["lp1"]), F(row["lp2"]), F(row["lp3"])
             assert lp3 <= lp1 <= lp2
             assert lp1 == lp2  # k=1
+
+    def test_bnslb_table_built_once_per_row(self, capsys, monkeypatch):
+        # the row's bnslb column and bnslb-construct share one table
+        calls = []
+        real = exact_oracles.bnslb
+
+        def counted(inst):
+            calls.append(inst)
+            return real(inst)
+
+        monkeypatch.setattr(exact_oracles, "bnslb", counted)
+        code, _, _ = run(capsys, "bench", "--n", "4", "--k", "2", "--trials", "2")
+        assert code == 0
+        assert len(calls) == 2
+
+    def test_row_past_oracle_guard(self, monkeypatch):
+        # FIX_A has 2 clients: past a limit of 1 both oracle columns are
+        # null and bnslb-construct reports the guard, while the LPs still run
+        monkeypatch.setattr(exact_oracles, "CLIENT_LIMIT", 1)
+        algs = ["kmlp-lp", "bnslb-construct"]
+        row = _bench_row(0, parse_instance(FIX_A_JSON), algs, 0)
+        assert row["opt"] is None and row["bnslb"] is None
+        assert row["lp3"] is not None
+        assert row["algs"]["bnslb-construct"] == {
+            "error": "exact oracle guard: 2 clients > limit 1"
+        }
+        assert row["algs"]["kmlp-lp"]["ratios"]["bnslb"] is None
 
     @pytest.mark.parametrize("k", [2, 1])
     def test_golden_json(self, capsys, k):

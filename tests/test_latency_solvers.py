@@ -51,7 +51,6 @@ class TestSolverConfig:
         assert cfg.seed == 0
         assert cfg.growth is None
         assert cfg.epsilon == F(1, 100)
-        assert cfg.kappa == 1
         assert cfg.derandomize_directions
 
     def test_growth_bounds(self):
@@ -64,10 +63,6 @@ class TestSolverConfig:
     def test_epsilon_positive(self):
         with pytest.raises(ValueError, match="epsilon"):
             SolverConfig(epsilon=F(0))
-
-    def test_kappa_at_least_one(self):
-        with pytest.raises(ValueError, match="kappa"):
-            SolverConfig(kappa=F(1, 2))
 
 
 class TestSplitTree:

@@ -8,6 +8,7 @@ from mdkmlp import exact_oracles, lp_toolkit
 from mdkmlp.instance import MetricInstance, time_horizon
 from mdkmlp.lp_toolkit import (
     ZERO,
+    EnumerationCapError,
     LinearProgram,
     LpError,
     LpInfeasibleError,
@@ -211,6 +212,39 @@ class TestSolveWithCuts:
         assert sol.objective_value == exact_oracles.exact_pc_paths(
             fix_a, "r", {"a": F(10), "b": F(10)}
         ).value
+
+
+class TestSizeGuards:
+    """Each guard fails loudly with its exact message; the limits are
+    lowered so that the tiny fixtures reach them."""
+
+    def test_lp1_path_cap(self, monkeypatch, fix_a):
+        monkeypatch.setattr(lp_toolkit, "PATH_CAP", 1)
+        with pytest.raises(
+            EnumerationCapError,
+            match=r"^instance too large for enumeration: > 1 rooted paths$",
+        ):
+            build_and_solve_lp1(fix_a, time_horizon(fix_a).T)
+
+    def test_lp2_tuple_cap(self, monkeypatch, fix_b):
+        monkeypatch.setattr(lp_toolkit, "TUPLE_CAP", 1)
+        with pytest.raises(
+            EnumerationCapError,
+            match=r"^instance too large for enumeration: > 1 k-tuples$",
+        ):
+            build_and_solve_lp2(fix_b, time_horizon(fix_b).T)
+
+    def test_cut_limit(self, monkeypatch):
+        # an oracle that always finds a new cut: x >= (current optimum) + 1
+        monkeypatch.setattr(lp_toolkit, "MAX_CUTS", 2)
+        lp = LinearProgram()
+        lp.add_var("x", obj=1)
+        lp.add_constraint({"x": 1}, ">=", 0)
+        with pytest.raises(LpError, match=r"^cut limit 2 exceeded for LP$"):
+            solve_with_cuts(
+                lp, lambda s: [({"x": F(1)}, ">=", s.objective_value + 1)]
+            )
+        assert len(lp.rows) == 4  # the third cut went in, then the guard tripped
 
 
 class TestPcLp:

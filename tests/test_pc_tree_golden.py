@@ -1,0 +1,79 @@
+"""Golden record of the prize-collecting tree searches.
+
+`record()` runs `coverage_tree` for every target B (one probe cache per
+instance, as the combinatorial solver shares it), `budget_tree` for a range
+of budgets under non-unit weights, and `pc_tree` for fixed penalties, on
+fixed random single-root instances, two each with 3, 4, 5 and 6 nodes. For
+each call it keeps the tree returned and the ordered penalty maps handed to
+the prize-collecting LP, so a search that probes another penalty, or the same
+penalties in another order, fails here even where it returns the same tree.
+
+Regenerate, only for an intended change of the trees, with
+`PYTHONPATH=src:tests python tests/test_pc_tree_golden.py`.
+"""
+
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+from conftest import random_instance
+from mdkmlp import lp_toolkit
+from mdkmlp.pc_tree import BipointTree, budget_tree, coverage_tree, pc_tree
+
+F = Fraction
+GOLDEN = Path(__file__).parent / "golden" / "pc_tree_seed41.json"
+BUDGETS = (F(0), F(1), F(5, 2), F(6), F(13), F(1000))
+
+
+def _tree(out):
+    if isinstance(out, BipointTree):
+        return {"a": str(out.a), "T1": _tree(out.T1), "T2": _tree(out.T2)}
+    return {"arcs": sorted([u, v] for u, v in out.arcs), "cost": str(out.cost)}
+
+
+def record():
+    probes = []
+    real = lp_toolkit.build_and_solve_pclp
+
+    def logged(inst, root, penalties):
+        probes.append([[v, str(p)] for v, p in penalties.items()])
+        return real(inst, root, penalties)
+
+    def entry(call, arg, out):
+        done = {"call": call, "arg": arg, "out": out, "probes": list(probes)}
+        probes.clear()
+        return done
+
+    rng = random.Random(41)
+    calls = []
+    lp_toolkit.build_and_solve_pclp = logged
+    try:
+        for n in (3, 3, 4, 4, 5, 5, 6, 6):
+            inst = random_instance(rng, n, 1)
+            root = inst.roots[0]
+            calls.append({"instance": [list(inst.nodes), [list(r) for r in inst.cost]]})
+            cache = {}
+            for B in range(1, n + 1):
+                out = coverage_tree(inst, root, B, cache=cache)
+                calls.append(entry("coverage_tree", B, _tree(out)))
+            w = {v: F(rng.randint(1, 4), rng.randint(1, 2)) for v in inst.clients}
+            calls.append({"weights": {v: str(x) for v, x in w.items()}})
+            for C in BUDGETS:
+                out = budget_tree(inst, root, w, C)
+                calls.append(entry("budget_tree", str(C), _tree(out)))
+            for lam in (F(0), F(3, 2), F(7)):
+                pen = {v: lam * (i + 1) for i, v in enumerate(inst.clients)}
+                tree, obj = pc_tree(inst, root, pen)
+                calls.append(entry("pc_tree", str(lam), [_tree(tree), str(obj)]))
+    finally:
+        lp_toolkit.build_and_solve_pclp = real
+    return calls
+
+
+def test_searches_match_golden():
+    assert record() == json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(record(), indent=1) + "\n", encoding="utf-8")
