@@ -24,6 +24,7 @@ from .instance import (
     RoutePlan,
     evaluate_plan,
     evaluate_plan_detail,
+    node_ids,
     parse_instance,
     time_horizon,
 )
@@ -191,7 +192,9 @@ def cmd_verify(args) -> int:
     inst = _read_instance(args.input)
     with open(args.solution, "r", encoding="utf-8") as fh:
         sol = json.load(fh)
-    routes = tuple(tuple(r) for r in sol["routes"])
+    if not isinstance(sol, dict) or not isinstance(sol.get("routes"), list):
+        raise ValueError("solution must be an object with a list of 'routes'")
+    routes = tuple(node_ids(r, "each route") for r in sol["routes"])
     plan = RoutePlan(
         routes=routes, objective_variant=sol.get("objective_variant", "plain")
     )

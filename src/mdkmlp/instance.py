@@ -237,6 +237,18 @@ class TimeHorizon:
     certifying_plan: RoutePlan
 
 
+INSTANCE_FIELDS = ("nodes", "roots", "costs", "weights", "service_times", "allowed_depots")
+
+
+def node_ids(x, what: str) -> Tuple[Node, ...]:
+    """A JSON list of node ids (strings or ints) as a tuple; raises otherwise."""
+    if not isinstance(x, list) or not all(
+        isinstance(v, (str, int)) and not isinstance(v, bool) for v in x
+    ):
+        raise ValueError(f"{what} must be a list of node ids (strings or ints)")
+    return tuple(x)
+
+
 def parse_instance(text: str) -> MetricInstance:
     """Parse and validate the JSON instance format."""
     try:
@@ -245,22 +257,33 @@ def parse_instance(text: str) -> MetricInstance:
         raise ValueError(f"malformed instance JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError("instance JSON must be an object")
+    unknown = [key for key in data if key not in INSTANCE_FIELDS]
+    if unknown:
+        raise ValueError(
+            f"unknown instance field(s) {', '.join(map(repr, unknown))}; "
+            f"known fields are {', '.join(INSTANCE_FIELDS)}"
+        )
     for key in ("nodes", "roots", "costs"):
         if key not in data:
             raise ValueError(f"missing required field {key!r}")
-    nodes = tuple(data["nodes"])
-    roots = tuple(data["roots"])
-    costs = tuple(tuple(row) for row in data["costs"])
-    weights = dict(data.get("weights") or {})
-    service = dict(data.get("service_times") or {})
-    allowed = {v: tuple(rs) for v, rs in (data.get("allowed_depots") or {}).items()}
+    costs = data["costs"]
+    if not isinstance(costs, list) or not all(isinstance(row, list) for row in costs):
+        raise ValueError("'costs' must be a list of lists")
+    maps = {}
+    for key in ("weights", "service_times", "allowed_depots"):
+        maps[key] = {} if data.get(key) is None else data[key]
+        if not isinstance(maps[key], dict):
+            raise ValueError(f"{key!r} must be an object keyed by node id")
     return MetricInstance(
-        nodes=nodes,
-        roots=roots,
-        cost=costs,
-        weights=weights,
-        service=service,
-        allowed_depots=allowed,
+        nodes=node_ids(data["nodes"], "'nodes'"),
+        roots=node_ids(data["roots"], "'roots'"),
+        cost=tuple(tuple(row) for row in costs),
+        weights=maps["weights"],
+        service=maps["service_times"],
+        allowed_depots={
+            v: node_ids(rs, f"allowed depots of {v!r}")
+            for v, rs in maps["allowed_depots"].items()
+        },
     )
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 from . import concat_graph, lp_toolkit
 from .arb_packing import WeightedDigraph, pack_arborescences, tree_nodes
 from .exact_oracles import BnsTable
-from .instance import MetricInstance, RoutePlan, group_slots, time_horizon
+from .instance import MetricInstance, RoutePlan, group_slots, time_horizon, vehicle_groups
 from .pc_tree import BipointTree, RootedTree, coverage_tree
 
 log = logging.getLogger("mdkmlp.solvers")
@@ -353,7 +353,7 @@ def _stitch_by_concat_graph(
 
 def _aggregate_lp3(inst: MetricInstance, sol) -> Tuple[Dict, Dict]:
     """x'_{v,t} and z'_{a,t} summed over vehicles."""
-    groups = sol.meta["groups"]
+    groups = vehicle_groups(inst)
     xprime: Dict[Tuple[object, int], Fraction] = {}
     zprime: Dict[Tuple[Tuple, int], Fraction] = {}
     for name, val in sol.values.items():
@@ -646,16 +646,16 @@ def solve_multidepot(
     else:
         T = time_horizon(inst).T
         sol1 = lp_toolkit.build_and_solve_lp1(inst, T)
-    columns = sol1.meta["columns"]
+    orders = sol1.meta["orders"]
     slot_gi = {s: gi for gi, slots in enumerate(group_slots(inst)) for s in slots}
     node_pos = {v: i for i, v in enumerate(inst.nodes)}
 
     # per (group, time): deterministic column distribution
     by_gt: Dict[Tuple[int, int], List[Tuple[object, Fraction]]] = {}
-    for (gi, C, t), order in columns.items():
-        val = sol1.value(("z", gi, C, t))
-        if val > 0:
-            by_gt.setdefault((gi, t), []).append((order, val))
+    for name, val in sol1.values.items():
+        if name[0] == "z" and val > 0:
+            _, gi, C, t = name
+            by_gt.setdefault((gi, t), []).append((orders[gi][C], val))
     for key in by_gt:
         by_gt[key].sort(key=lambda item: tuple(node_pos[v] for v in item[0]))
 
@@ -694,7 +694,7 @@ def round_lp2(
     for name, val in lp2sol.values.items():
         if name[0] != "z" or val <= 0:
             continue
-        _, U, t = name
+        _, _, U, t = name
         by_t.setdefault(t, []).append((U, val))
     for t in by_t:
         by_t[t].sort(key=lambda item: tuple(sorted(node_pos[v] for v in item[0])))

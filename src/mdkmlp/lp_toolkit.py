@@ -18,8 +18,8 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import accumulate, chain, count
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -59,26 +59,31 @@ class EnumerationCapError(LpError):
     """Raised when a column-enumeration guard trips."""
 
 
-class LinearProgram:
-    """Named nonnegative variables, rational objective, growable constraints.
+class Row(NamedTuple):
+    """A constraint times its scale ``d`` (the lcm of its denominators):
+    ``sum(ints[i] * x[cols[i]]) >= b`` (or ``== b``), ``cols`` sorted, zero
+    coefficients dropped, a ``<=`` row negated. ``vals`` and ``rhs`` are
+    ``ints[i] / d`` and ``b / d`` for HiGHS: int true division is correctly
+    rounded, so they equal ``float(Fraction(a, d))``."""
 
-    Each row is kept in three index-aligned forms, computed once when it is
-    added: ``rows[i]`` is the canonical ``(coeffs, sense, rhs)`` in
-    Fractions; ``int_rows[i]`` is ``(cols, ints, rhs, d)``, the row times
-    its scale ``d`` (the lcm of its denominators) with ``cols`` sorted; and
-    ``float_rows[i]`` is ``(vals, rhs)`` in floats, ``vals`` in ``cols``
-    order, for the HiGHS matrix.
-    """
+    cols: Tuple[int, ...]
+    ints: Tuple[int, ...]
+    b: int
+    d: int
+    sense: str
+    vals: Tuple[float, ...]
+    rhs: float
+
+
+class LinearProgram:
+    """Named nonnegative variables, rational objective, growable constraints."""
 
     def __init__(self):
         self._index: Dict[object, int] = {}
         self.names: List[object] = []
         self.objective: List[Fraction] = []
-        # rows kept canonical with sense '>=' or '=='
-        self.rows: List[Tuple[Dict[int, Fraction], str, Fraction]] = []
-        self.int_rows: List[Tuple[List[int], List[int], int, int]] = []
-        self.float_rows: List[Tuple[List[float], float]] = []
-        self._row_keys: set = set()
+        self.rows: List[Row] = []
+        self._row_set: set = set()
 
     def add_var(self, name, obj=0) -> int:
         if name in self._index:
@@ -92,39 +97,33 @@ class LinearProgram:
     def has_var(self, name) -> bool:
         return name in self._index
 
-    @staticmethod
-    def _canonical(coeffs: Dict[int, Fraction], sense: str, rhs: Fraction):
-        fracs = ((j, Fraction(c)) for j, c in coeffs.items())
-        coeffs = {j: c for j, c in fracs if c != 0}
-        rhs = Fraction(rhs)
-        if sense == "<=":
-            coeffs = {j: -c for j, c in coeffs.items()}
-            rhs = -rhs
-            sense = ">="
-        elif sense not in (">=", "=="):
+    def _row(self, coeffs: Dict[object, Fraction], sense: str, rhs) -> Row:
+        if sense not in (">=", "<=", "=="):
             raise ValueError(f"unknown sense {sense!r}")
-        return coeffs, sense, rhs
+        fracs = {}
+        for name, c in coeffs.items():
+            j = self._index.get(name)
+            if j is None:
+                raise ValueError(f"constraint references unknown variable {name!r}")
+            c = Fraction(c)
+            if c:
+                fracs[j] = c
+        rhs = Fraction(rhs)
+        cols = tuple(sorted(fracs))
+        d = math.lcm(rhs.denominator, *(fracs[j].denominator for j in cols))
+        s = -d if sense == "<=" else d
+        ints = tuple(fracs[j].numerator * (s // fracs[j].denominator) for j in cols)
+        b = rhs.numerator * (s // rhs.denominator)
+        sense = ">=" if sense == "<=" else sense
+        return Row(cols, ints, b, d, sense, tuple(a / d for a in ints), b / d)
 
     def add_constraint(self, coeffs: Dict[object, Fraction], sense: str, rhs) -> None:
-        idx_coeffs = {}
-        for name, c in coeffs.items():
-            if name not in self._index:
-                raise ValueError(f"constraint references unknown variable {name!r}")
-            idx_coeffs[self._index[name]] = idx_coeffs.get(self._index[name], ZERO) + Fraction(c)
-        canon = self._canonical(idx_coeffs, sense, rhs)
-        self.rows.append(canon)
-        self._row_keys.add((frozenset(canon[0].items()), canon[1], canon[2]))
-        coeffs, _, rhs = canon
-        cols = sorted(coeffs)
-        d = math.lcm(rhs.denominator, *(coeffs[j].denominator for j in cols))
-        ints = [coeffs[j].numerator * (d // coeffs[j].denominator) for j in cols]
-        self.int_rows.append((cols, ints, rhs.numerator * (d // rhs.denominator), d))
-        self.float_rows.append(([float(coeffs[j]) for j in cols], float(rhs)))
+        row = self._row(coeffs, sense, rhs)
+        self.rows.append(row)
+        self._row_set.add(row)
 
     def has_constraint(self, coeffs: Dict[object, Fraction], sense: str, rhs) -> bool:
-        idx_coeffs = {self._index[name]: Fraction(c) for name, c in coeffs.items()}
-        canon = self._canonical(idx_coeffs, sense, rhs)
-        return (frozenset(canon[0].items()), canon[1], canon[2]) in self._row_keys
+        return self._row(coeffs, sense, rhs) in self._row_set
 
 
 @dataclass
@@ -167,9 +166,7 @@ def _certify(
     L = math.lcm(*(v.denominator for v in x))
     X = [v.numerator * (L // v.denominator) for v in x]
     ws = []
-    for i, ((_, sense, _), (cols, ints, b, d), y) in enumerate(
-        zip(lp.rows, lp.int_rows, duals)
-    ):
+    for (cols, ints, b, d, sense, _, _), y in zip(lp.rows, duals):
         lhs = sum(a * X[j] for j, a in zip(cols, ints))
         bL = b * L
         if lhs < bL or (sense == "==" and lhs != bL):
@@ -177,14 +174,13 @@ def _certify(
         if y != 0:
             if sense == ">=" and y < 0:
                 return False
-            ws.append((i, Fraction(y, d)))
-    M = math.lcm(*(w.denominator for _, w in ws))
+            ws.append((cols, ints, b, Fraction(y, d)))
+    M = math.lcm(*(w.denominator for _, _, _, w in ws))
     D = math.lcm(*(c.denominator for c in lp.objective))
     S = [0] * len(lp.objective)
     dual_obj = 0  # M * (dual objective)
-    for i, w in ws:
+    for cols, ints, b, w in ws:
         W = w.numerator * (M // w.denominator)
-        cols, ints, b, _ = lp.int_rows[i]
         for j, a in zip(cols, ints):
             S[j] += W * a
         dual_obj += W * b
@@ -202,17 +198,18 @@ def _csr(lp: LinearProgram, idx: List[int], negate: bool):
     ``A_ub``; ``(None, None)`` when there are none."""
     if not idx:
         return None, None
-    lengths = [len(lp.int_rows[i][0]) for i in idx]
+    rows = [lp.rows[i] for i in idx]
+    lengths = [len(row.cols) for row in rows]
     indptr = np.zeros(len(idx) + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
     nnz = int(indptr[-1])
     indices = np.fromiter(
-        chain.from_iterable(lp.int_rows[i][0] for i in idx), dtype=np.int64, count=nnz
+        chain.from_iterable(row.cols for row in rows), dtype=np.int64, count=nnz
     )
     data = np.fromiter(
-        chain.from_iterable(lp.float_rows[i][0] for i in idx), dtype=float, count=nnz
+        chain.from_iterable(row.vals for row in rows), dtype=float, count=nnz
     )
-    b = np.array([lp.float_rows[i][1] for i in idx], dtype=float)
+    b = np.array([row.rhs for row in rows], dtype=float)
     if negate:
         data, b = -data, -b
     return csr_array((data, indices, indptr), shape=(len(idx), len(lp.names))), b
@@ -224,8 +221,8 @@ def solve_lp(lp: LinearProgram, which: str = "LP", T: Optional[int] = None) -> L
     if nvars == 0:
         raise LpError("LP has no variables")
     c = np.array([float(v) for v in lp.objective])
-    ge_rows = [i for i, row in enumerate(lp.rows) if row[1] == ">="]
-    eq_rows = [i for i, row in enumerate(lp.rows) if row[1] == "=="]
+    ge_rows = [i for i, row in enumerate(lp.rows) if row.sense == ">="]
+    eq_rows = [i for i, row in enumerate(lp.rows) if row.sense == "=="]
     A_ub, b_ub = _csr(lp, ge_rows, negate=True)
     A_eq, b_eq = _csr(lp, eq_rows, negate=False)
 
@@ -237,41 +234,37 @@ def solve_lp(lp: LinearProgram, which: str = "LP", T: Optional[int] = None) -> L
         raise LpInfeasibleError(f"{which} infeasible")
     if res.status == 3:
         raise LpUnboundedError(f"{which} unbounded")
+    x = None
     if res.status == 0:
-        x = [_round_fraction(v) for v in res.x]
+        x0 = [_round_fraction(v) for v in res.x]
         duals: List[Fraction] = [ZERO] * len(lp.rows)
-        ok = True
-        for out_i, i in enumerate(ge_rows):
-            m = res.ineqlin.marginals[out_i]
-            y = -m  # >=-form multiplier, should be nonnegative
-            if y < 0:
-                if y > -_FLOAT_EPS:
-                    y = 0.0
-                else:
-                    ok = False
-                    break
-            duals[i] = _round_fraction(y)
-        if ok:
-            for out_i, i in enumerate(eq_rows):
-                duals[i] = _round_fraction(res.eqlin.marginals[out_i])
-        if ok and _certify(lp, x, duals):
-            values = {lp.names[j]: x[j] for j in range(nvars) if x[j] != 0}
-            obj = sum(lp.objective[j] * x[j] for j in range(nvars) if x[j] != 0)
-            return LpSolution(values=values, objective_value=Fraction(obj), which=which, T=T)
-        log.debug("float certification failed for %s; exact fallback", which)
-
-    rows = [
-        ([coeffs.get(j, ZERO) for j in range(nvars)], sense, rhs)
-        for coeffs, sense, rhs in lp.rows
-    ]
-    status, x, obj = exact_simplex(lp.objective, rows)
-    if status == INFEASIBLE:
-        raise LpInfeasibleError(f"{which} infeasible")
-    if status == UNBOUNDED:
-        raise LpUnboundedError(f"{which} unbounded")
-    assert status == OPTIMAL
+        # the >=-form multiplier of a row is minus its marginal: nonnegative
+        # up to float noise, which is rounded away
+        for i, m in zip(ge_rows, res.ineqlin.marginals):
+            duals[i] = _round_fraction(max(-m, 0.0))
+        for i, m in zip(eq_rows, res.eqlin.marginals):
+            duals[i] = _round_fraction(m)
+        signs_ok = all(m < _FLOAT_EPS for m in res.ineqlin.marginals)
+        if signs_ok and _certify(lp, x0, duals):
+            x = x0
+        else:
+            log.debug("float certification failed for %s; exact fallback", which)
+    if x is None:
+        rows = []
+        for cols, ints, b, d, sense, _, _ in lp.rows:
+            dense = [ZERO] * nvars
+            for j, a in zip(cols, ints):
+                dense[j] = Fraction(a, d)
+            rows.append((dense, sense, Fraction(b, d)))
+        status, x, _ = exact_simplex(lp.objective, rows)
+        if status == INFEASIBLE:
+            raise LpInfeasibleError(f"{which} infeasible")
+        if status == UNBOUNDED:
+            raise LpUnboundedError(f"{which} unbounded")
+        assert status == OPTIMAL
     values = {lp.names[j]: x[j] for j in range(nvars) if x[j] != 0}
-    return LpSolution(values=values, objective_value=obj, which=which, T=T)
+    obj = sum(lp.objective[j] * v for j, v in enumerate(x) if v != 0)
+    return LpSolution(values=values, objective_value=Fraction(obj), which=which, T=T)
 
 
 Cut = Tuple[Dict[object, Fraction], str, Fraction]
@@ -285,9 +278,12 @@ def solve_with_cuts(
 ) -> LpSolution:
     """Solve, separate, add cuts, repeat until the oracle is satisfied."""
     added = 0
-    while True:
+    for rnd in count(1):
         sol = solve_lp(lp, which=which, T=T)
         cuts = oracle(sol)
+        log.debug(
+            "%s cut round %d: %d rows, %d cuts", which, rnd, len(lp.rows), len(cuts)
+        )
         if not cuts:
             return sol
         for coeffs, sense, rhs in cuts:
@@ -310,26 +306,34 @@ def scaled_int_caps(values: Dict[Tuple, Fraction]) -> Tuple[int, Dict[Tuple, int
     return scale, {a: int(v * scale) for a, v in values.items() if v > 0}
 
 
+def _arcs_avoiding(inst: MetricInstance, root) -> List[Tuple]:
+    """The arcs of the complete digraph on the nodes, except those into root."""
+    return [(u, v) for u in inst.nodes for v in inst.nodes if u != v and v != root]
+
+
+def _arcs_entering(arcs: Sequence[Tuple], S: FrozenSet) -> List[Tuple]:
+    return [(u, v) for u, v in arcs if u not in S and v in S]
+
+
 def _violated_cuts(
     inst: MetricInstance,
-    node_idx: Dict[object, int],
     root,
     arc_values: Dict[Tuple, Fraction],
     demands: Sequence[Tuple[object, Fraction]],
 ) -> List[Tuple[FrozenSet, object]]:
     """Min-cut separation under arc capacities ``arc_values``.
 
-    For each ``(v, need)`` in order with ``need > 0``, a minimum root-v cut
-    of capacity below ``need`` is violated; returns ``(S, v)`` for each,
-    with S the side of the cut holding v (the nodes outside the min cut's
-    source side), so the cut is the arcs entering S. Each ``(S, v)`` is
-    reported once, in the order found. Capacities are scaled to integers
-    once, so the comparison with ``need`` is exact.
+    For each ``(v, need)`` in order with ``need > 0`` (each v at most once),
+    a minimum root-v cut of capacity below ``need`` is violated; returns
+    ``(S, v)`` for each, with S the side of the cut holding v (the nodes
+    outside the min cut's source side), so the cut is the arcs entering S.
+    Capacities are scaled to integers once, so the comparison with ``need``
+    is exact.
     """
     scale, caps = scaled_int_caps(arc_values)
+    node_idx = {v: i for i, v in enumerate(inst.nodes)}
     icaps = {(node_idx[u], node_idx[v]): w for (u, v), w in caps.items()}
     found: List[Tuple[FrozenSet, object]] = []
-    seen = set()
     for v, need in demands:
         if need <= 0:
             continue
@@ -337,9 +341,6 @@ def _violated_cuts(
         if Fraction(val, scale) >= need:
             continue
         S = frozenset(w for w in inst.nodes if node_idx[w] not in side)
-        if (S, v) in seen:
-            continue
-        seen.add((S, v))
         found.append((S, v))
     return found
 
@@ -369,12 +370,7 @@ def build_and_solve_pclp(
         pen[v] = p
 
     lp = LinearProgram()
-    arcs = [
-        (u, v)
-        for u in inst.nodes
-        for v in inst.nodes
-        if u != v and v != root
-    ]
+    arcs = _arcs_avoiding(inst, root)
     for a in arcs:
         lp.add_var(("x", a), obj=Fraction(inst.dist(*a)))
     for v in others:
@@ -383,31 +379,20 @@ def build_and_solve_pclp(
     for v in others:
         inflow = {("x", (u, v)): ONE for u in inst.nodes if u != v}
         outflow = {("x", (v, w)): -ONE for w in inst.nodes if w != v and w != root}
-        deg = dict(inflow)
-        for key, val in outflow.items():
-            deg[key] = deg.get(key, ZERO) + val
-        lp.add_constraint(deg, ">=", ZERO)
-        cut = dict(inflow)
-        cut[("z", v)] = ONE
-        lp.add_constraint(cut, ">=", ONE)
-
-    node_idx = {v: i for i, v in enumerate(inst.nodes)}
+        lp.add_constraint({**inflow, **outflow}, ">=", ZERO)
+        lp.add_constraint({**inflow, ("z", v): ONE}, ">=", ONE)
 
     def oracle(sol: LpSolution) -> List[Cut]:
         xvals = {a: sol.value(("x", a)) for a in arcs}
         demands = [(v, ONE - sol.value(("z", v))) for v in others]
         cuts: List[Cut] = []
-        for S, v in _violated_cuts(inst, node_idx, root, xvals, demands):
-            coeffs: Dict[object, Fraction] = {("z", v): ONE}
-            for (a, b) in arcs:
-                if a not in S and b in S:
-                    coeffs[("x", (a, b))] = ONE
+        for S, v in _violated_cuts(inst, root, xvals, demands):
+            coeffs = {("x", a): ONE for a in _arcs_entering(arcs, S)}
+            coeffs[("z", v)] = ONE
             cuts.append((coeffs, ">=", ONE))
         return cuts
 
-    sol = solve_with_cuts(lp, oracle, which="PC-LP")
-    sol.meta.update({"root": root, "arcs": arcs})
-    return sol
+    return solve_with_cuts(lp, oracle, which="PC-LP")
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +427,89 @@ def _lp_metric(inst: MetricInstance) -> Callable[[object, object], Fraction]:
 
 
 # ---------------------------------------------------------------------------
+# time-indexed rows shared by LP1, LP2 and LP3
+#
+# x[gi, v, t] says that a vehicle of group gi serves client v at time t; it
+# exists from the first time ``first[v]`` the group can reach v up to T.
+
+
+def _has_clients(inst: MetricInstance, T: int, which: str) -> bool:
+    """False for a client-free instance, whose LP is empty with optimum 0;
+    raises when there are clients but T < 1 leaves no time to serve them."""
+    if not inst.clients:
+        return False
+    if T < 1:
+        raise LpInfeasibleError(f"{which} infeasible: T < 1 with clients present")
+    return True
+
+
+def _add_assignment_vars(
+    lp: LinearProgram, inst: MetricInstance, gi: int, mult: int, first: Dict, T: int
+) -> None:
+    """x[gi, v, t] for every v in ``first`` and first[v] <= t <= T, at cost
+    mult * w_v * t."""
+    for v, t0 in first.items():
+        for t in range(t0, T + 1):
+            lp.add_var(("x", gi, v, t), obj=Fraction(mult) * inst.weight(v) * t)
+
+
+def _add_cover_rows(
+    lp: LinearProgram, inst: MetricInstance, mults: Sequence[int], T: int, which: str
+) -> None:
+    """Every client is served at some time by some group's vehicles."""
+    for v in inst.clients:
+        coeffs = {
+            ("x", gi, v, t): Fraction(mult)
+            for gi, mult in enumerate(mults)
+            for t in range(1, T + 1)
+            if lp.has_var(("x", gi, v, t))
+        }
+        if not coeffs:
+            raise LpInfeasibleError(f"{which} infeasible: {v!r} unreachable within T={T}")
+        lp.add_constraint(coeffs, ">=", ONE)
+
+
+def _minus_served(lp: LinearProgram, gi: int, v, t: int) -> Dict[object, Fraction]:
+    """The term -x[gi, v, tp] for every tp <= t: minus "group gi has served
+    v by time t", which a covering row at time t must pay for."""
+    return {
+        ("x", gi, v, tp): -ONE for tp in range(1, t + 1) if lp.has_var(("x", gi, v, tp))
+    }
+
+
+def _solve_config_lp(
+    inst: MetricInstance, T: int, which: str, groups: Sequence[Tuple[int, Dict, List]]
+) -> LpSolution:
+    """Build and solve a configuration LP over vehicle groups.
+
+    Each group is ``(mult, first, columns)``: its number of vehicles,
+    ``first`` as for its x columns, and its z columns ``(C, t)``: client
+    sets C a vehicle (for LP2, the fleet) can cover by time t, in variable
+    order. Rows: cover, then per group one configuration per time and every
+    client served by time t in the configuration at t.
+    """
+    lp = LinearProgram()
+    for gi, (mult, first, columns) in enumerate(groups):
+        _add_assignment_vars(lp, inst, gi, mult, first, T)
+        for C, t in columns:
+            lp.add_var(("z", gi, C, t))
+    _add_cover_rows(lp, inst, [mult for mult, _, _ in groups], T, which)
+    for gi, (_, first, columns) in enumerate(groups):
+        at: Dict[int, List[FrozenSet]] = {}  # t -> the client sets usable at t
+        for C, t in columns:
+            at.setdefault(t, []).append(C)
+        for t in range(1, T + 1):
+            if t in at:
+                lp.add_constraint({("z", gi, C, t): ONE for C in at[t]}, "<=", ONE)
+        for v in first:
+            for t in range(1, T + 1):
+                coeffs = {("z", gi, C, t): ONE for C in at.get(t, ()) if v in C}
+                coeffs.update(_minus_served(lp, gi, v, t))
+                lp.add_constraint(coeffs, ">=", ZERO)
+    return solve_lp(lp, which=which, T=T)
+
+
+# ---------------------------------------------------------------------------
 # LP1: per-vehicle configuration LP
 
 
@@ -450,9 +518,7 @@ def build_and_solve_lp1(inst: MetricInstance, T: int) -> LpSolution:
 
     Columns are collapsed from ordered paths to covered client sets with a
     cheapest-order witness: two orders of the same set within the length
-    budget are identical LP columns, so the collapse is lossless. Because
-    the columns are exact paths, the solution is also a kappa=1 solution of
-    the tree-relaxed LP.
+    budget are identical LP columns, so the collapse is lossless.
 
     Coverage is linked per depot group (``x[gi, v, t]``): a client covered
     by one group's vehicle stays that group's from then on. When all depots
@@ -460,13 +526,11 @@ def build_and_solve_lp1(inst: MetricInstance, T: int) -> LpSolution:
     interchangeable vehicles gives a feasible LP1 point); with distinct
     depots it can fail, since LP2 may hand a client over between groups.
     """
+    if not _has_clients(inst, T, "LP1"):
+        return LpSolution({}, ZERO, which="LP1", T=T)
     clients = inst.clients
     groups = vehicle_groups(inst)
     metric = _lp_metric(inst)
-    if not clients:
-        return LpSolution({}, ZERO, which="LP1", T=T, meta={"groups": groups})
-    if T < 1:
-        raise LpInfeasibleError("LP1 infeasible: T < 1 with clients present")
     for r, _ in groups:
         total = _count_rooted_paths(r, clients, metric, Fraction(T), PATH_CAP)
         if total > PATH_CAP:
@@ -474,57 +538,23 @@ def build_and_solve_lp1(inst: MetricInstance, T: int) -> LpSolution:
                 f"instance too large for enumeration: > {PATH_CAP} rooted paths"
             )
 
-    lp = LinearProgram()
-    columns: Dict[Tuple[int, FrozenSet, int], Tuple] = {}
-    group_sets = []
-    for gi, (r, mult) in enumerate(groups):
+    config_groups = []
+    orders = []  # per group: the cheapest visiting order of each client set
+    for r, mult in groups:
         serveable = [v for v in clients if r in inst.depots_for(v)]
         paths = pathdp.min_paths(r, serveable, metric)
-        group_sets.append(paths)
-        for v in serveable:
-            reach = paths[frozenset({v})][0]
-            tmin = math.ceil(reach)
-            for t in range(max(1, tmin), T + 1):
-                lp.add_var(("x", gi, v, t), obj=Fraction(mult) * inst.weight(v) * t)
-        for t in range(1, T + 1):
-            for C, (plen, order) in paths.items():
-                if C and plen <= t:
-                    lp.add_var(("z", gi, C, t))
-                    columns[(gi, C, t)] = order
-    for v in clients:
-        coeffs = {}
-        for gi, (r, mult) in enumerate(groups):
-            for t in range(1, T + 1):
-                if lp.has_var(("x", gi, v, t)):
-                    coeffs[("x", gi, v, t)] = Fraction(mult)
-        if not coeffs:
-            raise LpInfeasibleError(f"LP1 infeasible: {v!r} unreachable within T={T}")
-        lp.add_constraint(coeffs, ">=", ONE)
-    for gi, (r, mult) in enumerate(groups):
-        for t in range(1, T + 1):
-            budget = {
-                ("z", gi, C, tt): ONE
-                for (g2, C, tt) in columns
-                if g2 == gi and tt == t
-            }
-            if budget:
-                lp.add_constraint(budget, "<=", ONE)
-        for v in clients:
-            if r not in inst.depots_for(v):
-                continue
-            for t in range(1, T + 1):
-                coeffs = {
-                    ("z", gi, C, t): ONE
-                    for (g2, C, tt) in columns
-                    if g2 == gi and tt == t and v in C
-                }
-                for tp in range(1, t + 1):
-                    if lp.has_var(("x", gi, v, tp)):
-                        coeffs[("x", gi, v, tp)] = coeffs.get(("x", gi, v, tp), ZERO) - ONE
-                lp.add_constraint(coeffs, ">=", ZERO)
+        first = {v: max(1, math.ceil(paths[frozenset({v})][0])) for v in serveable}
+        columns = [
+            (C, t)
+            for t in range(1, T + 1)
+            for C, (plen, _) in paths.items()
+            if C and plen <= t
+        ]
+        config_groups.append((mult, first, columns))
+        orders.append({C: order for C, (_, order) in paths.items()})
 
-    sol = solve_lp(lp, which="LP1", T=T)
-    sol.meta.update({"groups": groups, "columns": columns})
+    sol = _solve_config_lp(inst, T, "LP1", config_groups)
+    sol.meta["orders"] = orders
     return sol
 
 
@@ -582,50 +612,40 @@ def bottleneck_cover_table(
 
     full = 1 << m
     INF = pathdp.INF
-    per_group = []
-    for gi, (r, mult) in enumerate(groups):
+    per_group = []  # per group: paths, best bottleneck per mask, split picks
+    for r, mult in groups:
         paths = pathdp.min_paths(r, clients, metric)
         single = [INF] * full
         for C, (plen, order) in paths.items():
             single[mask_of(C)] = plen
-        # h[j][mask]: best bottleneck splitting mask into <= j+1 paths
-        h = [single]
-        choice = [[msk for msk in range(full)]]
-        for j in range(1, mult):
-            cur, pick = _min_max_split(single, h[-1])
-            h.append(cur)
-            choice.append(pick)
-        per_group.append((paths, h[-1], (h, choice)))
+        # best[mask]: least bottleneck of a split of mask into <= mult paths
+        best, picks = single, []
+        for _ in range(1, mult):
+            best, pick = _min_max_split(single, best)
+            picks.append(pick)
+        per_group.append((paths, best, picks))
 
     # combine groups
-    F = [[INF] * full]
-    F[0][0] = ZERO
+    F = [INF] * full
+    F[0] = ZERO
     gpick = []
-    for gi in range(len(groups)):
-        cur, pick = _min_max_split(per_group[gi][1], F[-1])
-        F.append(cur)
+    for _, best, _ in per_group:
+        F, pick = _min_max_split(best, F)
         gpick.append(pick)
 
     def group_witness(gi: int, msk: int) -> List[Tuple]:
-        paths, _, (h, choice) = per_group[gi]
-        mult = groups[gi][1]
+        paths, _, picks = per_group[gi]
         parts = []
         cur = msk
-        for j in range(mult - 1, 0, -1):
-            sub = choice[j][cur]
-            parts.append(sub)
-            cur ^= sub
+        for pick in reversed(picks):
+            parts.append(pick[cur])
+            cur ^= pick[cur]
         parts.append(cur)
-        out = []
-        for pm in parts:
-            order = paths[set_of(pm)][1]
-            out.append((groups[gi][0],) + order)
-        return out
+        return [(groups[gi][0],) + paths[set_of(pm)][1] for pm in parts]
 
     table: Dict[FrozenSet, Tuple[Fraction, Tuple[Tuple, ...]]] = {}
     for msk in range(full):
-        val = F[-1][msk]
-        if val >= INF:
+        if F[msk] >= INF:
             continue
         routes: List[Tuple] = []
         cur = msk
@@ -633,7 +653,7 @@ def bottleneck_cover_table(
             sub = gpick[gi][cur]
             routes = group_witness(gi, sub) + routes
             cur ^= sub
-        table[set_of(msk)] = (val, tuple(routes))
+        table[set_of(msk)] = (F[msk], tuple(routes))
     return table
 
 
@@ -643,79 +663,39 @@ def build_and_solve_lp2(inst: MetricInstance, T: int) -> LpSolution:
     Columns are collapsed to the covered client union with a witness tuple:
     the LP constraints only see the union, and a union is usable at time t
     exactly when some k-way split has every path within the budget, which
-    the bottleneck cover table answers.
+    the bottleneck cover table answers. The whole fleet is one group of the
+    configuration LP, so variables are ``x[0, v, t]`` and ``z[0, U, t]``.
 
     Because a snapshot need not extend the previous one vehicle by vehicle,
     a client may pass from one depot's vehicle to another's as t grows.
     LP2 >= LP1 when all depots coincide; with distinct depots LP2 can be
     below LP1, whose per-group linking forbids that handover.
     """
+    if not _has_clients(inst, T, "LP2"):
+        return LpSolution({}, ZERO, which="LP2", T=T)
     clients = inst.clients
     groups = vehicle_groups(inst)
     metric = _lp_metric(inst)
-    if not clients:
-        return LpSolution({}, ZERO, which="LP2", T=T, meta={"groups": groups})
-    if T < 1:
-        raise LpInfeasibleError("LP2 infeasible: T < 1 with clients present")
-    per_root = 1
+    tuples = 1  # k-tuples of rooted paths, each possibly empty
     for r, mult in groups:
-        cnt = 1 + _count_rooted_paths(r, clients, metric, Fraction(T), TUPLE_CAP)
-        for _ in range(mult):
-            if per_root > TUPLE_CAP // max(cnt, 1) + 1:
-                raise EnumerationCapError(
-                    f"instance too large for enumeration: > {TUPLE_CAP} k-tuples"
-                )
-            per_root *= cnt
-    if per_root > TUPLE_CAP:
-        raise EnumerationCapError(
-            f"instance too large for enumeration: > {TUPLE_CAP} k-tuples"
-        )
+        paths = _count_rooted_paths(r, clients, metric, Fraction(T), TUPLE_CAP)
+        tuples *= (1 + paths) ** mult
+        if tuples > TUPLE_CAP:
+            raise EnumerationCapError(
+                f"instance too large for enumeration: > {TUPLE_CAP} k-tuples"
+            )
 
     table = bottleneck_cover_table(inst, metric)
-    lp = LinearProgram()
-    reach = {
-        v: min(Fraction(metric(r, v)) for r, _ in groups) for v in clients
+    first = {
+        v: max(1, math.ceil(min(Fraction(metric(r, v)) for r, _ in groups)))
+        for v in clients
     }
-    for v in clients:
-        tmin = max(1, math.ceil(reach[v]))
-        for t in range(tmin, T + 1):
-            lp.add_var(("x", v, t), obj=Fraction(inst.weight(v)) * t)
-    configs: Dict[FrozenSet, Tuple[Tuple, ...]] = {}
-    for U, (btl, routes) in table.items():
-        if not U:
-            continue
-        configs[U] = routes
-        for t in range(1, T + 1):
-            if btl <= t:
-                lp.add_var(("z", U, t))
-    for v in clients:
-        coeffs = {}
-        for t in range(1, T + 1):
-            if lp.has_var(("x", v, t)):
-                coeffs[("x", v, t)] = ONE
-        if not coeffs:
-            raise LpInfeasibleError(f"LP2 infeasible: {v!r} unreachable within T={T}")
-        lp.add_constraint(coeffs, ">=", ONE)
-    for t in range(1, T + 1):
-        budget = {
-            ("z", U, t): ONE for U in configs if lp.has_var(("z", U, t))
-        }
-        if budget:
-            lp.add_constraint(budget, "<=", ONE)
-    for v in clients:
-        for t in range(1, T + 1):
-            coeffs = {
-                ("z", U, t): ONE
-                for U in configs
-                if v in U and lp.has_var(("z", U, t))
-            }
-            for tp in range(1, t + 1):
-                if lp.has_var(("x", v, tp)):
-                    coeffs[("x", v, tp)] = coeffs.get(("x", v, tp), ZERO) - ONE
-            lp.add_constraint(coeffs, ">=", ZERO)
-
-    sol = solve_lp(lp, which="LP2", T=T)
-    sol.meta.update({"groups": groups, "configs": configs})
+    configs = {U: routes for U, (_, routes) in table.items() if U}
+    columns = [
+        (U, t) for U, (btl, _) in table.items() if U for t in range(1, T + 1) if btl <= t
+    ]
+    sol = _solve_config_lp(inst, T, "LP2", [(1, first, columns)])
+    sol.meta["configs"] = configs
     return sol
 
 
@@ -730,107 +710,58 @@ def build_and_solve_lp3(inst: MetricInstance, T: int) -> LpSolution:
     t below it); supports the weighted objective, allowed-depot restriction,
     and the directed service-time metric c'(u,v) = c(u,v) + d(v).
     """
+    if not _has_clients(inst, T, "LP3"):
+        return LpSolution({}, ZERO, which="LP3", T=T)
     clients = inst.clients
     groups = vehicle_groups(inst)
-    use_service = inst.has_service
-    if not clients:
-        return LpSolution({}, ZERO, which="LP3", T=T, meta={"groups": groups})
-    if T < 1:
-        raise LpInfeasibleError("LP3 infeasible: T < 1 with clients present")
-
-    def ca(u, v) -> int:
-        return inst.service_directed(u, v) if use_service else inst.dist(u, v)
+    ca = inst.service_directed if inst.has_service else inst.dist
 
     lp = LinearProgram()
-    group_arcs: List[List[Tuple]] = []
+    parts = []  # per group: root, arcs, first time of each client it may serve
     for gi, (r, mult) in enumerate(groups):
-        arcs = [
-            (u, v)
-            for u in inst.nodes
-            for v in inst.nodes
-            if u != v and v != r
-        ]
-        group_arcs.append(arcs)
-        for v in clients:
-            if r not in inst.depots_for(v):
-                continue
-            tmin = ca(r, v)
-            for t in range(max(1, tmin), T + 1):
-                lp.add_var(("x", gi, v, t), obj=Fraction(mult) * inst.weight(v) * t)
+        arcs = _arcs_avoiding(inst, r)
+        first = {v: max(1, ca(r, v)) for v in clients if r in inst.depots_for(v)}
+        parts.append((r, arcs, first))
+        _add_assignment_vars(lp, inst, gi, mult, first, T)
         for a in arcs:
             for t in range(1, T + 1):
                 lp.add_var(("z", gi, a, t))
-    # assignment
-    for v in clients:
-        coeffs = {}
-        for gi, (r, mult) in enumerate(groups):
-            for t in range(1, T + 1):
-                if lp.has_var(("x", gi, v, t)):
-                    coeffs[("x", gi, v, t)] = Fraction(mult)
-        if not coeffs:
-            raise LpInfeasibleError(f"LP3 infeasible: {v!r} unreachable within T={T}")
-        lp.add_constraint(coeffs, ">=", ONE)
-    root_set = inst.root_set
-    for gi, (r, mult) in enumerate(groups):
-        arcs = group_arcs[gi]
+    _add_cover_rows(lp, inst, [mult for _, mult in groups], T, "LP3")
+    for gi, (r, arcs, first) in enumerate(parts):
         for t in range(1, T + 1):
             # length budget
             lp.add_constraint(
                 {("z", gi, a, t): Fraction(ca(*a)) for a in arcs}, "<=", Fraction(t)
             )
-            # degree: into each non-depot node at least as much as out of it
-            for v in inst.nodes:
-                if v in root_set:
-                    continue
-                coeffs = {}
-                for a in arcs:
-                    if a[1] == v:
-                        coeffs[("z", gi, a, t)] = coeffs.get(("z", gi, a, t), ZERO) + ONE
-                    if a[0] == v:
-                        coeffs[("z", gi, a, t)] = coeffs.get(("z", gi, a, t), ZERO) - ONE
+            # degree: into each client at least as much as out of it
+            for v in clients:
+                coeffs = {
+                    ("z", gi, a, t): ONE if a[1] == v else -ONE for a in arcs if v in a
+                }
                 lp.add_constraint(coeffs, ">=", ZERO)
             # singleton cuts up front to cut down separation rounds
-            for v in clients:
-                if r not in inst.depots_for(v):
-                    continue
-                coeffs = {
-                    ("z", gi, (u, v), t): ONE for u in inst.nodes if u != v
-                }
-                for tp in range(1, t + 1):
-                    if lp.has_var(("x", gi, v, tp)):
-                        coeffs[("x", gi, v, tp)] = -ONE
+            for v in first:
+                coeffs = {("z", gi, (u, v), t): ONE for u in inst.nodes if u != v}
+                coeffs.update(_minus_served(lp, gi, v, t))
                 lp.add_constraint(coeffs, ">=", ZERO)
-
-    node_idx = {v: i for i, v in enumerate(inst.nodes)}
 
     def oracle(sol: LpSolution) -> List[Cut]:
         cuts: List[Cut] = []
-        for gi, (r, mult) in enumerate(groups):
-            arcs = group_arcs[gi]
-            served = [v for v in clients if r in inst.depots_for(v)]
+        for gi, (r, arcs, first) in enumerate(parts):
             # covered[v][t]: x[gi, v, tp] summed over tp <= t
-            covered = {}
-            for v in served:
-                acc = ZERO
-                prefix = [acc]
-                for tp in range(1, T + 1):
-                    acc += sol.value(("x", gi, v, tp))
-                    prefix.append(acc)
-                covered[v] = prefix
+            covered = {
+                v: list(accumulate(
+                    (sol.value(("x", gi, v, tp)) for tp in range(1, T + 1)), initial=ZERO
+                ))
+                for v in first
+            }
             for t in range(1, T + 1):
                 zvals = {a: sol.value(("z", gi, a, t)) for a in arcs}
-                demands = [(v, covered[v][t]) for v in served]
-                for S, v in _violated_cuts(inst, node_idx, r, zvals, demands):
-                    coeffs: Dict[object, Fraction] = {}
-                    for a in arcs:
-                        if a[0] not in S and a[1] in S:
-                            coeffs[("z", gi, a, t)] = ONE
-                    for tp in range(1, t + 1):
-                        if lp.has_var(("x", gi, v, tp)):
-                            coeffs[("x", gi, v, tp)] = -ONE
+                demands = [(v, covered[v][t]) for v in first]
+                for S, v in _violated_cuts(inst, r, zvals, demands):
+                    coeffs = {("z", gi, a, t): ONE for a in _arcs_entering(arcs, S)}
+                    coeffs.update(_minus_served(lp, gi, v, t))
                     cuts.append((coeffs, ">=", ZERO))
         return cuts
 
-    sol = solve_with_cuts(lp, oracle, which="LP3", T=T)
-    sol.meta.update({"groups": groups, "group_arcs": group_arcs, "service": use_service})
-    return sol
+    return solve_with_cuts(lp, oracle, which="LP3", T=T)

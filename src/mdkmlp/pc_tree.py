@@ -118,7 +118,7 @@ def _pc_tree_probe(
     for val in sol.values.values():
         max_denom = max(max_denom, val.denominator)
     K, caps = lp_toolkit.scaled_int_caps(
-        {a: sol.value(("x", a)) for a in sol.meta["arcs"]}
+        {name[1]: val for name, val in sol.values.items() if name[0] == "x"}
     )
     if not caps:
         # LP pays every penalty: the trivial tree achieves the optimum

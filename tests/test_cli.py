@@ -175,6 +175,78 @@ class TestOracle:
         assert "budget" in err
 
 
+class TestMalformedInput:
+    """Malformed JSON is an invalid argument (exit 2, one error line), not a
+    traceback: exit 1 means a verification failure."""
+
+    @pytest.mark.parametrize(
+        "instance, message",
+        [
+            (
+                '{"nodes":["a","b"],"roots":["a"],"costs":[5,6]}',
+                "'costs' must be a list of lists",
+            ),
+            (
+                '{"nodes":[["a"],"b"],"roots":["b"],"costs":[[0,1],[1,0]]}',
+                "'nodes' must be a list of node ids",
+            ),
+            (
+                '{"nodes":["r","a"],"roots":["r"],"costs":[[0,2],[2,0]],'
+                '"allowed_depots":[["a","r"]]}',
+                "'allowed_depots' must be an object",
+            ),
+        ],
+        ids=["costs-not-rows", "unhashable-node-id", "allowed-depots-list"],
+    )
+    def test_bad_instance_exits_2(self, capsys, tmp_path, instance, message):
+        path = tmp_path / "inst.json"
+        path.write_text(instance)
+        code, out, err = run(capsys, "oracle", "--what", "opt", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_unknown_instance_key_exits_2(self, capsys, tmp_path):
+        # the service-time key is "service_times"; "service" was once ignored
+        # silently, giving the latency without service times
+        path = tmp_path / "inst.json"
+        path.write_text(
+            '{"nodes":["r","a"],"roots":["r"],"costs":[[0,2],[2,0]],"service":{"a":5}}'
+        )
+        code, out, err = run(capsys, "oracle", "--what", "opt", "--input", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: unknown instance field(s) 'service'; known fields are nodes, "
+            "roots, costs, weights, service_times, allowed_depots\n"
+        )
+        path.write_text(
+            '{"nodes":["r","a"],"roots":["r"],"costs":[[0,2],[2,0]],'
+            '"service_times":{"a":5}}'
+        )
+        code, out, _ = run(capsys, "oracle", "--what", "opt", "--input", str(path))
+        assert code == 0
+        assert json.loads(out)["value"] == "7"
+
+    @pytest.mark.parametrize(
+        "solution, message",
+        [
+            ([1, 2], "solution must be an object with a list of 'routes'"),
+            ({"routes": [["r", ["v"]]]}, "each route must be a list of node ids"),
+        ],
+        ids=["list", "nested-id"],
+    )
+    def test_bad_solution_exits_2(self, capsys, fixa_path, tmp_path, solution, message):
+        path = tmp_path / "sol.json"
+        path.write_text(json.dumps(solution))
+        code, out, err = run(
+            capsys, "verify", "--input", fixa_path, "--solution", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+
 class TestVerify:
     def solve_to_file(self, capsys, tmp_path, inst_path, alg):
         target = tmp_path / f"{alg}.json"

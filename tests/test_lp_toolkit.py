@@ -58,27 +58,37 @@ class TestSolveLp:
             solve_lp(lp)
 
 
-def reference_certify(lp, x, duals):
-    """The certificate test in Fraction arithmetic, row by row; the integer
-    certifier must return the same verdict on every input."""
-    nvars = len(lp.names)
-    if any(x[j] < 0 for j in range(nvars)):
+def reference_certify(objective, rows, x, duals):
+    """The certificate test in Fraction arithmetic, row by row, on a case's
+    own objective and rows, by variable name (a ``<=`` row is read as its
+    negated ``>=`` row); the integer certifier must return the same verdict
+    on every input."""
+    value = dict(zip(objective, x))
+    if any(v < 0 for v in x):
         return False
-    for (coeffs, sense, rhs), _ in zip(lp.rows, duals):
-        lhs = sum(c * x[j] for j, c in coeffs.items())
+    canon = []
+    for coeffs, sense, rhs in rows:
+        sign = -1 if sense == "<=" else 1
+        canon.append((
+            {name: sign * F(c) for name, c in coeffs.items()},
+            "==" if sense == "==" else ">=",
+            sign * F(rhs),
+        ))
+    for (coeffs, sense, rhs), _ in zip(canon, duals):
+        lhs = sum(c * value[name] for name, c in coeffs.items())
         if lhs < rhs or (sense == "==" and lhs != rhs):
             return False
-    reduced = list(lp.objective)
+    reduced = {name: F(c) for name, c in objective.items()}
     dual_obj = ZERO
-    for (coeffs, sense, rhs), y in zip(lp.rows, duals):
+    for (coeffs, sense, rhs), y in zip(canon, duals):
         if sense == ">=" and y < 0:
             return False
-        for j, c in coeffs.items():
-            reduced[j] -= y * c
+        for name, c in coeffs.items():
+            reduced[name] -= y * c
         dual_obj += y * rhs
-    if any(rc < 0 for rc in reduced):
+    if any(rc < 0 for rc in reduced.values()):
         return False
-    return sum(c * xj for c, xj in zip(lp.objective, x)) == dual_obj
+    return sum(F(c) * value[name] for name, c in objective.items()) == dual_obj
 
 
 def small_lp(objective, rows):
@@ -144,7 +154,7 @@ class TestCertify:
         lp = small_lp(objective, rows)
         x, duals = [F(v) for v in x], [F(y) for y in duals]
         assert _certify(lp, x, duals) is accepted
-        assert reference_certify(lp, x, duals) is accepted
+        assert reference_certify(objective, rows, x, duals) is accepted
 
     def test_agrees_with_fraction_reference_under_perturbation(self):
         rng = random.Random(17)
@@ -156,7 +166,7 @@ class TestCertify:
                 vec = x2 if rng.random() < 0.5 else y2
                 i = rng.randrange(len(vec))
                 vec[i] += F(rng.randint(-3, 3), rng.choice([1, 2, 3, 7, 10**6]))
-                assert _certify(lp, x2, y2) == reference_certify(lp, x2, y2)
+                assert _certify(lp, x2, y2) == reference_certify(objective, rows, x2, y2)
                 checked += 1
         assert checked == 40 * len(CERTIFY_CASES)
 
@@ -189,6 +199,40 @@ class TestExactFallback:
         assert len(calls) >= 3
 
 
+class TestRowRecord:
+    """A row is kept once, scaled to integers; `has_constraint` compares that
+    record, so equal rows match however they are written."""
+
+    def lp(self):
+        lp = LinearProgram()
+        lp.add_var("x", obj=1)
+        lp.add_var("y", obj=1)
+        return lp
+
+    def test_le_row_is_its_negated_ge_row(self):
+        lp = self.lp()
+        lp.add_constraint({"x": 1, "y": F(1, 2)}, "<=", 3)
+        assert lp.has_constraint({"x": -1, "y": F(-1, 2)}, ">=", -3)
+        assert not lp.has_constraint({"x": 1, "y": F(1, 2)}, ">=", 3)
+        lp = self.lp()
+        lp.add_constraint({"x": -1, "y": F(-1, 2)}, ">=", -3)
+        assert lp.has_constraint({"x": 1, "y": F(1, 2)}, "<=", 3)
+
+    def test_scaled_multiples_are_different_rows(self):
+        lp = self.lp()
+        lp.add_constraint({"x": F(1, 2)}, ">=", F(1, 2))
+        assert not lp.has_constraint({"x": 1}, ">=", 1)
+        assert not lp.has_constraint({"x": 2}, ">=", 2)
+        assert lp.has_constraint({"x": F(2, 4)}, ">=", F(1, 2))
+
+    def test_zero_coefficient_is_dropped(self):
+        lp = self.lp()
+        lp.add_constraint({"x": 1, "y": 0}, ">=", 1)
+        assert lp.has_constraint({"x": 1}, ">=", 1)
+        assert len(lp.rows[0][0]) == 1
+        assert not lp.has_constraint({"x": 1}, "==", 1)
+
+
 class TestSolveWithCuts:
     def test_satisfied_oracle_is_identity(self):
         lp = LinearProgram()
@@ -212,6 +256,25 @@ class TestSolveWithCuts:
         assert sol.objective_value == exact_oracles.exact_pc_paths(
             fix_a, "r", {"a": F(10), "b": F(10)}
         ).value
+
+
+    def test_debug_log_has_one_record_per_cut_round(self, caplog, monkeypatch, fix_a):
+        solves = []
+        real = lp_toolkit.solve_lp
+
+        def counted(lp, *args, **kwargs):
+            solves.append(len(lp.rows))
+            return real(lp, *args, **kwargs)
+
+        monkeypatch.setattr(lp_toolkit, "solve_lp", counted)
+        with caplog.at_level("DEBUG", logger="mdkmlp.lp"):
+            build_and_solve_lp3(fix_a, time_horizon(fix_a).T)
+        rounds = [r for r in caplog.records if r.funcName == "solve_with_cuts"]
+        assert len(rounds) == len(solves) >= 1
+        for i, (rec, rows) in enumerate(zip(rounds, solves), start=1):
+            assert rec.name == "mdkmlp.lp" and rec.levelname == "DEBUG"
+            assert rec.getMessage().startswith(f"LP3 cut round {i}: {rows} rows, ")
+        assert rounds[-1].getMessage().endswith(", 0 cuts")
 
 
 class TestSizeGuards:

@@ -9,7 +9,10 @@ no bytecode written next to it.
 
 import importlib
 import types
+from fractions import Fraction
 from pathlib import Path
+
+from mdkmlp import lp_toolkit
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -36,3 +39,32 @@ def test_tracer_installs_and_uninstalls():
     for mod, attrs in zip(modules, before):
         for attr, val in attrs.items():
             assert getattr(mod, attr) is val, f"{mod.__name__}.{attr} not restored"
+
+
+def test_solve_lp_counters_match_the_input_rows():
+    names = ("x", "y", "z")
+    rows = [
+        ({"x": 1, "y": 1}, ">=", 2),
+        ({"y": Fraction(1, 2), "z": 0}, "<=", 3),
+        ({"x": 1, "y": -1, "z": 2}, "==", 1),
+    ]
+    lp = lp_toolkit.LinearProgram()
+    for name in names:
+        lp.add_var(name, obj=1)
+    for coeffs, sense, rhs in rows:
+        lp.add_constraint(coeffs, sense, rhs)
+    tracer = _load_tracer()
+    t = tracer.Tracer("mdkmlp")
+    t.install()
+    try:
+        lp_toolkit.solve_lp(lp)
+    finally:
+        t.uninstall()
+    per_name, counts = t.totals()
+    assert per_name["lp_toolkit.solve_lp"][0] == 1
+    assert counts["solve_lp.rows"] == len(rows)
+    assert counts["solve_lp.cols"] == len(names)
+    # a zero coefficient is no nonzero of the matrix
+    assert counts["solve_lp.nnz"] == sum(
+        1 for coeffs, _, _ in rows for c in coeffs.values() if c != 0
+    )
