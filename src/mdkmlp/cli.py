@@ -188,6 +188,19 @@ def _oracle_value(inst: MetricInstance, which: str) -> Fraction:
     return _solve_lp(inst, which).objective_value
 
 
+def _recorded_cost(value) -> Fraction:
+    """A solution's ``total_latency_exact``: a rational as a string or an int."""
+    if isinstance(value, (str, int)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(
+        "'total_latency_exact' must be a rational number as a string or an int, "
+        f"not {json.dumps(value)}"
+    )
+
+
 def cmd_verify(args) -> int:
     inst = _read_instance(args.input)
     with open(args.solution, "r", encoding="utf-8") as fh:
@@ -195,6 +208,9 @@ def cmd_verify(args) -> int:
     if not isinstance(sol, dict) or not isinstance(sol.get("routes"), list):
         raise ValueError("solution must be an object with a list of 'routes'")
     routes = tuple(node_ids(r, "each route") for r in sol["routes"])
+    recorded = sol.get("total_latency_exact")
+    if recorded is not None:
+        recorded = _recorded_cost(recorded)
     plan = RoutePlan(
         routes=routes, objective_variant=sol.get("objective_variant", "plain")
     )
@@ -204,8 +220,7 @@ def cmd_verify(args) -> int:
         print(f"FAIL infeasible: {exc}", file=sys.stderr)
         return 1
     report: Dict = {"feasible": True, "cost": _frac_str(cost)}
-    recorded = sol.get("total_latency_exact")
-    if recorded is not None and Fraction(recorded) != cost:
+    if recorded is not None and recorded != cost:
         print(
             f"FAIL cost mismatch: recorded {recorded}, recomputed {cost}",
             file=sys.stderr,

@@ -269,13 +269,24 @@ def parse_instance(text: str) -> MetricInstance:
     costs = data["costs"]
     if not isinstance(costs, list) or not all(isinstance(row, list) for row in costs):
         raise ValueError("'costs' must be a list of lists")
+    nodes = node_ids(data["nodes"], "'nodes'")
+    by_key: Dict[str, List[Node]] = {}  # JSON object keys are strings
+    for v in nodes:
+        by_key.setdefault(str(v), []).append(v)
     maps = {}
     for key in ("weights", "service_times", "allowed_depots"):
-        maps[key] = {} if data.get(key) is None else data[key]
-        if not isinstance(maps[key], dict):
+        raw = {} if data.get(key) is None else data[key]
+        if not isinstance(raw, dict):
             raise ValueError(f"{key!r} must be an object keyed by node id")
+        maps[key] = {}
+        for k, val in raw.items():
+            found = by_key.get(k, [])
+            if len(found) != 1:
+                which = "no node" if not found else f"nodes {found[0]!r} and {found[1]!r}"
+                raise ValueError(f"{key!r} key {k!r} matches {which}")
+            maps[key][found[0]] = val
     return MetricInstance(
-        nodes=node_ids(data["nodes"], "'nodes'"),
+        nodes=nodes,
         roots=node_ids(data["roots"], "'roots'"),
         cost=tuple(tuple(row) for row in costs),
         weights=maps["weights"],
@@ -293,12 +304,13 @@ def instance_to_json(inst: MetricInstance) -> str:
         "roots": list(inst.roots),
         "costs": [list(row) for row in inst.cost],
     }
+    # JSON keys are strings; parse_instance maps each back to its node
     if inst.weights:
-        data["weights"] = dict(inst.weights)
+        data["weights"] = {str(v): w for v, w in inst.weights.items()}
     if inst.service:
-        data["service_times"] = dict(inst.service)
+        data["service_times"] = {str(v): d for v, d in inst.service.items()}
     if inst.allowed_depots:
-        data["allowed_depots"] = {v: list(rs) for v, rs in inst.allowed_depots.items()}
+        data["allowed_depots"] = {str(v): list(rs) for v, rs in inst.allowed_depots.items()}
     return json.dumps(data, sort_keys=True)
 
 

@@ -1,17 +1,25 @@
 """LP core with a cutting-plane loop, plus the four model builders.
 
-Solving strategy: HiGHS (dual simplex) finds the optimum in floats from a
-sparse (CSR) constraint matrix, the result is rounded to small rationals,
-and a primal/dual pair is verified exactly (feasibility, reduced costs,
-strong duality). The check runs on plain Python integers: each row, the
-primal point and the duals are scaled by the lcm of their denominators,
-so every test is the Fraction one multiplied through by a positive
-integer (after Applegate, Cook, Dash & Espinoza, "Exact solutions to
-linear programming problems", ORL 2007). If certification fails the LP
-is re-solved by the exact two-phase simplex in :mod:`mdkmlp.simplex`.
-Either way callers receive an exactly-optimal rational vertex solution,
-which is what the arborescence packing (integer scaling by the
-denominator LCM) depends on.
+Solving strategy: HiGHS (dual simplex) finds the optimum in floats, the
+result is rounded to small rationals, and a primal/dual pair is verified
+exactly (feasibility, reduced costs, strong duality). The check runs on
+plain Python integers: each row, the primal point and the duals are
+scaled by the lcm of their denominators, so every test is the Fraction
+one multiplied through by a positive integer (after Applegate, Cook, Dash
+& Espinoza, "Exact solutions to linear programming problems", ORL 2007).
+If certification fails the LP is re-solved by the exact two-phase simplex
+in :mod:`mdkmlp.simplex`. Either way callers receive an exactly-optimal
+rational vertex solution, which is what the arborescence packing (integer
+scaling by the denominator LCM) depends on.
+
+Each :class:`LinearProgram` keeps one HiGHS model, built on its first
+solve. A later solve, after a cut round, hands HiGHS only the rows added
+since, and dual simplex restarts from the previous optimal basis (Huangfu
+& Hall, Math. Prog. Comp. 2018). With a scipy that lacks this binding,
+every solve is one ``linprog`` call on the whole LP instead. The two
+paths can stop at different optimal vertices after a cut round, so a
+rounding may return another plan, with the same guarantee; every exact
+optimum is the same.
 """
 
 import logging
@@ -29,6 +37,17 @@ from . import flows, pathdp
 from .instance import MetricInstance, vehicle_groups
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, exact_simplex
 
+try:  # scipy's binding of HiGHS itself (scipy >= 1.15)
+    from scipy.optimize._highspy._core import HighsModelStatus, _Highs, kHighsInf
+
+    _HIGHS_STATUS = {
+        HighsModelStatus.kOptimal: OPTIMAL,
+        HighsModelStatus.kInfeasible: INFEASIBLE,
+        HighsModelStatus.kUnbounded: UNBOUNDED,
+    }
+except ImportError:  # older scipy: every solve is one linprog call
+    _Highs = None
+
 log = logging.getLogger("mdkmlp.lp")
 
 ZERO = Fraction(0)
@@ -36,6 +55,14 @@ ONE = Fraction(1)
 
 _ROUND_DENOM = 10**6
 _FLOAT_EPS = 1e-7
+
+# linprog's method="highs-ds", quiet; presolve goes off after the first solve
+_HIGHS_OPTIONS = (
+    ("output_flag", False),
+    ("solver", "simplex"),
+    ("simplex_strategy", 1),  # dual
+    ("presolve", "on"),
+)
 
 # Size guards: past these the LP code raises instead of enumerating on.
 PATH_CAP = 200_000  # LP1: rooted path columns per depot group
@@ -84,6 +111,7 @@ class LinearProgram:
         self.objective: List[Fraction] = []
         self.rows: List[Row] = []
         self._row_set: set = set()
+        self.model = None  # the HiGHS model solve_lp keeps, once it has run
 
     def add_var(self, name, obj=0) -> int:
         if name in self._index:
@@ -193,15 +221,10 @@ def _certify(
     return primal_obj * M == dual_obj * D * L
 
 
-def _csr(lp: LinearProgram, idx: List[int], negate: bool):
-    """The rows ``idx`` as a CSR matrix and a rhs vector, both negated for
-    ``A_ub``; ``(None, None)`` when there are none."""
-    if not idx:
-        return None, None
-    rows = [lp.rows[i] for i in idx]
-    lengths = [len(row.cols) for row in rows]
-    indptr = np.zeros(len(idx) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
+def _csr_parts(rows: Sequence[Row]):
+    """``rows`` in CSR form: (indptr, indices, data, rhs)."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row.cols) for row in rows], out=indptr[1:])
     nnz = int(indptr[-1])
     indices = np.fromiter(
         chain.from_iterable(row.cols for row in rows), dtype=np.int64, count=nnz
@@ -209,42 +232,104 @@ def _csr(lp: LinearProgram, idx: List[int], negate: bool):
     data = np.fromiter(
         chain.from_iterable(row.vals for row in rows), dtype=float, count=nnz
     )
-    b = np.array([row.rhs for row in rows], dtype=float)
-    if negate:
-        data, b = -data, -b
-    return csr_array((data, indices, indptr), shape=(len(idx), len(lp.names))), b
+    rhs = np.array([row.rhs for row in rows], dtype=float)
+    return indptr, indices, data, rhs
 
 
-def solve_lp(lp: LinearProgram, which: str = "LP", T: Optional[int] = None) -> LpSolution:
-    """Exact rational optimum of the LP (see module docstring for how)."""
-    nvars = len(lp.names)
-    if nvars == 0:
-        raise LpError("LP has no variables")
+def _csr(lp: LinearProgram, idx: List[int], sign: float):
+    """The rows ``idx`` times ``sign`` as a CSR matrix and a rhs vector;
+    ``(None, None)`` when there are none."""
+    if not idx:
+        return None, None
+    indptr, indices, data, b = _csr_parts([lp.rows[i] for i in idx])
+    A = csr_array((sign * data, indices, indptr), shape=(len(idx), len(lp.names)))
+    return A, sign * b
+
+
+def _linprog_solve(lp: LinearProgram):
+    """One ``linprog`` call on the whole LP, for a scipy without ``_Highs``:
+    (status, x, y, simplex iterations), with y in ``lp.rows`` order."""
     c = np.array([float(v) for v in lp.objective])
     ge_rows = [i for i, row in enumerate(lp.rows) if row.sense == ">="]
     eq_rows = [i for i, row in enumerate(lp.rows) if row.sense == "=="]
-    A_ub, b_ub = _csr(lp, ge_rows, negate=True)
-    A_eq, b_eq = _csr(lp, eq_rows, negate=False)
-
+    A_ub, b_ub = _csr(lp, ge_rows, -1.0)
+    A_eq, b_eq = _csr(lp, eq_rows, 1.0)
     res = linprog(
         c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
         bounds=(0, None), method="highs-ds",
     )
-    if res.status == 2:
+    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(res.status)
+    if status != OPTIMAL:
+        return status, None, None, res.nit
+    y = [0.0] * len(lp.rows)
+    # the >=-form multiplier of a row is minus its A_ub marginal
+    for i, m in zip(ge_rows, res.ineqlin.marginals):
+        y[i] = -m
+    for i, m in zip(eq_rows, res.eqlin.marginals):
+        y[i] = m
+    return OPTIMAL, res.x, y, res.nit
+
+
+def _highs_solve(lp: LinearProgram):
+    """Solve the LP's own HiGHS model: (status, x, y, simplex iterations),
+    with y in ``lp.rows`` order.
+
+    The first call creates the model from every column and row and solves
+    it with presolve. Each later call adds only the columns and rows
+    appended since, so dual simplex restarts from the last optimal basis.
+    """
+    h = lp.model
+    first = h is None
+    if first:
+        h = lp.model = _Highs()
+        for key, val in _HIGHS_OPTIONS:
+            h.setOptionValue(key, val)
+    ncols, nrows = h.getNumCol(), h.getNumRow()
+    new = len(lp.names) - ncols
+    if new:  # x >= 0, with no entries in the rows already there
+        h.addVars(new, np.zeros(new), np.full(new, kHighsInf))
+        h.changeColsCost(
+            new, np.arange(ncols, len(lp.names)),
+            np.array([float(v) for v in lp.objective[ncols:]]),
+        )
+    rows = lp.rows[nrows:]
+    if rows:  # b <= row <= b for '==', b <= row < inf for '>='
+        indptr, indices, data, rhs = _csr_parts(rows)
+        upper = np.array([b if row.sense == "==" else kHighsInf for row, b in zip(rows, rhs)])
+        h.addRows(len(rows), rhs, upper, len(data), indptr[:-1], indices, data)
+    h.run()
+    if first:
+        h.setOptionValue("presolve", "off")
+    status = _HIGHS_STATUS.get(h.getModelStatus())
+    iterations = h.getInfo().simplex_iteration_count
+    if status != OPTIMAL:
+        return status, None, None, iterations
+    sol = h.getSolution()
+    return OPTIMAL, sol.col_value, sol.row_dual, iterations
+
+
+def solve_lp(lp: LinearProgram, which: str = "LP", T: Optional[int] = None) -> LpSolution:
+    """Exact rational optimum of the LP (see module docstring for how).
+
+    ``meta["simplex_iterations"]`` is the float solve's iteration count."""
+    nvars = len(lp.names)
+    if nvars == 0:
+        raise LpError("LP has no variables")
+    status, xs, ys, iterations = (_linprog_solve if _Highs is None else _highs_solve)(lp)
+    if status == INFEASIBLE:
         raise LpInfeasibleError(f"{which} infeasible")
-    if res.status == 3:
+    if status == UNBOUNDED:
         raise LpUnboundedError(f"{which} unbounded")
     x = None
-    if res.status == 0:
-        x0 = [_round_fraction(v) for v in res.x]
-        duals: List[Fraction] = [ZERO] * len(lp.rows)
-        # the >=-form multiplier of a row is minus its marginal: nonnegative
-        # up to float noise, which is rounded away
-        for i, m in zip(ge_rows, res.ineqlin.marginals):
-            duals[i] = _round_fraction(max(-m, 0.0))
-        for i, m in zip(eq_rows, res.eqlin.marginals):
-            duals[i] = _round_fraction(m)
-        signs_ok = all(m < _FLOAT_EPS for m in res.ineqlin.marginals)
+    if status == OPTIMAL:
+        x0 = [_round_fraction(v) for v in xs]
+        # a >= row's multiplier is nonnegative up to float noise, which is
+        # rounded away
+        duals = [
+            _round_fraction(max(y, 0.0) if row.sense == ">=" else y)
+            for row, y in zip(lp.rows, ys)
+        ]
+        signs_ok = all(y > -_FLOAT_EPS for row, y in zip(lp.rows, ys) if row.sense == ">=")
         if signs_ok and _certify(lp, x0, duals):
             x = x0
         else:
@@ -264,7 +349,10 @@ def solve_lp(lp: LinearProgram, which: str = "LP", T: Optional[int] = None) -> L
         assert status == OPTIMAL
     values = {lp.names[j]: x[j] for j in range(nvars) if x[j] != 0}
     obj = sum(lp.objective[j] * v for j, v in enumerate(x) if v != 0)
-    return LpSolution(values=values, objective_value=Fraction(obj), which=which, T=T)
+    return LpSolution(
+        values=values, objective_value=Fraction(obj), which=which, T=T,
+        meta={"simplex_iterations": iterations},
+    )
 
 
 Cut = Tuple[Dict[object, Fraction], str, Fraction]
@@ -282,7 +370,8 @@ def solve_with_cuts(
         sol = solve_lp(lp, which=which, T=T)
         cuts = oracle(sol)
         log.debug(
-            "%s cut round %d: %d rows, %d cuts", which, rnd, len(lp.rows), len(cuts)
+            "%s cut round %d: %d rows, %d simplex iterations, %d cuts",
+            which, rnd, len(lp.rows), sol.meta["simplex_iterations"], len(cuts),
         )
         if not cuts:
             return sol

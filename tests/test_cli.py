@@ -9,7 +9,7 @@ import pytest
 
 from conftest import FIX_A_JSON, FIX_B_JSON
 from mdkmlp import exact_oracles, lp_toolkit
-from mdkmlp.cli import ALGORITHMS, _bench_row, main
+from mdkmlp.cli import _VERIFY_BOUNDS, _VERIFY_TOL, ALGORITHMS, _bench_row, main
 from mdkmlp.instance import parse_instance
 
 F = Fraction
@@ -288,6 +288,37 @@ class TestVerify:
         assert code == 1
         assert "uncovered" in err
 
+    @pytest.mark.parametrize(
+        "recorded", [[1], {"n": 1}, 1.5, True, "one", "1/0"],
+        ids=["list", "object", "float", "bool", "word", "zero-denominator"],
+    )
+    def test_recorded_cost_of_wrong_type_exits_2(self, capsys, fixa_path, tmp_path, recorded):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps({"routes": [["r", "a", "b"]], "total_latency_exact": recorded})
+        )
+        code, out, err = run(
+            capsys, "verify", "--input", fixa_path, "--solution", str(bad)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: 'total_latency_exact' must be a rational number as a string "
+            f"or an int, not {json.dumps(recorded)}\n"
+        )
+
+    @pytest.mark.parametrize("recorded", ["4", 4, "8/2"])
+    def test_recorded_cost_as_string_or_int_passes(self, capsys, fixa_path, tmp_path, recorded):
+        sol = tmp_path / "sol.json"
+        sol.write_text(
+            json.dumps({"routes": [["r", "a", "b"]], "total_latency_exact": recorded})
+        )
+        code, out, _ = run(
+            capsys, "verify", "--input", fixa_path, "--solution", str(sol)
+        )
+        assert code == 0
+        assert json.loads(out) == {"feasible": True, "cost": "4"}
+
     def test_cost_mismatch_fails(self, capsys, fixa_path, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -371,6 +402,44 @@ class TestBench:
         assert code == 0
         golden = GOLDEN / f"bench_n4_k{k}_trials3_seed7.json"
         assert out == golden.read_text(encoding="utf-8")
+
+    def test_golden_linprog_fallback(self, capsys, monkeypatch):
+        # Without scipy's HiGHS binding every LP is solved by one linprog
+        # call per round. The bound columns must not move; a rounding of
+        # LP3 may return another plan, within its per-run guarantee.
+        golden = json.loads(
+            (GOLDEN / "bench_n4_k2_trials3_seed7.json").read_text(encoding="utf-8")
+        )
+        monkeypatch.setattr(lp_toolkit, "_Highs", None)
+        code, out, _ = run(
+            capsys, "bench", "--n", "4", "--k", "2", "--trials", "3", "--seed", "7"
+        )
+        assert code == 0
+        fallback = json.loads(out)
+        bounds = ("opt", "bnslb", "lp1", "lp2", "lp3")
+        assert len(fallback["rows"]) == len(golden["rows"]) == 3
+        for row, other in zip(golden["rows"], fallback["rows"]):
+            assert [row[b] for b in bounds] == [other[b] for b in bounds]
+            for report in (row, other):
+                for alg, entry in report["algs"].items():
+                    for against in bounds:
+                        bound = _VERIFY_BOUNDS.get((alg, against))
+                        if bound is not None:
+                            limit = bound * F(report[against]) * (1 + _VERIFY_TOL)
+                            assert F(entry["cost"]) <= limit, (alg, against)
+
+    def test_no_exact_simplex_fallback(self, capsys, monkeypatch):
+        # every warm re-solve certifies; the dense Fraction simplex would
+        # not finish on an LP3 of real size
+        def refuse(*args, **kwargs):
+            raise AssertionError("exact_simplex fallback taken")
+
+        monkeypatch.setattr(lp_toolkit, "exact_simplex", refuse)
+        code, out, _ = run(
+            capsys, "bench", "--n", "4", "--k", "2", "--trials", "3", "--seed", "7"
+        )
+        assert code == 0
+        assert out == (GOLDEN / "bench_n4_k2_trials3_seed7.json").read_text(encoding="utf-8")
 
     def test_one_node(self):
         # a fresh interpreter, so no state left by an earlier test can help

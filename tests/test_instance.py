@@ -64,6 +64,38 @@ class TestParse:
         again = parse_instance(instance_to_json(inst))
         assert again == inst
 
+    def test_round_trip_int_ids_with_maps(self):
+        inst = MetricInstance(
+            nodes=(0, 1, 2, "x"),
+            roots=(0, 2),
+            cost=((0, 1, 2, 1), (1, 0, 1, 1), (2, 1, 0, 1), (1, 1, 1, 0)),
+            weights={1: 3, "x": 2},
+            service={1: 2},
+            allowed_depots={1: (2,), "x": (0, 2)},
+        )
+        again = parse_instance(instance_to_json(inst))
+        assert again == inst
+        assert again.weight(1) == 3 and again.depots_for(1) == (2,)
+
+    @pytest.mark.parametrize(
+        "nodes, key, message",
+        [
+            ('[0, "a"]', "b", "'weights' key 'b' matches no node"),
+            ('[0, 1, "1"]', "1", "'weights' key '1' matches nodes 1 and '1'"),
+        ],
+        ids=["no-node", "two-nodes"],
+    )
+    def test_map_key_must_name_one_node(self, nodes, key, message):
+        n = nodes.count(",") + 1
+        costs = [[0 if i == j else 1 for j in range(n)] for i in range(n)]
+        bad = (
+            f'{{"nodes":{nodes},"roots":[0],"costs":{costs},'
+            f'"weights":{{"{key}":2}}}}'
+        )
+        with pytest.raises(ValueError) as exc:
+            parse_instance(bad)
+        assert str(exc.value) == message
+
 
 class TestEvaluate:
     def test_fix_a_plain(self, fix_a):

@@ -10,7 +10,9 @@ dropped. It also keeps the exact optimum and a digest of the solution by
 column index. Variable names are left out, so renaming a variable does not
 change the record, but another column order, row order or coefficient does;
 HiGHS may return another optimal vertex for a reordered model, which would
-change the rounded plans.
+change the rounded plans. LP3's rounds after the first follow the vertices
+of HiGHS's warm re-solves; the `linprog` fallback test pins everything
+that may not depend on them.
 
 The rows are read from the `add_constraint` calls, not from the storage
 inside `LinearProgram`, so the record does not depend on how rows are kept.
@@ -135,6 +137,42 @@ def record():
 
 def test_models_match_golden():
     assert record() == json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_linprog_fallback_differs_only_after_a_cut_round(monkeypatch):
+    # Without scipy's HiGHS binding each solve is one linprog call on the
+    # whole LP. A warm re-solve may stop at another optimal vertex and so
+    # separate other cuts, but nothing before the first cut round may move:
+    # LP1 and LP2 entirely, and LP3's optimum and first model.
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    monkeypatch.setattr(lp_toolkit, "_Highs", None)
+    fallback = record()
+    assert fallback.keys() == golden.keys()
+    for label, entry in golden.items():
+        other = fallback[label]
+        assert (other["T"], other["LP1"], other["LP2"]) == (
+            entry["T"], entry["LP1"], entry["LP2"]
+        ), label
+        assert other["LP3"]["value"] == entry["LP3"]["value"], label
+        first = [
+            [{key: s[key] for key in ("cols", "rows", "model", "opt")} for s in e["solves"][:1]]
+            for e in (other["LP3"], entry["LP3"])
+        ]
+        assert first[0] == first[1], label
+
+
+def test_linprog_fallback_same_pclp_optima(monkeypatch):
+    def optima():
+        out = []
+        for _, inst in instances():
+            for root in dict.fromkeys(inst.roots):
+                pen = {v: Fraction(inst.weight(v) * (i + 2), 2) for i, v in enumerate(inst.clients)}
+                out.append(lp_toolkit.build_and_solve_pclp(inst, root, pen).objective_value)
+        return out
+
+    warm = optima()
+    monkeypatch.setattr(lp_toolkit, "_Highs", None)
+    assert optima() == warm
 
 
 if __name__ == "__main__":

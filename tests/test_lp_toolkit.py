@@ -1,6 +1,8 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import random_instance
@@ -199,6 +201,90 @@ class TestExactFallback:
         assert len(calls) >= 3
 
 
+def assert_model_mirrors(lp):
+    """The LP's HiGHS model holds exactly its columns and rows: x >= 0 with
+    the float objective, the matrix of `lp.rows`, and b <= row (<= b for
+    '==')."""
+    h = lp.model
+    assert (h.getNumRow(), h.getNumCol()) == (len(lp.rows), len(lp.names))
+    model = h.getLp()
+    A = model.a_matrix_
+    colwise = A.format_.name == "kColwise"
+    start, index, value = A.start_, A.index_, A.value_
+    got = np.zeros((len(lp.rows), len(lp.names)))
+    for outer in range(len(start) - 1):
+        for k in range(start[outer], start[outer + 1]):
+            if colwise:
+                got[index[k], outer] = value[k]
+            else:
+                got[outer, index[k]] = value[k]
+    want = np.zeros_like(got)
+    for i, row in enumerate(lp.rows):
+        for j, a in zip(row.cols, row.ints):
+            want[i, j] = a / row.d
+    assert np.array_equal(got, want)
+    assert list(model.row_lower_) == [row.b / row.d for row in lp.rows]
+    assert list(model.row_upper_) == [
+        row.b / row.d if row.sense == "==" else math.inf for row in lp.rows
+    ]
+    assert list(model.col_cost_) == [float(c) for c in lp.objective]
+    assert list(model.col_lower_) == [0.0] * len(lp.names)
+    assert list(model.col_upper_) == [math.inf] * len(lp.names)
+
+
+@pytest.mark.skipif(lp_toolkit._Highs is None, reason="scipy without its HiGHS binding")
+class TestWarmModel:
+    """Each LP keeps one HiGHS model; a re-solve adds only what is new."""
+
+    def mirrored_rounds(self, monkeypatch, build) -> int:
+        """Run ``build``, checking the model after every solve; the number
+        of solves."""
+        rounds = 0
+        real = lp_toolkit.solve_lp
+
+        def checked(lp, *args, **kwargs):
+            nonlocal rounds
+            model = lp.model
+            sol = real(lp, *args, **kwargs)
+            assert model is None or lp.model is model  # one model per LP
+            assert_model_mirrors(lp)
+            rounds += 1
+            return sol
+
+        monkeypatch.setattr(lp_toolkit, "solve_lp", checked)
+        build()
+        return rounds
+
+    def test_lp3_model_after_each_cut_round(self, monkeypatch, fix_a):
+        build = lambda: build_and_solve_lp3(fix_a, time_horizon(fix_a).T)
+        assert self.mirrored_rounds(monkeypatch, build) == 1
+        inst = random_instance(random.Random(0), 5, 1)
+        build = lambda: build_and_solve_lp3(inst, time_horizon(inst).T)
+        assert self.mirrored_rounds(monkeypatch, build) >= 3
+
+    def test_pclp_model_after_each_cut_round(self, monkeypatch):
+        inst = random_instance(random.Random(0), 5, 1)
+        pen = {v: F(10) for v in inst.clients}
+        build = lambda: build_and_solve_pclp(inst, inst.roots[0], pen)
+        assert self.mirrored_rounds(monkeypatch, build) >= 3
+
+    def test_columns_and_equalities_added_after_a_solve(self):
+        # no builder adds a column after solving, but the model follows one
+        lp = LinearProgram()
+        for name, cost in (("x", 1), ("y", 2)):
+            lp.add_var(name, obj=cost)
+        lp.add_constraint({"x": 1, "y": 1}, ">=", F(3, 2))
+        assert solve_lp(lp).objective_value == F(3, 2)
+        lp.add_var("w", obj=F(1, 3))
+        lp.add_constraint({"x": 1, "w": -1}, "==", 0)
+        lp.add_constraint({"x": 1}, "<=", F(5, 4))
+        sol = solve_lp(lp)
+        assert_model_mirrors(lp)
+        # x = w costs 4/3 a unit and takes 5/4 of the 3/2; y the rest at 2
+        assert sol.objective_value == F(5, 4) * F(4, 3) + F(1, 4) * 2
+        assert sol.values == {"x": F(5, 4), "w": F(5, 4), "y": F(1, 4)}
+
+
 class TestRowRecord:
     """A row is kept once, scaled to integers; `has_constraint` compares that
     record, so equal rows match however they are written."""
@@ -263,18 +349,26 @@ class TestSolveWithCuts:
         real = lp_toolkit.solve_lp
 
         def counted(lp, *args, **kwargs):
-            solves.append(len(lp.rows))
-            return real(lp, *args, **kwargs)
+            sol = real(lp, *args, **kwargs)
+            solves.append((len(lp.rows), sol.meta["simplex_iterations"]))
+            return sol
 
         monkeypatch.setattr(lp_toolkit, "solve_lp", counted)
-        with caplog.at_level("DEBUG", logger="mdkmlp.lp"):
-            build_and_solve_lp3(fix_a, time_horizon(fix_a).T)
-        rounds = [r for r in caplog.records if r.funcName == "solve_with_cuts"]
-        assert len(rounds) == len(solves) >= 1
-        for i, (rec, rows) in enumerate(zip(rounds, solves), start=1):
-            assert rec.name == "mdkmlp.lp" and rec.levelname == "DEBUG"
-            assert rec.getMessage().startswith(f"LP3 cut round {i}: {rows} rows, ")
-        assert rounds[-1].getMessage().endswith(", 0 cuts")
+        inst = random_instance(random.Random(0), 5, 1)
+        for case in (fix_a, inst):
+            solves.clear()
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger="mdkmlp.lp"):
+                build_and_solve_lp3(case, time_horizon(case).T)
+            rounds = [r for r in caplog.records if r.funcName == "solve_with_cuts"]
+            assert len(rounds) == len(solves) >= 1
+            cuts = [b[0] - a[0] for a, b in zip(solves, solves[1:])] + [0]
+            for i, (rec, (rows, iters), n) in enumerate(zip(rounds, solves, cuts), start=1):
+                assert rec.name == "mdkmlp.lp" and rec.levelname == "DEBUG"
+                assert rec.getMessage() == (
+                    f"LP3 cut round {i}: {rows} rows, {iters} simplex iterations, {n} cuts"
+                )
+        assert len(solves) >= 3
 
 
 class TestSizeGuards:

@@ -75,5 +75,23 @@ def test_searches_match_golden():
     assert record() == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
+def _without_arcs(rec):
+    if isinstance(rec, dict):
+        return {key: _without_arcs(val) for key, val in rec.items() if key != "arcs"}
+    if isinstance(rec, list):
+        return [_without_arcs(val) for val in rec]
+    return rec
+
+
+def test_linprog_fallback_differs_only_in_arcs(monkeypatch):
+    # Without scipy's HiGHS binding each PC-LP solve is one linprog call.
+    # A warm re-solve may pick another optimal vertex, and so another tree
+    # of the same cost, but every probe, cost, objective and bipoint
+    # multiplier must be the same.
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    monkeypatch.setattr(lp_toolkit, "_Highs", None)
+    assert _without_arcs(record()) == _without_arcs(golden)
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(record(), indent=1) + "\n", encoding="utf-8")
