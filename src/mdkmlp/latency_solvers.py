@@ -25,7 +25,7 @@ from . import concat_graph, lp_toolkit
 from .arb_packing import WeightedDigraph, pack_arborescences, tree_nodes
 from .exact_oracles import BnsTable
 from .instance import MetricInstance, RoutePlan, group_slots, time_horizon, vehicle_groups
-from .pc_tree import BipointTree, RootedTree, coverage_tree
+from .pc_tree import BipointTree, ProbeCache, RootedTree, coverage_tree
 
 log = logging.getLogger("mdkmlp.solvers")
 
@@ -508,7 +508,7 @@ def _combinatorial_points(inst: MetricInstance) -> List[Tuple[int, Fraction, obj
             ),
         )
         reach = 2 * Fraction(inst.dist(root, order[j - 1]))
-        probe_cache: Dict = {}
+        probe_cache = ProbeCache()  # one PC-LP model for every ell on V_j
         for ell in range(1, j + 1):
             Q = coverage_tree(sub, root, ell, cache=probe_cache)
             parts = [Q] if isinstance(Q, RootedTree) else [Q.T1, Q.T2]

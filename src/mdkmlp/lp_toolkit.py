@@ -20,6 +20,14 @@ every solve is one ``linprog`` call on the whole LP instead. The two
 paths can stop at different optimal vertices after a cut round, so a
 rounding may return another plan, with the same guarantee; every exact
 optimum is the same.
+
+Every row the builders make has integer coefficients and right-hand side;
+such a row is its own integer form (scale 1) and is stored without
+building a Fraction. The prize-collecting LP is a model
+(:func:`pclp_model`) solved under any penalties
+(:func:`build_and_solve_pclp`): only the z costs change between solves,
+and the cuts of earlier solves stay valid and stay in the model, so a
+later solve starts warm with them.
 """
 
 import logging
@@ -125,23 +133,43 @@ class LinearProgram:
     def has_var(self, name) -> bool:
         return name in self._index
 
+    def set_costs(self, costs: Dict[int, Fraction]) -> None:
+        """Set the objective coefficient of each column in ``costs``, in the
+        HiGHS model too once it exists."""
+        for j, c in costs.items():
+            self.objective[j] = Fraction(c)
+        if self.model is not None:
+            self.model.changeColsCost(
+                len(costs), np.fromiter(costs, dtype=np.int64, count=len(costs)),
+                np.array([float(self.objective[j]) for j in costs]),
+            )
+
     def _row(self, coeffs: Dict[object, Fraction], sense: str, rhs) -> Row:
         if sense not in (">=", "<=", "=="):
             raise ValueError(f"unknown sense {sense!r}")
-        fracs = {}
-        for name, c in coeffs.items():
-            j = self._index.get(name)
-            if j is None:
-                raise ValueError(f"constraint references unknown variable {name!r}")
-            c = Fraction(c)
-            if c:
-                fracs[j] = c
-        rhs = Fraction(rhs)
-        cols = tuple(sorted(fracs))
-        d = math.lcm(rhs.denominator, *(fracs[j].denominator for j in cols))
-        s = -d if sense == "<=" else d
-        ints = tuple(fracs[j].numerator * (s // fracs[j].denominator) for j in cols)
-        b = rhs.numerator * (s // rhs.denominator)
+        index = self._index
+        try:
+            pairs = sorted((index[name], c) for name, c in coeffs.items())
+        except KeyError as exc:
+            raise ValueError(
+                f"constraint references unknown variable {exc.args[0]!r}"
+            ) from None
+        if type(rhs) is int and all(type(c) is int for _, c in pairs):
+            # an integer row is its own integer form, with d = 1
+            d = 1
+            s = -1 if sense == "<=" else 1
+            cols = tuple(j for j, c in pairs if c)
+            ints = tuple(s * c for _, c in pairs if c)
+            b = s * rhs
+        else:
+            fracs = [(j, Fraction(c)) for j, c in pairs]
+            fracs = [(j, c) for j, c in fracs if c]
+            rhs = Fraction(rhs)
+            d = math.lcm(rhs.denominator, *(c.denominator for _, c in fracs))
+            s = -d if sense == "<=" else d
+            cols = tuple(j for j, _ in fracs)
+            ints = tuple(c.numerator * (s // c.denominator) for _, c in fracs)
+            b = rhs.numerator * (s // rhs.denominator)
         sense = ">=" if sense == "<=" else sense
         return Row(cols, ints, b, d, sense, tuple(a / d for a in ints), b / d)
 
@@ -376,11 +404,13 @@ def solve_with_cuts(
         if not cuts:
             return sol
         for coeffs, sense, rhs in cuts:
-            if lp.has_constraint(coeffs, sense, rhs):
+            known = len(lp._row_set)
+            lp.add_constraint(coeffs, sense, rhs)  # the cut's row, built once
+            if len(lp._row_set) == known:  # the LP had this row already
+                lp.rows.pop()
                 raise LpError(
                     f"no progress: separation oracle repeated a {which} constraint"
                 )
-            lp.add_constraint(coeffs, sense, rhs)
             added += 1
             if added > MAX_CUTS:
                 raise LpError(f"cut limit {MAX_CUTS} exceeded for {which}")
@@ -438,12 +468,21 @@ def _violated_cuts(
 # PC-LP
 
 
-def build_and_solve_pclp(
-    inst: MetricInstance,
-    root,
-    penalties: Dict[object, Fraction],
-) -> LpSolution:
-    """Bidirected prize-collecting LP with min-cut separation.
+class PcLpModel(NamedTuple):
+    """The bidirected prize-collecting LP of one instance and root, without
+    its penalties: x[a] for every arc a not into the root, z[v] (v left
+    uncovered, z <= 1) for every other node, and per node a degree row and
+    a cover row. ``z`` maps each node to its z column."""
+
+    inst: MetricInstance
+    root: object
+    arcs: List[Tuple]
+    z: Dict[object, int]
+    lp: LinearProgram
+
+
+def pclp_model(inst: MetricInstance, root) -> PcLpModel:
+    """The PC-LP of ``inst`` and ``root``, for :func:`build_and_solve_pclp`.
 
     Arcs into the root are omitted: no cut or degree constraint ever needs
     them and dropping them only removes weight an optimum would not use.
@@ -451,34 +490,46 @@ def build_and_solve_pclp(
     if root not in inst.nodes:
         raise ValueError(f"unknown root {root!r}")
     others = [v for v in inst.nodes if v != root]
-    pen = {}
-    for v in others:
-        p = Fraction(penalties.get(v, 0))
-        if p < 0:
-            raise ValueError(f"negative penalty for {v!r}")
-        pen[v] = p
-
     lp = LinearProgram()
     arcs = _arcs_avoiding(inst, root)
     for a in arcs:
-        lp.add_var(("x", a), obj=Fraction(inst.dist(*a)))
+        lp.add_var(("x", a), obj=inst.dist(*a))
+    z = {}
     for v in others:
-        lp.add_var(("z", v), obj=pen[v])
-        lp.add_constraint({("z", v): ONE}, "<=", ONE)
+        z[v] = lp.add_var(("z", v))
+        lp.add_constraint({("z", v): 1}, "<=", 1)
     for v in others:
-        inflow = {("x", (u, v)): ONE for u in inst.nodes if u != v}
-        outflow = {("x", (v, w)): -ONE for w in inst.nodes if w != v and w != root}
-        lp.add_constraint({**inflow, **outflow}, ">=", ZERO)
-        lp.add_constraint({**inflow, ("z", v): ONE}, ">=", ONE)
+        inflow = {("x", (u, v)): 1 for u in inst.nodes if u != v}
+        outflow = {("x", (v, w)): -1 for w in inst.nodes if w != v and w != root}
+        lp.add_constraint({**inflow, **outflow}, ">=", 0)
+        lp.add_constraint({**inflow, ("z", v): 1}, ">=", 1)
+    return PcLpModel(inst, root, arcs, z, lp)
+
+
+def build_and_solve_pclp(model: PcLpModel, penalties: Dict[object, Fraction]) -> LpSolution:
+    """The PC-LP of ``model`` under ``penalties`` (0 for a node not named),
+    with min-cut separation.
+
+    Only the z costs depend on the penalties, and every cut holds whatever
+    they are, so the model keeps the cuts of earlier solves and its HiGHS
+    model restarts from the last optimal basis.
+    """
+    inst, root, arcs, z, lp = model
+    costs = {}
+    for v, j in z.items():
+        costs[j] = Fraction(penalties.get(v, 0))
+        if costs[j] < 0:
+            raise ValueError(f"negative penalty for {v!r}")
+    lp.set_costs(costs)
 
     def oracle(sol: LpSolution) -> List[Cut]:
         xvals = {a: sol.value(("x", a)) for a in arcs}
-        demands = [(v, ONE - sol.value(("z", v))) for v in others]
+        demands = [(v, ONE - sol.value(("z", v))) for v in z]
         cuts: List[Cut] = []
         for S, v in _violated_cuts(inst, root, xvals, demands):
-            coeffs = {("x", a): ONE for a in _arcs_entering(arcs, S)}
-            coeffs[("z", v)] = ONE
-            cuts.append((coeffs, ">=", ONE))
+            coeffs = {("x", a): 1 for a in _arcs_entering(arcs, S)}
+            coeffs[("z", v)] = 1
+            cuts.append((coeffs, ">=", 1))
         return cuts
 
     return solve_with_cuts(lp, oracle, which="PC-LP")
@@ -548,21 +599,21 @@ def _add_cover_rows(
     """Every client is served at some time by some group's vehicles."""
     for v in inst.clients:
         coeffs = {
-            ("x", gi, v, t): Fraction(mult)
+            ("x", gi, v, t): mult
             for gi, mult in enumerate(mults)
             for t in range(1, T + 1)
             if lp.has_var(("x", gi, v, t))
         }
         if not coeffs:
             raise LpInfeasibleError(f"{which} infeasible: {v!r} unreachable within T={T}")
-        lp.add_constraint(coeffs, ">=", ONE)
+        lp.add_constraint(coeffs, ">=", 1)
 
 
-def _minus_served(lp: LinearProgram, gi: int, v, t: int) -> Dict[object, Fraction]:
+def _minus_served(lp: LinearProgram, gi: int, v, t: int) -> Dict[object, int]:
     """The term -x[gi, v, tp] for every tp <= t: minus "group gi has served
     v by time t", which a covering row at time t must pay for."""
     return {
-        ("x", gi, v, tp): -ONE for tp in range(1, t + 1) if lp.has_var(("x", gi, v, tp))
+        ("x", gi, v, tp): -1 for tp in range(1, t + 1) if lp.has_var(("x", gi, v, tp))
     }
 
 
@@ -589,12 +640,12 @@ def _solve_config_lp(
             at.setdefault(t, []).append(C)
         for t in range(1, T + 1):
             if t in at:
-                lp.add_constraint({("z", gi, C, t): ONE for C in at[t]}, "<=", ONE)
+                lp.add_constraint({("z", gi, C, t): 1 for C in at[t]}, "<=", 1)
         for v in first:
             for t in range(1, T + 1):
-                coeffs = {("z", gi, C, t): ONE for C in at.get(t, ()) if v in C}
+                coeffs = {("z", gi, C, t): 1 for C in at.get(t, ()) if v in C}
                 coeffs.update(_minus_served(lp, gi, v, t))
-                lp.add_constraint(coeffs, ">=", ZERO)
+                lp.add_constraint(coeffs, ">=", 0)
     return solve_lp(lp, which=which, T=T)
 
 
@@ -820,19 +871,19 @@ def build_and_solve_lp3(inst: MetricInstance, T: int) -> LpSolution:
         for t in range(1, T + 1):
             # length budget
             lp.add_constraint(
-                {("z", gi, a, t): Fraction(ca(*a)) for a in arcs}, "<=", Fraction(t)
+                {("z", gi, a, t): ca(*a) for a in arcs}, "<=", t
             )
             # degree: into each client at least as much as out of it
             for v in clients:
                 coeffs = {
-                    ("z", gi, a, t): ONE if a[1] == v else -ONE for a in arcs if v in a
+                    ("z", gi, a, t): 1 if a[1] == v else -1 for a in arcs if v in a
                 }
-                lp.add_constraint(coeffs, ">=", ZERO)
+                lp.add_constraint(coeffs, ">=", 0)
             # singleton cuts up front to cut down separation rounds
             for v in first:
-                coeffs = {("z", gi, (u, v), t): ONE for u in inst.nodes if u != v}
+                coeffs = {("z", gi, (u, v), t): 1 for u in inst.nodes if u != v}
                 coeffs.update(_minus_served(lp, gi, v, t))
-                lp.add_constraint(coeffs, ">=", ZERO)
+                lp.add_constraint(coeffs, ">=", 0)
 
     def oracle(sol: LpSolution) -> List[Cut]:
         cuts: List[Cut] = []
@@ -848,9 +899,9 @@ def build_and_solve_lp3(inst: MetricInstance, T: int) -> LpSolution:
                 zvals = {a: sol.value(("z", gi, a, t)) for a in arcs}
                 demands = [(v, covered[v][t]) for v in first]
                 for S, v in _violated_cuts(inst, r, zvals, demands):
-                    coeffs = {("z", gi, a, t): ONE for a in _arcs_entering(arcs, S)}
+                    coeffs = {("z", gi, a, t): 1 for a in _arcs_entering(arcs, S)}
                     coeffs.update(_minus_served(lp, gi, v, t))
-                    cuts.append((coeffs, ">=", ZERO))
+                    cuts.append((coeffs, ">=", 0))
         return cuts
 
     return solve_with_cuts(lp, oracle, which="LP3", T=T)

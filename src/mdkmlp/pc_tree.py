@@ -7,6 +7,12 @@ coverage guarantee, and keep the family member with the cheapest
 prize-collecting objective. A convexity argument then turns a binary
 search over uniform penalties into trees (or convex combinations of two
 trees) hitting an exact coverage or budget target.
+
+The probes of a search differ only in their penalties, so they all solve
+one prize-collecting LP model, which keeps the cuts that earlier probes
+found (a :class:`ProbeCache` holds it, and shares it between the coverage
+targets of one instance and root). A probe's LP optimum is that of a fresh
+model; its vertex, and so its tree, may be another of the same guarantee.
 """
 
 import logging
@@ -100,20 +106,21 @@ def pc_tree(
 
     Returns (tree, objective).
     """
-    tree, obj, _ = _pc_tree_probe(inst, root, penalties)
+    tree, obj, _ = _pc_tree_probe(lp_toolkit.pclp_model(inst, root), penalties)
     return tree, obj
 
 
 def _pc_tree_probe(
-    inst: MetricInstance,
-    root,
+    model: lp_toolkit.PcLpModel,
     penalties: Dict[object, Fraction],
 ) -> Tuple[RootedTree, Fraction, int]:
-    """pc_tree plus the max denominator of the LP vertex encountered."""
+    """pc_tree on the PC-LP ``model``, plus the max denominator of the LP
+    vertex encountered."""
+    inst, root = model.inst, model.root
     pen = {
         v: Fraction(penalties.get(v, 0)) for v in inst.nodes if v != root
     }
-    sol = lp_toolkit.build_and_solve_pclp(inst, root, pen)
+    sol = lp_toolkit.build_and_solve_pclp(model, pen)
     max_denom = 1
     for val in sol.values.values():
         max_denom = max(max_denom, val.denominator)
@@ -160,7 +167,20 @@ def uniform_pc_tree(
     return pc_tree(inst, root, pen)
 
 
-ProbeCache = Dict[Fraction, Tuple[RootedTree, Fraction, int]]
+class ProbeCache:
+    """The probes of the coverage searches on one instance and root, by
+    uniform penalty, and the one PC-LP model that all of them solve."""
+
+    def __init__(self):
+        self.model: Optional[lp_toolkit.PcLpModel] = None
+        self.probes: Dict[Fraction, Tuple[RootedTree, Fraction, int]] = {}
+
+    def model_for(self, inst: MetricInstance, root) -> lp_toolkit.PcLpModel:
+        if self.model is None:
+            self.model = lp_toolkit.pclp_model(inst, root)
+        elif self.model.inst is not inst or self.model.root != root:
+            raise ValueError("probe cache holds another instance or root")
+        return self.model
 
 
 def _max_arc_cost(inst: MetricInstance) -> int:
@@ -190,11 +210,13 @@ def _lagrangian_search(
     combination of the bracket trees hits the target exactly in expectation.
     """
 
+    model = cache.model_for(inst, root)
+
     def probe(lam: Fraction) -> Tuple[RootedTree, int]:
-        if lam not in cache:
+        if lam not in cache.probes:
             pen = {v: lam * w for v, w in weights.items()}
-            cache[lam] = _pc_tree_probe(inst, root, pen)
-        tree, _, denom = cache[lam]
+            cache.probes[lam] = _pc_tree_probe(model, pen)
+        tree, _, denom = cache.probes[lam]
         return tree, denom
 
     lo = ZERO
@@ -231,8 +253,8 @@ def coverage_tree(
     collection spanning >= B nodes, with (expected) node count exactly B.
 
     Coverage is nondecreasing in the uniform penalty, so the Lagrangian
-    search finds it. `cache` keeps the probes by penalty, for callers that
-    ask for several B on one instance.
+    search finds it. `cache` keeps the probes by penalty and their PC-LP
+    model, for callers that ask for several B on one instance and root.
     """
     if not 1 <= B <= inst.n:
         raise ValueError(f"coverage target {B} out of range 1..{inst.n}")
@@ -240,7 +262,7 @@ def coverage_tree(
     out = _lagrangian_search(
         inst, root, weights, lambda tree: tree.coverage, B,
         hi=inst.n * _max_arc_cost(inst) + 1, scale=inst.n * inst.n,
-        cache={} if cache is None else cache,
+        cache=ProbeCache() if cache is None else cache,
     )
     if isinstance(out, RootedTree) and out.coverage < B:
         raise ValueError(f"instance cannot span {B} nodes from {root!r}")
@@ -270,7 +292,7 @@ def budget_tree(
     out = _lagrangian_search(
         inst, root, wmap, lambda tree: tree.cost, C,
         hi=inst.n * _max_arc_cost(inst) * max(W, 1) + 1, scale=max(W * W * Wd, 1),
-        cache={},
+        cache=ProbeCache(),
     )
     if isinstance(out, RootedTree) and out.cost > C:
         raise ValueError("zero-penalty tree already exceeds the budget")

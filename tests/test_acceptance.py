@@ -33,8 +33,9 @@ from mdkmlp.lp_toolkit import (
     build_and_solve_lp2,
     build_and_solve_lp3,
     build_and_solve_pclp,
+    pclp_model,
 )
-from mdkmlp.pc_tree import RootedTree, coverage_tree, pc_tree
+from mdkmlp.pc_tree import ProbeCache, RootedTree, coverage_tree, pc_tree
 
 F = Fraction
 MU = mu_star(F(1, 10**9))
@@ -94,7 +95,7 @@ def test_criterion_2_prize_collecting_tree():
         root = inst.roots[0]
         pen = {v: F(rng.randint(0, 10)) for v in inst.clients}
         _, obj = pc_tree(inst, root, pen)
-        lp = build_and_solve_pclp(inst, root, pen).objective_value
+        lp = build_and_solve_pclp(pclp_model(inst, root), pen).objective_value
         exact = exact_oracles.exact_pc_paths(inst, root, pen).value
         assert obj <= lp <= exact
         checked += 1
@@ -109,7 +110,7 @@ def test_criterion_3_bipoint_coverage():
     for _ in range(100):
         inst = random_instance(rng, rng.randint(2, 6), 1)
         root = inst.roots[0]
-        cache = {}
+        cache = ProbeCache()
         for B in range(1, inst.n + 1):
             out = coverage_tree(inst, root, B, cache=cache)
             bound = exact_oracles.exact_cover_cost(inst, root, B).value

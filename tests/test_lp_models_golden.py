@@ -167,7 +167,9 @@ def test_linprog_fallback_same_pclp_optima(monkeypatch):
         for _, inst in instances():
             for root in dict.fromkeys(inst.roots):
                 pen = {v: Fraction(inst.weight(v) * (i + 2), 2) for i, v in enumerate(inst.clients)}
-                out.append(lp_toolkit.build_and_solve_pclp(inst, root, pen).objective_value)
+                out.append(lp_toolkit.build_and_solve_pclp(
+                    lp_toolkit.pclp_model(inst, root), pen
+                ).objective_value)
         return out
 
     warm = optima()

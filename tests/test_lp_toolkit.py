@@ -1,6 +1,8 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +21,14 @@ from mdkmlp.lp_toolkit import (
     build_and_solve_lp2,
     build_and_solve_lp3,
     build_and_solve_pclp,
+    pclp_model,
     _certify,
     solve_lp,
     solve_with_cuts,
 )
 
 F = Fraction
+PC_TREE_GOLDEN = Path(__file__).parent / "golden" / "pc_tree_seed41.json"
 
 
 class TestSolveLp:
@@ -91,6 +95,22 @@ def reference_certify(objective, rows, x, duals):
     if any(rc < 0 for rc in reduced.values()):
         return False
     return sum(F(c) * value[name] for name, c in objective.items()) == dual_obj
+
+
+def reference_row(lp, coeffs, sense, rhs):
+    """The stored form of a row in Fraction arithmetic: times the lcm d of
+    its denominators, a ``<=`` row negated, zero coefficients dropped, and
+    the floats for HiGHS as ``float(Fraction(a, d))``."""
+    index = {name: j for j, name in enumerate(lp.names)}
+    terms = sorted((index[name], F(c)) for name, c in coeffs.items() if c != 0)
+    d = math.lcm(F(rhs).denominator, *(c.denominator for _, c in terms))
+    s = -d if sense == "<=" else d
+    ints = tuple(int(c * s) for _, c in terms)
+    b = int(F(rhs) * s)
+    return lp_toolkit.Row(
+        tuple(j for j, _ in terms), ints, b, d, ">=" if sense == "<=" else sense,
+        tuple(float(F(a, d)) for a in ints), float(F(b, d)),
+    )
 
 
 def small_lp(objective, rows):
@@ -265,7 +285,7 @@ class TestWarmModel:
     def test_pclp_model_after_each_cut_round(self, monkeypatch):
         inst = random_instance(random.Random(0), 5, 1)
         pen = {v: F(10) for v in inst.clients}
-        build = lambda: build_and_solve_pclp(inst, inst.roots[0], pen)
+        build = lambda: build_and_solve_pclp(pclp_model(inst, inst.roots[0]), pen)
         assert self.mirrored_rounds(monkeypatch, build) >= 3
 
     def test_columns_and_equalities_added_after_a_solve(self):
@@ -318,6 +338,49 @@ class TestRowRecord:
         assert len(lp.rows[0][0]) == 1
         assert not lp.has_constraint({"x": 1}, "==", 1)
 
+    def test_int_and_fraction_spellings_are_one_row(self):
+        lp = self.lp()
+        lp.add_constraint({"x": 1, "y": -2}, "<=", 3)
+        assert lp.has_constraint({"x": F(1), "y": F(-2)}, "<=", F(3))
+        assert lp.has_constraint({"x": F(-1), "y": 2}, ">=", -3)
+        assert not lp.has_constraint({"x": 1, "y": -2}, "==", 3)
+        lp = self.lp()
+        lp.add_constraint({"x": F(1), "y": F(0)}, "==", F(1))
+        assert lp.has_constraint({"x": 1, "y": 0}, "==", 1)
+        assert lp.has_constraint({"x": 1}, "==", F(1))
+
+    def test_unknown_variable_fails_even_with_coefficient_zero(self):
+        for coeffs, rhs in (({"x": 1, "q": 0}, 1), ({"x": F(1, 2), "q": F(0)}, F(1))):
+            with pytest.raises(ValueError, match="unknown variable 'q'"):
+                self.lp().add_constraint(coeffs, ">=", rhs)
+
+    def test_random_rows_match_their_fraction_form(self):
+        # An all-int row is stored without building Fractions; it must be
+        # the very row its Fraction spelling gives, field types included,
+        # and every row (int, Fraction(k) or Fraction(k, 2) coefficients)
+        # the one the Fraction arithmetic of reference_row gives.
+        rng = random.Random(11)
+        lp = LinearProgram()
+        names = [f"v{i}" for i in range(6)]
+        for name in names:
+            lp.add_var(name)
+        for _ in range(300):
+            sense = rng.choice((">=", "<=", "=="))
+            ks = {name: rng.randint(-4, 4) for name in rng.sample(names, rng.randint(0, 6))}
+            rhs = rng.randint(-5, 5)
+            spellings = [
+                (ks, rhs),
+                ({name: F(k) for name, k in ks.items()}, F(rhs)),
+                (
+                    {name: rng.choice((k, F(k), F(k, 2))) for name, k in ks.items()},
+                    rng.choice((rhs, F(rhs), F(rhs, 2))),
+                ),
+            ]
+            for coeffs, b in spellings:
+                lp.add_constraint(coeffs, sense, b)
+                assert repr(lp.rows[-1]) == repr(reference_row(lp, coeffs, sense, b))
+            assert lp.rows[-3] == lp.rows[-2] and lp.rows[-3].d == 1
+
 
 class TestSolveWithCuts:
     def test_satisfied_oracle_is_identity(self):
@@ -337,7 +400,7 @@ class TestSolveWithCuts:
     def test_cuts_converge(self, fix_a):
         # the prize-collecting model converges through the min-cut oracle
         sol = build_and_solve_pclp(
-            fix_a, "r", {"a": F(10), "b": F(10)}
+            pclp_model(fix_a, "r"), {"a": F(10), "b": F(10)}
         )
         assert sol.objective_value == exact_oracles.exact_pc_paths(
             fix_a, "r", {"a": F(10), "b": F(10)}
@@ -407,17 +470,17 @@ class TestSizeGuards:
 class TestPcLp:
     def test_high_penalties_cover_everything(self, fix_a):
         # cheapest full cover is the path r -> a -> b of cost 1 + 2 = 3
-        sol = build_and_solve_pclp(fix_a, "r", {"a": F(10), "b": F(10)})
+        sol = build_and_solve_pclp(pclp_model(fix_a, "r"), {"a": F(10), "b": F(10)})
         assert sol.objective_value == 3
 
     def test_zero_penalties(self, fix_a):
-        sol = build_and_solve_pclp(fix_a, "r", {"a": F(0), "b": F(0)})
+        sol = build_and_solve_pclp(pclp_model(fix_a, "r"), {"a": F(0), "b": F(0)})
         assert sol.objective_value == 0
         assert all(name[0] != "x" or val == 0 for name, val in sol.values.items())
 
     def test_low_penalties_cover_nothing(self, fix_a):
         sol = build_and_solve_pclp(
-            fix_a, "r", {"a": F(2, 5), "b": F(2, 5)}
+            pclp_model(fix_a, "r"), {"a": F(2, 5), "b": F(2, 5)}
         )
         assert sol.objective_value == F(4, 5)
 
@@ -427,9 +490,66 @@ class TestPcLp:
             inst = random_instance(rng, rng.randint(2, 5), 1)
             root = inst.roots[0]
             pen = {v: F(rng.randint(0, 10)) for v in inst.clients}
-            sol = build_and_solve_pclp(inst, root, pen)
+            sol = build_and_solve_pclp(pclp_model(inst, root), pen)
             exact = exact_oracles.exact_pc_paths(inst, root, pen)
             assert sol.objective_value <= exact.value
+
+
+def golden_probe_sequences():
+    """(instance, root, penalty maps) for each instance of the pc_tree
+    golden: the probes of its coverage searches in the order they ran, all
+    of which one shared PC-LP model solves."""
+    seqs = []
+    for rec in json.loads(PC_TREE_GOLDEN.read_text(encoding="utf-8")):
+        if "instance" in rec:
+            seqs.append((rec["instance"], []))
+        elif rec.get("call") == "coverage_tree":
+            seqs[-1][1].extend({v: F(p) for v, p in probe} for probe in rec["probes"])
+    for (nodes, cost), pens in seqs:
+        (root,) = set(nodes) - set(pens[0])  # the root has no penalty
+        inst = MetricInstance(
+            nodes=tuple(nodes), roots=(root,), cost=tuple(map(tuple, cost))
+        )
+        yield inst, root, pens
+
+
+class TestSharedPcLp:
+    """One PC-LP model solved under a sequence of penalties keeps its cuts;
+    each optimum is still that of a fresh model."""
+
+    def test_probe_sequences_in_order_and_shuffled(self, monkeypatch):
+        cases = list(golden_probe_sequences())
+        assert sum(len(pens) for _, _, pens in cases) >= 100
+        fresh = [
+            [build_and_solve_pclp(pclp_model(inst, root), pen).objective_value for pen in pens]
+            for inst, root, pens in cases
+        ]
+        rng = random.Random(7)
+        for highs in dict.fromkeys((lp_toolkit._Highs, None)):
+            monkeypatch.setattr(lp_toolkit, "_Highs", highs)
+            for (inst, root, pens), want in zip(cases, fresh):
+                order = list(range(len(pens)))
+                for shuffled in (False, True):
+                    if shuffled:
+                        rng.shuffle(order)
+                    model = pclp_model(inst, root)
+                    for i in order:
+                        sol = build_and_solve_pclp(model, pens[i])
+                        assert sol.objective_value == want[i]
+                        assert (model.lp.model is None) == (highs is None)
+                        if highs is not None:
+                            assert_model_mirrors(model.lp)
+
+    def test_penalties_change_only_the_z_costs(self, fix_a):
+        model = pclp_model(fix_a, "r")
+        arcs = model.lp.objective[: len(model.arcs)]
+        assert build_and_solve_pclp(model, {"a": F(10), "b": F(10)}).objective_value == 3
+        # b is free to leave out; a is worth its arc r -> a of cost 1
+        assert build_and_solve_pclp(model, {"a": F(2)}).objective_value == 1
+        assert model.lp.objective == arcs + [F(2), ZERO]
+        with pytest.raises(ValueError, match="negative penalty for 'b'"):
+            build_and_solve_pclp(model, {"a": F(1), "b": F(-1)})
+        assert model.lp.objective == arcs + [F(2), ZERO]
 
 
 class TestLp3:

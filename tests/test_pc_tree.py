@@ -7,6 +7,7 @@ from conftest import random_instance
 from mdkmlp import exact_oracles
 from mdkmlp.pc_tree import (
     BipointTree,
+    ProbeCache,
     RootedTree,
     budget_tree,
     coverage_tree,
@@ -124,12 +125,22 @@ class TestCoverageTree:
         with pytest.raises(ValueError):
             coverage_tree(fix_a, "r", 4)
 
+    def test_cache_shares_one_model_per_instance_and_root(self, fix_a):
+        cache = ProbeCache()
+        coverage_tree(fix_a, "r", 2, cache=cache)
+        model, probes = cache.model, dict(cache.probes)
+        coverage_tree(fix_a, "r", 3, cache=cache)
+        assert cache.model is model
+        assert cache.probes.items() >= probes.items()
+        with pytest.raises(ValueError, match="another instance or root"):
+            coverage_tree(fix_a, "a", 2, cache=cache)
+
     def test_hits_target_and_cost_bound(self):
         rng = random.Random(29)
         for _ in range(12):
             inst = random_instance(rng, rng.randint(2, 6), 1)
             root = inst.roots[0]
-            cache = {}
+            cache = ProbeCache()
             for B in range(1, inst.n + 1):
                 out = coverage_tree(inst, root, B, cache=cache)
                 bound = exact_oracles.exact_cover_cost(inst, root, B).value

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from conftest import random_instance
 from mdkmlp import lp_toolkit
-from mdkmlp.pc_tree import BipointTree, budget_tree, coverage_tree, pc_tree
+from mdkmlp.pc_tree import BipointTree, ProbeCache, budget_tree, coverage_tree, pc_tree
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden" / "pc_tree_seed41.json"
@@ -36,9 +36,9 @@ def record():
     probes = []
     real = lp_toolkit.build_and_solve_pclp
 
-    def logged(inst, root, penalties):
+    def logged(model, penalties):
         probes.append([[v, str(p)] for v, p in penalties.items()])
-        return real(inst, root, penalties)
+        return real(model, penalties)
 
     def entry(call, arg, out):
         done = {"call": call, "arg": arg, "out": out, "probes": list(probes)}
@@ -53,7 +53,7 @@ def record():
             inst = random_instance(rng, n, 1)
             root = inst.roots[0]
             calls.append({"instance": [list(inst.nodes), [list(r) for r in inst.cost]]})
-            cache = {}
+            cache = ProbeCache()
             for B in range(1, n + 1):
                 out = coverage_tree(inst, root, B, cache=cache)
                 calls.append(entry("coverage_tree", B, _tree(out)))

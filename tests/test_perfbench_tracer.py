@@ -8,11 +8,13 @@ no bytecode written next to it.
 """
 
 import importlib
+import random
 import types
 from fractions import Fraction
 from pathlib import Path
 
-from mdkmlp import lp_toolkit
+from conftest import random_instance
+from mdkmlp import latency_solvers, lp_toolkit, pc_tree
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -68,3 +70,47 @@ def test_solve_lp_counters_match_the_input_rows():
     assert counts["solve_lp.nnz"] == sum(
         1 for coeffs, _, _ in rows for c in coeffs.values() if c != 0
     )
+
+
+def test_pclp_solves_fall_inside_their_probe_spans(monkeypatch):
+    # The probes of a coverage search share one PC-LP model, but each probe
+    # is still one build_and_solve_pclp call, which holds all its solves.
+    inst = random_instance(random.Random(3), 5, 2, single_depot=True)
+    probes = []
+    real_probe = pc_tree._pc_tree_probe
+
+    def counted_probe(model, penalties):
+        probes.append(penalties)
+        return real_probe(model, penalties)
+
+    kinds = []
+    real_solve = lp_toolkit.solve_lp
+
+    def solve(lp, which="LP", T=None):
+        kinds.append(which)
+        return real_solve(lp, which=which, T=T)
+
+    monkeypatch.setattr(pc_tree, "_pc_tree_probe", counted_probe)
+    monkeypatch.setattr(lp_toolkit, "solve_lp", solve)
+    t = _load_tracer().Tracer("mdkmlp")
+    t.install()
+    try:
+        latency_solvers.solve_kmlp_combinatorial(inst)
+    finally:
+        t.uninstall()
+    spans = t.spans()
+    by_id = {span["id"]: span for span in spans}
+
+    def within(span, name):
+        while span["parent"]:
+            span = by_id[span["parent"]]
+            if span["name"] == name:
+                return True
+        return False
+
+    solves = [span for span in spans if span["name"] == "lp_toolkit.solve_lp"]
+    assert set(kinds) == {"PC-LP"} and len(solves) == len(kinds)
+    assert all(within(span, "lp_toolkit.build_and_solve_pclp") for span in solves)
+    per_name, counts = t.totals()
+    assert per_name["lp_toolkit.build_and_solve_pclp"][0] == len(probes) > 0
+    assert counts["pclp.in_tree"] == len(probes)
