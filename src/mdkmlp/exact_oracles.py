@@ -2,10 +2,11 @@
 strolls and their additive lower bound, orienteering, and prize-collecting
 path collections.
 
-Everything here is exhaustive subset dynamic programming over rational
-arithmetic, guarded by hard size limits. Guards fail loudly rather than
-degrade to heuristics: an oracle must never silently stop being ground
-truth.
+Everything here is exhaustive subset dynamic programming on the integer
+metric, in plain ints (rational only where the caller's rewards,
+penalties or budgets are), guarded by hard size limits; results are
+returned as Fractions. Guards fail loudly rather than degrade to
+heuristics: an oracle must never silently stop being ground truth.
 """
 
 from dataclasses import dataclass, field
@@ -92,7 +93,7 @@ def exact_kmlp(inst: MetricInstance) -> OracleResult:
         return OracleResult(Fraction(0), plan, 0)
 
     # per group: global client mask -> (best split value, orders per vehicle)
-    group_tbl: List[Dict[int, Tuple[Fraction, List[Tuple]]]] = []
+    group_tbl: List[Dict[int, Tuple[int, List[Tuple]]]] = []
     for r, mult in groups:
         mine = [v for v in clients if r in inst.depots_for(v)]
         single = pathdp.min_latency_orders(r, mine, step, wfun)
@@ -102,11 +103,11 @@ def exact_kmlp(inst: MetricInstance) -> OracleResult:
             for v in C:
                 msk |= bit_of[v]
             by_mask[msk] = (val, order)
-        cur: Dict[int, Tuple[Fraction, List[Tuple]]] = {
+        cur: Dict[int, Tuple[int, List[Tuple]]] = {
             msk: (val, [order]) for msk, (val, order) in by_mask.items()
         }
         for _ in range(1, mult):
-            merged: Dict[int, Tuple[Fraction, List[Tuple]]] = {}
+            merged: Dict[int, Tuple[int, List[Tuple]]] = {}
             for m1, (v1, o1) in by_mask.items():
                 for m2, (v2, o2) in cur.items():
                     if m1 & m2:
@@ -120,9 +121,9 @@ def exact_kmlp(inst: MetricInstance) -> OracleResult:
         group_tbl.append(cur)
 
     # across groups: F[mask] = best cost covering exactly mask so far
-    F: Dict[int, Tuple[Fraction, List[List[Tuple]]]] = {0: (Fraction(0), [])}
+    F: Dict[int, Tuple[int, List[List[Tuple]]]] = {0: (0, [])}
     for gi in range(len(groups)):
-        nxt: Dict[int, Tuple[Fraction, List[List[Tuple]]]] = {}
+        nxt: Dict[int, Tuple[int, List[List[Tuple]]]] = {}
         for msk, (val, picks) in F.items():
             for gmsk, (gval, orders) in group_tbl[gi].items():
                 if gmsk & msk:
@@ -150,14 +151,10 @@ def exact_kmlp(inst: MetricInstance) -> OracleResult:
     return OracleResult(Fraction(best_val), plan, explored)
 
 
-def _plain_metric(inst: MetricInstance):
-    return lambda u, v: Fraction(inst.dist(u, v))
-
-
 def _bottleneck_by_size(inst: MetricInstance):
     """min bottleneck btl over client sets of each size, with witnesses."""
-    table = bottleneck_cover_table(inst, _plain_metric(inst))
-    best: Dict[int, Tuple[Fraction, Tuple]] = {}
+    table = bottleneck_cover_table(inst, inst.dist)
+    best: Dict[int, Tuple[int, Tuple]] = {}
     for U, (val, routes) in table.items():
         sz = len(U)
         if sz not in best or val < best[sz][0]:
@@ -207,8 +204,8 @@ def bnslb(inst: MetricInstance) -> BnsTable:
     values: List[Fraction] = []
     witnesses: List[Tuple[Tuple, ...]] = []
     # suffix-min so b*_l is the cheapest way to reach coverage >= l
-    by_need: Dict[int, Tuple[Fraction, Tuple]] = {}
-    run: Optional[Tuple[Fraction, Tuple]] = None
+    by_need: Dict[int, Tuple[int, Tuple]] = {}
+    run: Optional[Tuple[int, Tuple]] = None
     for sz in sorted(best, reverse=True):
         if run is None or best[sz][0] < run[0]:
             run = best[sz]
@@ -241,7 +238,7 @@ def exact_orienteering(
         raise ValueError("negative budget")
     items = [v for v in inst.nodes if v != root]
     theta = {v: Fraction(rewards.get(v, 0)) for v in items}
-    paths = pathdp.min_paths(root, items, lambda u, v: Fraction(inst.dist(u, v)))
+    paths = pathdp.min_paths(root, items, inst.dist)
     best_val, best_path = Fraction(0), (root,)
     explored = 0
     for C, (plen, order) in paths.items():
@@ -256,14 +253,14 @@ def exact_orienteering(
 
 def _path_cover_costs(
     inst: MetricInstance, root
-) -> Tuple[Dict[int, Tuple[Fraction, List[Tuple]]], List]:
+) -> Tuple[Dict[int, Tuple[int, List[Tuple]]], List]:
     """mc: exact-cover mask -> (min cost of a rooted path collection
     covering it, witness paths), over nodes other than the root."""
     items = [v for v in inst.nodes if v != root]
     m = len(items)
-    paths = pathdp.min_paths(root, items, lambda u, v: Fraction(inst.dist(u, v)))
+    paths = pathdp.min_paths(root, items, inst.dist)
     bit_of = {v: 1 << i for i, v in enumerate(items)}
-    single: Dict[int, Tuple[Fraction, Tuple]] = {}
+    single: Dict[int, Tuple[int, Tuple]] = {}
     for C, (plen, order) in paths.items():
         if not C:
             continue
@@ -272,7 +269,7 @@ def _path_cover_costs(
             msk |= bit_of[v]
         single[msk] = (plen, (root,) + order)
     full = 1 << m
-    mc: Dict[int, Tuple[Fraction, List[Tuple]]] = {0: (Fraction(0), [])}
+    mc: Dict[int, Tuple[int, List[Tuple]]] = {0: (0, [])}
     for msk in range(1, full):
         low = msk & -msk  # pin the lowest set bit to one part: no double count
         best = None
@@ -329,7 +326,7 @@ def exact_cover_cost(inst: MetricInstance, root, B: int) -> OracleResult:
             best = (cost, witness)
     if best is None:
         raise ValueError(f"cannot span {B} nodes")
-    return OracleResult(best[0], tuple(best[1]), explored)
+    return OracleResult(Fraction(best[0]), tuple(best[1]), explored)
 
 
 def exact_budget_cover(inst: MetricInstance, root, C, weights: Dict) -> OracleResult:

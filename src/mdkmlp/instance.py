@@ -9,6 +9,7 @@ rather than rounded so that integrality-based lower bounds stay valid.
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, Hashable, List, Optional, Tuple
 
 Node = Hashable
@@ -107,6 +108,10 @@ class MetricInstance:
                     raise ValueError(f"allowed depot {r!r} of {v!r} is not a root")
 
     # -- basic accessors ---------------------------------------------------
+    #
+    # The fields never change, so the derived values below are computed once
+    # per instance (``cached_property`` keeps them in the instance dict,
+    # outside the fields that equality and hashing see).
 
     @property
     def n(self) -> int:
@@ -116,23 +121,32 @@ class MetricInstance:
     def k(self) -> int:
         return len(self.roots)
 
-    @property
+    @cached_property
+    def node_pos(self) -> Dict[Node, int]:
+        """Node -> its position in ``nodes``."""
+        return {v: i for i, v in enumerate(self.nodes)}
+
+    @cached_property
     def root_set(self) -> frozenset:
         return frozenset(self.roots)
 
-    @property
+    @cached_property
     def clients(self) -> Tuple[Node, ...]:
         rs = self.root_set
         return tuple(v for v in self.nodes if v not in rs)
 
     def index(self, v: Node) -> int:
         try:
-            return self.nodes.index(v)
-        except ValueError:
+            return self.node_pos[v]
+        except KeyError:
             raise KeyError(f"unknown node {v!r}") from None
 
     def dist(self, u: Node, v: Node) -> int:
-        return self.cost[self.index(u)][self.index(v)]
+        pos = self.node_pos
+        try:
+            return self.cost[pos[u]][pos[v]]
+        except KeyError as exc:
+            raise KeyError(f"unknown node {exc.args[0]!r}") from None
 
     def weight(self, v: Node) -> int:
         if v in self.root_set:
@@ -150,15 +164,15 @@ class MetricInstance:
             return got
         return tuple(dict.fromkeys(self.roots))
 
-    @property
+    @cached_property
     def has_weights(self) -> bool:
         return any(self.weight(v) != 1 for v in self.clients)
 
-    @property
+    @cached_property
     def has_service(self) -> bool:
         return any(self.service_time(v) != 0 for v in self.clients)
 
-    @property
+    @cached_property
     def default_variant(self) -> str:
         w, s = self.has_weights, self.has_service
         if w and s:
@@ -171,13 +185,12 @@ class MetricInstance:
 
     # -- derived metrics ---------------------------------------------------
 
-    def service_symmetric(self, u: Node, v: Node) -> Fraction:
-        """Symmetric service metric: c plus half the endpoint service times."""
+    def service_doubled(self, u: Node, v: Node) -> int:
+        """Twice the symmetric service metric c(u,v) + (d_u + d_v)/2: the
+        integer metric 2c(u,v) + d_u + d_v (0 on the diagonal)."""
         if u == v:
-            return Fraction(0)
-        return Fraction(self.dist(u, v)) + Fraction(
-            self.service_time(u) + self.service_time(v), 2
-        )
+            return 0
+        return 2 * self.dist(u, v) + self.service_time(u) + self.service_time(v)
 
     def service_directed(self, u: Node, v: Node) -> int:
         """Directed service metric: c plus the head's service time."""
@@ -331,18 +344,19 @@ def evaluate_plan_detail(
     variant = plan.objective_variant
     use_w = variant in ("weighted", "weighted+service")
     use_d = variant in ("service", "weighted+service")
-    served: Dict[Node, Fraction] = {}
+    served: Dict[Node, int] = {}
     root_set = inst.root_set
+    node_pos = inst.node_pos
     for i, route in enumerate(plan.routes):
         root = inst.roots[i]
         if not route or route[0] != root:
             raise ValueError(f"route {i} must start at its root {root!r}")
         pos = root
-        elapsed = Fraction(0)
+        elapsed = 0
         for v in route[1:]:
             if v in root_set or v in served:
                 continue
-            if v not in inst.nodes:
+            if v not in node_pos:
                 raise ValueError(f"unknown node {v!r} in route {i}")
             if root not in inst.depots_for(v):
                 raise ValueError(f"node {v!r} served from disallowed depot {root!r}")
@@ -354,10 +368,8 @@ def evaluate_plan_detail(
     missing = [v for v in inst.clients if v not in served]
     if missing:
         raise ValueError(f"uncovered node(s): {missing!r}")
-    total = Fraction(0)
-    for v, lat in served.items():
-        total += (inst.weight(v) if use_w else 1) * lat
-    return total, served
+    total = sum((inst.weight(v) if use_w else 1) * lat for v, lat in served.items())
+    return Fraction(total), {v: Fraction(lat) for v, lat in served.items()}
 
 
 def evaluate_plan(inst: MetricInstance, plan: RoutePlan) -> Fraction:
@@ -391,7 +403,7 @@ def time_horizon(inst: MetricInstance) -> TimeHorizon:
         pos = r
         elapsed = 0
         while pending:
-            nxt = min(pending, key=lambda v: (inst.dist(pos, v), inst.nodes.index(v)))
+            nxt = min(pending, key=lambda v: (inst.dist(pos, v), inst.index(v)))
             pending.remove(nxt)
             elapsed += inst.dist(pos, nxt) + inst.service_time(nxt)
             max_latency = max(max_latency, elapsed)

@@ -12,6 +12,12 @@ expectation the randomized analyses bound. Tour-splitting keeps each
 segment's internal length within 2c(tree)/k by a greedy cut, and the
 service-time variant uses the two-case snipping loop that controls mixed
 length instead.
+
+Metric sums are ints: the orientation of a configuration-LP tour sums the
+LP metric, which is doubled on service instances (doubling both
+directions' sums keeps their comparison). The configuration-LP roundings
+draw from the tables their LP solution carries (``meta["draws"]``),
+comparing each uniform draw exactly with integer cumulative numerators.
 """
 
 import logging
@@ -108,14 +114,14 @@ def _orient_tour(
     if not derandomize:
         return fwd if rng.random() < 0.5 else rev
 
-    def acct(seq) -> Fraction:
-        total = ZERO
+    def acct(seq) -> int:
+        total = 0
         pos = root
-        elapsed = ZERO
+        elapsed = 0
         for v in seq:
-            elapsed += Fraction(metric(pos, v))
+            elapsed += metric(pos, v)
             if v in new_nodes:
-                total += Fraction(weight(v)) * elapsed
+                total += weight(v) * elapsed
             pos = v
         return total
 
@@ -191,9 +197,8 @@ def split_tree_into_k_tours(
     keep_set = set(keep) if keep is not None else set(tree.nodes)
     if tree.root not in keep_set:
         raise ValueError("root must be kept")
-    node_pos = {v: i for i, v in enumerate(inst.nodes)}
     seq = [
-        v for v in _preorder(tree, node_pos) if v in keep_set and v != tree.root
+        v for v in _preorder(tree, inst.node_pos) if v in keep_set and v != tree.root
     ]
     if not seq:
         return [(tree.root,)] * k
@@ -240,13 +245,12 @@ def break_cycle_with_service(
         lambda v: Fraction(inst.service_time(v))
     )
     root = tree.root
-    node_pos = {v: i for i, v in enumerate(inst.nodes)}
     # c-cost of the tree (tree.cost may be a c'-cost if built that way)
     c_tree = sum((Fraction(inst.dist(u, v)) for (u, v) in tree.arcs), ZERO)
     d_tree = sum((dfun(v) for v in tree.nodes), ZERO)
     M = (c_tree + d_tree) / k
     P = [root] + [
-        v for v in _preorder(tree, node_pos) if v in S and v != root
+        v for v in _preorder(tree, inst.node_pos) if v in S and v != root
     ]
     if len(P) == 1:
         return [(root,)] * k
@@ -450,9 +454,8 @@ def _solve_lp3_rounding(
         keep = tree.nodes & S_t
         if split:
             return split_tree_into_k_tours(inst, tree, k, keep)
-        node_pos = {v: i for i, v in enumerate(inst.nodes)}
         interior = tuple(
-            v for v in _preorder(tree, node_pos) if v in keep and v != root
+            v for v in _preorder(tree, inst.node_pos) if v in keep and v != root
         )
         return [(root,) + interior] + [(root,)] * (k - 1)
 
@@ -492,7 +495,7 @@ def _combinatorial_points(inst: MetricInstance) -> List[Tuple[int, Fraction, obj
     tree costs 2c(tree)/k plus the round trip to V_j's farthest node."""
     root = inst.roots[0]
     k = inst.k
-    node_pos = {v: i for i, v in enumerate(inst.nodes)}
+    node_pos = inst.node_pos
     order = sorted(
         inst.nodes, key=lambda v: (inst.dist(root, v), node_pos[v])
     )
@@ -559,15 +562,14 @@ def _geometric_schedule(
     return [h * c**j for j in range(N + 1)]
 
 
-def _sample_from(
-    dist: List[Tuple[object, Fraction]], rng: random.Random
-) -> Optional[object]:
-    """One draw from a sub-distribution (residual mass -> None)."""
-    u = rng.random()
-    acc = ZERO
-    for item, p in dist:
-        acc += p
-        if u < acc:
+def _sample_from(table: lp_toolkit.DrawTable, rng: random.Random) -> Optional[object]:
+    """One draw from a sub-distribution (residual mass -> None): the first
+    item whose cumulative probability exceeds u = rng.random(). With u = p/q
+    exactly, u < cum/denom is cum > floor(p * denom / q) in integers."""
+    p, q = rng.random().as_integer_ratio()
+    bar = p * table.denom // q
+    for item, cum in zip(table.items, table.cum):
+        if cum > bar:
             return item
     return None
 
@@ -579,7 +581,7 @@ def _append_leftovers(
     leftovers.sort(
         key=lambda v: (
             min(inst.dist(r, v) for r in inst.depots_for(v)),
-            inst.nodes.index(v),
+            inst.index(v),
         )
     )
     for v in leftovers:
@@ -613,7 +615,7 @@ def _geometric_rounding(
             if clients <= covered:
                 return
 
-    metric = lp_toolkit._lp_metric(inst)
+    metric, _ = lp_toolkit._lp_metric(inst)
     tours = _orient_into(
         inst, draws(), metric, rng, cfg.derandomize_directions, covered
     )
@@ -646,22 +648,13 @@ def solve_multidepot(
     else:
         T = time_horizon(inst).T
         sol1 = lp_toolkit.build_and_solve_lp1(inst, T)
-    orders = sol1.meta["orders"]
+    tables = sol1.meta["draws"]  # per (group, time): the visiting orders
     slot_gi = {s: gi for gi, slots in enumerate(group_slots(inst)) for s in slots}
-    node_pos = {v: i for i, v in enumerate(inst.nodes)}
-
-    # per (group, time): deterministic column distribution
-    by_gt: Dict[Tuple[int, int], List[Tuple[object, Fraction]]] = {}
-    for name, val in sol1.values.items():
-        if name[0] == "z" and val > 0:
-            _, gi, C, t = name
-            by_gt.setdefault((gi, t), []).append((orders[gi][C], val))
-    for key in by_gt:
-        by_gt[key].sort(key=lambda item: tuple(node_pos[v] for v in item[0]))
+    empty = lp_toolkit.EMPTY_DRAW
 
     def draws_at(t):
         for slot in range(inst.k):
-            yield slot, _sample_from(by_gt.get((slot_gi[slot], t), []), rng)
+            yield slot, _sample_from(tables.get((slot_gi[slot], t), empty), rng)
 
     growth = cfg.growth or DEFAULT_GROWTH
     return _geometric_rounding(inst, cfg, growth, T, draws_at, rng)
@@ -687,25 +680,14 @@ def round_lp2(
     if not inst.clients:
         return _finalize_plan(inst, [[] for _ in range(inst.k)], inst.default_variant)
     T = lp2sol.T
-    configs = lp2sol.meta["configs"]
-    node_pos = {v: i for i, v in enumerate(inst.nodes)}
-
-    by_t: Dict[int, List[Tuple[object, Fraction]]] = {}
-    for name, val in lp2sol.values.items():
-        if name[0] != "z" or val <= 0:
-            continue
-        _, _, U, t = name
-        by_t.setdefault(t, []).append((U, val))
-    for t in by_t:
-        by_t[t].sort(key=lambda item: tuple(sorted(node_pos[v] for v in item[0])))
-
+    tables = lp2sol.meta["draws"]  # per time: the witness tuples of k paths
     # align each group's witness paths with the instance's root slots
     slot_of = [slot for slots in group_slots(inst) for slot in slots]
 
     def draws_at(t):
-        U = _sample_from(by_t.get(t, []), rng)
-        if U is not None:
-            for slot, route in zip(slot_of, configs[U]):
+        routes = _sample_from(tables.get(t, lp_toolkit.EMPTY_DRAW), rng)
+        if routes is not None:
+            for slot, route in zip(slot_of, routes):
                 yield slot, route[1:]
 
     growth = cfg.growth or concat_graph.mu_star(MU_TOL)

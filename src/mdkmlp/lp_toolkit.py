@@ -28,6 +28,14 @@ building a Fraction. The prize-collecting LP is a model
 (:func:`build_and_solve_pclp`): only the z costs change between solves,
 and the cuts of earlier solves stay valid and stay in the model, so a
 later solve starts warm with them.
+
+LP1 and LP2 measure paths in an integer metric (:func:`_lp_metric`): c,
+or on service instances twice the symmetric service metric,
+2c(u,v) + d_u + d_v, tested against 2t. Their solutions carry
+``meta["draws"]``, the column distributions the roundings sample from,
+built once per solution: per (group, t) for LP1 and per t for LP2, a
+:class:`DrawTable` of the positive z columns (visiting orders for LP1,
+witness tuples of k paths for LP2) in a fixed node order.
 """
 
 import logging
@@ -540,30 +548,62 @@ def build_and_solve_pclp(model: PcLpModel, penalties: Dict[object, Fraction]) ->
 
 
 def _count_rooted_paths(
-    root, items: Sequence, length: Callable, budget: Fraction, cap: int
+    root, items: Sequence, length: Callable, budget: int, cap: int
 ) -> int:
     """Number of nonempty rooted simple paths of length <= budget; aborts at cap."""
+    d = pathdp.length_matrix(items, length)
+    from_root = [length(root, v) for v in items]
+    m = len(items)
     count = 0
-    stack = [(root, frozenset(), ZERO)]
+    stack = [(from_root, 0, 0)]  # (lengths from the path's end, used mask, length)
     while stack:
-        pos, used, ln = stack.pop()
-        for v in items:
-            if v in used:
+        row, used, ln = stack.pop()
+        for i in range(m):
+            bit = 1 << i
+            if used & bit:
                 continue
-            nl = ln + Fraction(length(pos, v))
+            nl = ln + row[i]
             if nl > budget:
                 continue
             count += 1
             if count > cap:
                 return count
-            stack.append((v, used | {v}, nl))
+            stack.append((d[i], used | bit, nl))
     return count
 
 
-def _lp_metric(inst: MetricInstance) -> Callable[[object, object], Fraction]:
+def _lp_metric(inst: MetricInstance) -> Tuple[Callable[[object, object], int], int]:
+    """The integer metric LP1 and LP2 measure paths in, and its scale: a
+    path fits time t when its length is at most scale * t. Plain instances
+    use c (scale 1); service instances use twice the symmetric service
+    metric, 2c(u,v) + d_u + d_v (scale 2)."""
     if inst.has_service:
-        return inst.service_symmetric
-    return lambda u, v: Fraction(inst.dist(u, v))
+        return inst.service_doubled, 2
+    return inst.dist, 1
+
+
+class DrawTable(NamedTuple):
+    """A sub-distribution over ``items`` for one uniform draw u in [0, 1):
+    ``items[i]`` is drawn when ``cum[i - 1] <= u * denom < cum[i]``, nothing
+    when ``u * denom >= cum[-1]`` (the residual mass)."""
+
+    items: Tuple
+    cum: Tuple[int, ...]
+    denom: int
+
+
+EMPTY_DRAW = DrawTable((), (), 1)
+
+
+def draw_table(weighted: Sequence[Tuple[object, Fraction]]) -> DrawTable:
+    """The draw table of ``(item, probability)`` pairs, in their order, over
+    the lcm of the probabilities' denominators."""
+    denom = math.lcm(*(p.denominator for _, p in weighted))
+    return DrawTable(
+        tuple(item for item, _ in weighted),
+        tuple(accumulate(p.numerator * (denom // p.denominator) for _, p in weighted)),
+        denom,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +689,20 @@ def _solve_config_lp(
     return solve_lp(lp, which=which, T=T)
 
 
+def _draw_tables(sol: LpSolution, column: Callable) -> Dict[object, DrawTable]:
+    """Per key, the draw table of the positive z columns in rank order;
+    ``column(gi, C, t)`` gives a z column's (key, rank, item to draw)."""
+    drawn: Dict[object, List] = {}
+    for name, val in sol.values.items():
+        if name[0] == "z" and val > 0:
+            key, rank, item = column(*name[1:])
+            drawn.setdefault(key, []).append((rank, item, val))
+    return {
+        key: draw_table([(item, val) for _, item, val in sorted(cols, key=lambda c: c[0])])
+        for key, cols in drawn.items()
+    }
+
+
 # ---------------------------------------------------------------------------
 # LP1: per-vehicle configuration LP
 
@@ -670,9 +724,9 @@ def build_and_solve_lp1(inst: MetricInstance, T: int) -> LpSolution:
         return LpSolution({}, ZERO, which="LP1", T=T)
     clients = inst.clients
     groups = vehicle_groups(inst)
-    metric = _lp_metric(inst)
+    metric, scale = _lp_metric(inst)
     for r, _ in groups:
-        total = _count_rooted_paths(r, clients, metric, Fraction(T), PATH_CAP)
+        total = _count_rooted_paths(r, clients, metric, scale * T, PATH_CAP)
         if total > PATH_CAP:
             raise EnumerationCapError(
                 f"instance too large for enumeration: > {PATH_CAP} rooted paths"
@@ -683,18 +737,24 @@ def build_and_solve_lp1(inst: MetricInstance, T: int) -> LpSolution:
     for r, mult in groups:
         serveable = [v for v in clients if r in inst.depots_for(v)]
         paths = pathdp.min_paths(r, serveable, metric)
-        first = {v: max(1, math.ceil(paths[frozenset({v})][0])) for v in serveable}
+        first = {v: max(1, -(-paths[frozenset({v})][0] // scale)) for v in serveable}
         columns = [
             (C, t)
             for t in range(1, T + 1)
             for C, (plen, _) in paths.items()
-            if C and plen <= t
+            if C and plen <= scale * t
         ]
         config_groups.append((mult, first, columns))
         orders.append({C: order for C, (_, order) in paths.items()})
 
     sol = _solve_config_lp(inst, T, "LP1", config_groups)
-    sol.meta["orders"] = orders
+    node_pos = inst.node_pos
+
+    def column(gi, C, t):
+        order = orders[gi][C]
+        return (gi, t), [node_pos[v] for v in order], order
+
+    sol.meta["draws"] = _draw_tables(sol, column)
     return sol
 
 
@@ -767,7 +827,7 @@ def bottleneck_cover_table(
 
     # combine groups
     F = [INF] * full
-    F[0] = ZERO
+    F[0] = 0
     gpick = []
     for _, best, _ in per_group:
         F, pick = _min_max_split(best, F)
@@ -815,10 +875,10 @@ def build_and_solve_lp2(inst: MetricInstance, T: int) -> LpSolution:
         return LpSolution({}, ZERO, which="LP2", T=T)
     clients = inst.clients
     groups = vehicle_groups(inst)
-    metric = _lp_metric(inst)
+    metric, scale = _lp_metric(inst)
     tuples = 1  # k-tuples of rooted paths, each possibly empty
     for r, mult in groups:
-        paths = _count_rooted_paths(r, clients, metric, Fraction(T), TUPLE_CAP)
+        paths = _count_rooted_paths(r, clients, metric, scale * T, TUPLE_CAP)
         tuples *= (1 + paths) ** mult
         if tuples > TUPLE_CAP:
             raise EnumerationCapError(
@@ -827,15 +887,17 @@ def build_and_solve_lp2(inst: MetricInstance, T: int) -> LpSolution:
 
     table = bottleneck_cover_table(inst, metric)
     first = {
-        v: max(1, math.ceil(min(Fraction(metric(r, v)) for r, _ in groups)))
-        for v in clients
+        v: max(1, -(-min(metric(r, v) for r, _ in groups) // scale)) for v in clients
     }
-    configs = {U: routes for U, (_, routes) in table.items() if U}
     columns = [
-        (U, t) for U, (btl, _) in table.items() if U for t in range(1, T + 1) if btl <= t
+        (U, t) for U, (btl, _) in table.items() if U for t in range(1, T + 1)
+        if btl <= scale * t
     ]
     sol = _solve_config_lp(inst, T, "LP2", [(1, first, columns)])
-    sol.meta["configs"] = configs
+    node_pos = inst.node_pos
+    sol.meta["draws"] = _draw_tables(
+        sol, lambda _, U, t: (t, sorted(node_pos[v] for v in U), table[U][1])
+    )
     return sol
 
 

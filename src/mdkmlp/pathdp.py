@@ -4,19 +4,27 @@ Shared by the exact oracles and the LP column enumeration: for a root and a
 small item set, compute for every subset the cheapest rooted simple path
 visiting exactly that subset (any endpoint), with an optimal visiting order
 for witness reconstruction.
+
+Lengths are whatever the length function returns and are summed as given:
+the callers pass integer metrics (the LP metric doubles service lengths to
+stay integer), so the DPs run on plain ints.
 """
 
-from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-INF = Fraction(1, 1) * 10**18  # effectively infinite, keeps arithmetic rational
+INF = 10**18  # effectively infinite: above every path length of a guarded instance
+
+
+def length_matrix(items: Sequence, length: Callable) -> List[List[Optional[int]]]:
+    """length between every ordered pair of distinct items, by position."""
+    return [[length(u, v) if u != v else None for v in items] for u in items]
 
 
 def min_paths(
     root,
     items: Sequence,
-    length: Callable[[object, object], Fraction],
-) -> Dict[FrozenSet, Tuple[Fraction, Tuple]]:
+    length: Callable[[object, object], int],
+) -> Dict[FrozenSet, Tuple[int, Tuple]]:
     """Map each subset of items to (min rooted-path length, optimal order).
 
     length(u, v) may be asymmetric (directed service metric); paths are
@@ -27,24 +35,26 @@ def min_paths(
     # dp[mask][last] = min length of a path from root covering mask, ending at last
     dp = [[None] * m for _ in range(full)]
     parent = [[None] * m for _ in range(full)]
+    d = length_matrix(items, length)
     for i, v in enumerate(items):
-        dp[1 << i][i] = Fraction(length(root, v))
+        dp[1 << i][i] = length(root, v)
     for mask in range(1, full):
         row = dp[mask]
         for last in range(m):
             cur = row[last]
             if cur is None:
                 continue
+            d_last = d[last]
             for nxt in range(m):
                 bit = 1 << nxt
                 if mask & bit:
                     continue
-                cand = cur + Fraction(length(items[last], items[nxt]))
+                cand = cur + d_last[nxt]
                 nmask = mask | bit
                 if dp[nmask][nxt] is None or cand < dp[nmask][nxt]:
                     dp[nmask][nxt] = cand
                     parent[nmask][nxt] = last
-    out: Dict[FrozenSet, Tuple[Fraction, Tuple]] = {frozenset(): (Fraction(0), ())}
+    out: Dict[FrozenSet, Tuple[int, Tuple]] = {frozenset(): (0, ())}
     for mask in range(1, full):
         best_last, best_len = None, None
         for last in range(m):
@@ -69,9 +79,9 @@ def min_paths(
 def min_latency_orders(
     root,
     items: Sequence,
-    step: Callable[[object, object], Fraction],
+    step: Callable[[object, object], int],
     weight: Callable[[object], int],
-) -> Dict[FrozenSet, Tuple[Fraction, Tuple]]:
+) -> Dict[FrozenSet, Tuple[int, Tuple]]:
     """Map each subset to (min total weighted latency, optimal serving order).
 
     step(u, v) is the latency increment when moving from u to serving v
@@ -91,8 +101,10 @@ def min_latency_orders(
     # (whose multiplier depends on nodes served before the suffix).
     F = [[None] * m for _ in range(full)]
     nxt_of = [[None] * m for _ in range(full)]
+    d = length_matrix(items, step)
+    from_root = [step(root, v) for v in items]
     for i in range(m):
-        F[1 << i][i] = Fraction(0)
+        F[1 << i][i] = 0
     masks_by_size = sorted(range(1, full), key=lambda msk: bin(msk).count("1"))
     for mask in masks_by_size:
         w_mask = mask_weight(mask)
@@ -100,11 +112,12 @@ def min_latency_orders(
             if mask & (1 << u):
                 continue
             best_val, best_first = None, None
+            d_u = d[u]
             for first in range(m):
                 cur = F[mask][first]
                 if cur is None:
                     continue
-                cand = Fraction(step(items[u], items[first])) * w_mask + cur
+                cand = d_u[first] * w_mask + cur
                 if best_val is None or cand < best_val:
                     best_val, best_first = cand, first
             if best_val is not None:
@@ -113,7 +126,7 @@ def min_latency_orders(
                     F[nmask][u] = best_val
                     nxt_of[nmask][u] = best_first
 
-    out: Dict[FrozenSet, Tuple[Fraction, Tuple]] = {frozenset(): (Fraction(0), ())}
+    out: Dict[FrozenSet, Tuple[int, Tuple]] = {frozenset(): (0, ())}
     for mask in range(1, full):
         w_mask = mask_weight(mask)
         best_val, best_first = None, None
@@ -121,7 +134,7 @@ def min_latency_orders(
             cur = F[mask][first]
             if cur is None:
                 continue
-            cand = Fraction(step(root, items[first])) * w_mask + cur
+            cand = from_root[first] * w_mask + cur
             if best_val is None or cand < best_val:
                 best_val, best_first = cand, first
         if best_first is None:

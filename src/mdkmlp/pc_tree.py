@@ -133,7 +133,7 @@ def _pc_tree_probe(
         return RootedTree(root=root, arcs=frozenset(), cost=ZERO), obj, max_denom
     D = arb_packing.WeightedDigraph(nodes=inst.nodes, arcs=caps)
     family = arb_packing.pack_arborescences(D, root, K)
-    node_pos = {v: i for i, v in enumerate(inst.nodes)}
+    node_pos = inst.node_pos
 
     def member_key(item):
         gamma, F = item

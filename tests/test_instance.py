@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -194,3 +195,68 @@ class TestTimeHorizon:
             lb = inst.latency_lower_bound()
             svc = sum(inst.service_time(v) for v in inst.clients)
             assert th.T <= 2 * inst.n * lb + svc
+
+
+class TestDerivedValues:
+    """Derived values are computed once per instance, outside its fields."""
+
+    CACHED = ("node_pos", "root_set", "clients", "has_weights", "has_service", "default_variant")
+
+    def test_unknown_node_raises_key_error_naming_it(self, fix_b):
+        with pytest.raises(KeyError, match="unknown node 'zz'"):
+            fix_b.index("zz")
+        with pytest.raises(KeyError, match="unknown node 'zz'"):
+            fix_b.dist("zz", "a")
+        with pytest.raises(KeyError, match="unknown node 'zz'"):
+            fix_b.dist("a", "zz")
+        with pytest.raises(KeyError, match="unknown node 0"):
+            fix_b.dist("a", 0)
+
+    def test_equality_and_hash_ignore_cached_values(self):
+        a, b = parse_instance(FIX_B_JSON), parse_instance(FIX_B_JSON)
+        a.dist("a", "b")
+        for name in self.CACHED:
+            getattr(a, name)
+        assert set(self.CACHED) <= set(vars(a))
+        # construction looks up distances, which computes node_pos only
+        assert not set(self.CACHED) & set(vars(b)) - {"node_pos"}
+        assert a == b and b == a
+
+        def hash_outcome(x):
+            # the map fields are dicts, so hashing fails the same way for both
+            try:
+                return hash(x)
+            except TypeError as exc:
+                return str(exc)
+
+        assert hash_outcome(a) == hash_outcome(b)
+
+    def test_replace_gives_fresh_values(self):
+        a = parse_instance(FIX_B_JSON)
+        for name in self.CACHED:
+            getattr(a, name)
+        b = dataclasses.replace(a, roots=("r1",), service={"a": 2, "r2": 1})
+        assert b.root_set == frozenset({"r1"}) and a.root_set == frozenset({"r1", "r2"})
+        assert b.clients == ("a", "b", "r2") and a.clients == ("a", "b")
+        assert b.has_service and not a.has_service
+        assert b.default_variant == "service" and a.default_variant == "plain"
+        c = dataclasses.replace(a, nodes=("r2", "b", "a", "r1"), cost=(
+            (0, 1, 3, 4), (1, 0, 2, 3), (3, 2, 0, 1), (4, 3, 1, 0)))
+        assert c.index("r2") == 0 and a.index("r2") == 3
+        assert c.dist("r2", "a") == 3 and a.dist("r2", "a") == 3
+
+    def test_service_doubled_is_twice_the_symmetric_service_metric(self):
+        rng = random.Random(12)
+        for _ in range(20):
+            inst = random_instance(rng, rng.randint(3, 7), rng.randint(1, 2), service=True)
+            nodes = inst.nodes
+            for u in nodes:
+                assert inst.service_doubled(u, u) == 0
+                for v in nodes:
+                    if u != v:
+                        half = Fraction(inst.service_time(u) + inst.service_time(v), 2)
+                        assert inst.service_doubled(u, v) == 2 * (inst.dist(u, v) + half)
+                    for w in nodes:
+                        assert inst.service_doubled(u, v) <= (
+                            inst.service_doubled(u, w) + inst.service_doubled(w, v)
+                        )

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,9 @@ from mdkmlp.latency_solvers import (
     SolverConfig,
     SolverError,
     _combinatorial_points,
+    _orient_tour,
     _s_values,
+    _sample_from,
     bnslb_construction,
     break_cycle_with_service,
     round_lp2,
@@ -365,3 +368,136 @@ class TestRoundLp2:
         sol = build_and_solve_lp3(fix_b, time_horizon(fix_b).T)
         with pytest.raises(SolverError):
             round_lp2(fix_b, sol, SolverConfig())
+
+
+class _StubRng:
+    """Hands out the given values as rng.random() and counts the calls."""
+
+    def __init__(self, values):
+        self.values = list(values)
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self.values.pop(0)
+
+
+def _reference_draw(weighted, u):
+    """The Fraction draw: the first item whose running sum exceeds u."""
+    acc = F(0)
+    for item, p in weighted:
+        acc += p
+        if u < acc:
+            return item
+    return None
+
+
+def _sub_distribution(rng):
+    """(item, probability) pairs of total at most 1, denominators <= 10**6."""
+    out = []
+    if rng.random() < 0.5:  # one denominator, sometimes the whole mass
+        # a power of two makes the cumulative values floats, which u can hit
+        d = 2 ** rng.randint(0, 19) if rng.random() < 0.3 else rng.randint(1, 10**6)
+        left = d if rng.random() < 0.3 else rng.randint(0, d)
+        while left and len(out) < 6:
+            a = rng.randint(1, left)
+            out.append((f"i{len(out)}", F(a, d)))
+            left -= a
+    else:  # a denominator per item
+        left = F(1)
+        for i in range(rng.randint(0, 6)):
+            d = rng.randint(1, 10**6)
+            top = math.floor(left * d)
+            if top < 1:
+                break
+            p = F(rng.randint(1, top), d)
+            out.append((f"i{i}", p))
+            left -= p
+    return out
+
+
+class TestSampleFrom:
+    TABLE = [("a", F(1, 4)), ("b", F(1, 2))]
+
+    def test_u_on_a_cumulative_value_picks_the_next_item(self):
+        table = lp_toolkit.draw_table(self.TABLE)
+        assert _sample_from(table, _StubRng([0.0])) == "a"
+        assert _sample_from(table, _StubRng([0.25])) == "b"
+        assert _sample_from(table, _StubRng([math.nextafter(0.25, 0)])) == "a"
+
+    def test_residual_mass_draws_nothing(self):
+        table = lp_toolkit.draw_table(self.TABLE)
+        assert _sample_from(table, _StubRng([math.nextafter(0.75, 0)])) == "b"
+        assert _sample_from(table, _StubRng([0.75])) is None
+        assert _sample_from(table, _StubRng([math.nextafter(1.0, 0)])) is None
+
+    def test_empty_table_consumes_one_draw(self):
+        rng, ref = random.Random(5), random.Random(5)
+        stub = _StubRng([0.5])
+        assert _sample_from(lp_toolkit.EMPTY_DRAW, stub) is None
+        assert stub.calls == 1
+        assert _sample_from(lp_toolkit.EMPTY_DRAW, rng) is None
+        ref.random()
+        assert rng.random() == ref.random()
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(2024)
+        ties = 0
+        for _ in range(1000):
+            weighted = _sub_distribution(rng)
+            table = lp_toolkit.draw_table(weighted)
+            us = [rng.random() for _ in range(3)] + [0.0, math.nextafter(1.0, 0)]
+            cums = [F(c, table.denom) for c in table.cum]
+            for c in cums:
+                x = float(c)
+                us += [math.nextafter(x, 0), x, math.nextafter(x, 1)]
+            for u in us:
+                if not 0 <= u < 1:
+                    continue
+                ties += F(u) in cums
+                stub = _StubRng([u])
+                assert _sample_from(table, stub) == _reference_draw(weighted, F(u)), (weighted, u)
+                assert stub.calls == 1
+        assert ties > 0  # some u hit a cumulative value exactly
+
+
+def test_orientation_same_under_doubled_service_metric():
+    def halved(inst):
+        def metric(u, v):
+            if u == v:
+                return F(0)
+            return inst.dist(u, v) + F(inst.service_time(u) + inst.service_time(v), 2)
+        return metric
+
+    rng = random.Random(31)
+    ties = 0
+    for _ in range(200):
+        inst = random_instance(
+            rng, rng.randint(3, 7), rng.randint(1, 2), span=3, service=True,
+            weights=rng.random() < 0.5,
+        )
+        root = inst.roots[0]
+        interior = [v for v in inst.nodes if v != root]
+        rng.shuffle(interior)
+        interior = interior[: rng.randint(2, len(interior))]
+        new = {v for v in interior if rng.random() < 0.7}
+        picks = [
+            [
+                _orient_tour(seq, root, new, metric, inst.weight, random.Random(0), True)
+                for seq in (interior, interior[::-1])
+            ]
+            for metric in (inst.service_doubled, halved(inst))
+        ]
+        assert picks[0] == picks[1]
+        ties += picks[1][0] != picks[1][1]  # a tie keeps either given direction
+    assert ties > 0
+    # an exact tie keeps the given direction under both metrics
+    inst = MetricInstance(
+        nodes=("r", "a", "b"), roots=("r",), cost=((0, 2, 2), (2, 0, 1), (2, 1, 0)),
+        service={"a": 1, "b": 1},
+    )
+    for metric in (inst.service_doubled, halved(inst)):
+        assert _orient_tour(["a", "b"], "r", {"a", "b"}, metric, inst.weight,
+                            random.Random(0), True) == ("a", "b")
+        assert _orient_tour(["b", "a"], "r", {"a", "b"}, metric, inst.weight,
+                            random.Random(0), True) == ("b", "a")

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from mdkmlp import exact_oracles, lp_toolkit
-from mdkmlp.instance import MetricInstance, time_horizon
+from mdkmlp import exact_oracles, lp_toolkit, pathdp
+from mdkmlp.instance import MetricInstance, time_horizon, vehicle_groups
 from mdkmlp.lp_toolkit import (
     ZERO,
     EnumerationCapError,
@@ -674,3 +674,64 @@ class TestChainProperties:
         assert lp1 == F(17, 2)
         assert lp2 == 8
         assert lp3 <= lp2 < lp1
+
+
+def _fraction_lp_metric(inst):
+    """The LP metric in Fractions: c, or c(u,v) + (d_u + d_v)/2 with service."""
+    def metric(u, v):
+        if u == v:
+            return F(0)
+        return inst.dist(u, v) + F(inst.service_time(u) + inst.service_time(v), 2)
+    return metric
+
+
+def test_integer_lp_metric_gives_the_fraction_columns(monkeypatch):
+    # LP1 and LP2 test paths in the doubled service metric against 2t; the
+    # first times, column sets and path counts equal those of the Fraction
+    # metric tested against t.
+    captured = []
+    real = lp_toolkit._solve_config_lp
+
+    def spy(inst, T, which, groups):
+        captured.append(groups)
+        return real(inst, T, which, groups)
+
+    monkeypatch.setattr(lp_toolkit, "_solve_config_lp", spy)
+    rng = random.Random(8)
+    for i in range(12):
+        inst = random_instance(
+            rng, rng.randint(3, 6), rng.randint(1, 2), span=5,
+            service=i % 4 != 0, allowed=i % 2 == 0,
+        )
+        T = time_horizon(inst).T
+        metric = _fraction_lp_metric(inst)
+        length, scale = lp_toolkit._lp_metric(inst)
+        assert scale == (2 if inst.has_service else 1)
+        groups = vehicle_groups(inst)
+        captured.clear()
+        build_and_solve_lp1(inst, T)
+        build_and_solve_lp2(inst, T)
+        lp1_groups, [(_, first2, columns2)] = captured
+        for (r, _), (_, first, columns) in zip(groups, lp1_groups):
+            serveable = [v for v in inst.clients if r in inst.depots_for(v)]
+            paths = pathdp.min_paths(r, serveable, metric)
+            assert first == {
+                v: max(1, math.ceil(paths[frozenset({v})][0])) for v in serveable
+            }
+            assert columns == [
+                (C, t)
+                for t in range(1, T + 1)
+                for C, (plen, _) in paths.items()
+                if C and plen <= t
+            ]
+            assert lp_toolkit._count_rooted_paths(
+                r, inst.clients, length, scale * T, 10**6
+            ) == lp_toolkit._count_rooted_paths(r, inst.clients, metric, F(T), 10**6)
+        table = lp_toolkit.bottleneck_cover_table(inst, metric)
+        assert first2 == {
+            v: max(1, math.ceil(min(metric(r, v) for r, _ in groups)))
+            for v in inst.clients
+        }
+        assert columns2 == [
+            (U, t) for U, (btl, _) in table.items() if U for t in range(1, T + 1) if btl <= t
+        ]
