@@ -18,7 +18,6 @@ from typing import Iterable, List, Sequence, Tuple
 class EnvelopeCurve:
     """Lower convex hull of (coverage, cost) points, as corner list."""
 
-    points: Tuple[Tuple[Fraction, Fraction], ...]
     corners: Tuple[Tuple[Fraction, Fraction], ...]
 
     @property
@@ -113,7 +112,7 @@ def lower_envelope(points: Iterable[Tuple]) -> EnvelopeCurve:
             else:
                 break
         hull.append((x, y))
-    return EnvelopeCurve(points=tuple(pts), corners=tuple(hull))
+    return EnvelopeCurve(corners=tuple(hull))
 
 
 def envelope_integral(curve: EnvelopeCurve, lo, hi) -> Fraction:

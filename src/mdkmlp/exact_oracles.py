@@ -328,23 +328,3 @@ def exact_cover_cost(inst: MetricInstance, root, B: int) -> OracleResult:
         raise ValueError(f"cannot span {B} nodes")
     return OracleResult(Fraction(best[0]), tuple(best[1]), explored)
 
-
-def exact_budget_cover(inst: MetricInstance, root, C, weights: Dict) -> OracleResult:
-    """n*: max node weight of a rooted path collection of cost <= C."""
-    if inst.n > 8:
-        raise OracleGuardError(f"prize-collecting guard: n={inst.n} > 8")
-    C = Fraction(C)
-    mc, items = _path_cover_costs(inst, root)
-    best = None
-    explored = 0
-    for msk, (cost, witness) in mc.items():
-        explored += 1
-        if cost > C:
-            continue
-        covered = sum(
-            (Fraction(weights.get(v, 1)) for i, v in enumerate(items) if msk & (1 << i)),
-            Fraction(0),
-        )
-        if best is None or covered > best[0]:
-            best = (covered, witness)
-    return OracleResult(best[0], tuple(best[1]), explored)

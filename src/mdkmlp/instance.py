@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 Node = Hashable
 
@@ -35,9 +35,10 @@ class MetricInstance:
     nodes: Tuple[Node, ...]
     roots: Tuple[Node, ...]
     cost: Tuple[Tuple[int, ...], ...]
-    weights: Dict[Node, int] = field(default_factory=dict)
-    service: Dict[Node, int] = field(default_factory=dict)
-    allowed_depots: Dict[Node, Tuple[Node, ...]] = field(default_factory=dict)
+    # dicts are unhashable: these fields count for equality, not for the hash
+    weights: Dict[Node, int] = field(default_factory=dict, hash=False)
+    service: Dict[Node, int] = field(default_factory=dict, hash=False)
+    allowed_depots: Dict[Node, Tuple[Node, ...]] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         n = len(self.nodes)

@@ -31,7 +31,7 @@ from . import concat_graph, lp_toolkit
 from .arb_packing import WeightedDigraph, pack_arborescences, tree_nodes
 from .exact_oracles import BnsTable
 from .instance import MetricInstance, RoutePlan, group_slots, time_horizon, vehicle_groups
-from .pc_tree import BipointTree, ProbeCache, RootedTree, coverage_tree
+from .pc_tree import ProbeCache, RootedTree, coverage_tree
 
 log = logging.getLogger("mdkmlp.solvers")
 
@@ -300,7 +300,7 @@ def _as_cycle(root, seg: Sequence) -> Tuple:
 
 
 # ---------------------------------------------------------------------------
-# envelope / concatenation-graph core shared by the single-depot algorithms
+# envelope / concatenation-graph core shared by the stitching algorithms
 
 
 def _s_values(
@@ -449,15 +449,10 @@ def _solve_lp3_rounding(
             points.append((cov, y, (member, cost, frozenset(S_t))))
 
     def cycles_for(wit, ell) -> List[Tuple]:
+        # mlp-lp has k = 1, where the greedy split never cuts
         member, cost, S_t = wit
         tree = RootedTree(root=root, arcs=frozenset(member), cost=cost)
-        keep = tree.nodes & S_t
-        if split:
-            return split_tree_into_k_tours(inst, tree, k, keep)
-        interior = tuple(
-            v for v in _preorder(tree, inst.node_pos) if v in keep and v != root
-        )
-        return [(root,) + interior] + [(root,)] * (k - 1)
+        return split_tree_into_k_tours(inst, tree, k, tree.nodes & S_t)
 
     tours = _stitch_by_concat_graph(
         inst, points, cycles_for, rng, cfg.derandomize_directions
@@ -713,19 +708,11 @@ def bnslb_construction(
     rng = random.Random(cfg.seed)
     if not inst.clients:
         return _finalize_plan(inst, [[] for _ in range(inst.k)], "plain")
-    s = tuple(2 * Fraction(b) for b in table.values)
-    path = concat_graph.shortest_concat_path(s)
-    draws = (
-        (slot, route[1:])
-        for ell in path.node_indices
-        if ell != 1
-        for slot, route in enumerate(table.witnesses[ell - 1])
+    points = [
+        (ell, 2 * Fraction(b), routes)
+        for ell, (b, routes) in enumerate(zip(table.values, table.witnesses), 1)
+    ]
+    tours = _stitch_by_concat_graph(
+        inst, points, lambda wit, ell: wit, rng, cfg.derandomize_directions
     )
-    covered: Set = set(inst.root_set)
-    tours = _orient_into(
-        inst, draws, inst.dist, rng, cfg.derandomize_directions, covered
-    )
-    missing = [v for v in inst.clients if v not in covered]
-    if missing:
-        raise SolverError(f"witnesses left nodes uncovered: {missing!r}")
     return _finalize_plan(inst, tours, "plain")

@@ -630,7 +630,7 @@ def _add_assignment_vars(
     mult * w_v * t."""
     for v, t0 in first.items():
         for t in range(t0, T + 1):
-            lp.add_var(("x", gi, v, t), obj=Fraction(mult) * inst.weight(v) * t)
+            lp.add_var(("x", gi, v, t), obj=mult * inst.weight(v) * t)
 
 
 def _add_cover_rows(

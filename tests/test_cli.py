@@ -391,17 +391,34 @@ class TestBench:
         }
         assert row["algs"]["kmlp-lp"]["ratios"]["bnslb"] is None
 
-    @pytest.mark.parametrize("k", [2, 1])
-    def test_golden_json(self, capsys, k):
+    @pytest.mark.parametrize("argv, name", [
+        pytest.param(
+            ("--n", "4", "--k", "2", "--trials", "3", "--seed", "7"),
+            "bench_n4_k2_trials3_seed7", id="2",
+        ),
+        pytest.param(
+            ("--n", "4", "--k", "1", "--trials", "3", "--seed", "7"),
+            "bench_n4_k1_trials3_seed7", id="1",
+        ),
+        # n = 6 random metrics stitch along non-trivial concatenation paths
+        pytest.param(
+            ("--n", "6", "--k", "1", "--trials", "3", "--seed", "4",
+             "--metric", "random",
+             "--algs", "kmlp-comb,kmlp-lp,bnslb-construct,mlp-lp"),
+            "bench_n6_k1_trials3_seed4_random", id="n6-k1",
+        ),
+        pytest.param(
+            ("--n", "6", "--k", "2", "--trials", "3", "--seed", "4",
+             "--metric", "random", "--algs", "kmlp-comb,kmlp-lp,bnslb-construct"),
+            "bench_n6_k2_trials3_seed4_random", id="n6-k2",
+        ),
+    ])
+    def test_golden_json(self, capsys, argv, name):
         # byte-for-byte reference output (k = 1 also runs mlp-lp); it holds
         # under any PYTHONHASHSEED, and changes only with the numbers
-        code, out, _ = run(
-            capsys, "bench", "--n", "4", "--k", str(k), "--trials", "3",
-            "--seed", "7",
-        )
+        code, out, _ = run(capsys, "bench", *argv)
         assert code == 0
-        golden = GOLDEN / f"bench_n4_k{k}_trials3_seed7.json"
-        assert out == golden.read_text(encoding="utf-8")
+        assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
     def test_golden_linprog_fallback(self, capsys, monkeypatch):
         # Without scipy's HiGHS binding every LP is solved by one linprog

@@ -8,14 +8,13 @@ from mdkmlp.exact_oracles import (
     OracleGuardError,
     bnslb,
     exact_bottleneck_stroll,
-    exact_budget_cover,
     exact_cover_cost,
     exact_kmlp,
     exact_orienteering,
     exact_pc_paths,
 )
 from mdkmlp.instance import MetricInstance, evaluate_plan
-from mdkmlp.pc_tree import uniform_pc_tree
+from mdkmlp.pc_tree import pc_tree
 
 F = Fraction
 
@@ -161,7 +160,7 @@ class TestPcPaths:
             lam = F(rng.randint(0, 6))
             pen = {v: lam for v in inst.clients}
             paths = exact_pc_paths(inst, root, pen)
-            _, tree_obj = uniform_pc_tree(inst, root, lam)
+            _, tree_obj = pc_tree(inst, root, {v: lam for v in inst.clients})
             assert tree_obj <= paths.value
 
 
@@ -170,18 +169,3 @@ class TestCoverOracles:
         assert exact_cover_cost(fix_a, "r", 1).value == 0
         assert exact_cover_cost(fix_a, "r", 2).value == 1
         assert exact_cover_cost(fix_a, "r", 3).value == 3
-
-    def test_budget_cover_examples(self, fix_a):
-        assert exact_budget_cover(fix_a, "r", F(0), {}).value == 0
-        assert exact_budget_cover(fix_a, "r", F(1), {}).value == 1
-        assert exact_budget_cover(fix_a, "r", F(3), {}).value == 2
-
-    def test_duality(self):
-        rng = random.Random(19)
-        for _ in range(10):
-            inst = random_instance(rng, rng.randint(2, 6), 1)
-            root = inst.roots[0]
-            for B in range(1, inst.n + 1):
-                cost = exact_cover_cost(inst, root, B).value
-                back = exact_budget_cover(inst, root, cost, {}).value
-                assert back >= B - 1  # root not counted by budget cover

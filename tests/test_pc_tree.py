@@ -9,10 +9,8 @@ from mdkmlp.pc_tree import (
     BipointTree,
     ProbeCache,
     RootedTree,
-    budget_tree,
     coverage_tree,
     pc_tree,
-    uniform_pc_tree,
 )
 
 F = Fraction
@@ -52,7 +50,6 @@ class TestBipointTree:
         bp = BipointTree(a=F(1, 2), b=F(1, 2), T1=t1, T2=t2)
         assert bp.cost == 2
         assert bp.expected_coverage == F(5, 2)
-        assert bp.expected_weight(lambda v: 1) == F(5, 2)
 
     def test_coefficients_must_sum_to_one(self):
         t1 = RootedTree(root="r", arcs=frozenset(), cost=F(0))
@@ -79,12 +76,12 @@ class TestPcTree:
         assert tree.nodes == {"r"}
 
     def test_uniform_lambda_one(self, fix_a):
-        tree, obj = uniform_pc_tree(fix_a, "r", F(1))
+        tree, obj = pc_tree(fix_a, "r", {"a": F(1), "b": F(1)})
         assert obj == 2
 
     def test_negative_lambda_rejected(self, fix_a):
-        with pytest.raises(ValueError):
-            uniform_pc_tree(fix_a, "r", F(-1))
+        with pytest.raises(ValueError, match="negative penalty"):
+            pc_tree(fix_a, "r", {"a": F(-1), "b": F(-1)})
 
     def test_never_exceeds_exact_path_collections(self):
         rng = random.Random(23)
@@ -151,48 +148,3 @@ class TestCoverageTree:
                     assert out.expected_coverage == B
                     assert out.cost <= bound
 
-
-class TestBudgetTree:
-    def test_fix_a_budget_one(self, fix_a):
-        out = budget_tree(fix_a, "r", {}, F(1))
-        assert isinstance(out, RootedTree)
-        assert out.cost == 1
-        assert out.nodes == {"r", "a"}
-
-    def test_fix_a_budget_two_is_bipoint(self, fix_a):
-        out = budget_tree(fix_a, "r", {}, F(2))
-        assert isinstance(out, BipointTree)
-        assert out.cost == 2
-        assert out.expected_weight(lambda v: 1 if v != "r" else 0) == F(3, 2)
-
-    def test_budget_above_full_cover_returns_full_tree(self, fix_a):
-        out = budget_tree(fix_a, "r", {}, F(100))
-        assert isinstance(out, RootedTree)
-        assert out.nodes == {"r", "a", "b"}
-        assert out.cost == 3
-
-    def test_negative_budget_rejected(self, fix_a):
-        with pytest.raises(ValueError):
-            budget_tree(fix_a, "r", {}, F(-1))
-
-    def test_weight_dominates_exact_budget_cover(self):
-        rng = random.Random(37)
-        for _ in range(10):
-            inst = random_instance(rng, rng.randint(2, 5), 1)
-            root = inst.roots[0]
-            w = {v: F(rng.randint(1, 4)) for v in inst.clients}
-            full = sum(
-                F(inst.dist(u, v))
-                for u, v in zip(inst.nodes, inst.nodes[1:])
-            )
-            C = F(rng.randint(0, int(full) + 1))
-            out = budget_tree(inst, root, w, C)
-            exact = exact_oracles.exact_budget_cover(inst, root, C, w).value
-            wfun = lambda v: w.get(v, F(0))
-            if isinstance(out, RootedTree):
-                assert out.cost <= C
-                got = sum((wfun(v) for v in out.nodes), F(0))
-            else:
-                assert out.cost == C
-                got = out.expected_weight(wfun)
-            assert got >= exact
