@@ -9,6 +9,19 @@ The construction eulerianizes the graph, repeatedly splits off arc pairs
 centered at the node of minimum protected connectivity until that node is
 isolated, recurses, and then undoes the splits one by one, repairing both
 the shortcut arc's capacity and the center node's coverage on the way back.
+
+Every graph state of the construction is balanced: eulerianizing makes in =
+out at every node, and splitting (t,u),(u,v) into (t,v) keeps it so. In a
+balanced digraph d+(S) = d-(S) for every node set S, so the cut function is
+symmetric and lambda(a,b) = lambda(b,a). Gusfield's flow-equivalent tree
+("Very simple methods for all pairs network flow analysis", SIAM J. Comput.
+1990) then gives lambda for every ordered pair from at most n - 1 minimum
+cuts (:func:`all_pairs_connectivity`, which refuses an unbalanced digraph).
+One packing keeps these tables by graph state, and four steps read them:
+the center choice, the protected pairs, the feasibility probes of a split,
+and the coverage target of an undone split. Undoing only revisits states
+of the splitting phase, whose tables the probes have already computed
+unless no pair was protected.
 """
 
 from dataclasses import dataclass, field
@@ -29,15 +42,17 @@ class WeightedDigraph:
 
     nodes: Tuple[object, ...]
     arcs: Dict[Arc, int] = field(default_factory=dict)
+    index: Dict[object, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.nodes)) != len(self.nodes):
+        self.index = {v: i for i, v in enumerate(self.nodes)}
+        if len(self.index) != len(self.nodes):
             raise ValueError("duplicate nodes")
         cleaned = {}
         for (u, v), w in self.arcs.items():
             if u == v:
                 raise ValueError(f"self-loop at {u!r}")
-            if u not in self.nodes or v not in self.nodes:
+            if u not in self.index or v not in self.index:
                 raise ValueError(f"arc ({u!r},{v!r}) uses unknown node")
             if not isinstance(w, int) or isinstance(w, bool) or w < 0:
                 raise ValueError(f"invalid weight on ({u!r},{v!r})")
@@ -52,13 +67,7 @@ class WeightedDigraph:
         return self.arcs.get(a, 0)
 
     def add_weight(self, a: Arc, delta: int) -> None:
-        w = self.arcs.get(a, 0) + delta
-        if w < 0:
-            raise PackingError(f"negative weight on {a!r}")
-        if w == 0:
-            self.arcs.pop(a, None)
-        else:
-            self.arcs[a] = w
+        _add_weight(self.arcs, a, delta)
 
     def in_weight(self, u) -> int:
         return sum(w for (a, b), w in self.arcs.items() if b == u)
@@ -67,14 +76,100 @@ class WeightedDigraph:
         return sum(w for (a, b), w in self.arcs.items() if a == u)
 
     def _indexed(self) -> Dict[Tuple[int, int], int]:
-        idx = {v: i for i, v in enumerate(self.nodes)}
-        return {(idx[u], idx[v]): w for (u, v), w in self.arcs.items()}
+        return _indexed(self.index, self.arcs)
 
     def connectivity_value(self, x, y) -> int:
-        idx = {v: i for i, v in enumerate(self.nodes)}
+        idx = self.index
         if x not in idx or y not in idx:
             raise ValueError(f"unknown node in pair ({x!r},{y!r})")
         return flows.max_flow_value(len(self.nodes), self._indexed(), idx[x], idx[y])
+
+
+def _indexed(index: Dict[object, int], arcs: Dict[Arc, int]) -> Dict[Tuple[int, int], int]:
+    return {(index[u], index[v]): w for (u, v), w in arcs.items()}
+
+
+def all_pairs_connectivity(n: int, capacities: Dict[Tuple[int, int], int]) -> List[List[int]]:
+    """lam[a][b] = lambda(a,b) for every pair of nodes 0..n-1 of a balanced
+    digraph, from a flow-equivalent tree built with one minimum cut per node
+    with arcs, less one.
+
+    Balance makes lambda symmetric, so Gusfield's tree for undirected graphs
+    applies: node s hangs below p[s], the tree arc carries lambda(s, p[s]),
+    and lambda(a,b) is the smallest arc on the tree path from a to b. A node
+    without arcs has lambda 0 to every other and stays out of the tree.
+    """
+    excess = [0] * n
+    for (u, v), w in capacities.items():
+        excess[u] += w
+        excess[v] -= w
+    if any(excess):
+        bad = next(i for i in range(n) if excess[i])
+        raise PackingError(f"digraph is not balanced at node {bad}")
+    live = sorted({u for u, _ in capacities})
+    parent = {s: live[0] for s in live}
+    value = {}
+    for j, s in enumerate(live[1:], 2):
+        t = parent[s]
+        value[s], side = flows.min_cut(n, capacities, s, t)
+        for i in live[j:]:
+            if i in side and parent[i] == t:
+                parent[i] = s
+    adj: Dict[int, List[Tuple[int, int]]] = {s: [] for s in live}
+    for s in live[1:]:
+        adj[s].append((parent[s], value[s]))
+        adj[parent[s]].append((s, value[s]))
+    lam = [[0] * n for _ in range(n)]
+    for a in live:
+        row = lam[a]
+        stack = [(a, -1, None)]
+        while stack:
+            b, prev, low = stack.pop()
+            for c, w in adj[b]:
+                if c != prev:
+                    cw = w if low is None else min(low, w)
+                    row[c] = cw
+                    stack.append((c, b, cw))
+    return lam
+
+
+class _StateConnectivity:
+    """All-pairs lambda per graph state (arc weights) on fixed nodes, each
+    state's table computed once."""
+
+    def __init__(self, index: Dict[object, int]):
+        self.index = index
+        self.tables: Dict[FrozenSet[Tuple[Arc, int]], List[List[int]]] = {}
+
+    def table(self, arcs: Dict[Arc, int]) -> List[List[int]]:
+        key = frozenset(arcs.items())
+        lam = self.tables.get(key)
+        if lam is None:
+            lam = all_pairs_connectivity(len(self.index), _indexed(self.index, arcs))
+            self.tables[key] = lam
+        return lam
+
+
+def _split_arcs(arcs: Dict[Arc, int], e: Arc, f: Arc, x: int) -> Dict[Arc, int]:
+    """The arc weights after moving x from e=(t,u), f=(u,v) onto (t,v); the
+    pair only loses x when t = v."""
+    out = dict(arcs)
+    changes = [(e, -x), (f, -x)]
+    if e[0] != f[1]:
+        changes.append(((e[0], f[1]), x))
+    for a, delta in changes:
+        _add_weight(out, a, delta)
+    return out
+
+
+def _add_weight(arcs: Dict[Arc, int], a: Arc, delta: int) -> None:
+    w = arcs.get(a, 0) + delta
+    if w < 0:
+        raise PackingError(f"negative weight on {a!r}")
+    if w == 0:
+        arcs.pop(a, None)
+    else:
+        arcs[a] = w
 
 
 @dataclass(frozen=True)
@@ -126,39 +221,36 @@ def eulerianize(D: WeightedDigraph, r) -> WeightedDigraph:
 
 
 def max_splittable(
-    D: WeightedDigraph, e: Arc, f: Arc, protect: Dict[Tuple[object, object], int]
+    D: WeightedDigraph,
+    e: Arc,
+    f: Arc,
+    protect: Dict[Tuple[object, object], int],
+    lam: Optional[_StateConnectivity] = None,
 ) -> int:
     """Largest x such that moving x from arcs e=(t,u), f=(u,v) onto (t,v)
     keeps lambda(a,b) >= protect[(a,b)] for every protected pair.
 
     Cut capacities are non-increasing in x, so feasibility is monotone and a
-    binary search over [0, min(w_e, w_f)] is exact.
+    binary search over [0, min(w_e, w_f)] is exact. D must be balanced when
+    a pair is protected; `lam` keeps the all-pairs tables of the probed
+    states, for a caller that probes many splits of one graph.
     """
-    t, u1 = e
-    u2, v = f
-    if u1 != u2:
+    if e[1] != f[0]:
         raise ValueError("arcs do not share a middle node")
     we, wf = D.weight(e), D.weight(f)
     if we <= 0 or wf <= 0:
         raise ValueError("both arcs must have positive weight")
     hi = min(we, wf)
+    lam = _StateConnectivity(D.index) if lam is None else lam
+    needs = [
+        (D.index[a], D.index[b], need) for (a, b), need in protect.items() if need > 0
+    ]
 
     def feasible(x: int) -> bool:
-        if x == 0:
+        if x == 0 or not needs:
             return True
-        probe = D.copy()
-        probe.add_weight(e, -x)
-        probe.add_weight(f, -x)
-        if t != v:
-            probe.add_weight((t, v), x)
-        idx = {nd: i for i, nd in enumerate(probe.nodes)}
-        caps = probe._indexed()
-        for (a, b), need in protect.items():
-            if need <= 0:
-                continue
-            if flows.max_flow_value(len(probe.nodes), caps, idx[a], idx[b]) < need:
-                return False
-        return True
+        table = lam.table(_split_arcs(D.arcs, e, f, x))
+        return all(table[a][b] >= need for a, b, need in needs)
 
     lo = 0
     while lo < hi:
@@ -196,7 +288,8 @@ def pack_arborescences(D: WeightedDigraph, r, K: int) -> ArbFamily:
         return ArbFamily(members=(), K=0, root=r)
 
     work = eulerianize(D, r)
-    order = {nd: i for i, nd in enumerate(work.nodes)}
+    order = work.index
+    lam = _StateConnectivity(order)
     splits: List[Tuple[Arc, Arc, int, bool]] = []
     remaining = [u for u in work.nodes if u != r]
 
@@ -204,14 +297,15 @@ def pack_arborescences(D: WeightedDigraph, r, K: int) -> ArbFamily:
         active = [u for u in remaining if work.out_weight(u) > 0]
         if not active:
             break
-        lam = {u: min(K, work.connectivity_value(r, u)) for u in active}
-        u = min(active, key=lambda nd: (lam[nd], order[nd]))
+        table = lam.table(work.arcs)
+        from_r = table[order[r]]
+        u = min(active, key=lambda nd: (min(K, from_r[order[nd]]), order[nd]))
         protect = {}
         for a in work.nodes:
             for b in work.nodes:
                 if a == b or a == u or b == u:
                     continue
-                need = min(K, work.connectivity_value(a, b))
+                need = min(K, table[order[a]][order[b]])
                 if need > 0:
                     protect[(a, b)] = need
         while work.out_weight(u) > 0:
@@ -222,19 +316,14 @@ def pack_arborescences(D: WeightedDigraph, r, K: int) -> ArbFamily:
             best: Optional[Tuple[int, Arc, Arc]] = None
             for f in out_arcs:
                 for e in in_arcs:
-                    x = max_splittable(work, e, f, protect)
+                    x = max_splittable(work, e, f, protect, lam)
                     if best is None or x > best[0]:
                         best = (x, e, f)
             if best is None or best[0] == 0:
                 raise PackingError(f"no splittable pair at center {u!r}")
             x, e, f = best
-            t, v = e[0], f[1]
-            is_loop = t == v
-            work.add_weight(e, -x)
-            work.add_weight(f, -x)
-            if not is_loop:
-                work.add_weight((t, v), x)
-            splits.append((e, f, x, is_loop))
+            work.arcs = _split_arcs(work.arcs, e, f, x)
+            splits.append((e, f, x, e[0] == f[1]))
         if work.in_weight(u) != 0:
             raise PackingError(f"imbalance after exhausting {u!r}")
         remaining.remove(u)
@@ -247,7 +336,7 @@ def pack_arborescences(D: WeightedDigraph, r, K: int) -> ArbFamily:
         work.add_weight(f, x)
         if not is_loop:
             work.add_weight((t, v), -x)
-        members = _undo_split(work, r, K, members, e, f, x, is_loop)
+        members = _undo_split(work, r, K, members, e, f, x, is_loop, lam)
 
     return ArbFamily(
         members=tuple(
@@ -270,6 +359,7 @@ def _undo_split(
     f: Arc,
     x: int,
     is_loop: bool,
+    lam: _StateConnectivity,
 ) -> Dict[FrozenSet[Arc], int]:
     """Adjust the family after restoring one split in the working graph."""
     t, u = e
@@ -312,7 +402,7 @@ def _undo_split(
             if excess > 0:
                 raise PackingError("could not repair shortcut capacity")
 
-    target = min(K, work.connectivity_value(r, u))
+    target = min(K, lam.table(work.arcs)[work.index[r]][work.index[u]])
     coverage = sum(g for F, g in members.items() if u in tree_nodes(F, r))
     deficit = target - coverage
     if deficit > 0:

@@ -11,7 +11,7 @@ relies on as well.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -138,11 +138,15 @@ def envelope_integral(curve: EnvelopeCurve, lo, hi) -> Fraction:
     return total
 
 
-def shortest_concat_path(C: Sequence) -> ConcatPath:
+def shortest_concat_path(
+    C: Sequence, corners: Optional[Iterable[int]] = None
+) -> ConcatPath:
     """Exact shortest 1->n path in CG(C), DP over extreme-point indices.
 
-    Ties are broken toward fewer hops, then lexicographically smaller index
-    sequences, for determinism.
+    `corners` are the indices of the lower envelope's corners of the points
+    (l, C_l), for a caller that has that envelope already; without them the
+    envelope is built here. Ties are broken toward fewer hops, then
+    lexicographically smaller index sequences, for determinism.
     """
     n = len(C)
     if n < 1:
@@ -154,8 +158,10 @@ def shortest_concat_path(C: Sequence) -> ConcatPath:
             raise ValueError("negative cost in sequence")
     if n == 1:
         return ConcatPath(node_indices=(1,), length=Fraction(0))
-    env = lower_envelope((i + 1, C[i]) for i in range(n))
-    corner_idx = sorted({int(x) for x, _ in env.corners} | {1, n})
+    if corners is None:
+        env = lower_envelope((i + 1, C[i]) for i in range(n))
+        corners = (int(x) for x, _ in env.corners)
+    corner_idx = sorted(set(corners) | {1, n})
     # best[l] = (length, hops, path) with the stated tie-breaking
     best = {1: (Fraction(0), 0, (1,))}
     for l in corner_idx[1:]:

@@ -1,13 +1,16 @@
 """Max-flow / min-cut on small dense digraphs with integer capacities.
 
-Everything in this package that needs edge connectivity (splitting-off
-feasibility probes, LP cut separation) funnels through these two functions.
-Graphs are tiny (rarely more than ten nodes), so a dense Edmonds-Karp is
-both simple and fast enough.
+Every flow in this package runs through one dense Edmonds-Karp. LP cut
+separation and the flow-equivalent trees of arborescence packing take a
+minimum cut (:func:`min_cut`), connectivity checks take a value
+(:func:`max_flow_value`), and the coverage repair of a packing takes the
+per-arc flow of an assignment network (:func:`max_flow_assignment`). Graphs
+are tiny (rarely more than ten nodes), so the dense residual matrix is both
+simple and fast enough.
 """
 
 from collections import deque
-from typing import Dict, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 
 def max_flow_value(n: int, capacities: Dict[Tuple[int, int], int], s: int, t: int) -> int:
@@ -25,7 +28,12 @@ def max_flow_assignment(
     not contain opposite arc pairs (true for the layered assignment networks
     this is used on).
     """
-    value, _, flow = _edmonds_karp(n, capacities, s, t)
+    value, res = _edmonds_karp(n, capacities, s, t)
+    flow = {
+        (u, v): w - res[u][v]
+        for (u, v), w in capacities.items()
+        if u != v and w > res[u][v]
+    }
     return value, flow
 
 
@@ -38,21 +46,31 @@ def min_cut(
     of augmentations is O(V*E) regardless of capacity magnitudes, so large
     integer weights (scaled LP solutions) are fine.
     """
-    value, side, _ = _edmonds_karp(n, capacities, s, t)
+    value, res = _edmonds_karp(n, capacities, s, t)
+    # residual BFS gives the source side of a minimum cut
+    side = {s}
+    queue = deque([s])
+    rng = range(n)
+    while queue:
+        u = queue.popleft()
+        row = res[u]
+        for v in rng:
+            if v not in side and row[v] > 0:
+                side.add(v)
+                queue.append(v)
     return value, side
 
 
 def _edmonds_karp(
     n: int, capacities: Dict[Tuple[int, int], int], s: int, t: int
-) -> Tuple[int, Set[int], Dict[Tuple[int, int], int]]:
+) -> Tuple[int, List[List[int]]]:
+    """The maximum s-t flow value and the final residual matrix."""
     if s == t:
         raise ValueError("source and sink must differ")
     res = [[0] * n for _ in range(n)]
-    merged = {}
     for (u, v), w in capacities.items():
         if u != v:
             res[u][v] += w
-            merged[(u, v)] = merged.get((u, v), 0) + w
 
     flow = 0
     rng = range(n)
@@ -85,18 +103,4 @@ def _edmonds_karp(
             res[v][u] += bottleneck
             v = u
         flow += bottleneck
-
-    # residual BFS gives the source side of a minimum cut
-    side = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        row = res[u]
-        for v in rng:
-            if v not in side and row[v] > 0:
-                side.add(v)
-                queue.append(v)
-    arc_flow = {
-        a: w - res[a[0]][a[1]] for a, w in merged.items() if w - res[a[0]][a[1]] > 0
-    }
-    return flow, side, arc_flow
+    return flow, res

@@ -305,10 +305,12 @@ def _as_cycle(root, seg: Sequence) -> Tuple:
 
 def _s_values(
     points: List[Tuple[int, Fraction, object]], n: int
-) -> Tuple[Fraction, ...]:
-    """s_1..s_n: the lower envelope of the (coverage, cost-bound) points."""
+) -> Tuple[Tuple[Fraction, ...], Tuple[int, ...]]:
+    """s_1..s_n, the lower envelope of the (coverage, cost-bound) points,
+    and the coverages at the envelope's corners."""
     env = concat_graph.lower_envelope([(cov, y) for cov, y, _ in points])
-    return tuple(env.value(ell) for ell in range(1, n + 1))
+    corners = tuple(int(x) for x, _ in env.corners)
+    return tuple(env.value(ell) for ell in range(1, n + 1)), corners
 
 
 def _stitch_by_concat_graph(
@@ -328,8 +330,8 @@ def _stitch_by_concat_graph(
     for cov, y, wit in points:
         key = (Fraction(cov), Fraction(y))
         witness_by_point.setdefault(key, wit)
-    s_values = _s_values(points, inst.n)
-    path = concat_graph.shortest_concat_path(s_values)
+    s_values, corners = _s_values(points, inst.n)
+    path = concat_graph.shortest_concat_path(s_values, corners)
 
     def draws():
         for ell in path.node_indices:
@@ -426,19 +428,17 @@ def _solve_lp3_rounding(
         T = time_horizon(inst).T
         sol3 = lp_toolkit.build_and_solve_lp3(inst, T)
     xprime, zprime = _aggregate_lp3(inst, sol3)
-
-    def in_S(v, t) -> bool:
-        if v == root:
-            return True
-        return any(
-            xprime.get((v, tp), ZERO) > 0 for tp in range(1, t + 1)
-        )
+    # S_t holds the root and every node with x'_{v,t'} > 0 for some t' <= t
+    first_served = {root: 0}
+    for (v, t), val in xprime.items():
+        if val > 0 and t < first_served.get(v, T + 1):
+            first_served[v] = t
 
     points: List[Tuple[int, Fraction, object]] = [(1, ZERO, None)]
     fam_cache: Dict = {}
     for t in range(1, T + 1):
         members, K = _family_for_time(inst, zprime, t, root, fam_cache)
-        S_t = {v for v in inst.nodes if in_S(v, t)}
+        S_t = {v for v in inst.nodes if first_served.get(v, T + 1) <= t}
         for gamma, member in members:
             cov = len(tree_nodes(member, root) & S_t)
             cost = sum((Fraction(inst.dist(u, v)) for (u, v) in member), ZERO)

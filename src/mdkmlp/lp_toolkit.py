@@ -430,7 +430,11 @@ def scaled_int_caps(values: Dict[Tuple, Fraction]) -> Tuple[int, Dict[Tuple, int
     scale = 1
     for v in values.values():
         scale = math.lcm(scale, v.denominator)
-    return scale, {a: int(v * scale) for a, v in values.items() if v > 0}
+    return scale, {
+        a: v.numerator * (scale // v.denominator)
+        for a, v in values.items()
+        if v.numerator > 0
+    }
 
 
 def _arcs_avoiding(inst: MetricInstance, root) -> List[Tuple]:

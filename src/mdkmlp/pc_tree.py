@@ -14,6 +14,8 @@ one prize-collecting LP model, which keeps the cuts that earlier probes
 found (a :class:`ProbeCache` holds it, and shares it between the coverage
 targets of one instance and root). A probe's LP optimum is that of a fresh
 model; its vertex, and so its tree, may be another of the same guarantee.
+Many probes land on the same vertex, so the cache also keeps the packing of
+each distinct vertex.
 """
 
 from dataclasses import dataclass
@@ -88,6 +90,30 @@ class BipointTree:
         return self.a * len(self.T1.nodes) + self.b * len(self.T2.nodes)
 
 
+class ProbeCache:
+    """The probes of the coverage searches on one instance and root, by
+    uniform penalty, the one PC-LP model that all of them solve, and the
+    arborescence packing of each LP vertex they met, by (K, scaled arc
+    caps). A packing depends only on its graph, root and K, and the instance
+    and root are fixed per cache, so a kept family is the one a fresh
+    packing would give."""
+
+    def __init__(self):
+        self.model: Optional[lp_toolkit.PcLpModel] = None
+        self.probes: Dict[Fraction, Tuple[RootedTree, Fraction, int]] = {}
+        self.families: Dict[
+            Tuple[int, FrozenSet[Tuple[Tuple[object, object], int]]],
+            arb_packing.ArbFamily,
+        ] = {}
+
+    def model_for(self, inst: MetricInstance, root) -> lp_toolkit.PcLpModel:
+        if self.model is None:
+            self.model = lp_toolkit.pclp_model(inst, root)
+        elif self.model.inst is not inst or self.model.root != root:
+            raise ValueError("probe cache holds another instance or root")
+        return self.model
+
+
 def pc_tree(
     inst: MetricInstance,
     root,
@@ -98,16 +124,20 @@ def pc_tree(
 
     Returns (tree, objective).
     """
-    tree, obj, _ = _pc_tree_probe(lp_toolkit.pclp_model(inst, root), penalties)
+    cache = ProbeCache()
+    cache.model_for(inst, root)
+    tree, obj, _ = _pc_tree_probe(cache, penalties)
     return tree, obj
 
 
 def _pc_tree_probe(
-    model: lp_toolkit.PcLpModel,
+    cache: ProbeCache,
     penalties: Dict[object, Fraction],
 ) -> Tuple[RootedTree, Fraction, int]:
-    """pc_tree on the PC-LP ``model``, plus the max denominator of the LP
-    vertex encountered."""
+    """pc_tree on the PC-LP model of ``cache``, plus the max denominator of
+    the LP vertex encountered. The packing of the vertex comes from the
+    cache where an earlier probe packed it."""
+    model = cache.model
     inst, root = model.inst, model.root
     pen = {
         v: Fraction(penalties.get(v, 0)) for v in inst.nodes if v != root
@@ -123,8 +153,11 @@ def _pc_tree_probe(
         # LP pays every penalty: the trivial tree achieves the optimum
         obj = sum(pen.values(), ZERO)
         return RootedTree(root=root, arcs=frozenset(), cost=ZERO), obj, max_denom
-    D = arb_packing.WeightedDigraph(nodes=inst.nodes, arcs=caps)
-    family = arb_packing.pack_arborescences(D, root, K)
+    key = (K, frozenset(caps.items()))
+    family = cache.families.get(key)
+    if family is None:
+        D = arb_packing.WeightedDigraph(nodes=inst.nodes, arcs=caps)
+        family = cache.families[key] = arb_packing.pack_arborescences(D, root, K)
     node_pos = inst.node_pos
 
     def member_key(item):
@@ -144,22 +177,6 @@ def _pc_tree_probe(
             "prize-collecting guarantee violated: best member exceeds LP optimum"
         )
     return RootedTree(root=root, arcs=frozenset(best[1]), cost=cost), obj, max_denom
-
-
-class ProbeCache:
-    """The probes of the coverage searches on one instance and root, by
-    uniform penalty, and the one PC-LP model that all of them solve."""
-
-    def __init__(self):
-        self.model: Optional[lp_toolkit.PcLpModel] = None
-        self.probes: Dict[Fraction, Tuple[RootedTree, Fraction, int]] = {}
-
-    def model_for(self, inst: MetricInstance, root) -> lp_toolkit.PcLpModel:
-        if self.model is None:
-            self.model = lp_toolkit.pclp_model(inst, root)
-        elif self.model.inst is not inst or self.model.root != root:
-            raise ValueError("probe cache holds another instance or root")
-        return self.model
 
 
 def _max_arc_cost(inst: MetricInstance) -> int:
@@ -182,19 +199,19 @@ def coverage_tree(
     stops either at an exact hit or once the interval is narrower than
     1/(2 n^2 * max LP denominator), too narrow to contain two parametric
     breakpoints; the convex combination of the bracket trees then spans B
-    nodes exactly in expectation. `cache` keeps the probes by penalty and
-    their PC-LP model, for callers that ask for several B on one instance
-    and root.
+    nodes exactly in expectation. `cache` keeps the probes by penalty,
+    their PC-LP model and their packings, for callers that ask for several
+    B on one instance and root.
     """
     if not 1 <= B <= inst.n:
         raise ValueError(f"coverage target {B} out of range 1..{inst.n}")
     cache = ProbeCache() if cache is None else cache
-    model = cache.model_for(inst, root)
+    cache.model_for(inst, root)
 
     def probe(lam: Fraction) -> Tuple[RootedTree, int]:
         if lam not in cache.probes:
             pen = {v: lam for v in inst.nodes if v != root}
-            cache.probes[lam] = _pc_tree_probe(model, pen)
+            cache.probes[lam] = _pc_tree_probe(cache, pen)
         tree, _, denom = cache.probes[lam]
         return tree, denom
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from mdkmlp.arb_packing import WeightedDigraph
 from mdkmlp.instance import MetricInstance
 
 # FIX-A: three nodes on a line at 0, 1, 3; one depot at 0.
@@ -95,3 +96,23 @@ def random_instance(
         nodes=nodes, roots=roots, cost=cost, weights=w, service=sv,
         allowed_depots=al,
     )
+
+
+def random_digraph(rng, max_nodes=6, max_w=5):
+    """Random digraph with in-weight >= out-weight enforced by topping up."""
+    n = rng.randint(2, max_nodes)
+    nodes = tuple(f"n{i}" for i in range(n))
+    r = nodes[0]
+    arcs = {}
+    for u in nodes:
+        for v in nodes:
+            if u != v and rng.random() < 0.45:
+                arcs[(u, v)] = rng.randint(1, max_w)
+    D = WeightedDigraph(nodes=nodes, arcs=arcs)
+    for u in nodes:
+        if u == r:
+            continue
+        deficit = D.out_weight(u) - D.in_weight(u)
+        if deficit > 0:
+            arcs[(r, u)] = arcs.get((r, u), 0) + deficit
+    return WeightedDigraph(nodes=nodes, arcs=arcs), r

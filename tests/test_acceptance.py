@@ -208,7 +208,7 @@ def test_criterion_6_single_depot_per_run_bounds():
         plan = solve_kmlp_combinatorial(inst)
         assert evaluate_plan(inst, plan) <= 2 * MU * table.bnslb * REL_TOL
         # the s-values the solver stitches along
-        s_values = _s_values(_combinatorial_points(inst), inst.n)
+        s_values, _ = _s_values(_combinatorial_points(inst), inst.n)
         for ell, s in enumerate(s_values, start=1):
             assert s <= 4 * table.values[ell - 1]
 

@@ -2,36 +2,19 @@ import random
 
 import pytest
 
+from conftest import random_digraph
+from mdkmlp import flows
 from mdkmlp.arb_packing import (
     ArbFamily,
     PackingError,
     WeightedDigraph,
+    all_pairs_connectivity,
     connectivity,
     eulerianize,
     max_splittable,
     pack_arborescences,
     verify_packing,
 )
-
-
-def random_digraph(rng, max_nodes=6, max_w=5):
-    """Random digraph with in-weight >= out-weight enforced by topping up."""
-    n = rng.randint(2, max_nodes)
-    nodes = tuple(f"n{i}" for i in range(n))
-    r = nodes[0]
-    arcs = {}
-    for u in nodes:
-        for v in nodes:
-            if u != v and rng.random() < 0.45:
-                arcs[(u, v)] = rng.randint(1, max_w)
-    D = WeightedDigraph(nodes=nodes, arcs=arcs)
-    for u in nodes:
-        if u == r:
-            continue
-        deficit = D.out_weight(u) - D.in_weight(u)
-        if deficit > 0:
-            arcs[(r, u)] = arcs.get((r, u), 0) + deficit
-    return WeightedDigraph(nodes=nodes, arcs=arcs), r
 
 
 class TestConnectivity:
@@ -178,3 +161,83 @@ class TestProperties:
                 if u == r:
                     continue
                 assert fam.coverage(u) >= min(K, connectivity(D, r, u))
+
+
+def _split(D, e, f, x):
+    """D after moving x from e=(t,u), f=(u,v) onto (t,v)."""
+    out = D.copy()
+    out.add_weight(e, -x)
+    out.add_weight(f, -x)
+    if e[0] != f[1]:
+        out.add_weight((e[0], f[1]), x)
+    return out
+
+
+def _balanced_states(rng, graphs):
+    """Eulerianized random digraphs, each followed by the states of up to
+    four random splits, which keep every node balanced."""
+    for _ in range(graphs):
+        D, r = random_digraph(rng, max_nodes=8)
+        work = eulerianize(D, r)
+        yield work
+        for _ in range(4):
+            u = rng.choice(work.nodes)
+            ins = sorted(a for a in work.arcs if a[1] == u)
+            outs = sorted(a for a in work.arcs if a[0] == u)
+            if not ins or not outs:
+                continue
+            e, f = rng.choice(ins), rng.choice(outs)
+            work = _split(work, e, f, rng.randint(1, min(work.weight(e), work.weight(f))))
+            yield work
+
+
+class TestAllPairsConnectivity:
+    def test_equals_pairwise_connectivity(self):
+        rng = random.Random(61)
+        states = pairs = 0
+        for D in _balanced_states(rng, 200):
+            lam = all_pairs_connectivity(len(D.nodes), D._indexed())
+            for a in D.nodes:
+                for b in D.nodes:
+                    if a != b:
+                        assert lam[D.index[a]][D.index[b]] == connectivity(D, a, b)
+                        pairs += 1
+            states += 1
+        assert states > 400 and pairs > 10000
+
+    def test_unbalanced_digraph_rejected(self):
+        D = WeightedDigraph(
+            nodes=("r", "u", "v"), arcs={("r", "u"): 2, ("u", "v"): 1, ("v", "r"): 1}
+        )
+        with pytest.raises(PackingError, match="not balanced"):
+            all_pairs_connectivity(len(D.nodes), D._indexed())
+        with pytest.raises(PackingError, match="not balanced"):
+            max_splittable(D, ("r", "u"), ("u", "v"), {("r", "v"): 1})
+
+
+class TestWorkCount:
+    def test_min_cuts_of_one_seven_node_packing(self, monkeypatch):
+        """526 minimum cuts: one flow-equivalent tree per graph state. With
+        one max-flow per pair (for each centre choice, each protected pair
+        and each protected pair of every splitting probe, and again for each
+        undone split) the same packing ran 2446."""
+        arcs = {
+            ("n0", "n1"): 5, ("n0", "n2"): 2, ("n0", "n3"): 4, ("n0", "n4"): 5,
+            ("n0", "n5"): 4, ("n0", "n6"): 1, ("n1", "n2"): 4, ("n1", "n3"): 2,
+            ("n1", "n5"): 4, ("n1", "n6"): 3, ("n2", "n3"): 2, ("n2", "n4"): 3,
+            ("n2", "n6"): 1, ("n3", "n0"): 1, ("n3", "n1"): 5, ("n3", "n4"): 5,
+            ("n3", "n6"): 1, ("n4", "n5"): 3, ("n5", "n1"): 3, ("n5", "n3"): 4,
+        }
+        D = WeightedDigraph(nodes=tuple(f"n{i}" for i in range(7)), arcs=arcs)
+        calls = []
+        real = flows.min_cut
+
+        def counted(*args):
+            calls.append(args[2:])
+            return real(*args)
+
+        monkeypatch.setattr(flows, "min_cut", counted)
+        fam = pack_arborescences(D, "n0", 4)
+        monkeypatch.undo()
+        assert verify_packing(D, "n0", 4, fam).ok
+        assert len(calls) == 526

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_instance
-from mdkmlp.concat_graph import mu_star
+from mdkmlp.concat_graph import mu_star, shortest_concat_path
 from mdkmlp import lp_toolkit
 from mdkmlp.exact_oracles import bnslb, exact_kmlp
 from mdkmlp.instance import MetricInstance, evaluate_plan, time_horizon
@@ -288,9 +288,11 @@ class TestCombinatorialSolver:
             plan = solve_kmlp_combinatorial(inst)
             table = bnslb(inst)
             # the s-values the solver stitches along
-            s_values = _s_values(_combinatorial_points(inst), inst.n)
+            s_values, corners = _s_values(_combinatorial_points(inst), inst.n)
             for ell, s in enumerate(s_values, start=1):
                 assert s <= 4 * table.values[ell - 1]
+            # the points' envelope corners are those of the s-values
+            assert shortest_concat_path(s_values, corners) == shortest_concat_path(s_values)
             assert plan_cost(inst, plan) <= 2 * MU * table.bnslb
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_instance
-from mdkmlp import exact_oracles
+from mdkmlp import arb_packing, exact_oracles
+from mdkmlp import pc_tree as pc_tree_mod
 from mdkmlp.pc_tree import (
     BipointTree,
     ProbeCache,
@@ -148,3 +149,45 @@ class TestCoverageTree:
                     assert out.expected_coverage == B
                     assert out.cost <= bound
 
+
+
+class TestProbeCacheFamilies:
+    """A coverage search packs each distinct PC-LP vertex (K, scaled caps)
+    once, and its trees are those of a search that packs every probe."""
+
+    @staticmethod
+    def _searches(fresh_family_per_probe):
+        packed, instance = [], [0]
+        real_pack = arb_packing.pack_arborescences
+        real_probe = pc_tree_mod._pc_tree_probe
+
+        def pack(D, r, K):
+            packed.append((instance[0], K, frozenset(D.arcs.items())))
+            return real_pack(D, r, K)
+
+        def probe(cache, penalties):
+            if fresh_family_per_probe:
+                cache.families.clear()
+            return real_probe(cache, penalties)
+
+        rng = random.Random(47)
+        trees = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(arb_packing, "pack_arborescences", pack)
+            mp.setattr(pc_tree_mod, "_pc_tree_probe", probe)
+            for instance[0] in range(6):
+                inst = random_instance(rng, rng.randint(4, 6), 1)
+                cache = ProbeCache()
+                for B in range(1, inst.n + 1):
+                    out = coverage_tree(inst, inst.roots[0], B, cache=cache)
+                    parts = [out] if isinstance(out, RootedTree) else [out.T1, out.T2]
+                    trees.append([(t.arcs, t.cost) for t in parts])
+        return trees, packed
+
+    def test_each_vertex_packed_once_with_the_same_trees(self):
+        trees, packed = self._searches(False)
+        ref_trees, ref_packed = self._searches(True)
+        assert len(packed) == len(set(packed))
+        assert set(packed) == set(ref_packed)
+        assert len(ref_packed) > len(packed)
+        assert trees == ref_trees
