@@ -11,7 +11,8 @@ heuristics: an oracle must never silently stop being ground truth.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from operator import add
+from typing import Dict, List, Optional, Tuple
 
 from . import pathdp
 from .instance import MetricInstance, RoutePlan, group_slots, vehicle_groups
@@ -28,14 +29,10 @@ class OracleGuardError(Exception):
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Exact optimum plus the witnessing structure.
-
-    `explored` counts DP states / candidates examined (diagnostics only).
-    """
+    """Exact optimum plus the witnessing structure."""
 
     value: Fraction
     witness: object
-    explored: int = 0
 
 
 @dataclass(frozen=True)
@@ -62,93 +59,60 @@ def _guard_clients(inst: MetricInstance) -> None:
         )
 
 
-def _kmlp_step(inst: MetricInstance) -> Callable:
-    if inst.has_service:
-        return inst.service_directed
-    return inst.dist
-
-
 def exact_kmlp(inst: MetricInstance) -> OracleResult:
     """Minimum total (weighted, service-inclusive) latency over all plans.
 
     Exhaustive: clients are assigned to depot groups (respecting allowed
     depots), each group's set is split optimally over its vehicles, and
-    each vehicle's set is ordered optimally by the subset DP.
+    each vehicle's set is ordered optimally by the subset DP. Both splits
+    are `pathdp.split` steps on mask-indexed latency sums: one per extra
+    vehicle of a group, then one per group.
     """
     _guard_clients(inst)
     clients = inst.clients
-    groups = vehicle_groups(inst)
-    step = _kmlp_step(inst)
-    wfun = inst.weight
-    m = len(clients)
+    step = inst.service_directed if inst.has_service else inst.dist
     bit_of = {v: 1 << i for i, v in enumerate(clients)}
-    full = 1 << m
-    explored = 0
-
-    if m == 0:
-        plan = RoutePlan(
-            routes=tuple((r,) for r in inst.roots),
-            objective_variant=inst.default_variant,
-        )
-        return OracleResult(Fraction(0), plan, 0)
-
-    # per group: global client mask -> (best split value, orders per vehicle)
-    group_tbl: List[Dict[int, Tuple[int, List[Tuple]]]] = []
-    for r, mult in groups:
+    full = 1 << len(clients)
+    per_group = []  # per group: route per mask, best split per mask, picks
+    for r, mult in vehicle_groups(inst):
         mine = [v for v in clients if r in inst.depots_for(v)]
-        single = pathdp.min_latency_orders(r, mine, step, wfun)
-        by_mask = {}
-        for C, (val, order) in single.items():
-            msk = 0
-            for v in C:
-                msk |= bit_of[v]
-            by_mask[msk] = (val, order)
-        cur: Dict[int, Tuple[int, List[Tuple]]] = {
-            msk: (val, [order]) for msk, (val, order) in by_mask.items()
-        }
+        orders = pathdp.min_latency_orders(r, mine, step, inst.weight)
+        single = [INF] * full
+        route: Dict[int, Tuple] = {}
+        for C, (val, order) in orders.items():
+            msk = sum(bit_of[v] for v in C)
+            single[msk] = val
+            route[msk] = (r,) + order
+        # best[mask]: least latency of a split of mask over the group's
+        # vehicles; each pick is the part of the vehicles before the last
+        best, picks = single, []
         for _ in range(1, mult):
-            merged: Dict[int, Tuple[int, List[Tuple]]] = {}
-            for m1, (v1, o1) in by_mask.items():
-                for m2, (v2, o2) in cur.items():
-                    if m1 & m2:
-                        continue
-                    cand = v1 + v2
-                    key = m1 | m2
-                    explored += 1
-                    if key not in merged or cand < merged[key][0]:
-                        merged[key] = (cand, [o1] + o2)
-            cur = merged
-        group_tbl.append(cur)
+            best, pick = pathdp.split(best, single, add)
+            picks.append(pick)
+        per_group.append((route, best, picks))
 
-    # across groups: F[mask] = best cost covering exactly mask so far
-    F: Dict[int, Tuple[int, List[List[Tuple]]]] = {0: (0, [])}
-    for gi in range(len(groups)):
-        nxt: Dict[int, Tuple[int, List[List[Tuple]]]] = {}
-        for msk, (val, picks) in F.items():
-            for gmsk, (gval, orders) in group_tbl[gi].items():
-                if gmsk & msk:
-                    continue
-                cand = val + gval
-                key = msk | gmsk
-                explored += 1
-                if key not in nxt or cand < nxt[key][0]:
-                    nxt[key] = (cand, picks + [orders])
-        F = nxt
-    if (full - 1) not in F:
-        raise ValueError("no feasible assignment covers all clients")
-    best_val, picks = F[full - 1]
+    # across groups: F[mask] = best cost covering exactly mask so far; every
+    # client has an allowed depot, so F covers all of them
+    F = [0] + [INF] * (full - 1)
+    gpicks = []
+    for _, best, _ in per_group:
+        F, pick = pathdp.split(best, F, add)
+        gpicks.append(pick)
 
-    # lay the per-group vehicle orders into the instance's root slots
-    routes: List[Optional[Tuple]] = [None] * inst.k
-    for (r, mult), slots, orders in zip(groups, group_slots(inst), picks):
-        # splits with fewer nonempty parts than vehicles: pad with empties
-        orders = orders + [()] * (mult - len(orders))
-        for slot, order in zip(slots, orders):
-            routes[slot] = (r,) + tuple(order)
+    routes: List[Tuple] = []  # group by group; within a group, last vehicle first
+    cur = full - 1
+    for (route, _, picks), gpick in zip(reversed(per_group), reversed(gpicks)):
+        gmsk = gpick[cur]
+        cur ^= gmsk
+        parts = []
+        for pick in reversed(picks):
+            parts.append(route[gmsk ^ pick[gmsk]])
+            gmsk = pick[gmsk]
+        routes = parts + [route[gmsk]] + routes
     plan = RoutePlan(
-        routes=tuple(routes), objective_variant=inst.default_variant
+        routes=_witness_routes(inst, routes), objective_variant=inst.default_variant
     )
-    return OracleResult(Fraction(best_val), plan, explored)
+    return OracleResult(Fraction(F[-1]), plan)
 
 
 def _bottleneck_by_size(inst: MetricInstance):
@@ -159,7 +123,7 @@ def _bottleneck_by_size(inst: MetricInstance):
         sz = len(U)
         if sz not in best or val < best[sz][0]:
             best[sz] = (val, routes)
-    return best, len(table)
+    return best
 
 
 def _witness_routes(inst: MetricInstance, routes: Tuple[Tuple, ...]) -> Tuple[Tuple, ...]:
@@ -183,8 +147,8 @@ def exact_bottleneck_stroll(inst: MetricInstance, ell: int) -> OracleResult:
     _guard_clients(inst)
     free = len(inst.root_set)
     if ell <= free:
-        return OracleResult(Fraction(0), tuple((r,) for r in inst.roots), 0)
-    best, explored = _bottleneck_by_size(inst)
+        return OracleResult(Fraction(0), tuple((r,) for r in inst.roots))
+    best = _bottleneck_by_size(inst)
     need = ell - free
     val, routes = None, None
     for sz, (v, rt) in best.items():
@@ -192,13 +156,13 @@ def exact_bottleneck_stroll(inst: MetricInstance, ell: int) -> OracleResult:
             val, routes = v, rt
     if val is None:
         raise ValueError(f"cannot cover {ell} nodes")
-    return OracleResult(Fraction(val), _witness_routes(inst, routes), explored)
+    return OracleResult(Fraction(val), _witness_routes(inst, routes))
 
 
 def bnslb(inst: MetricInstance) -> BnsTable:
     """The full bottleneck-stroll table and its additive lower bound."""
     _guard_clients(inst)
-    best, _ = _bottleneck_by_size(inst)
+    best = _bottleneck_by_size(inst)
     free = len(inst.root_set)
     trivial = tuple((r,) for r in inst.roots)
     values: List[Fraction] = []
@@ -215,9 +179,7 @@ def bnslb(inst: MetricInstance) -> BnsTable:
             values.append(Fraction(0))
             witnesses.append(trivial)
             continue
-        need = ell - free
-        cands = [by_need[s] for s in by_need if s >= need]
-        val, routes = min(cands, key=lambda t: t[0])
+        val, routes = by_need[ell - free]
         values.append(Fraction(val))
         witnesses.append(_witness_routes(inst, routes))
     return BnsTable(values=tuple(values), witnesses=tuple(witnesses))
@@ -240,15 +202,13 @@ def exact_orienteering(
     theta = {v: Fraction(rewards.get(v, 0)) for v in items}
     paths = pathdp.min_paths(root, items, inst.dist)
     best_val, best_path = Fraction(0), (root,)
-    explored = 0
     for C, (plen, order) in paths.items():
-        explored += 1
         if plen > budget:
             continue
         reward = sum((theta[v] for v in C), Fraction(0))
         if reward > best_val:
             best_val, best_path = reward, (root,) + order
-    return OracleResult(best_val, best_path, explored)
+    return OracleResult(best_val, best_path)
 
 
 def _path_cover_costs(
@@ -297,16 +257,14 @@ def exact_pc_paths(inst: MetricInstance, root, penalties: Dict) -> OracleResult:
         raise ValueError("negative penalty")
     total_pen = sum(pen.values(), Fraction(0))
     best = None
-    explored = 0
     for msk, (cost, witness) in mc.items():
-        explored += 1
         uncovered = total_pen - sum(
             (pen[v] for i, v in enumerate(items) if msk & (1 << i)), Fraction(0)
         )
         cand = cost + uncovered
         if best is None or cand < best[0]:
             best = (cand, witness)
-    return OracleResult(best[0], tuple(best[1]), explored)
+    return OracleResult(best[0], tuple(best[1]))
 
 
 def exact_cover_cost(inst: MetricInstance, root, B: int) -> OracleResult:
@@ -316,9 +274,7 @@ def exact_cover_cost(inst: MetricInstance, root, B: int) -> OracleResult:
         raise OracleGuardError(f"prize-collecting guard: n={inst.n} > 8")
     mc, items = _path_cover_costs(inst, root)
     best = None
-    explored = 0
     for msk, (cost, witness) in mc.items():
-        explored += 1
         covered = 1 + bin(msk).count("1")
         if covered < B:
             continue
@@ -326,5 +282,5 @@ def exact_cover_cost(inst: MetricInstance, root, B: int) -> OracleResult:
             best = (cost, witness)
     if best is None:
         raise ValueError(f"cannot span {B} nodes")
-    return OracleResult(Fraction(best[0]), tuple(best[1]), explored)
+    return OracleResult(Fraction(best[0]), tuple(best[1]))
 

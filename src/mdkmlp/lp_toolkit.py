@@ -81,8 +81,8 @@ _HIGHS_OPTIONS = (
 )
 
 # Size guards: past these the LP code raises instead of enumerating on.
-PATH_CAP = 200_000  # LP1: rooted path columns per depot group
-TUPLE_CAP = 500_000  # LP2: k-tuples of rooted paths
+CLIENT_CAP = 12  # LP1, LP2: clients in the subset DPs (2^m sets, 3^m splits)
+COLUMN_CAP = 100_000  # LP1, LP2: z columns of the configuration LP
 MAX_CUTS = 10_000  # cuts one solve_with_cuts call may add
 
 
@@ -551,31 +551,6 @@ def build_and_solve_pclp(model: PcLpModel, penalties: Dict[object, Fraction]) ->
 # column enumeration helpers
 
 
-def _count_rooted_paths(
-    root, items: Sequence, length: Callable, budget: int, cap: int
-) -> int:
-    """Number of nonempty rooted simple paths of length <= budget; aborts at cap."""
-    d = pathdp.length_matrix(items, length)
-    from_root = [length(root, v) for v in items]
-    m = len(items)
-    count = 0
-    stack = [(from_root, 0, 0)]  # (lengths from the path's end, used mask, length)
-    while stack:
-        row, used, ln = stack.pop()
-        for i in range(m):
-            bit = 1 << i
-            if used & bit:
-                continue
-            nl = ln + row[i]
-            if nl > budget:
-                continue
-            count += 1
-            if count > cap:
-                return count
-            stack.append((d[i], used | bit, nl))
-    return count
-
-
 def _lp_metric(inst: MetricInstance) -> Tuple[Callable[[object, object], int], int]:
     """The integer metric LP1 and LP2 measure paths in, and its scale: a
     path fits time t when its length is at most scale * t. Plain instances
@@ -615,6 +590,14 @@ def draw_table(weighted: Sequence[Tuple[object, Fraction]]) -> DrawTable:
 #
 # x[gi, v, t] says that a vehicle of group gi serves client v at time t; it
 # exists from the first time ``first[v]`` the group can reach v up to T.
+
+
+def _guard_size(count: int, cap: int, what: str) -> None:
+    """LP1's and LP2's size guard: raise when they would build more than cap."""
+    if count > cap:
+        raise EnumerationCapError(
+            f"instance too large for enumeration: {count} {what} > {cap}"
+        )
 
 
 def _has_clients(inst: MetricInstance, T: int, which: str) -> bool:
@@ -672,6 +655,7 @@ def _solve_config_lp(
     order. Rows: cover, then per group one configuration per time and every
     client served by time t in the configuration at t.
     """
+    _guard_size(sum(len(columns) for _, _, columns in groups), COLUMN_CAP, "z columns")
     lp = LinearProgram()
     for gi, (mult, first, columns) in enumerate(groups):
         _add_assignment_vars(lp, inst, gi, mult, first, T)
@@ -726,16 +710,10 @@ def build_and_solve_lp1(inst: MetricInstance, T: int) -> LpSolution:
     """
     if not _has_clients(inst, T, "LP1"):
         return LpSolution({}, ZERO, which="LP1", T=T)
+    _guard_size(len(inst.clients), CLIENT_CAP, "clients")
     clients = inst.clients
     groups = vehicle_groups(inst)
     metric, scale = _lp_metric(inst)
-    for r, _ in groups:
-        total = _count_rooted_paths(r, clients, metric, scale * T, PATH_CAP)
-        if total > PATH_CAP:
-            raise EnumerationCapError(
-                f"instance too large for enumeration: > {PATH_CAP} rooted paths"
-            )
-
     config_groups = []
     orders = []  # per group: the cheapest visiting order of each client set
     for r, mult in groups:
@@ -766,30 +744,6 @@ def build_and_solve_lp1(inst: MetricInstance, T: int) -> LpSolution:
 # LP2: global-snapshot configuration LP
 
 
-def _min_max_split(
-    first: List[Fraction], rest: List[Fraction]
-) -> Tuple[List[Fraction], List[int]]:
-    """Bottleneck subset DP step: for every mask, the minimum over its
-    submasks ``sub`` of ``max(first[sub], rest[mask ^ sub])``, and the first
-    minimizing ``sub`` in descending submask order."""
-    full = len(first)
-    cur = [pathdp.INF] * full
-    pick = [0] * full
-    for msk in range(full):
-        sub = msk
-        best, bestsub = pathdp.INF, 0
-        while True:
-            val = max(first[sub], rest[msk ^ sub])
-            if val < best:
-                best, bestsub = val, sub
-            if sub == 0:
-                break
-            sub = (sub - 1) & msk
-        cur[msk] = best
-        pick[msk] = bestsub
-    return cur, pick
-
-
 def bottleneck_cover_table(
     inst: MetricInstance,
     metric: Callable,
@@ -805,47 +759,42 @@ def bottleneck_cover_table(
     m = len(clients)
     bit_of = {v: 1 << i for i, v in enumerate(clients)}
 
-    def mask_of(C: FrozenSet) -> int:
-        msk = 0
-        for v in C:
-            msk |= bit_of[v]
-        return msk
-
     def set_of(mask: int) -> FrozenSet:
         return frozenset(clients[i] for i in range(m) if mask & (1 << i))
 
     full = 1 << m
     INF = pathdp.INF
-    per_group = []  # per group: paths, best bottleneck per mask, split picks
+    per_group = []  # per group: route per mask, best bottleneck per mask, picks
     for r, mult in groups:
-        paths = pathdp.min_paths(r, clients, metric)
         single = [INF] * full
-        for C, (plen, order) in paths.items():
-            single[mask_of(C)] = plen
+        route: Dict[int, Tuple] = {}
+        for C, (plen, order) in pathdp.min_paths(r, clients, metric).items():
+            msk = sum(bit_of[v] for v in C)
+            single[msk] = plen
+            route[msk] = (r,) + order
         # best[mask]: least bottleneck of a split of mask into <= mult paths
         best, picks = single, []
         for _ in range(1, mult):
-            best, pick = _min_max_split(single, best)
+            best, pick = pathdp.split(single, best, max)
             picks.append(pick)
-        per_group.append((paths, best, picks))
+        per_group.append((route, best, picks))
 
     # combine groups
     F = [INF] * full
     F[0] = 0
     gpick = []
     for _, best, _ in per_group:
-        F, pick = _min_max_split(best, F)
+        F, pick = pathdp.split(best, F, max)
         gpick.append(pick)
 
     def group_witness(gi: int, msk: int) -> List[Tuple]:
-        paths, _, picks = per_group[gi]
+        route, _, picks = per_group[gi]
         parts = []
         cur = msk
         for pick in reversed(picks):
-            parts.append(pick[cur])
+            parts.append(route[pick[cur]])
             cur ^= pick[cur]
-        parts.append(cur)
-        return [(groups[gi][0],) + paths[set_of(pm)][1] for pm in parts]
+        return parts + [route[cur]]
 
     table: Dict[FrozenSet, Tuple[Fraction, Tuple[Tuple, ...]]] = {}
     for msk in range(full):
@@ -877,18 +826,10 @@ def build_and_solve_lp2(inst: MetricInstance, T: int) -> LpSolution:
     """
     if not _has_clients(inst, T, "LP2"):
         return LpSolution({}, ZERO, which="LP2", T=T)
+    _guard_size(len(inst.clients), CLIENT_CAP, "clients")
     clients = inst.clients
     groups = vehicle_groups(inst)
     metric, scale = _lp_metric(inst)
-    tuples = 1  # k-tuples of rooted paths, each possibly empty
-    for r, mult in groups:
-        paths = _count_rooted_paths(r, clients, metric, scale * T, TUPLE_CAP)
-        tuples *= (1 + paths) ** mult
-        if tuples > TUPLE_CAP:
-            raise EnumerationCapError(
-                f"instance too large for enumeration: > {TUPLE_CAP} k-tuples"
-            )
-
     table = bottleneck_cover_table(inst, metric)
     first = {
         v: max(1, -(-min(metric(r, v) for r, _ in groups) // scale)) for v in clients

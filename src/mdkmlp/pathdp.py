@@ -1,9 +1,12 @@
-"""Held-Karp subset dynamic programs over rooted simple paths.
+"""Held-Karp subset dynamic programs over rooted simple paths, and the one
+submask split that combines their tables.
 
 Shared by the exact oracles and the LP column enumeration: for a root and a
 small item set, compute for every subset the cheapest rooted simple path
 visiting exactly that subset (any endpoint), with an optimal visiting order
-for witness reconstruction.
+for witness reconstruction. `split` then spreads a set over several such
+paths: with ``max`` for bottleneck covers, with ``operator.add`` for
+latency sums.
 
 Lengths are whatever the length function returns and are summed as given:
 the callers pass integer metrics (the LP metric doubles service lengths to
@@ -13,6 +16,35 @@ stay integer), so the DPs run on plain ints.
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 INF = 10**18  # effectively infinite: above every path length of a guarded instance
+
+
+def split(
+    first: List[int], rest: List[int], combine: Callable[[int, int], int]
+) -> Tuple[List[int], List[int]]:
+    """Subset split DP step over mask-indexed tables: for every mask, the
+    minimum over its submasks ``sub`` of ``combine(first[sub], rest[mask ^
+    sub])``, and the first minimizing ``sub`` in descending submask order.
+
+    ``combine`` is ``max`` or ``operator.add``; an ``INF`` entry makes every
+    combination with it at least ``INF``, so a mask with no finite split
+    keeps the value ``INF`` (and pick 0).
+    """
+    full = len(first)
+    cur = [INF] * full
+    pick = [0] * full
+    for msk in range(full):
+        sub = msk
+        best, bestsub = INF, 0
+        while True:
+            val = combine(first[sub], rest[msk ^ sub])
+            if val < best:
+                best, bestsub = val, sub
+            if sub == 0:
+                break
+            sub = (sub - 1) & msk
+        cur[msk] = best
+        pick[msk] = bestsub
+    return cur, pick
 
 
 def length_matrix(items: Sequence, length: Callable) -> List[List[Optional[int]]]:

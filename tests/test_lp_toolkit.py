@@ -438,21 +438,77 @@ class TestSizeGuards:
     """Each guard fails loudly with its exact message; the limits are
     lowered so that the tiny fixtures reach them."""
 
-    def test_lp1_path_cap(self, monkeypatch, fix_a):
-        monkeypatch.setattr(lp_toolkit, "PATH_CAP", 1)
+    def test_lp1_caps(self, monkeypatch, fix_a):
+        # T = 3: {a} from t = 1, {a, b} and {b} from t = 3
+        T = time_horizon(fix_a).T
+        monkeypatch.setattr(lp_toolkit, "COLUMN_CAP", 4)
         with pytest.raises(
             EnumerationCapError,
-            match=r"^instance too large for enumeration: > 1 rooted paths$",
+            match=r"^instance too large for enumeration: 5 z columns > 4$",
         ):
-            build_and_solve_lp1(fix_a, time_horizon(fix_a).T)
+            build_and_solve_lp1(fix_a, T)
+        monkeypatch.setattr(lp_toolkit, "CLIENT_CAP", 1)
+        with pytest.raises(
+            EnumerationCapError,
+            match=r"^instance too large for enumeration: 2 clients > 1$",
+        ):
+            build_and_solve_lp1(fix_a, T)
 
-    def test_lp2_tuple_cap(self, monkeypatch, fix_b):
-        monkeypatch.setattr(lp_toolkit, "TUPLE_CAP", 1)
+    def test_lp2_caps(self, monkeypatch, fix_b):
+        # T = 1: the fleet covers {a}, {b} and {a, b} by t = 1
+        T = time_horizon(fix_b).T
+        monkeypatch.setattr(lp_toolkit, "COLUMN_CAP", 2)
         with pytest.raises(
             EnumerationCapError,
-            match=r"^instance too large for enumeration: > 1 k-tuples$",
+            match=r"^instance too large for enumeration: 3 z columns > 2$",
         ):
-            build_and_solve_lp2(fix_b, time_horizon(fix_b).T)
+            build_and_solve_lp2(fix_b, T)
+        monkeypatch.setattr(lp_toolkit, "CLIENT_CAP", 1)
+        with pytest.raises(
+            EnumerationCapError,
+            match=r"^instance too large for enumeration: 2 clients > 1$",
+        ):
+            build_and_solve_lp2(fix_b, T)
+
+    def test_client_cap_trips_before_any_subset_dp(self, monkeypatch):
+        # Seven depots 10 apart on a line, each with clients 1 and 3 beyond
+        # it: 14 clients and T = 3, so only three short paths per depot fit
+        # the horizon, but every subset DP runs over all 14 clients.
+        nodes, pos, roots = [], {}, []
+        for i in range(7):
+            r, a, b = f"r{i}", f"a{i}", f"b{i}"
+            nodes += [r, a, b]
+            pos.update({r: 10 * i, a: 10 * i + 1, b: 10 * i + 3})
+            roots.append(r)
+        inst = MetricInstance(
+            nodes=tuple(nodes),
+            roots=tuple(roots),
+            cost=tuple(tuple(abs(pos[u] - pos[v]) for v in nodes) for u in nodes),
+        )
+        T = time_horizon(inst).T
+        assert (len(inst.clients), T) == (14, 3)
+
+        def no_dp(*args):
+            raise AssertionError("a subset DP ran before the size guard")
+
+        for name in ("min_paths", "min_latency_orders", "split"):
+            monkeypatch.setattr(pathdp, name, no_dp)
+        for build in (build_and_solve_lp1, build_and_solve_lp2):
+            with pytest.raises(
+                EnumerationCapError,
+                match=r"^instance too large for enumeration: 14 clients > 12$",
+            ):
+                build(inst, T)
+
+    def test_lp2_builds_past_the_old_path_count(self):
+        # 10 clients with 7 817 rooted paths of length <= T from one depot:
+        # a guard on ordered paths refused this LP, whose 15 571 client-set
+        # columns solve in well under a second.
+        inst = random_instance(random.Random(3), 12, 2, span=10)
+        T = time_horizon(inst).T
+        assert (len(inst.clients), T) == (10, 23)
+        sol = build_and_solve_lp2(inst, T)
+        assert sol.which == "LP2" and sol.objective_value > 0
 
     def test_cut_limit(self, monkeypatch):
         # an oracle that always finds a new cut: x >= (current optimum) + 1
@@ -687,8 +743,8 @@ def _fraction_lp_metric(inst):
 
 def test_integer_lp_metric_gives_the_fraction_columns(monkeypatch):
     # LP1 and LP2 test paths in the doubled service metric against 2t; the
-    # first times, column sets and path counts equal those of the Fraction
-    # metric tested against t.
+    # first times and column sets equal those of the Fraction metric tested
+    # against t.
     captured = []
     real = lp_toolkit._solve_config_lp
 
@@ -705,7 +761,7 @@ def test_integer_lp_metric_gives_the_fraction_columns(monkeypatch):
         )
         T = time_horizon(inst).T
         metric = _fraction_lp_metric(inst)
-        length, scale = lp_toolkit._lp_metric(inst)
+        _, scale = lp_toolkit._lp_metric(inst)
         assert scale == (2 if inst.has_service else 1)
         groups = vehicle_groups(inst)
         captured.clear()
@@ -724,9 +780,6 @@ def test_integer_lp_metric_gives_the_fraction_columns(monkeypatch):
                 for C, (plen, _) in paths.items()
                 if C and plen <= t
             ]
-            assert lp_toolkit._count_rooted_paths(
-                r, inst.clients, length, scale * T, 10**6
-            ) == lp_toolkit._count_rooted_paths(r, inst.clients, metric, F(T), 10**6)
         table = lp_toolkit.bottleneck_cover_table(inst, metric)
         assert first2 == {
             v: max(1, math.ceil(min(metric(r, v) for r, _ in groups)))
