@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import exact_oracles, latency_solvers, lp_toolkit
-from .concat_graph import mu_star
+from .concat_graph import MU
 from .exact_oracles import OracleGuardError
 from .instance import (
     MetricInstance,
@@ -25,10 +25,11 @@ from .instance import (
     evaluate_plan,
     evaluate_plan_detail,
     node_ids,
+    node_of_key,
     parse_instance,
     time_horizon,
 )
-from .latency_solvers import MU_TOL, SolverConfig, SolverError
+from .latency_solvers import SolverConfig, SolverError
 
 log = logging.getLogger("mdkmlp.cli")
 
@@ -136,7 +137,9 @@ def cmd_solve(args) -> int:
 def cmd_oracle(args) -> int:
     inst = _read_instance(args.input)
     what = args.what
-    root = args.root if args.root is not None else inst.roots[0]
+    root = inst.roots[0]
+    if args.root is not None:
+        root = node_of_key(inst.nodes, args.root, "--root")
     out: Dict = {"what": what}
     if what == "opt":
         res = exact_oracles.exact_kmlp(inst)
@@ -170,12 +173,11 @@ def cmd_oracle(args) -> int:
 
 
 # per-run guarantee factors: algorithm -> (denominator oracle, factor)
-_MU = mu_star(MU_TOL)
 _VERIFY_BOUNDS = {
-    ("kmlp-comb", "bnslb"): 2 * _MU,
-    ("kmlp-lp", "lp3"): 2 * _MU,
-    ("mlp-lp", "lp3"): _MU,
-    ("bnslb-construct", "bnslb"): _MU,
+    ("kmlp-comb", "bnslb"): 2 * MU,
+    ("kmlp-lp", "lp3"): 2 * MU,
+    ("mlp-lp", "lp3"): MU,
+    ("bnslb-construct", "bnslb"): MU,
 }
 _VERIFY_TOL = Fraction(1, 10**9)
 

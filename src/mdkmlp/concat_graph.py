@@ -48,9 +48,6 @@ class ConcatPath:
     length: Fraction
 
 
-_MU_CACHE = {}
-
-
 def mu_star(tolerance) -> Fraction:
     """The root of mu*ln(mu) = mu + 1 on [3,4], to the requested residual.
 
@@ -60,9 +57,6 @@ def mu_star(tolerance) -> Fraction:
     tol = Fraction(tolerance)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    key = tol
-    if key in _MU_CACHE:
-        return _MU_CACHE[key]
 
     def g(m: float) -> float:
         return m * math.log(m) - m - 1.0
@@ -74,9 +68,11 @@ def mu_star(tolerance) -> Fraction:
             lo = mid
         else:
             hi = mid
-    result = Fraction(lo)
-    _MU_CACHE[key] = result
-    return result
+    return Fraction(lo)
+
+
+# mu* to a residual of 1e-9: the default growth rate and the guarantee factor
+MU = mu_star(Fraction(1, 10**9))
 
 
 def edge_length(C: Sequence, n: int, o: int, l: int) -> Fraction:

@@ -15,10 +15,9 @@ from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from . import pathdp
-from .instance import MetricInstance, RoutePlan, group_slots, vehicle_groups
+from .instance import MetricInstance, RoutePlan, group_slots
 from .lp_toolkit import bottleneck_cover_table
 
-INF = pathdp.INF
 # Size guard of every exhaustive oracle: the subset DPs grow as 3^clients.
 CLIENT_LIMIT = 9
 
@@ -65,54 +64,24 @@ def exact_kmlp(inst: MetricInstance) -> OracleResult:
     Exhaustive: clients are assigned to depot groups (respecting allowed
     depots), each group's set is split optimally over its vehicles, and
     each vehicle's set is ordered optimally by the subset DP. Both splits
-    are `pathdp.split` steps on mask-indexed latency sums: one per extra
-    vehicle of a group, then one per group.
+    are one :func:`pathdp.fleet` over latency sums, which lays the witness
+    routes into root slots: of the vehicles at one depot, the one added
+    last takes the depot's first slot.
     """
     _guard_clients(inst)
     clients = inst.clients
     step = inst.service_directed if inst.has_service else inst.dist
-    bit_of = {v: 1 << i for i, v in enumerate(clients)}
-    full = 1 << len(clients)
-    per_group = []  # per group: route per mask, best split per mask, picks
-    for r, mult in vehicle_groups(inst):
-        mine = [v for v in clients if r in inst.depots_for(v)]
-        orders = pathdp.min_latency_orders(r, mine, step, inst.weight)
-        single = [INF] * full
-        route: Dict[int, Tuple] = {}
-        for C, (val, order) in orders.items():
-            msk = sum(bit_of[v] for v in C)
-            single[msk] = val
-            route[msk] = (r,) + order
-        # best[mask]: least latency of a split of mask over the group's
-        # vehicles; each pick is the part of the vehicles before the last
-        best, picks = single, []
-        for _ in range(1, mult):
-            best, pick = pathdp.split(best, single, add)
-            picks.append(pick)
-        per_group.append((route, best, picks))
-
-    # across groups: F[mask] = best cost covering exactly mask so far; every
-    # client has an allowed depot, so F covers all of them
-    F = [0] + [INF] * (full - 1)
-    gpicks = []
-    for _, best, _ in per_group:
-        F, pick = pathdp.split(best, F, add)
-        gpicks.append(pick)
-
-    routes: List[Tuple] = []  # group by group; within a group, last vehicle first
-    cur = full - 1
-    for (route, _, picks), gpick in zip(reversed(per_group), reversed(gpicks)):
-        gmsk = gpick[cur]
-        cur ^= gmsk
-        parts = []
-        for pick in reversed(picks):
-            parts.append(route[gmsk ^ pick[gmsk]])
-            gmsk = pick[gmsk]
-        routes = parts + [route[gmsk]] + routes
-    plan = RoutePlan(
-        routes=_witness_routes(inst, routes), objective_variant=inst.default_variant
-    )
-    return OracleResult(Fraction(F[-1]), plan)
+    groups = [
+        (r, slots, pathdp.min_latency_orders(
+            r, [v for v in clients if r in inst.depots_for(v)], step, inst.weight
+        ))
+        for r, slots in group_slots(inst)
+    ]
+    # every client has an allowed depot, so the full mask has a finite value
+    best, witness = pathdp.fleet(clients, groups, add)
+    full = len(best) - 1
+    plan = RoutePlan(routes=witness(full), objective_variant=inst.default_variant)
+    return OracleResult(Fraction(best[full]), plan)
 
 
 def _bottleneck_by_size(inst: MetricInstance):
@@ -124,15 +93,6 @@ def _bottleneck_by_size(inst: MetricInstance):
         if sz not in best or val < best[sz][0]:
             best[sz] = (val, routes)
     return best
-
-
-def _witness_routes(inst: MetricInstance, routes: Tuple[Tuple, ...]) -> Tuple[Tuple, ...]:
-    """Align witness paths (one per depot-group vehicle) to root slots."""
-    out: List[Tuple] = [None] * inst.k
-    slots = (slot for group in group_slots(inst) for slot in group)
-    for slot, route in zip(slots, routes):
-        out[slot] = route
-    return tuple(out)
 
 
 def exact_bottleneck_stroll(inst: MetricInstance, ell: int) -> OracleResult:
@@ -156,7 +116,7 @@ def exact_bottleneck_stroll(inst: MetricInstance, ell: int) -> OracleResult:
             val, routes = v, rt
     if val is None:
         raise ValueError(f"cannot cover {ell} nodes")
-    return OracleResult(Fraction(val), _witness_routes(inst, routes))
+    return OracleResult(Fraction(val), routes)
 
 
 def bnslb(inst: MetricInstance) -> BnsTable:
@@ -181,7 +141,7 @@ def bnslb(inst: MetricInstance) -> BnsTable:
             continue
         val, routes = by_need[ell - free]
         values.append(Fraction(val))
-        witnesses.append(_witness_routes(inst, routes))
+        witnesses.append(routes)
     return BnsTable(values=tuple(values), witnesses=tuple(witnesses))
 
 

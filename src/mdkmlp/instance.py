@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 Node = Hashable
 
@@ -165,6 +165,11 @@ class MetricInstance:
             return got
         return tuple(dict.fromkeys(self.roots))
 
+    def home_slot(self, v: Node) -> int:
+        """The first slot of v's nearest allowed depot; of equally near
+        depots, the one that comes first in ``roots``."""
+        return min((self.dist(r, v), self.roots.index(r)) for r in self.depots_for(v))[1]
+
     @cached_property
     def has_weights(self) -> bool:
         return any(self.weight(v) != 1 for v in self.clients)
@@ -221,12 +226,12 @@ def vehicle_groups(inst: MetricInstance) -> List[Tuple[Node, int]]:
     return list(groups.items())
 
 
-def group_slots(inst: MetricInstance) -> List[List[int]]:
-    """For each group of :func:`vehicle_groups`, in order, the indices of
-    its vehicles in ``inst.roots``: how per-group results (LP columns,
-    witness paths, DP splits) map back to the instance's route slots."""
+def group_slots(inst: MetricInstance) -> List[Tuple[Node, List[int]]]:
+    """For each group of :func:`vehicle_groups`, in order, its root and the
+    indices of its vehicles in ``inst.roots``: how per-group results (LP
+    columns, DP splits) map back to the instance's route slots."""
     return [
-        [i for i, rr in enumerate(inst.roots) if rr == r]
+        (r, [i for i, rr in enumerate(inst.roots) if rr == r])
         for r, _ in vehicle_groups(inst)
     ]
 
@@ -263,6 +268,16 @@ def node_ids(x, what: str) -> Tuple[Node, ...]:
     return tuple(x)
 
 
+def node_of_key(nodes: Sequence[Node], key: str, what: str) -> Node:
+    """The one node whose id reads ``key`` as a string (a JSON object key, a
+    command-line argument); raises ValueError naming ``what`` otherwise."""
+    found = [v for v in nodes if str(v) == key]
+    if len(found) != 1:
+        which = "no node" if not found else f"nodes {found[0]!r} and {found[1]!r}"
+        raise ValueError(f"{what} {key!r} matches {which}")
+    return found[0]
+
+
 def parse_instance(text: str) -> MetricInstance:
     """Parse and validate the JSON instance format."""
     try:
@@ -284,21 +299,12 @@ def parse_instance(text: str) -> MetricInstance:
     if not isinstance(costs, list) or not all(isinstance(row, list) for row in costs):
         raise ValueError("'costs' must be a list of lists")
     nodes = node_ids(data["nodes"], "'nodes'")
-    by_key: Dict[str, List[Node]] = {}  # JSON object keys are strings
-    for v in nodes:
-        by_key.setdefault(str(v), []).append(v)
     maps = {}
     for key in ("weights", "service_times", "allowed_depots"):
         raw = {} if data.get(key) is None else data[key]
         if not isinstance(raw, dict):
             raise ValueError(f"{key!r} must be an object keyed by node id")
-        maps[key] = {}
-        for k, val in raw.items():
-            found = by_key.get(k, [])
-            if len(found) != 1:
-                which = "no node" if not found else f"nodes {found[0]!r} and {found[1]!r}"
-                raise ValueError(f"{key!r} key {k!r} matches {which}")
-            maps[key][found[0]] = val
+        maps[key] = {node_of_key(nodes, k, f"{key!r} key"): val for k, val in raw.items()}
     return MetricInstance(
         nodes=nodes,
         roots=node_ids(data["roots"], "'roots'"),
@@ -382,25 +388,19 @@ def evaluate_plan(inst: MetricInstance, plan: RoutePlan) -> Fraction:
 def time_horizon(inst: MetricInstance) -> TimeHorizon:
     """Latency bound from a nearest-neighbor certificate plan.
 
-    Clients go to their nearest allowed depot; each depot serves its clients
-    in nearest-neighbor order. The resulting maximum (service-inclusive)
-    latency is a much smaller T than the analytic 2n*LB bound, which keeps
-    every time-indexed LP small.
+    Each client goes to its :meth:`~MetricInstance.home_slot`, the first
+    vehicle of its nearest allowed depot (other vehicles at that depot stay
+    empty); each vehicle serves its clients in nearest-neighbor order. The
+    resulting maximum (service-inclusive) latency is a much smaller T than
+    the analytic 2n*LB bound, which keeps every time-indexed LP small.
     """
-    assigned: Dict[Node, List[Node]] = {r: [] for r in dict.fromkeys(inst.roots)}
+    assigned: List[List[Node]] = [[] for _ in inst.roots]
     for v in inst.clients:
-        depots = inst.depots_for(v)
-        best = min(depots, key=lambda r: (inst.dist(r, v), inst.roots.index(r)))
-        assigned[best].append(v)
+        assigned[inst.home_slot(v)].append(v)
     routes = []
     max_latency = 0
-    for i, r in enumerate(inst.roots):
-        # duplicate roots: the first slot for a depot carries its clients
-        mine = assigned.get(r, [])
-        if inst.roots.index(r) != i:
-            mine = []
+    for r, pending in zip(inst.roots, assigned):
         route = [r]
-        pending = list(mine)
         pos = r
         elapsed = 0
         while pending:

@@ -38,8 +38,6 @@ log = logging.getLogger("mdkmlp.solvers")
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-MU_TOL = Fraction(1, 10**9)
-
 
 class SolverError(Exception):
     pass
@@ -572,19 +570,10 @@ def _sample_from(table: lp_toolkit.DrawTable, rng: random.Random) -> Optional[ob
 def _append_leftovers(
     inst: MetricInstance, tours: List[List[Tuple]], covered: Set
 ) -> None:
-    leftovers = [v for v in inst.clients if v not in covered]
-    leftovers.sort(
-        key=lambda v: (
-            min(inst.dist(r, v) for r in inst.depots_for(v)),
-            inst.index(v),
-        )
-    )
-    for v in leftovers:
-        depots = inst.depots_for(v)
-        best = min(
-            depots, key=lambda r: (inst.dist(r, v), inst.roots.index(r))
-        )
-        slot = inst.roots.index(best)
+    """Direct visits from each uncovered client's home slot, nearest first."""
+    leftovers = [(inst.home_slot(v), v) for v in inst.clients if v not in covered]
+    leftovers.sort(key=lambda sv: inst.dist(inst.roots[sv[0]], sv[1]))
+    for slot, v in leftovers:
         tours[slot].append((v,))
         covered.add(v)
 
@@ -644,7 +633,7 @@ def solve_multidepot(
         T = time_horizon(inst).T
         sol1 = lp_toolkit.build_and_solve_lp1(inst, T)
     tables = sol1.meta["draws"]  # per (group, time): the visiting orders
-    slot_gi = {s: gi for gi, slots in enumerate(group_slots(inst)) for s in slots}
+    slot_gi = {s: gi for gi, (_, slots) in enumerate(group_slots(inst)) for s in slots}
     empty = lp_toolkit.EMPTY_DRAW
 
     def draws_at(t):
@@ -675,17 +664,15 @@ def round_lp2(
     if not inst.clients:
         return _finalize_plan(inst, [[] for _ in range(inst.k)], inst.default_variant)
     T = lp2sol.T
-    tables = lp2sol.meta["draws"]  # per time: the witness tuples of k paths
-    # align each group's witness paths with the instance's root slots
-    slot_of = [slot for slots in group_slots(inst) for slot in slots]
+    tables = lp2sol.meta["draws"]  # per time: the witness tuples, path i at slot i
 
     def draws_at(t):
         routes = _sample_from(tables.get(t, lp_toolkit.EMPTY_DRAW), rng)
         if routes is not None:
-            for slot, route in zip(slot_of, routes):
+            for slot, route in enumerate(routes):
                 yield slot, route[1:]
 
-    growth = cfg.growth or concat_graph.mu_star(MU_TOL)
+    growth = cfg.growth or concat_graph.MU
     return _geometric_rounding(inst, cfg, growth, T, draws_at, rng)
 
 

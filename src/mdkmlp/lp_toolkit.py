@@ -50,7 +50,7 @@ from scipy.optimize import linprog
 from scipy.sparse import csr_array
 
 from . import flows, pathdp
-from .instance import MetricInstance, vehicle_groups
+from .instance import MetricInstance, group_slots, vehicle_groups
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, exact_simplex
 
 try:  # scipy's binding of HiGHS itself (scipy >= 1.15)
@@ -747,67 +747,27 @@ def build_and_solve_lp1(inst: MetricInstance, T: int) -> LpSolution:
 def bottleneck_cover_table(
     inst: MetricInstance,
     metric: Callable,
-) -> Dict[FrozenSet, Tuple[Fraction, Tuple[Tuple, ...]]]:
+) -> Dict[FrozenSet, Tuple[int, Tuple[Tuple, ...]]]:
     """For each client set U: (min over k-vehicle covers of the max path
-    length, witness tuple of k rooted paths covering U exactly).
+    length, witness tuple of k rooted paths covering U exactly, path i
+    from ``inst.roots[i]``).
 
-    Within a depot group the partition into that group's vehicles is a
-    bottleneck subset DP; across groups another subset DP combines them.
+    One :func:`pathdp.fleet` bottleneck split: over each depot group's
+    vehicles, then across groups. The witness paths are laid into root slots
+    as the split makes them; of the vehicles at one depot, the one added
+    last takes the depot's first slot. Allowed depots are not applied:
+    every depot's paths may take any client.
     """
     clients = inst.clients
-    groups = vehicle_groups(inst)
-    m = len(clients)
-    bit_of = {v: 1 << i for i, v in enumerate(clients)}
-
-    def set_of(mask: int) -> FrozenSet:
-        return frozenset(clients[i] for i in range(m) if mask & (1 << i))
-
-    full = 1 << m
-    INF = pathdp.INF
-    per_group = []  # per group: route per mask, best bottleneck per mask, picks
-    for r, mult in groups:
-        single = [INF] * full
-        route: Dict[int, Tuple] = {}
-        for C, (plen, order) in pathdp.min_paths(r, clients, metric).items():
-            msk = sum(bit_of[v] for v in C)
-            single[msk] = plen
-            route[msk] = (r,) + order
-        # best[mask]: least bottleneck of a split of mask into <= mult paths
-        best, picks = single, []
-        for _ in range(1, mult):
-            best, pick = pathdp.split(single, best, max)
-            picks.append(pick)
-        per_group.append((route, best, picks))
-
-    # combine groups
-    F = [INF] * full
-    F[0] = 0
-    gpick = []
-    for _, best, _ in per_group:
-        F, pick = pathdp.split(best, F, max)
-        gpick.append(pick)
-
-    def group_witness(gi: int, msk: int) -> List[Tuple]:
-        route, _, picks = per_group[gi]
-        parts = []
-        cur = msk
-        for pick in reversed(picks):
-            parts.append(route[pick[cur]])
-            cur ^= pick[cur]
-        return parts + [route[cur]]
-
-    table: Dict[FrozenSet, Tuple[Fraction, Tuple[Tuple, ...]]] = {}
-    for msk in range(full):
-        if F[msk] >= INF:
-            continue
-        routes: List[Tuple] = []
-        cur = msk
-        for gi in range(len(groups) - 1, -1, -1):
-            sub = gpick[gi][cur]
-            routes = group_witness(gi, sub) + routes
-            cur ^= sub
-        table[set_of(msk)] = (F[msk], tuple(routes))
-    return table
+    groups = [
+        (r, slots, pathdp.min_paths(r, clients, metric)) for r, slots in group_slots(inst)
+    ]
+    best, witness = pathdp.fleet(clients, groups, max)
+    return {
+        frozenset(v for i, v in enumerate(clients) if msk >> i & 1): (val, witness(msk))
+        for msk, val in enumerate(best)
+        if val < pathdp.INF
+    }
 
 
 def build_and_solve_lp2(inst: MetricInstance, T: int) -> LpSolution:

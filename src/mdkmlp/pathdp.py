@@ -1,21 +1,26 @@
 """Held-Karp subset dynamic programs over rooted simple paths, and the one
-submask split that combines their tables.
+submask split that spreads a client set over a fleet of them.
 
 Shared by the exact oracles and the LP column enumeration: for a root and a
 small item set, compute for every subset the cheapest rooted simple path
 visiting exactly that subset (any endpoint), with an optimal visiting order
-for witness reconstruction. `split` then spreads a set over several such
-paths: with ``max`` for bottleneck covers, with ``operator.add`` for
-latency sums.
+for witness reconstruction. `split` combines two such mask-indexed tables:
+with ``max`` for bottleneck covers, with ``operator.add`` for latency sums.
+`fleet` is the one fold of `split` over a fleet's depot groups, and lays
+each witness route into its vehicle's root slot as it is made: of the
+vehicles that share a depot, the one added last takes the depot's first
+slot.
 
 Lengths are whatever the length function returns and are summed as given:
 the callers pass integer metrics (the LP metric doubles service lengths to
 stay integer), so the DPs run on plain ints.
 """
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 INF = 10**18  # effectively infinite: above every path length of a guarded instance
+# client set -> (least value, optimal visiting order): what the path DPs return
+Table = Dict[FrozenSet, Tuple[int, Tuple]]
 
 
 def split(
@@ -47,6 +52,62 @@ def split(
     return cur, pick
 
 
+def fleet(
+    clients: Sequence,
+    groups: Sequence[Tuple[Hashable, Sequence[int], Table]],
+    combine: Callable[[int, int], int],
+) -> Tuple[List[int], Callable[[int], Tuple[Tuple, ...]]]:
+    """Split client sets over a fleet, one rooted path per vehicle.
+
+    ``groups`` holds, per depot group, its root, its vehicles' slots in the
+    instance's roots and its single-path table over client sets (a set
+    missing from the table cannot be one vehicle's path). Bit i of a mask
+    is ``clients[i]``. Returns ``best``, the least ``combine`` of the path
+    values over every split of each mask (``INF`` where there is none), and
+    ``witness(mask)``: for a mask of finite value, one route per slot,
+    route i starting at the root of slot i and covering the mask exactly.
+
+    Inside a group each added vehicle takes the submask of
+    ``split(single, best, combine)``; the vehicle added last fills the
+    group's first slot, the first one its last slot. Across groups the
+    submask of ``split(group_best, F, combine)`` is the later group's part.
+    """
+    bit_of = {v: 1 << i for i, v in enumerate(clients)}
+    full = 1 << len(clients)
+    made = []  # per group: root, slots, order per mask, picks per added vehicle
+    F, gpicks = None, []
+    for root, slots, table in groups:
+        single = [INF] * full
+        order: List[Optional[Tuple]] = [None] * full
+        for C, (val, path) in table.items():
+            msk = sum(bit_of[v] for v in C)
+            single[msk], order[msk] = val, path
+        best, picks = single, []
+        for _ in range(1, len(slots)):
+            best, pick = split(single, best, combine)
+            picks.append(pick)
+        made.append((root, slots, order, picks))
+        if F is None:
+            F = best
+        else:
+            F, gpick = split(best, F, combine)
+            gpicks.append(gpick)
+
+    def witness(mask: int) -> Tuple[Tuple, ...]:
+        routes: List[Optional[Tuple]] = [None] * sum(len(s) for _, s, _, _ in made)
+        for gi in range(len(made) - 1, -1, -1):
+            part = gpicks[gi - 1][mask] if gi else mask
+            mask ^= part
+            root, slots, order, picks = made[gi]
+            for slot, pick in zip(slots, reversed(picks)):
+                routes[slot] = (root,) + order[pick[part]]
+                part ^= pick[part]
+            routes[slots[-1]] = (root,) + order[part]
+        return tuple(routes)
+
+    return F, witness
+
+
 def length_matrix(items: Sequence, length: Callable) -> List[List[Optional[int]]]:
     """length between every ordered pair of distinct items, by position."""
     return [[length(u, v) if u != v else None for v in items] for u in items]
@@ -56,7 +117,7 @@ def min_paths(
     root,
     items: Sequence,
     length: Callable[[object, object], int],
-) -> Dict[FrozenSet, Tuple[int, Tuple]]:
+) -> Table:
     """Map each subset of items to (min rooted-path length, optimal order).
 
     length(u, v) may be asymmetric (directed service metric); paths are
@@ -86,7 +147,7 @@ def min_paths(
                 if dp[nmask][nxt] is None or cand < dp[nmask][nxt]:
                     dp[nmask][nxt] = cand
                     parent[nmask][nxt] = last
-    out: Dict[FrozenSet, Tuple[int, Tuple]] = {frozenset(): (0, ())}
+    out: Table = {frozenset(): (0, ())}
     for mask in range(1, full):
         best_last, best_len = None, None
         for last in range(m):
@@ -113,7 +174,7 @@ def min_latency_orders(
     items: Sequence,
     step: Callable[[object, object], int],
     weight: Callable[[object], int],
-) -> Dict[FrozenSet, Tuple[int, Tuple]]:
+) -> Table:
     """Map each subset to (min total weighted latency, optimal serving order).
 
     step(u, v) is the latency increment when moving from u to serving v
@@ -158,7 +219,7 @@ def min_latency_orders(
                     F[nmask][u] = best_val
                     nxt_of[nmask][u] = best_first
 
-    out: Dict[FrozenSet, Tuple[int, Tuple]] = {frozenset(): (0, ())}
+    out: Table = {frozenset(): (0, ())}
     for mask in range(1, full):
         w_mask = mask_weight(mask)
         best_val, best_first = None, None

@@ -174,6 +174,37 @@ class TestOracle:
         assert code == 3
         assert "budget" in err
 
+    @pytest.fixture
+    def int_path(self, tmp_path):
+        # integer node ids on a line at 0, 1, 3, 4; one depot at node 0
+        p = tmp_path / "ints.json"
+        cost = [[abs(a - b) for b in (0, 1, 3, 4)] for a in (0, 1, 3, 4)]
+        p.write_text(json.dumps({"nodes": [0, 1, 2, 3], "roots": [0], "costs": cost}))
+        return str(p)
+
+    def test_root_names_an_integer_node(self, capsys, int_path):
+        code, out, _ = run(
+            capsys, "oracle", "--what", "pc-paths", "--input", int_path,
+            "--root", "1", "--penalty", "5",
+        )
+        assert code == 0
+        res = json.loads(out)
+        assert res["value"] == "4"  # 1-0 and 1-2-3, nothing left uncovered
+        assert sorted(res["paths"]) == [[1, 0], [1, 2, 3]]
+        code, out, _ = run(
+            capsys, "oracle", "--what", "orienteering", "--input", int_path,
+            "--root", "1", "--budget", "3",
+        )
+        assert code == 0
+        assert json.loads(out) == {"what": "orienteering", "value": "2", "path": [1, 2, 3]}
+
+    def test_unknown_root_exits_2(self, capsys, int_path):
+        code, _, err = run(
+            capsys, "oracle", "--what", "pc-paths", "--input", int_path, "--root", "9"
+        )
+        assert code == 2
+        assert err == "error: --root '9' matches no node\n"
+
 
 class TestMalformedInput:
     """Malformed JSON is an invalid argument (exit 2, one error line), not a

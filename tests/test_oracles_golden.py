@@ -6,6 +6,9 @@ n = 3 to 9 nodes; k = 1 to 3 vehicles. It keeps the exact optimum and the
 witness routes of `exact_kmlp`, and every b*_l with its witness path tuple
 of `bnslb`. A subset DP that visits submasks in another order, or breaks a
 tie another way, changes a witness even where the values stay the same.
+Every recorded witness is also checked on its own: the `exact_kmlp` routes
+score the optimum, and each b*_l witness covers at least l nodes with its
+longest path at b*_l.
 
 Regenerate, only for an intended change of the oracles, with
 `PYTHONPATH=src:tests python tests/test_oracles_golden.py`.
@@ -13,10 +16,12 @@ Regenerate, only for an intended change of the oracles, with
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 from conftest import random_instance
 from mdkmlp import exact_oracles
+from mdkmlp.instance import RoutePlan, evaluate_plan
 
 GOLDEN = Path(__file__).parent / "golden" / "oracles.json"
 FAMILIES = (
@@ -62,6 +67,21 @@ def record():
 
 def test_oracles_match_golden():
     assert record() == json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_witnesses_hold():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for label, inst in instances():
+        rec = golden[label]
+        plan = RoutePlan(tuple(map(tuple, rec["opt_routes"])), inst.default_variant)
+        assert evaluate_plan(inst, plan) == Fraction(rec["opt"]), label
+        for ell, (val, routes) in enumerate(rec["bns"], 1):
+            assert [route[0] for route in routes] == list(inst.roots), (label, ell)
+            assert len({v for route in routes for v in route}) >= ell, (label, ell)
+            longest = max(
+                sum(inst.dist(u, v) for u, v in zip(route, route[1:])) for route in routes
+            )
+            assert longest == Fraction(val), (label, ell)
 
 
 if __name__ == "__main__":
