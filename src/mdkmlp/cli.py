@@ -44,14 +44,15 @@ LP_BUILDERS = {
 
 # algorithm -> (bound, rounding). The bound is the LP, or the bottleneck-stroll
 # table, that the algorithm's guarantee is stated against (None: no bound).
-# The rounding is called as (instance, config, that bound solved).
+# The rounding is called as (instance, config, that bound solved); only the
+# two randomized roundings, multidepot and lp2-round, read the config.
 ALGORITHMS = {
     "multidepot": ("lp1", lambda i, c, b: latency_solvers.solve_multidepot(i, c, lp1sol=b)),
-    "kmlp-lp": ("lp3", lambda i, c, b: latency_solvers.solve_kmlp_lp(i, c, lp3sol=b)),
-    "kmlp-comb": (None, lambda i, c, b: latency_solvers.solve_kmlp_combinatorial(i, c)),
-    "mlp-lp": ("lp3", lambda i, c, b: latency_solvers.solve_mlp_lp(i, c, lp3sol=b)),
+    "kmlp-lp": ("lp3", lambda i, c, b: latency_solvers.solve_kmlp_lp(i, lp3sol=b)),
+    "kmlp-comb": (None, lambda i, c, b: latency_solvers.solve_kmlp_combinatorial(i)),
+    "mlp-lp": ("lp3", lambda i, c, b: latency_solvers.solve_mlp_lp(i, lp3sol=b)),
     "lp2-round": ("lp2", lambda i, c, b: latency_solvers.round_lp2(i, b, c)),
-    "bnslb-construct": ("bnslb", lambda i, c, b: latency_solvers.bnslb_construction(i, b, c)),
+    "bnslb-construct": ("bnslb", lambda i, c, b: latency_solvers.bnslb_construction(i, b)),
 }
 
 
@@ -107,12 +108,7 @@ def _run_algorithm(
 
 def cmd_solve(args) -> int:
     inst = _read_instance(args.input)
-    cfg = SolverConfig(
-        seed=args.seed,
-        growth=args.growth,
-        epsilon=args.epsilon,
-        derandomize_directions=not args.no_derandomize,
-    )
+    cfg = SolverConfig(seed=args.seed, growth=args.growth, epsilon=args.epsilon)
     plan, bounds = _run_algorithm(args.alg, inst, cfg)
     cost, per_node = evaluate_plan_detail(inst, plan)
     out = {
@@ -161,7 +157,7 @@ def cmd_oracle(args) -> int:
         out["paths"] = [list(p) for p in res.witness]
     elif what == "orienteering":
         if args.budget is None:
-            raise SolverError("--budget is required for orienteering")
+            raise ValueError("--budget is required for orienteering")
         rewards = {v: Fraction(1) for v in inst.nodes if v != root}
         res = exact_oracles.exact_orienteering(inst, root, args.budget, rewards)
         out["value"] = _frac_str(res.value)
@@ -213,9 +209,13 @@ def cmd_verify(args) -> int:
     recorded = sol.get("total_latency_exact")
     if recorded is not None:
         recorded = _recorded_cost(recorded)
-    plan = RoutePlan(
-        routes=routes, objective_variant=sol.get("objective_variant", "plain")
-    )
+    variant = sol.get("objective_variant", inst.default_variant)
+    if variant != inst.default_variant:
+        raise ValueError(
+            f"solution's objective_variant {variant!r} is not the instance's "
+            f"objective {inst.default_variant!r}"
+        )
+    plan = RoutePlan(routes=routes, objective_variant=variant)
     try:
         cost = evaluate_plan(inst, plan)
     except ValueError as exc:
@@ -411,7 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=_frac, default=Fraction(1, 100))
     p.add_argument("--growth", type=_frac, default=None)
-    p.add_argument("--no-derandomize", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 

@@ -4,14 +4,17 @@ The concatenation graph CG(C_1..C_n) has an arc (o, l) of length
 C_l * (n - (o + l)/2) for o < l; its shortest 1->n path is the device that
 stitches partial tours of increasing coverage into one latency-bounded
 route. The shortest path only needs nodes whose (index, cost) pair is an
-extreme point of the lower convex hull, which is what the weighted variant
-relies on as well.
+extreme point of the lower convex hull, so the path is computed from the
+lower envelope of the points (l, C_l): its corners are the graph's nodes.
+A sequence C_1..C_n is searched as ``shortest_concat_path(lower_envelope(
+enumerate(C, 1)))``; the stitching solvers pass the envelope of their
+(coverage, cost bound) points directly.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -75,13 +78,12 @@ def mu_star(tolerance) -> Fraction:
 MU = mu_star(Fraction(1, 10**9))
 
 
-def edge_length(C: Sequence, n: int, o: int, l: int) -> Fraction:
-    """Length of the concatenation-graph arc (o, l): C_l * (n - (o+l)/2)."""
+def edge_length(c_l, n: int, o: int, l: int) -> Fraction:
+    """Length of the concatenation-graph arc (o, l) into a node of cost
+    c_l = C_l: c_l * (n - (o+l)/2)."""
     if not (1 <= o < l <= n):
         raise ValueError(f"need 1 <= o < l <= n, got o={o}, l={l}, n={n}")
-    if len(C) < n:
-        raise ValueError("cost sequence shorter than n")
-    return Fraction(C[l - 1]) * (Fraction(n) - Fraction(o + l, 2))
+    return Fraction(c_l) * (Fraction(n) - Fraction(o + l, 2))
 
 
 def lower_envelope(points: Iterable[Tuple]) -> EnvelopeCurve:
@@ -134,41 +136,25 @@ def envelope_integral(curve: EnvelopeCurve, lo, hi) -> Fraction:
     return total
 
 
-def shortest_concat_path(
-    C: Sequence, corners: Optional[Iterable[int]] = None
-) -> ConcatPath:
-    """Exact shortest 1->n path in CG(C), DP over extreme-point indices.
+def shortest_concat_path(curve: EnvelopeCurve) -> ConcatPath:
+    """Exact shortest 1->n path in CG(C), DP over the corners of `curve`,
+    the lower envelope of the points (l, C_l); n is its last corner.
 
-    `corners` are the indices of the lower envelope's corners of the points
-    (l, C_l), for a caller that has that envelope already; without them the
-    envelope is built here. Ties are broken toward fewer hops, then
-    lexicographically smaller index sequences, for determinism.
+    The envelope must start at (1, 0), i.e. C_1 = 0. Ties are broken toward
+    fewer hops, then lexicographically smaller index sequences, for
+    determinism.
     """
-    n = len(C)
-    if n < 1:
-        raise ValueError("empty cost sequence")
-    if Fraction(C[0]) != 0:
-        raise ValueError("C_1 must be 0")
-    for c in C:
-        if Fraction(c) < 0:
-            raise ValueError("negative cost in sequence")
-    if n == 1:
-        return ConcatPath(node_indices=(1,), length=Fraction(0))
-    if corners is None:
-        env = lower_envelope((i + 1, C[i]) for i in range(n))
-        corners = (int(x) for x, _ in env.corners)
-    corner_idx = sorted(set(corners) | {1, n})
+    (first, c_1), (last, _) = curve.corners[0], curve.corners[-1]
+    if first != 1 or c_1 != 0:
+        raise ValueError("the envelope must start at (1, 0): C_1 must be 0")
+    n = int(last)
     # best[l] = (length, hops, path) with the stated tie-breaking
     best = {1: (Fraction(0), 0, (1,))}
-    for l in corner_idx[1:]:
-        cand = None
-        for o in corner_idx:
-            if o >= l or o not in best:
-                continue
-            plen, hops, path = best[o]
-            entry = (plen + edge_length(C, n, o, l), hops + 1, path + (l,))
-            if cand is None or entry < cand:
-                cand = entry
-        best[l] = cand
+    for x, c_l in curve.corners[1:]:
+        l = int(x)
+        best[l] = min(
+            (plen + edge_length(c_l, n, o, l), hops + 1, path + (l,))
+            for o, (plen, hops, path) in best.items()
+        )
     length, _, path = best[n]
     return ConcatPath(node_indices=path, length=length)

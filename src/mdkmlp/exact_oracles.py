@@ -84,45 +84,31 @@ def exact_kmlp(inst: MetricInstance) -> OracleResult:
     return OracleResult(Fraction(best[full]), plan)
 
 
-def _bottleneck_by_size(inst: MetricInstance):
-    """min bottleneck btl over client sets of each size, with witnesses."""
-    table = bottleneck_cover_table(inst, inst.dist)
-    best: Dict[int, Tuple[int, Tuple]] = {}
-    for U, (val, routes) in table.items():
-        sz = len(U)
-        if sz not in best or val < best[sz][0]:
-            best[sz] = (val, routes)
-    return best
-
-
 def exact_bottleneck_stroll(inst: MetricInstance, ell: int) -> OracleResult:
-    """b*_ell: min over k path tuples covering >= ell nodes of the max cost.
+    """b*_ell: min over k path tuples covering >= ell nodes of the max cost,
+    with its witness: entry ell of :func:`bnslb`'s table."""
+    if not 1 <= ell <= inst.n:
+        raise ValueError(f"ell={ell} out of range 1..{inst.n}")
+    table = bnslb(inst)
+    return OracleResult(table.values[ell - 1], table.witnesses[ell - 1])
+
+
+def bnslb(inst: MetricInstance) -> BnsTable:
+    """The full bottleneck-stroll table and its additive lower bound.
 
     Roots are covered for free by trivial paths, and under the triangle
     inequality an optimal path never detours through a foreign root, so
     only the number of distinct clients covered matters beyond the roots.
+    Where client-set sizes tie at the least bottleneck, entry l keeps the
+    witness of the largest size.
     """
-    if not 1 <= ell <= inst.n:
-        raise ValueError(f"ell={ell} out of range 1..{inst.n}")
     _guard_clients(inst)
-    free = len(inst.root_set)
-    if ell <= free:
-        return OracleResult(Fraction(0), tuple((r,) for r in inst.roots))
-    best = _bottleneck_by_size(inst)
-    need = ell - free
-    val, routes = None, None
-    for sz, (v, rt) in best.items():
-        if sz >= need and (val is None or v < val):
-            val, routes = v, rt
-    if val is None:
-        raise ValueError(f"cannot cover {ell} nodes")
-    return OracleResult(Fraction(val), routes)
-
-
-def bnslb(inst: MetricInstance) -> BnsTable:
-    """The full bottleneck-stroll table and its additive lower bound."""
-    _guard_clients(inst)
-    best = _bottleneck_by_size(inst)
+    # the least bottleneck over client sets of each size, with its witness
+    best: Dict[int, Tuple[int, Tuple]] = {}
+    for U, (val, routes) in bottleneck_cover_table(inst, inst.dist).items():
+        sz = len(U)
+        if sz not in best or val < best[sz][0]:
+            best[sz] = (val, routes)
     free = len(inst.root_set)
     trivial = tuple((r,) for r in inst.roots)
     values: List[Fraction] = []

@@ -411,6 +411,5 @@ def time_horizon(inst: MetricInstance) -> TimeHorizon:
             route.append(nxt)
             pos = nxt
         routes.append(tuple(route))
-    variant = "service" if inst.has_service else "plain"
-    plan = RoutePlan(routes=tuple(routes), objective_variant=variant)
+    plan = RoutePlan(routes=tuple(routes), objective_variant=inst.default_variant)
     return TimeHorizon(T=max_latency, certifying_plan=plan)

@@ -7,11 +7,19 @@ joint columns, and the bottleneck-stroll-table construction.
 Shared machinery: tours are node cycles through a depot; per-vehicle tours
 are concatenated into routes; the clockwise/counterclockwise choice per
 cycle contributes additively and independently to the latency accounting,
-so taking the cheaper direction per cycle ("derandomized") is at most the
-expectation the randomized analyses bound. Tour-splitting keeps each
+so every solver takes the cheaper direction per cycle, which is at most
+the average of the two that the analyses bound. Tour-splitting keeps each
 segment's internal length within 2c(tree)/k by a greedy cut, and the
 service-time variant uses the two-case snipping loop that controls mixed
 length instead.
+
+The four single-depot roundings (``solve_kmlp_combinatorial``,
+``solve_kmlp_lp``, ``solve_mlp_lp``, ``bnslb_construction``) are
+deterministic functions of the instance and their bound: each stitches
+witnesses along the shortest concatenation path over the lower envelope's
+corners, and meets its guarantee on every run. Only the configuration-LP
+roundings (``solve_multidepot``, ``round_lp2``) draw at random, and only
+they read a :class:`SolverConfig`.
 
 Metric sums are ints: the orientation of a configuration-LP tour sums the
 LP metric, which is doubled on service instances (doubling both
@@ -45,7 +53,9 @@ class SolverError(Exception):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by the randomized solvers.
+    """Knobs of the two randomized configuration-LP roundings,
+    ``solve_multidepot`` and ``round_lp2``: the seed of their draws, the
+    geometric growth rate and the truncation slack epsilon.
 
     growth=None means "algorithm default": 1.616 for the multi-depot
     rounding, and the mu* constant for the joint-configuration rounding
@@ -55,7 +65,6 @@ class SolverConfig:
     seed: int = 0
     growth: Optional[Fraction] = None
     epsilon: Fraction = Fraction(1, 100)
-    derandomize_directions: bool = True
 
     def __post_init__(self):
         if self.growth is not None:
@@ -91,26 +100,17 @@ def _preorder(tree: RootedTree, node_pos: Dict) -> List:
 
 
 def _orient_tour(
-    interior: Sequence,
-    root,
-    new_nodes: Set,
-    metric: Callable,
-    weight: Callable,
-    rng: random.Random,
-    derandomize: bool,
+    interior: Sequence, root, new_nodes: Set, metric: Callable, weight: Callable
 ) -> Tuple:
-    """Pick a traversal direction for the cycle root -> interior -> root.
-
-    Derandomized: the direction whose weighted distance-along-cycle sum
-    over the newly covered nodes is smaller (at most the 50/50 average the
-    analyses use). Randomized: a fair coin.
+    """Pick a traversal direction for the cycle root -> interior -> root:
+    the one whose weighted distance-along-cycle sum over the newly covered
+    nodes is smaller (at most the 50/50 average the analyses use); a tie
+    keeps the given direction.
     """
     fwd = tuple(interior)
     rev = tuple(reversed(interior))
     if len(fwd) <= 1:
         return fwd
-    if not derandomize:
-        return fwd if rng.random() < 0.5 else rev
 
     def acct(seq) -> int:
         total = 0
@@ -126,24 +126,20 @@ def _orient_tour(
     return fwd if acct(fwd) <= acct(rev) else rev
 
 
-def _finalize_plan(
-    inst: MetricInstance, tours: List[List[Tuple]], variant: str
-) -> RoutePlan:
+def _finalize_plan(inst: MetricInstance, tours: List[List[Tuple]]) -> RoutePlan:
     routes = []
     for i, r in enumerate(inst.roots):
         route: List = [r]
         for tour in tours[i]:
             route.extend(tour)
         routes.append(tuple(route))
-    return RoutePlan(routes=tuple(routes), objective_variant=variant)
+    return RoutePlan(routes=tuple(routes), objective_variant=inst.default_variant)
 
 
 def _orient_into(
     inst: MetricInstance,
     draws: Iterable[Tuple[int, Sequence]],
     metric: Callable,
-    rng: random.Random,
-    derandomize: bool,
     covered: Set,
 ) -> List[List[Tuple]]:
     """Per-vehicle tour lists from (slot, order) draws taken in turn: each
@@ -155,9 +151,7 @@ def _orient_into(
         if not order:
             continue
         new = set(order) - covered
-        tours[slot].append(_orient_tour(
-            order, inst.roots[slot], new, metric, inst.weight, rng, derandomize
-        ))
+        tours[slot].append(_orient_tour(order, inst.roots[slot], new, metric, inst.weight))
         covered.update(order)
     return tours
 
@@ -301,50 +295,38 @@ def _as_cycle(root, seg: Sequence) -> Tuple:
 # envelope / concatenation-graph core shared by the stitching algorithms
 
 
-def _s_values(
-    points: List[Tuple[int, Fraction, object]], n: int
-) -> Tuple[Tuple[Fraction, ...], Tuple[int, ...]]:
-    """s_1..s_n, the lower envelope of the (coverage, cost-bound) points,
-    and the coverages at the envelope's corners."""
-    env = concat_graph.lower_envelope([(cov, y) for cov, y, _ in points])
-    corners = tuple(int(x) for x, _ in env.corners)
-    return tuple(env.value(ell) for ell in range(1, n + 1)), corners
-
-
 def _stitch_by_concat_graph(
     inst: MetricInstance,
     points: List[Tuple[int, Fraction, object]],
     cycles_for: Callable[[object, int], List[Tuple]],
-    rng: random.Random,
-    derandomize: bool,
 ) -> List[List[Tuple]]:
     """Envelope -> concatenation-graph shortest path -> stitched tours.
 
     `points` holds (coverage, cost-bound, witness); `cycles_for(witness,
     coverage)` turns a witness into k cycles each of length at most the
-    point's cost bound. Returns the per-vehicle tour lists.
+    point's cost bound. The path runs over the corners of the points' lower
+    envelope, and each corner's witness is the first point at that corner's
+    coverage and cost bound. Returns the per-vehicle tour lists.
     """
-    witness_by_point: Dict[Tuple[Fraction, Fraction], object] = {}
+    env = concat_graph.lower_envelope((cov, y) for cov, y, _ in points)
+    if env.domain[1] < inst.n:
+        raise SolverError(
+            f"no stitching point covers all {inst.n} nodes (at most {env.domain[1]})"
+        )
+    corner_cost = dict(env.corners)
+    witness: Dict[int, object] = {}
     for cov, y, wit in points:
-        key = (Fraction(cov), Fraction(y))
-        witness_by_point.setdefault(key, wit)
-    s_values, corners = _s_values(points, inst.n)
-    path = concat_graph.shortest_concat_path(s_values, corners)
+        if cov not in witness and corner_cost.get(cov) == y:
+            witness[cov] = wit
+    path = concat_graph.shortest_concat_path(env)
 
     def draws():
-        for ell in path.node_indices:
-            if ell == 1:
-                continue
-            key = (Fraction(ell), s_values[ell - 1])
-            if key not in witness_by_point:
-                raise SolverError(
-                    f"no witness for concatenation-path corner {key}"
-                )
-            for slot, cyc in enumerate(cycles_for(witness_by_point[key], ell)):
+        for ell in path.node_indices[1:]:
+            for slot, cyc in enumerate(cycles_for(witness[ell], ell)):
                 yield slot, cyc[1:]
 
     covered: Set = set(inst.root_set)
-    tours = _orient_into(inst, draws(), inst.dist, rng, derandomize, covered)
+    tours = _orient_into(inst, draws(), inst.dist, covered)
     missing = [v for v in inst.clients if v not in covered]
     if missing:
         raise SolverError(f"stitched solution left nodes uncovered: {missing!r}")
@@ -405,18 +387,14 @@ def check_lp3_rounding(inst: MetricInstance, what: str) -> None:
 
 
 def _solve_lp3_rounding(
-    inst: MetricInstance,
-    cfg: SolverConfig,
-    split: bool,
-    lp3sol: Optional[lp_toolkit.LpSolution],
+    inst: MetricInstance, split: bool, lp3sol: Optional[lp_toolkit.LpSolution]
 ) -> RoutePlan:
     what = "kmlp-lp" if split else "mlp-lp"
     check_lp3_rounding(inst, what)
     root = inst.roots[0]
     k = inst.k
-    rng = random.Random(cfg.seed)
     if not inst.clients:
-        return _finalize_plan(inst, [[] for _ in range(k)], "plain")
+        return _finalize_plan(inst, [[] for _ in range(k)])
     if lp3sol is not None:
         if lp3sol.which != "LP3":
             raise SolverError(f"{what} needs a bidirected LP solution")
@@ -452,30 +430,23 @@ def _solve_lp3_rounding(
         tree = RootedTree(root=root, arcs=frozenset(member), cost=cost)
         return split_tree_into_k_tours(inst, tree, k, tree.nodes & S_t)
 
-    tours = _stitch_by_concat_graph(
-        inst, points, cycles_for, rng, cfg.derandomize_directions
-    )
-    return _finalize_plan(inst, tours, "plain")
+    return _finalize_plan(inst, _stitch_by_concat_graph(inst, points, cycles_for))
 
 
 def solve_kmlp_lp(
-    inst: MetricInstance,
-    cfg: Optional[SolverConfig] = None,
-    lp3sol: Optional[lp_toolkit.LpSolution] = None,
+    inst: MetricInstance, lp3sol: Optional[lp_toolkit.LpSolution] = None
 ) -> RoutePlan:
     """Single-depot rounding of the bidirected LP with k-way tree splits;
-    total latency at most 2*mu* times the LP optimum (derandomized).
+    total latency at most 2*mu* times the LP optimum on every run.
     `lp3sol` lets callers that already solved the LP reuse it."""
-    return _solve_lp3_rounding(inst, cfg or SolverConfig(), True, lp3sol)
+    return _solve_lp3_rounding(inst, True, lp3sol)
 
 
 def solve_mlp_lp(
-    inst: MetricInstance,
-    cfg: Optional[SolverConfig] = None,
-    lp3sol: Optional[lp_toolkit.LpSolution] = None,
+    inst: MetricInstance, lp3sol: Optional[lp_toolkit.LpSolution] = None
 ) -> RoutePlan:
     """Single-vehicle specialization: no splitting, factor mu*."""
-    return _solve_lp3_rounding(inst, cfg or SolverConfig(), False, lp3sol)
+    return _solve_lp3_rounding(inst, False, lp3sol)
 
 
 # ---------------------------------------------------------------------------
@@ -514,28 +485,22 @@ def _combinatorial_points(inst: MetricInstance) -> List[Tuple[int, Fraction, obj
     return points
 
 
-def solve_kmlp_combinatorial(
-    inst: MetricInstance, cfg: Optional[SolverConfig] = None
-) -> RoutePlan:
+def solve_kmlp_combinatorial(inst: MetricInstance) -> RoutePlan:
     """Single-depot algorithm driven by partial-cover trees on distance
     prefixes; total latency at most 2*mu* times the bottleneck-stroll
-    lower bound (derandomized)."""
-    cfg = cfg or SolverConfig()
+    lower bound on every run."""
     _require_single_depot(inst, "kmlp-comb")
     _require_plain(inst, "kmlp-comb")
     k = inst.k
-    rng = random.Random(cfg.seed)
     if not inst.clients:
-        return _finalize_plan(inst, [[] for _ in range(k)], "plain")
+        return _finalize_plan(inst, [[] for _ in range(k)])
 
     def cycles_for(tree: RootedTree, ell) -> List[Tuple]:
         return split_tree_into_k_tours(inst, tree, k)
 
-    tours = _stitch_by_concat_graph(
-        inst, _combinatorial_points(inst), cycles_for, rng,
-        cfg.derandomize_directions,
+    return _finalize_plan(
+        inst, _stitch_by_concat_graph(inst, _combinatorial_points(inst), cycles_for)
     )
-    return _finalize_plan(inst, tours, "plain")
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +565,9 @@ def _geometric_rounding(
                 return
 
     metric, _ = lp_toolkit._lp_metric(inst)
-    tours = _orient_into(
-        inst, draws(), metric, rng, cfg.derandomize_directions, covered
-    )
+    tours = _orient_into(inst, draws(), metric, covered)
     _append_leftovers(inst, tours, covered)
-    return _finalize_plan(inst, tours, inst.default_variant)
+    return _finalize_plan(inst, tours)
 
 
 def solve_multidepot(
@@ -623,7 +586,7 @@ def solve_multidepot(
     cfg = cfg or SolverConfig()
     rng = random.Random(cfg.seed)
     if not inst.clients:
-        return _finalize_plan(inst, [[] for _ in range(inst.k)], inst.default_variant)
+        return _finalize_plan(inst, [[] for _ in range(inst.k)])
     if lp1sol is not None:
         if lp1sol.which != "LP1":
             raise SolverError("solve_multidepot needs a per-vehicle LP solution")
@@ -662,7 +625,7 @@ def round_lp2(
     _require_plain(inst, "lp2-round")
     rng = random.Random(cfg.seed)
     if not inst.clients:
-        return _finalize_plan(inst, [[] for _ in range(inst.k)], inst.default_variant)
+        return _finalize_plan(inst, [[] for _ in range(inst.k)])
     T = lp2sol.T
     tables = lp2sol.meta["draws"]  # per time: the witness tuples, path i at slot i
 
@@ -680,26 +643,19 @@ def round_lp2(
 # construction from the bottleneck-stroll table
 
 
-def bnslb_construction(
-    inst: MetricInstance, table: BnsTable, cfg: Optional[SolverConfig] = None
-) -> RoutePlan:
+def bnslb_construction(inst: MetricInstance, table: BnsTable) -> RoutePlan:
     """Stitch doubled bottleneck-stroll witness paths along the shortest
     concatenation path over twice the table values; total latency at most
-    mu* times the table sum (derandomized)."""
-    cfg = cfg or SolverConfig()
+    mu* times the table sum on every run."""
     _require_plain(inst, "bnslb-construct")
     if len(table.values) != inst.n:
         raise SolverError("table size does not match the instance")
     if not table.witnesses:
         raise SolverError("table has no witnesses")
-    rng = random.Random(cfg.seed)
     if not inst.clients:
-        return _finalize_plan(inst, [[] for _ in range(inst.k)], "plain")
+        return _finalize_plan(inst, [[] for _ in range(inst.k)])
     points = [
         (ell, 2 * Fraction(b), routes)
         for ell, (b, routes) in enumerate(zip(table.values, table.witnesses), 1)
     ]
-    tours = _stitch_by_concat_graph(
-        inst, points, lambda wit, ell: wit, rng, cfg.derandomize_directions
-    )
-    return _finalize_plan(inst, tours, "plain")
+    return _finalize_plan(inst, _stitch_by_concat_graph(inst, points, lambda wit, ell: wit))

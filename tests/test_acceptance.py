@@ -10,16 +10,15 @@ from fractions import Fraction
 
 from conftest import random_instance
 from test_arb_packing import random_digraph
-from test_concat_graph import _full_dp
+from test_concat_graph import _full_dp, concat_path
 
 from mdkmlp import exact_oracles
 from mdkmlp.arb_packing import connectivity, pack_arborescences, verify_packing
-from mdkmlp.concat_graph import lower_envelope, mu_star, shortest_concat_path
+from mdkmlp.concat_graph import lower_envelope, mu_star
 from mdkmlp.instance import MetricInstance, evaluate_plan, time_horizon
 from mdkmlp.latency_solvers import (
     SolverConfig,
     _combinatorial_points,
-    _s_values,
     bnslb_construction,
     break_cycle_with_service,
     round_lp2,
@@ -135,7 +134,7 @@ def test_criterion_4_concatenation_graph():
     for _ in range(1000):
         n = rng.randint(1, 20)
         C = (0,) + tuple(F(rng.randint(0, 100)) for _ in range(n - 1))
-        got = shortest_concat_path(C)
+        got = concat_path(C)
         assert got.length == _full_dp(C)
         assert got.length <= MU / 2 * sum(C) + F(1, 10**6)
         checked += 1
@@ -208,9 +207,9 @@ def test_criterion_6_single_depot_per_run_bounds():
         plan = solve_kmlp_combinatorial(inst)
         assert evaluate_plan(inst, plan) <= 2 * MU * table.bnslb * REL_TOL
         # the s-values the solver stitches along
-        s_values, _ = _s_values(_combinatorial_points(inst), inst.n)
-        for ell, s in enumerate(s_values, start=1):
-            assert s <= 4 * table.values[ell - 1]
+        env = lower_envelope((cov, y) for cov, y, _ in _combinatorial_points(inst))
+        for ell in range(1, inst.n + 1):
+            assert env.value(ell) <= 4 * table.values[ell - 1]
 
         sol3 = build_and_solve_lp3(inst, time_horizon(inst).T)
         lp3 = sol3.objective_value

@@ -121,6 +121,23 @@ class TestSolve:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
+    @pytest.mark.parametrize("alg", ["kmlp-comb", "kmlp-lp", "mlp-lp", "bnslb-construct"])
+    def test_per_run_roundings_ignore_the_seed(self, capsys, fixa_path, alg):
+        plans = []
+        for seed in ("0", "7"):
+            code, out, _ = run(
+                capsys, "solve", "--alg", alg, "--input", fixa_path, "--seed", seed
+            )
+            assert code == 0
+            plans.append(json.loads(out)["routes"])
+        assert plans[0] == plans[1]
+
+    def test_no_derandomize_flag_exits_2(self, capsys, fixa_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--alg", "kmlp-comb", "--input", fixa_path, "--no-derandomize"])
+        assert exc.value.code == 2
+        assert "--no-derandomize" in capsys.readouterr().err
+
     def test_missing_input_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "solve", "--alg", "kmlp-comb", "--input",
@@ -171,8 +188,7 @@ class TestOracle:
         code, _, err = run(
             capsys, "oracle", "--what", "orienteering", "--input", fixa_path
         )
-        assert code == 3
-        assert "budget" in err
+        assert (code, err) == (2, "error: --budget is required for orienteering\n")
 
     @pytest.fixture
     def int_path(self, tmp_path):
@@ -360,6 +376,40 @@ class TestVerify:
         )
         assert code == 1
         assert "mismatch" in err
+
+
+class TestVerifyObjective:
+    # weighted clients: the plan's latencies 1 and 2 cost 5*1 + 5*2 = 15
+    WEIGHTED_JSON = (
+        '{"nodes":["r","a","b"],"roots":["r"],"costs":[[0,1,2],[1,0,1],[2,1,0]],'
+        '"weights":{"a":5,"b":5}}'
+    )
+
+    def verify(self, capsys, tmp_path, solution):
+        inst = tmp_path / "weighted.json"
+        inst.write_text(self.WEIGHTED_JSON)
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps(solution))
+        return run(
+            capsys, "verify", "--input", str(inst), "--solution", str(sol),
+            "--against", "opt",
+        )
+
+    def test_scored_by_the_instance_objective(self, capsys, tmp_path):
+        code, out, _ = self.verify(capsys, tmp_path, {"routes": [["r", "a", "b"]]})
+        assert code == 0
+        report = json.loads(out)
+        assert (report["cost"], report["denominator"], report["ratio"]) == ("15", "15", 1.0)
+
+    def test_other_objective_exits_2(self, capsys, tmp_path):
+        code, out, err = self.verify(
+            capsys, tmp_path, {"routes": [["r", "a", "b"]], "objective_variant": "plain"}
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: solution's objective_variant 'plain' is not the instance's "
+            "objective 'weighted'\n"
+        )
 
 
 class TestBench:

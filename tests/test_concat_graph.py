@@ -31,16 +31,21 @@ class TestMuStar:
         assert abs(m * math.log(m) - m - 1) <= 0.5
 
 
+def concat_path(C):
+    """The shortest 1->n path in CG(C_1..C_n)."""
+    return shortest_concat_path(lower_envelope(enumerate(C, start=1)))
+
+
 class TestEdgeLength:
     def test_examples(self):
-        C = (0, 2, 6)
-        assert edge_length(C, 3, 1, 2) == 3
-        assert edge_length(C, 3, 1, 3) == 6
-        assert edge_length(C, 3, 2, 3) == 3
+        # C = (0, 2, 6)
+        assert edge_length(2, 3, 1, 2) == 3
+        assert edge_length(6, 3, 1, 3) == 6
+        assert edge_length(6, 3, 2, 3) == 3
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            edge_length((0, 2, 6), 3, 2, 2)
+            edge_length(2, 3, 2, 2)
 
 
 class TestLowerEnvelope:
@@ -78,23 +83,23 @@ class TestEnvelopeIntegral:
 
 class TestShortestConcatPath:
     def test_tie_prefers_fewer_hops(self):
-        got = shortest_concat_path((0, 2, 6))
+        got = concat_path((0, 2, 6))
         assert got.length == 6
         assert got.node_indices == (1, 3)
 
     def test_all_zero(self):
-        got = shortest_concat_path((0,) * 7)
+        got = concat_path((0,) * 7)
         assert got.length == 0
         assert got.node_indices == (1, 7)
 
     def test_degenerate(self):
-        got = shortest_concat_path((0,))
+        got = concat_path((0,))
         assert got.length == 0
         assert got.node_indices == (1,)
 
     def test_nonzero_first_entry_rejected(self):
         with pytest.raises(ValueError):
-            shortest_concat_path((1, 2))
+            concat_path((1, 2))
 
 
 def _full_dp(C):
@@ -106,7 +111,7 @@ def _full_dp(C):
         for o in range(1, ell):
             if best[o] is None:
                 continue
-            cand = best[o] + edge_length(C, n, o, ell)
+            cand = best[o] + edge_length(C[ell - 1], n, o, ell)
             if best[ell] is None or cand < best[ell]:
                 best[ell] = cand
     return best[n]
@@ -121,7 +126,7 @@ class TestProperties:
             C = (0,) + tuple(
                 Fraction(rng.randint(0, 100)) for _ in range(n - 1)
             )
-            got = shortest_concat_path(C)
+            got = concat_path(C)
             assert got.length == _full_dp(C)
             assert got.length <= mu / 2 * sum(C) + Fraction(1, 10**6)
             env = lower_envelope(list(enumerate(C, start=1)))
@@ -140,7 +145,7 @@ class TestProperties:
                 Fraction(rng.randint(0, 50)) for _ in range(n - 1)
             )
             lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-            base = shortest_concat_path(C)
-            scaled = shortest_concat_path(tuple(lam * c for c in C))
+            base = concat_path(C)
+            scaled = concat_path(tuple(lam * c for c in C))
             assert scaled.length == lam * base.length
             assert scaled.node_indices == base.node_indices

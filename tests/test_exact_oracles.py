@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,6 +18,32 @@ from mdkmlp.instance import MetricInstance, evaluate_plan
 from mdkmlp.pc_tree import pc_tree
 
 F = Fraction
+
+
+def brute_bottleneck_strolls(inst):
+    """b*_1..b*_n by enumeration: over every k-tuple of simple paths, path i
+    from roots[i] through any nodes, the least longest path of a tuple that
+    covers at least l nodes. Each root keeps its cheapest path per node set."""
+    per_root = []
+    for r in inst.roots:
+        others = [v for v in inst.nodes if v != r]
+        cheapest = {}
+        for m in range(len(others) + 1):
+            for tail in itertools.permutations(others, m):
+                path = (r,) + tail
+                cost = sum(inst.dist(u, v) for u, v in zip(path, path[1:]))
+                key = frozenset(path)
+                if key not in cheapest or cost < cheapest[key]:
+                    cheapest[key] = cost
+        per_root.append(list(cheapest.items()))
+    best = [None] * (inst.n + 1)
+    for combo in itertools.product(*per_root):
+        cover = len(frozenset().union(*(nodes for nodes, _ in combo)))
+        cost = max(c for _, c in combo)
+        for ell in range(1, cover + 1):
+            if best[ell] is None or cost < best[ell]:
+                best[ell] = cost
+    return best[1:]
 
 
 class TestExactKmlp:
@@ -90,12 +117,15 @@ class TestBottleneckStroll:
             opt = exact_kmlp(
                 MetricInstance(nodes=inst.nodes, roots=inst.roots, cost=inst.cost)
             ).value
-            # nondecreasing, matches the per-ell oracle, and lower-bounds OPT
+            brute = brute_bottleneck_strolls(inst)
+            # nondecreasing, matches the enumeration, and lower-bounds OPT
             prev = F(0)
             for ell in range(1, inst.n + 1):
                 b = table.values[ell - 1]
                 assert b >= prev
-                assert b == exact_bottleneck_stroll(inst, ell).value
+                assert b == brute[ell - 1]
+                stroll = exact_bottleneck_stroll(inst, ell)
+                assert (stroll.value, stroll.witness) == (b, table.witnesses[ell - 1])
                 routes = table.witnesses[ell - 1]
                 covered = set().union(*(set(rt) for rt in routes)) | inst.root_set
                 assert len(covered) >= ell

@@ -181,6 +181,14 @@ class TestTimeHorizon:
         assert th.T == 0
         assert th.certifying_plan.routes == (("r",),)
 
+    def test_certificate_has_the_instance_objective(self):
+        inst = MetricInstance(
+            nodes=("r", "a"), roots=("r",), cost=((0, 1), (1, 0)), weights={"a": 3}
+        )
+        th = time_horizon(inst)
+        assert th.certifying_plan.objective_variant == "weighted"
+        assert evaluate_plan(inst, th.certifying_plan) == 3
+
     def test_certificate_bounds_every_latency(self):
         rng = random.Random(7)
         for _ in range(25):
