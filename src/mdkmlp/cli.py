@@ -14,10 +14,9 @@ import os
 import random
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import exact_oracles, latency_solvers, lp_toolkit
-from .concat_graph import MU
 from .exact_oracles import OracleGuardError
 from .instance import (
     MetricInstance,
@@ -29,31 +28,13 @@ from .instance import (
     parse_instance,
     time_horizon,
 )
-from .latency_solvers import SolverConfig, SolverError
+from .latency_solvers import ALGORITHMS, SolverConfig, SolverError
 
 log = logging.getLogger("mdkmlp.cli")
 
-# LP name -> builder, called with (instance, horizon T). Each entry looks the
-# builder up when called, so a rebinding of the module attribute (a test's
-# monkeypatch, a profiler's wrapper) is seen here too.
-LP_BUILDERS = {
-    "lp1": lambda inst, T: lp_toolkit.build_and_solve_lp1(inst, T),
-    "lp2": lambda inst, T: lp_toolkit.build_and_solve_lp2(inst, T),
-    "lp3": lambda inst, T: lp_toolkit.build_and_solve_lp3(inst, T),
-}
-
-# algorithm -> (bound, rounding). The bound is the LP, or the bottleneck-stroll
-# table, that the algorithm's guarantee is stated against (None: no bound).
-# The rounding is called as (instance, config, that bound solved); only the
-# two randomized roundings, multidepot and lp2-round, read the config.
-ALGORITHMS = {
-    "multidepot": ("lp1", lambda i, c, b: latency_solvers.solve_multidepot(i, c, lp1sol=b)),
-    "kmlp-lp": ("lp3", lambda i, c, b: latency_solvers.solve_kmlp_lp(i, lp3sol=b)),
-    "kmlp-comb": (None, lambda i, c, b: latency_solvers.solve_kmlp_combinatorial(i)),
-    "mlp-lp": ("lp3", lambda i, c, b: latency_solvers.solve_mlp_lp(i, lp3sol=b)),
-    "lp2-round": ("lp2", lambda i, c, b: latency_solvers.round_lp2(i, b, c)),
-    "bnslb-construct": ("bnslb", lambda i, c, b: latency_solvers.bnslb_construction(i, b)),
-}
+# the time-indexed LPs, each solved by lp_toolkit.build_and_solve_<name>
+LPS = ("lp1", "lp2", "lp3")
+BOUNDS = ("opt", "bnslb") + LPS
 
 
 def _frac(s: str) -> Fraction:
@@ -76,44 +57,53 @@ def _dump_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def _solve_lp(inst: MetricInstance, which: str) -> lp_toolkit.LpSolution:
-    return LP_BUILDERS[which](inst, time_horizon(inst).T)
+def _bound(inst: MetricInstance, name: str, T: Optional[int] = None) -> Tuple:
+    """(solution, value) of the bound `name` of `inst`: the exact optimum,
+    the bottleneck-stroll table, or an LP at horizon T (default: the
+    instance's). The LP builder is looked up when called, so a rebinding of
+    the module attribute (a test's monkeypatch, a profiler's wrapper) is
+    seen here too."""
+    if name == "opt":
+        res = exact_oracles.exact_kmlp(inst)
+        return res, res.value
+    if name == "bnslb":
+        table = exact_oracles.bnslb(inst)
+        return table, table.bnslb
+    if T is None:
+        T = time_horizon(inst).T
+    sol = getattr(lp_toolkit, f"build_and_solve_{name}")(inst, T)
+    return sol, sol.objective_value
 
 
 def _run_algorithm(
     alg: str,
     inst: MetricInstance,
     cfg: SolverConfig,
-    solved: Optional[Dict[str, object]] = None,
+    solved: Optional[Dict[str, Tuple]] = None,
 ):
     """Returns (plan, bounds): the value of the bound the rounding consumed.
 
-    The bound is solved here, once, and handed to the rounding, so the value
-    reported is the one rounded. `solved` maps "lp1"/"lp2"/"lp3" to LPs
-    already solved for `inst` at its horizon, and "bnslb" to its
-    bottleneck-stroll table, which are used instead."""
-    bound, rounding = ALGORITHMS[alg]
-    if bound == "lp3":  # fail before building LP3 where its roundings do not apply
-        latency_solvers.check_lp3_rounding(inst, alg)
-    if bound is None:
-        return rounding(inst, cfg, None), {}
-    sol = (solved or {}).get(bound)
-    if bound == "bnslb":
-        table = sol if sol is not None else exact_oracles.bnslb(inst)
-        return rounding(inst, cfg, table), {bound: float(table.bnslb)}
-    if sol is None:
-        sol = _solve_lp(inst, bound)
-    return rounding(inst, cfg, sol), {bound: float(sol.objective_value)}
+    A refused instance fails before any bound is solved. The bound is
+    solved here, once, and handed to the rounding, so the value reported is
+    the one rounded; `solved` maps bound names to `_bound` results to use
+    instead. Past the exact-oracle guard no bound is reported and the
+    rounding gets None: it solves its own, which raises the guard again, or
+    reads none."""
+    latency_solvers.require(inst, alg)
+    rec = ALGORITHMS[alg]
+    try:
+        sol, value = (solved or {}).get(rec.bound) or _bound(inst, rec.bound)
+    except OracleGuardError:
+        return rec.rounding(inst, cfg, None), {}
+    return rec.rounding(inst, cfg, sol), {rec.bound: float(value)}
 
 
 def cmd_solve(args) -> int:
     inst = _read_instance(args.input)
-    cfg = SolverConfig(seed=args.seed, growth=args.growth, epsilon=args.epsilon)
-    plan, bounds = _run_algorithm(args.alg, inst, cfg)
+    plan, bounds = _run_algorithm(args.alg, inst, SolverConfig(seed=args.seed))
     cost, per_node = evaluate_plan_detail(inst, plan)
     out = {
         "algorithm": args.alg,
-        "seed": args.seed,
         "routes": [list(r) for r in plan.routes],
         "objective_variant": plan.objective_variant,
         "total_latency": float(cost),
@@ -121,6 +111,8 @@ def cmd_solve(args) -> int:
         "per_node_latency": {str(v): float(l) for v, l in per_node.items()},
         "bounds": bounds,
     }
+    if ALGORITHMS[args.alg].factor is None:  # only a randomized rounding reads it
+        out["seed"] = args.seed
     text = _dump_json(out)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -137,19 +129,16 @@ def cmd_oracle(args) -> int:
     if args.root is not None:
         root = node_of_key(inst.nodes, args.root, "--root")
     out: Dict = {"what": what}
-    if what == "opt":
-        res = exact_oracles.exact_kmlp(inst)
-        out["value"] = _frac_str(res.value)
-        out["routes"] = [list(r) for r in res.witness.routes]
-    elif what == "bnslb":
-        table = exact_oracles.bnslb(inst)
-        out["value"] = _frac_str(table.bnslb)
-        out["table"] = [_frac_str(b) for b in table.values]
-    elif what in LP_BUILDERS:
-        sol = _solve_lp(inst, what)
-        out["value"] = _frac_str(sol.objective_value)
-        out["T"] = sol.T
-        out["nonzeros"] = len(sol.values)
+    if what in BOUNDS:
+        sol, value = _bound(inst, what)
+        out["value"] = _frac_str(value)
+        if what == "opt":
+            out["routes"] = [list(r) for r in sol.witness.routes]
+        elif what == "bnslb":
+            out["table"] = [_frac_str(b) for b in sol.values]
+        else:
+            out["T"] = sol.T
+            out["nonzeros"] = len(sol.values)
     elif what == "pc-paths":
         pen = {v: args.penalty for v in inst.nodes if v != root}
         res = exact_oracles.exact_pc_paths(inst, root, pen)
@@ -162,28 +151,11 @@ def cmd_oracle(args) -> int:
         res = exact_oracles.exact_orienteering(inst, root, args.budget, rewards)
         out["value"] = _frac_str(res.value)
         out["path"] = list(res.witness)
-    else:  # pragma: no cover - argparse restricts choices
-        raise SolverError(f"unknown oracle {what!r}")
     print(_dump_json(out))
     return 0
 
 
-# per-run guarantee factors: algorithm -> (denominator oracle, factor)
-_VERIFY_BOUNDS = {
-    ("kmlp-comb", "bnslb"): 2 * MU,
-    ("kmlp-lp", "lp3"): 2 * MU,
-    ("mlp-lp", "lp3"): MU,
-    ("bnslb-construct", "bnslb"): MU,
-}
 _VERIFY_TOL = Fraction(1, 10**9)
-
-
-def _oracle_value(inst: MetricInstance, which: str) -> Fraction:
-    if which == "opt":
-        return exact_oracles.exact_kmlp(inst).value
-    if which == "bnslb":
-        return exact_oracles.bnslb(inst).bnslb
-    return _solve_lp(inst, which).objective_value
 
 
 def _recorded_cost(value) -> Fraction:
@@ -230,16 +202,16 @@ def cmd_verify(args) -> int:
         return 1
     status = 0
     if args.against:
-        denom = _oracle_value(inst, args.against)
+        _, denom = _bound(inst, args.against)
         report["against"] = args.against
         report["denominator"] = _frac_str(denom)
         report["ratio"] = float(cost / denom) if denom else None
-        bound = _VERIFY_BOUNDS.get((sol.get("algorithm"), args.against))
-        if bound is not None:
-            report["bound"] = float(bound)
-            if cost > bound * denom * (1 + _VERIFY_TOL):
+        rec = ALGORITHMS.get(sol.get("algorithm"))
+        if rec is not None and rec.bound == args.against and rec.factor is not None:
+            report["bound"] = float(rec.factor)
+            if cost > rec.factor * denom * (1 + _VERIFY_TOL):
                 print(
-                    f"FAIL ratio {report['ratio']} exceeds bound {float(bound)}",
+                    f"FAIL ratio {report['ratio']} exceeds bound {float(rec.factor)}",
                     file=sys.stderr,
                 )
                 status = 1
@@ -293,23 +265,18 @@ def _gen_instance(n: int, k: int, metric: str, rng: random.Random) -> MetricInst
 
 def _bench_row(idx: int, inst: MetricInstance, algs, seed: int) -> Dict:
     row: Dict = {"instance": idx}
-    oracles: Dict[str, Optional[Fraction]] = {"opt": None, "bnslb": None}
     # bounds solved once for the row and handed to the roundings; past the
-    # oracle guard "bnslb" is missing, so bnslb-construct reports the guard
-    solved: Dict = {}
-    try:
-        oracles["opt"] = exact_oracles.exact_kmlp(inst).value
-    except OracleGuardError:
-        pass
-    try:
-        solved["bnslb"] = exact_oracles.bnslb(inst)
-        oracles["bnslb"] = solved["bnslb"].bnslb
-    except OracleGuardError:
-        pass
+    # oracle guard "opt" and "bnslb" are missing, and their columns null
+    solved: Dict[str, Tuple] = {}
+    for name in ("opt", "bnslb"):
+        try:
+            solved[name] = _bound(inst, name)
+        except OracleGuardError:
+            pass
     T = time_horizon(inst).T
-    for name, build in LP_BUILDERS.items():
-        solved[name] = build(inst, T)
-        oracles[name] = solved[name].objective_value
+    for name in LPS:
+        solved[name] = _bound(inst, name, T)
+    oracles = {name: solved[name][1] if name in solved else None for name in BOUNDS}
     for name, val in oracles.items():
         row[name] = _frac_str(val) if val is not None else None
     row["algs"] = {}
@@ -332,11 +299,11 @@ def _bench_row(idx: int, inst: MetricInstance, algs, seed: int) -> Dict:
 
 def _bench_table(report: Dict) -> str:
     algs = report["algorithms"]
-    header = ["inst", "opt", "bnslb", "lp1", "lp2", "lp3"] + list(algs)
+    header = ["inst", *BOUNDS, *algs]
     lines = ["  ".join(f"{h:>12}" for h in header)]
     for row in report["rows"]:
         cells = [str(row["instance"])]
-        for name in ("opt", "bnslb", "lp1", "lp2", "lp3"):
+        for name in BOUNDS:
             cells.append(row[name] if row[name] is not None else "-")
         for alg in algs:
             got = row["algs"].get(alg, {})
@@ -347,7 +314,7 @@ def _bench_table(report: Dict) -> str:
 
 def cmd_bench(args) -> int:
     if args.n < 1 or args.k < 1 or args.trials < 0:
-        raise SolverError("invalid generator parameters")
+        raise ValueError("invalid generator parameters")
     algs = (
         [a.strip() for a in args.algs.split(",") if a.strip()]
         if args.algs
@@ -356,7 +323,7 @@ def cmd_bench(args) -> int:
     )
     for alg in algs:
         if alg not in ALGORITHMS:
-            raise SolverError(f"unknown algorithm {alg!r}")
+            raise ValueError(f"unknown algorithm {alg!r}")
     rng = random.Random(args.seed)
     instances = [
         _gen_instance(args.n, args.k, args.metric, rng)
@@ -369,7 +336,7 @@ def cmd_bench(args) -> int:
     ]
     aggregate: Dict = {}
     for alg in algs:
-        for name in ("opt", "bnslb", "lp1", "lp2", "lp3"):
+        for name in BOUNDS:
             vals = [
                 row["algs"][alg]["ratios"][name]
                 for row in rows
@@ -409,8 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", required=True, choices=ALGORITHMS)
     p.add_argument("--input", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=_frac, default=Fraction(1, 100))
-    p.add_argument("--growth", type=_frac, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 
@@ -418,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--what",
         required=True,
-        choices=("opt", "bnslb", *LP_BUILDERS, "pc-paths", "orienteering"),
+        choices=(*BOUNDS, "pc-paths", "orienteering"),
     )
     p.add_argument("--input", required=True)
     p.add_argument("--root", default=None)
@@ -430,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--solution", required=True)
     p.add_argument(
-        "--against", choices=("opt", "bnslb", *LP_BUILDERS), default=None
+        "--against", choices=BOUNDS, default=None
     )
     p.set_defaults(func=cmd_verify)
 

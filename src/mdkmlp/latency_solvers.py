@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from . import concat_graph, lp_toolkit
+from . import concat_graph, exact_oracles, lp_toolkit
 from .arb_packing import WeightedDigraph, pack_arborescences, tree_nodes
 from .exact_oracles import BnsTable
 from .instance import MetricInstance, RoutePlan, group_slots, time_horizon, vehicle_groups
@@ -53,30 +53,76 @@ class SolverError(Exception):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the two randomized configuration-LP roundings,
-    ``solve_multidepot`` and ``round_lp2``: the seed of their draws, the
-    geometric growth rate and the truncation slack epsilon.
-
-    growth=None means "algorithm default": 1.616 for the multi-depot
-    rounding, and the mu* constant for the joint-configuration rounding
-    (whose guarantee needs the growth rate minimizing (c+1)/ln c).
-    """
+    """The seed of the draws of the two randomized configuration-LP
+    roundings, ``solve_multidepot`` and ``round_lp2``. Their geometric
+    growth rates are fixed: ``DEFAULT_GROWTH`` for the multi-depot rounding
+    and mu* for the joint-configuration rounding, whose guarantee needs the
+    rate minimizing (c+1)/ln c. Both truncate with slack ``EPSILON``."""
 
     seed: int = 0
-    growth: Optional[Fraction] = None
-    epsilon: Fraction = Fraction(1, 100)
-
-    def __post_init__(self):
-        if self.growth is not None:
-            g = Fraction(self.growth)
-            if not 1 < g < Fraction(math.e):
-                raise ValueError("growth must lie strictly between 1 and e")
-            object.__setattr__(self, "growth", g)
-        if Fraction(self.epsilon) <= 0:
-            raise ValueError("epsilon must be positive")
 
 
 DEFAULT_GROWTH = Fraction(1616, 1000)
+EPSILON = Fraction(1, 100)
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One algorithm: the bound its guarantee is stated against ("lp1",
+    "lp2", "lp3" or "bnslb"), its per-run factor against that bound (None
+    for a randomized rounding), the ``FEATURES`` it refuses, and its
+    rounding, called as (instance, config, solved bound or None)."""
+
+    bound: str
+    factor: Optional[Fraction]
+    refuses: Tuple[str, ...]
+    rounding: Callable[..., RoutePlan]
+
+
+_OBJECTIVE = "{} supports only the unweighted, service-free objective"
+# feature -> (test, refusal message), in the order ``require`` checks them
+FEATURES = {
+    "vehicles": (lambda inst: inst.k != 1, "{} requires exactly one vehicle"),
+    "depots": (
+        lambda inst: len(inst.root_set) != 1,
+        "single-depot algorithm on multi-depot instance: {}",
+    ),
+    "weights": (lambda inst: inst.has_weights, _OBJECTIVE),
+    "service": (lambda inst: inst.has_service, _OBJECTIVE),
+}
+_PLAIN = ("weights", "service")
+MU = concat_graph.MU
+
+# The roundings look their solver up when called, so a rebinding of the
+# module attribute (a test's monkeypatch, a profiler's wrapper) is seen.
+ALGORITHMS = {
+    "multidepot": Algorithm(
+        "lp1", None, (), lambda i, c, b: solve_multidepot(i, c, lp1sol=b)
+    ),
+    "kmlp-lp": Algorithm(
+        "lp3", 2 * MU, ("depots",) + _PLAIN, lambda i, c, b: solve_kmlp_lp(i, lp3sol=b)
+    ),
+    "kmlp-comb": Algorithm(
+        "bnslb", 2 * MU, ("depots",) + _PLAIN, lambda i, c, b: solve_kmlp_combinatorial(i)
+    ),
+    # one vehicle has one depot
+    "mlp-lp": Algorithm(
+        "lp3", MU, ("vehicles",) + _PLAIN, lambda i, c, b: solve_mlp_lp(i, lp3sol=b)
+    ),
+    "lp2-round": Algorithm("lp2", None, _PLAIN, lambda i, c, b: round_lp2(i, b, c)),
+    "bnslb-construct": Algorithm(
+        "bnslb", MU, _PLAIN, lambda i, c, b: bnslb_construction(i, b)
+    ),
+}
+
+
+def require(inst: MetricInstance, alg: str) -> None:
+    """Raise SolverError if `inst` has a feature that algorithm `alg`
+    refuses. Callers run it before solving the algorithm's bound."""
+    refuses = ALGORITHMS[alg].refuses
+    for feature, (has, message) in FEATURES.items():
+        if feature in refuses and has(inst):
+            raise SolverError(message.format(alg))
 
 
 # ---------------------------------------------------------------------------
@@ -154,18 +200,6 @@ def _orient_into(
         tours[slot].append(_orient_tour(order, inst.roots[slot], new, metric, inst.weight))
         covered.update(order)
     return tours
-
-
-def _require_single_depot(inst: MetricInstance, what: str) -> None:
-    if len(inst.root_set) != 1:
-        raise SolverError(f"single-depot algorithm on multi-depot instance: {what}")
-
-
-def _require_plain(inst: MetricInstance, what: str) -> None:
-    if inst.has_weights or inst.has_service:
-        raise SolverError(
-            f"{what} supports only the unweighted, service-free objective"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -375,22 +409,11 @@ def _family_for_time(
     return fam_members, K
 
 
-def check_lp3_rounding(inst: MetricInstance, what: str) -> None:
-    """Raise SolverError where the bidirected-LP rounding `what` ("kmlp-lp",
-    k-way split, or "mlp-lp", one vehicle) does not apply. A caller that
-    solves LP3 itself runs this first, so a misuse fails before the LP is
-    built."""
-    if what == "mlp-lp" and inst.k != 1:
-        raise SolverError("mlp-lp requires exactly one vehicle")
-    _require_single_depot(inst, what)
-    _require_plain(inst, what)
-
-
 def _solve_lp3_rounding(
     inst: MetricInstance, split: bool, lp3sol: Optional[lp_toolkit.LpSolution]
 ) -> RoutePlan:
     what = "kmlp-lp" if split else "mlp-lp"
-    check_lp3_rounding(inst, what)
+    require(inst, what)
     root = inst.roots[0]
     k = inst.k
     if not inst.clients:
@@ -489,8 +512,7 @@ def solve_kmlp_combinatorial(inst: MetricInstance) -> RoutePlan:
     """Single-depot algorithm driven by partial-cover trees on distance
     prefixes; total latency at most 2*mu* times the bottleneck-stroll
     lower bound on every run."""
-    _require_single_depot(inst, "kmlp-comb")
-    _require_plain(inst, "kmlp-comb")
+    require(inst, "kmlp-comb")
     k = inst.k
     if not inst.clients:
         return _finalize_plan(inst, [[] for _ in range(k)])
@@ -508,14 +530,14 @@ def solve_kmlp_combinatorial(inst: MetricInstance) -> RoutePlan:
 
 
 def _geometric_schedule(
-    cfg: SolverConfig, growth: Fraction, n: int, T: int, rng: random.Random
+    growth: Fraction, n: int, T: int, rng: random.Random
 ) -> List[float]:
     c = float(growth)
     h = c ** rng.random()
     D = 0
     while h * c**D < T:
         D += 1
-    extra = math.ceil(math.log(max(n * T / float(cfg.epsilon), math.e)))
+    extra = math.ceil(math.log(max(n * T / float(EPSILON), math.e)))
     N = D + extra
     return [h * c**j for j in range(N + 1)]
 
@@ -545,7 +567,6 @@ def _append_leftovers(
 
 def _geometric_rounding(
     inst: MetricInstance,
-    cfg: SolverConfig,
     growth: Fraction,
     T: int,
     draws_at: Callable[[int], Iterable[Tuple[int, Sequence]]],
@@ -554,7 +575,7 @@ def _geometric_rounding(
     """The loop both configuration-LP roundings share: at each geometric
     time point t_j, the (slot, order) draws `draws_at(min(T, floor t_j))`,
     until every client is covered; leftovers get direct visits."""
-    schedule = _geometric_schedule(cfg, growth, inst.n, T, rng)
+    schedule = _geometric_schedule(growth, inst.n, T, rng)
     covered: Set = set()
     clients = set(inst.clients)
 
@@ -579,6 +600,8 @@ def solve_multidepot(
     time points, one independent column draw per vehicle per time point,
     doubled columns as tours, truncation plus direct-visit cleanup.
 
+    The time points grow by ``DEFAULT_GROWTH`` from a random offset, and
+    truncate with slack ``EPSILON``; `cfg` gives only the seed of the draws.
     Expected cost at most ~8.4965 times the LP optimum (plus the
     truncation slack); supports weights, allowed depots, and service times
     (via the symmetrized service metric). `lp1sol` lets many seeds reuse
@@ -603,8 +626,7 @@ def solve_multidepot(
         for slot in range(inst.k):
             yield slot, _sample_from(tables.get((slot_gi[slot], t), empty), rng)
 
-    growth = cfg.growth or DEFAULT_GROWTH
-    return _geometric_rounding(inst, cfg, growth, T, draws_at, rng)
+    return _geometric_rounding(inst, DEFAULT_GROWTH, T, draws_at, rng)
 
 
 def round_lp2(
@@ -616,13 +638,15 @@ def round_lp2(
     single configuration draw per point covering all k vehicles at once.
 
     The single joint draw avoids the independent-sampling loss, giving an
-    expected factor of about mu* < 3.5912 (plus truncation slack); the
-    default growth rate is therefore mu* itself, the minimizer of
-    (c+1)/ln c."""
+    expected factor of about mu* < 3.5912 (plus the slack of truncating with
+    ``EPSILON``); the growth rate is therefore mu* itself, the minimizer of
+    (c+1)/ln c. `cfg` gives only the seed of the draws. Weights and service
+    times are refused; allowed-depot instances are accepted, although LP2's
+    witnesses do not yet respect the allowed depots."""
     cfg = cfg or SolverConfig()
     if lp2sol.which != "LP2":
         raise SolverError("round_lp2 needs a joint-configuration LP solution")
-    _require_plain(inst, "lp2-round")
+    require(inst, "lp2-round")
     rng = random.Random(cfg.seed)
     if not inst.clients:
         return _finalize_plan(inst, [[] for _ in range(inst.k)])
@@ -635,19 +659,22 @@ def round_lp2(
             for slot, route in enumerate(routes):
                 yield slot, route[1:]
 
-    growth = cfg.growth or concat_graph.MU
-    return _geometric_rounding(inst, cfg, growth, T, draws_at, rng)
+    return _geometric_rounding(inst, MU, T, draws_at, rng)
 
 
 # ---------------------------------------------------------------------------
 # construction from the bottleneck-stroll table
 
 
-def bnslb_construction(inst: MetricInstance, table: BnsTable) -> RoutePlan:
+def bnslb_construction(
+    inst: MetricInstance, table: Optional[BnsTable] = None
+) -> RoutePlan:
     """Stitch doubled bottleneck-stroll witness paths along the shortest
     concatenation path over twice the table values; total latency at most
-    mu* times the table sum on every run."""
-    _require_plain(inst, "bnslb-construct")
+    mu* times the table sum on every run. Without `table`, it is solved
+    here, after the instance is checked."""
+    require(inst, "bnslb-construct")
+    table = table or exact_oracles.bnslb(inst)
     if len(table.values) != inst.n:
         raise SolverError("table size does not match the instance")
     if not table.witnesses:

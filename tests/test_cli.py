@@ -9,13 +9,29 @@ import pytest
 
 from conftest import FIX_A_JSON, FIX_B_JSON
 from mdkmlp import exact_oracles, lp_toolkit
-from mdkmlp.cli import _VERIFY_BOUNDS, _VERIFY_TOL, ALGORITHMS, _bench_row, main
+from mdkmlp.cli import _VERIFY_TOL, _bench_row, main
 from mdkmlp.instance import parse_instance
+from mdkmlp.latency_solvers import ALGORITHMS
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
 # one depot and no client: every algorithm applies, every bound is 0
 CLIENT_FREE_JSON = '{"nodes":["r"],"roots":["r"],"costs":[[0]]}'
+# FIX_A with exactly one feature that some algorithm refuses; "depots" is
+# FIX_B, whose two vehicles start at two depots
+FIX_A_WITH = {
+    "vehicles": FIX_A_JSON.replace('"roots":["r"]', '"roots":["r","r"]'),
+    "weights": FIX_A_JSON[:-1] + ',"weights":{"a":2,"b":1}}',
+    "service": FIX_A_JSON[:-1] + ',"service_times":{"a":1}}',
+}
+_OBJECTIVE = "{} supports only the unweighted, service-free objective"
+REFUSAL_MESSAGES = {
+    "vehicles": "{} requires exactly one vehicle",
+    "depots": "single-depot algorithm on multi-depot instance: {}",
+    "weights": _OBJECTIVE,
+    "service": _OBJECTIVE,
+}
+REFUSALS = [(alg, f) for alg, rec in ALGORITHMS.items() for f in rec.refuses]
 
 
 @pytest.fixture
@@ -72,21 +88,27 @@ class TestSolve:
         assert "single-depot algorithm on multi-depot instance" in err
 
     @pytest.mark.parametrize(
-        "alg, message",
-        [
-            ("kmlp-lp", "single-depot algorithm on multi-depot instance: kmlp-lp"),
-            ("mlp-lp", "mlp-lp requires exactly one vehicle"),
-        ],
-        ids=["kmlp-lp", "mlp-lp"],
+        "alg, feature",
+        REFUSALS,
+        # a bare name is the refusal of several vehicles or depots
+        ids=[a if f in ("vehicles", "depots") else f"{a}-{f}" for a, f in REFUSALS],
     )
     def test_lp3_rounding_on_multi_depot_fails_before_lp3(
-        self, capsys, fixb_path, monkeypatch, alg, message
+        self, capsys, tmp_path, monkeypatch, alg, feature
     ):
-        def no_build(inst, T):
-            pytest.fail("LP3 built for an algorithm that cannot use it")
+        # every refused feature exits 3 with the record's message before any
+        # LP, bottleneck-stroll table or exact optimum is computed
+        def no_bound(*args):
+            pytest.fail(f"a bound was solved for {alg} on a refused instance")
 
-        monkeypatch.setattr(lp_toolkit, "build_and_solve_lp3", no_build)
-        code, out, err = run(capsys, "solve", "--alg", alg, "--input", fixb_path)
+        for name in ("build_and_solve_lp1", "build_and_solve_lp2", "build_and_solve_lp3"):
+            monkeypatch.setattr(lp_toolkit, name, no_bound)
+        for name in ("bnslb", "exact_kmlp"):
+            monkeypatch.setattr(exact_oracles, name, no_bound)
+        path = tmp_path / "inst.json"
+        path.write_text(FIX_A_WITH.get(feature, FIX_B_JSON))
+        message = REFUSAL_MESSAGES[feature].format(alg)
+        code, out, err = run(capsys, "solve", "--alg", alg, "--input", str(path))
         assert (code, out, err) == (3, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("alg", list(ALGORITHMS))
@@ -99,7 +121,7 @@ class TestSolve:
         expect = {
             "multidepot": {"lp1": 0.0},
             "kmlp-lp": {"lp3": 0.0},
-            "kmlp-comb": {},
+            "kmlp-comb": {"bnslb": 0.0},
             "mlp-lp": {"lp3": 0.0},
             "lp2-round": {"lp2": 0.0},
             "bnslb-construct": {"bnslb": 0.0},
@@ -326,6 +348,44 @@ class TestVerify:
         report = json.loads(out)
         assert report["bound"] == pytest.approx(7.1824, abs=1e-3)
 
+    @pytest.mark.parametrize(
+        "alg", [alg for alg, rec in ALGORITHMS.items() if rec.factor is not None]
+    )
+    def test_against_the_records_bound_passes(self, capsys, fixa_path, tmp_path, alg):
+        rec = ALGORITHMS[alg]
+        sol = self.solve_to_file(capsys, tmp_path, fixa_path, alg)
+        code, out, _ = run(
+            capsys, "verify", "--input", fixa_path, "--solution", sol,
+            "--against", rec.bound,
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert (report["against"], report["bound"]) == (rec.bound, float(rec.factor))
+        assert report["ratio"] <= report["bound"]
+
+    def test_cost_above_factor_times_bound_fails(self, capsys, tmp_path):
+        # clients at 1..5 and 50 on a line: the far client first costs
+        # 535 > 2mu* * 65 >= 2mu* * bnslb
+        pos = [0, 1, 2, 3, 4, 5, 50]
+        inst = tmp_path / "line.json"
+        inst.write_text(json.dumps({
+            "nodes": [f"v{p}" for p in pos], "roots": ["v0"],
+            "costs": [[abs(p - q) for q in pos] for p in pos],
+        }))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "algorithm": "kmlp-comb",
+            "routes": [["v0", "v50", "v5", "v4", "v3", "v2", "v1"]],
+        }))
+        code, out, err = run(
+            capsys, "verify", "--input", str(inst), "--solution", str(bad),
+            "--against", "bnslb",
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert (report["cost"], report["denominator"]) == ("535", "65")
+        assert err == f"FAIL ratio {535 / 65} exceeds bound {float(ALGORITHMS['kmlp-comb'].factor)}\n"
+
     def test_uncovered_client_fails(self, capsys, fixa_path, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"routes": [["r", "a"]]}))
@@ -472,6 +532,18 @@ class TestBench:
         }
         assert row["algs"]["kmlp-lp"]["ratios"]["bnslb"] is None
 
+    def test_kmlp_comb_past_oracle_guard(self, capsys, monkeypatch, fixa_path):
+        # kmlp-comb's rounding reads no bound: past the guard it still runs,
+        # with no bound reported
+        monkeypatch.setattr(exact_oracles, "CLIENT_LIMIT", 1)
+        code, out, _ = run(capsys, "solve", "--alg", "kmlp-comb", "--input", fixa_path)
+        assert code == 0
+        sol = json.loads(out)
+        assert (sol["bounds"], sol["total_latency_exact"]) == ({}, "4")
+        row = _bench_row(0, parse_instance(FIX_A_JSON), ["kmlp-comb"], 0)
+        assert row["bnslb"] is None
+        assert row["algs"]["kmlp-comb"]["cost"] == "4"
+
     @pytest.mark.parametrize("argv, name", [
         pytest.param(
             ("--n", "4", "--k", "2", "--trials", "3", "--seed", "7"),
@@ -520,11 +592,10 @@ class TestBench:
             assert [row[b] for b in bounds] == [other[b] for b in bounds]
             for report in (row, other):
                 for alg, entry in report["algs"].items():
-                    for against in bounds:
-                        bound = _VERIFY_BOUNDS.get((alg, against))
-                        if bound is not None:
-                            limit = bound * F(report[against]) * (1 + _VERIFY_TOL)
-                            assert F(entry["cost"]) <= limit, (alg, against)
+                    rec = ALGORITHMS[alg]
+                    if rec.factor is not None:
+                        limit = rec.factor * F(report[rec.bound]) * (1 + _VERIFY_TOL)
+                        assert F(entry["cost"]) <= limit, alg
 
     def test_no_exact_simplex_fallback(self, capsys, monkeypatch):
         # every warm re-solve certifies; the dense Fraction simplex would
@@ -567,21 +638,28 @@ class TestBench:
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
 
-    def test_bad_parameters_exit_3(self, capsys):
-        code, _, _ = run(capsys, "bench", "--n", "0", "--k", "1", "--trials", "1")
-        assert code == 3
+    def test_bad_parameters_exit_2(self, capsys):
+        for argv in (
+            ("--n", "0", "--k", "1", "--trials", "1"),
+            ("--n", "4", "--k", "0", "--trials", "1"),
+            ("--n", "4", "--k", "1", "--trials", "-1"),
+        ):
+            code, out, err = run(capsys, "bench", *argv)
+            assert (code, out, err) == (2, "", "error: invalid generator parameters\n")
 
-    def test_unknown_alg_exit_3(self, capsys):
-        code, _, _ = run(
+    def test_unknown_alg_exit_2(self, capsys):
+        code, out, err = run(
             capsys, "bench", "--n", "4", "--k", "1", "--trials", "1",
             "--algs", "wat",
         )
-        assert code == 3
+        assert (code, out, err) == (2, "", "error: unknown algorithm 'wat'\n")
 
 
 # stdout and exit code of `solve --seed 3` and `oracle` on the two fixtures,
-# recorded before `solve` handed its roundings the LP it reports; FIX_A and
-# FIX_B in an argv stand for the fixture files
+# recorded before `solve` handed its roundings the LP it reports; the `solve`
+# records were re-derived when the per-run roundings stopped printing the
+# seed and kmlp-comb began to report its bnslb bound. FIX_A and FIX_B in an
+# argv stand for the fixture files
 GOLDEN_CLI = json.loads((GOLDEN / "cli_solve_oracle_seed3.json").read_text())
 
 

@@ -1,6 +1,9 @@
+import dataclasses
 import math
 import random
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,9 @@ from mdkmlp.lp_toolkit import (
     build_and_solve_lp3,
 )
 from mdkmlp.latency_solvers import (
+    ALGORITHMS,
+    DEFAULT_GROWTH,
+    EPSILON,
     SolverConfig,
     SolverError,
     _combinatorial_points,
@@ -50,21 +56,31 @@ def _no_lp3_build(inst, T):
 
 class TestSolverConfig:
     def test_defaults(self):
-        cfg = SolverConfig()
-        assert cfg.seed == 0
-        assert cfg.growth is None
-        assert cfg.epsilon == F(1, 100)
+        # the seed is the one setting; growth and slack are constants
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["seed"]
+        assert SolverConfig().seed == 0
+        assert (DEFAULT_GROWTH, EPSILON) == (F(1616, 1000), F(1, 100))
 
-    def test_growth_bounds(self):
-        SolverConfig(growth=F(3, 2))
-        with pytest.raises(ValueError, match="growth"):
-            SolverConfig(growth=F(1))
-        with pytest.raises(ValueError, match="growth"):
-            SolverConfig(growth=F(3))
 
-    def test_epsilon_positive(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            SolverConfig(epsilon=F(0))
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_per_run_factors_match_the_benchmark_checker():
+    # the benchmark derives its guarantee table independently; the records
+    # must state the same (bound, factor) pairs. The file is executed from
+    # its source, read-only, with no bytecode written next to it.
+    mod = types.ModuleType("perfbench_workloads")
+    mod.__file__ = str(WORKLOADS)
+    exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"), mod.__dict__)
+    records = {
+        alg: (rec.bound, rec.factor)
+        for alg, rec in ALGORITHMS.items()
+        if rec.factor is not None
+    }
+    assert records.keys() == mod.GUARANTEES.keys()
+    for alg, (bound, factor) in mod.GUARANTEES.items():
+        assert records[alg][0] == bound, alg
+        assert abs(records[alg][1] - factor) <= F(1, 10**8) * factor, alg
 
 
 class TestSplitTree:
