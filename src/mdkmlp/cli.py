@@ -178,6 +178,9 @@ def cmd_verify(args) -> int:
     if not isinstance(sol, dict) or not isinstance(sol.get("routes"), list):
         raise ValueError("solution must be an object with a list of 'routes'")
     routes = tuple(node_ids(r, "each route") for r in sol["routes"])
+    alg = sol.get("algorithm")
+    if alg is not None and not isinstance(alg, str):
+        raise ValueError(f"'algorithm' must be a string, not {json.dumps(alg)}")
     recorded = sol.get("total_latency_exact")
     if recorded is not None:
         recorded = _recorded_cost(recorded)
@@ -206,7 +209,7 @@ def cmd_verify(args) -> int:
         report["against"] = args.against
         report["denominator"] = _frac_str(denom)
         report["ratio"] = float(cost / denom) if denom else None
-        rec = ALGORITHMS.get(sol.get("algorithm"))
+        rec = ALGORITHMS.get(alg)
         if rec is not None and rec.bound == args.against and rec.factor is not None:
             report["bound"] = float(rec.factor)
             if cost > rec.factor * denom * (1 + _VERIFY_TOL):

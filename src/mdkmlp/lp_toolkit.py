@@ -21,6 +21,11 @@ paths can stop at different optimal vertices after a cut round, so a
 rounding may return another plan, with the same guarantee; every exact
 optimum is the same.
 
+Importing this module loads scipy's HiGHS extension module by its file
+(:func:`_load_highs_core`), not through ``scipy.optimize``, so no other
+part of scipy is imported. ``linprog`` and
+``scipy.sparse`` are imported only on the fallback path, on its first solve.
+
 Every row the builders make has integer coefficients and right-hand side;
 such a row is its own integer form (scale 1) and is stored without
 building a Fraction. The prize-collecting LP is a model
@@ -38,30 +43,62 @@ built once per solution: per (group, t) for LP1 and per t for LP2, a
 witness tuples of k paths for LP2) in a fixed node order.
 """
 
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, count
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_array
 
 from . import flows, pathdp
 from .instance import MetricInstance, group_slots, vehicle_groups
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, exact_simplex
 
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_highs_core():
+    """scipy's HiGHS extension module, without importing scipy.optimize.
+
+    The module is loaded from its file under its own name and registered in
+    ``sys.modules``, so a later ``import scipy.optimize`` reuses it. Where it
+    is imported already (``import scipy.optimize`` imports it), or no such
+    file exists, this is the regular import, which raises ImportError on a
+    scipy older than 1.15.
+    """
+    if _HIGHS_CORE not in sys.modules:
+        spec = importlib.util.find_spec("scipy")
+        for folder in (spec and spec.submodule_search_locations) or ():
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+                path = os.path.join(folder, "optimize", "_highspy", "_core" + suffix)
+                if os.path.isfile(path):
+                    loader = importlib.machinery.ExtensionFileLoader(_HIGHS_CORE, path)
+                    core_spec = importlib.util.spec_from_file_location(
+                        _HIGHS_CORE, path, loader=loader
+                    )
+                    core = importlib.util.module_from_spec(core_spec)
+                    sys.modules[_HIGHS_CORE] = core
+                    loader.exec_module(core)
+                    return core
+    return importlib.import_module(_HIGHS_CORE)
+
+
 try:  # scipy's binding of HiGHS itself (scipy >= 1.15)
-    from scipy.optimize._highspy._core import HighsModelStatus, _Highs, kHighsInf
+    _core = _load_highs_core()
+    HighsModelStatus, _Highs, kHighsInf = _core.HighsModelStatus, _core._Highs, _core.kHighsInf
 
     _HIGHS_STATUS = {
         HighsModelStatus.kOptimal: OPTIMAL,
         HighsModelStatus.kInfeasible: INFEASIBLE,
         HighsModelStatus.kUnbounded: UNBOUNDED,
     }
-except ImportError:  # older scipy: every solve is one linprog call
+except (ImportError, AttributeError):  # older scipy: every solve is one linprog call
     _Highs = None
 
 log = logging.getLogger("mdkmlp.lp")
@@ -277,9 +314,19 @@ def _csr(lp: LinearProgram, idx: List[int], sign: float):
     ``(None, None)`` when there are none."""
     if not idx:
         return None, None
+    from scipy.sparse import csr_array
+
     indptr, indices, data, b = _csr_parts([lp.rows[i] for i in idx])
     A = csr_array((sign * data, indices, indptr), shape=(len(idx), len(lp.names)))
     return A, sign * b
+
+
+def linprog(*args, **kwargs):
+    """scipy's ``linprog``, imported on its first call: only the fallback
+    path solves through it."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def _linprog_solve(lp: LinearProgram):

@@ -414,6 +414,17 @@ class TestVerify:
             f"or an int, not {json.dumps(recorded)}\n"
         )
 
+    @pytest.mark.parametrize("alg", [["x"], {"a": 1}], ids=["list", "object"])
+    def test_algorithm_not_a_string_exits_2(self, capsys, fixa_path, tmp_path, alg):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"algorithm": alg, "routes": [["r", "a", "b"]]}))
+        code, out, err = run(
+            capsys, "verify", "--input", fixa_path, "--solution", str(bad),
+            "--against", "bnslb",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: 'algorithm' must be a string, not {json.dumps(alg)}\n"
+
     @pytest.mark.parametrize("recorded", ["4", 4, "8/2"])
     def test_recorded_cost_as_string_or_int_passes(self, capsys, fixa_path, tmp_path, recorded):
         sol = tmp_path / "sol.json"
