@@ -75,15 +75,6 @@ class WeightedDigraph:
     def out_weight(self, u) -> int:
         return sum(w for (a, b), w in self.arcs.items() if a == u)
 
-    def _indexed(self) -> Dict[Tuple[int, int], int]:
-        return _indexed(self.index, self.arcs)
-
-    def connectivity_value(self, x, y) -> int:
-        idx = self.index
-        if x not in idx or y not in idx:
-            raise ValueError(f"unknown node in pair ({x!r},{y!r})")
-        return flows.max_flow_value(len(self.nodes), self._indexed(), idx[x], idx[y])
-
 
 def _indexed(index: Dict[object, int], arcs: Dict[Arc, int]) -> Dict[Tuple[int, int], int]:
     return {(index[u], index[v]): w for (u, v), w in arcs.items()}
@@ -177,44 +168,22 @@ class ArbFamily:
     """Weighted family of out-arborescences rooted at a common root."""
 
     members: Tuple[Tuple[int, FrozenSet[Arc]], ...]
-    K: int
-    root: object = None
-
-    def coverage(self, u) -> int:
-        return sum(gamma for gamma, F in self.members if u in tree_nodes(F, self.root))
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    ok: bool
-    failures: Tuple[str, ...]
-
-
-def connectivity(D: WeightedDigraph, x, y) -> int:
-    """lambda_D(x,y): max x->y flow under the arc weights as capacities."""
-    return D.connectivity_value(x, y)
-
-
-def _check_hypothesis(D: WeightedDigraph, r) -> None:
-    for u in D.nodes:
-        if u == r:
-            continue
-        if D.in_weight(u) < D.out_weight(u):
-            raise PackingError(
-                f"in-weight {D.in_weight(u)} < out-weight {D.out_weight(u)} at {u!r}"
-            )
 
 
 def eulerianize(D: WeightedDigraph, r) -> WeightedDigraph:
-    """Balance every node by adding (u, r) arcs of weight in(u) - out(u)."""
+    """Balance every node by adding (u, r) arcs of weight in(u) - out(u);
+    a non-root node with in-weight below its out-weight is refused."""
     if r not in D.nodes:
         raise ValueError(f"unknown root {r!r}")
-    _check_hypothesis(D, r)
     out = D.copy()
     for u in D.nodes:
         if u == r:
             continue
         deficit = D.in_weight(u) - D.out_weight(u)
+        if deficit < 0:
+            raise PackingError(
+                f"in-weight {D.in_weight(u)} < out-weight {D.out_weight(u)} at {u!r}"
+            )
         if deficit > 0:
             out.add_weight((u, r), deficit)
     return out
@@ -271,23 +240,16 @@ def _arc_key(a: Arc) -> Tuple[str, str]:
     return (repr(a[0]), repr(a[1]))
 
 
-def _sorted_arcs(F: FrozenSet[Arc]) -> Tuple[Arc, ...]:
-    return tuple(sorted(F, key=_arc_key))
-
-
 def pack_arborescences(D: WeightedDigraph, r, K: int) -> ArbFamily:
     """Weighted packing: family (gamma_i, F_i), sum gamma = K, arc usage
     within capacity, coverage of u at least min(K, lambda_D(r,u)).
     """
     if not isinstance(K, int) or isinstance(K, bool) or K < 0:
         raise PackingError("K must be a nonnegative integer")
-    if r not in D.nodes:
-        raise ValueError(f"unknown root {r!r}")
-    _check_hypothesis(D, r)
-    if K == 0:
-        return ArbFamily(members=(), K=0, root=r)
-
     work = eulerianize(D, r)
+    if K == 0:
+        return ArbFamily(members=())
+
     order = work.index
     lam = _StateConnectivity(order)
     splits: List[Tuple[Arc, Arc, int, bool]] = []
@@ -336,18 +298,34 @@ def pack_arborescences(D: WeightedDigraph, r, K: int) -> ArbFamily:
         work.add_weight(f, x)
         if not is_loop:
             work.add_weight((t, v), -x)
-        members = _undo_split(work, r, K, members, e, f, x, is_loop, lam)
+        _undo_split(work, r, K, members, e, f, x, is_loop, lam)
 
     return ArbFamily(
         members=tuple(
             sorted(
                 ((g, F) for F, g in members.items()),
-                key=lambda item: (len(item[1]), tuple(map(_arc_key, _sorted_arcs(item[1])))),
+                key=lambda item: (len(item[1]), _member_key(item[1])),
             )
-        ),
-        K=K,
-        root=r,
+        )
     )
+
+
+def _member_key(F: FrozenSet[Arc]) -> Tuple[Tuple[str, str], ...]:
+    return tuple(sorted(map(_arc_key, F)))
+
+
+def _move(
+    members: Dict[FrozenSet[Arc], int], F: FrozenSet[Arc], G: FrozenSet[Arc], g: int
+) -> None:
+    """Move weight g of member F onto member G."""
+    left = members[F] - g
+    if left < 0:
+        raise PackingError("member weight underflow")
+    if left == 0:
+        del members[F]
+    else:
+        members[F] = left
+    members[G] = members.get(G, 0) + g
 
 
 def _undo_split(
@@ -360,44 +338,21 @@ def _undo_split(
     x: int,
     is_loop: bool,
     lam: _StateConnectivity,
-) -> Dict[FrozenSet[Arc], int]:
-    """Adjust the family after restoring one split in the working graph."""
+) -> None:
+    """Adjust the family, in place, after restoring one split in the working
+    graph."""
     t, u = e
     v = f[1]
-    members = dict(members)
-
-    def usage(arc: Arc) -> int:
-        return sum(g for F, g in members.items() if arc in F)
-
-    def add_member(F: FrozenSet[Arc], g: int) -> None:
-        if g <= 0:
-            return
-        members[F] = members.get(F, 0) + g
-
-    def sub_member(F: FrozenSet[Arc], g: int) -> None:
-        left = members[F] - g
-        if left < 0:
-            raise PackingError("member weight underflow")
-        if left == 0:
-            del members[F]
-        else:
-            members[F] = left
-
     if not is_loop:
         g_arc = (t, v)
-        excess = usage(g_arc) - work.weight(g_arc)
+        excess = sum(g for F, g in members.items() if g_arc in F) - work.weight(g_arc)
         if excess > 0:
-            users = sorted(
-                (F for F in members if g_arc in F),
-                key=lambda F: tuple(map(_arc_key, _sorted_arcs(F))),
-            )
+            users = sorted((F for F in members if g_arc in F), key=_member_key)
             for F in users:
                 if excess <= 0:
                     break
                 take = min(members[F], excess)
-                newF = _replace_shortcut(F, g_arc, e, f, u, r)
-                sub_member(F, take)
-                add_member(newF, take)
+                _move(members, F, _replace_shortcut(F, g_arc, e, f, u, r), take)
                 excess -= take
             if excess > 0:
                 raise PackingError("could not repair shortcut capacity")
@@ -406,8 +361,7 @@ def _undo_split(
     coverage = sum(g for F, g in members.items() if u in tree_nodes(F, r))
     deficit = target - coverage
     if deficit > 0:
-        members = _augment_coverage(work, r, u, deficit, members)
-    return members
+        _augment_coverage(work, r, u, deficit, members)
 
 
 def _replace_shortcut(
@@ -437,13 +391,15 @@ def _augment_coverage(
     u,
     deficit: int,
     members: Dict[FrozenSet[Arc], int],
-) -> Dict[FrozenSet[Arc], int]:
-    """Add in-arcs of u to trees lacking u until the coverage target is met.
+) -> None:
+    """Add in-arcs of u to trees lacking u, in place, until the coverage
+    target is met.
 
     Which arc goes to which tree is a small transportation problem (greedy
     can strand capacity), solved by max flow on arc-spare vs tree-weight.
+    The source reaches the arcs through one hub arc of capacity `deficit`,
+    so a maximum flow moves exactly the deficit when the repair exists.
     """
-    members = dict(members)
     usage: Dict[Arc, int] = {}
     for F, g in members.items():
         for a in F:
@@ -452,104 +408,26 @@ def _augment_coverage(
         (a for a in work.arcs if a[1] == u and work.weight(a) > usage.get(a, 0)),
         key=_arc_key,
     )
-    trees = sorted(
-        (F for F in members if u not in tree_nodes(F, r)),
-        key=lambda F: tuple(map(_arc_key, _sorted_arcs(F))),
-    )
-    # layered network: source -> arcs -> trees -> sink
-    n_nodes = 2 + len(in_arcs) + len(trees)
-    SRC, SINK = 0, n_nodes - 1
-    caps: Dict[Tuple[int, int], int] = {}
+    trees = sorted((F for F in members if u not in tree_nodes(F, r)), key=_member_key)
+    # layered network: source -> hub -> arcs -> trees -> sink
+    n_nodes = 3 + len(in_arcs) + len(trees)
+    SRC, HUB, SINK = 0, 1, n_nodes - 1
+    caps: Dict[Tuple[int, int], int] = {(SRC, HUB): deficit}
     for i, a in enumerate(in_arcs):
-        spare = work.weight(a) - usage.get(a, 0)
-        caps[(SRC, 1 + i)] = min(spare, deficit)
+        caps[(HUB, 2 + i)] = work.weight(a) - usage.get(a, 0)
     for j, F in enumerate(trees):
-        caps[(1 + len(in_arcs) + j, SINK)] = members[F]
+        caps[(2 + len(in_arcs) + j, SINK)] = members[F]
         nodesF = tree_nodes(F, r)
         for i, a in enumerate(in_arcs):
             if a[0] in nodesF:
-                caps[(1 + i, 1 + len(in_arcs) + j)] = deficit
+                caps[(2 + i, 2 + len(in_arcs) + j)] = deficit
     value, flow = flows.max_flow_assignment(n_nodes, caps, SRC, SINK)
     if value < deficit:
         raise PackingError(
             f"coverage repair for {u!r} short by {deficit - value}"
         )
-    # trim an arbitrary maximum flow down to exactly `deficit` units,
-    # deterministically by arc order
-    overshoot = value - deficit
-    if overshoot > 0:
-        for i in range(len(in_arcs) - 1, -1, -1):
-            if overshoot == 0:
-                break
-            for j in range(len(trees) - 1, -1, -1):
-                key = (1 + i, 1 + len(in_arcs) + j)
-                amt = flow.get(key, 0)
-                if amt > 0:
-                    cut = min(amt, overshoot)
-                    flow[key] = amt - cut
-                    overshoot -= cut
-                    if overshoot == 0:
-                        break
     for j, F in enumerate(trees):
         for i, a in enumerate(in_arcs):
-            amt = flow.get((1 + i, 1 + len(in_arcs) + j), 0)
-            if amt <= 0:
-                continue
-            left = members[F] - amt
-            if left < 0:
-                raise PackingError("transportation exceeded tree weight")
-            if left == 0:
-                del members[F]
-            else:
-                members[F] = left
-            newF = F | {a}
-            members[newF] = members.get(newF, 0) + amt
-    return members
-
-
-def verify_packing(D: WeightedDigraph, r, K: int, family: ArbFamily) -> VerificationReport:
-    """Independent check of all packing guarantees, exact integer arithmetic."""
-    failures: List[str] = []
-    total = 0
-    usage: Dict[Arc, int] = {}
-    for gamma, F in family.members:
-        if not isinstance(gamma, int) or gamma <= 0:
-            failures.append(f"nonpositive member weight {gamma!r}")
-            continue
-        total += gamma
-        for a in F:
-            usage[a] = usage.get(a, 0) + gamma
-        # rootedness: unique parents, nothing into the root, all reachable
-        heads = [b for _, b in F]
-        if len(heads) != len(set(heads)):
-            failures.append(f"member {sorted(map(_arc_key, F))} has a doubled parent")
-            continue
-        if any(b == r for _, b in F):
-            failures.append("member has an arc into the root")
-            continue
-        reach = {r}
-        frontier = [r]
-        arcs_left = set(F)
-        while frontier:
-            nxt = []
-            for a in list(arcs_left):
-                if a[0] in reach:
-                    reach.add(a[1])
-                    nxt.append(a[1])
-                    arcs_left.remove(a)
-            frontier = nxt
-        if arcs_left:
-            failures.append(f"member not reachable from root: {sorted(map(_arc_key, arcs_left))}")
-    if total != K:
-        failures.append(f"weight total {total} != K={K}")
-    for a, used in sorted(usage.items(), key=lambda kv: _arc_key(kv[0])):
-        if used > D.weight(a):
-            failures.append(f"arc {a!r} used {used} > capacity {D.weight(a)}")
-    for u in D.nodes:
-        if u == r:
-            continue
-        need = min(K, D.connectivity_value(r, u))
-        got = sum(g for g, F in family.members if u in tree_nodes(F, r))
-        if got < need:
-            failures.append(f"node {u!r} covered {got} < min(K, lambda)={need}")
-    return VerificationReport(ok=not failures, failures=tuple(failures))
+            amt = flow.get((2 + i, 2 + len(in_arcs) + j), 0)
+            if amt > 0:
+                _move(members, F, F | {a}, amt)

@@ -324,9 +324,11 @@ def cmd_bench(args) -> int:
         else ["multidepot", "kmlp-comb", "kmlp-lp", "bnslb-construct"]
         + (["mlp-lp"] if args.k == 1 else [])
     )
-    for alg in algs:
+    for i, alg in enumerate(algs):
         if alg not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {alg!r}")
+        if alg in algs[:i]:
+            raise ValueError(f"duplicate algorithm {alg!r}")
     rng = random.Random(args.seed)
     instances = [
         _gen_instance(args.n, args.k, args.metric, rng)

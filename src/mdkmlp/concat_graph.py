@@ -27,21 +27,6 @@ class EnvelopeCurve:
     def domain(self) -> Tuple[Fraction, Fraction]:
         return self.corners[0][0], self.corners[-1][0]
 
-    def value(self, x) -> Fraction:
-        """Evaluate the envelope at x by linear interpolation."""
-        x = Fraction(x)
-        lo, hi = self.domain
-        if x < lo or x > hi:
-            raise ValueError(f"x={x} outside envelope domain [{lo},{hi}]")
-        corners = self.corners
-        for i in range(len(corners) - 1):
-            (x1, y1), (x2, y2) = corners[i], corners[i + 1]
-            if x1 <= x <= x2:
-                if x1 == x2:
-                    return min(y1, y2)
-                return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
-        return corners[-1][1]
-
 
 @dataclass(frozen=True)
 class ConcatPath:
@@ -111,29 +96,6 @@ def lower_envelope(points: Iterable[Tuple]) -> EnvelopeCurve:
                 break
         hull.append((x, y))
     return EnvelopeCurve(corners=tuple(hull))
-
-
-def envelope_integral(curve: EnvelopeCurve, lo, hi) -> Fraction:
-    """Exact integral of the piecewise-linear envelope over [lo, hi]."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    dlo, dhi = curve.domain
-    if lo > hi:
-        raise ValueError("empty or reversed range")
-    if lo < dlo or hi > dhi:
-        raise ValueError(f"[{lo},{hi}] outside envelope domain [{dlo},{dhi}]")
-    if lo == hi:
-        return Fraction(0)
-    total = Fraction(0)
-    corners = curve.corners
-    for i in range(len(corners) - 1):
-        (x1, y1), (x2, y2) = corners[i], corners[i + 1]
-        a, b = max(x1, lo), min(x2, hi)
-        if a >= b:
-            continue
-        ya = y1 + (y2 - y1) * (a - x1) / (x2 - x1)
-        yb = y1 + (y2 - y1) * (b - x1) / (x2 - x1)
-        total += (ya + yb) * (b - a) / 2
-    return total
 
 
 def shortest_concat_path(curve: EnvelopeCurve) -> ConcatPath:

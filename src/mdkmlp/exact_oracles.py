@@ -9,7 +9,7 @@ returned as Fractions. Guards fail loudly rather than degrade to
 heuristics: an oracle must never silently stop being ground truth.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 from typing import Dict, List, Optional, Tuple
@@ -44,11 +44,11 @@ class BnsTable:
 
     values: Tuple[Fraction, ...]
     witnesses: Tuple[Tuple[Tuple, ...], ...]
-    bnslb: Fraction = field(default=None)
 
-    def __post_init__(self):
-        if self.bnslb is None:
-            object.__setattr__(self, "bnslb", sum(self.values, Fraction(0)))
+    @property
+    def bnslb(self) -> Fraction:
+        """The additive lower bound: the sum of the values."""
+        return sum(self.values, Fraction(0))
 
 
 def _guard_clients(inst: MetricInstance) -> None:
@@ -82,15 +82,6 @@ def exact_kmlp(inst: MetricInstance) -> OracleResult:
     full = len(best) - 1
     plan = RoutePlan(routes=witness(full), objective_variant=inst.default_variant)
     return OracleResult(Fraction(best[full]), plan)
-
-
-def exact_bottleneck_stroll(inst: MetricInstance, ell: int) -> OracleResult:
-    """b*_ell: min over k path tuples covering >= ell nodes of the max cost,
-    with its witness: entry ell of :func:`bnslb`'s table."""
-    if not 1 <= ell <= inst.n:
-        raise ValueError(f"ell={ell} out of range 1..{inst.n}")
-    table = bnslb(inst)
-    return OracleResult(table.values[ell - 1], table.witnesses[ell - 1])
 
 
 def bnslb(inst: MetricInstance) -> BnsTable:
@@ -211,22 +202,3 @@ def exact_pc_paths(inst: MetricInstance, root, penalties: Dict) -> OracleResult:
         if best is None or cand < best[0]:
             best = (cand, witness)
     return OracleResult(best[0], tuple(best[1]))
-
-
-def exact_cover_cost(inst: MetricInstance, root, B: int) -> OracleResult:
-    """O*: min cost of a rooted path collection spanning >= B nodes
-    (the root counts as spanned)."""
-    if inst.n > 8:
-        raise OracleGuardError(f"prize-collecting guard: n={inst.n} > 8")
-    mc, items = _path_cover_costs(inst, root)
-    best = None
-    for msk, (cost, witness) in mc.items():
-        covered = 1 + bin(msk).count("1")
-        if covered < B:
-            continue
-        if best is None or cost < best[0]:
-            best = (cost, witness)
-    if best is None:
-        raise ValueError(f"cannot span {B} nodes")
-    return OracleResult(Fraction(best[0]), tuple(best[1]))
-

@@ -2,9 +2,9 @@
 
 Every flow in this package runs through one dense Edmonds-Karp. LP cut
 separation and the flow-equivalent trees of arborescence packing take a
-minimum cut (:func:`min_cut`), connectivity checks take a value
-(:func:`max_flow_value`), and the coverage repair of a packing takes the
-per-arc flow of an assignment network (:func:`max_flow_assignment`). Graphs
+minimum cut (:func:`min_cut`), and the coverage repair of a packing takes
+the per-arc flow of an assignment network (:func:`max_flow_assignment`);
+:func:`max_flow_value` gives the value alone. Graphs
 are tiny (rarely more than ten nodes), so the dense residual matrix is both
 simple and fast enough.
 """

@@ -204,13 +204,6 @@ class MetricInstance:
             return 0
         return self.dist(u, v) + self.service_time(v)
 
-    def latency_lower_bound(self) -> int:
-        """max over clients of the distance to the nearest allowed depot."""
-        best = 0
-        for v in self.clients:
-            best = max(best, min(self.dist(r, v) for r in self.depots_for(v)))
-        return best
-
 
 def vehicle_groups(inst: MetricInstance) -> List[Tuple[Node, int]]:
     """Vehicles grouped by shared depot: [(root, multiplicity)], stable order.
@@ -316,22 +309,6 @@ def parse_instance(text: str) -> MetricInstance:
             for v, rs in maps["allowed_depots"].items()
         },
     )
-
-
-def instance_to_json(inst: MetricInstance) -> str:
-    data = {
-        "nodes": list(inst.nodes),
-        "roots": list(inst.roots),
-        "costs": [list(row) for row in inst.cost],
-    }
-    # JSON keys are strings; parse_instance maps each back to its node
-    if inst.weights:
-        data["weights"] = {str(v): w for v, w in inst.weights.items()}
-    if inst.service:
-        data["service_times"] = {str(v): d for v, d in inst.service.items()}
-    if inst.allowed_depots:
-        data["allowed_depots"] = {str(v): list(rs) for v, rs in inst.allowed_depots.items()}
-    return json.dumps(data, sort_keys=True)
 
 
 def evaluate_plan_detail(

@@ -223,9 +223,6 @@ class LinearProgram:
         self.rows.append(row)
         self._row_set.add(row)
 
-    def has_constraint(self, coeffs: Dict[object, Fraction], sense: str, rhs) -> bool:
-        return self._row(coeffs, sense, rhs) in self._row_set
-
 
 @dataclass
 class LpSolution:

@@ -77,18 +77,6 @@ class BipointTree:
         if self.T1.root != self.T2.root:
             raise ValueError("constituent trees must share the root")
 
-    @property
-    def root(self):
-        return self.T1.root
-
-    @property
-    def cost(self) -> Fraction:
-        return self.a * self.T1.cost + self.b * self.T2.cost
-
-    @property
-    def expected_coverage(self) -> Fraction:
-        return self.a * len(self.T1.nodes) + self.b * len(self.T2.nodes)
-
 
 class ProbeCache:
     """The probes of the coverage searches on one instance and root, by

@@ -9,11 +9,12 @@ import time
 from fractions import Fraction
 
 from conftest import random_instance
+from reference import connectivity, covered, envelope_value, exact_cover_cost, verify_packing
 from test_arb_packing import random_digraph
 from test_concat_graph import _full_dp, concat_path
 
 from mdkmlp import exact_oracles
-from mdkmlp.arb_packing import connectivity, pack_arborescences, verify_packing
+from mdkmlp.arb_packing import pack_arborescences
 from mdkmlp.concat_graph import lower_envelope, mu_star
 from mdkmlp.instance import MetricInstance, evaluate_plan, time_horizon
 from mdkmlp.latency_solvers import (
@@ -79,7 +80,7 @@ def test_criterion_1_arborescence_packing():
         assert rep.ok, rep.failures
         for u in D.nodes:
             if u != r:
-                assert fam.coverage(u) >= min(K, connectivity(D, r, u))
+                assert covered(fam, r, u) >= min(K, connectivity(D, r, u))
         checked += 1
     report(1, checked == 200, f"{checked} packings verified exactly",
            60, time.monotonic() - start)
@@ -112,13 +113,13 @@ def test_criterion_3_bipoint_coverage():
         cache = ProbeCache()
         for B in range(1, inst.n + 1):
             out = coverage_tree(inst, root, B, cache=cache)
-            bound = exact_oracles.exact_cover_cost(inst, root, B).value
+            bound = exact_cover_cost(inst, root, B)
             if isinstance(out, RootedTree):
                 assert out.coverage == B
                 assert out.cost <= bound
             else:
-                assert out.expected_coverage == B
-                assert out.cost <= bound
+                assert out.a * len(out.T1.nodes) + out.b * len(out.T2.nodes) == B
+                assert out.a * out.T1.cost + out.b * out.T2.cost <= bound
         checked += 1
     report(3, checked == 100, f"{checked} instances, all coverage targets hit",
            180, time.monotonic() - start)
@@ -209,7 +210,7 @@ def test_criterion_6_single_depot_per_run_bounds():
         # the s-values the solver stitches along
         env = lower_envelope((cov, y) for cov, y, _ in _combinatorial_points(inst))
         for ell in range(1, inst.n + 1):
-            assert env.value(ell) <= 4 * table.values[ell - 1]
+            assert envelope_value(env, ell) <= 4 * table.values[ell - 1]
 
         sol3 = build_and_solve_lp3(inst, time_horizon(inst).T)
         lp3 = sol3.objective_value

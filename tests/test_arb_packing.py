@@ -3,21 +3,26 @@ import random
 import pytest
 
 from conftest import random_digraph
+from reference import connectivity, covered, verify_packing
 from mdkmlp import flows
 from mdkmlp.arb_packing import (
     ArbFamily,
     PackingError,
     WeightedDigraph,
     all_pairs_connectivity,
-    connectivity,
     eulerianize,
     max_splittable,
     pack_arborescences,
-    verify_packing,
 )
 
 
+def _indexed(D):
+    return {(D.index[u], D.index[v]): w for (u, v), w in D.arcs.items()}
+
+
 class TestConnectivity:
+    """The reference lambda, a minimum over enumerated node sets."""
+
     def test_single_arc(self):
         D = WeightedDigraph(nodes=("r", "u"), arcs={("r", "u"): 2, ("u", "r"): 2})
         assert connectivity(D, "r", "u") == 2
@@ -37,6 +42,20 @@ class TestConnectivity:
         D = WeightedDigraph(nodes=("r", "u"), arcs={("r", "u"): 1})
         with pytest.raises(ValueError, match="unknown node"):
             connectivity(D, "r", "zz")
+
+    def test_equals_max_flow_value(self):
+        rng = random.Random(5)
+        pairs = 0
+        for _ in range(100):
+            D, _ = random_digraph(rng, max_nodes=8, max_w=9)
+            caps = _indexed(D)
+            for x in D.nodes:
+                for y in D.nodes:
+                    if x != y:
+                        flow = flows.max_flow_value(len(D.nodes), caps, D.index[x], D.index[y])
+                        assert connectivity(D, x, y) == flow
+                        pairs += 1
+        assert pairs > 1000
 
 
 class TestEulerianize:
@@ -99,7 +118,7 @@ class TestPackArborescences:
         D = WeightedDigraph(nodes=("r", "u"), arcs={("r", "u"): 2})
         fam = pack_arborescences(D, "r", 2)
         assert verify_packing(D, "r", 2, fam).ok
-        assert fam.coverage("u") == 2
+        assert covered(fam, "r", "u") == 2
 
     def test_two_path_example(self):
         D = WeightedDigraph(
@@ -108,8 +127,8 @@ class TestPackArborescences:
         )
         fam = pack_arborescences(D, "r", 2)
         assert verify_packing(D, "r", 2, fam).ok
-        assert fam.coverage("u") >= 1  # min(2, lambda=1)
-        assert fam.coverage("v") == 2  # min(2, lambda=2)
+        assert covered(fam, "r", "u") >= 1  # min(2, lambda=1)
+        assert covered(fam, "r", "v") == 2  # min(2, lambda=2)
 
     def test_k_zero(self):
         D = WeightedDigraph(nodes=("r", "u"), arcs={("r", "u"): 2})
@@ -130,21 +149,60 @@ class TestVerifyPacking:
 
     def test_capacity_overuse_detected(self):
         D = WeightedDigraph(nodes=("r", "u"), arcs={("r", "u"): 1})
-        bad = ArbFamily(
-            members=((2, frozenset({("r", "u")})),), K=2, root="r"
-        )
+        bad = ArbFamily(members=((2, frozenset({("r", "u")})),))
         report = verify_packing(D, "r", 2, bad)
         assert not report.ok
         assert any("capacity" in f for f in report.failures)
 
     def test_weight_total_mismatch_detected(self):
         D = WeightedDigraph(nodes=("r", "u"), arcs={("r", "u"): 2})
-        bad = ArbFamily(
-            members=((1, frozenset({("r", "u")})),), K=2, root="r"
-        )
+        bad = ArbFamily(members=((1, frozenset({("r", "u")})),))
         report = verify_packing(D, "r", 2, bad)
         assert not report.ok
         assert any("weight total" in f for f in report.failures)
+
+    @pytest.mark.parametrize(
+        "arcs, K, members, failure",
+        [
+            pytest.param(
+                {("r", "u"): 2}, 2,
+                ((0, {("r", "u")}), (2, {("r", "u")})),
+                "nonpositive member weight 0",
+                id="nonpositive-weight",
+            ),
+            pytest.param(
+                {("r", "u"): 1, ("r", "v"): 1, ("v", "u"): 1}, 1,
+                ((1, {("r", "u"), ("r", "v"), ("v", "u")}),),
+                "has a doubled parent",
+                id="doubled-parent",
+            ),
+            pytest.param(
+                {("r", "u"): 1, ("u", "r"): 1}, 1,
+                ((1, {("r", "u"), ("u", "r")}),),
+                "member has an arc into the root",
+                id="arc-into-root",
+            ),
+            pytest.param(
+                {("r", "u"): 1, ("u", "v"): 1}, 1,
+                ((1, {("u", "v")}),),
+                "member not reachable from root",
+                id="unreachable-member",
+            ),
+            pytest.param(
+                {("r", "u"): 2}, 2,
+                ((2, set()),),
+                "node 'u' covered 0 < min(K, lambda)=2",
+                id="coverage-shortfall",
+            ),
+        ],
+    )
+    def test_each_failure_mode_detected_alone(self, arcs, K, members, failure):
+        nodes = tuple(sorted({x for a in arcs for x in a}))
+        D = WeightedDigraph(nodes=nodes, arcs=arcs)
+        bad = ArbFamily(members=tuple((g, frozenset(F)) for g, F in members))
+        report = verify_packing(D, "r", K, bad)
+        assert not report.ok
+        assert len(report.failures) == 1 and failure in report.failures[0], report.failures
 
 
 class TestProperties:
@@ -160,7 +218,7 @@ class TestProperties:
             for u in D.nodes:
                 if u == r:
                     continue
-                assert fam.coverage(u) >= min(K, connectivity(D, r, u))
+                assert covered(fam, r, u) >= min(K, connectivity(D, r, u))
 
 
 def _split(D, e, f, x):
@@ -196,11 +254,12 @@ class TestAllPairsConnectivity:
         rng = random.Random(61)
         states = pairs = 0
         for D in _balanced_states(rng, 200):
-            lam = all_pairs_connectivity(len(D.nodes), D._indexed())
-            for a in D.nodes:
-                for b in D.nodes:
+            caps = _indexed(D)
+            lam = all_pairs_connectivity(len(D.nodes), caps)
+            for a, i in D.index.items():
+                for b, j in D.index.items():
                     if a != b:
-                        assert lam[D.index[a]][D.index[b]] == connectivity(D, a, b)
+                        assert lam[i][j] == flows.max_flow_value(len(D.nodes), caps, i, j)
                         pairs += 1
             states += 1
         assert states > 400 and pairs > 10000
@@ -210,7 +269,7 @@ class TestAllPairsConnectivity:
             nodes=("r", "u", "v"), arcs={("r", "u"): 2, ("u", "v"): 1, ("v", "r"): 1}
         )
         with pytest.raises(PackingError, match="not balanced"):
-            all_pairs_connectivity(len(D.nodes), D._indexed())
+            all_pairs_connectivity(len(D.nodes), _indexed(D))
         with pytest.raises(PackingError, match="not balanced"):
             max_splittable(D, ("r", "u"), ("u", "v"), {("r", "v"): 1})
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIX_A_JSON, FIX_B_JSON
-from mdkmlp import exact_oracles, lp_toolkit
+from mdkmlp import cli, exact_oracles, lp_toolkit
 from mdkmlp.cli import _VERIFY_TOL, _bench_row, main
 from mdkmlp.instance import parse_instance
 from mdkmlp.latency_solvers import ALGORITHMS
@@ -664,6 +664,17 @@ class TestBench:
             "--algs", "wat",
         )
         assert (code, out, err) == (2, "", "error: unknown algorithm 'wat'\n")
+
+    def test_duplicate_alg_exit_2(self, capsys, monkeypatch):
+        def no_instances(*args):
+            pytest.fail("an instance was generated before the names were checked")
+
+        monkeypatch.setattr(cli, "_gen_instance", no_instances)
+        code, out, err = run(
+            capsys, "bench", "--n", "4", "--k", "1", "--trials", "1",
+            "--algs", "mlp-lp,kmlp-comb, mlp-lp",
+        )
+        assert (code, out, err) == (2, "", "error: duplicate algorithm 'mlp-lp'\n")
 
 
 # stdout and exit code of `solve --seed 3` and `oracle` on the two fixtures,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -5,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_instance
+from reference import exact_cover_cost
 from mdkmlp.exact_oracles import (
+    BnsTable,
     OracleGuardError,
     bnslb,
-    exact_bottleneck_stroll,
-    exact_cover_cost,
     exact_kmlp,
     exact_orienteering,
     exact_pc_paths,
@@ -89,9 +90,10 @@ class TestExactKmlp:
 
 class TestBottleneckStroll:
     def test_fix_a_values(self, fix_a):
-        assert exact_bottleneck_stroll(fix_a, 1).value == 0
-        assert exact_bottleneck_stroll(fix_a, 2).value == 1
-        assert exact_bottleneck_stroll(fix_a, 3).value == 3
+        table = bnslb(fix_a)
+        assert (table.values[0], table.witnesses[0]) == (0, (("r",),))
+        assert (table.values[1], table.witnesses[1]) == (1, (("r", "a"),))
+        assert (table.values[2], table.witnesses[2]) == (3, (("r", "a", "b"),))
 
     def test_fix_a_table(self, fix_a):
         table = bnslb(fix_a)
@@ -103,11 +105,14 @@ class TestBottleneckStroll:
         assert table.values == (F(0), F(0), F(1), F(1))
         assert table.bnslb == 2
 
-    def test_out_of_range(self, fix_a):
-        with pytest.raises(ValueError):
-            exact_bottleneck_stroll(fix_a, 0)
-        with pytest.raises(ValueError):
-            exact_bottleneck_stroll(fix_a, 4)
+    def test_bound_is_derived_from_the_values(self, fix_a):
+        table = bnslb(fix_a)
+        assert [f.name for f in dataclasses.fields(table)] == ["values", "witnesses"]
+        with pytest.raises(TypeError):
+            BnsTable(values=table.values, witnesses=table.witnesses, bnslb=F(5))
+        with pytest.raises(AttributeError):
+            table.bnslb = F(5)
+        assert table.bnslb == sum(table.values) == 4
 
     def test_table_consistency(self):
         rng = random.Random(13)
@@ -124,8 +129,6 @@ class TestBottleneckStroll:
                 b = table.values[ell - 1]
                 assert b >= prev
                 assert b == brute[ell - 1]
-                stroll = exact_bottleneck_stroll(inst, ell)
-                assert (stroll.value, stroll.witness) == (b, table.witnesses[ell - 1])
                 routes = table.witnesses[ell - 1]
                 covered = set().union(*(set(rt) for rt in routes)) | inst.root_set
                 assert len(covered) >= ell
@@ -196,6 +199,6 @@ class TestPcPaths:
 
 class TestCoverOracles:
     def test_cover_cost_examples(self, fix_a):
-        assert exact_cover_cost(fix_a, "r", 1).value == 0
-        assert exact_cover_cost(fix_a, "r", 2).value == 1
-        assert exact_cover_cost(fix_a, "r", 3).value == 3
+        assert exact_cover_cost(fix_a, "r", 1) == 0
+        assert exact_cover_cost(fix_a, "r", 2) == 1
+        assert exact_cover_cost(fix_a, "r", 3) == 3

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_instance
+from reference import envelope_value
 from mdkmlp.concat_graph import lower_envelope, mu_star
 from mdkmlp import lp_toolkit
 from mdkmlp.exact_oracles import bnslb, exact_kmlp
@@ -302,7 +303,7 @@ class TestCombinatorialSolver:
             # the s-values the solver stitches along
             env = lower_envelope((cov, y) for cov, y, _ in _combinatorial_points(inst))
             for ell in range(1, inst.n + 1):
-                assert env.value(ell) <= 4 * table.values[ell - 1]
+                assert envelope_value(env, ell) <= 4 * table.values[ell - 1]
             assert plan_cost(inst, plan) <= 2 * MU * table.bnslb
 
 

