@@ -159,11 +159,19 @@ class MetricInstance:
             return 0
         return self.service.get(v, 0)
 
-    def depots_for(self, v: Node) -> Tuple[Node, ...]:
-        got = self.allowed_depots.get(v)
-        if got is not None:
-            return got
+    @cached_property
+    def client_bit(self) -> Dict[Node, int]:
+        """Client -> its bit in a client set held as an int: bit i stands for
+        ``clients[i]``."""
+        return {v: 1 << i for i, v in enumerate(self.clients)}
+
+    @cached_property
+    def depots(self) -> Tuple[Node, ...]:
+        """The distinct roots, in the order of their first slots."""
         return tuple(dict.fromkeys(self.roots))
+
+    def depots_for(self, v: Node) -> Tuple[Node, ...]:
+        return self.allowed_depots.get(v, self.depots)
 
     def home_slot(self, v: Node) -> int:
         """The first slot of v's nearest allowed depot; of equally near
@@ -313,8 +321,8 @@ def parse_instance(text: str) -> MetricInstance:
 
 def evaluate_plan_detail(
     inst: MetricInstance, plan: RoutePlan
-) -> Tuple[Fraction, Dict[Node, Fraction]]:
-    """Total objective value and per-client latencies for a plan.
+) -> Tuple[Fraction, Dict[Node, int]]:
+    """Total objective value and per-client (integer) latencies for a plan.
 
     Routes are shortcut to simple paths: repeated nodes, root nodes, and
     clients already served on an earlier route are skipped (shortcutting can
@@ -327,33 +335,33 @@ def evaluate_plan_detail(
         )
     variant = plan.objective_variant
     use_w = variant in ("weighted", "weighted+service")
-    use_d = variant in ("service", "weighted+service")
+    service = inst.service if variant in ("service", "weighted+service") else {}
     served: Dict[Node, int] = {}
     root_set = inst.root_set
     node_pos = inst.node_pos
+    allowed = inst.allowed_depots
     for i, route in enumerate(plan.routes):
         root = inst.roots[i]
         if not route or route[0] != root:
             raise ValueError(f"route {i} must start at its root {root!r}")
-        pos = root
+        row = inst.cost[node_pos[root]]
         elapsed = 0
         for v in route[1:]:
             if v in root_set or v in served:
                 continue
-            if v not in node_pos:
+            j = node_pos.get(v)
+            if j is None:
                 raise ValueError(f"unknown node {v!r} in route {i}")
-            if root not in inst.depots_for(v):
+            if root not in allowed.get(v, (root,)):
                 raise ValueError(f"node {v!r} served from disallowed depot {root!r}")
-            elapsed += inst.dist(pos, v)
-            if use_d:
-                elapsed += inst.service_time(v)
+            elapsed += row[j] + service.get(v, 0)
             served[v] = elapsed
-            pos = v
+            row = inst.cost[j]
     missing = [v for v in inst.clients if v not in served]
     if missing:
         raise ValueError(f"uncovered node(s): {missing!r}")
-    total = sum((inst.weight(v) if use_w else 1) * lat for v, lat in served.items())
-    return Fraction(total), {v: Fraction(lat) for v, lat in served.items()}
+    weights = inst.weights if use_w else {}
+    return Fraction(sum(weights.get(v, 1) * lat for v, lat in served.items())), served
 
 
 def evaluate_plan(inst: MetricInstance, plan: RoutePlan) -> Fraction:

@@ -21,16 +21,23 @@ corners, and meets its guarantee on every run. Only the configuration-LP
 roundings (``solve_multidepot``, ``round_lp2``) draw at random, and only
 they read a :class:`SolverConfig`.
 
-Metric sums are ints: the orientation of a configuration-LP tour sums the
-LP metric, which is doubled on service instances (doubling both
-directions' sums keeps their comparison). The configuration-LP roundings
-draw from the tables their LP solution carries (``meta["draws"]``),
-comparing each uniform draw exactly with integer cumulative numerators.
+Orientation is decided once per tour, by :meth:`lp_toolkit.Tour.oriented`:
+a compiled tour holds, per client, w_v times its forward minus its reverse
+elapsed time, and is taken forward iff those gains over the clients not yet
+covered sum to at most 0, the cheaper direction with ties kept forward.
+Coverage is an int mask over ``inst.clients``. The stitching roundings
+compile each tour in c as they take it. The configuration-LP roundings draw
+tours that were compiled when their LP was solved (``meta["draws"]``), in
+the LP metric, which is doubled on service instances (doubling both
+directions' sums keeps their comparison); each uniform draw finds its item
+by bisection over integer cumulative numerators, so no draw reads the
+metric.
 """
 
 import logging
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -38,7 +45,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 from . import concat_graph, exact_oracles, lp_toolkit
 from .arb_packing import WeightedDigraph, pack_arborescences, tree_nodes
 from .exact_oracles import BnsTable
-from .instance import MetricInstance, RoutePlan, group_slots, time_horizon, vehicle_groups
+from .instance import MetricInstance, RoutePlan, time_horizon, vehicle_groups
 from .pc_tree import ProbeCache, RootedTree, coverage_tree
 
 log = logging.getLogger("mdkmlp.solvers")
@@ -145,33 +152,6 @@ def _preorder(tree: RootedTree, node_pos: Dict) -> List:
     return out
 
 
-def _orient_tour(
-    interior: Sequence, root, new_nodes: Set, metric: Callable, weight: Callable
-) -> Tuple:
-    """Pick a traversal direction for the cycle root -> interior -> root:
-    the one whose weighted distance-along-cycle sum over the newly covered
-    nodes is smaller (at most the 50/50 average the analyses use); a tie
-    keeps the given direction.
-    """
-    fwd = tuple(interior)
-    rev = tuple(reversed(interior))
-    if len(fwd) <= 1:
-        return fwd
-
-    def acct(seq) -> int:
-        total = 0
-        pos = root
-        elapsed = 0
-        for v in seq:
-            elapsed += metric(pos, v)
-            if v in new_nodes:
-                total += weight(v) * elapsed
-            pos = v
-        return total
-
-    return fwd if acct(fwd) <= acct(rev) else rev
-
-
 def _finalize_plan(inst: MetricInstance, tours: List[List[Tuple]]) -> RoutePlan:
     routes = []
     for i, r in enumerate(inst.roots):
@@ -180,26 +160,6 @@ def _finalize_plan(inst: MetricInstance, tours: List[List[Tuple]]) -> RoutePlan:
             route.extend(tour)
         routes.append(tuple(route))
     return RoutePlan(routes=tuple(routes), objective_variant=inst.default_variant)
-
-
-def _orient_into(
-    inst: MetricInstance,
-    draws: Iterable[Tuple[int, Sequence]],
-    metric: Callable,
-    covered: Set,
-) -> List[List[Tuple]]:
-    """Per-vehicle tour lists from (slot, order) draws taken in turn: each
-    nonempty order becomes a cycle through the slot's root, oriented against
-    the nodes not yet in `covered`. `covered` grows as draws are taken, so a
-    generator of draws can stop as soon as it holds every client."""
-    tours: List[List[Tuple]] = [[] for _ in range(inst.k)]
-    for slot, order in draws:
-        if not order:
-            continue
-        new = set(order) - covered
-        tours[slot].append(_orient_tour(order, inst.roots[slot], new, metric, inst.weight))
-        covered.update(order)
-    return tours
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +314,15 @@ def _stitch_by_concat_graph(
             witness[cov] = wit
     path = concat_graph.shortest_concat_path(env)
 
-    def draws():
-        for ell in path.node_indices[1:]:
-            for slot, cyc in enumerate(cycles_for(witness[ell], ell)):
-                yield slot, cyc[1:]
-
-    covered: Set = set(inst.root_set)
-    tours = _orient_into(inst, draws(), inst.dist, covered)
-    missing = [v for v in inst.clients if v not in covered]
+    tours: List[List[Tuple]] = [[] for _ in range(inst.k)]
+    covered = 0
+    for ell in path.node_indices[1:]:
+        for slot, cyc in enumerate(cycles_for(witness[ell], ell)):
+            if len(cyc) > 1:
+                tour = lp_toolkit.compile_tour(inst, inst.roots[slot], cyc[1:], inst.dist)
+                tours[slot].append(tour.oriented(covered))
+                covered |= tour.mask
+    missing = [v for v in inst.clients if not covered & inst.client_bit[v]]
     if missing:
         raise SolverError(f"stitched solution left nodes uncovered: {missing!r}")
     return tours
@@ -547,47 +508,34 @@ def _sample_from(table: lp_toolkit.DrawTable, rng: random.Random) -> Optional[ob
     item whose cumulative probability exceeds u = rng.random(). With u = p/q
     exactly, u < cum/denom is cum > floor(p * denom / q) in integers."""
     p, q = rng.random().as_integer_ratio()
-    bar = p * table.denom // q
-    for item, cum in zip(table.items, table.cum):
-        if cum > bar:
-            return item
-    return None
-
-
-def _append_leftovers(
-    inst: MetricInstance, tours: List[List[Tuple]], covered: Set
-) -> None:
-    """Direct visits from each uncovered client's home slot, nearest first."""
-    leftovers = [(inst.home_slot(v), v) for v in inst.clients if v not in covered]
-    leftovers.sort(key=lambda sv: inst.dist(inst.roots[sv[0]], sv[1]))
-    for slot, v in leftovers:
-        tours[slot].append((v,))
-        covered.add(v)
+    i = bisect_right(table.cum, p * table.denom // q)
+    return table.items[i] if i < len(table.items) else None
 
 
 def _geometric_rounding(
     inst: MetricInstance,
     growth: Fraction,
-    T: int,
-    draws_at: Callable[[int], Iterable[Tuple[int, Sequence]]],
+    sol: lp_toolkit.LpSolution,
+    draws_at: Callable[[int], Iterable[Tuple[int, lp_toolkit.Tour]]],
     rng: random.Random,
 ) -> RoutePlan:
     """The loop both configuration-LP roundings share: at each geometric
-    time point t_j, the (slot, order) draws `draws_at(min(T, floor t_j))`,
-    until every client is covered; leftovers get direct visits."""
+    time point t_j, the (slot, tour) draws `draws_at(min(T, floor t_j))`,
+    each oriented against the clients covered before it, until every client
+    is covered; leftovers get direct visits from their home slots."""
+    T = sol.T
     schedule = _geometric_schedule(growth, inst.n, T, rng)
-    covered: Set = set()
-    clients = set(inst.clients)
-
-    def draws():
-        for tj in schedule:
-            yield from draws_at(min(T, int(tj)))
-            if clients <= covered:
-                return
-
-    metric, _ = lp_toolkit._lp_metric(inst)
-    tours = _orient_into(inst, draws(), metric, covered)
-    _append_leftovers(inst, tours, covered)
+    tours: List[List[Tuple]] = [[] for _ in range(inst.k)]
+    covered, full = 0, (1 << len(inst.clients)) - 1
+    for tj in schedule:
+        for slot, tour in draws_at(min(T, int(tj))):
+            tours[slot].append(tour.oriented(covered))
+            covered |= tour.mask
+        if covered == full:
+            break
+    for bit, slot, v in sol.meta["leftovers"]:
+        if not covered & bit:
+            tours[slot].append((v,))
     return _finalize_plan(inst, tours)
 
 
@@ -613,20 +561,18 @@ def solve_multidepot(
     if lp1sol is not None:
         if lp1sol.which != "LP1":
             raise SolverError("solve_multidepot needs a per-vehicle LP solution")
-        T = lp1sol.T
         sol1 = lp1sol
     else:
-        T = time_horizon(inst).T
-        sol1 = lp_toolkit.build_and_solve_lp1(inst, T)
-    tables = sol1.meta["draws"]  # per (group, time): the visiting orders
-    slot_gi = {s: gi for gi, (_, slots) in enumerate(group_slots(inst)) for s in slots}
-    empty = lp_toolkit.EMPTY_DRAW
+        sol1 = lp_toolkit.build_and_solve_lp1(inst, time_horizon(inst).T)
+    tables = sol1.meta["draws"]  # per time: one table of tours per slot
 
     def draws_at(t):
-        for slot in range(inst.k):
-            yield slot, _sample_from(tables.get((slot_gi[slot], t), empty), rng)
+        for slot, table in enumerate(tables[t]):
+            tour = _sample_from(table, rng)
+            if tour is not None:
+                yield slot, tour
 
-    return _geometric_rounding(inst, DEFAULT_GROWTH, T, draws_at, rng)
+    return _geometric_rounding(inst, DEFAULT_GROWTH, sol1, draws_at, rng)
 
 
 def round_lp2(
@@ -650,16 +596,12 @@ def round_lp2(
     rng = random.Random(cfg.seed)
     if not inst.clients:
         return _finalize_plan(inst, [[] for _ in range(inst.k)])
-    T = lp2sol.T
-    tables = lp2sol.meta["draws"]  # per time: the witness tuples, path i at slot i
+    tables = lp2sol.meta["draws"]  # per time: joint draws of (slot, tour) pairs
 
     def draws_at(t):
-        routes = _sample_from(tables.get(t, lp_toolkit.EMPTY_DRAW), rng)
-        if routes is not None:
-            for slot, route in enumerate(routes):
-                yield slot, route[1:]
+        return _sample_from(tables[t], rng) or ()
 
-    return _geometric_rounding(inst, MU, T, draws_at, rng)
+    return _geometric_rounding(inst, MU, lp2sol, draws_at, rng)
 
 
 # ---------------------------------------------------------------------------

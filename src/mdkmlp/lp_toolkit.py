@@ -36,11 +36,15 @@ later solve starts warm with them.
 
 LP1 and LP2 measure paths in an integer metric (:func:`_lp_metric`): c,
 or on service instances twice the symmetric service metric,
-2c(u,v) + d_u + d_v, tested against 2t. Their solutions carry
-``meta["draws"]``, the column distributions the roundings sample from,
-built once per solution: per (group, t) for LP1 and per t for LP2, a
-:class:`DrawTable` of the positive z columns (visiting orders for LP1,
-witness tuples of k paths for LP2) in a fixed node order.
+2c(u,v) + d_u + d_v, tested against 2t. Their solutions carry what the
+configuration-LP roundings draw from, compiled once, when the LP is solved.
+``meta["draws"]`` maps each t in 1..T to :class:`DrawTable` s of the
+positive z columns at t, in a fixed node order: for LP1 a tuple of one table
+per vehicle slot (its depot group's columns), whose items are each column's
+cheapest visiting order as a :class:`Tour` from the group's depot; for LP2
+one table, whose items are the (slot, :class:`Tour`) pairs of the nonempty
+paths of each column's witness tuple. These tours are measured in the LP
+metric. ``meta["leftovers"]`` is the :func:`leftover_order` of the clients.
 """
 
 import importlib.machinery
@@ -618,6 +622,63 @@ class DrawTable(NamedTuple):
 EMPTY_DRAW = DrawTable((), (), 1)
 
 
+class Tour(NamedTuple):
+    """A cycle root -> ``fwd`` -> root of a rounding, compiled once.
+
+    ``rev`` is ``fwd`` reversed and ``mask`` holds the bits
+    (:attr:`MetricInstance.client_bit`) of the clients on it. ``gains`` holds,
+    per client position with a nonzero gain, the client's bit and
+    w_v * (v's elapsed time forward - v's elapsed time in reverse), both
+    measured from the root in the metric the tour was compiled in."""
+
+    fwd: Tuple
+    rev: Tuple
+    mask: int
+    gains: Tuple[Tuple[int, int], ...]
+
+    def oriented(self, covered: int) -> Tuple:
+        """The direction whose weighted elapsed-time sum over the clients
+        not in `covered` is smaller (at most the 50/50 average the analyses
+        use), forward on a tie: the gains of those clients sum to <= 0."""
+        gain = 0
+        for bit, g in self.gains:
+            if not covered & bit:
+                gain += g
+        return self.fwd if gain <= 0 else self.rev
+
+
+def _elapsed(root, seq: Tuple, metric: Callable) -> List[int]:
+    """The elapsed time at each node of root -> seq in `metric`."""
+    return list(accumulate(metric(u, v) for u, v in zip((root,) + seq, seq)))
+
+
+def compile_tour(inst: MetricInstance, root, order: Sequence, metric: Callable) -> Tour:
+    """The :class:`Tour` of the cycle root -> order -> root in `metric`.
+    Nodes of `order` that are not clients (roots) carry no bit and no gain,
+    so they count as covered."""
+    fwd = tuple(order)
+    rev = fwd[::-1]
+    bit = inst.client_bit
+    mask = 0
+    gains = []
+    for v, f, r in zip(fwd, _elapsed(root, fwd, metric), _elapsed(root, rev, metric)[::-1]):
+        if v in bit:
+            mask |= bit[v]
+            g = inst.weight(v) * (f - r)
+            if g:
+                gains.append((bit[v], g))
+    return Tour(fwd, rev, mask, tuple(gains))
+
+
+def leftover_order(inst: MetricInstance) -> Tuple[Tuple[int, int, object], ...]:
+    """(bit, home slot, client) for every client, nearest to the root of its
+    :meth:`~MetricInstance.home_slot` first (ties in client order): the order
+    in which a rounding visits the clients its draws left uncovered."""
+    slot = {v: inst.home_slot(v) for v in inst.clients}
+    order = sorted(inst.clients, key=lambda v: inst.dist(inst.roots[slot[v]], v))
+    return tuple((inst.client_bit[v], slot[v], v) for v in order)
+
+
 def draw_table(weighted: Sequence[Tuple[object, Fraction]]) -> DrawTable:
     """The draw table of ``(item, probability)`` pairs, in their order, over
     the lcm of the probabilities' denominators."""
@@ -775,12 +836,21 @@ def build_and_solve_lp1(inst: MetricInstance, T: int) -> LpSolution:
 
     sol = _solve_config_lp(inst, T, "LP1", config_groups)
     node_pos = inst.node_pos
+    tours: Dict[Tuple[int, FrozenSet], Tour] = {}
 
     def column(gi, C, t):
         order = orders[gi][C]
-        return (gi, t), [node_pos[v] for v in order], order
+        if (gi, C) not in tours:
+            tours[gi, C] = compile_tour(inst, groups[gi][0], order, metric)
+        return (gi, t), [node_pos[v] for v in order], tours[gi, C]
 
-    sol.meta["draws"] = _draw_tables(sol, column)
+    by_group = _draw_tables(sol, column)
+    slot_group = {s: gi for gi, (_, slots) in enumerate(group_slots(inst)) for s in slots}
+    sol.meta["draws"] = {
+        t: tuple(by_group.get((slot_group[s], t), EMPTY_DRAW) for s in range(inst.k))
+        for t in range(1, T + 1)
+    }
+    sol.meta["leftovers"] = leftover_order(inst)
     return sol
 
 
@@ -844,9 +914,20 @@ def build_and_solve_lp2(inst: MetricInstance, T: int) -> LpSolution:
     ]
     sol = _solve_config_lp(inst, T, "LP2", [(1, first, columns)])
     node_pos = inst.node_pos
-    sol.meta["draws"] = _draw_tables(
-        sol, lambda _, U, t: (t, sorted(node_pos[v] for v in U), table[U][1])
-    )
+    tours: Dict[FrozenSet, Tuple[Tuple[int, Tour], ...]] = {}
+
+    def column(_, U, t):
+        if U not in tours:
+            tours[U] = tuple(
+                (slot, compile_tour(inst, inst.roots[slot], path[1:], metric))
+                for slot, path in enumerate(table[U][1])
+                if len(path) > 1
+            )
+        return t, sorted(node_pos[v] for v in U), tours[U]
+
+    by_time = _draw_tables(sol, column)
+    sol.meta["draws"] = {t: by_time.get(t, EMPTY_DRAW) for t in range(1, T + 1)}
+    sol.meta["leftovers"] = leftover_order(inst)
     return sol
 
 

@@ -134,6 +134,45 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="disallowed"):
             evaluate_plan(inst, plan)
 
+    REJECTIONS = {
+        "route count": ((("r1", "a", "b"),), "plan has 1 routes for a 2-vehicle instance"),
+        "route start": ((("r2", "a"), ("r1", "b")), "route 0 must start at its root 'r1'"),
+        "empty route": (((), ("r2", "a", "b")), "route 0 must start at its root 'r1'"),
+        "unknown node": ((("r1", "a", "zz"), ("r2", "b")), "unknown node 'zz' in route 0"),
+        "disallowed depot": (
+            (("r1", "b"), ("r2", "a")), "node 'a' served from disallowed depot 'r2'"
+        ),
+        "uncovered node": ((("r1", "a"), ("r2",)), "uncovered node(s): ['b']"),
+    }
+
+    @pytest.mark.parametrize("case", REJECTIONS)
+    def test_rejection_message(self, fix_b, case):
+        routes, message = self.REJECTIONS[case]
+        inst = dataclasses.replace(fix_b, allowed_depots={"a": ("r1",)})
+        with pytest.raises(ValueError) as exc:
+            evaluate_plan_detail(inst, RoutePlan(routes=routes))
+        assert str(exc.value) == message
+
+    def test_detail_latencies_are_ints(self):
+        inst = MetricInstance(
+            nodes=("r", "a", "b"),
+            roots=("r",),
+            cost=((0, 1, 3), (1, 0, 2), (3, 2, 0)),
+            weights={"a": 2},
+            service={"a": 2, "b": 1},
+        )
+        for variant, total, per_node in (
+            ("plain", 4, {"a": 1, "b": 3}),
+            ("weighted", 5, {"a": 1, "b": 3}),
+            ("service", 9, {"a": 3, "b": 6}),
+            ("weighted+service", 12, {"a": 3, "b": 6}),
+        ):
+            plan = RoutePlan(routes=(("r", "a", "b"),), objective_variant=variant)
+            got_total, got = evaluate_plan_detail(inst, plan)
+            assert got_total == total and isinstance(got_total, Fraction)
+            assert got == per_node
+            assert all(type(lat) is int for lat in got.values())
+
     def test_trivial_routes_do_not_change_value(self):
         rng = random.Random(5)
         for _ in range(20):
@@ -211,7 +250,10 @@ class TestTimeHorizon:
 class TestDerivedValues:
     """Derived values are computed once per instance, outside its fields."""
 
-    CACHED = ("node_pos", "root_set", "clients", "has_weights", "has_service", "default_variant")
+    CACHED = (
+        "node_pos", "root_set", "clients", "client_bit", "depots",
+        "has_weights", "has_service", "default_variant",
+    )
 
     def test_unknown_node_raises_key_error_naming_it(self, fix_b):
         with pytest.raises(KeyError, match="unknown node 'zz'"):
@@ -244,10 +286,23 @@ class TestDerivedValues:
         assert b.clients == ("a", "b", "r2") and a.clients == ("a", "b")
         assert b.has_service and not a.has_service
         assert b.default_variant == "service" and a.default_variant == "plain"
+        assert b.depots == ("r1",) and a.depots == ("r1", "r2")
+        assert b.client_bit == {"a": 1, "b": 2, "r2": 4} and a.client_bit == {"a": 1, "b": 2}
         c = dataclasses.replace(a, nodes=("r2", "b", "a", "r1"), cost=(
             (0, 1, 3, 4), (1, 0, 2, 3), (3, 2, 0, 1), (4, 3, 1, 0)))
         assert c.index("r2") == 0 and a.index("r2") == 3
         assert c.dist("r2", "a") == 3 and a.dist("r2", "a") == 3
+
+    def test_depots_for_defaults_to_the_distinct_roots(self):
+        inst = MetricInstance(
+            nodes=("r1", "a", "b", "r2"),
+            roots=("r2", "r1", "r2"),
+            cost=((0, 1, 3, 4), (1, 0, 2, 3), (3, 2, 0, 1), (4, 3, 1, 0)),
+            allowed_depots={"b": ("r1",)},
+        )
+        assert inst.depots_for("a") == ("r2", "r1")
+        assert inst.depots_for("a") is inst.depots_for("a") is inst.depots
+        assert inst.depots_for("b") == ("r1",)
 
     def test_service_doubled_is_twice_the_symmetric_service_metric(self):
         rng = random.Random(12)

@@ -25,7 +25,6 @@ from mdkmlp.latency_solvers import (
     SolverConfig,
     SolverError,
     _combinatorial_points,
-    _orient_tour,
     _stitch_by_concat_graph,
     _sample_from,
     bnslb_construction,
@@ -477,6 +476,13 @@ class TestSampleFrom:
         assert ties > 0  # some u hit a cumulative value exactly
 
 
+def _oriented(inst, root, seq, new, metric):
+    """The orientation rule on the cycle root -> seq -> root, with every
+    client outside `new` covered."""
+    covered = sum(bit for v, bit in inst.client_bit.items() if v not in new)
+    return lp_toolkit.compile_tour(inst, root, seq, metric).oriented(covered)
+
+
 def test_orientation_same_under_doubled_service_metric():
     def halved(inst):
         def metric(u, v):
@@ -493,15 +499,12 @@ def test_orientation_same_under_doubled_service_metric():
             weights=rng.random() < 0.5,
         )
         root = inst.roots[0]
-        interior = [v for v in inst.nodes if v != root]
+        interior = list(inst.clients)
         rng.shuffle(interior)
-        interior = interior[: rng.randint(2, len(interior))]
+        interior = interior[: rng.randint(2, max(2, len(interior)))]
         new = {v for v in interior if rng.random() < 0.7}
         picks = [
-            [
-                _orient_tour(seq, root, new, metric, inst.weight)
-                for seq in (interior, interior[::-1])
-            ]
+            [_oriented(inst, root, seq, new, metric) for seq in (interior, interior[::-1])]
             for metric in (inst.service_doubled, halved(inst))
         ]
         assert picks[0] == picks[1]
@@ -513,5 +516,46 @@ def test_orientation_same_under_doubled_service_metric():
         service={"a": 1, "b": 1},
     )
     for metric in (inst.service_doubled, halved(inst)):
-        assert _orient_tour(["a", "b"], "r", {"a", "b"}, metric, inst.weight) == ("a", "b")
-        assert _orient_tour(["b", "a"], "r", {"a", "b"}, metric, inst.weight) == ("b", "a")
+        assert _oriented(inst, "r", ["a", "b"], {"a", "b"}, metric) == ("a", "b")
+        assert _oriented(inst, "r", ["b", "a"], {"a", "b"}, metric) == ("b", "a")
+
+
+def _weighted_latency(inst, root, seq, new, metric):
+    """The weighted sum of the elapsed times of `new` along root -> seq."""
+    total, pos, elapsed = 0, root, 0
+    for v in seq:
+        elapsed += metric(pos, v)
+        if v in new:
+            total += inst.weight(v) * elapsed
+        pos = v
+    return total
+
+
+def test_orientation_takes_the_smaller_weighted_latency():
+    """Against the two directions' directly summed weighted latencies over
+    the uncovered clients, under the LP metric and under c: the smaller
+    one, forward on a tie."""
+    rng = random.Random(47)
+    ties = strict = 0
+    for _ in range(400):
+        inst = random_instance(
+            rng, rng.randint(4, 8), rng.randint(1, 3), span=rng.choice((3, 9)),
+            weights=rng.random() < 0.6, service=rng.random() < 0.5,
+        )
+        root = rng.choice(inst.roots)
+        order = list(inst.clients)
+        rng.shuffle(order)
+        order = order[: rng.randint(1, len(order))]
+        covered = sum(bit for bit in inst.client_bit.values() if rng.random() < 0.4)
+        new = {v for v in order if not covered & inst.client_bit[v]}
+        lp_metric, _ = lp_toolkit._lp_metric(inst)
+        for metric in (lp_metric, inst.dist):
+            tour = lp_toolkit.compile_tour(inst, root, order, metric)
+            assert (tour.fwd, tour.rev) == (tuple(order), tuple(order[::-1]))
+            assert tour.mask == sum(inst.client_bit[v] for v in order)
+            fwd = _weighted_latency(inst, root, order, new, metric)
+            rev = _weighted_latency(inst, root, order[::-1], new, metric)
+            assert tour.oriented(covered) == (tour.fwd if fwd <= rev else tour.rev)
+            ties += fwd == rev and len(order) > 1
+            strict += fwd > rev
+    assert ties > 0 and strict > 0

@@ -6,8 +6,10 @@ solution, one per seed 0-49: `solve_multidepot(lp1sol=)` on every instance
 and `round_lp2` on the plain and allowed-depot ones. For each plan it keeps
 the routes and the exact cost from `evaluate_plan`, or the error text where
 `evaluate_plan` rejects the plan (`round_lp2` can serve a client from a
-depot it may not use). Instances: FIX_B and four seeded distinct-depot
-random instances, one each plain, weighted, service-time and allowed-depot.
+depot it may not use). Instances: FIX_B, four seeded distinct-depot
+random instances, one each plain, weighted, service-time and allowed-depot,
+and two plain ones with several vehicles at one depot: three vehicles at
+one depot, and two at one depot plus one at another.
 
 Any change to the LP solutions, the column order of a draw, the random
 streams, the tour orientation or the evaluation shows up here.
@@ -16,6 +18,7 @@ Regenerate, only for an intended change of the roundings, with
 `PYTHONPATH=src:tests python tests/test_roundings_golden.py`.
 """
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -47,6 +50,11 @@ def instances():
     for kind, n, k in RANDOM_SPECS:
         opts = {} if kind == "plain" else {kind: True}
         yield f"{kind},n={n},k={k}", random_instance(rng, n, k, span=6, **opts)
+    rng = random.Random(41)
+    yield "shared,n=7,k=3", random_instance(rng, 7, 3, span=6, single_depot=True)
+    inst = random_instance(rng, 7, 2, span=6)
+    r1, r2 = inst.roots
+    yield "mixed,n=7,k=2+1", dataclasses.replace(inst, roots=(r1, r1, r2))
 
 
 def _draws(inst, rounding):
