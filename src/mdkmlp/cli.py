@@ -98,10 +98,19 @@ def _run_algorithm(
     return rec.rounding(inst, cfg, sol), {rec.bound: float(value)}
 
 
+def _evaluate_own(inst: MetricInstance, plan: RoutePlan):
+    """``evaluate_plan_detail`` of a plan an algorithm returned: a plan it
+    rejects is the solver's error, not an invalid argument."""
+    try:
+        return evaluate_plan_detail(inst, plan)
+    except ValueError as exc:
+        raise SolverError(str(exc)) from exc
+
+
 def cmd_solve(args) -> int:
     inst = _read_instance(args.input)
     plan, bounds = _run_algorithm(args.alg, inst, SolverConfig(seed=args.seed))
-    cost, per_node = evaluate_plan_detail(inst, plan)
+    cost, per_node = _evaluate_own(inst, plan)
     out = {
         "algorithm": args.alg,
         "routes": [list(r) for r in plan.routes],
@@ -287,10 +296,10 @@ def _bench_row(idx: int, inst: MetricInstance, algs, seed: int) -> Dict:
     for alg in algs:
         try:
             plan, _ = _run_algorithm(alg, inst, cfg, solved)
+            cost, _ = _evaluate_own(inst, plan)
         except (SolverError, OracleGuardError) as exc:
             row["algs"][alg] = {"error": str(exc)}
             continue
-        cost = evaluate_plan(inst, plan)
         entry: Dict = {"cost": _frac_str(cost)}
         ratios: Dict[str, Optional[float]] = {}
         for name, val in oracles.items():

@@ -9,9 +9,10 @@ are concatenated into routes; the clockwise/counterclockwise choice per
 cycle contributes additively and independently to the latency accounting,
 so every solver takes the cheaper direction per cycle, which is at most
 the average of the two that the analyses bound. Tour-splitting keeps each
-segment's internal length within 2c(tree)/k by a greedy cut, and the
-service-time variant uses the two-case snipping loop that controls mixed
-length instead.
+segment's internal length within 2c(tree)/k by a greedy cut.
+:func:`break_cycle_with_service`, the two-case snipping loop that controls
+mixed (edge plus service) length, is called by no algorithm, only by
+acceptance criterion 8 and its unit tests.
 
 The four single-depot roundings (``solve_kmlp_combinatorial``,
 ``solve_kmlp_lp``, ``solve_mlp_lp``, ``bnslb_construction``) are

@@ -8,23 +8,21 @@ scaled by the lcm of their denominators, so every test is the Fraction
 one multiplied through by a positive integer (after Applegate, Cook, Dash
 & Espinoza, "Exact solutions to linear programming problems", ORL 2007).
 If certification fails the LP is re-solved by the exact two-phase simplex
-in :mod:`mdkmlp.simplex`. Either way callers receive an exactly-optimal
-rational vertex solution, which is what the arborescence packing (integer
-scaling by the denominator LCM) depends on.
+in :mod:`mdkmlp.simplex`, if it has at most ``EXACT_CAP`` rows x columns;
+a larger one raises :class:`LpError` rather than run for minutes. Either
+way callers receive an exactly-optimal rational vertex solution, which is
+what the arborescence packing (integer scaling by the denominator LCM)
+depends on.
 
 Each :class:`LinearProgram` keeps one HiGHS model, built on its first
 solve. A later solve, after a cut round, hands HiGHS only the rows added
 since, and dual simplex restarts from the previous optimal basis (Huangfu
-& Hall, Math. Prog. Comp. 2018). With a scipy that lacks this binding,
-every solve is one ``linprog`` call on the whole LP instead. The two
-paths can stop at different optimal vertices after a cut round, so a
-rounding may return another plan, with the same guarantee; every exact
-optimum is the same.
+& Hall, Math. Prog. Comp. 2018).
 
 Importing this module loads scipy's HiGHS extension module by its file
 (:func:`_load_highs_core`), not through ``scipy.optimize``, so no other
-part of scipy is imported. ``linprog`` and
-``scipy.sparse`` are imported only on the fallback path, on its first solve.
+part of scipy is imported. The binding needs scipy >= 1.15; without it the
+import raises ImportError.
 
 Every row the builders make has integer coefficients and right-hand side;
 such a row is its own integer form (scale 1) and is stored without
@@ -93,17 +91,19 @@ def _load_highs_core():
     return importlib.import_module(_HIGHS_CORE)
 
 
-try:  # scipy's binding of HiGHS itself (scipy >= 1.15)
+try:  # scipy's binding of HiGHS itself
     _core = _load_highs_core()
     HighsModelStatus, _Highs, kHighsInf = _core.HighsModelStatus, _core._Highs, _core.kHighsInf
+except (ImportError, AttributeError) as exc:
+    raise ImportError(
+        f"mdkmlp needs scipy >= 1.15 for its HiGHS binding ({_HIGHS_CORE}): {exc}"
+    ) from exc
 
-    _HIGHS_STATUS = {
-        HighsModelStatus.kOptimal: OPTIMAL,
-        HighsModelStatus.kInfeasible: INFEASIBLE,
-        HighsModelStatus.kUnbounded: UNBOUNDED,
-    }
-except (ImportError, AttributeError):  # older scipy: every solve is one linprog call
-    _Highs = None
+_HIGHS_STATUS = {
+    HighsModelStatus.kOptimal: OPTIMAL,
+    HighsModelStatus.kInfeasible: INFEASIBLE,
+    HighsModelStatus.kUnbounded: UNBOUNDED,
+}
 
 log = logging.getLogger("mdkmlp.lp")
 
@@ -113,7 +113,7 @@ ONE = Fraction(1)
 _ROUND_DENOM = 10**6
 _FLOAT_EPS = 1e-7
 
-# linprog's method="highs-ds", quiet; presolve goes off after the first solve
+# quiet dual simplex; presolve goes off after the first solve
 _HIGHS_OPTIONS = (
     ("output_flag", False),
     ("solver", "simplex"),
@@ -125,6 +125,9 @@ _HIGHS_OPTIONS = (
 CLIENT_CAP = 12  # LP1, LP2: clients in the subset DPs (2^m sets, 3^m splits)
 COLUMN_CAP = 100_000  # LP1, LP2: z columns of the configuration LP
 MAX_CUTS = 10_000  # cuts one solve_with_cuts call may add
+# rows x columns the exact simplex fallback may take on: about 10 s a call
+# (157 x 319 took 9.7 s on a 2-vCPU machine, 198 x 319 16.8 s)
+EXACT_CAP = 50_000
 
 
 class LpError(Exception):
@@ -310,48 +313,14 @@ def _csr_parts(rows: Sequence[Row]):
     return indptr, indices, data, rhs
 
 
-def _csr(lp: LinearProgram, idx: List[int], sign: float):
-    """The rows ``idx`` times ``sign`` as a CSR matrix and a rhs vector;
-    ``(None, None)`` when there are none."""
-    if not idx:
-        return None, None
-    from scipy.sparse import csr_array
-
-    indptr, indices, data, b = _csr_parts([lp.rows[i] for i in idx])
-    A = csr_array((sign * data, indices, indptr), shape=(len(idx), len(lp.names)))
-    return A, sign * b
-
-
 def linprog(*args, **kwargs):
-    """scipy's ``linprog``, imported on its first call: only the fallback
-    path solves through it."""
+    """scipy's ``linprog``, imported on its first call. No solve calls it:
+    ``perfbench/tracer.py`` binds this name as its ``lp_toolkit.highs`` span
+    and lists it in ``EXPECTED_COPIES``, so the tracer (which
+    ``tests/test_perfbench_tracer.py`` installs) fails without it."""
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
-
-
-def _linprog_solve(lp: LinearProgram):
-    """One ``linprog`` call on the whole LP, for a scipy without ``_Highs``:
-    (status, x, y, simplex iterations), with y in ``lp.rows`` order."""
-    c = np.array([float(v) for v in lp.objective])
-    ge_rows = [i for i, row in enumerate(lp.rows) if row.sense == ">="]
-    eq_rows = [i for i, row in enumerate(lp.rows) if row.sense == "=="]
-    A_ub, b_ub = _csr(lp, ge_rows, -1.0)
-    A_eq, b_eq = _csr(lp, eq_rows, 1.0)
-    res = linprog(
-        c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-        bounds=(0, None), method="highs-ds",
-    )
-    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(res.status)
-    if status != OPTIMAL:
-        return status, None, None, res.nit
-    y = [0.0] * len(lp.rows)
-    # the >=-form multiplier of a row is minus its A_ub marginal
-    for i, m in zip(ge_rows, res.ineqlin.marginals):
-        y[i] = -m
-    for i, m in zip(eq_rows, res.eqlin.marginals):
-        y[i] = m
-    return OPTIMAL, res.x, y, res.nit
 
 
 def _highs_solve(lp: LinearProgram):
@@ -399,7 +368,7 @@ def solve_lp(lp: LinearProgram, which: str = "LP", T: Optional[int] = None) -> L
     nvars = len(lp.names)
     if nvars == 0:
         raise LpError("LP has no variables")
-    status, xs, ys, iterations = (_linprog_solve if _Highs is None else _highs_solve)(lp)
+    status, xs, ys, iterations = _highs_solve(lp)
     if status == INFEASIBLE:
         raise LpInfeasibleError(f"{which} infeasible")
     if status == UNBOUNDED:
@@ -419,6 +388,11 @@ def solve_lp(lp: LinearProgram, which: str = "LP", T: Optional[int] = None) -> L
         else:
             log.debug("float certification failed for %s; exact fallback", which)
     if x is None:
+        if len(lp.rows) * nvars > EXACT_CAP:
+            raise LpError(
+                f"{which} not certified, and too large for the exact simplex: "
+                f"{len(lp.rows)} rows x {nvars} columns > {EXACT_CAP}"
+            )
         rows = []
         for cols, ints, b, d, sense, _, _ in lp.rows:
             dense = [ZERO] * nvars

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from mdkmlp import lp_toolkit
 from mdkmlp.arb_packing import WeightedDigraph
 from mdkmlp.instance import MetricInstance
 
@@ -36,6 +37,25 @@ def fix_b() -> MetricInstance:
         roots=("r1", "r2"),
         cost=((0, 1, 3, 4), (1, 0, 2, 3), (3, 2, 0, 1), (4, 3, 1, 0)),
     )
+
+
+def cold_highs_solves(monkeypatch) -> None:
+    """From here on, every solve gives its LP a new HiGHS model, solved with
+    presolve from no basis, in place of a warm re-solve of the LP's model.
+    After a cut round the two can stop at different optimal vertices, so
+    cold solves cross-check the warm ones independently."""
+    warm = lp_toolkit._highs_solve
+
+    def cold(lp):
+        lp.model = None
+        return warm(lp)
+
+    monkeypatch.setattr(lp_toolkit, "_highs_solve", cold)
+
+
+@pytest.fixture
+def cold_highs(monkeypatch):
+    cold_highs_solves(monkeypatch)
 
 
 def manhattan_points(rng: random.Random, n: int, span: int):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from conftest import FIX_A_JSON, FIX_B_JSON
 from mdkmlp import cli, exact_oracles, lp_toolkit
 from mdkmlp.cli import _VERIFY_TOL, _bench_row, main
-from mdkmlp.instance import parse_instance
+from mdkmlp.instance import RoutePlan, parse_instance
 from mdkmlp.latency_solvers import ALGORITHMS
 
 F = Fraction
@@ -160,6 +161,19 @@ class TestSolve:
         assert exc.value.code == 2
         assert "--no-derandomize" in capsys.readouterr().err
 
+    def test_infeasible_own_plan_exits_3(self, capsys, tmp_path, monkeypatch):
+        # a plan that the algorithm itself returns and evaluate_plan rejects
+        # is a solver error, not an invalid argument
+        path = tmp_path / "inst.json"
+        path.write_text(FIX_B_JSON[:-1] + ',"allowed_depots":{"a":["r2"]}}')
+        bad = RoutePlan(routes=(("r1", "a", "b"), ("r2",)))
+        rec = replace(ALGORITHMS["bnslb-construct"], rounding=lambda i, c, b: bad)
+        monkeypatch.setitem(ALGORITHMS, "bnslb-construct", rec)
+        code, out, err = run(capsys, "solve", "--alg", "bnslb-construct", "--input", str(path))
+        assert (code, out, err) == (
+            3, "", "error: node 'a' served from disallowed depot 'r1'\n"
+        )
+
     def test_missing_input_exits_2(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "solve", "--alg", "kmlp-comb", "--input",
@@ -194,6 +208,14 @@ class TestOracle:
         res = json.loads(out)
         assert res["value"] == "4"
         assert res["table"] == ["0", "1", "3"]
+
+    def test_lp_past_the_exact_cap_exits_3(self, capsys, monkeypatch, fixa_path):
+        # an LP that does not certify, too large for the exact simplex
+        monkeypatch.setattr(lp_toolkit, "_certify", lambda lp, x, duals: False)
+        monkeypatch.setattr(lp_toolkit, "EXACT_CAP", 0)
+        code, out, err = run(capsys, "oracle", "--what", "lp3", "--input", fixa_path)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: LP3 not certified, and too large for the exact simplex: ")
 
     def test_guard_exits_4(self, capsys, big_path):
         code, _, err = run(capsys, "oracle", "--what", "opt", "--input", big_path)
@@ -555,6 +577,24 @@ class TestBench:
         assert row["bnslb"] is None
         assert row["algs"]["kmlp-comb"]["cost"] == "4"
 
+    def test_infeasible_own_plan_is_the_rows_error(self, capsys, monkeypatch):
+        # a rejected plan is that algorithm's error entry; the table goes on
+        rec = replace(
+            ALGORITHMS["kmlp-comb"], rounding=lambda i, c, b: RoutePlan(routes=(("v0",),))
+        )
+        monkeypatch.setitem(ALGORITHMS, "kmlp-comb", rec)
+        code, out, _ = run(
+            capsys, "bench", "--n", "3", "--k", "1", "--trials", "2", "--seed", "5",
+            "--algs", "kmlp-comb,kmlp-lp",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert len(report["rows"]) == 2
+        for row in report["rows"]:
+            assert row["algs"]["kmlp-comb"] == {"error": "uncovered node(s): ['v1', 'v2']"}
+            assert "cost" in row["algs"]["kmlp-lp"]
+        assert list(report["aggregate"]) == ["kmlp-lp"]
+
     @pytest.mark.parametrize("argv, name", [
         pytest.param(
             ("--n", "4", "--k", "2", "--trials", "3", "--seed", "7"),
@@ -584,14 +624,13 @@ class TestBench:
         assert code == 0
         assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
-    def test_golden_linprog_fallback(self, capsys, monkeypatch):
-        # Without scipy's HiGHS binding every LP is solved by one linprog
-        # call per round. The bound columns must not move; a rounding of
-        # LP3 may return another plan, within its per-run guarantee.
+    def test_golden_linprog_fallback(self, capsys, cold_highs):
+        # With a new HiGHS model for every solve, in place of warm re-solves,
+        # the bound columns must not move; a rounding of LP3 may return
+        # another plan, within its per-run guarantee.
         golden = json.loads(
             (GOLDEN / "bench_n4_k2_trials3_seed7.json").read_text(encoding="utf-8")
         )
-        monkeypatch.setattr(lp_toolkit, "_Highs", None)
         code, out, _ = run(
             capsys, "bench", "--n", "4", "--k", "2", "--trials", "3", "--seed", "7"
         )

@@ -101,15 +101,18 @@ def test_no_extension_file_takes_the_regular_import():
     assert (out["value"], out["x"]) == ("4/3", ["2/3", "2/3"])
 
 
-def test_unimportable_core_leaves_highs_unset():
+def test_unimportable_core_names_the_scipy_floor():
     # a None entry in sys.modules makes the core's import raise ImportError,
     # as on a scipy older than 1.15
     out = run_fresh(
         f"sys.modules[{CORE!r}] = None\n"
-        "import mdkmlp.cli\n"
-        "from mdkmlp import lp_toolkit\n"
-        "out['highs'] = lp_toolkit._Highs is None\n"
+        "try:\n"
+        "    import mdkmlp.cli\n"
+        "except ImportError as exc:\n"
+        "    out['error'] = [type(exc).__name__, str(exc)]\n"
         "out['optimize'] = 'scipy.optimize' in sys.modules\n"
     )
-    assert out["highs"]
+    kind, message = out["error"]
+    assert kind == "ImportError"
+    assert message.startswith(f"mdkmlp needs scipy >= 1.15 for its HiGHS binding ({CORE}): ")
     assert not out["optimize"]

@@ -11,8 +11,8 @@ column index. Variable names are left out, so renaming a variable does not
 change the record, but another column order, row order or coefficient does;
 HiGHS may return another optimal vertex for a reordered model, which would
 change the rounded plans. LP3's rounds after the first follow the vertices
-of HiGHS's warm re-solves; the `linprog` fallback test pins everything
-that may not depend on them.
+of HiGHS's warm re-solves; the test that solves each model on a new HiGHS
+model pins everything that may not depend on them.
 
 The rows are read from the `add_constraint` calls, not from the storage
 inside `LinearProgram`, so the record does not depend on how rows are kept.
@@ -27,7 +27,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import random_instance
+from conftest import cold_highs_solves, random_instance
 from mdkmlp import lp_toolkit
 from mdkmlp.instance import MetricInstance, time_horizon
 
@@ -139,13 +139,12 @@ def test_models_match_golden():
     assert record() == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-def test_linprog_fallback_differs_only_after_a_cut_round(monkeypatch):
-    # Without scipy's HiGHS binding each solve is one linprog call on the
-    # whole LP. A warm re-solve may stop at another optimal vertex and so
-    # separate other cuts, but nothing before the first cut round may move:
-    # LP1 and LP2 entirely, and LP3's optimum and first model.
+def test_linprog_fallback_differs_only_after_a_cut_round(cold_highs):
+    # Each solve on a new HiGHS model, in place of warm re-solves. A warm
+    # re-solve may stop at another optimal vertex and so separate other
+    # cuts, but nothing before the first cut round may move: LP1 and LP2
+    # entirely, and LP3's optimum and first model.
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    monkeypatch.setattr(lp_toolkit, "_Highs", None)
     fallback = record()
     assert fallback.keys() == golden.keys()
     for label, entry in golden.items():
@@ -162,6 +161,7 @@ def test_linprog_fallback_differs_only_after_a_cut_round(monkeypatch):
 
 
 def test_linprog_fallback_same_pclp_optima(monkeypatch):
+    # warm re-solves and a new HiGHS model per solve give the same optima
     def optima():
         out = []
         for _, inst in instances():
@@ -173,7 +173,7 @@ def test_linprog_fallback_same_pclp_optima(monkeypatch):
         return out
 
     warm = optima()
-    monkeypatch.setattr(lp_toolkit, "_Highs", None)
+    cold_highs_solves(monkeypatch)
     assert optima() == warm
 
 

@@ -1,13 +1,14 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import cold_highs_solves, random_instance
 from mdkmlp import exact_oracles, lp_toolkit, pathdp
 from mdkmlp.instance import MetricInstance, time_horizon, vehicle_groups
 from mdkmlp.lp_toolkit import (
@@ -220,6 +221,26 @@ class TestExactFallback:
         assert build_and_solve_lp3(fix_a, T).objective_value == lp3
         assert len(calls) >= 3
 
+    def test_past_the_cap_raises_within_budget(self, monkeypatch):
+        # LP3's 5th cut round here does not certify, and the dense simplex
+        # ran for minutes on its 1304 rows x 4024 columns. Past EXACT_CAP
+        # the solve raises instead: 0.4-0.6 s in on a 2-vCPU machine, so a
+        # budget of 20 s
+        def refuse(*args):
+            raise AssertionError("exact_simplex entered past EXACT_CAP")
+
+        monkeypatch.setattr(lp_toolkit, "exact_simplex", refuse)
+        inst = random_instance(random.Random(3), 12, 1, span=10)
+        T = time_horizon(inst).T
+        start = time.perf_counter()
+        with pytest.raises(LpError) as exc:
+            build_and_solve_lp3(inst, T)
+        assert time.perf_counter() - start < 20
+        assert str(exc.value) == (
+            "LP3 not certified, and too large for the exact simplex: "
+            f"1304 rows x 4024 columns > {lp_toolkit.EXACT_CAP}"
+        )
+
 
 def assert_model_mirrors(lp):
     """The LP's HiGHS model holds exactly its columns and rows: x >= 0 with
@@ -252,7 +273,6 @@ def assert_model_mirrors(lp):
     assert list(model.col_upper_) == [math.inf] * len(lp.names)
 
 
-@pytest.mark.skipif(lp_toolkit._Highs is None, reason="scipy without its HiGHS binding")
 class TestWarmModel:
     """Each LP keeps one HiGHS model; a re-solve adds only what is new."""
 
@@ -581,20 +601,22 @@ class TestSharedPcLp:
             for inst, root, pens in cases
         ]
         rng = random.Random(7)
-        for highs in dict.fromkeys((lp_toolkit._Highs, None)):
-            monkeypatch.setattr(lp_toolkit, "_Highs", highs)
+        for cold in (False, True):
+            if cold:  # a new HiGHS model per solve
+                cold_highs_solves(monkeypatch)
             for (inst, root, pens), want in zip(cases, fresh):
                 order = list(range(len(pens)))
                 for shuffled in (False, True):
                     if shuffled:
                         rng.shuffle(order)
                     model = pclp_model(inst, root)
-                    for i in order:
+                    for n, i in enumerate(order):
+                        before = model.lp.model
                         sol = build_and_solve_pclp(model, pens[i])
                         assert sol.objective_value == want[i]
-                        assert (model.lp.model is None) == (highs is None)
-                        if highs is not None:
-                            assert_model_mirrors(model.lp)
+                        if n:  # one model per LP, unless solves are cold
+                            assert (model.lp.model is before) != cold
+                        assert_model_mirrors(model.lp)
 
     def test_penalties_change_only_the_z_costs(self, fix_a):
         model = pclp_model(fix_a, "r")

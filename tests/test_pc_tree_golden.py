@@ -80,13 +80,12 @@ def _without_arcs(rec):
     return rec
 
 
-def test_linprog_fallback_differs_only_in_arcs(monkeypatch):
-    # Without scipy's HiGHS binding each PC-LP solve is one linprog call.
-    # A warm re-solve may pick another optimal vertex, and so another tree
-    # of the same cost, but every probe, cost, objective and bipoint
-    # multiplier must be the same.
+def test_linprog_fallback_differs_only_in_arcs(cold_highs):
+    # Each PC-LP solve on a new HiGHS model, in place of warm re-solves. A
+    # warm re-solve may pick another optimal vertex, and so another tree of
+    # the same cost, but every probe, cost, objective and bipoint multiplier
+    # must be the same.
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    monkeypatch.setattr(lp_toolkit, "_Highs", None)
     assert _without_arcs(record()) == _without_arcs(golden)
 
 
