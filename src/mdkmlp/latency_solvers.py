@@ -334,10 +334,11 @@ def _stitch_by_concat_graph(
 
 
 def _aggregate_lp3(inst: MetricInstance, sol) -> Tuple[Dict, Dict]:
-    """x'_{v,t} and z'_{a,t} summed over vehicles."""
+    """x'_{v,t} and z'_{a,t} summed over vehicles; z' grouped by t, as
+    zprime[t][a]."""
     groups = vehicle_groups(inst)
     xprime: Dict[Tuple[object, int], Fraction] = {}
-    zprime: Dict[Tuple[Tuple, int], Fraction] = {}
+    zprime: Dict[int, Dict[Tuple, Fraction]] = {}
     for name, val in sol.values.items():
         if name[0] == "x":
             _, gi, v, t = name
@@ -346,18 +347,15 @@ def _aggregate_lp3(inst: MetricInstance, sol) -> Tuple[Dict, Dict]:
             xprime[key] = xprime.get(key, ZERO) + mult * val
         elif name[0] == "z":
             _, gi, a, t = name
-            mult = groups[gi][1]
-            key = (a, t)
-            zprime[key] = zprime.get(key, ZERO) + mult * val
+            at = zprime.setdefault(t, {})
+            at[a] = at.get(a, ZERO) + groups[gi][1] * val
     return xprime, zprime
 
 
 def _family_for_time(
     inst: MetricInstance, zprime: Dict, t: int, root, cache: Dict
 ):
-    weights_t = {
-        a: val for (a, tt), val in zprime.items() if tt == t and val > 0
-    }
+    weights_t = {a: val for a, val in zprime.get(t, {}).items() if val > 0}
     cache_key = frozenset(weights_t.items())
     if cache_key in cache:
         return cache[cache_key]

@@ -2,11 +2,15 @@
 
 Solving strategy: HiGHS (dual simplex) finds the optimum in floats, the
 result is rounded to small rationals, and a primal/dual pair is verified
-exactly (feasibility, reduced costs, strong duality). The check runs on
-plain Python integers: each row, the primal point and the duals are
-scaled by the lcm of their denominators, so every test is the Fraction
-one multiplied through by a positive integer (after Applegate, Cook, Dash
-& Espinoza, "Exact solutions to linear programming problems", ORL 2007).
+exactly (feasibility, reduced costs, strong duality). Only the entries of
+magnitude at least 1e-9 are rounded; every other one is exactly 0, so the
+rounding, the duals' part of the check, the values and the objective run
+on the support, while every row and every column's reduced cost is still
+tested. The check runs on plain Python integers: each row, the primal
+point and the duals are scaled by the lcm of their denominators, so every
+test is the Fraction one multiplied through by a positive integer (after
+Applegate, Cook, Dash & Espinoza, "Exact solutions to linear programming
+problems", ORL 2007).
 If certification fails the LP is re-solved by the exact two-phase simplex
 in :mod:`mdkmlp.simplex`, if it has at most ``EXACT_CAP`` rows x columns;
 a larger one raises :class:`LpError` rather than run for minutes. Either
@@ -24,9 +28,16 @@ Importing this module loads scipy's HiGHS extension module by its file
 part of scipy is imported. The binding needs scipy >= 1.15; without it the
 import raises ImportError.
 
-Every row the builders make has integer coefficients and right-hand side;
-such a row is its own integer form (scale 1) and is stored without
-building a Fraction. The prize-collecting LP is a model
+Rows enter an LP by column index through :meth:`LinearProgram.add_row`;
+:meth:`~LinearProgram.add_constraint` is its adapter by variable name. The
+builders lay their columns out in blocks (per depot group an x block, each
+client's columns in t order, so "served by t" is a slice, and LP3's z block
+arc-major) and emit every row as integer coefficients over increasing
+column indices. An integer row is its own integer form (scale 1) and is
+stored without building a Fraction. The cut oracles separate on the
+certified integer point of the solution (:attr:`LpSolution.point`): the
+min-cut capacities and demands are its entries, all at one common scale,
+and each cut goes in as an index row. The prize-collecting LP is a model
 (:func:`pclp_model`) solved under any penalties
 (:func:`build_and_solve_pclp`): only the z costs change between solves,
 and the cuts of earlier solves stay valid and stay in the model, so a
@@ -54,6 +65,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, count
+from operator import mul
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,9 +120,9 @@ _HIGHS_STATUS = {
 log = logging.getLogger("mdkmlp.lp")
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _ROUND_DENOM = 10**6
+_INT = {int}
 _FLOAT_EPS = 1e-7
 
 # quiet dual simplex; presolve goes off after the first solve
@@ -168,9 +180,10 @@ class LinearProgram:
     def __init__(self):
         self._index: Dict[object, int] = {}
         self.names: List[object] = []
-        self.objective: List[Fraction] = []
+        self.objective: List = []  # ints and Fractions
         self.rows: List[Row] = []
-        self._row_set: set = set()
+        self._row_set: set = set()  # rows[:_hashed], for spotting a repeated cut
+        self._hashed = 0
         self.model = None  # the HiGHS model solve_lp keeps, once it has run
 
     def add_var(self, name, obj=0) -> int:
@@ -182,8 +195,16 @@ class LinearProgram:
         self.objective.append(Fraction(obj))
         return idx
 
-    def has_var(self, name) -> bool:
-        return name in self._index
+    def add_vars(self, names: Sequence, costs: Sequence) -> int:
+        """A column per name, at the int or Fraction cost beside it; returns
+        the first one's index, the others following it."""
+        first = len(self.names)
+        self._index.update(zip(names, count(first)))
+        self.names.extend(names)
+        if len(self._index) != len(self.names):
+            raise ValueError("duplicate variable among the names added")
+        self.objective.extend(costs)
+        return first
 
     def set_costs(self, costs: Dict[int, Fraction]) -> None:
         """Set the objective coefficient of each column in ``costs``, in the
@@ -196,9 +217,34 @@ class LinearProgram:
                 np.array([float(self.objective[j]) for j in costs]),
             )
 
-    def _row(self, coeffs: Dict[object, Fraction], sense: str, rhs) -> Row:
+    def add_row(self, cols: Sequence[int], ints: Sequence, b, sense: str) -> None:
+        """Append the row ``sum(ints[i] * x[cols[i]]) sense b``, ``cols``
+        increasing. An integer row is its own integer form (d = 1); a
+        rational one is scaled by the lcm of its denominators."""
         if sense not in (">=", "<=", "=="):
             raise ValueError(f"unknown sense {sense!r}")
+        if 0 in ints:
+            kept = [(j, a) for j, a in zip(cols, ints) if a]
+            cols, ints = [j for j, _ in kept], [a for _, a in kept]
+        if type(b) is int and set(map(type, ints)) <= _INT:
+            d = 1
+            if sense == "<=":
+                ints, b = tuple(-a for a in ints), -b
+            ints = tuple(ints)
+            vals = tuple(map(float, ints))
+        else:
+            fracs = [Fraction(a) for a in ints]
+            b = Fraction(b)
+            d = math.lcm(b.denominator, *(a.denominator for a in fracs))
+            s = -d if sense == "<=" else d
+            ints = tuple(a.numerator * (s // a.denominator) for a in fracs)
+            b = b.numerator * (s // b.denominator)
+            vals = tuple(a / d for a in ints)
+        sense = ">=" if sense == "<=" else sense
+        self.rows.append(Row(tuple(cols), ints, b, d, sense, vals, b / d))
+
+    def add_constraint(self, coeffs: Dict[object, Fraction], sense: str, rhs) -> None:
+        """:meth:`add_row` by variable name."""
         index = self._index
         try:
             pairs = sorted((index[name], c) for name, c in coeffs.items())
@@ -206,80 +252,83 @@ class LinearProgram:
             raise ValueError(
                 f"constraint references unknown variable {exc.args[0]!r}"
             ) from None
-        if type(rhs) is int and all(type(c) is int for _, c in pairs):
-            # an integer row is its own integer form, with d = 1
-            d = 1
-            s = -1 if sense == "<=" else 1
-            cols = tuple(j for j, c in pairs if c)
-            ints = tuple(s * c for _, c in pairs if c)
-            b = s * rhs
-        else:
-            fracs = [(j, Fraction(c)) for j, c in pairs]
-            fracs = [(j, c) for j, c in fracs if c]
-            rhs = Fraction(rhs)
-            d = math.lcm(rhs.denominator, *(c.denominator for _, c in fracs))
-            s = -d if sense == "<=" else d
-            cols = tuple(j for j, _ in fracs)
-            ints = tuple(c.numerator * (s // c.denominator) for _, c in fracs)
-            b = rhs.numerator * (s // rhs.denominator)
-        sense = ">=" if sense == "<=" else sense
-        return Row(cols, ints, b, d, sense, tuple(a / d for a in ints), b / d)
+        self.add_row([j for j, _ in pairs], [c for _, c in pairs], rhs, sense)
 
-    def add_constraint(self, coeffs: Dict[object, Fraction], sense: str, rhs) -> None:
-        row = self._row(coeffs, sense, rhs)
-        self.rows.append(row)
-        self._row_set.add(row)
+    def add_cut(self, cols: Sequence[int], ints: Sequence, b, sense: str) -> bool:
+        """:meth:`add_row`, unless the LP has that row already: False then."""
+        self._row_set.update(self.rows[self._hashed:])
+        self.add_row(cols, ints, b, sense)
+        if self.rows[-1] in self._row_set:
+            self.rows.pop()
+            return False
+        self._row_set.add(self.rows[-1])
+        self._hashed = len(self.rows)
+        return True
 
 
 @dataclass
 class LpSolution:
-    """Exact rational optimum of one of the package's LPs."""
+    """Exact rational optimum of one of the package's LPs. ``point`` is
+    (L, X): L the lcm of the denominators of the positive values, and X the
+    map from each such value's column index to L times the value."""
 
     values: Dict[object, Fraction]
     objective_value: Fraction
     which: str = "LP"
     T: Optional[int] = None
     meta: dict = field(default_factory=dict)
+    point: Optional[Tuple[int, Dict[int, int]]] = field(default=None, repr=False, compare=False)
 
     def value(self, name) -> Fraction:
         return self.values.get(name, ZERO)
 
 
-def _round_fraction(val: float) -> Fraction:
-    if abs(val) < 1e-9:
-        return ZERO
-    return Fraction(val).limit_denominator(_ROUND_DENOM)
+def _round_support(vals: Sequence[float]) -> Dict[int, Fraction]:
+    """The small rationals near ``vals``, by index, where |v| >= 1e-9; the
+    other entries round to ZERO."""
+    arr = np.asarray(vals)
+    support = np.flatnonzero(np.abs(arr) >= 1e-9).tolist()
+    near = arr[support].tolist()
+    rounded = {v: Fraction(v).limit_denominator(_ROUND_DENOM) for v in set(near)}
+    return {i: rounded[v] for i, v in zip(support, near)}
 
 
 def _certify(
     lp: LinearProgram,
-    x: List[Fraction],
-    duals: List[Fraction],
+    x: Dict[int, Fraction],
+    duals: Dict[int, Fraction],
 ) -> bool:
-    """Exact optimality test of a primal/dual pair, on scaled integers.
+    """Exact optimality test of a primal/dual pair, each given on its
+    support (column or row index -> value; every other entry is 0), on
+    scaled integers.
 
     With L the lcm of the denominators of x, X = L*x; with w_i = y_i/d_i
     (d_i the scale of row i's integer form) and M the lcm of the
     denominators of w, W = M*w; D is the lcm of the objective's
     denominators. Every test below is the Fraction test (primal
-    feasibility, y >= 0 on '>=' rows, reduced costs >= 0, strong duality)
-    multiplied through by a positive integer, so the two accept the same
-    pairs.
+    feasibility of every row, y >= 0 on '>=' rows, reduced cost >= 0 of
+    every column, strong duality) multiplied through by a positive integer,
+    so the two accept the same pairs.
     """
-    if any(v < 0 for v in x):
+    if any(v < 0 for v in x.values()):
         return False
-    L = math.lcm(*(v.denominator for v in x))
-    X = [v.numerator * (L // v.denominator) for v in x]
-    ws = []
-    for (cols, ints, b, d, sense, _, _), y in zip(lp.rows, duals):
-        lhs = sum(a * X[j] for j, a in zip(cols, ints))
+    L = math.lcm(*(v.denominator for v in x.values()))
+    X = [0] * len(lp.names)
+    for j, v in x.items():
+        X[j] = v.numerator * (L // v.denominator)
+    get = X.__getitem__
+    for cols, ints, b, _, sense, _, _ in lp.rows:
+        lhs = sum(map(mul, ints, map(get, cols)))
         bL = b * L
         if lhs < bL or (sense == "==" and lhs != bL):
             return False
+    ws = []
+    for i, y in duals.items():
         if y != 0:
+            cols, ints, b, d, sense, _, _ = lp.rows[i]
             if sense == ">=" and y < 0:
                 return False
-            ws.append((cols, ints, b, Fraction(y, d)))
+            ws.append((cols, ints, b, y / d if d > 1 else y))
     M = math.lcm(*(w.denominator for _, _, _, w in ws))
     D = math.lcm(*(c.denominator for c in lp.objective))
     S = [0] * len(lp.objective)
@@ -289,12 +338,13 @@ def _certify(
         for j, a in zip(cols, ints):
             S[j] += W * a
         dual_obj += W * b
-    primal_obj = 0  # D * L * (primal objective)
-    for c, s_j, x_j in zip(lp.objective, S, X):
-        C = c.numerator * (D // c.denominator)
-        if C * M < D * s_j:  # D * M * (reduced cost) < 0
+    for c, s_j in zip(lp.objective, S):
+        if c.numerator * (D // c.denominator) * M < D * s_j:  # D*M*(reduced cost) < 0
             return False
-        primal_obj += C * x_j
+    objective = lp.objective
+    primal_obj = sum(  # D * L * (primal objective)
+        objective[j].numerator * (D // objective[j].denominator) * X[j] for j in x
+    )
     return primal_obj * M == dual_obj * D * L
 
 
@@ -343,7 +393,7 @@ def _highs_solve(lp: LinearProgram):
         h.addVars(new, np.zeros(new), np.full(new, kHighsInf))
         h.changeColsCost(
             new, np.arange(ncols, len(lp.names)),
-            np.array([float(v) for v in lp.objective[ncols:]]),
+            np.array(lp.objective[ncols:], dtype=float),
         )
     rows = lp.rows[nrows:]
     if rows:  # b <= row <= b for '==', b <= row < inf for '>='
@@ -375,15 +425,14 @@ def solve_lp(lp: LinearProgram, which: str = "LP", T: Optional[int] = None) -> L
         raise LpUnboundedError(f"{which} unbounded")
     x = None
     if status == OPTIMAL:
-        x0 = [_round_fraction(v) for v in xs]
-        # a >= row's multiplier is nonnegative up to float noise, which is
-        # rounded away
-        duals = [
-            _round_fraction(max(y, 0.0) if row.sense == ">=" else y)
-            for row, y in zip(lp.rows, ys)
-        ]
-        signs_ok = all(y > -_FLOAT_EPS for row, y in zip(lp.rows, ys) if row.sense == ">=")
-        if signs_ok and _certify(lp, x0, duals):
+        x0 = _round_support(xs)
+        # A '>=' row's multiplier is nonnegative up to float noise: above
+        # -1e-7 it rounds to 0 (no nonzero rational of denominator <= 10**6
+        # lies that close to 0), below it the pair is not certified.
+        signs_ok = all(
+            lp.rows[i].sense != ">=" for i in np.flatnonzero(np.asarray(ys) <= -_FLOAT_EPS)
+        )
+        if signs_ok and _certify(lp, x0, _round_support(ys)):
             x = x0
         else:
             log.debug("float certification failed for %s; exact fallback", which)
@@ -399,21 +448,25 @@ def solve_lp(lp: LinearProgram, which: str = "LP", T: Optional[int] = None) -> L
             for j, a in zip(cols, ints):
                 dense[j] = Fraction(a, d)
             rows.append((dense, sense, Fraction(b, d)))
-        status, x, _ = exact_simplex(lp.objective, rows)
+        status, dense, _ = exact_simplex(lp.objective, rows)
         if status == INFEASIBLE:
             raise LpInfeasibleError(f"{which} infeasible")
         if status == UNBOUNDED:
             raise LpUnboundedError(f"{which} unbounded")
         assert status == OPTIMAL
-    values = {lp.names[j]: x[j] for j in range(nvars) if x[j] != 0}
-    obj = sum(lp.objective[j] * v for j, v in enumerate(x) if v != 0)
+        x = dict(enumerate(dense))
+    x = {j: v for j, v in x.items() if v != 0}
+    L = math.lcm(*(v.denominator for v in x.values()))
+    X = {j: v.numerator * (L // v.denominator) for j, v in x.items()}
     return LpSolution(
-        values=values, objective_value=Fraction(obj), which=which, T=T,
-        meta={"simplex_iterations": iterations},
+        values={lp.names[j]: v for j, v in x.items()},
+        objective_value=Fraction(sum(lp.objective[j] * Xj for j, Xj in X.items()), L),
+        which=which, T=T, meta={"simplex_iterations": iterations}, point=(L, X),
     )
 
 
-Cut = Tuple[Dict[object, Fraction], str, Fraction]
+# A cut is a row for :meth:`LinearProgram.add_row`: (cols, ints, b, sense).
+Cut = Tuple[Sequence[int], Sequence, object, str]
 
 
 def solve_with_cuts(
@@ -433,11 +486,8 @@ def solve_with_cuts(
         )
         if not cuts:
             return sol
-        for coeffs, sense, rhs in cuts:
-            known = len(lp._row_set)
-            lp.add_constraint(coeffs, sense, rhs)  # the cut's row, built once
-            if len(lp._row_set) == known:  # the LP had this row already
-                lp.rows.pop()
+        for cut in cuts:
+            if not lp.add_cut(*cut):
                 raise LpError(
                     f"no progress: separation oracle repeated a {which} constraint"
                 )
@@ -464,38 +514,14 @@ def _arcs_avoiding(inst: MetricInstance, root) -> List[Tuple]:
     return [(u, v) for u in inst.nodes for v in inst.nodes if u != v and v != root]
 
 
-def _arcs_entering(arcs: Sequence[Tuple], S: FrozenSet) -> List[Tuple]:
-    return [(u, v) for u, v in arcs if u not in S and v in S]
-
-
-def _violated_cuts(
-    inst: MetricInstance,
-    root,
-    arc_values: Dict[Tuple, Fraction],
-    demands: Sequence[Tuple[object, Fraction]],
-) -> List[Tuple[FrozenSet, object]]:
-    """Min-cut separation under arc capacities ``arc_values``.
-
-    For each ``(v, need)`` in order with ``need > 0`` (each v at most once),
-    a minimum root-v cut of capacity below ``need`` is violated; returns
-    ``(S, v)`` for each, with S the side of the cut holding v (the nodes
-    outside the min cut's source side), so the cut is the arcs entering S.
-    Capacities are scaled to integers once, so the comparison with ``need``
-    is exact.
-    """
-    scale, caps = scaled_int_caps(arc_values)
-    node_idx = {v: i for i, v in enumerate(inst.nodes)}
-    icaps = {(node_idx[u], node_idx[v]): w for (u, v), w in caps.items()}
-    found: List[Tuple[FrozenSet, object]] = []
-    for v, need in demands:
-        if need <= 0:
-            continue
-        val, side = flows.min_cut(inst.n, icaps, node_idx[root], node_idx[v])
-        if Fraction(val, scale) >= need:
-            continue
-        S = frozenset(w for w in inst.nodes if node_idx[w] not in side)
-        found.append((S, v))
-    return found
+def _cut_side(n: int, caps: Dict[Tuple[int, int], int], root: int, v: int, need: int):
+    """The nodes, by index, on root's side of a minimum root-v cut under
+    ``caps``, if its capacity is below ``need``; else None. No cut is
+    sought when ``need`` is not positive."""
+    if need <= 0:
+        return None
+    val, side = flows.min_cut(n, caps, root, v)
+    return side if val < need else None
 
 
 # ---------------------------------------------------------------------------
@@ -555,15 +581,19 @@ def build_and_solve_pclp(model: PcLpModel, penalties: Dict[object, Fraction]) ->
         if costs[j] < 0:
             raise ValueError(f"negative penalty for {v!r}")
     lp.set_costs(costs)
+    pos = inst.node_pos
+    pairs = [(pos[u], pos[v]) for u, v in arcs]  # x[a] is column a's index
 
     def oracle(sol: LpSolution) -> List[Cut]:
-        xvals = {a: sol.value(("x", a)) for a in arcs}
-        demands = [(v, ONE - sol.value(("z", v))) for v in z]
+        # v needs L * (1 - z[v]) units of x into every set holding it
+        L, X = sol.point
+        caps = {pairs[j]: val for j, val in X.items() if j < len(pairs)}
         cuts: List[Cut] = []
-        for S, v in _violated_cuts(inst, root, xvals, demands):
-            coeffs = {("x", a): 1 for a in _arcs_entering(arcs, S)}
-            coeffs[("z", v)] = 1
-            cuts.append((coeffs, ">=", 1))
+        for v, zv in z.items():
+            side = _cut_side(inst.n, caps, pos[root], pos[v], L - X.get(zv, 0))
+            if side is not None:
+                cols = [j for j, (a, b) in enumerate(pairs) if a in side and b not in side]
+                cuts.append((cols + [zv], [1] * (len(cols) + 1), 1, ">="))
         return cuts
 
     return solve_with_cuts(lp, oracle, which="PC-LP")
@@ -691,36 +721,47 @@ def _has_clients(inst: MetricInstance, T: int, which: str) -> bool:
 
 def _add_assignment_vars(
     lp: LinearProgram, inst: MetricInstance, gi: int, mult: int, first: Dict, T: int
-) -> None:
+) -> Dict[object, Tuple[int, int]]:
     """x[gi, v, t] for every v in ``first`` and first[v] <= t <= T, at cost
-    mult * w_v * t."""
+    mult * w_v * t. Returns v -> (j, first[v]), x[gi, v, t] being column
+    j + t - first[v]."""
+    block = {}
     for v, t0 in first.items():
-        for t in range(t0, T + 1):
-            lp.add_var(("x", gi, v, t), obj=mult * inst.weight(v) * t)
+        ts = range(t0, T + 1)
+        w = mult * inst.weight(v)
+        block[v] = (lp.add_vars([("x", gi, v, t) for t in ts], [w * t for t in ts]), t0)
+    return block
+
+
+def _served(block: Dict[object, Tuple[int, int]], v, t: int) -> range:
+    """The columns x[gi, v, tp] for tp <= t of v's x block: "group gi has
+    served v by time t"."""
+    j, t0 = block[v]
+    return range(j, j + max(0, t - t0 + 1))
+
+
+def _link(served: range, zcols: Sequence[int]) -> Cut:
+    """The row sum(z over zcols) - sum(x over served) >= 0: a covering row
+    pays for what its group has served. The x block precedes the z block."""
+    return (*served, *zcols), (-1,) * len(served) + (1,) * len(zcols), 0, ">="
 
 
 def _add_cover_rows(
-    lp: LinearProgram, inst: MetricInstance, mults: Sequence[int], T: int, which: str
+    lp: LinearProgram, inst: MetricInstance, blocks: Sequence[Tuple[int, Dict]], T: int,
+    which: str,
 ) -> None:
-    """Every client is served at some time by some group's vehicles."""
+    """Every client is served at some time by some group's vehicles; blocks
+    holds each group's (mult, x block)."""
     for v in inst.clients:
-        coeffs = {
-            ("x", gi, v, t): mult
-            for gi, mult in enumerate(mults)
-            for t in range(1, T + 1)
-            if lp.has_var(("x", gi, v, t))
-        }
-        if not coeffs:
+        cols, ints = [], []
+        for mult, block in blocks:
+            if v in block:
+                served = _served(block, v, T)
+                cols.extend(served)
+                ints.extend([mult] * len(served))
+        if not cols:
             raise LpInfeasibleError(f"{which} infeasible: {v!r} unreachable within T={T}")
-        lp.add_constraint(coeffs, ">=", 1)
-
-
-def _minus_served(lp: LinearProgram, gi: int, v, t: int) -> Dict[object, int]:
-    """The term -x[gi, v, tp] for every tp <= t: minus "group gi has served
-    v by time t", which a covering row at time t must pay for."""
-    return {
-        ("x", gi, v, tp): -1 for tp in range(1, t + 1) if lp.has_var(("x", gi, v, tp))
-    }
+        lp.add_row(cols, ints, 1, ">=")
 
 
 def _solve_config_lp(
@@ -729,30 +770,33 @@ def _solve_config_lp(
     """Build and solve a configuration LP over vehicle groups.
 
     Each group is ``(mult, first, columns)``: its number of vehicles,
-    ``first`` as for its x columns, and its z columns ``(C, t)``: client
-    sets C a vehicle (for LP2, the fleet) can cover by time t, in variable
-    order. Rows: cover, then per group one configuration per time and every
-    client served by time t in the configuration at t.
+    ``first`` as for its x columns, and its z columns ``(C, t)``: sets C
+    of ``first``'s clients that a vehicle (for LP2, the fleet) can cover by
+    time t, in variable order. Rows: cover, then per group one
+    configuration per time and every client served by time t in the
+    configuration at t.
     """
     _guard_size(sum(len(columns) for _, _, columns in groups), COLUMN_CAP, "z columns")
     lp = LinearProgram()
+    blocks = []
     for gi, (mult, first, columns) in enumerate(groups):
-        _add_assignment_vars(lp, inst, gi, mult, first, T)
-        for C, t in columns:
-            lp.add_var(("z", gi, C, t))
-    _add_cover_rows(lp, inst, [mult for mult, _, _ in groups], T, which)
-    for gi, (_, first, columns) in enumerate(groups):
-        at: Dict[int, List[FrozenSet]] = {}  # t -> the client sets usable at t
-        for C, t in columns:
-            at.setdefault(t, []).append(C)
-        for t in range(1, T + 1):
-            if t in at:
-                lp.add_constraint({("z", gi, C, t): 1 for C in at[t]}, "<=", 1)
-        for v in first:
+        block = _add_assignment_vars(lp, inst, gi, mult, first, T)
+        z0 = lp.add_vars([("z", gi, C, t) for C, t in columns], [0] * len(columns))
+        at: List[List[int]] = [[] for _ in range(T + 1)]  # [t]: the z columns at t
+        holding = {v: [[] for _ in range(T + 1)] for v in block}  # [v][t]: those holding v
+        for j, (C, t) in enumerate(columns, z0):
+            at[t].append(j)
+            for v in C:
+                holding[v][t].append(j)
+        blocks.append((mult, block, at, holding))
+    _add_cover_rows(lp, inst, [(mult, block) for mult, block, _, _ in blocks], T, which)
+    for _, block, at, holding in blocks:
+        for zs in at[1:]:
+            if zs:
+                lp.add_row(zs, [1] * len(zs), 1, "<=")
+        for v, zs in holding.items():
             for t in range(1, T + 1):
-                coeffs = {("z", gi, C, t): 1 for C in at.get(t, ()) if v in C}
-                coeffs.update(_minus_served(lp, gi, v, t))
-                lp.add_constraint(coeffs, ">=", 0)
+                lp.add_row(*_link(_served(block, v, t), zs[t]))
     return solve_lp(lp, which=which, T=T)
 
 
@@ -921,53 +965,59 @@ def build_and_solve_lp3(inst: MetricInstance, T: int) -> LpSolution:
     clients = inst.clients
     groups = vehicle_groups(inst)
     ca = inst.service_directed if inst.has_service else inst.dist
+    pos = inst.node_pos
 
     lp = LinearProgram()
-    parts = []  # per group: root, arcs, first time of each client it may serve
+    parts = []  # per group: root, vehicles, x block, arcs, z block
     for gi, (r, mult) in enumerate(groups):
         arcs = _arcs_avoiding(inst, r)
         first = {v: max(1, ca(r, v)) for v in clients if r in inst.depots_for(v)}
-        parts.append((r, arcs, first))
-        _add_assignment_vars(lp, inst, gi, mult, first, T)
-        for a in arcs:
-            for t in range(1, T + 1):
-                lp.add_var(("z", gi, a, t))
-    _add_cover_rows(lp, inst, [mult for _, mult in groups], T, "LP3")
-    for gi, (r, arcs, first) in enumerate(parts):
+        block = _add_assignment_vars(lp, inst, gi, mult, first, T)
+        z0 = lp.add_vars(
+            [("z", gi, a, t) for a in arcs for t in range(1, T + 1)], [0] * (len(arcs) * T)
+        )
+        # arc-major: z[gi, arcs[i], t] is column zt[i] + t
+        parts.append((r, mult, block, arcs, range(z0 - 1, z0 - 1 + len(arcs) * T, T)))
+    _add_cover_rows(lp, inst, [(mult, block) for _, mult, block, _, _ in parts], T, "LP3")
+    for _, _, block, arcs, zt in parts:
+        budget = [ca(*a) for a in arcs]
+        degree = [
+            [(j, 1 if a[1] == v else -1) for j, a in zip(zt, arcs) if v in a] for v in clients
+        ]
+        into = {v: [j for j, a in zip(zt, arcs) if a[1] == v] for v in block}
         for t in range(1, T + 1):
             # length budget
-            lp.add_constraint(
-                {("z", gi, a, t): ca(*a) for a in arcs}, "<=", t
-            )
+            lp.add_row([j + t for j in zt], budget, t, "<=")
             # degree: into each client at least as much as out of it
-            for v in clients:
-                coeffs = {
-                    ("z", gi, a, t): 1 if a[1] == v else -1 for a in arcs if v in a
-                }
-                lp.add_constraint(coeffs, ">=", 0)
+            for terms in degree:
+                lp.add_row([j + t for j, _ in terms], [a for _, a in terms], 0, ">=")
             # singleton cuts up front to cut down separation rounds
-            for v in first:
-                coeffs = {("z", gi, (u, v), t): 1 for u in inst.nodes if u != v}
-                coeffs.update(_minus_served(lp, gi, v, t))
-                lp.add_constraint(coeffs, ">=", 0)
+            for v in block:
+                lp.add_row(*_link(_served(block, v, t), [j + t for j in into[v]]))
 
     def oracle(sol: LpSolution) -> List[Cut]:
+        # on the integer point: arc capacities X[z[gi, a, t]], and as v's
+        # demand at t X[x[gi, v, tp]] summed over tp <= t
+        _, X = sol.point
         cuts: List[Cut] = []
-        for gi, (r, arcs, first) in enumerate(parts):
-            # covered[v][t]: x[gi, v, tp] summed over tp <= t
+        for r, _, block, arcs, zt in parts:
+            pairs = [(pos[u], pos[v]) for u, v in arcs]
+            caps: List[Dict] = [{} for _ in range(T + 1)]  # caps[t]: arc -> X[z[gi, a, t]]
+            for j, val in X.items():
+                if zt.start < j <= zt.stop:  # the z block
+                    i, s = divmod(j - zt.start - 1, T)
+                    caps[s + 1][pairs[i]] = val
             covered = {
-                v: list(accumulate(
-                    (sol.value(("x", gi, v, tp)) for tp in range(1, T + 1)), initial=ZERO
-                ))
-                for v in first
+                v: [0] * t0 + list(accumulate(X.get(j, 0) for j in _served(block, v, T)))
+                for v, (_, t0) in block.items()
             }
             for t in range(1, T + 1):
-                zvals = {a: sol.value(("z", gi, a, t)) for a in arcs}
-                demands = [(v, covered[v][t]) for v in first]
-                for S, v in _violated_cuts(inst, r, zvals, demands):
-                    coeffs = {("z", gi, a, t): 1 for a in _arcs_entering(arcs, S)}
-                    coeffs.update(_minus_served(lp, gi, v, t))
-                    cuts.append((coeffs, ">=", 0))
+                for v in block:
+                    side = _cut_side(inst.n, caps[t], pos[r], pos[v], covered[v][t])
+                    if side is not None:
+                        cuts.append(_link(_served(block, v, t), [
+                            j + t for j, (a, b) in zip(zt, pairs) if a in side and b not in side
+                        ]))
         return cuts
 
     return solve_with_cuts(lp, oracle, which="LP3", T=T)

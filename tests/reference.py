@@ -6,13 +6,22 @@ verifier reads only a digraph's nodes and arc weights, the envelope checks
 only a curve's corners, and the cover oracle and the serializer only an
 instance's fields. All of them are exponential in the number of nodes and
 meant for the desk-scale inputs of the tests (n <= 8).
+
+The two separation references (:func:`lp3_cuts`, :func:`pclp_cuts`) read an
+LP solution by variable name, in Fractions, and scale each min-cut network
+by the lcm of its own values' denominators; they share only the max-flow
+(:func:`mdkmlp.flows.min_cut`) with the separation they check.
 """
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
+
+from mdkmlp import flows
+from mdkmlp.instance import vehicle_groups
 
 
 def connectivity(D, x, y) -> int:
@@ -158,3 +167,62 @@ def instance_to_json(inst) -> str:
     if inst.allowed_depots:
         data["allowed_depots"] = {str(v): list(rs) for v, rs in inst.allowed_depots.items()}
     return json.dumps(data, sort_keys=True)
+
+
+def _violated(inst, root, arc_values, demands):
+    """(S, v) for each (v, need) in order with need > 0 whose minimum root-v
+    cut under ``arc_values`` is below need; S is the side of v. The
+    capacities are the values times the lcm of their denominators."""
+    scale = math.lcm(*(w.denominator for w in arc_values.values()))
+    idx = {v: i for i, v in enumerate(inst.nodes)}
+    caps = {
+        (idx[u], idx[v]): w.numerator * (scale // w.denominator)
+        for (u, v), w in arc_values.items()
+        if w > 0
+    }
+    found = []
+    for v, need in demands:
+        if need <= 0:
+            continue
+        val, side = flows.min_cut(inst.n, caps, idx[root], idx[v])
+        if Fraction(val, scale) < need:
+            found.append((frozenset(w for w in inst.nodes if idx[w] not in side), v))
+    return found
+
+
+def lp3_cuts(inst, T, sol):
+    """The cuts LP3's separation adds at ``sol``, as (coeffs by name, sense,
+    rhs): per depot group and t = 1..T, for each client v the group may
+    serve, a set S holding v whose entering z[gi, a, t] sum to less than
+    the group's x[gi, v, tp] over tp <= t."""
+    ca = inst.service_directed if inst.has_service else inst.dist
+    cuts = []
+    for gi, (r, _) in enumerate(vehicle_groups(inst)):
+        arcs = [(u, v) for u in inst.nodes for v in inst.nodes if u != v and v != r]
+        first = {v: max(1, ca(r, v)) for v in inst.clients if r in inst.depots_for(v)}
+        for t in range(1, T + 1):
+            zvals = {a: sol.value(("z", gi, a, t)) for a in arcs}
+            demands = [
+                (v, sum((sol.value(("x", gi, v, tp)) for tp in range(1, t + 1)), Fraction(0)))
+                for v in first
+            ]
+            for S, v in _violated(inst, r, zvals, demands):
+                coeffs = {("z", gi, (a, b), t): 1 for a, b in arcs if a not in S and b in S}
+                coeffs.update({("x", gi, v, tp): -1 for tp in range(first[v], t + 1)})
+                cuts.append((coeffs, ">=", 0))
+    return cuts
+
+
+def pclp_cuts(inst, root, sol):
+    """The cuts the prize-collecting LP's separation adds at ``sol``: for
+    each node v but the root, a set S holding v whose entering x[a] sum to
+    less than 1 - z[v]."""
+    arcs = [(u, v) for u in inst.nodes for v in inst.nodes if u != v and v != root]
+    xvals = {a: sol.value(("x", a)) for a in arcs}
+    demands = [(v, 1 - sol.value(("z", v))) for v in inst.nodes if v != root]
+    cuts = []
+    for S, v in _violated(inst, root, xvals, demands):
+        coeffs = {("x", (a, b)): 1 for a, b in arcs if a not in S and b in S}
+        coeffs[("z", v)] = 1
+        cuts.append((coeffs, ">=", 1))
+    return cuts

@@ -14,8 +14,10 @@ change the rounded plans. LP3's rounds after the first follow the vertices
 of HiGHS's warm re-solves; the test that solves each model on a new HiGHS
 model pins everything that may not depend on them.
 
-The rows are read from the `add_constraint` calls, not from the storage
-inside `LinearProgram`, so the record does not depend on how rows are kept.
+The rows are read from `lp.rows` at each `solve_lp` call, as HiGHS receives
+them: each row's integer form divided back by its scale, its columns in the
+order stored, so the record also pins that every row keeps its columns
+increasing.
 
 Regenerate, only for an intended change of the models, with
 `PYTHONPATH=src:tests python tests/test_lp_models_golden.py`.
@@ -79,28 +81,18 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:20]
 
 
-def _canonical_row(index, coeffs, sense, rhs):
-    sign = -1 if sense == "<=" else 1
-    pairs = sorted(
-        (index[name], sign * Fraction(c)) for name, c in coeffs.items() if c != 0
-    )
-    return (">=" if sense == "<=" else sense, str(sign * Fraction(rhs)),
-            [(j, str(c)) for j, c in pairs])
+def _canonical_row(row):
+    return (row.sense, str(Fraction(row.b, row.d)),
+            [(j, str(Fraction(a, row.d))) for j, a in zip(row.cols, row.ints)])
 
 
 def record():
-    added = {}  # id(lp) -> [(coeffs, sense, rhs)] in the order added
     models = []
-    real_add = lp_toolkit.LinearProgram.add_constraint
     real_solve = lp_toolkit.solve_lp
-
-    def logged_add(self, coeffs, sense, rhs):
-        real_add(self, coeffs, sense, rhs)
-        added.setdefault(id(self), []).append((dict(coeffs), sense, rhs))
 
     def logged_solve(lp, *args, **kwargs):
         index = {name: j for j, name in enumerate(lp.names)}
-        rows = [_canonical_row(index, *row) for row in added.get(id(lp), [])]
+        rows = [_canonical_row(row) for row in lp.rows]
         model = json.dumps([[str(c) for c in lp.objective], rows])
         sol = real_solve(lp, *args, **kwargs)
         values = sorted((index[name], str(v)) for name, v in sol.values.items())
@@ -114,7 +106,6 @@ def record():
         return sol
 
     out = {}
-    lp_toolkit.LinearProgram.add_constraint = logged_add
     lp_toolkit.solve_lp = logged_solve
     try:
         for label, inst in instances():
@@ -122,7 +113,6 @@ def record():
             entry = {"T": T}
             for which, builder in BUILDERS:
                 models.clear()
-                added.clear()
                 try:
                     value = str(getattr(lp_toolkit, builder)(inst, T).objective_value)
                 except lp_toolkit.LpError as exc:
@@ -130,7 +120,6 @@ def record():
                 entry[which] = {"value": value, "solves": list(models)}
             out[label] = entry
     finally:
-        lp_toolkit.LinearProgram.add_constraint = real_add
         lp_toolkit.solve_lp = real_solve
     return out
 

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
 from conftest import cold_highs_solves, random_instance
+from test_lp_models_golden import instances as golden_instances
 from mdkmlp import exact_oracles, lp_toolkit, pathdp
 from mdkmlp.instance import MetricInstance, time_horizon, vehicle_groups
 from mdkmlp.lp_toolkit import (
@@ -170,13 +172,19 @@ CERTIFY_CASES = {
 }
 
 
+def on_support(vec):
+    """A dense vector in the sparse form `_certify` takes: index -> value,
+    zero entries left out."""
+    return {i: v for i, v in enumerate(vec) if v != 0}
+
+
 class TestCertify:
     @pytest.mark.parametrize("case", sorted(CERTIFY_CASES))
     def test_verdict(self, case):
         objective, rows, x, duals, accepted = CERTIFY_CASES[case]
         lp = small_lp(objective, rows)
         x, duals = [F(v) for v in x], [F(y) for y in duals]
-        assert _certify(lp, x, duals) is accepted
+        assert _certify(lp, on_support(x), on_support(duals)) is accepted
         assert reference_certify(objective, rows, x, duals) is accepted
 
     def test_agrees_with_fraction_reference_under_perturbation(self):
@@ -189,9 +197,54 @@ class TestCertify:
                 vec = x2 if rng.random() < 0.5 else y2
                 i = rng.randrange(len(vec))
                 vec[i] += F(rng.randint(-3, 3), rng.choice([1, 2, 3, 7, 10**6]))
-                assert _certify(lp, x2, y2) == reference_certify(objective, rows, x2, y2)
+                assert _certify(lp, on_support(x2), on_support(y2)) == reference_certify(
+                    objective, rows, x2, y2
+                )
                 checked += 1
         assert checked == 40 * len(CERTIFY_CASES)
+
+    # a cover LP of 12 columns whose optimum has one positive entry, x5 = 2,
+    # with the dual 2 on its first row and 0 on its second
+    SPARSE_OBJECTIVE = {f"x{j}": 3 if j == 5 else 2 + j % 3 for j in range(12)}
+    SPARSE_ROWS = [
+        ({f"x{j}": F(3, 2) if j == 5 else 1 for j in range(12)}, ">=", 3),
+        ({"x5": 1, "x6": 1}, "<=", 2),
+    ]
+
+    def sparse_case(self, xs, ys):
+        """The rounded floats and _certify's verdict on them, which must be
+        the Fraction reference's verdict on the dense vectors."""
+        objective, rows = self.SPARSE_OBJECTIVE, self.SPARSE_ROWS
+        x, duals = lp_toolkit._round_support(xs), lp_toolkit._round_support(ys)
+        verdict = _certify(small_lp(objective, rows), x, duals)
+        dense_x = [x.get(j, ZERO) for j in range(12)]
+        dense_y = [duals.get(i, ZERO) for i in range(2)]
+        assert verdict == reference_certify(objective, rows, dense_x, dense_y)
+        return x, verdict
+
+    def test_mostly_zero_support(self):
+        x, verdict = self.sparse_case([2.0 if j == 5 else 0.0 for j in range(12)], [2.0, 0.0])
+        assert x == {5: 2} and verdict
+        # a positive entry off the optimum's support breaks strong duality
+        xs = [2.0 if j == 5 else 0.5 * (j == 3) for j in range(12)]
+        _, verdict = self.sparse_case(xs, [2.0, 0.0])
+        assert not verdict
+        # every row is tested, also one with no column on the support: at
+        # x = 0, y = 0 only the first row's feasibility fails
+        x, verdict = self.sparse_case([0.0] * 12, [0.0, 0.0])
+        assert x == {} and not verdict
+
+    def test_tiny_negative_float_rounds_to_zero(self):
+        xs = [2.0 if j == 5 else 0.0 for j in range(12)]
+        xs[0], xs[7] = -1e-12, -3e-8  # below 1e-9: left out; above: rounds to 0
+        x, verdict = self.sparse_case(xs, [2.0 + 1e-13, -1e-12])
+        assert x == {5: 2, 7: 0} and verdict
+
+    def test_negative_rounded_entry(self):
+        xs = [2.0 if j == 5 else 0.0 for j in range(12)]
+        xs[7] = -0.25
+        x, verdict = self.sparse_case(xs, [2.0, 0.0])
+        assert x[7] == F(-1, 4) and not verdict
 
     def test_solve_lp_returns_certified_fractional_optimum(self):
         objective, rows, x, _, _ = CERTIFY_CASES["non-integer coefficients"]
@@ -401,6 +454,99 @@ class TestRowRecord:
                 assert repr(lp.rows[-1]) == repr(reference_row(lp, coeffs, sense, b))
             assert lp.rows[-3] == lp.rows[-2] and lp.rows[-3].d == 1
 
+    def test_add_row_gives_the_add_constraint_row(self):
+        # the same random rows, integer and rational, in all three senses,
+        # by column index through add_row and by name through add_constraint
+        rng = random.Random(12)
+        by_name, by_index = LinearProgram(), LinearProgram()
+        names = [f"v{i}" for i in range(8)]
+        for lp in (by_name, by_index):
+            lp.add_vars(names, [1] * len(names))
+        dropped = 0
+        for _ in range(400):
+            sense = rng.choice((">=", "<=", "=="))
+            cols = sorted(rng.sample(range(8), rng.randint(0, 8)))
+            coefs = [rng.randint(-3, 3) for _ in cols]
+            rhs = rng.randint(-5, 5)
+            if rng.random() < 0.5:  # rational
+                coefs = [F(c, rng.choice((1, 2, 3, 6))) for c in coefs]
+                rhs = F(rhs, rng.choice((1, 4)))
+            dropped += coefs.count(0)
+            coeffs = dict(zip((names[j] for j in cols), coefs))
+            by_name.add_constraint(coeffs, sense, rhs)
+            by_index.add_row(cols, coefs, rhs, sense)
+            assert repr(by_index.rows[-1]) == repr(by_name.rows[-1])
+            assert repr(by_index.rows[-1]) == repr(reference_row(by_name, coeffs, sense, rhs))
+            assert 0 not in by_index.rows[-1].ints
+        assert by_index.rows == by_name.rows and dropped > 50
+
+
+def separation_instances():
+    """The `lp_models` golden instances, then 30 seeded random ones."""
+    yield from (inst for _, inst in golden_instances())
+    rng = random.Random(2028)
+    for _ in range(30):
+        opts = {key: rng.random() < 0.3 for key in ("weights", "service", "allowed")}
+        k = rng.randint(1, 3)
+        yield random_instance(rng, rng.randint(k + 2, 6), k, span=4,
+                              single_depot=rng.random() < 0.3, **opts)
+
+
+class TestSeparation:
+    """The cut oracles separate on the certified integer point (L, X):
+    capacities X[z], demands prefix sums of X[x], all at the common scale L.
+    The Fraction references of tests/reference.py separate on the values by
+    name, each min-cut network scaled by the lcm of its own denominators.
+    Edmonds-Karp augments the same paths under any positive scale, so every
+    round of every instance must give the same cut rows."""
+
+    def checked_rounds(self, monkeypatch, reference_cuts):
+        rounds = []  # cuts per round
+        real = lp_toolkit.solve_with_cuts
+
+        def spy(lp, oracle, which="LP", T=None):
+            def both(sol):
+                cuts = oracle(sol)
+                want = [reference_row(lp, *cut) for cut in reference_cuts(sol)]
+                assert [(tuple(cols), tuple(ints), b, sense) for cols, ints, b, sense in cuts] == [
+                    (row.cols, row.ints, row.b, row.sense) for row in want
+                ]
+                assert all(row.d == 1 for row in want)
+                rounds.append(len(cuts))
+                return cuts
+
+            return real(lp, both, which, T)
+
+        monkeypatch.setattr(lp_toolkit, "solve_with_cuts", spy)
+        return rounds
+
+    def test_lp3_cuts_match_the_fraction_reference(self, monkeypatch):
+        at = {}
+        rounds = self.checked_rounds(
+            monkeypatch, lambda sol: reference.lp3_cuts(at["inst"], at["T"], sol)
+        )
+        for inst in separation_instances():
+            at.update(inst=inst, T=time_horizon(inst).T)
+            build_and_solve_lp3(inst, at["T"])
+        assert len(rounds) >= 100 and sum(rounds) >= 400
+
+    def test_pclp_cuts_match_the_fraction_reference(self, monkeypatch):
+        at = {}
+        rounds = self.checked_rounds(
+            monkeypatch, lambda sol: reference.pclp_cuts(at["inst"], at["root"], sol)
+        )
+        for i, inst in enumerate(separation_instances()):
+            for root in dict.fromkeys(inst.roots):
+                at.update(inst=inst, root=root)
+                model = pclp_model(inst, root)
+                for scale in (1, 3):
+                    pen = {
+                        v: F(inst.weight(v) * (j + i % 3 + 1) * scale, 2)
+                        for j, v in enumerate(inst.clients)
+                    }
+                    build_and_solve_pclp(model, pen)
+        assert len(rounds) >= 200 and sum(rounds) >= 150
+
 
 class TestSolveWithCuts:
     def test_satisfied_oracle_is_identity(self):
@@ -415,7 +561,7 @@ class TestSolveWithCuts:
         lp.add_var("x", obj=1)
         lp.add_constraint({"x": 1}, ">=", 3)
         with pytest.raises(LpError, match="no progress"):
-            solve_with_cuts(lp, lambda s: [({"x": F(1)}, ">=", F(3))])
+            solve_with_cuts(lp, lambda s: [((0,), (F(1),), F(3), ">=")])
 
     def test_cuts_converge(self, fix_a):
         # the prize-collecting model converges through the min-cut oracle
@@ -538,7 +684,7 @@ class TestSizeGuards:
         lp.add_constraint({"x": 1}, ">=", 0)
         with pytest.raises(LpError, match=r"^cut limit 2 exceeded for LP$"):
             solve_with_cuts(
-                lp, lambda s: [({"x": F(1)}, ">=", s.objective_value + 1)]
+                lp, lambda s: [((0,), (F(1),), s.objective_value + 1, ">=")]
             )
         assert len(lp.rows) == 4  # the third cut went in, then the guard tripped
 
