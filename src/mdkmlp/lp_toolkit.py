@@ -11,12 +11,12 @@ point and the duals are scaled by the lcm of their denominators, so every
 test is the Fraction one multiplied through by a positive integer (after
 Applegate, Cook, Dash & Espinoza, "Exact solutions to linear programming
 problems", ORL 2007).
-If certification fails the LP is re-solved by the exact two-phase simplex
-in :mod:`mdkmlp.simplex`, if it has at most ``EXACT_CAP`` rows x columns;
-a larger one raises :class:`LpError` rather than run for minutes. Either
-way callers receive an exactly-optimal rational vertex solution, which is
-what the arborescence packing (integer scaling by the denominator LCM)
-depends on.
+If certification fails, :func:`mdkmlp.simplex.exact_simplex` solves the
+basis HiGHS ended on exactly, and that pair is certified the same way; if
+it does not certify either, or the basis is invalid or singular, the solve
+raises :class:`LpError`. No result comes from floats alone: callers receive
+an exactly-optimal rational vertex solution, which is what the arborescence
+packing (integer scaling by the denominator LCM) depends on.
 
 Each :class:`LinearProgram` keeps one HiGHS model, built on its first
 solve. A later solve, after a cut round, hands HiGHS only the rows added
@@ -72,7 +72,7 @@ import numpy as np
 
 from . import flows, pathdp
 from .instance import MetricInstance, group_slots, vehicle_groups
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, exact_simplex
+from .simplex import exact_simplex
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
 
@@ -106,16 +106,11 @@ def _load_highs_core():
 try:  # scipy's binding of HiGHS itself
     _core = _load_highs_core()
     HighsModelStatus, _Highs, kHighsInf = _core.HighsModelStatus, _core._Highs, _core.kHighsInf
+    _BASIC = _core.HighsBasisStatus.kBasic
 except (ImportError, AttributeError) as exc:
     raise ImportError(
         f"mdkmlp needs scipy >= 1.15 for its HiGHS binding ({_HIGHS_CORE}): {exc}"
     ) from exc
-
-_HIGHS_STATUS = {
-    HighsModelStatus.kOptimal: OPTIMAL,
-    HighsModelStatus.kInfeasible: INFEASIBLE,
-    HighsModelStatus.kUnbounded: UNBOUNDED,
-}
 
 log = logging.getLogger("mdkmlp.lp")
 
@@ -137,9 +132,6 @@ _HIGHS_OPTIONS = (
 CLIENT_CAP = 12  # LP1, LP2: clients in the subset DPs (2^m sets, 3^m splits)
 COLUMN_CAP = 100_000  # LP1, LP2: z columns of the configuration LP
 MAX_CUTS = 10_000  # cuts one solve_with_cuts call may add
-# rows x columns the exact simplex fallback may take on: about 10 s a call
-# (157 x 319 took 9.7 s on a 2-vCPU machine, 198 x 319 16.8 s)
-EXACT_CAP = 50_000
 
 
 class LpError(Exception):
@@ -374,8 +366,9 @@ def linprog(*args, **kwargs):
 
 
 def _highs_solve(lp: LinearProgram):
-    """Solve the LP's own HiGHS model: (status, x, y, simplex iterations),
-    with y in ``lp.rows`` order.
+    """Solve the LP's own HiGHS model: (model status, x, y, simplex
+    iterations), with y in ``lp.rows`` order; x and y are None unless the
+    status is optimal.
 
     The first call creates the model from every column and row and solves
     it with presolve. Each later call adds only the columns and rows
@@ -403,58 +396,48 @@ def _highs_solve(lp: LinearProgram):
     h.run()
     if first:
         h.setOptionValue("presolve", "off")
-    status = _HIGHS_STATUS.get(h.getModelStatus())
+    status = h.getModelStatus()
     iterations = h.getInfo().simplex_iteration_count
-    if status != OPTIMAL:
+    if status != HighsModelStatus.kOptimal:
         return status, None, None, iterations
     sol = h.getSolution()
-    return OPTIMAL, sol.col_value, sol.row_dual, iterations
+    return status, sol.col_value, sol.row_dual, iterations
 
 
 def solve_lp(lp: LinearProgram, which: str = "LP", T: Optional[int] = None) -> LpSolution:
     """Exact rational optimum of the LP (see module docstring for how).
 
     ``meta["simplex_iterations"]`` is the float solve's iteration count."""
-    nvars = len(lp.names)
-    if nvars == 0:
+    if not lp.names:
         raise LpError("LP has no variables")
     status, xs, ys, iterations = _highs_solve(lp)
-    if status == INFEASIBLE:
+    if status == HighsModelStatus.kInfeasible:
         raise LpInfeasibleError(f"{which} infeasible")
-    if status == UNBOUNDED:
+    if status == HighsModelStatus.kUnbounded:
         raise LpUnboundedError(f"{which} unbounded")
-    x = None
-    if status == OPTIMAL:
-        x0 = _round_support(xs)
-        # A '>=' row's multiplier is nonnegative up to float noise: above
-        # -1e-7 it rounds to 0 (no nonzero rational of denominator <= 10**6
-        # lies that close to 0), below it the pair is not certified.
-        signs_ok = all(
-            lp.rows[i].sense != ">=" for i in np.flatnonzero(np.asarray(ys) <= -_FLOAT_EPS)
+    if status != HighsModelStatus.kOptimal:
+        raise LpError(f"{which}: HiGHS stopped with model status {status.name}")
+    x = _round_support(xs)
+    # A '>=' row's multiplier is nonnegative up to float noise: above
+    # -1e-7 it rounds to 0 (no nonzero rational of denominator <= 10**6
+    # lies that close to 0), below it the pair is not certified.
+    signs_ok = all(
+        lp.rows[i].sense != ">=" for i in np.flatnonzero(np.asarray(ys) <= -_FLOAT_EPS)
+    )
+    if not (signs_ok and _certify(lp, x, _round_support(ys))):
+        log.debug("rounded optimum of %s not certified; exact basis solve", which)
+        basis = lp.model.getBasis()
+        pair = basis.valid and exact_simplex(
+            lp,
+            [j for j, s in enumerate(basis.col_status) if s == _BASIC],
+            [i for i, s in enumerate(basis.row_status) if s != _BASIC],  # the tight rows
         )
-        if signs_ok and _certify(lp, x0, _round_support(ys)):
-            x = x0
-        else:
-            log.debug("float certification failed for %s; exact fallback", which)
-    if x is None:
-        if len(lp.rows) * nvars > EXACT_CAP:
+        if not pair or not _certify(lp, *pair):
             raise LpError(
-                f"{which} not certified, and too large for the exact simplex: "
-                f"{len(lp.rows)} rows x {nvars} columns > {EXACT_CAP}"
+                f"{which} not certified: neither its rounded optimum nor "
+                "the exact vertex of HiGHS's final basis is optimal"
             )
-        rows = []
-        for cols, ints, b, d, sense, _, _ in lp.rows:
-            dense = [ZERO] * nvars
-            for j, a in zip(cols, ints):
-                dense[j] = Fraction(a, d)
-            rows.append((dense, sense, Fraction(b, d)))
-        status, dense, _ = exact_simplex(lp.objective, rows)
-        if status == INFEASIBLE:
-            raise LpInfeasibleError(f"{which} infeasible")
-        if status == UNBOUNDED:
-            raise LpUnboundedError(f"{which} unbounded")
-        assert status == OPTIMAL
-        x = dict(enumerate(dense))
+        x = pair[0]
     x = {j: v for j, v in x.items() if v != 0}
     L = math.lcm(*(v.denominator for v in x.values()))
     X = {j: v.numerator * (L // v.denominator) for j, v in x.items()}
@@ -494,19 +477,6 @@ def solve_with_cuts(
             added += 1
             if added > MAX_CUTS:
                 raise LpError(f"cut limit {MAX_CUTS} exceeded for {which}")
-
-
-def scaled_int_caps(values: Dict[Tuple, Fraction]) -> Tuple[int, Dict[Tuple, int]]:
-    """(scale, caps): the lcm of the denominators of `values`, and each
-    positive value times it, an integer."""
-    scale = 1
-    for v in values.values():
-        scale = math.lcm(scale, v.denominator)
-    return scale, {
-        a: v.numerator * (scale // v.denominator)
-        for a, v in values.items()
-        if v.numerator > 0
-    }
 
 
 def _arcs_avoiding(inst: MetricInstance, root) -> List[Tuple]:

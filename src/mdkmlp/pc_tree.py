@@ -81,10 +81,8 @@ class BipointTree:
 class ProbeCache:
     """The probes of the coverage searches on one instance and root, by
     uniform penalty, the one PC-LP model that all of them solve, and the
-    arborescence packing of each LP vertex they met, by (K, scaled arc
-    caps). A packing depends only on its graph, root and K, and the instance
-    and root are fixed per cache, so a kept family is the one a fresh
-    packing would give."""
+    arborescence packing of each LP vertex they met, as
+    :func:`arb_packing.pack_scaled` keeps them."""
 
     def __init__(self):
         self.model: Optional[lp_toolkit.PcLpModel] = None
@@ -134,18 +132,15 @@ def _pc_tree_probe(
     max_denom = 1
     for val in sol.values.values():
         max_denom = max(max_denom, val.denominator)
-    K, caps = lp_toolkit.scaled_int_caps(
-        {name[1]: val for name, val in sol.values.items() if name[0] == "x"}
+    family = arb_packing.pack_scaled(
+        inst.nodes, root,
+        {name[1]: val for name, val in sol.values.items() if name[0] == "x"},
+        cache.families,
     )
-    if not caps:
+    if family is None:
         # LP pays every penalty: the trivial tree achieves the optimum
         obj = sum(pen.values(), ZERO)
         return RootedTree(root=root, arcs=frozenset(), cost=ZERO), obj, max_denom
-    key = (K, frozenset(caps.items()))
-    family = cache.families.get(key)
-    if family is None:
-        D = arb_packing.WeightedDigraph(nodes=inst.nodes, arcs=caps)
-        family = cache.families[key] = arb_packing.pack_arborescences(D, root, K)
     node_pos = inst.node_pos
 
     def member_key(item):

@@ -1,173 +1,106 @@
-"""Dense two-phase simplex over exact Fractions.
+"""Exact vertex of an LP basis, over Fractions.
 
-This is the certified-correct fallback behind the LP toolkit: the fast path
-solves with HiGHS and verifies optimality exactly via a rounded dual pair;
-whenever that certification fails, the LP lands here. Bland's rule keeps the
-method finite; everything is plain Fraction arithmetic, no tolerances.
+This is the fallback behind the LP toolkit: the fast path rounds HiGHS's
+float optimum to small rationals and certifies the guess exactly; when that
+fails, :func:`exact_simplex` solves the basis HiGHS ended on, exactly, and
+the toolkit certifies that pair instead (after Applegate, Cook, Dash &
+Espinoza, "Exact solutions to linear programming problems", ORL 2007, and
+Gleixner, Steffy & Wolter, "Iterative refinement for linear programming",
+INFORMS JoC 2016). With B the basic columns and R the rows whose slack is
+nonbasic (the tight rows), it solves A[R, B] x_B = b[R] and
+A[R, B]^T w = c_B by sparse Gaussian elimination; every other column of x,
+and every other row's multiplier, is 0. The name is kept: the benchmark's
+tracer counts its calls as the solves that needed the fallback.
 """
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from heapq import heapify, heappop, heappush
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 def exact_simplex(
-    objective: Sequence[Fraction],
-    rows: Sequence[Tuple[Sequence[Fraction], str, Fraction]],
-) -> Tuple[str, List[Fraction], Fraction]:
-    """Minimize objective . x subject to rows and x >= 0.
+    lp, basic: Sequence[int], tight: Sequence[int]
+) -> Optional[Tuple[Dict[int, Fraction], Dict[int, Fraction]]]:
+    """The vertex and duals of a basis of ``lp``, a
+    :class:`mdkmlp.lp_toolkit.LinearProgram`: ``basic`` its basic columns,
+    ``tight`` its rows whose slack is nonbasic.
 
-    Each row is (coefficients, sense, rhs) with sense one of '<=', '>=', '=='.
-    Returns (status, x, objective_value); x is empty unless status is optimal.
+    Returns (x, y) on their supports, x by column and y by row (each row's
+    multiplier as :func:`mdkmlp.lp_toolkit._certify` reads it), or None if
+    the basis matrix A[tight, basic] is not square or is singular.
     """
-    nvars = len(objective)
-    senses = []
-    data = []
-    for coefs, sense, rhs in rows:
-        coefs = [Fraction(c) for c in coefs]
-        rhs = Fraction(rhs)
-        if len(coefs) != nvars:
-            raise ValueError("row length mismatch")
-        if rhs < 0:
-            coefs = [-c for c in coefs]
-            rhs = -rhs
-            sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
-        senses.append(sense)
-        data.append((coefs, rhs))
-    m = len(data)
+    if len(basic) != len(tight):
+        return None
+    pos = {j: k for k, j in enumerate(basic)}
+    primal = []  # A[tight, basic] x_B = b[tight], by row
+    dual = [({}, lp.objective[j]) for j in basic]  # its transpose = c_B
+    for r, i in enumerate(tight):
+        row = lp.rows[i]
+        eq = {}
+        for j, a in zip(row.cols, row.ints):
+            k = pos.get(j)
+            if k is not None:
+                eq[k] = a
+                dual[k][0][r] = a
+        primal.append((eq, row.b))
+    xs, ws = _solve(primal), _solve(dual)
+    if xs is None or ws is None:
+        return None
+    # w multiplies row i's integer form, which is d_i times the row
+    return (
+        {basic[k]: v for k, v in xs.items() if v},
+        {tight[r]: v * lp.rows[tight[r]].d for r, v in ws.items() if v},
+    )
 
-    # column layout: structural | slack/surplus | artificial
-    nslack = sum(1 for s in senses if s != "==")
-    slack_of = {}
-    j = nvars
-    for i, s in enumerate(senses):
-        if s != "==":
-            slack_of[i] = j
-            j += 1
-    art_of = {}
-    # >= rows and == rows need an artificial basis member; <= rows use slack
-    for i, s in enumerate(senses):
-        if s != "<=":
-            art_of[i] = j
-            j += 1
-    ncols = j
 
-    tableau: List[List[Fraction]] = []
-    basis: List[int] = []
-    for i, (coefs, rhs) in enumerate(data):
-        row = coefs + [ZERO] * (ncols - nvars) + [rhs]
-        s = senses[i]
-        if s == "<=":
-            row[slack_of[i]] = ONE
-            basis.append(slack_of[i])
-        elif s == ">=":
-            row[slack_of[i]] = -ONE
-            row[art_of[i]] = ONE
-            basis.append(art_of[i])
-        else:
-            row[art_of[i]] = ONE
-            basis.append(art_of[i])
-        tableau.append(row)
+def _solve(eqs: List[Tuple[Dict[int, object], object]]) -> Optional[Dict[int, Fraction]]:
+    """x with sum(a * x[k] for k, a in eq.items()) == r for each (eq, r)
+    of n equations in the unknowns 0..n-1, or None if they are singular.
+    The equations are consumed.
 
-    art_cols = set(art_of.values())
-
-    def run_phase(cost: List[Fraction], banned: set) -> str:
-        # reduced-cost row for the current basis
-        red = list(cost) + [ZERO]
-        for i, b in enumerate(basis):
-            cb = cost[b]
-            if cb != ZERO:
-                row = tableau[i]
-                for col in range(ncols + 1):
-                    if row[col] != ZERO:
-                        red[col] -= cb * row[col]
-        while True:
-            enter = -1
-            for col in range(ncols):
-                if col in banned:
-                    continue
-                if red[col] < ZERO:
-                    enter = col
-                    break
-            if enter < 0:
-                return OPTIMAL
-            leave = -1
-            best_ratio = None
-            for i in range(m):
-                a = tableau[i][enter]
-                if a > ZERO:
-                    ratio = tableau[i][ncols] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[leave])
-                    ):
-                        best_ratio = ratio
-                        leave = i
-            if leave < 0:
-                return UNBOUNDED
-            _pivot(tableau, red, basis, leave, enter, ncols)
-
-    def _pivot(tab, red, basis, leave, enter, ncols):
-        piv_row = tab[leave]
-        piv = piv_row[enter]
-        if piv != ONE:
-            inv = ONE / piv
-            for col in range(ncols + 1):
-                if piv_row[col] != ZERO:
-                    piv_row[col] *= inv
-        for row in tab:
-            if row is piv_row:
-                continue
-            factor = row[enter]
-            if factor != ZERO:
-                for col in range(ncols + 1):
-                    if piv_row[col] != ZERO:
-                        row[col] -= factor * piv_row[col]
-        factor = red[enter]
-        if factor != ZERO:
-            for col in range(ncols + 1):
-                if piv_row[col] != ZERO:
-                    red[col] -= factor * piv_row[col]
-        basis[leave] = enter
-
-    if art_cols:
-        phase1_cost = [ZERO] * ncols
-        for col in art_cols:
-            phase1_cost[col] = ONE
-        status = run_phase(phase1_cost, banned=set())
-        assert status == OPTIMAL  # phase 1 is bounded below by 0
-        value = sum(
-            tableau[i][ncols] for i in range(m) if basis[i] in art_cols
-        )
-        if value != ZERO:
-            return INFEASIBLE, [], ZERO
-        # pivot lingering zero-level artificials out of the basis if possible
-        for i in range(m):
-            if basis[i] in art_cols:
-                row = tableau[i]
-                enter = -1
-                for col in range(ncols):
-                    if col not in art_cols and row[col] != ZERO:
-                        enter = col
-                        break
-                if enter >= 0:
-                    _pivot(tableau, [ZERO] * (ncols + 1), basis, i, enter, ncols)
-                # else: redundant row, harmless to leave (rhs is 0)
-
-    phase2_cost = [Fraction(c) for c in objective] + [ZERO] * (ncols - nvars)
-    status = run_phase(phase2_cost, banned=art_cols)
-    if status != OPTIMAL:
-        return status, [], ZERO
-    x = [ZERO] * nvars
-    for i, b in enumerate(basis):
-        if b < nvars:
-            x[b] = tableau[i][ncols]
-    value = sum(Fraction(objective[jj]) * x[jj] for jj in range(nvars))
-    return OPTIMAL, x, value
+    Elimination takes next a remaining equation with the fewest nonzeros,
+    and in it the unknown that occurs in the fewest remaining equations; the
+    pivot equations, in order, are then solved back to front."""
+    where: Dict[int, set] = {}  # unknown -> the remaining equations holding it
+    for i, (eq, _) in enumerate(eqs):
+        for k in eq:
+            where.setdefault(k, set()).add(i)
+    heap = [(len(eq), i) for i, (eq, _) in enumerate(eqs)]
+    heapify(heap)
+    done = set()
+    pivots = []  # (unknown, equation)
+    while heap:
+        size, i = heappop(heap)
+        eq, r = eqs[i]
+        if i in done or size != len(eq):
+            continue
+        if not eq:
+            return None
+        done.add(i)
+        for k in eq:
+            where[k].discard(i)
+        p = min(eq, key=lambda k: (len(where[k]), k))
+        inv = 1 / Fraction(eq.pop(p))
+        eq = {k: a * inv for k, a in eq.items()}
+        r = r * inv
+        eqs[i] = (eq, r)
+        pivots.append((p, i))
+        for h in where.pop(p):
+            other, rh = eqs[h]
+            f = other.pop(p)
+            for k, a in eq.items():
+                v = other.get(k, 0) - f * a
+                if v:
+                    if k not in other:
+                        where[k].add(h)
+                    other[k] = v
+                elif k in other:
+                    del other[k]
+                    where[k].discard(h)
+            eqs[h] = (other, rh - f * r)
+            heappush(heap, (len(other), h))
+    x: Dict[int, Fraction] = {}
+    for p, i in reversed(pivots):
+        eq, r = eqs[i]
+        x[p] = r - sum(a * x[k] for k, a in eq.items())
+    return x

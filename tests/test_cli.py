@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIX_A_JSON, FIX_B_JSON
+from conftest import FIX_A_JSON, FIX_B_JSON, random_instance
 from mdkmlp import cli, exact_oracles, lp_toolkit
 from mdkmlp.cli import _VERIFY_TOL, _bench_row, main
 from mdkmlp.instance import RoutePlan, parse_instance
@@ -209,13 +210,24 @@ class TestOracle:
         assert res["value"] == "4"
         assert res["table"] == ["0", "1", "3"]
 
-    def test_lp_past_the_exact_cap_exits_3(self, capsys, monkeypatch, fixa_path):
-        # an LP that does not certify, too large for the exact simplex
+    def test_uncertified_lp_exits_3(self, capsys, monkeypatch, fixa_path):
+        # neither the rounded optimum nor the vertex of HiGHS's basis certifies
         monkeypatch.setattr(lp_toolkit, "_certify", lambda lp, x, duals: False)
-        monkeypatch.setattr(lp_toolkit, "EXACT_CAP", 0)
         code, out, err = run(capsys, "oracle", "--what", "lp3", "--input", fixa_path)
         assert (code, out) == (3, "")
-        assert err.startswith("error: LP3 not certified, and too large for the exact simplex: ")
+        assert err == (
+            "error: LP3 not certified: neither its rounded optimum nor the "
+            "exact vertex of HiGHS's final basis is optimal\n"
+        )
+
+    def test_lp3_certified_from_the_basis(self, capsys, tmp_path):
+        # a cut round of this LP3 certifies only from HiGHS's basis
+        inst = random_instance(random.Random(3), 12, 1, span=10)
+        p = tmp_path / "frozen.json"
+        p.write_text(json.dumps({"nodes": inst.nodes, "roots": inst.roots, "costs": inst.cost}))
+        code, out, _ = run(capsys, "oracle", "--what", "lp3", "--input", str(p))
+        assert code == 0
+        assert '"T":31' in out and '"value":"4073/30"' in out
 
     def test_guard_exits_4(self, capsys, big_path):
         code, _, err = run(capsys, "oracle", "--what", "opt", "--input", big_path)
@@ -648,8 +660,7 @@ class TestBench:
                         assert F(entry["cost"]) <= limit, alg
 
     def test_no_exact_simplex_fallback(self, capsys, monkeypatch):
-        # every warm re-solve certifies; the dense Fraction simplex would
-        # not finish on an LP3 of real size
+        # every warm re-solve certifies from its rounded optimum
         def refuse(*args, **kwargs):
             raise AssertionError("exact_simplex fallback taken")
 

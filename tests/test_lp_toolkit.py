@@ -66,6 +66,28 @@ class TestSolveLp:
         with pytest.raises(LpInfeasibleError):
             solve_lp(lp)
 
+    def test_other_highs_status_raises(self):
+        lp = LinearProgram()
+        lp.add_var("x", obj=1)
+        lp.add_constraint({"x": 1}, ">=", 3)
+        solve_lp(lp)
+
+        class Stopped:
+            """The LP's HiGHS model, stopping at its time limit."""
+
+            def __init__(self, model):
+                self.model = model
+
+            def __getattr__(self, name):
+                return getattr(self.model, name)
+
+            def getModelStatus(self):
+                return lp_toolkit.HighsModelStatus.kTimeLimit
+
+        lp.model = Stopped(lp.model)
+        with pytest.raises(LpError, match=r"^LP: HiGHS stopped with model status kTimeLimit$"):
+            solve_lp(lp)
+
 
 def reference_certify(objective, rows, x, duals):
     """The certificate test in Fraction arithmetic, row by row, on a case's
@@ -254,12 +276,8 @@ class TestCertify:
 
 
 class TestExactFallback:
-    def test_failed_certification_falls_back_to_exact_simplex(self, monkeypatch, fix_a):
-        T = time_horizon(fix_a).T
-        lp3 = build_and_solve_lp3(fix_a, T).objective_value
-        lp1 = build_and_solve_lp1(fix_a, T).objective_value
-        objective, rows, _, _, _ = CERTIFY_CASES["non-integer ==, <= rows and objective"]
-        small = solve_lp(small_lp(objective, rows)).objective_value
+    @staticmethod
+    def count_fallbacks(monkeypatch):
         calls = []
         exact = lp_toolkit.exact_simplex
 
@@ -267,32 +285,50 @@ class TestExactFallback:
             calls.append(args)
             return exact(*args)
 
-        monkeypatch.setattr(lp_toolkit, "_certify", lambda lp, x, duals: False)
         monkeypatch.setattr(lp_toolkit, "exact_simplex", counted)
+        return calls
+
+    def test_failed_certification_falls_back_to_exact_simplex(self, monkeypatch, fix_a):
+        T = time_horizon(fix_a).T
+        lp3 = build_and_solve_lp3(fix_a, T).objective_value
+        lp1 = build_and_solve_lp1(fix_a, T).objective_value
+        objective, rows, _, _, _ = CERTIFY_CASES["non-integer ==, <= rows and objective"]
+        small = solve_lp(small_lp(objective, rows)).objective_value
+        rounded = lp_toolkit._round_support
+        # every rounded guess is off by 1/7 on its support
+        monkeypatch.setattr(
+            lp_toolkit, "_round_support",
+            lambda vals: {i: v + F(1, 7) for i, v in rounded(vals).items()},
+        )
+        calls = self.count_fallbacks(monkeypatch)
         assert solve_lp(small_lp(objective, rows)).objective_value == small
         assert build_and_solve_lp1(fix_a, T).objective_value == lp1
         assert build_and_solve_lp3(fix_a, T).objective_value == lp3
         assert len(calls) >= 3
 
-    def test_past_the_cap_raises_within_budget(self, monkeypatch):
-        # LP3's 5th cut round here does not certify, and the dense simplex
-        # ran for minutes on its 1304 rows x 4024 columns. Past EXACT_CAP
-        # the solve raises instead: 0.4-0.6 s in on a 2-vCPU machine, so a
-        # budget of 20 s
-        def refuse(*args):
-            raise AssertionError("exact_simplex entered past EXACT_CAP")
-
-        monkeypatch.setattr(lp_toolkit, "exact_simplex", refuse)
+    def test_frozen_lp3_certifies_from_its_basis_within_budget(self, monkeypatch):
+        # LP3's 5th cut round here (1304 rows x 4024 columns) has a rounded
+        # optimum that does not certify. Its basis solve takes 0.2 s, and
+        # LP3 0.6 s in all, on a 2-vCPU machine: a budget of 20 s
+        calls = self.count_fallbacks(monkeypatch)
         inst = random_instance(random.Random(3), 12, 1, span=10)
         T = time_horizon(inst).T
         start = time.perf_counter()
-        with pytest.raises(LpError) as exc:
-            build_and_solve_lp3(inst, T)
+        sol = build_and_solve_lp3(inst, T)
         assert time.perf_counter() - start < 20
-        assert str(exc.value) == (
-            "LP3 not certified, and too large for the exact simplex: "
-            f"1304 rows x 4024 columns > {lp_toolkit.EXACT_CAP}"
-        )
+        assert (T, sol.objective_value) == (31, F(4073, 30))
+        assert len(calls) >= 1
+
+    def test_basis_solve_refuses_a_singular_or_nonsquare_basis(self):
+        # x + y >= 2 and 2x + 2y >= 4 tight, x and y basic
+        lp = LinearProgram()
+        lp.add_vars(["x", "y"], [1, 1])
+        lp.add_row([0, 1], [1, 1], 2, ">=")
+        lp.add_row([0, 1], [2, 2], 4, ">=")
+        assert lp_toolkit.exact_simplex(lp, [0, 1], [0, 1]) is None
+        assert lp_toolkit.exact_simplex(lp, [0], [0, 1]) is None
+        x, y = lp_toolkit.exact_simplex(lp, [0], [1])
+        assert (x, y) == ({0: 2}, {1: F(1, 2)}) and _certify(lp, x, y)
 
 
 def assert_model_mirrors(lp):

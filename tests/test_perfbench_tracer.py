@@ -15,6 +15,7 @@ from pathlib import Path
 
 from conftest import random_instance
 from mdkmlp import latency_solvers, lp_toolkit, pc_tree
+from mdkmlp.instance import time_horizon
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -114,3 +115,23 @@ def test_pclp_solves_fall_inside_their_probe_spans(monkeypatch):
     per_name, counts = t.totals()
     assert per_name["lp_toolkit.build_and_solve_pclp"][0] == len(probes) > 0
     assert counts["pclp.in_tree"] == len(probes)
+
+
+def test_fallback_calls_counted_per_uncertified_round(monkeypatch):
+    # certified_share counts the solves that entered the exact fallback
+    inst = random_instance(random.Random(0), 5, 1)  # LP3 in 4 cut rounds
+    rounded = lp_toolkit._round_support
+    monkeypatch.setattr(
+        lp_toolkit, "_round_support",
+        lambda vals: {i: v + Fraction(1, 7) for i, v in rounded(vals).items()},
+    )
+    t = _load_tracer().Tracer("mdkmlp")
+    t.install()
+    try:
+        lp_toolkit.build_and_solve_lp3(inst, time_horizon(inst).T)
+    finally:
+        t.uninstall()
+    per_name, counts = t.totals()
+    rounds = per_name["lp_toolkit.solve_lp"][0]
+    assert rounds == counts["solve_lp.in_lp3"] > 1
+    assert per_name["simplex.exact_simplex"][0] == rounds
