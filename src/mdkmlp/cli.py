@@ -429,8 +429,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    level = os.environ.get("MLP_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    # getLevelName gives a string for a name that is not a level
+    level = logging.getLevelName(os.environ.get("MLP_LOG", "WARNING").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -154,29 +154,18 @@ def _path_cover_costs(
     """mc: exact-cover mask -> (min cost of a rooted path collection
     covering it, witness paths), over nodes other than the root."""
     items = [v for v in inst.nodes if v != root]
-    m = len(items)
-    paths = pathdp.min_paths(root, items, inst.dist)
-    bit_of = {v: 1 << i for i, v in enumerate(items)}
-    single: Dict[int, Tuple[int, Tuple]] = {}
-    for C, (plen, order) in paths.items():
-        if not C:
-            continue
-        msk = 0
-        for v in C:
-            msk |= bit_of[v]
-        single[msk] = (plen, (root,) + order)
-    full = 1 << m
+    single, orders = pathdp.by_mask(items, pathdp.min_paths(root, items, inst.dist))
     mc: Dict[int, Tuple[int, List[Tuple]]] = {0: (0, [])}
-    for msk in range(1, full):
+    for msk in range(1, len(single)):
         low = msk & -msk  # pin the lowest set bit to one part: no double count
         best = None
         sub = msk
         while sub:
             if sub & low:
                 rest = msk ^ sub
-                cand = single[sub][0] + mc[rest][0]
+                cand = single[sub] + mc[rest][0]
                 if best is None or cand < best[0]:
-                    best = (cand, mc[rest][1] + [single[sub][1]])
+                    best = (cand, mc[rest][1] + [(root,) + orders[sub]])
             sub = (sub - 1) & msk
         mc[msk] = best
     return mc, items

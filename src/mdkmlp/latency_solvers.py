@@ -54,7 +54,6 @@ from .pc_tree import ProbeCache, RootedTree, coverage_tree
 log = logging.getLogger("mdkmlp.solvers")
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class SolverError(Exception):

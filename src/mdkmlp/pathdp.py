@@ -1,15 +1,18 @@
 """Held-Karp subset dynamic programs over rooted simple paths, and the one
 submask split that spreads a client set over a fleet of them.
 
-Shared by the exact oracles and the LP column enumeration: for a root and a
-small item set, compute for every subset the cheapest rooted simple path
-visiting exactly that subset (any endpoint), with an optimal visiting order
-for witness reconstruction. `split` combines two such mask-indexed tables:
-with ``max`` for bottleneck covers, with ``operator.add`` for latency sums.
-`fleet` is the one fold of `split` over a fleet's depot groups, and lays
-each witness route into its vehicle's root slot as it is made: of the
-vehicles that share a depot, the one added last takes the depot's first
-slot.
+One kernel, `_held_karp` (Held & Karp 1962), grows a chain over each subset
+of a small item set one item at a time and keeps every subset's least chain;
+ties go to the lowest index (strict ``<`` in index order): first the lowest
+end item, then the lowest item before each one. Its two cases are
+`min_paths`, the cheapest rooted simple path visiting exactly each subset
+(any endpoint), and `min_latency_orders`, the least weighted-latency serving
+order of each subset. `by_mask` indexes such a table by client mask, and
+`split` combines two mask-indexed tables: with ``max`` for bottleneck covers,
+with ``operator.add`` for latency sums. `fleet` is the one fold of `split`
+over a fleet's depot groups, and lays each witness route into its vehicle's
+root slot as it is made: of the vehicles that share a depot, the one added
+last takes the depot's first slot.
 
 Lengths are whatever the length function returns and are summed as given:
 the callers pass integer metrics (the LP metric doubles service lengths to
@@ -52,6 +55,18 @@ def split(
     return cur, pick
 
 
+def by_mask(items: Sequence, table: Table) -> Tuple[List[int], List[Optional[Tuple]]]:
+    """A table's values and orders indexed by mask, bit i being ``items[i]``;
+    a set missing from the table has value ``INF`` and order None."""
+    bit_of = {v: 1 << i for i, v in enumerate(items)}
+    values = [INF] * (1 << len(items))
+    orders: List[Optional[Tuple]] = [None] * len(values)
+    for C, (val, order) in table.items():
+        msk = sum(bit_of[v] for v in C)
+        values[msk], orders[msk] = val, order
+    return values, orders
+
+
 def fleet(
     clients: Sequence,
     groups: Sequence[Tuple[Hashable, Sequence[int], Table]],
@@ -72,16 +87,10 @@ def fleet(
     group's first slot, the first one its last slot. Across groups the
     submask of ``split(group_best, F, combine)`` is the later group's part.
     """
-    bit_of = {v: 1 << i for i, v in enumerate(clients)}
-    full = 1 << len(clients)
     made = []  # per group: root, slots, order per mask, picks per added vehicle
     F, gpicks = None, []
     for root, slots, table in groups:
-        single = [INF] * full
-        order: List[Optional[Tuple]] = [None] * full
-        for C, (val, path) in table.items():
-            msk = sum(bit_of[v] for v in C)
-            single[msk], order[msk] = val, path
+        single, order = by_mask(clients, table)
         best, picks = single, []
         for _ in range(1, len(slots)):
             best, pick = split(single, best, combine)
@@ -108,65 +117,59 @@ def fleet(
     return F, witness
 
 
-def length_matrix(items: Sequence, length: Callable) -> List[List[Optional[int]]]:
-    """length between every ordered pair of distinct items, by position."""
-    return [[length(u, v) if u != v else None for v in items] for u in items]
-
-
-def min_paths(
-    root,
-    items: Sequence,
-    length: Callable[[object, object], int],
+def _held_karp(
+    items: Sequence, start: List[int], arc: List[List], close: List[int], mult: List[int]
 ) -> Table:
+    """Map each subset of items to its least chain value and that chain,
+    from its end item back to its lone first item.
+
+    A lone item i costs ``start[i]``; adding j after i to a chain over
+    ``mask`` costs ``arc[i][j] * mult[mask]``; a chain over ``mask`` ending
+    at i is worth its cost plus ``close[i] * mult[mask]``. Masks go up, and
+    a mask only grows, so each is final before it is extended.
+    """
+    m = len(items)
+    full = 1 << m
+    cost = [[None] * m for _ in range(full)]  # least chain over mask ending at i
+    prev = [[None] * m for _ in range(full)]  # the item before i on that chain
+    for i in range(m):
+        cost[1 << i][i] = start[i]
+    out: Table = {frozenset(): (0, ())}
+    for mask in range(1, full):
+        row, w = cost[mask], mult[mask]
+        best, end = None, None
+        for i, cur in enumerate(row):
+            if cur is None:
+                continue
+            val = cur + close[i] * w
+            if best is None or val < best:
+                best, end = val, i
+            arc_i = arc[i]
+            for j in range(m):
+                nmask = mask | 1 << j
+                if nmask != mask:
+                    cand = cur + arc_i[j] * w
+                    if cost[nmask][j] is None or cand < cost[nmask][j]:
+                        cost[nmask][j], prev[nmask][j] = cand, i
+        chain, i, cmask = [], end, mask
+        while i is not None:
+            chain.append(items[i])
+            i, cmask = prev[cmask][i], cmask ^ (1 << i)
+        key = frozenset(items[i] for i in range(m) if mask >> i & 1)
+        out[key] = (best, tuple(chain))
+    return out
+
+
+def min_paths(root, items: Sequence, length: Callable[[object, object], int]) -> Table:
     """Map each subset of items to (min rooted-path length, optimal order).
 
     length(u, v) may be asymmetric (directed service metric); paths are
     traversed root -> first -> ... -> last.
     """
-    m = len(items)
-    full = 1 << m
-    # dp[mask][last] = min length of a path from root covering mask, ending at last
-    dp = [[None] * m for _ in range(full)]
-    parent = [[None] * m for _ in range(full)]
-    d = length_matrix(items, length)
-    for i, v in enumerate(items):
-        dp[1 << i][i] = length(root, v)
-    for mask in range(1, full):
-        row = dp[mask]
-        for last in range(m):
-            cur = row[last]
-            if cur is None:
-                continue
-            d_last = d[last]
-            for nxt in range(m):
-                bit = 1 << nxt
-                if mask & bit:
-                    continue
-                cand = cur + d_last[nxt]
-                nmask = mask | bit
-                if dp[nmask][nxt] is None or cand < dp[nmask][nxt]:
-                    dp[nmask][nxt] = cand
-                    parent[nmask][nxt] = last
-    out: Table = {frozenset(): (0, ())}
-    for mask in range(1, full):
-        best_last, best_len = None, None
-        for last in range(m):
-            val = dp[mask][last]
-            if val is not None and (best_len is None or val < best_len):
-                best_len, best_last = val, last
-        if best_last is None:
-            continue
-        order = []
-        cur, cmask = best_last, mask
-        while cur is not None:
-            order.append(items[cur])
-            prv = parent[cmask][cur]
-            cmask &= ~(1 << cur)
-            cur = prv
-        order.reverse()
-        key = frozenset(items[i] for i in range(m) if mask & (1 << i))
-        out[key] = (best_len, tuple(order))
-    return out
+    arc = [[length(u, v) if u != v else None for v in items] for u in items]
+    start = [length(root, v) for v in items]
+    table = _held_karp(items, start, arc, [0] * len(items), [1] * (1 << len(items)))
+    return {C: (val, chain[::-1]) for C, (val, chain) in table.items()}
 
 
 def min_latency_orders(
@@ -180,65 +183,16 @@ def min_latency_orders(
     step(u, v) is the latency increment when moving from u to serving v
     (edge cost plus v's service time, as configured by the caller). The
     weighted objective sums, over serving steps, step cost times the total
-    weight of nodes not yet served, which makes a subset DP sufficient.
+    weight of nodes not yet served, which makes a subset DP sufficient: the
+    chain is the order's suffix, built back to front, and the step into its
+    new first item is paid by the weight of the suffix it leads into.
     """
     m = len(items)
-    full = 1 << m
     wts = [weight(v) for v in items]
-
-    def mask_weight(mask: int) -> int:
-        return sum(wts[i] for i in range(m) if mask & (1 << i))
-
-    # Suffix DP: F[mask][first] is the latency contribution of serving the
-    # nodes in mask starting at `first`, excluding the step into `first`
-    # (whose multiplier depends on nodes served before the suffix).
-    F = [[None] * m for _ in range(full)]
-    nxt_of = [[None] * m for _ in range(full)]
-    d = length_matrix(items, step)
+    suffix_weight = [0] * (1 << m)
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        suffix_weight[mask] = suffix_weight[mask ^ low] + wts[low.bit_length() - 1]
+    arc = [[step(v, u) if u != v else None for v in items] for u in items]
     from_root = [step(root, v) for v in items]
-    for i in range(m):
-        F[1 << i][i] = 0
-    masks_by_size = sorted(range(1, full), key=lambda msk: bin(msk).count("1"))
-    for mask in masks_by_size:
-        w_mask = mask_weight(mask)
-        for u in range(m):
-            if mask & (1 << u):
-                continue
-            best_val, best_first = None, None
-            d_u = d[u]
-            for first in range(m):
-                cur = F[mask][first]
-                if cur is None:
-                    continue
-                cand = d_u[first] * w_mask + cur
-                if best_val is None or cand < best_val:
-                    best_val, best_first = cand, first
-            if best_val is not None:
-                nmask = mask | (1 << u)
-                if F[nmask][u] is None or best_val < F[nmask][u]:
-                    F[nmask][u] = best_val
-                    nxt_of[nmask][u] = best_first
-
-    out: Table = {frozenset(): (0, ())}
-    for mask in range(1, full):
-        w_mask = mask_weight(mask)
-        best_val, best_first = None, None
-        for first in range(m):
-            cur = F[mask][first]
-            if cur is None:
-                continue
-            cand = from_root[first] * w_mask + cur
-            if best_val is None or cand < best_val:
-                best_val, best_first = cand, first
-        if best_first is None:
-            continue
-        order = []
-        cur, cmask = best_first, mask
-        while cur is not None:
-            order.append(items[cur])
-            nx = nxt_of[cmask][cur]
-            cmask &= ~(1 << cur)
-            cur = nx
-        key = frozenset(items[i] for i in range(m) if mask & (1 << i))
-        out[key] = (best_val, tuple(order))
-    return out
+    return _held_karp(items, [0] * m, arc, from_root, suffix_weight)

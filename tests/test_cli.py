@@ -74,6 +74,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def fresh_cli(*argv, **env):
+    """Run the CLI in a new interpreter with extra environment variables."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "mdkmlp.cli", *argv],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, **env},
+    )
+
+
 class TestSolve:
     def test_kmlp_comb_covers_clients(self, capsys, fixa_path):
         code, out, _ = run(capsys, "solve", "--alg", "kmlp-comb", "--input", fixa_path)
@@ -673,17 +683,21 @@ class TestBench:
 
     def test_one_node(self):
         # a fresh interpreter, so no state left by an earlier test can help
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        proc = subprocess.run(
-            [sys.executable, "-m", "mdkmlp.cli", "bench",
-             "--n", "1", "--k", "1", "--trials", "1"],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": src},
-        )
+        proc = fresh_cli("bench", "--n", "1", "--k", "1", "--trials", "1")
         assert proc.returncode == 0, proc.stderr
         row = json.loads(proc.stdout)["rows"][0]
         assert row["lp1"] == row["lp2"] == row["lp3"] == row["opt"] == "0"
         assert all(entry["cost"] == "0" for entry in row["algs"].values())
+
+    @pytest.mark.parametrize("level", ["BASIC_FORMAT", "verbose"])
+    def test_log_level_not_naming_a_level_is_warning(self, level):
+        # a fresh interpreter: logging is configured once per process, and
+        # only while the root logger has no handler
+        argv = ("bench", "--n", "3", "--k", "1", "--trials", "1")
+        proc = fresh_cli(*argv, MLP_LOG=level)
+        assert proc.returncode == 0, proc.stderr
+        warning = fresh_cli(*argv, MLP_LOG="WARNING")
+        assert (proc.stdout, proc.stderr) == (warning.stdout, warning.stderr)
 
     def test_trials_zero(self, capsys):
         code, out, _ = run(

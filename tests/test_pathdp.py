@@ -8,7 +8,70 @@ import pytest
 from conftest import manhattan_points
 from mdkmlp import lp_toolkit
 from mdkmlp.instance import MetricInstance, group_slots
-from mdkmlp.pathdp import INF, fleet, split
+from mdkmlp.pathdp import INF, fleet, min_latency_orders, min_paths, split
+
+
+def path_length(root, order, length):
+    return sum(length(u, v) for u, v in zip((root,) + order, order))
+
+
+def weighted_latency(root, order, step, weight):
+    total, now = 0, 0
+    for u, v in zip((root,) + order, order):
+        now += step(u, v)
+        total += weight(v) * now
+    return total
+
+
+def random_lengths(rng, m):
+    """Items, an asymmetric integer length in a small span (so many orders
+    tie) and weights in 0..3, over a root and m items."""
+    items = [f"c{i}" for i in range(m)]
+    span = rng.choice([1, 2, 4])
+    d = {(u, v): rng.randint(0, span) for u in ["r"] + items for v in items if u != v}
+    wts = {v: rng.randint(0, 3) for v in items}
+    return items, (lambda u, v: d[u, v]), wts.get
+
+
+def check_against_permutations(table, items, value, tie_key):
+    """Every subset maps to the least value over its orders, and its order
+    is the optimal one that ``tie_key`` ranks first; the empty set is (0, ())."""
+    assert table[frozenset()] == (0, ())
+    assert len(table) == 1 << len(items)
+    for size in range(1, len(items) + 1):
+        for C in itertools.combinations(items, size):
+            orders = list(itertools.permutations(C))
+            best = min(map(value, orders))
+            val, order = table[frozenset(C)]
+            assert val == best
+            assert sorted(order) == sorted(C) and value(order) == val
+            assert order == min((o for o in orders if value(o) == best), key=tie_key)
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_min_paths_matches_permutations(m):
+    """Lowest last item first, then the lowest item before each one."""
+    rng = random.Random(100 + m)
+    for _ in range(4):
+        items, length, _ = random_lengths(rng, m)
+        check_against_permutations(
+            min_paths("r", items, length), items,
+            lambda o: path_length("r", o, length),
+            lambda o: [items.index(v) for v in reversed(o)],
+        )
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_min_latency_orders_matches_permutations(m):
+    """Lowest first served item first, then the lowest item after each one."""
+    rng = random.Random(200 + m)
+    for _ in range(4):
+        items, step, weight = random_lengths(rng, m)
+        check_against_permutations(
+            min_latency_orders("r", items, step, weight), items,
+            lambda o: weighted_latency("r", o, step, weight),
+            lambda o: [items.index(v) for v in o],
+        )
 
 
 def brute_split(first, rest, combine):
