@@ -10,7 +10,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Sequence, Tuple
+
+from . import pathdp
 
 Node = Hashable
 
@@ -197,6 +199,22 @@ class MetricInstance:
             return "service"
         return "plain"
 
+    @cached_property
+    def _path_tables(self) -> Dict[Tuple, pathdp.Table]:
+        return {}
+
+    def path_table(self, root: Node, items: Sequence[Node], metric: Callable) -> pathdp.Table:
+        """``pathdp.min_paths(root, items, metric)``, built once per instance
+        in this instance's own metrics and shared (callers must not change
+        it): LP1, LP2 and the bottleneck-stroll table ask for the same ones.
+        Keying by the method's function keeps the memo free of cycles."""
+        if getattr(metric, "__self__", None) is not self:
+            return pathdp.min_paths(root, items, metric)
+        key = (root, tuple(items), metric.__func__)
+        if key not in self._path_tables:
+            self._path_tables[key] = pathdp.min_paths(root, items, metric)
+        return self._path_tables[key]
+
     # -- derived metrics ---------------------------------------------------
 
     def service_doubled(self, u: Node, v: Node) -> int:
@@ -334,17 +352,15 @@ def evaluate_plan_detail(
             f"plan has {len(plan.routes)} routes for a {inst.k}-vehicle instance"
         )
     variant = plan.objective_variant
-    use_w = variant in ("weighted", "weighted+service")
-    service = inst.service if variant in ("service", "weighted+service") else {}
-    served: Dict[Node, int] = {}
-    root_set = inst.root_set
-    node_pos = inst.node_pos
+    # the service and allowed-depot lookups run only where the instance has any
+    service = inst.service if variant in ("service", "weighted+service") else None
     allowed = inst.allowed_depots
-    for i, route in enumerate(plan.routes):
-        root = inst.roots[i]
+    served: Dict[Node, int] = {}
+    root_set, node_pos, cost = inst.root_set, inst.node_pos, inst.cost
+    for i, (root, route) in enumerate(zip(inst.roots, plan.routes)):
         if not route or route[0] != root:
             raise ValueError(f"route {i} must start at its root {root!r}")
-        row = inst.cost[node_pos[root]]
+        row = cost[node_pos[root]]
         elapsed = 0
         for v in route[1:]:
             if v in root_set or v in served:
@@ -352,16 +368,20 @@ def evaluate_plan_detail(
             j = node_pos.get(v)
             if j is None:
                 raise ValueError(f"unknown node {v!r} in route {i}")
-            if root not in allowed.get(v, (root,)):
+            if allowed and root not in allowed.get(v, (root,)):
                 raise ValueError(f"node {v!r} served from disallowed depot {root!r}")
-            elapsed += row[j] + service.get(v, 0)
+            elapsed += row[j]
+            if service:
+                elapsed += service.get(v, 0)
             served[v] = elapsed
-            row = inst.cost[j]
-    missing = [v for v in inst.clients if v not in served]
-    if missing:
+            row = cost[j]
+    if len(served) != len(inst.clients):  # served holds clients only
+        missing = [v for v in inst.clients if v not in served]
         raise ValueError(f"uncovered node(s): {missing!r}")
-    weights = inst.weights if use_w else {}
-    return Fraction(sum(weights.get(v, 1) * lat for v, lat in served.items())), served
+    if variant in ("weighted", "weighted+service") and inst.weights:
+        weights = inst.weights
+        return Fraction(sum(weights.get(v, 1) * lat for v, lat in served.items())), served
+    return Fraction(sum(served.values())), served
 
 
 def evaluate_plan(inst: MetricInstance, plan: RoutePlan) -> Fraction:

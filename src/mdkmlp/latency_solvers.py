@@ -27,12 +27,15 @@ a compiled tour holds, per client, w_v times its forward minus its reverse
 elapsed time, and is taken forward iff those gains over the clients not yet
 covered sum to at most 0, the cheaper direction with ties kept forward.
 Coverage is an int mask over ``inst.clients``. The stitching roundings
-compile each tour in c as they take it. The configuration-LP roundings draw
-tours that were compiled when their LP was solved (``meta["draws"]``), in
-the LP metric, which is doubled on service instances (doubling both
-directions' sums keeps their comparison); each uniform draw finds its item
-by bisection over integer cumulative numerators, so no draw reads the
-metric.
+compile each tour in c as they take it. The configuration-LP roundings share
+one loop, :func:`_geometric_rounding`, over draw tables that were compiled
+when their LP was solved (``meta["draws"]``), with tours in the LP metric,
+which is doubled on service instances (doubling both directions' sums keeps
+their comparison). Each item of a table is a tuple of (slot, tour) pairs,
+one per vehicle for LP1 and the witness paths for LP2. One rule,
+:func:`_sample_from`, draws an item: one uniform per table, bisected among
+the table's float cuts, which is exact for every float, and so no draw
+reads the metric.
 """
 
 import logging
@@ -41,7 +44,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import count
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import concat_graph, exact_oracles, lp_toolkit
 from .arb_packing import pack_scaled, tree_nodes
@@ -101,6 +105,8 @@ FEATURES = {
 }
 _PLAIN = ("weights", "service")
 MU = concat_graph.MU
+# the floats of the rounding loop, converted once
+_GROWTH, _MU, _EPSILON = float(DEFAULT_GROWTH), float(MU), float(EPSILON)
 
 # The roundings look their solver up when called, so a rebinding of the
 # module attribute (a test's monkeypatch, a profiler's wrapper) is seen.
@@ -156,9 +162,9 @@ def _preorder(tree: RootedTree, node_pos: Dict) -> List:
 
 def _finalize_plan(inst: MetricInstance, tours: List[List[Tuple]]) -> RoutePlan:
     routes = []
-    for i, r in enumerate(inst.roots):
+    for r, slot_tours in zip(inst.roots, tours):
         route: List = [r]
-        for tour in tours[i]:
+        for tour in slot_tours:
             route.extend(tour)
         routes.append(tuple(route))
     return RoutePlan(routes=tuple(routes), objective_variant=inst.default_variant)
@@ -474,52 +480,46 @@ def solve_kmlp_combinatorial(inst: MetricInstance) -> RoutePlan:
 # geometric-sampling rounding of the configuration LPs
 
 
-def _geometric_schedule(
-    growth: Fraction, n: int, T: int, rng: random.Random
-) -> List[float]:
-    c = float(growth)
-    h = c ** rng.random()
-    D = 0
-    while h * c**D < T:
-        D += 1
-    extra = math.ceil(math.log(max(n * T / float(EPSILON), math.e)))
-    N = D + extra
-    return [h * c**j for j in range(N + 1)]
-
-
 def _sample_from(table: lp_toolkit.DrawTable, rng: random.Random) -> Optional[object]:
     """One draw from a sub-distribution (residual mass -> None): the first
-    item whose cumulative probability exceeds u = rng.random(). With u = p/q
-    exactly, u < cum/denom is cum > floor(p * denom / q) in integers."""
-    p, q = rng.random().as_integer_ratio()
-    i = bisect_right(table.cum, p * table.denom // q)
+    item whose cumulative probability exceeds u = rng.random(), which is the
+    first whose float cut exceeds u (:class:`lp_toolkit.DrawTable`)."""
+    i = bisect_right(table.cuts, rng.random())
     return table.items[i] if i < len(table.items) else None
 
 
 def _geometric_rounding(
-    inst: MetricInstance,
-    growth: Fraction,
-    sol: lp_toolkit.LpSolution,
-    draws_at: Callable[[int], Iterable[Tuple[int, lp_toolkit.Tour]]],
-    rng: random.Random,
+    inst: MetricInstance, c: float, sol: lp_toolkit.LpSolution, rng: random.Random
 ) -> RoutePlan:
-    """The loop both configuration-LP roundings share: at each geometric
-    time point t_j, the (slot, tour) draws `draws_at(min(T, floor t_j))`,
-    each oriented against the clients covered before it, until every client
-    is covered; leftovers get direct visits from their home slots."""
-    T = sol.T
-    schedule = _geometric_schedule(growth, inst.n, T, rng)
+    """The loop both configuration-LP roundings share. Time point t_j is
+    h * c**j, j = 0, 1, ..., from the offset h = c**u of one uniform u, and
+    is computed when the loop reaches it. At each point it draws once from
+    every table of ``sol.meta["draws"][min(T, floor t_j)]``, in order, and
+    takes each drawn (slot, tour) pair, oriented against the clients covered
+    before it, until every client is covered. The points stop at j = N, D +
+    ceil(ln max(nT/``EPSILON``, e)) with t_D the first point at or above T;
+    the clients still uncovered then get direct visits from their home
+    slots."""
+    T, draws = sol.T, sol.meta["draws"]
+    h = c ** rng.random()
+    left = math.ceil(math.log(max(inst.n * T / _EPSILON, math.e)))  # points past T
     tours: List[List[Tuple]] = [[] for _ in range(inst.k)]
     covered, full = 0, (1 << len(inst.clients)) - 1
-    for tj in schedule:
-        for slot, tour in draws_at(min(T, int(tj))):
-            tours[slot].append(tour.oriented(covered))
-            covered |= tour.mask
+    for j in count():
+        tj = h * c**j
+        for table in draws[min(T, int(tj))]:
+            for slot, tour in _sample_from(table, rng) or ():
+                tours[slot].append(tour.oriented(covered))
+                covered |= tour.mask
         if covered == full:
             break
-    for bit, slot, v in sol.meta["leftovers"]:
-        if not covered & bit:
-            tours[slot].append((v,))
+        if tj >= T:
+            if not left:
+                for bit, slot, v in sol.meta["leftovers"]:
+                    if not covered & bit:
+                        tours[slot].append((v,))
+                break
+            left -= 1
     return _finalize_plan(inst, tours)
 
 
@@ -548,15 +548,7 @@ def solve_multidepot(
         sol1 = lp1sol
     else:
         sol1 = lp_toolkit.build_and_solve_lp1(inst, time_horizon(inst).T)
-    tables = sol1.meta["draws"]  # per time: one table of tours per slot
-
-    def draws_at(t):
-        for slot, table in enumerate(tables[t]):
-            tour = _sample_from(table, rng)
-            if tour is not None:
-                yield slot, tour
-
-    return _geometric_rounding(inst, DEFAULT_GROWTH, sol1, draws_at, rng)
+    return _geometric_rounding(inst, _GROWTH, sol1, rng)
 
 
 def round_lp2(
@@ -580,12 +572,7 @@ def round_lp2(
     rng = random.Random(cfg.seed)
     if not inst.clients:
         return _finalize_plan(inst, [[] for _ in range(inst.k)])
-    tables = lp2sol.meta["draws"]  # per time: joint draws of (slot, tour) pairs
-
-    def draws_at(t):
-        return _sample_from(tables[t], rng) or ()
-
-    return _geometric_rounding(inst, MU, lp2sol, draws_at, rng)
+    return _geometric_rounding(inst, _MU, lp2sol, rng)
 
 
 # ---------------------------------------------------------------------------

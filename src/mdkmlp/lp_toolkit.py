@@ -47,13 +47,16 @@ LP1 and LP2 measure paths in an integer metric (:func:`_lp_metric`): c,
 or on service instances twice the symmetric service metric,
 2c(u,v) + d_u + d_v, tested against 2t. Their solutions carry what the
 configuration-LP roundings draw from, compiled once, when the LP is solved.
-``meta["draws"]`` maps each t in 1..T to :class:`DrawTable` s of the
-positive z columns at t, in a fixed node order: for LP1 a tuple of one table
-per vehicle slot (its depot group's columns), whose items are each column's
-cheapest visiting order as a :class:`Tour` from the group's depot; for LP2
-one table, whose items are the (slot, :class:`Tour`) pairs of the nonempty
-paths of each column's witness tuple. These tours are measured in the LP
-metric. ``meta["leftovers"]`` is the :func:`leftover_order` of the clients.
+``meta["draws"]`` maps each t in 1..T to a tuple of :class:`DrawTable` s
+of the positive z columns at t, in a fixed node order, which a rounding
+draws from in turn. Every item of a table is a tuple of (slot,
+:class:`Tour`) pairs, each tour measured in the LP metric from its slot's
+root. LP1 has one table per vehicle slot, over its depot group's columns,
+and each item is the one pair of the column's cheapest visiting order; the
+slots of one group share the group's cuts, and each column's item is built
+once per slot. LP2 has one table, and each item holds the pairs of the
+nonempty paths of the column's witness tuple. ``meta["leftovers"]`` is the
+:func:`leftover_order` of the clients.
 """
 
 import importlib.machinery
@@ -585,15 +588,16 @@ def _lp_metric(inst: MetricInstance) -> Tuple[Callable[[object, object], int], i
 
 class DrawTable(NamedTuple):
     """A sub-distribution over ``items`` for one uniform draw u in [0, 1):
-    ``items[i]`` is drawn when ``cum[i - 1] <= u * denom < cum[i]``, nothing
-    when ``u * denom >= cum[-1]`` (the residual mass)."""
+    ``items[i]`` is drawn when ``cuts[i - 1] <= u < cuts[i]``, nothing when
+    ``u >= cuts[-1]`` (the residual mass). ``cuts[i]`` is the least float at
+    or above the exact cumulative probability P_i of items 0..i, so for every
+    float u, u < cuts[i] exactly when u < P_i."""
 
     items: Tuple
-    cum: Tuple[int, ...]
-    denom: int
+    cuts: Tuple[float, ...]
 
 
-EMPTY_DRAW = DrawTable((), (), 1)
+EMPTY_DRAW = DrawTable((), ())
 
 
 class Tour(NamedTuple):
@@ -654,14 +658,16 @@ def leftover_order(inst: MetricInstance) -> Tuple[Tuple[int, int, object], ...]:
 
 
 def draw_table(weighted: Sequence[Tuple[object, Fraction]]) -> DrawTable:
-    """The draw table of ``(item, probability)`` pairs, in their order, over
-    the lcm of the probabilities' denominators."""
+    """The draw table of ``(item, probability)`` pairs, in their order: each
+    cumulative probability, an integer over the lcm of the denominators,
+    rounded up to a float."""
     denom = math.lcm(*(p.denominator for _, p in weighted))
-    return DrawTable(
-        tuple(item for item, _ in weighted),
-        tuple(accumulate(p.numerator * (denom // p.denominator) for _, p in weighted)),
-        denom,
-    )
+    cuts = []
+    for cum in accumulate(p.numerator * (denom // p.denominator) for _, p in weighted):
+        f = cum / denom  # int division rounds correctly
+        a, b = f.as_integer_ratio()
+        cuts.append(f if a * denom >= cum * b else math.nextafter(f, math.inf))
+    return DrawTable(tuple(item for item, _ in weighted), tuple(cuts))
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +817,7 @@ def build_and_solve_lp1(inst: MetricInstance, T: int) -> LpSolution:
     orders = []  # per group: the cheapest visiting order of each client set
     for r, mult in groups:
         serveable = [v for v in clients if r in inst.depots_for(v)]
-        paths = pathdp.min_paths(r, serveable, metric)
+        paths = inst.path_table(r, serveable, metric)
         first = {v: max(1, -(-paths[frozenset({v})][0] // scale)) for v in serveable}
         columns = [
             (C, t)
@@ -824,19 +830,25 @@ def build_and_solve_lp1(inst: MetricInstance, T: int) -> LpSolution:
 
     sol = _solve_config_lp(inst, T, "LP1", config_groups)
     node_pos = inst.node_pos
-    tours: Dict[Tuple[int, FrozenSet], Tour] = {}
+    slots_of = [slots for _, slots in group_slots(inst)]
+    group_of = {s: gi for gi, slots in enumerate(slots_of) for s in slots}
+    items: Dict[Tuple[int, FrozenSet], Tuple[Tuple[int, Tour]]] = {}  # (slot, C) -> item
 
     def column(gi, C, t):
         order = orders[gi][C]
-        if (gi, C) not in tours:
-            tours[gi, C] = compile_tour(inst, groups[gi][0], order, metric)
-        return (gi, t), [node_pos[v] for v in order], tours[gi, C]
+        if (slots_of[gi][0], C) not in items:  # one tour per column, one item per slot
+            tour = compile_tour(inst, groups[gi][0], order, metric)
+            items.update({(s, C): ((s, tour),) for s in slots_of[gi]})
+        return (gi, t), [node_pos[v] for v in order], C
 
     by_group = _draw_tables(sol, column)
-    slot_group = {s: gi for gi, (_, slots) in enumerate(group_slots(inst)) for s in slots}
+
+    def slot_table(s, t):
+        table = by_group.get((group_of[s], t), EMPTY_DRAW)
+        return DrawTable(tuple(items[s, C] for C in table.items), table.cuts)
+
     sol.meta["draws"] = {
-        t: tuple(by_group.get((slot_group[s], t), EMPTY_DRAW) for s in range(inst.k))
-        for t in range(1, T + 1)
+        t: tuple(slot_table(s, t) for s in range(inst.k)) for t in range(1, T + 1)
     }
     sol.meta["leftovers"] = leftover_order(inst)
     return sol
@@ -862,7 +874,7 @@ def bottleneck_cover_table(
     """
     clients = inst.clients
     groups = [
-        (r, slots, pathdp.min_paths(r, clients, metric)) for r, slots in group_slots(inst)
+        (r, slots, inst.path_table(r, clients, metric)) for r, slots in group_slots(inst)
     ]
     best, witness = pathdp.fleet(clients, groups, max)
     return {
@@ -914,7 +926,7 @@ def build_and_solve_lp2(inst: MetricInstance, T: int) -> LpSolution:
         return t, sorted(node_pos[v] for v in U), tours[U]
 
     by_time = _draw_tables(sol, column)
-    sol.meta["draws"] = {t: by_time.get(t, EMPTY_DRAW) for t in range(1, T + 1)}
+    sol.meta["draws"] = {t: (by_time.get(t, EMPTY_DRAW),) for t in range(1, T + 1)}
     sol.meta["leftovers"] = leftover_order(inst)
     return sol
 

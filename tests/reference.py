@@ -3,9 +3,10 @@
 Each checker recomputes its quantity from the definition, by enumeration in
 exact arithmetic, and imports nothing from the code it checks: the packing
 verifier reads only a digraph's nodes and arc weights, the envelope checks
-only a curve's corners, and the cover oracle and the serializer only an
-instance's fields. All of them are exponential in the number of nodes and
-meant for the desk-scale inputs of the tests (n <= 8).
+only a curve's corners, and the cover oracle, the serializer and the plan
+evaluator (:func:`plan_value`) only an instance's fields. The enumerations
+are exponential in the number of nodes and meant for the desk-scale inputs
+of the tests (n <= 8).
 
 The two separation references (:func:`lp3_cuts`, :func:`pclp_cuts`) read an
 LP solution by variable name, in Fractions, and scale each min-cut network
@@ -167,6 +168,44 @@ def instance_to_json(inst) -> str:
     if inst.allowed_depots:
         data["allowed_depots"] = {str(v): list(rs) for v, rs in inst.allowed_depots.items()}
     return json.dumps(data, sort_keys=True)
+
+
+def plan_value(inst, routes, variant) -> Tuple[Fraction, dict]:
+    """A plan's objective and per-client latencies by the definition, from
+    the instance's fields alone. Route i starts at root i and is walked in
+    order: a root, or a client served before (on this route or an earlier
+    one), is passed over; each other node is served on arrival, after its
+    service time where the variant counts service. The objective sums the
+    latencies, weighted where the variant counts weights. Raises ValueError,
+    the first failing check first: the number of routes, each route's start,
+    then per node an unknown node and a disallowed depot, and at the end
+    the clients left unserved."""
+    roots = inst.roots
+    if len(routes) != len(roots):
+        raise ValueError(f"plan has {len(routes)} routes for a {len(roots)}-vehicle instance")
+    where = {v: i for i, v in enumerate(inst.nodes)}
+    served = {}
+    for i, route in enumerate(routes):
+        if len(route) == 0 or route[0] != roots[i]:
+            raise ValueError(f"route {i} must start at its root {roots[i]!r}")
+        at, clock = roots[i], 0
+        for v in route[1:]:
+            if v in roots or v in served:
+                continue
+            if v not in where:
+                raise ValueError(f"unknown node {v!r} in route {i}")
+            if v in inst.allowed_depots and roots[i] not in inst.allowed_depots[v]:
+                raise ValueError(f"node {v!r} served from disallowed depot {roots[i]!r}")
+            clock += inst.cost[where[at]][where[v]]
+            if "service" in variant:
+                clock += inst.service.get(v, 0)
+            served[v] = clock
+            at = v
+    missing = [v for v in inst.nodes if v not in roots and v not in served]
+    if missing:
+        raise ValueError(f"uncovered node(s): {missing!r}")
+    weight = (lambda v: inst.weights.get(v, 1)) if "weighted" in variant else (lambda v: 1)
+    return sum((weight(v) * t for v, t in served.items()), Fraction(0)), served
 
 
 def _violated(inst, root, arc_values, demands):

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import FIX_A_JSON, FIX_B_JSON, random_instance
-from reference import instance_to_json
+from reference import instance_to_json, plan_value
 from mdkmlp.instance import (
+    VARIANTS,
     MetricInstance,
     RoutePlan,
     evaluate_plan,
@@ -200,6 +201,60 @@ class TestEvaluate:
                 min(inst.dist(r, v) for r in inst.depots_for(v))
                 for v in inst.clients
             )
+
+
+def _random_plan(rng, inst):
+    """Routes of random nodes with clients repeated and roots inside; about
+    half of them then get every client still missing from an allowed root's
+    route, and a few get a broken route count, start or node."""
+    routes = [
+        [r] + [rng.choice(inst.nodes) for _ in range(rng.randint(0, 2 * inst.n))]
+        for r in inst.roots
+    ]
+    if rng.random() < 0.5:
+        seen = {v for route in routes for v in route}
+        for v in inst.clients:
+            if v not in seen:
+                ok = [i for i, r in enumerate(inst.roots) if r in inst.depots_for(v)]
+                routes[rng.choice(ok)].append(v)
+    broken = rng.random()
+    i = rng.randrange(len(routes))
+    if broken < 0.03:
+        routes.append([inst.roots[0]]) if rng.random() < 0.5 else routes.pop()
+    elif broken < 0.06:
+        other = [v for v in inst.nodes if v != inst.roots[i]]
+        routes[i] = [] if rng.random() < 0.5 else [rng.choice(other)] + routes[i]
+    elif broken < 0.09:
+        routes[i].insert(rng.randint(1, len(routes[i])), "zz")
+    return tuple(map(tuple, routes)), rng.choice(VARIANTS)
+
+
+class TestEvaluateAgainstReference:
+    """evaluate_plan_detail equals the reference evaluator on random plans:
+    the total, every latency in serving order, or the exception message."""
+
+    @pytest.mark.parametrize("family", ("plain", "weights", "service", "allowed"))
+    def test_random_plans(self, family):
+        rng = random.Random(f"evaluate/{family}")
+        outcomes = set()
+        for i in range(500):
+            if i % 50 == 0:
+                opts = {} if family == "plain" else {family: True}
+                inst = random_instance(rng, rng.randint(4, 7), rng.randint(1, 3), **opts)
+            routes, variant = _random_plan(rng, inst)
+            try:
+                want = plan_value(inst, routes, variant)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    evaluate_plan_detail(inst, RoutePlan(routes, variant))
+                assert str(got.value) == str(exc), (routes, variant)
+                outcomes.add(str(exc).split()[0])
+                continue
+            total, latencies = evaluate_plan_detail(inst, RoutePlan(routes, variant))
+            assert (total, list(latencies.items())) == (want[0], list(want[1].items()))
+            outcomes.add("value")
+        expected = {"value", "plan", "route", "unknown", "uncovered"}
+        assert outcomes >= expected | ({"node"} if family == "allowed" else set())
 
 
 class TestTimeHorizon:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from itertools import accumulate
 import random
 import types
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from conftest import random_instance
 from reference import envelope_value
 from mdkmlp.concat_graph import lower_envelope, mu_star
-from mdkmlp import lp_toolkit
+from mdkmlp import latency_solvers, lp_toolkit
 from mdkmlp.exact_oracles import bnslb, exact_kmlp
 from mdkmlp.instance import MetricInstance, evaluate_plan, time_horizon
 from mdkmlp.lp_toolkit import (
@@ -385,6 +386,113 @@ class TestRoundLp2:
             round_lp2(fix_b, sol, SolverConfig())
 
 
+class _CountingRng(random.Random):
+    """random.Random that counts its random() calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
+def _uniforms_of_a_draw(inst, sol, c, seed):
+    """1 for the offset plus one per table at each time point reached: the
+    points run up to the first after which the draws cover every client, or
+    through N when they never do."""
+    rng = random.Random(seed)
+    h = c ** rng.random()
+    T, draws = sol.T, sol.meta["draws"]
+    D = 0
+    while h * c**D < T:
+        D += 1
+    N = D + math.ceil(math.log(max(inst.n * T / float(EPSILON), math.e)))
+    left = set(inst.clients)
+    for j in range(N + 1):
+        for table in draws[min(T, int(h * c**j))]:
+            for _, tour in _sample_from(table, rng) or ():
+                left -= set(tour.fwd)
+        if not left:
+            return 1 + len(draws[1]) * (j + 1)
+    return 1 + len(draws[1]) * (N + 1)
+
+
+class TestRngConsumption:
+    """Each draw takes its uniforms in a fixed pattern: one for the offset,
+    then one per table at every time point it reaches, tables whose items
+    are all gone (or that have none) included."""
+
+    @staticmethod
+    def _cases():
+        fix_b = MetricInstance(
+            nodes=("r1", "a", "b", "r2"), roots=("r1", "r2"),
+            cost=((0, 1, 3, 4), (1, 0, 2, 3), (3, 2, 0, 1), (4, 3, 1, 0)),
+        )
+        allowed = random_instance(random.Random(12), 7, 2, allowed=True)
+        assert allowed.allowed_depots
+        for inst in (fix_b, allowed):
+            T = time_horizon(inst).T
+            sol1, sol2 = build_and_solve_lp1(inst, T), build_and_solve_lp2(inst, T)
+            yield inst, sol1, float(DEFAULT_GROWTH), lambda cfg, i=inst, s=sol1: (
+                solve_multidepot(i, cfg, lp1sol=s))
+            yield inst, sol2, float(MU), lambda cfg, i=inst, s=sol2: round_lp2(i, s, cfg)
+
+    def test_one_uniform_per_table_per_time_point(self, monkeypatch):
+        made = []
+
+        def counting(seed):
+            made.append(_CountingRng(seed))
+            return made[-1]
+
+        monkeypatch.setattr(latency_solvers, "random", types.SimpleNamespace(Random=counting))
+        for inst, sol, c, rounding in self._cases():
+            empty = dataclasses.replace(sol, meta=dict(sol.meta, draws={
+                t: (lp_toolkit.EMPTY_DRAW,) * len(tables)
+                for t, tables in sol.meta["draws"].items()
+            }))
+            for seed in range(20):
+                made.clear()
+                plan = rounding(SolverConfig(seed=seed))
+                assert [rng.calls for rng in made] == [_uniforms_of_a_draw(inst, sol, c, seed)]
+                assert set(inst.clients) <= {v for route in plan.routes for v in route}
+                # no table draws anything: every point is reached, and every
+                # client is a leftover, visited once
+                rng = _CountingRng(seed)
+                plan = latency_solvers._geometric_rounding(inst, c, empty, rng)
+                assert rng.calls == _uniforms_of_a_draw(inst, empty, c, seed)
+                assert sorted(v for route in plan.routes for v in route[1:]) == sorted(
+                    inst.clients
+                )
+
+    def test_tables_per_time_point(self):
+        mixed = random_instance(random.Random(41), 7, 2)
+        mixed = dataclasses.replace(mixed, roots=(mixed.roots[0],) * 2 + mixed.roots[1:])
+        for inst, sol, _, _ in (*self._cases(), *[
+            (mixed, build(mixed, time_horizon(mixed).T), None, None)
+            for build in (build_and_solve_lp1, build_and_solve_lp2)
+        ]):
+            draws = sol.meta["draws"]
+            assert sorted(draws) == list(range(1, sol.T + 1))
+            for tables in draws.values():
+                if sol.which == "LP1":  # one table per slot, each item one pair of it
+                    assert len(tables) == inst.k
+                    for slot, table in enumerate(tables):
+                        assert all(
+                            len(item) == 1 and item[0][0] == slot for item in table.items
+                        )
+                else:  # one table, each item a pair per nonempty witness path
+                    assert len(tables) == 1
+                    for item in tables[0].items:
+                        slots = [slot for slot, _ in item]
+                        assert slots and slots == sorted(set(slots))
+                for table in tables:
+                    assert len(table.cuts) == len(table.items)
+                    assert list(table.cuts) == sorted(table.cuts) and table.cuts[-1:] <= (1.0,)
+                    assert all(isinstance(t, lp_toolkit.Tour) for i in table.items for _, t in i)
+
+
 class _StubRng:
     """Hands out the given values as rng.random() and counts the calls."""
 
@@ -462,7 +570,7 @@ class TestSampleFrom:
             weighted = _sub_distribution(rng)
             table = lp_toolkit.draw_table(weighted)
             us = [rng.random() for _ in range(3)] + [0.0, math.nextafter(1.0, 0)]
-            cums = [F(c, table.denom) for c in table.cum]
+            cums = list(accumulate(p for _, p in weighted))
             for c in cums:
                 x = float(c)
                 us += [math.nextafter(x, 0), x, math.nextafter(x, 1)]

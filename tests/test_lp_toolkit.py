@@ -992,3 +992,40 @@ def test_integer_lp_metric_gives_the_fraction_columns(monkeypatch):
         assert columns2 == [
             (U, t) for U, (btl, _) in table.items() if U for t in range(1, T + 1) if btl <= t
         ]
+
+
+def test_one_path_table_per_instance_root_clients_and_metric(monkeypatch):
+    """LP1, LP2's bottleneck cover table and the bottleneck-stroll table ask
+    for path tables of the instance's own metrics; each distinct (root,
+    clients, metric) is built once per instance, and is min_paths' table,
+    key order included. Tables in any other metric are not kept."""
+    real, calls = pathdp.min_paths, []
+    monkeypatch.setattr(pathdp, "min_paths", lambda *a: calls.append(a) or real(*a))
+    rng = random.Random(3)
+    for kind in ("plain", "service", "allowed", "shared"):
+        inst = random_instance(
+            rng, 6, 2, single_depot=kind == "shared",
+            service=kind == "service", allowed=kind == "allowed",
+        )
+        T = time_horizon(inst).T
+        metric, _ = lp_toolkit._lp_metric(inst)
+        calls.clear()
+        build_and_solve_lp1(inst, T)
+        build_and_solve_lp2(inst, T)
+        exact_oracles.bnslb(inst)
+        wanted = {
+            (r, tuple(v for v in inst.clients if r in inst.depots_for(v)), metric)
+            for r in inst.depots
+        } | {(r, inst.clients, m) for r in inst.depots for m in (metric, inst.dist)}
+        assert sorted((r, tuple(items)) for r, items, _ in calls) == sorted(
+            (r, items) for r, items, _ in wanted
+        )
+        for r, items, m in wanted:
+            table = inst.path_table(r, list(items), m)
+            assert list(table.items()) == list(real(r, items, m).items())
+            assert inst.path_table(r, items, m) is table
+        assert len(calls) == len(wanted)
+    calls.clear()
+    for _ in range(2):
+        inst.path_table(inst.roots[0], inst.clients, lambda u, v: inst.dist(u, v))
+    assert len(calls) == 2
