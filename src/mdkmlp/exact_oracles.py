@@ -12,7 +12,7 @@ heuristics: an oracle must never silently stop being ground truth.
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import pathdp
 from .instance import MetricInstance, RoutePlan, group_slots
@@ -94,19 +94,20 @@ def bnslb(inst: MetricInstance) -> BnsTable:
     witness of the largest size.
     """
     _guard_clients(inst)
-    # the least bottleneck over client sets of each size, with its witness
-    best: Dict[int, Tuple[int, Tuple]] = {}
-    for U, (val, routes) in bottleneck_cover_table(inst, inst.dist).items():
+    # the least bottleneck over client sets of each size, with its set
+    table, witness = bottleneck_cover_table(inst, inst.dist)
+    best: Dict[int, Tuple[int, FrozenSet]] = {}
+    for U, val in table.items():
         sz = len(U)
         if sz not in best or val < best[sz][0]:
-            best[sz] = (val, routes)
+            best[sz] = (val, U)
     free = len(inst.root_set)
     trivial = tuple((r,) for r in inst.roots)
     values: List[Fraction] = []
     witnesses: List[Tuple[Tuple, ...]] = []
     # suffix-min so b*_l is the cheapest way to reach coverage >= l
-    by_need: Dict[int, Tuple[int, Tuple]] = {}
-    run: Optional[Tuple[int, Tuple]] = None
+    by_need: Dict[int, Tuple[int, FrozenSet]] = {}
+    run: Optional[Tuple[int, FrozenSet]] = None
     for sz in sorted(best, reverse=True):
         if run is None or best[sz][0] < run[0]:
             run = best[sz]
@@ -116,9 +117,9 @@ def bnslb(inst: MetricInstance) -> BnsTable:
             values.append(Fraction(0))
             witnesses.append(trivial)
             continue
-        val, routes = by_need[ell - free]
+        val, U = by_need[ell - free]
         values.append(Fraction(val))
-        witnesses.append(routes)
+        witnesses.append(witness(U))
     return BnsTable(values=tuple(values), witnesses=tuple(witnesses))
 
 

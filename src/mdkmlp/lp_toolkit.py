@@ -6,11 +6,11 @@ exactly (feasibility, reduced costs, strong duality). Only the entries of
 magnitude at least 1e-9 are rounded; every other one is exactly 0, so the
 rounding, the duals' part of the check, the values and the objective run
 on the support, while every row and every column's reduced cost is still
-tested. The check runs on plain Python integers: each row, the primal
-point and the duals are scaled by the lcm of their denominators, so every
-test is the Fraction one multiplied through by a positive integer (after
-Applegate, Cook, Dash & Espinoza, "Exact solutions to linear programming
-problems", ORL 2007).
+tested. The check runs on plain Python integers: every row is integer,
+and the primal point and the duals are scaled by the lcm of their
+denominators, so every test is the Fraction one multiplied through by a
+positive integer (after Applegate, Cook, Dash & Espinoza, "Exact solutions
+to linear programming problems", ORL 2007).
 If certification fails, :func:`mdkmlp.simplex.exact_simplex` solves the
 basis HiGHS ended on exactly, and that pair is certified the same way; if
 it does not certify either, or the basis is invalid or singular, the solve
@@ -33,9 +33,10 @@ Rows enter an LP by column index through :meth:`LinearProgram.add_row`;
 builders lay their columns out in blocks (per depot group an x block, each
 client's columns in t order, so "served by t" is a slice, and LP3's z block
 arc-major) and emit every row as integer coefficients over increasing
-column indices. An integer row is its own integer form (scale 1) and is
-stored without building a Fraction. The cut oracles separate on the
-certified integer point of the solution (:attr:`LpSolution.point`): the
+column indices; a row must be integer, and is stored as given. Only the
+objective may be rational (the PC-LP's penalties). The cut oracles
+separate on the certified integer point of the solution
+(:attr:`LpSolution.point`): the
 min-cut capacities and demands are its entries, all at one common scale,
 and each cut goes in as an index row. The prize-collecting LP is a model
 (:func:`pclp_model`) solved under any penalties
@@ -154,19 +155,14 @@ class EnumerationCapError(LpError):
 
 
 class Row(NamedTuple):
-    """A constraint times its scale ``d`` (the lcm of its denominators):
-    ``sum(ints[i] * x[cols[i]]) >= b`` (or ``== b``), ``cols`` sorted, zero
-    coefficients dropped, a ``<=`` row negated. ``vals`` and ``rhs`` are
-    ``ints[i] / d`` and ``b / d`` for HiGHS: int true division is correctly
-    rounded, so they equal ``float(Fraction(a, d))``."""
+    """A constraint in integers: ``sum(ints[i] * x[cols[i]]) >= b`` (or
+    ``== b``), ``cols`` sorted, zero coefficients dropped, a ``<=`` row
+    negated."""
 
     cols: Tuple[int, ...]
     ints: Tuple[int, ...]
     b: int
-    d: int
     sense: str
-    vals: Tuple[float, ...]
-    rhs: float
 
 
 class LinearProgram:
@@ -212,33 +208,21 @@ class LinearProgram:
                 np.array([float(self.objective[j]) for j in costs]),
             )
 
-    def add_row(self, cols: Sequence[int], ints: Sequence, b, sense: str) -> None:
+    def add_row(self, cols: Sequence[int], ints: Sequence[int], b: int, sense: str) -> None:
         """Append the row ``sum(ints[i] * x[cols[i]]) sense b``, ``cols``
-        increasing. An integer row is its own integer form (d = 1); a
-        rational one is scaled by the lcm of its denominators."""
+        increasing; the coefficients and ``b`` must be ints."""
         if sense not in (">=", "<=", "=="):
             raise ValueError(f"unknown sense {sense!r}")
+        if type(b) is not int or not set(map(type, ints)) <= _INT:
+            raise ValueError("a row's coefficients and right-hand side must be ints")
         if 0 in ints:
             kept = [(j, a) for j, a in zip(cols, ints) if a]
             cols, ints = [j for j, _ in kept], [a for _, a in kept]
-        if type(b) is int and set(map(type, ints)) <= _INT:
-            d = 1
-            if sense == "<=":
-                ints, b = tuple(-a for a in ints), -b
-            ints = tuple(ints)
-            vals = tuple(map(float, ints))
-        else:
-            fracs = [Fraction(a) for a in ints]
-            b = Fraction(b)
-            d = math.lcm(b.denominator, *(a.denominator for a in fracs))
-            s = -d if sense == "<=" else d
-            ints = tuple(a.numerator * (s // a.denominator) for a in fracs)
-            b = b.numerator * (s // b.denominator)
-            vals = tuple(a / d for a in ints)
-        sense = ">=" if sense == "<=" else sense
-        self.rows.append(Row(tuple(cols), ints, b, d, sense, vals, b / d))
+        if sense == "<=":
+            ints, b, sense = [-a for a in ints], -b, ">="
+        self.rows.append(Row(tuple(cols), tuple(ints), b, sense))
 
-    def add_constraint(self, coeffs: Dict[object, Fraction], sense: str, rhs) -> None:
+    def add_constraint(self, coeffs: Dict[object, int], sense: str, rhs: int) -> None:
         """:meth:`add_row` by variable name."""
         index = self._index
         try:
@@ -249,7 +233,7 @@ class LinearProgram:
             ) from None
         self.add_row([j for j, _ in pairs], [c for _, c in pairs], rhs, sense)
 
-    def add_cut(self, cols: Sequence[int], ints: Sequence, b, sense: str) -> bool:
+    def add_cut(self, cols: Sequence[int], ints: Sequence[int], b: int, sense: str) -> bool:
         """:meth:`add_row`, unless the LP has that row already: False then."""
         self._row_set.update(self.rows[self._hashed:])
         self.add_row(cols, ints, b, sense)
@@ -297,10 +281,9 @@ def _certify(
     support (column or row index -> value; every other entry is 0), on
     scaled integers.
 
-    With L the lcm of the denominators of x, X = L*x; with w_i = y_i/d_i
-    (d_i the scale of row i's integer form) and M the lcm of the
-    denominators of w, W = M*w; D is the lcm of the objective's
-    denominators. Every test below is the Fraction test (primal
+    The rows are integer. With L the lcm of the denominators of x, X = L*x;
+    with M the lcm of the denominators of y, W = M*y; D is the lcm of the
+    objective's denominators. Every test below is the Fraction test (primal
     feasibility of every row, y >= 0 on '>=' rows, reduced cost >= 0 of
     every column, strong duality) multiplied through by a positive integer,
     so the two accept the same pairs.
@@ -312,7 +295,7 @@ def _certify(
     for j, v in x.items():
         X[j] = v.numerator * (L // v.denominator)
     get = X.__getitem__
-    for cols, ints, b, _, sense, _, _ in lp.rows:
+    for cols, ints, b, sense in lp.rows:
         lhs = sum(map(mul, ints, map(get, cols)))
         bL = b * L
         if lhs < bL or (sense == "==" and lhs != bL):
@@ -320,10 +303,10 @@ def _certify(
     ws = []
     for i, y in duals.items():
         if y != 0:
-            cols, ints, b, d, sense, _, _ = lp.rows[i]
+            cols, ints, b, sense = lp.rows[i]
             if sense == ">=" and y < 0:
                 return False
-            ws.append((cols, ints, b, y / d if d > 1 else y))
+            ws.append((cols, ints, b, y))
     M = math.lcm(*(w.denominator for _, _, _, w in ws))
     D = math.lcm(*(c.denominator for c in lp.objective))
     S = [0] * len(lp.objective)
@@ -344,7 +327,7 @@ def _certify(
 
 
 def _csr_parts(rows: Sequence[Row]):
-    """``rows`` in CSR form: (indptr, indices, data, rhs)."""
+    """``rows`` in CSR form, in floats for HiGHS: (indptr, indices, data, rhs)."""
     indptr = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum([len(row.cols) for row in rows], out=indptr[1:])
     nnz = int(indptr[-1])
@@ -352,9 +335,9 @@ def _csr_parts(rows: Sequence[Row]):
         chain.from_iterable(row.cols for row in rows), dtype=np.int64, count=nnz
     )
     data = np.fromiter(
-        chain.from_iterable(row.vals for row in rows), dtype=float, count=nnz
+        chain.from_iterable(row.ints for row in rows), dtype=float, count=nnz
     )
-    rhs = np.array([row.rhs for row in rows], dtype=float)
+    rhs = np.array([row.b for row in rows], dtype=float)
     return indptr, indices, data, rhs
 
 
@@ -452,7 +435,7 @@ def solve_lp(lp: LinearProgram, which: str = "LP", T: Optional[int] = None) -> L
 
 
 # A cut is a row for :meth:`LinearProgram.add_row`: (cols, ints, b, sense).
-Cut = Tuple[Sequence[int], Sequence, object, str]
+Cut = Tuple[Sequence[int], Sequence[int], int, str]
 
 
 def solve_with_cuts(
@@ -861,10 +844,11 @@ def build_and_solve_lp1(inst: MetricInstance, T: int) -> LpSolution:
 def bottleneck_cover_table(
     inst: MetricInstance,
     metric: Callable,
-) -> Dict[FrozenSet, Tuple[int, Tuple[Tuple, ...]]]:
-    """For each client set U: (min over k-vehicle covers of the max path
-    length, witness tuple of k rooted paths covering U exactly, path i
-    from ``inst.roots[i]``).
+) -> Tuple[Dict[FrozenSet, int], Callable[[FrozenSet], Tuple[Tuple, ...]]]:
+    """The least, over k-vehicle covers of each client set U, of the max
+    path length, for every U that k vehicles can cover; and ``witness(U)``,
+    a tuple of k rooted paths covering U exactly, path i from
+    ``inst.roots[i]``, built only when asked for.
 
     One :func:`pathdp.fleet` bottleneck split: over each depot group's
     vehicles, then across groups. The witness paths are laid into root slots
@@ -877,17 +861,20 @@ def bottleneck_cover_table(
         (r, slots, inst.path_table(r, clients, metric)) for r, slots in group_slots(inst)
     ]
     best, witness = pathdp.fleet(clients, groups, max)
-    return {
-        frozenset(v for i, v in enumerate(clients) if msk >> i & 1): (val, witness(msk))
+    bit = inst.client_bit
+    values = {
+        frozenset(v for i, v in enumerate(clients) if msk >> i & 1): val
         for msk, val in enumerate(best)
         if val < pathdp.INF
     }
+    return values, lambda U: witness(sum(map(bit.__getitem__, U)))
 
 
 def build_and_solve_lp2(inst: MetricInstance, T: int) -> LpSolution:
     """Global-snapshot configuration LP over k-tuple columns, solved exactly.
 
-    Columns are collapsed to the covered client union with a witness tuple:
+    Columns are collapsed to the covered client union with a witness tuple,
+    built for the positive columns only:
     the LP constraints only see the union, and a union is usable at time t
     exactly when some k-way split has every path within the budget, which
     the bottleneck cover table answers. The whole fleet is one group of the
@@ -904,12 +891,12 @@ def build_and_solve_lp2(inst: MetricInstance, T: int) -> LpSolution:
     clients = inst.clients
     groups = vehicle_groups(inst)
     metric, scale = _lp_metric(inst)
-    table = bottleneck_cover_table(inst, metric)
+    table, witness = bottleneck_cover_table(inst, metric)
     first = {
         v: max(1, -(-min(metric(r, v) for r, _ in groups) // scale)) for v in clients
     }
     columns = [
-        (U, t) for U, (btl, _) in table.items() if U for t in range(1, T + 1)
+        (U, t) for U, btl in table.items() if U for t in range(1, T + 1)
         if btl <= scale * t
     ]
     sol = _solve_config_lp(inst, T, "LP2", [(1, first, columns)])
@@ -920,7 +907,7 @@ def build_and_solve_lp2(inst: MetricInstance, T: int) -> LpSolution:
         if U not in tours:
             tours[U] = tuple(
                 (slot, compile_tour(inst, inst.roots[slot], path[1:], metric))
-                for slot, path in enumerate(table[U][1])
+                for slot, path in enumerate(witness(U))
                 if len(path) > 1
             )
         return t, sorted(node_pos[v] for v in U), tours[U]

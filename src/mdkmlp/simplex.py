@@ -6,10 +6,11 @@ fails, :func:`exact_simplex` solves the basis HiGHS ended on, exactly, and
 the toolkit certifies that pair instead (after Applegate, Cook, Dash &
 Espinoza, "Exact solutions to linear programming problems", ORL 2007, and
 Gleixner, Steffy & Wolter, "Iterative refinement for linear programming",
-INFORMS JoC 2016). With B the basic columns and R the rows whose slack is
+INFORMS JoC 2016). The LP's rows are integer (A and b); only the objective
+c may be rational. With B the basic columns and R the rows whose slack is
 nonbasic (the tight rows), it solves A[R, B] x_B = b[R] and
-A[R, B]^T w = c_B by sparse Gaussian elimination; every other column of x,
-and every other row's multiplier, is 0. The name is kept: the benchmark's
+A[R, B]^T y_R = c_B by sparse Gaussian elimination; every other column of
+x, and every other row's multiplier, is 0. The name is kept: the benchmark's
 tracer counts its calls as the solves that needed the fallback.
 """
 
@@ -25,8 +26,7 @@ def exact_simplex(
     :class:`mdkmlp.lp_toolkit.LinearProgram`: ``basic`` its basic columns,
     ``tight`` its rows whose slack is nonbasic.
 
-    Returns (x, y) on their supports, x by column and y by row (each row's
-    multiplier as :func:`mdkmlp.lp_toolkit._certify` reads it), or None if
+    Returns (x, y) on their supports, x by column and y by row, or None if
     the basis matrix A[tight, basic] is not square or is singular.
     """
     if len(basic) != len(tight):
@@ -43,13 +43,12 @@ def exact_simplex(
                 eq[k] = a
                 dual[k][0][r] = a
         primal.append((eq, row.b))
-    xs, ws = _solve(primal), _solve(dual)
-    if xs is None or ws is None:
+    xs, ys = _solve(primal), _solve(dual)
+    if xs is None or ys is None:
         return None
-    # w multiplies row i's integer form, which is d_i times the row
     return (
         {basic[k]: v for k, v in xs.items() if v},
-        {tight[r]: v * lp.rows[tight[r]].d for r, v in ws.items() if v},
+        {tight[r]: v for r, v in ys.items() if v},
     )
 
 

@@ -15,9 +15,8 @@ of HiGHS's warm re-solves; the test that solves each model on a new HiGHS
 model pins everything that may not depend on them.
 
 The rows are read from `lp.rows` at each `solve_lp` call, as HiGHS receives
-them: each row's integer form divided back by its scale, its columns in the
-order stored, so the record also pins that every row keeps its columns
-increasing.
+them: each row's integer coefficients, its columns in the order stored, so
+the record also pins that every row keeps its columns increasing.
 
 Regenerate, only for an intended change of the models, with
 `PYTHONPATH=src:tests python tests/test_lp_models_golden.py`.
@@ -82,8 +81,7 @@ def _digest(text: str) -> str:
 
 
 def _canonical_row(row):
-    return (row.sense, str(Fraction(row.b, row.d)),
-            [(j, str(Fraction(a, row.d))) for j, a in zip(row.cols, row.ints)])
+    return (row.sense, str(row.b), [(j, str(a)) for j, a in zip(row.cols, row.ints)])
 
 
 def record():

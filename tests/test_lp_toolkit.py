@@ -48,7 +48,7 @@ class TestSolveLp:
         lp.add_var("x", obj=1)
         lp.add_var("y", obj=1)
         lp.add_constraint({"x": 1, "y": 1}, ">=", 2)
-        lp.add_constraint({"x": 1}, "<=", F(1, 2))
+        lp.add_constraint({"x": 2}, "<=", 1)
         sol = solve_lp(lp)
         assert sol.objective_value == 2
 
@@ -123,18 +123,14 @@ def reference_certify(objective, rows, x, duals):
 
 
 def reference_row(lp, coeffs, sense, rhs):
-    """The stored form of a row in Fraction arithmetic: times the lcm d of
-    its denominators, a ``<=`` row negated, zero coefficients dropped, and
-    the floats for HiGHS as ``float(Fraction(a, d))``."""
+    """The stored form of an integer row: columns increasing, zero
+    coefficients dropped, a ``<=`` row negated."""
     index = {name: j for j, name in enumerate(lp.names)}
-    terms = sorted((index[name], F(c)) for name, c in coeffs.items() if c != 0)
-    d = math.lcm(F(rhs).denominator, *(c.denominator for _, c in terms))
-    s = -d if sense == "<=" else d
-    ints = tuple(int(c * s) for _, c in terms)
-    b = int(F(rhs) * s)
+    terms = sorted((index[name], c) for name, c in coeffs.items() if c != 0)
+    s = -1 if sense == "<=" else 1
     return lp_toolkit.Row(
-        tuple(j for j, _ in terms), ints, b, d, ">=" if sense == "<=" else sense,
-        tuple(float(F(a, d)) for a in ints), float(F(b, d)),
+        tuple(j for j, _ in terms), tuple(s * c for _, c in terms), s * rhs,
+        ">=" if sense == "<=" else sense,
     )
 
 
@@ -148,7 +144,9 @@ def small_lp(objective, rows):
 
 
 # (objective, rows, x, duals, accepted); a rejected pair named after a
-# condition of the certificate breaks that condition and no other
+# condition of the certificate breaks that condition and no other. The
+# "non-integer" cases are LPs written with fractional coefficients, each row
+# multiplied through to integers; their points and duals stay fractional.
 CERTIFY_CASES = {
     "optimal pair, negative dual on an == row": (
         {"x": 1, "y": 2},
@@ -179,17 +177,17 @@ CERTIFY_CASES = {
         {"x": 1}, [({"x": 1}, ">=", 1)], [2], [1], False,
     ),
     "non-integer coefficients": (
-        {"x": 1, "y": 1}, [({"x": F(1, 3), "y": F(1, 2)}, ">=", F(5, 6))],
-        [0, F(5, 3)], [2], True,
+        {"x": 1, "y": 1}, [({"x": 2, "y": 3}, ">=", 5)],
+        [0, F(5, 3)], [F(1, 3)], True,
     ),
     "non-integer coefficients, x off by 1/10**6": (
-        {"x": 1, "y": 1}, [({"x": F(1, 3), "y": F(1, 2)}, ">=", F(5, 6))],
-        [0, F(5, 3) - F(1, 10**6)], [2], False,
+        {"x": 1, "y": 1}, [({"x": 2, "y": 3}, ">=", 5)],
+        [0, F(5, 3) - F(1, 10**6)], [F(1, 3)], False,
     ),
     "non-integer ==, <= rows and objective": (
         {"x": F(1, 7), "y": F(2, 5)},
-        [({"x": F(2, 3), "y": F(1, 4)}, "==", F(7, 6)), ({"x": 1}, "<=", F(3, 2))],
-        [F(3, 2), F(2, 3)], [F(8, 5), F(97, 105)], True,
+        [({"x": 8, "y": 3}, "==", 14), ({"x": 2}, "<=", 3)],
+        [F(3, 2), F(2, 3)], [F(2, 15), F(97, 210)], True,
     ),
 }
 
@@ -226,10 +224,10 @@ class TestCertify:
         assert checked == 40 * len(CERTIFY_CASES)
 
     # a cover LP of 12 columns whose optimum has one positive entry, x5 = 2,
-    # with the dual 2 on its first row and 0 on its second
+    # with the dual 1 on its first row and 0 on its second
     SPARSE_OBJECTIVE = {f"x{j}": 3 if j == 5 else 2 + j % 3 for j in range(12)}
     SPARSE_ROWS = [
-        ({f"x{j}": F(3, 2) if j == 5 else 1 for j in range(12)}, ">=", 3),
+        ({f"x{j}": 3 if j == 5 else 2 for j in range(12)}, ">=", 6),
         ({"x5": 1, "x6": 1}, "<=", 2),
     ]
 
@@ -245,11 +243,11 @@ class TestCertify:
         return x, verdict
 
     def test_mostly_zero_support(self):
-        x, verdict = self.sparse_case([2.0 if j == 5 else 0.0 for j in range(12)], [2.0, 0.0])
+        x, verdict = self.sparse_case([2.0 if j == 5 else 0.0 for j in range(12)], [1.0, 0.0])
         assert x == {5: 2} and verdict
         # a positive entry off the optimum's support breaks strong duality
         xs = [2.0 if j == 5 else 0.5 * (j == 3) for j in range(12)]
-        _, verdict = self.sparse_case(xs, [2.0, 0.0])
+        _, verdict = self.sparse_case(xs, [1.0, 0.0])
         assert not verdict
         # every row is tested, also one with no column on the support: at
         # x = 0, y = 0 only the first row's feasibility fails
@@ -259,13 +257,13 @@ class TestCertify:
     def test_tiny_negative_float_rounds_to_zero(self):
         xs = [2.0 if j == 5 else 0.0 for j in range(12)]
         xs[0], xs[7] = -1e-12, -3e-8  # below 1e-9: left out; above: rounds to 0
-        x, verdict = self.sparse_case(xs, [2.0 + 1e-13, -1e-12])
+        x, verdict = self.sparse_case(xs, [1.0 + 1e-13, -1e-12])
         assert x == {5: 2, 7: 0} and verdict
 
     def test_negative_rounded_entry(self):
         xs = [2.0 if j == 5 else 0.0 for j in range(12)]
         xs[7] = -0.25
-        x, verdict = self.sparse_case(xs, [2.0, 0.0])
+        x, verdict = self.sparse_case(xs, [1.0, 0.0])
         assert x[7] == F(-1, 4) and not verdict
 
     def test_solve_lp_returns_certified_fractional_optimum(self):
@@ -351,11 +349,11 @@ def assert_model_mirrors(lp):
     want = np.zeros_like(got)
     for i, row in enumerate(lp.rows):
         for j, a in zip(row.cols, row.ints):
-            want[i, j] = a / row.d
+            want[i, j] = float(a)
     assert np.array_equal(got, want)
-    assert list(model.row_lower_) == [row.b / row.d for row in lp.rows]
+    assert list(model.row_lower_) == [float(row.b) for row in lp.rows]
     assert list(model.row_upper_) == [
-        row.b / row.d if row.sense == "==" else math.inf for row in lp.rows
+        float(row.b) if row.sense == "==" else math.inf for row in lp.rows
     ]
     assert list(model.col_cost_) == [float(c) for c in lp.objective]
     assert list(model.col_lower_) == [0.0] * len(lp.names)
@@ -402,11 +400,11 @@ class TestWarmModel:
         lp = LinearProgram()
         for name, cost in (("x", 1), ("y", 2)):
             lp.add_var(name, obj=cost)
-        lp.add_constraint({"x": 1, "y": 1}, ">=", F(3, 2))
+        lp.add_constraint({"x": 2, "y": 2}, ">=", 3)
         assert solve_lp(lp).objective_value == F(3, 2)
         lp.add_var("w", obj=F(1, 3))
         lp.add_constraint({"x": 1, "w": -1}, "==", 0)
-        lp.add_constraint({"x": 1}, "<=", F(5, 4))
+        lp.add_constraint({"x": 4}, "<=", 5)
         sol = solve_lp(lp)
         assert_model_mirrors(lp)
         # x = w costs 4/3 a unit and takes 5/4 of the 3/2; y the rest at 2
@@ -415,8 +413,8 @@ class TestWarmModel:
 
 
 class TestRowRecord:
-    """A row is kept once, scaled to integers, so equal rows match however
-    they are written."""
+    """A row is kept once, in integers, as given: negated if ``<=``, without
+    its zero coefficients, and never divided through."""
 
     def lp(self):
         lp = LinearProgram()
@@ -426,19 +424,19 @@ class TestRowRecord:
 
     def test_le_row_is_its_negated_ge_row(self):
         lp = self.lp()
-        lp.add_constraint({"x": 1, "y": F(1, 2)}, "<=", 3)
-        assert reference_row(lp, {"x": -1, "y": F(-1, 2)}, ">=", -3) in lp.rows
-        assert reference_row(lp, {"x": 1, "y": F(1, 2)}, ">=", 3) not in lp.rows
+        lp.add_constraint({"x": 2, "y": 1}, "<=", 6)
+        assert reference_row(lp, {"x": -2, "y": -1}, ">=", -6) in lp.rows
+        assert reference_row(lp, {"x": 2, "y": 1}, ">=", 6) not in lp.rows
         lp = self.lp()
-        lp.add_constraint({"x": -1, "y": F(-1, 2)}, ">=", -3)
-        assert reference_row(lp, {"x": 1, "y": F(1, 2)}, "<=", 3) in lp.rows
+        lp.add_constraint({"x": -2, "y": -1}, ">=", -6)
+        assert reference_row(lp, {"x": 2, "y": 1}, "<=", 6) in lp.rows
 
     def test_scaled_multiples_are_different_rows(self):
         lp = self.lp()
-        lp.add_constraint({"x": F(1, 2)}, ">=", F(1, 2))
+        lp.add_constraint({"x": 2}, ">=", 2)
         assert reference_row(lp, {"x": 1}, ">=", 1) not in lp.rows
-        assert reference_row(lp, {"x": 2}, ">=", 2) not in lp.rows
-        assert reference_row(lp, {"x": F(2, 4)}, ">=", F(1, 2)) in lp.rows
+        assert reference_row(lp, {"x": 2}, ">=", 2) in lp.rows
+        assert lp.add_cut((0,), (1,), 1, ">=")  # not a repeat of 2x >= 2
 
     def test_zero_coefficient_is_dropped(self):
         lp = self.lp()
@@ -447,52 +445,29 @@ class TestRowRecord:
         assert len(lp.rows[0][0]) == 1
         assert reference_row(lp, {"x": 1}, "==", 1) not in lp.rows
 
-    def test_int_and_fraction_spellings_are_one_row(self):
-        lp = self.lp()
-        lp.add_constraint({"x": 1, "y": -2}, "<=", 3)
-        assert reference_row(lp, {"x": F(1), "y": F(-2)}, "<=", F(3)) in lp.rows
-        assert reference_row(lp, {"x": F(-1), "y": 2}, ">=", -3) in lp.rows
-        assert reference_row(lp, {"x": 1, "y": -2}, "==", 3) not in lp.rows
-        lp = self.lp()
-        lp.add_constraint({"x": F(1), "y": F(0)}, "==", F(1))
-        assert reference_row(lp, {"x": 1, "y": 0}, "==", 1) in lp.rows
-        assert reference_row(lp, {"x": 1}, "==", F(1)) in lp.rows
-
     def test_unknown_variable_fails_even_with_coefficient_zero(self):
-        for coeffs, rhs in (({"x": 1, "q": 0}, 1), ({"x": F(1, 2), "q": F(0)}, F(1))):
-            with pytest.raises(ValueError, match="unknown variable 'q'"):
-                self.lp().add_constraint(coeffs, ">=", rhs)
+        with pytest.raises(ValueError, match="unknown variable 'q'"):
+            self.lp().add_constraint({"x": 1, "q": 0}, ">=", 1)
 
-    def test_random_rows_match_their_fraction_form(self):
-        # An all-int row is stored without building Fractions; it must be
-        # the very row its Fraction spelling gives, field types included,
-        # and every row (int, Fraction(k) or Fraction(k, 2) coefficients)
-        # the one the Fraction arithmetic of reference_row gives.
-        rng = random.Random(11)
-        lp = LinearProgram()
-        names = [f"v{i}" for i in range(6)]
-        for name in names:
-            lp.add_var(name)
-        for _ in range(300):
-            sense = rng.choice((">=", "<=", "=="))
-            ks = {name: rng.randint(-4, 4) for name in rng.sample(names, rng.randint(0, 6))}
-            rhs = rng.randint(-5, 5)
-            spellings = [
-                (ks, rhs),
-                ({name: F(k) for name, k in ks.items()}, F(rhs)),
-                (
-                    {name: rng.choice((k, F(k), F(k, 2))) for name, k in ks.items()},
-                    rng.choice((rhs, F(rhs), F(rhs, 2))),
-                ),
-            ]
-            for coeffs, b in spellings:
-                lp.add_constraint(coeffs, sense, b)
-                assert repr(lp.rows[-1]) == repr(reference_row(lp, coeffs, sense, b))
-            assert lp.rows[-3] == lp.rows[-2] and lp.rows[-3].d == 1
+    def test_fraction_coefficient_or_rhs_is_refused(self):
+        # every row is integer; a Fraction, even a whole one, or a float is
+        # refused by each way in, before anything is stored
+        lp = self.lp()
+        for ints, b in (((1, F(1, 2)), 1), ((1, F(2)), 1), ((1, 1), F(1, 2)),
+                        ((1, 1), F(3)), ((1, 1), 1.0)):
+            coeffs = dict(zip(("x", "y"), ints))
+            for add in (
+                lambda: lp.add_row((0, 1), ints, b, ">="),
+                lambda: lp.add_constraint(coeffs, "<=", b),
+                lambda: lp.add_cut((0, 1), ints, b, "=="),
+            ):
+                with pytest.raises(ValueError, match="coefficients and right-hand side must be ints"):
+                    add()
+        assert lp.rows == []
 
     def test_add_row_gives_the_add_constraint_row(self):
-        # the same random rows, integer and rational, in all three senses,
-        # by column index through add_row and by name through add_constraint
+        # the same random integer rows, in all three senses, by column index
+        # through add_row and by name through add_constraint
         rng = random.Random(12)
         by_name, by_index = LinearProgram(), LinearProgram()
         names = [f"v{i}" for i in range(8)]
@@ -504,9 +479,6 @@ class TestRowRecord:
             cols = sorted(rng.sample(range(8), rng.randint(0, 8)))
             coefs = [rng.randint(-3, 3) for _ in cols]
             rhs = rng.randint(-5, 5)
-            if rng.random() < 0.5:  # rational
-                coefs = [F(c, rng.choice((1, 2, 3, 6))) for c in coefs]
-                rhs = F(rhs, rng.choice((1, 4)))
             dropped += coefs.count(0)
             coeffs = dict(zip((names[j] for j in cols), coefs))
             by_name.add_constraint(coeffs, sense, rhs)
@@ -547,7 +519,6 @@ class TestSeparation:
                 assert [(tuple(cols), tuple(ints), b, sense) for cols, ints, b, sense in cuts] == [
                     (row.cols, row.ints, row.b, row.sense) for row in want
                 ]
-                assert all(row.d == 1 for row in want)
                 rounds.append(len(cuts))
                 return cuts
 
@@ -597,7 +568,7 @@ class TestSolveWithCuts:
         lp.add_var("x", obj=1)
         lp.add_constraint({"x": 1}, ">=", 3)
         with pytest.raises(LpError, match="no progress"):
-            solve_with_cuts(lp, lambda s: [((0,), (F(1),), F(3), ">=")])
+            solve_with_cuts(lp, lambda s: [((0,), (1,), 3, ">=")])
 
     def test_cuts_converge(self, fix_a):
         # the prize-collecting model converges through the min-cut oracle
@@ -720,7 +691,7 @@ class TestSizeGuards:
         lp.add_constraint({"x": 1}, ">=", 0)
         with pytest.raises(LpError, match=r"^cut limit 2 exceeded for LP$"):
             solve_with_cuts(
-                lp, lambda s: [((0,), (F(1),), s.objective_value + 1, ">=")]
+                lp, lambda s: [((0,), (1,), int(s.objective_value) + 1, ">=")]
             )
         assert len(lp.rows) == 4  # the third cut went in, then the guard tripped
 
@@ -984,13 +955,13 @@ def test_integer_lp_metric_gives_the_fraction_columns(monkeypatch):
                 for C, (plen, _) in paths.items()
                 if C and plen <= t
             ]
-        table = lp_toolkit.bottleneck_cover_table(inst, metric)
+        table, _ = lp_toolkit.bottleneck_cover_table(inst, metric)
         assert first2 == {
             v: max(1, math.ceil(min(metric(r, v) for r, _ in groups)))
             for v in inst.clients
         }
         assert columns2 == [
-            (U, t) for U, (btl, _) in table.items() if U for t in range(1, T + 1) if btl <= t
+            (U, t) for U, btl in table.items() if U for t in range(1, T + 1) if btl <= t
         ]
 
 

@@ -176,9 +176,10 @@ def test_bottleneck_cover_witnesses_are_slot_aligned():
     )
     inst = MetricInstance(nodes=nodes, roots=("v0", "v1", "v0"), cost=cost)
     assert group_slots(inst) == [("v0", [0, 2]), ("v1", [1])]
-    table = lp_toolkit.bottleneck_cover_table(inst, inst.dist)
+    table, witness = lp_toolkit.bottleneck_cover_table(inst, inst.dist)
     assert len(table) == 1 << len(inst.clients)
-    for U, (val, routes) in table.items():
+    for U, val in table.items():
+        routes = witness(U)
         assert [route[0] for route in routes] == list(inst.roots)
         served = [v for route in routes for v in route[1:]]
         assert len(served) == len(U) and set(served) == U

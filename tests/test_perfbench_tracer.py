@@ -48,7 +48,7 @@ def test_solve_lp_counters_match_the_input_rows():
     names = ("x", "y", "z")
     rows = [
         ({"x": 1, "y": 1}, ">=", 2),
-        ({"y": Fraction(1, 2), "z": 0}, "<=", 3),
+        ({"y": 1, "z": 0}, "<=", 6),
         ({"x": 1, "y": -1, "z": 2}, "==", 1),
     ]
     lp = lp_toolkit.LinearProgram()
