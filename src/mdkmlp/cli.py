@@ -132,8 +132,15 @@ def cmd_solve(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    inst = _read_instance(args.input)
     what = args.what
+    for flag, value, reads in (
+        ("--root", args.root, ("pc-paths", "orienteering")),
+        ("--penalty", args.penalty, ("pc-paths",)),
+        ("--budget", args.budget, ("orienteering",)),
+    ):
+        if value is not None and what not in reads:
+            raise ValueError(f"{flag} does not apply to --what {what}")
+    inst = _read_instance(args.input)
     root = inst.roots[0]
     if args.root is not None:
         root = node_of_key(inst.nodes, args.root, "--root")
@@ -149,7 +156,8 @@ def cmd_oracle(args) -> int:
             out["T"] = sol.T
             out["nonzeros"] = len(sol.values)
     elif what == "pc-paths":
-        pen = {v: args.penalty for v in inst.nodes if v != root}
+        lam = Fraction(0) if args.penalty is None else args.penalty
+        pen = {v: lam for v in inst.nodes if v != root}
         res = exact_oracles.exact_pc_paths(inst, root, pen)
         out["value"] = _frac_str(res.value)
         out["paths"] = [list(p) for p in res.witness]
@@ -401,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--input", required=True)
     p.add_argument("--root", default=None)
-    p.add_argument("--penalty", type=_frac, default=Fraction(0))
+    p.add_argument("--penalty", type=_frac, default=None)
     p.add_argument("--budget", type=_frac, default=None)
     p.set_defaults(func=cmd_oracle)
 

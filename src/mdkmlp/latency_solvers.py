@@ -53,7 +53,7 @@ from .arb_packing import pack_scaled, tree_nodes
 from .arb_packing import pack_arborescences  # noqa: F401
 from .exact_oracles import BnsTable
 from .instance import MetricInstance, RoutePlan, time_horizon, vehicle_groups
-from .pc_tree import ProbeCache, RootedTree, coverage_tree
+from .pc_tree import RootedTree, coverage_tree
 
 log = logging.getLogger("mdkmlp.solvers")
 
@@ -430,7 +430,10 @@ def solve_mlp_lp(
 def _combinatorial_points(inst: MetricInstance) -> List[Tuple[int, Fraction, object]]:
     """(coverage, cost bound, tree) for the partial-cover trees on every
     distance prefix V_j of a single-depot instance: the k-way split of a
-    tree costs 2c(tree)/k plus the round trip to V_j's farthest node."""
+    tree costs 2c(tree)/k plus the round trip to V_j's farthest node. One
+    :func:`coverage_tree` walk per prefix gives its trees; their lower
+    hull costs at most the cheapest path collection spanning each B, and
+    the stitching envelope reads that hull."""
     root = inst.roots[0]
     k = inst.k
     node_pos = inst.node_pos
@@ -449,13 +452,8 @@ def _combinatorial_points(inst: MetricInstance) -> List[Tuple[int, Fraction, obj
             ),
         )
         reach = 2 * Fraction(inst.dist(root, order[j - 1]))
-        probe_cache = ProbeCache()  # one PC-LP model for every ell on V_j
-        for ell in range(1, j + 1):
-            Q = coverage_tree(sub, root, ell, cache=probe_cache)
-            parts = [Q] if isinstance(Q, RootedTree) else [Q.T1, Q.T2]
-            for tree in parts:
-                y = 2 * Fraction(tree.cost) / k + reach
-                points.append((len(tree.nodes), y, tree))
+        for tree in coverage_tree(sub, root):
+            points.append((tree.coverage, 2 * tree.cost / k + reach, tree))
     return points
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from mdkmlp import flows
+from mdkmlp import concat_graph, flows
 from mdkmlp.instance import vehicle_groups
 
 
@@ -151,6 +151,25 @@ def exact_cover_cost(inst, root, B: int) -> Fraction:
     if not spans:
         raise ValueError(f"cannot span {B} nodes")
     return Fraction(min(spans))
+
+
+def hull_split(trees, B: int):
+    """The trees of the lower convex hull of the (node count, cost) points
+    of `trees` at B: (T,) where B is a corner, whose tree T spans exactly B
+    nodes, else (a, T1, T2) from the hull edge over B, with
+    a*|T1| + (1 - a)*|T2| = B. None where the hull does not reach B."""
+    corners = concat_graph.lower_envelope(
+        (t.coverage, t.cost) for t in trees
+    ).corners
+    at = {}
+    for t in trees:
+        at.setdefault((t.coverage, t.cost), t)
+    for (x1, y1), (x2, y2) in zip(corners, corners[1:] + corners[-1:]):
+        if x1 == B:
+            return (at[x1, y1],)
+        if x1 < B < x2:
+            return Fraction(x2 - B, x2 - x1), at[x1, y1], at[x2, y2]
+    return None
 
 
 def instance_to_json(inst) -> str:

@@ -9,7 +9,14 @@ import time
 from fractions import Fraction
 
 from conftest import random_instance
-from reference import connectivity, covered, envelope_value, exact_cover_cost, verify_packing
+from reference import (
+    connectivity,
+    covered,
+    envelope_value,
+    exact_cover_cost,
+    hull_split,
+    verify_packing,
+)
 from test_arb_packing import random_digraph
 from test_concat_graph import _full_dp, concat_path
 
@@ -35,7 +42,7 @@ from mdkmlp.lp_toolkit import (
     build_and_solve_pclp,
     pclp_model,
 )
-from mdkmlp.pc_tree import ProbeCache, RootedTree, coverage_tree, pc_tree
+from mdkmlp.pc_tree import RootedTree, coverage_tree, pc_tree
 
 F = Fraction
 MU = mu_star(F(1, 10**9))
@@ -104,22 +111,25 @@ def test_criterion_2_prize_collecting_tree():
 
 
 def test_criterion_3_bipoint_coverage():
+    # one walk per instance; at each B its trees' lower hull gives a tree of
+    # exactly B nodes, or a bipoint on the hull edge over B, within O*(B)
     start = time.monotonic()
     rng = random.Random(3)
     checked = 0
     for _ in range(100):
         inst = random_instance(rng, rng.randint(2, 6), 1)
         root = inst.roots[0]
-        cache = ProbeCache()
+        trees = coverage_tree(inst, root)
         for B in range(1, inst.n + 1):
-            out = coverage_tree(inst, root, B, cache=cache)
+            out = hull_split(trees, B)
             bound = exact_cover_cost(inst, root, B)
-            if isinstance(out, RootedTree):
-                assert out.coverage == B
-                assert out.cost <= bound
+            if len(out) == 1:
+                assert out[0].coverage == B
+                assert out[0].cost <= bound
             else:
-                assert out.a * len(out.T1.nodes) + out.b * len(out.T2.nodes) == B
-                assert out.a * out.T1.cost + out.b * out.T2.cost <= bound
+                a, T1, T2 = out
+                assert a * T1.coverage + (1 - a) * T2.coverage == B
+                assert a * T1.cost + (1 - a) * T2.cost <= bound
         checked += 1
     report(3, checked == 100, f"{checked} instances, all coverage targets hit",
            180, time.monotonic() - start)

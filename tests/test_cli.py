@@ -280,6 +280,32 @@ class TestOracle:
         assert code == 0
         assert json.loads(out) == {"what": "orienteering", "value": "2", "path": [1, 2, 3]}
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("--what", "opt", "--root", "a"), "--root"),
+            (("--what", "bnslb", "--root", "r"), "--root"),
+            (("--what", "lp1", "--root", "b", "--penalty", "9", "--budget", "2"), "--root"),
+            (("--what", "lp3", "--penalty", "9"), "--penalty"),
+            (("--what", "orienteering", "--budget", "3", "--penalty", "0"), "--penalty"),
+            (("--what", "pc-paths", "--budget", "1"), "--budget"),
+            (("--what", "lp2", "--budget", "1"), "--budget"),
+        ],
+        ids=[
+            "opt-root", "bnslb-root", "lp1-root", "lp3-penalty",
+            "orienteering-penalty", "pc-paths-budget", "lp2-budget",
+        ],
+    )
+    def test_option_the_query_does_not_read_exits_2(self, capsys, fixa_path, argv, flag):
+        code, out, err = run(capsys, "oracle", *argv, "--input", fixa_path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} does not apply to --what {argv[1]}\n"
+
+    def test_pc_paths_reads_an_omitted_penalty_as_0(self, capsys, fixa_path):
+        code, out, _ = run(capsys, "oracle", "--what", "pc-paths", "--input", fixa_path)
+        assert code == 0
+        assert json.loads(out)["value"] == "0"
+
     def test_unknown_root_exits_2(self, capsys, int_path):
         code, _, err = run(
             capsys, "oracle", "--what", "pc-paths", "--input", int_path, "--root", "9"

@@ -4,16 +4,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_instance
-from reference import exact_cover_cost
-from mdkmlp import arb_packing, exact_oracles
+from reference import exact_cover_cost, hull_split
+from mdkmlp import arb_packing, exact_oracles, lp_toolkit
 from mdkmlp import pc_tree as pc_tree_mod
-from mdkmlp.pc_tree import (
-    BipointTree,
-    ProbeCache,
-    RootedTree,
-    coverage_tree,
-    pc_tree,
-)
+from mdkmlp.pc_tree import RootedTree, coverage_tree, pc_tree
 
 F = Fraction
 
@@ -41,28 +35,6 @@ class TestRootedTree:
     def test_arc_into_root_rejected(self):
         with pytest.raises(ValueError, match="out-tree"):
             RootedTree(root="r", arcs=frozenset({("a", "r")}), cost=F(0))
-
-
-class TestBipointTree:
-    def test_convex_accounting(self):
-        t1 = RootedTree(root="r", arcs=frozenset({("r", "a")}), cost=F(1))
-        t2 = RootedTree(
-            root="r", arcs=frozenset({("r", "a"), ("a", "b")}), cost=F(3)
-        )
-        bp = BipointTree(a=F(1, 2), b=F(1, 2), T1=t1, T2=t2)
-        assert bp.a * bp.T1.cost + bp.b * bp.T2.cost == 2
-        assert bp.a * len(bp.T1.nodes) + bp.b * len(bp.T2.nodes) == F(5, 2)
-
-    def test_coefficients_must_sum_to_one(self):
-        t1 = RootedTree(root="r", arcs=frozenset(), cost=F(0))
-        with pytest.raises(ValueError, match="sum to 1"):
-            BipointTree(a=F(1, 2), b=F(1, 4), T1=t1, T2=t1)
-
-    def test_mismatched_roots_rejected(self):
-        t1 = RootedTree(root="r", arcs=frozenset(), cost=F(0))
-        t2 = RootedTree(root="s", arcs=frozenset(), cost=F(0))
-        with pytest.raises(ValueError, match="root"):
-            BipointTree(a=F(1, 2), b=F(1, 2), T1=t1, T2=t2)
 
 
 class TestPcTree:
@@ -101,63 +73,74 @@ class TestPcTree:
 
 
 class TestCoverageTree:
+    def test_fix_a_trees_in_the_order_met(self, fix_a):
+        # lam = 0 meets the trivial tree, lam = 10 the path r -> a -> b, and
+        # their crossing at lam = 3/2 the arc r -> a
+        trees = coverage_tree(fix_a, "r")
+        assert [(t.arcs, t.cost) for t in trees] == [
+            (frozenset(), 0),
+            (frozenset({("r", "a"), ("a", "b")}), 3),
+            (frozenset({("r", "a")}), 1),
+        ]
+
     def test_fix_a_b2(self, fix_a):
-        out = coverage_tree(fix_a, "r", 2)
-        assert isinstance(out, RootedTree)
+        (out,) = hull_split(coverage_tree(fix_a, "r"), 2)
         assert out.cost == 1
         assert out.coverage == 2
 
     def test_fix_a_b3(self, fix_a):
-        out = coverage_tree(fix_a, "r", 3)
-        assert isinstance(out, RootedTree)
+        (out,) = hull_split(coverage_tree(fix_a, "r"), 3)
         assert out.cost == 3
         assert out.nodes == {"r", "a", "b"}
 
     def test_b1_is_trivial(self, fix_a):
-        out = coverage_tree(fix_a, "r", 1)
+        (out,) = hull_split(coverage_tree(fix_a, "r"), 1)
         assert out.cost == 0
         assert out.coverage == 1
-
-    def test_out_of_range_rejected(self, fix_a):
-        with pytest.raises(ValueError):
-            coverage_tree(fix_a, "r", 0)
-        with pytest.raises(ValueError):
-            coverage_tree(fix_a, "r", 4)
-
-    def test_cache_shares_one_model_per_instance_and_root(self, fix_a):
-        cache = ProbeCache()
-        coverage_tree(fix_a, "r", 2, cache=cache)
-        model, probes = cache.model, dict(cache.probes)
-        coverage_tree(fix_a, "r", 3, cache=cache)
-        assert cache.model is model
-        assert cache.probes.items() >= probes.items()
-        with pytest.raises(ValueError, match="another instance or root"):
-            coverage_tree(fix_a, "a", 2, cache=cache)
 
     def test_hits_target_and_cost_bound(self):
         rng = random.Random(29)
         for _ in range(12):
             inst = random_instance(rng, rng.randint(2, 6), 1)
             root = inst.roots[0]
-            cache = ProbeCache()
+            trees = coverage_tree(inst, root)
             for B in range(1, inst.n + 1):
-                out = coverage_tree(inst, root, B, cache=cache)
+                out = hull_split(trees, B)
                 bound = exact_cover_cost(inst, root, B)
-                if isinstance(out, RootedTree):
-                    assert out.coverage >= B
-                    assert out.cost <= bound
+                if len(out) == 1:
+                    assert out[0].coverage == B
+                    assert out[0].cost <= bound
                 else:
-                    assert out.a * len(out.T1.nodes) + out.b * len(out.T2.nodes) == B
-                    assert out.a * out.T1.cost + out.b * out.T2.cost <= bound
+                    a, T1, T2 = out
+                    assert a * T1.coverage + (1 - a) * T2.coverage == B
+                    assert a * T1.cost + (1 - a) * T2.cost <= bound
 
+    def test_trees_meet_the_pclp_value_at_every_penalty(self):
+        # the walk met a vertex optimal at every lam, so some tree's cost
+        # plus lam per uncovered node is at most a fresh PC-LP's value
+        rng = random.Random(31)
+        for _ in range(8):
+            inst = random_instance(rng, rng.randint(3, 6), 1)
+            root = inst.roots[0]
+            trees = coverage_tree(inst, root)
+            for _ in range(6):
+                lam = F(rng.randint(0, 40), rng.randint(1, 6))
+                pen = {v: lam for v in inst.clients}
+                sol = lp_toolkit.build_and_solve_pclp(
+                    lp_toolkit.pclp_model(inst, root), pen
+                )
+                assert min(
+                    t.cost + lam * (inst.n - t.coverage) for t in trees
+                ) <= sol.objective_value
 
 
 class TestProbeCacheFamilies:
-    """A coverage search packs each distinct PC-LP vertex (K, scaled caps)
-    once, and its trees are those of a search that packs every probe."""
+    """The probes of one walk share a cache of packings: the walk packs each
+    distinct PC-LP vertex (K, scaled caps) once, and returns the trees of a
+    walk that packs every probe afresh."""
 
     @staticmethod
-    def _searches(fresh_family_per_probe):
+    def _walks(fresh_family_per_probe):
         packed, instance = [], [0]
         real_pack = arb_packing.pack_arborescences
         real_probe = pc_tree_mod._pc_tree_probe
@@ -166,10 +149,10 @@ class TestProbeCacheFamilies:
             packed.append((instance[0], K, frozenset(D.arcs.items())))
             return real_pack(D, r, K)
 
-        def probe(cache, penalties):
+        def probe(model, penalties, families):
             if fresh_family_per_probe:
-                cache.families.clear()
-            return real_probe(cache, penalties)
+                families.clear()
+            return real_probe(model, penalties, families)
 
         rng = random.Random(47)
         trees = []
@@ -178,16 +161,13 @@ class TestProbeCacheFamilies:
             mp.setattr(pc_tree_mod, "_pc_tree_probe", probe)
             for instance[0] in range(6):
                 inst = random_instance(rng, rng.randint(4, 6), 1)
-                cache = ProbeCache()
-                for B in range(1, inst.n + 1):
-                    out = coverage_tree(inst, inst.roots[0], B, cache=cache)
-                    parts = [out] if isinstance(out, RootedTree) else [out.T1, out.T2]
-                    trees.append([(t.arcs, t.cost) for t in parts])
+                out = coverage_tree(inst, inst.roots[0])
+                trees.append([(t.arcs, t.cost) for t in out])
         return trees, packed
 
     def test_each_vertex_packed_once_with_the_same_trees(self):
-        trees, packed = self._searches(False)
-        ref_trees, ref_packed = self._searches(True)
+        trees, packed = self._walks(False)
+        ref_trees, ref_packed = self._walks(True)
         assert len(packed) == len(set(packed))
         assert set(packed) == set(ref_packed)
         assert len(ref_packed) > len(packed)

@@ -1,12 +1,11 @@
 """Golden record of the prize-collecting tree searches.
 
-`record()` runs `coverage_tree` for every target B (one probe cache per
-instance, as the combinatorial solver shares it) and `pc_tree` for fixed
-penalties, on fixed random single-root instances, two each with 3, 4, 5
-and 6 nodes. For
-each call it keeps the tree returned and the ordered penalty maps handed to
-the prize-collecting LP, so a search that probes another penalty, or the same
-penalties in another order, fails here even where it returns the same tree.
+`record()` runs one `coverage_tree` walk per instance and `pc_tree` for
+fixed penalties, on fixed random single-root instances, two each with 3, 4,
+5 and 6 nodes. For each call it keeps the trees returned and the ordered
+penalty maps handed to the prize-collecting LP, so a walk that probes another
+penalty, or the same penalties in another order, fails here even where it
+returns the same trees.
 
 Regenerate, only for an intended change of the trees, with
 `PYTHONPATH=src:tests python tests/test_pc_tree_golden.py`.
@@ -18,16 +17,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from conftest import random_instance
-from mdkmlp import lp_toolkit
-from mdkmlp.pc_tree import BipointTree, ProbeCache, coverage_tree, pc_tree
+from mdkmlp import concat_graph, lp_toolkit
+from mdkmlp.pc_tree import coverage_tree, pc_tree
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden" / "pc_tree_seed41.json"
 
 
 def _tree(out):
-    if isinstance(out, BipointTree):
-        return {"a": str(out.a), "T1": _tree(out.T1), "T2": _tree(out.T2)}
     return {"arcs": sorted([u, v] for u, v in out.arcs), "cost": str(out.cost)}
 
 
@@ -52,10 +49,8 @@ def record():
             inst = random_instance(rng, n, 1)
             root = inst.roots[0]
             calls.append({"instance": [list(inst.nodes), [list(r) for r in inst.cost]]})
-            cache = ProbeCache()
-            for B in range(1, n + 1):
-                out = coverage_tree(inst, root, B, cache=cache)
-                calls.append(entry("coverage_tree", B, _tree(out)))
+            trees = coverage_tree(inst, root)
+            calls.append(entry("coverage_tree", root, [_tree(t) for t in trees]))
             # a weight draw per client keeps the seeded instance stream
             for _ in inst.clients:
                 rng.randint(1, 4), rng.randint(1, 2)
@@ -80,13 +75,27 @@ def _without_arcs(rec):
     return rec
 
 
-def test_linprog_fallback_differs_only_in_arcs(cold_highs):
+def _hull_corners(calls):
+    """The calls with each walk's trees replaced by the corners of their
+    lower hull over (node count, cost)."""
+    out = []
+    for rec in calls:
+        if rec.get("call") == "coverage_tree":
+            points = [(len(t["arcs"]) + 1, F(t["cost"])) for t in rec["out"]]
+            corners = concat_graph.lower_envelope(points).corners
+            rec = {**rec, "out": [[int(x), str(y)] for x, y in corners]}
+        out.append(rec)
+    return out
+
+
+def test_linprog_fallback_keeps_probes_and_hull_corners(cold_highs):
     # Each PC-LP solve on a new HiGHS model, in place of warm re-solves. A
-    # warm re-solve may pick another optimal vertex, and so another tree of
-    # the same cost, but every probe, cost, objective and bipoint multiplier
-    # must be the same.
+    # warm re-solve may pick another optimal vertex, and so other trees of a
+    # walk and another pc_tree of the same cost, but every probe, every
+    # corner of a walk's hull and every pc_tree cost and objective must be
+    # the same.
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert _without_arcs(record()) == _without_arcs(golden)
+    assert _without_arcs(_hull_corners(record())) == _without_arcs(_hull_corners(golden))
 
 
 if __name__ == "__main__":

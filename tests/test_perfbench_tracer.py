@@ -74,15 +74,15 @@ def test_solve_lp_counters_match_the_input_rows():
 
 
 def test_pclp_solves_fall_inside_their_probe_spans(monkeypatch):
-    # The probes of a coverage search share one PC-LP model, but each probe
+    # The probes of a coverage walk share one PC-LP model, but each probe
     # is still one build_and_solve_pclp call, which holds all its solves.
     inst = random_instance(random.Random(3), 5, 2, single_depot=True)
     probes = []
     real_probe = pc_tree._pc_tree_probe
 
-    def counted_probe(model, penalties):
+    def counted_probe(model, penalties, families):
         probes.append(penalties)
-        return real_probe(model, penalties)
+        return real_probe(model, penalties, families)
 
     kinds = []
     real_solve = lp_toolkit.solve_lp
