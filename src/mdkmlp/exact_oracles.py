@@ -7,6 +7,8 @@ metric, in plain ints (rational only where the caller's rewards,
 penalties or budgets are), guarded by hard size limits; results are
 returned as Fractions. Guards fail loudly rather than degrade to
 heuristics: an oracle must never silently stop being ground truth.
+The optimum and the bottleneck-stroll table run on the service-free
+reduction of :func:`instance.without_service` and map its values back.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,7 @@ from operator import add
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import pathdp
-from .instance import MetricInstance, RoutePlan, group_slots
+from .instance import MetricInstance, RoutePlan, group_slots, without_service
 from .lp_toolkit import bottleneck_cover_table
 
 # Size guard of every exhaustive oracle: the subset DPs grow as 3^clients.
@@ -39,16 +41,19 @@ class BnsTable:
     """Bottleneck-stroll values b*_l for l = 1..n with witnesses.
 
     values[l-1] is the minimum, over k-tuples of rooted paths jointly
-    covering at least l nodes (roots count), of the maximum path cost.
+    covering at least l nodes (roots count), of the maximum path cost. On a
+    service instance the paths and costs are those of its reduction, each
+    cost over the reduction's scale, and ``offset`` is shift/scale.
     """
 
     values: Tuple[Fraction, ...]
     witnesses: Tuple[Tuple[Tuple, ...], ...]
+    offset: Fraction = Fraction(0)
 
     @property
     def bnslb(self) -> Fraction:
-        """The additive lower bound: the sum of the values."""
-        return sum(self.values, Fraction(0))
+        """The additive lower bound: the sum of the values, plus the offset."""
+        return sum(self.values, self.offset)
 
 
 def _guard_clients(inst: MetricInstance) -> None:
@@ -69,19 +74,19 @@ def exact_kmlp(inst: MetricInstance) -> OracleResult:
     last takes the depot's first slot.
     """
     _guard_clients(inst)
-    clients = inst.clients
-    step = inst.service_directed if inst.has_service else inst.dist
+    plain, shift, scale = without_service(inst)
+    clients = plain.clients
     groups = [
         (r, slots, pathdp.min_latency_orders(
-            r, [v for v in clients if r in inst.depots_for(v)], step, inst.weight
+            r, [v for v in clients if r in plain.depots_for(v)], plain.dist, plain.weight
         ))
-        for r, slots in group_slots(inst)
+        for r, slots in group_slots(plain)
     ]
     # every client has an allowed depot, so the full mask has a finite value
     best, witness = pathdp.fleet(clients, groups, add)
     full = len(best) - 1
     plan = RoutePlan(routes=witness(full), objective_variant=inst.default_variant)
-    return OracleResult(Fraction(best[full]), plan)
+    return OracleResult(Fraction(best[full] + shift, scale), plan)
 
 
 def bnslb(inst: MetricInstance) -> BnsTable:
@@ -91,11 +96,12 @@ def bnslb(inst: MetricInstance) -> BnsTable:
     inequality an optimal path never detours through a foreign root, so
     only the number of distinct clients covered matters beyond the roots.
     Where client-set sizes tie at the least bottleneck, entry l keeps the
-    witness of the largest size.
+    witness of the largest size. A service instance's is its reduction's.
     """
     _guard_clients(inst)
+    plain, shift, scale = without_service(inst)
     # the least bottleneck over client sets of each size, with its set
-    table, witness = bottleneck_cover_table(inst, inst.dist)
+    table, witness = bottleneck_cover_table(plain, plain.dist)
     best: Dict[int, Tuple[int, FrozenSet]] = {}
     for U, val in table.items():
         sz = len(U)
@@ -118,9 +124,9 @@ def bnslb(inst: MetricInstance) -> BnsTable:
             witnesses.append(trivial)
             continue
         val, U = by_need[ell - free]
-        values.append(Fraction(val))
+        values.append(Fraction(val, scale))
         witnesses.append(witness(U))
-    return BnsTable(values=tuple(values), witnesses=tuple(witnesses))
+    return BnsTable(tuple(values), tuple(witnesses), Fraction(shift, scale))
 
 
 def exact_orienteering(

@@ -4,10 +4,13 @@ An instance is a complete metric graph over named nodes with k depot roots
 (duplicates allowed) and optional per-node weights, service times, and
 allowed-depot sets. All costs are integers; rational inputs are rejected
 rather than rounded so that integrality-based lower bounds stay valid.
+Service times reduce exactly to the service-free metric d'(u,v) =
+2c(u,v) + d_u + d_v (:func:`without_service`), so optima, the
+bottleneck-stroll bound and per-run guarantees carry over.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, Hashable, List, Sequence, Tuple
@@ -46,8 +49,12 @@ class MetricInstance:
         n = len(self.nodes)
         if n == 0:
             raise ValueError("instance needs at least one node")
-        if len(set(self.nodes)) != n:
-            raise ValueError("duplicate node identifiers")
+        # a JSON key or a command-line argument names a node by its string
+        named: Dict[str, Node] = {}
+        for v in self.nodes:
+            if str(v) in named:
+                raise ValueError(f"duplicate node ids {named[str(v)]!r} and {v!r}")
+            named[str(v)] = v
         if not self.roots:
             raise ValueError("at least one root required")
         for r in self.roots:
@@ -109,6 +116,15 @@ class MetricInstance:
             for r in depots:
                 if r not in root_set:
                     raise ValueError(f"allowed depot {r!r} of {v!r} is not a root")
+        # Every weighted latency sum in the exact oracles' metric, c or (with
+        # service) d' <= 2(max c + max d), must stay below the DPs' INF; the
+        # copy of without_service then passes too, with top at most this one.
+        top = max(map(max, self.cost))
+        if any(self.service.values()):  # roots have none
+            top = 2 * (top + max(self.service.values()))
+        reach = 4 * n * top * sum(self.weights.get(v, 1) for v in self.nodes if v not in root_set)
+        if reach >= pathdp.INF:
+            raise ValueError(f"latency sums too large for exact oracles: {reach} >= {pathdp.INF}")
 
     # -- basic accessors ---------------------------------------------------
     #
@@ -225,10 +241,30 @@ class MetricInstance:
         return 2 * self.dist(u, v) + self.service_time(u) + self.service_time(v)
 
     def service_directed(self, u: Node, v: Node) -> int:
-        """Directed service metric: c plus the head's service time."""
+        """Directed service metric: c plus the head's service time (LP3)."""
         if u == v:
             return 0
         return self.dist(u, v) + self.service_time(v)
+
+    @cached_property
+    def _without_service(self) -> Tuple["MetricInstance", int, int]:
+        """:func:`without_service` of a service instance, built once."""
+        d = self.service_doubled
+        cost = tuple(tuple(d(u, v) for v in self.nodes) for u in self.nodes)
+        shift = sum(self.weight(v) * self.service_time(v) for v in self.clients)
+        return replace(self, cost=cost, service={}), shift, 2
+
+
+def without_service(inst: MetricInstance) -> Tuple[MetricInstance, int, int]:
+    """The exact service-free reduction (plain, shift, scale) of `inst`:
+    every plan costs (its cost in plain + shift)/scale in `inst`.
+
+    With service times, plain is `inst` under d' = ``service_doubled`` with
+    no service, shift = sum of w_v d_v and scale 2: a node's d'-latency is
+    twice its latency less d_v. A service-free instance is its own
+    reduction, with shift 0 and scale 1. Callers share the one copy, and so
+    its path tables."""
+    return inst._without_service if inst.has_service else (inst, 0, 1)
 
 
 def vehicle_groups(inst: MetricInstance) -> List[Tuple[Node, int]]:
@@ -288,13 +324,13 @@ def node_ids(x, what: str) -> Tuple[Node, ...]:
 
 
 def node_of_key(nodes: Sequence[Node], key: str, what: str) -> Node:
-    """The one node whose id reads ``key`` as a string (a JSON object key, a
-    command-line argument); raises ValueError naming ``what`` otherwise."""
-    found = [v for v in nodes if str(v) == key]
-    if len(found) != 1:
-        which = "no node" if not found else f"nodes {found[0]!r} and {found[1]!r}"
-        raise ValueError(f"{what} {key!r} matches {which}")
-    return found[0]
+    """The node whose id reads ``key`` as a string (a JSON object key, a
+    command-line argument); raises ValueError naming ``what`` if there is
+    none. A valid instance has no two ids that read the same."""
+    for v in nodes:
+        if str(v) == key:
+            return v
+    raise ValueError(f"{what} {key!r} matches no node")
 
 
 def parse_instance(text: str) -> MetricInstance:

@@ -10,9 +10,9 @@ cycle contributes additively and independently to the latency accounting,
 so every solver takes the cheaper direction per cycle, which is at most
 the average of the two that the analyses bound. Tour-splitting keeps each
 segment's internal length within 2c(tree)/k by a greedy cut.
-:func:`break_cycle_with_service`, the two-case snipping loop that controls
-mixed (edge plus service) length, is called by no algorithm, only by
-acceptance criterion 8 and its unit tests.
+The roundings of the bottleneck-stroll bound (``kmlp-comb``,
+``bnslb-construct``) run on :func:`instance.without_service`'s
+reduction, whose d'-orientation is the service orientation.
 
 The four single-depot roundings (``solve_kmlp_combinatorial``,
 ``solve_kmlp_lp``, ``solve_mlp_lp``, ``bnslb_construction``) are
@@ -45,14 +45,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from . import concat_graph, exact_oracles, lp_toolkit
 from .arb_packing import pack_scaled, tree_nodes
 # no call here: perfbench/tracer.py checks that it rebinds this copy
 from .arb_packing import pack_arborescences  # noqa: F401
 from .exact_oracles import BnsTable
-from .instance import MetricInstance, RoutePlan, time_horizon, vehicle_groups
+from .instance import MetricInstance, RoutePlan, time_horizon, vehicle_groups, without_service
 from .pc_tree import RootedTree, coverage_tree
 
 log = logging.getLogger("mdkmlp.solvers")
@@ -92,7 +92,6 @@ class Algorithm:
     rounding: Callable[..., RoutePlan]
 
 
-_OBJECTIVE = "{} supports only the unweighted, service-free objective"
 # feature -> (test, refusal message), in the order ``require`` checks them
 FEATURES = {
     "vehicles": (lambda inst: inst.k != 1, "{} requires exactly one vehicle"),
@@ -100,8 +99,8 @@ FEATURES = {
         lambda inst: len(inst.root_set) != 1,
         "single-depot algorithm on multi-depot instance: {}",
     ),
-    "weights": (lambda inst: inst.has_weights, _OBJECTIVE),
-    "service": (lambda inst: inst.has_service, _OBJECTIVE),
+    "weights": (lambda inst: inst.has_weights, "{} supports only the unweighted objective"),
+    "service": (lambda inst: inst.has_service, "{} supports only the service-free objective"),
 }
 _PLAIN = ("weights", "service")
 MU = concat_graph.MU
@@ -118,7 +117,7 @@ ALGORITHMS = {
         "lp3", 2 * MU, ("depots",) + _PLAIN, lambda i, c, b: solve_kmlp_lp(i, lp3sol=b)
     ),
     "kmlp-comb": Algorithm(
-        "bnslb", 2 * MU, ("depots",) + _PLAIN, lambda i, c, b: solve_kmlp_combinatorial(i)
+        "bnslb", 2 * MU, ("depots", "weights"), lambda i, c, b: solve_kmlp_combinatorial(i)
     ),
     # one vehicle has one depot
     "mlp-lp": Algorithm(
@@ -126,7 +125,7 @@ ALGORITHMS = {
     ),
     "lp2-round": Algorithm("lp2", None, _PLAIN, lambda i, c, b: round_lp2(i, b, c)),
     "bnslb-construct": Algorithm(
-        "bnslb", MU, _PLAIN, lambda i, c, b: bnslb_construction(i, b)
+        "bnslb", MU, ("weights",), lambda i, c, b: bnslb_construction(i, b)
     ),
 }
 
@@ -212,85 +211,6 @@ def split_tree_into_k_tours(
     cycles = [(tree.root,) + tuple(seg) for seg in segments]
     cycles.extend([(tree.root,)] * (k - len(cycles)))
     return cycles
-
-
-def break_cycle_with_service(
-    inst: MetricInstance,
-    tree: RootedTree,
-    S: Set,
-    k: int,
-    d: Optional[Dict] = None,
-) -> List[Tuple]:
-    """Split a tree into <= k root cycles covering S, controlling mixed
-    length: each cycle Z satisfies c(Z) + 2d(V(Z)) <= 2(c(Q)+d(V(Q)))/k + 2L
-    with L = max over S of (root distance + service time).
-
-    The doubled-and-shortcut root-to-w path is snipped by a two-case scan:
-    a prefix is closed just before its interior charge exceeds 2M (type i),
-    or exactly at a node whose own service time straddles the threshold
-    (type ii). Returns exactly k cycles (padded with trivial ones).
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    S = set(S)
-    if not S <= tree.nodes:
-        raise ValueError("S must be a subset of the tree's nodes")
-    dfun = (lambda v: Fraction(d.get(v, 0))) if d is not None else (
-        lambda v: Fraction(inst.service_time(v))
-    )
-    root = tree.root
-    # c-cost of the tree (tree.cost may be a c'-cost if built that way)
-    c_tree = sum((Fraction(inst.dist(u, v)) for (u, v) in tree.arcs), ZERO)
-    d_tree = sum((dfun(v) for v in tree.nodes), ZERO)
-    M = (c_tree + d_tree) / k
-    P = [root] + [
-        v for v in _preorder(tree, inst.node_pos) if v in S and v != root
-    ]
-    if len(P) == 1:
-        return [(root,)] * k
-    m = len(P) - 1  # P[m] is w, the final node of the shortcut path
-    cycles: List[Tuple] = []
-    start = 0
-    while True:
-        u = P[start]
-        cum_c = ZERO
-        cum_d = dfun(u)
-        cut = None  # (kind, position)
-        for pos in range(start + 1, m + 1):
-            v = P[pos]
-            cum_c += Fraction(inst.dist(P[pos - 1], v))
-            cum_d += dfun(v)
-            A = cum_c + 2 * cum_d - dfun(u) - dfun(v)
-            if A > 2 * M:
-                cut = ("i", pos)
-                break
-            if A <= 2 * M < A + dfun(v):
-                cut = ("ii", pos)
-                break
-        if cut is None:
-            seg = P[start : m + 1]
-            cycles.append(_as_cycle(root, seg))
-            break
-        kind, pos = cut
-        if kind == "i":
-            seg = P[start:pos]  # up to the node before v
-            cycles.append(_as_cycle(root, seg))
-            start = pos
-        else:
-            seg = P[start : pos + 1]
-            cycles.append(_as_cycle(root, seg))
-            if pos == m:
-                break
-            start = pos + 1
-    if len(cycles) > k:
-        raise SolverError("service-aware splitting produced more than k cycles")
-    cycles.extend([(root,)] * (k - len(cycles)))
-    return cycles
-
-
-def _as_cycle(root, seg: Sequence) -> Tuple:
-    interior = tuple(v for v in seg if v != root)
-    return (root,) + interior
 
 
 # ---------------------------------------------------------------------------
@@ -459,18 +379,19 @@ def _combinatorial_points(inst: MetricInstance) -> List[Tuple[int, Fraction, obj
 
 def solve_kmlp_combinatorial(inst: MetricInstance) -> RoutePlan:
     """Single-depot algorithm driven by partial-cover trees on distance
-    prefixes; total latency at most 2*mu* times the bottleneck-stroll
-    lower bound on every run."""
+    prefixes, run on the service-free reduction; total latency at most
+    2*mu* times the bottleneck-stroll lower bound on every run."""
     require(inst, "kmlp-comb")
+    plain, _, _ = without_service(inst)
     k = inst.k
     if not inst.clients:
         return _finalize_plan(inst, [[] for _ in range(k)])
 
     def cycles_for(tree: RootedTree, ell) -> List[Tuple]:
-        return split_tree_into_k_tours(inst, tree, k)
+        return split_tree_into_k_tours(plain, tree, k)
 
     return _finalize_plan(
-        inst, _stitch_by_concat_graph(inst, _combinatorial_points(inst), cycles_for)
+        inst, _stitch_by_concat_graph(plain, _combinatorial_points(plain), cycles_for)
     )
 
 
@@ -581,9 +502,10 @@ def bnslb_construction(
     inst: MetricInstance, table: Optional[BnsTable] = None
 ) -> RoutePlan:
     """Stitch doubled bottleneck-stroll witness paths along the shortest
-    concatenation path over twice the table values; total latency at most
-    mu* times the table sum on every run. Without `table`, it is solved
-    here, after the instance is checked."""
+    concatenation path over twice the table values, on the service-free
+    reduction that the table was built on; total latency at most mu* times
+    the table's bound on every run. Without `table`, it is solved here,
+    after the instance is checked."""
     require(inst, "bnslb-construct")
     table = table or exact_oracles.bnslb(inst)
     if len(table.values) != inst.n:
@@ -596,4 +518,5 @@ def bnslb_construction(
         (ell, 2 * Fraction(b), routes)
         for ell, (b, routes) in enumerate(zip(table.values, table.witnesses), 1)
     ]
-    return _finalize_plan(inst, _stitch_by_concat_graph(inst, points, lambda wit, ell: wit))
+    plain, _, _ = without_service(inst)
+    return _finalize_plan(inst, _stitch_by_concat_graph(plain, points, lambda wit, ell: wit))

@@ -15,6 +15,7 @@ from reference import (
     envelope_value,
     exact_cover_cost,
     hull_split,
+    plan_value,
     verify_packing,
 )
 from test_arb_packing import random_digraph
@@ -23,12 +24,11 @@ from test_concat_graph import _full_dp, concat_path
 from mdkmlp import exact_oracles
 from mdkmlp.arb_packing import pack_arborescences
 from mdkmlp.concat_graph import lower_envelope, mu_star
-from mdkmlp.instance import MetricInstance, evaluate_plan, time_horizon
+from mdkmlp.instance import evaluate_plan, time_horizon, without_service
 from mdkmlp.latency_solvers import (
     SolverConfig,
     _combinatorial_points,
     bnslb_construction,
-    break_cycle_with_service,
     round_lp2,
     solve_kmlp_combinatorial,
     solve_kmlp_lp,
@@ -42,7 +42,7 @@ from mdkmlp.lp_toolkit import (
     build_and_solve_pclp,
     pclp_model,
 )
-from mdkmlp.pc_tree import RootedTree, coverage_tree, pc_tree
+from mdkmlp.pc_tree import coverage_tree, pc_tree
 
 F = Fraction
 MU = mu_star(F(1, 10**9))
@@ -62,17 +62,6 @@ def report(num: int, ok: bool, detail: str, budget: float, elapsed: float):
 def one_sided_95_margin(costs):
     sd = statistics.stdev(costs) if len(costs) > 1 else 0.0
     return 1.645 * sd / math.sqrt(len(costs))
-
-
-def random_tree(rng, inst):
-    r = inst.roots[0]
-    arcs, cost, nodes = set(), F(0), [r]
-    for v in inst.clients:
-        parent = rng.choice(nodes)
-        arcs.add((parent, v))
-        cost += F(inst.dist(parent, v))
-        nodes.append(v)
-    return RootedTree(root=r, arcs=frozenset(arcs), cost=cost)
 
 
 def test_criterion_1_arborescence_packing():
@@ -274,32 +263,66 @@ def test_criterion_7_multidepot_statistical():
            1200, time.monotonic() - start)
 
 
-def test_criterion_8_service_aware_splitting():
+def _random_routes(rng, inst):
+    """Each client, in a random order, appended to a random slot whose depot
+    may serve it; now and then a node of the route is visited again or a
+    root passed."""
+    routes = [[r] for r in inst.roots]
+    clients = list(inst.clients)
+    rng.shuffle(clients)
+    for v in clients:
+        slots = [i for i, r in enumerate(inst.roots) if r in inst.depots_for(v)]
+        route = routes[rng.choice(slots)]
+        route.append(v)
+        if rng.random() < 0.2:
+            route.append(rng.choice(route + list(inst.roots)))
+    return tuple(map(tuple, routes))
+
+
+def test_criterion_8_service_reduction():
+    # without_service is exact: every plan costs (cost' + shift)/2, scored
+    # by the definition; kmlp-comb and bnslb-construct on the reduction stay
+    # within their factor of the lifted bnslb, itself at most OPT
     start = time.monotonic()
     rng = random.Random(8)
-    checked = 0
-    for _ in range(200):
-        inst = random_instance(rng, rng.randint(2, 8), 1, single_depot=True)
-        tree = random_tree(rng, inst)
-        r = inst.roots[0]
-        d = {v: F(rng.randint(0, 3)) for v in inst.clients}
-        S = {v for v in inst.clients if rng.random() < 0.8}
-        k = rng.randint(1, 3)
-        cycles = break_cycle_with_service(inst, tree, S, k, d=d)
-        assert len(cycles) == k  # trivial cycles pad up to exactly k
-        assert set().union(*(set(c) for c in cycles)) >= S
-        dV = sum((d.get(v, F(0)) for v in tree.nodes), F(0))
-        L = max((F(inst.dist(r, u)) + d.get(u, F(0)) for u in S), default=F(0))
-        bound = 2 * (tree.cost + dV) / k + 2 * L
-        for cyc in cycles:
-            c_len = sum(F(inst.dist(u, v)) for u, v in zip(cyc, cyc[1:]))
-            if len(cyc) > 1:
-                c_len += F(inst.dist(cyc[-1], r))
-            d_len = sum((d.get(v, F(0)) for v in set(cyc)), F(0))
-            assert c_len + 2 * d_len <= bound
-        checked += 1
-    report(8, checked == 200, f"{checked} trees, mixed-length bound exact",
-           30, time.monotonic() - start)
+    plans = 0
+    for family in ({}, {"weights": True}, {"allowed": True}):
+        for _ in range(30):
+            k = rng.randint(1, 3)
+            inst = random_instance(rng, rng.randint(k + 1, 7), k, service=True, **family)
+            plain, shift, scale = without_service(inst)
+            if not inst.has_service:
+                assert (plain, shift, scale) == (inst, 0, 1)
+                continue
+            assert scale == 2 and not plain.has_service
+            assert (plain.nodes, plain.roots) == (inst.nodes, inst.roots)
+            assert (plain.weights, plain.allowed_depots) == (inst.weights, inst.allowed_depots)
+            assert shift == sum(inst.weight(v) * inst.service_time(v) for v in inst.clients)
+            for _ in range(10):
+                routes = _random_routes(rng, inst)
+                cost, _ = plan_value(inst, routes, inst.default_variant)
+                reduced, _ = plan_value(plain, routes, plain.default_variant)
+                assert cost == (reduced + shift) / 2
+                plans += 1
+    algs = 0
+    for _ in range(40):
+        inst = random_instance(
+            rng, rng.randint(2, 7), rng.randint(1, 3), single_depot=True, service=True
+        )
+        table = exact_oracles.bnslb(inst)
+        res = exact_oracles.exact_kmlp(inst)
+        opt = res.value
+        assert table.bnslb <= opt == evaluate_plan(inst, res.witness)
+        for plan, factor in (
+            (solve_kmlp_combinatorial(inst), 2 * MU),
+            (bnslb_construction(inst, table), MU),
+        ):
+            assert opt <= evaluate_plan(inst, plan) <= factor * table.bnslb * REL_TOL
+            algs += 1
+    report(8, plans > 500 and algs == 80,
+           f"{plans} plans cost (cost' + shift)/2 exactly, {algs} plans within "
+           "their factor of the lifted bnslb",
+           10, time.monotonic() - start)
 
 
 def test_criterion_9_extensions():

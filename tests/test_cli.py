@@ -26,12 +26,11 @@ FIX_A_WITH = {
     "weights": FIX_A_JSON[:-1] + ',"weights":{"a":2,"b":1}}',
     "service": FIX_A_JSON[:-1] + ',"service_times":{"a":1}}',
 }
-_OBJECTIVE = "{} supports only the unweighted, service-free objective"
 REFUSAL_MESSAGES = {
     "vehicles": "{} requires exactly one vehicle",
     "depots": "single-depot algorithm on multi-depot instance: {}",
-    "weights": _OBJECTIVE,
-    "service": _OBJECTIVE,
+    "weights": "{} supports only the unweighted objective",
+    "service": "{} supports only the service-free objective",
 }
 REFUSALS = [(alg, f) for alg, rec in ALGORITHMS.items() for f in rec.refuses]
 
@@ -345,6 +344,35 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize(
+        "argv, instance, message",
+        [
+            # node 1's latency 2 was once lost from per_node_latency, whose
+            # keys are strings
+            (
+                ("solve", "--alg", "kmlp-comb"),
+                '{"nodes":["r",1,"1"],"roots":["r"],"costs":[[0,2,3],[2,0,1],[3,1,0]]}',
+                "duplicate node ids 1 and '1'",
+            ),
+            # the optimum was once the DP's INF sentinel, 10**18
+            (
+                ("oracle", "--what", "opt"),
+                '{"nodes":["r","a","b"],"roots":["r","r"],"costs":[[0,1,1],[1,0,2],[1,2,0]],'
+                '"weights":{"a":2000000000000000000,"b":1}}',
+                "latency sums too large for exact oracles: "
+                "48000000000000000024 >= 1000000000000000000",
+            ),
+        ],
+        ids=["ids-read-the-same", "latency-sums-reach-inf"],
+    )
+    def test_instance_refused_before_solving_exits_2(
+        self, capsys, tmp_path, argv, instance, message
+    ):
+        path = tmp_path / "inst.json"
+        path.write_text(instance)
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_unknown_instance_key_exits_2(self, capsys, tmp_path):
         # the service-time key is "service_times"; "service" was once ignored
         # silently, giving the latency without service times
@@ -406,6 +434,24 @@ class TestVerify:
         report = json.loads(out)
         assert report["feasible"]
         assert report["bound"] == pytest.approx(7.1824, abs=1e-3)
+        assert report["ratio"] <= report["bound"]
+
+    @pytest.mark.parametrize("alg", ["kmlp-comb", "bnslb-construct"])
+    def test_service_instance_against_bnslb_passes(self, capsys, tmp_path, alg):
+        # both roundings run on the service-free reduction; its bnslb
+        # (0 + 3 + 8 + shift 1)/2 = 6 is FIX_A's optimum with service a = 1
+        inst = tmp_path / "service.json"
+        inst.write_text(FIX_A_WITH["service"])
+        sol = self.solve_to_file(capsys, tmp_path, str(inst), alg)
+        assert json.loads(Path(sol).read_text())["bounds"] == {"bnslb": 6.0}
+        code, out, _ = run(
+            capsys, "verify", "--input", str(inst), "--solution", sol,
+            "--against", "bnslb",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["denominator"] == "6"
+        assert F(report["cost"]) >= 6
         assert report["ratio"] <= report["bound"]
 
     def test_kmlp_lp_against_lp3_passes(self, capsys, fixa_path, tmp_path):
@@ -663,6 +709,19 @@ class TestBench:
             ("--n", "6", "--k", "2", "--trials", "3", "--seed", "4",
              "--metric", "random", "--algs", "kmlp-comb,kmlp-lp,bnslb-construct"),
             "bench_n6_k2_trials3_seed4_random", id="n6-k2",
+        ),
+        # the three commands README and ROADMAP time by hand
+        pytest.param(
+            ("--n", "6", "--k", "2", "--trials", "5", "--seed", "1"),
+            "bench_n6_k2_trials5_seed1", id="n6-k2-seed1",
+        ),
+        pytest.param(
+            ("--n", "6", "--k", "1", "--trials", "4", "--seed", "3", "--metric", "random"),
+            "bench_n6_k1_trials4_seed3_random", id="n6-k1-seed3",
+        ),
+        pytest.param(
+            ("--n", "7", "--k", "3", "--trials", "3", "--seed", "5", "--metric", "random"),
+            "bench_n7_k3_trials3_seed5_random", id="n7-k3-seed5",
         ),
     ])
     def test_golden_json(self, capsys, argv, name):

@@ -107,12 +107,23 @@ class TestBottleneckStroll:
 
     def test_bound_is_derived_from_the_values(self, fix_a):
         table = bnslb(fix_a)
-        assert [f.name for f in dataclasses.fields(table)] == ["values", "witnesses"]
+        assert [f.name for f in dataclasses.fields(table)] == ["values", "witnesses", "offset"]
         with pytest.raises(TypeError):
             BnsTable(values=table.values, witnesses=table.witnesses, bnslb=F(5))
         with pytest.raises(AttributeError):
             table.bnslb = F(5)
+        assert table.offset == 0
         assert table.bnslb == sum(table.values) == 4
+
+    def test_service_table_is_the_reductions_halved(self, fix_a):
+        # d' = 2c + d_u + d_v with d_a = 1: b'_l = 0, 3, 8 on the same
+        # witnesses, stored halved, and the offset is shift/2 = 1/2
+        inst = dataclasses.replace(fix_a, service={"a": 1})
+        table = bnslb(inst)
+        assert table.values == (0, F(3, 2), 4)
+        assert table.witnesses == bnslb(fix_a).witnesses
+        assert table.offset == F(1, 2)
+        assert table.bnslb == 6 == exact_kmlp(inst).value
 
     def test_table_consistency(self):
         rng = random.Random(13)

@@ -83,7 +83,7 @@ class TestParse:
         "nodes, key, message",
         [
             ('[0, "a"]', "b", "'weights' key 'b' matches no node"),
-            ('[0, 1, "1"]', "1", "'weights' key '1' matches nodes 1 and '1'"),
+            ('[0, 1, "1"]', "1", "duplicate node ids 1 and '1'"),
         ],
         ids=["no-node", "two-nodes"],
     )

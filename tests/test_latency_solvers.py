@@ -29,7 +29,6 @@ from mdkmlp.latency_solvers import (
     _stitch_by_concat_graph,
     _sample_from,
     bnslb_construction,
-    break_cycle_with_service,
     round_lp2,
     solve_kmlp_combinatorial,
     solve_kmlp_lp,
@@ -141,66 +140,6 @@ class TestSplitTree:
                     F(inst.dist(u, v)) for u, v in zip(cyc[1:], cyc[2:])
                 )
                 assert internal <= limit
-
-
-class TestBreakCycleWithService:
-    def test_s_only_root(self, fix_a):
-        tree = RootedTree(
-            root="r", arcs=frozenset({("r", "a"), ("a", "b")}), cost=F(3)
-        )
-        cycles = break_cycle_with_service(fix_a, tree, {"r"}, 2)
-        assert cycles == [("r",)] * 2
-
-    def test_star(self):
-        inst = MetricInstance(
-            nodes=("r", "u"), roots=("r",), cost=((0, 1), (1, 0))
-        )
-        tree = RootedTree(root="r", arcs=frozenset({("r", "u")}), cost=F(1))
-        cycles = break_cycle_with_service(inst, tree, {"u"}, 1, d={"u": F(0)})
-        assert cycles == [("r", "u")]
-        # c(Z) = 2 within the bound 2(c+d)/k + 2L = 2 + 2
-        assert 2 * F(inst.dist("r", "u")) <= 2 * F(1) + 2 * F(1)
-
-    def test_s_outside_tree_rejected(self, fix_a):
-        tree = RootedTree(root="r", arcs=frozenset({("r", "a")}), cost=F(1))
-        with pytest.raises(ValueError, match="subset"):
-            break_cycle_with_service(fix_a, tree, {"b"}, 1)
-
-    def test_random_trees_satisfy_mixed_length_bound(self):
-        rng = random.Random(43)
-        for _ in range(40):
-            inst = random_instance(rng, rng.randint(2, 8), 1, single_depot=True)
-            r = inst.roots[0]
-            arcs, cost = set(), F(0)
-            nodes = [r]
-            for v in inst.clients:
-                parent = rng.choice(nodes)
-                arcs.add((parent, v))
-                cost += F(inst.dist(parent, v))
-                nodes.append(v)
-            tree = RootedTree(root=r, arcs=frozenset(arcs), cost=cost)
-            d = {v: F(rng.randint(0, 3)) for v in inst.clients}
-            S = {v for v in inst.clients if rng.random() < 0.8}
-            k = rng.randint(1, 3)
-            cycles = break_cycle_with_service(inst, tree, S, k, d=d)
-            assert len(cycles) == k
-            covered = set().union(*(set(c) for c in cycles))
-            assert covered >= S
-            dV = sum((d.get(v, F(0)) for v in tree.nodes), F(0))
-            L = max(
-                (F(inst.dist(r, u)) + d.get(u, F(0)) for u in S),
-                default=F(0),
-            )
-            bound = 2 * (cost + dV) / k + 2 * L
-            for cyc in cycles:
-                c_len = sum(
-                    F(inst.dist(u, v)) for u, v in zip(cyc, cyc[1:])
-                )
-                c_len += F(inst.dist(cyc[-1], r)) if len(cyc) > 1 else F(0)
-                d_len = sum(
-                    (d.get(v, F(0)) for v in set(cyc)), F(0)
-                )
-                assert c_len + 2 * d_len <= bound
 
 
 class TestLpRoundingSolvers:

@@ -12,7 +12,7 @@ import reference
 from conftest import cold_highs_solves, random_instance
 from test_lp_models_golden import instances as golden_instances
 from mdkmlp import exact_oracles, lp_toolkit, pathdp
-from mdkmlp.instance import MetricInstance, time_horizon, vehicle_groups
+from mdkmlp.instance import MetricInstance, time_horizon, vehicle_groups, without_service
 from mdkmlp.lp_toolkit import (
     ZERO,
     EnumerationCapError,
@@ -967,10 +967,12 @@ def test_integer_lp_metric_gives_the_fraction_columns(monkeypatch):
 
 
 def test_one_path_table_per_instance_root_clients_and_metric(monkeypatch):
-    """LP1, LP2's bottleneck cover table and the bottleneck-stroll table ask
-    for path tables of the instance's own metrics; each distinct (root,
-    clients, metric) is built once per instance, and is min_paths' table,
-    key order included. Tables in any other metric are not kept."""
+    """LP1 and LP2's bottleneck cover table ask for path tables of the
+    instance's own metric, the bottleneck-stroll table for those of its
+    service-free reduction (the instance itself where it has no service);
+    each distinct (root, clients, metric) is built once per instance, and is
+    min_paths' table, key order included. Tables in any other metric are
+    not kept."""
     real, calls = pathdp.min_paths, []
     monkeypatch.setattr(pathdp, "min_paths", lambda *a: calls.append(a) or real(*a))
     rng = random.Random(3)
@@ -985,17 +987,21 @@ def test_one_path_table_per_instance_root_clients_and_metric(monkeypatch):
         build_and_solve_lp1(inst, T)
         build_and_solve_lp2(inst, T)
         exact_oracles.bnslb(inst)
+        plain = without_service(inst)[0]
         wanted = {
-            (r, tuple(v for v in inst.clients if r in inst.depots_for(v)), metric)
+            (inst, r, tuple(v for v in inst.clients if r in inst.depots_for(v)), metric)
             for r in inst.depots
-        } | {(r, inst.clients, m) for r in inst.depots for m in (metric, inst.dist)}
+        } | {
+            (owner, r, inst.clients, m)
+            for r in inst.depots for owner, m in ((inst, metric), (plain, plain.dist))
+        }
         assert sorted((r, tuple(items)) for r, items, _ in calls) == sorted(
-            (r, items) for r, items, _ in wanted
+            (r, items) for _, r, items, _ in wanted
         )
-        for r, items, m in wanted:
-            table = inst.path_table(r, list(items), m)
+        for owner, r, items, m in wanted:
+            table = owner.path_table(r, list(items), m)
             assert list(table.items()) == list(real(r, items, m).items())
-            assert inst.path_table(r, items, m) is table
+            assert owner.path_table(r, items, m) is table
         assert len(calls) == len(wanted)
     calls.clear()
     for _ in range(2):

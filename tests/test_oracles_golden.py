@@ -8,7 +8,8 @@ of `bnslb`. A subset DP that visits submasks in another order, or breaks a
 tie another way, changes a witness even where the values stay the same.
 Every recorded witness is also checked on its own: the `exact_kmlp` routes
 score the optimum, and each b*_l witness covers at least l nodes with its
-longest path at b*_l.
+longest path at b*_l, measured in c, or in d'/2 on a service instance
+(d' = 2c(u,v) + d_u + d_v, the metric of its service-free reduction).
 
 Regenerate, only for an intended change of the oracles, with
 `PYTHONPATH=src:tests python tests/test_oracles_golden.py`.
@@ -75,13 +76,20 @@ def test_golden_witnesses_hold():
         rec = golden[label]
         plan = RoutePlan(tuple(map(tuple, rec["opt_routes"])), inst.default_variant)
         assert evaluate_plan(inst, plan) == Fraction(rec["opt"]), label
+        # a service instance's paths are measured in d'/2, its bound lifted
+        # by half the weighted service total
+        scale = 2 if inst.has_service else 1
+        step = inst.service_doubled if inst.has_service else inst.dist
+        shift = sum(inst.weight(v) * inst.service_time(v) for v in inst.clients)
         for ell, (val, routes) in enumerate(rec["bns"], 1):
             assert [route[0] for route in routes] == list(inst.roots), (label, ell)
             assert len({v for route in routes for v in route}) >= ell, (label, ell)
             longest = max(
-                sum(inst.dist(u, v) for u, v in zip(route, route[1:])) for route in routes
+                sum(step(u, v) for u, v in zip(route, route[1:])) for route in routes
             )
-            assert longest == Fraction(val), (label, ell)
+            assert Fraction(longest, scale) == Fraction(val), (label, ell)
+        total = sum((Fraction(val) for val, _ in rec["bns"]), Fraction(shift, scale))
+        assert Fraction(rec["bnslb"]) == total, label
 
 
 if __name__ == "__main__":
