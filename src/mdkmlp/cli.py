@@ -152,6 +152,8 @@ def cmd_oracle(args) -> int:
             out["routes"] = [list(r) for r in sol.witness.routes]
         elif what == "bnslb":
             out["table"] = [_frac_str(b) for b in sol.values]
+            if sol.offset:  # value = sum of the table + offset
+                out["offset"] = _frac_str(sol.offset)
         else:
             out["T"] = sol.T
             out["nonzeros"] = len(sol.values)

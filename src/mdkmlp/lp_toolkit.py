@@ -6,11 +6,15 @@ exactly (feasibility, reduced costs, strong duality). Only the entries of
 magnitude at least 1e-9 are rounded; every other one is exactly 0, so the
 rounding, the duals' part of the check, the values and the objective run
 on the support, while every row and every column's reduced cost is still
-tested. The check runs on plain Python integers: every row is integer,
-and the primal point and the duals are scaled by the lcm of their
+tested. The check runs on integer arrays (:func:`_certify`): every row is
+integer, and the primal point and the duals are scaled by the lcm of their
 denominators, so every test is the Fraction one multiplied through by a
 positive integer (after Applegate, Cook, Dash & Espinoza, "Exact solutions
-to linear programming problems", ORL 2007).
+to linear programming problems", ORL 2007). Row sums and column sums run
+in int64 only where a bound proves that no partial sum reaches 2**62 (max
+|X| times max |a| times the longest row; max |W| times max |a| times the
+rows with a dual); past it the same expressions run on object arrays of
+exact Python ints. No float is ever compared.
 If certification fails, :func:`mdkmlp.simplex.exact_simplex` solves the
 basis HiGHS ended on exactly, and that pair is certified the same way; if
 it does not certify either, or the basis is invalid or singular, the solve
@@ -28,12 +32,17 @@ Importing this module loads scipy's HiGHS extension module by its file
 part of scipy is imported. The binding needs scipy >= 1.15; without it the
 import raises ImportError.
 
-Rows enter an LP by column index through :meth:`LinearProgram.add_row`;
-:meth:`~LinearProgram.add_constraint` is its adapter by variable name. The
-builders lay their columns out in blocks (per depot group an x block, each
-client's columns in t order, so "served by t" is a slice, and LP3's z block
-arc-major) and emit every row as integer coefficients over increasing
-column indices; a row must be integer, and is stored as given. Only the
+An LP's rows are one store of growable int64 arrays in CSR form (indptr,
+indices, coefficients, rhs and an ``==`` flag); :attr:`LinearProgram.rows`
+reads them back as :class:`Row` tuples, and a solve hands HiGHS the slice
+of rows added since its last solve. Rows enter by column index through
+:meth:`LinearProgram.add_row`, or as a whole CSR block through
+:meth:`~LinearProgram.add_rows`; :meth:`~LinearProgram.add_constraint` is
+the adapter by variable name. The builders lay their columns out in blocks
+(per depot group an x block, each client's columns in t order, so "served
+by t" is a slice, and LP3's z block arc-major) and emit every row as
+integer coefficients over increasing column indices; a row must be
+integer, and is stored as given. Only the
 objective may be rational (the PC-LP's penalties). The cut oracles
 separate on the certified integer point of the solution
 (:attr:`LpSolution.point`): the
@@ -44,9 +53,14 @@ and each cut goes in as an index row. The prize-collecting LP is a model
 and the cuts of earlier solves stay valid and stay in the model, so a
 later solve starts warm with them.
 
-LP1 and LP2 measure paths in an integer metric (:func:`_lp_metric`): c,
-or on service instances twice the symmetric service metric,
-2c(u,v) + d_u + d_v, tested against 2t. Their solutions carry what the
+LP1 and LP2 measure paths in the path tables of the service-free
+reduction (:func:`instance.without_service`): c, or on service instances
+twice the symmetric service metric, 2c(u,v) + d_u + d_v, tested against 2t,
+so LP2 and ``bnslb`` share one table. They enumerate their (C, t) columns
+from those tables by client mask and emit the configuration and link rows
+as CSR blocks; a column's frozenset and visiting order are made only for
+the positive columns (their names, and their draw items). Their solutions
+carry what the
 configuration-LP roundings draw from, compiled once, when the LP is solved.
 ``meta["draws"]`` maps each t in 1..T to a tuple of :class:`DrawTable` s
 of the positive z columns at t, in a fixed node order, which a rounding
@@ -66,16 +80,19 @@ import logging
 import math
 import os
 import sys
+from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, count
-from operator import mul
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import flows, pathdp
-from .instance import MetricInstance, group_slots, vehicle_groups
+from .instance import MetricInstance, group_slots, vehicle_groups, without_service
 from .simplex import exact_simplex
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -123,6 +140,7 @@ ZERO = Fraction(0)
 _ROUND_DENOM = 10**6
 _INT = {int}
 _FLOAT_EPS = 1e-7
+_EXACT = 2**62  # int64 arithmetic only below this bound on every partial sum
 
 # quiet dual simplex; presolve goes off after the first solve
 _HIGHS_OPTIONS = (
@@ -165,36 +183,165 @@ class Row(NamedTuple):
     sense: str
 
 
-class LinearProgram:
-    """Named nonnegative variables, rational objective, growable constraints."""
+class Rows(Sequence):
+    """An LP's rows as :class:`Row` tuples, read from its arrays on each
+    access: a view, not a copy."""
+
+    def __init__(self, lp: "LinearProgram"):
+        self._lp = lp
+
+    def __len__(self) -> int:
+        return len(self._lp._rhs)
+
+    def __getitem__(self, i: int) -> Row:
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("row index out of range")
+        return next(self._lp._row_tuples(i, i + 1))
+
+    def __iter__(self):
+        return self._lp._row_tuples(0, len(self))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+
+class _Names(Sequence):
+    """Column names by index, in blocks: a list, or a sequence that makes
+    each name only when it is read."""
 
     def __init__(self):
-        self._index: Dict[object, int] = {}
-        self.names: List[object] = []
+        self._ends: List[int] = []  # the index after each block
+        self._blocks: List[Sequence] = []
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, j):
+        n = len(self)
+        if j < 0:
+            j += n
+        if not 0 <= j < n:
+            raise IndexError("column index out of range")
+        b = bisect_right(self._ends, j)
+        return self._blocks[b][j - (self._ends[b - 1] if b else 0)]
+
+    def __iter__(self):
+        return chain.from_iterable(self._blocks)
+
+    def extend(self, names: Sequence) -> None:
+        if type(names) is list and self._blocks and type(self._blocks[-1]) is list:
+            self._blocks[-1].extend(names)
+            self._ends[-1] += len(names)
+        else:
+            self._blocks.append(list(names) if type(names) is list else names)
+            self._ends.append(len(self) + len(names))
+
+
+class LinearProgram:
+    """Named nonnegative variables, rational objective, growable integer
+    rows.
+
+    The rows are one store of growable int64 arrays in CSR form: row i is
+    ``sum(coefs[k] * x[indices[k]]) >= rhs[i]`` over k in ``indptr[i]`` ..
+    ``indptr[i + 1]``, or ``== rhs[i]`` where ``eq[i]``. :meth:`csr` gives
+    them as numpy arrays (views: a caller must not keep them past a row
+    append), :attr:`rows` as :class:`Row` tuples."""
+
+    def __init__(self):
+        self._index: Optional[Dict[object, int]] = {}  # name -> column; None: build on demand
+        self.names = _Names()
         self.objective: List = []  # ints and Fractions
-        self.rows: List[Row] = []
+        self._indptr = array("q", [0])
+        self._indices = array("q")
+        self._coefs = array("q")
+        self._rhs = array("q")
+        self._eq = array("b")
         self._row_set: set = set()  # rows[:_hashed], for spotting a repeated cut
         self._hashed = 0
+        self._scaled = None  # scaled_objective(), until the objective changes
         self.model = None  # the HiGHS model solve_lp keeps, once it has run
 
+    @property
+    def rows(self) -> Rows:
+        return Rows(self)
+
+    def csr(self) -> Tuple[np.ndarray, ...]:
+        """(indptr, indices, coefs, rhs, eq): the rows as numpy views of the
+        store, int64 but ``eq`` bool."""
+        return (
+            *(np.frombuffer(a, dtype=np.int64)
+              for a in (self._indptr, self._indices, self._coefs, self._rhs)),
+            np.frombuffer(self._eq, dtype=bool),
+        )
+
+    def _row_tuples(self, start: int, stop: int):
+        """Rows start..stop-1 as :class:`Row` tuples."""
+        ptr = self._indptr[start:stop + 1].tolist()
+        if not ptr:
+            return
+        cols = self._indices[ptr[0]:ptr[-1]].tolist()
+        ints = self._coefs[ptr[0]:ptr[-1]].tolist()
+        base = ptr[0]
+        for k, (b, eq) in enumerate(zip(self._rhs[start:stop], self._eq[start:stop])):
+            s, e = ptr[k] - base, ptr[k + 1] - base
+            yield Row(tuple(cols[s:e]), tuple(ints[s:e]), b, "==" if eq else ">=")
+
+    def scaled_objective(self) -> Tuple[int, np.ndarray, int]:
+        """(D, C, max |C|): D the lcm of the objective's denominators, and C
+        = D times the objective, int64 below 2**62, else exact ints."""
+        if self._scaled is None:
+            D = math.lcm(*set(map(attrgetter("denominator"), self.objective)))
+            Cs = [c.numerator * (D // c.denominator) for c in self.objective] if D > 1 else [
+                *map(attrgetter("numerator"), self.objective)
+            ]
+            try:
+                C = np.array(Cs, dtype=np.int64)
+            except OverflowError:
+                C = np.array(Cs, dtype=object)
+            self._scaled = D, C, max(int(C.max(initial=0)), -int(C.min(initial=0)))
+        return self._scaled
+
+    def _lookup(self) -> Dict[object, int]:
+        """The column of each name, built on first use after a lazy block."""
+        if self._index is None:
+            self._index = {name: j for j, name in enumerate(self.names)}
+            if len(self._index) != len(self.names):
+                raise ValueError("duplicate variable among the names added")
+        return self._index
+
     def add_var(self, name, obj=0) -> int:
-        if name in self._index:
+        index = self._lookup()
+        if name in index:
             raise ValueError(f"duplicate variable {name!r}")
         idx = len(self.names)
-        self._index[name] = idx
-        self.names.append(name)
+        index[name] = idx
+        self.names.extend([name])
         self.objective.append(Fraction(obj))
+        self._scaled = None
         return idx
 
     def add_vars(self, names: Sequence, costs: Sequence) -> int:
         """A column per name, at the int or Fraction cost beside it; returns
-        the first one's index, the others following it."""
+        the first one's index, the others following it. ``names`` that is
+        not a list names its columns only when read, and must not repeat a
+        name."""
         first = len(self.names)
-        self._index.update(zip(names, count(first)))
+        if type(names) is list:
+            index = self._lookup()
+            index.update(zip(names, count(first)))
+            if len(index) != first + len(names):
+                raise ValueError("duplicate variable among the names added")
+        else:
+            self._index = None
         self.names.extend(names)
-        if len(self._index) != len(self.names):
-            raise ValueError("duplicate variable among the names added")
         self.objective.extend(costs)
+        self._scaled = None
         return first
 
     def set_costs(self, costs: Dict[int, Fraction]) -> None:
@@ -202,6 +349,7 @@ class LinearProgram:
         HiGHS model too once it exists."""
         for j, c in costs.items():
             self.objective[j] = Fraction(c)
+        self._scaled = None
         if self.model is not None:
             self.model.changeColsCost(
                 len(costs), np.fromiter(costs, dtype=np.int64, count=len(costs)),
@@ -210,7 +358,7 @@ class LinearProgram:
 
     def add_row(self, cols: Sequence[int], ints: Sequence[int], b: int, sense: str) -> None:
         """Append the row ``sum(ints[i] * x[cols[i]]) sense b``, ``cols``
-        increasing; the coefficients and ``b`` must be ints."""
+        increasing; the coefficients and ``b`` must be ints of 64 bits."""
         if sense not in (">=", "<=", "=="):
             raise ValueError(f"unknown sense {sense!r}")
         if type(b) is not int or not set(map(type, ints)) <= _INT:
@@ -219,12 +367,35 @@ class LinearProgram:
             kept = [(j, a) for j, a in zip(cols, ints) if a]
             cols, ints = [j for j, _ in kept], [a for _, a in kept]
         if sense == "<=":
-            ints, b, sense = [-a for a in ints], -b, ">="
-        self.rows.append(Row(tuple(cols), tuple(ints), b, sense))
+            ints, b = [-a for a in ints], -b
+        # converted before anything is stored: a value past 64 bits raises
+        cols, ints, b = array("q", cols), array("q", ints), array("q", (b,))
+        self._indices += cols
+        self._coefs += ints
+        self._indptr.append(len(self._indices))
+        self._rhs += b
+        self._eq.append(sense == "==")
+
+    def add_rows(self, indptr: np.ndarray, indices: np.ndarray, coefs: np.ndarray,
+                 rhs: np.ndarray, eq: np.ndarray) -> None:
+        """Append a block of rows in CSR form: int64 arrays, ``eq`` bool,
+        ``indptr`` from 0; each row's columns increasing, with no zero
+        coefficient, and the row is ``>= rhs`` or, where ``eq``, ``== rhs``."""
+        if {a.dtype for a in (indptr, indices, coefs, rhs)} != {np.dtype(np.int64)} or (
+            eq.dtype != bool
+        ):
+            raise ValueError("a row block is int64 arrays and a bool eq")
+        if not coefs.all():
+            raise ValueError("a row block has a zero coefficient")
+        self._indptr.frombytes((indptr[1:] + len(self._indices)).tobytes())
+        self._indices.frombytes(indices.tobytes())
+        self._coefs.frombytes(coefs.tobytes())
+        self._rhs.frombytes(rhs.tobytes())
+        self._eq.frombytes(eq.tobytes())
 
     def add_constraint(self, coeffs: Dict[object, int], sense: str, rhs: int) -> None:
         """:meth:`add_row` by variable name."""
-        index = self._index
+        index = self._lookup()
         try:
             pairs = sorted((index[name], c) for name, c in coeffs.items())
         except KeyError as exc:
@@ -235,13 +406,17 @@ class LinearProgram:
 
     def add_cut(self, cols: Sequence[int], ints: Sequence[int], b: int, sense: str) -> bool:
         """:meth:`add_row`, unless the LP has that row already: False then."""
-        self._row_set.update(self.rows[self._hashed:])
+        n = len(self._rhs)
+        self._row_set.update(self._row_tuples(self._hashed, n))
         self.add_row(cols, ints, b, sense)
-        if self.rows[-1] in self._row_set:
-            self.rows.pop()
+        row = next(self._row_tuples(n, n + 1))
+        if row in self._row_set:
+            end = self._indptr[n]
+            del self._indptr[n + 1:], self._indices[end:], self._coefs[end:]
+            del self._rhs[n:], self._eq[n:]
             return False
-        self._row_set.add(self.rows[-1])
-        self._hashed = len(self.rows)
+        self._row_set.add(row)
+        self._hashed = n + 1
         return True
 
 
@@ -272,6 +447,12 @@ def _round_support(vals: Sequence[float]) -> Dict[int, Fraction]:
     return {i: rounded[v] for i, v in zip(support, near)}
 
 
+def _dtype(bound: int):
+    """int64 where ``bound``, a bound on every partial sum to be formed, is
+    below 2**62; else object, for arrays of exact Python ints."""
+    return np.int64 if bound < _EXACT else object
+
+
 def _certify(
     lp: LinearProgram,
     x: Dict[int, Fraction],
@@ -279,66 +460,62 @@ def _certify(
 ) -> bool:
     """Exact optimality test of a primal/dual pair, each given on its
     support (column or row index -> value; every other entry is 0), on
-    scaled integers.
+    scaled integer arrays.
 
     The rows are integer. With L the lcm of the denominators of x, X = L*x;
     with M the lcm of the denominators of y, W = M*y; D is the lcm of the
-    objective's denominators. Every test below is the Fraction test (primal
-    feasibility of every row, y >= 0 on '>=' rows, reduced cost >= 0 of
-    every column, strong duality) multiplied through by a positive integer,
-    so the two accept the same pairs.
+    objective's denominators, C = D*c. Every test below is the Fraction test
+    (primal feasibility of every row, y >= 0 on '>=' rows, reduced cost >= 0
+    of every column, strong duality) multiplied through by a positive
+    integer, so the two accept the same pairs. Row sums A X and column sums
+    A^T W run in int64 only where a bound proves that no partial sum
+    reaches 2**62: max X times the largest row 1-norm (bounded by max |a|
+    times the longest row), max W times max |a| times the rows with a dual.
+    Otherwise the same expressions run on exact Python ints.
     """
-    if any(v < 0 for v in x.values()):
+    xs = [(v.numerator, v.denominator) for v in x.values()]
+    if any(p < 0 for p, _ in xs):
         return False
-    L = math.lcm(*(v.denominator for v in x.values()))
-    X = [0] * len(lp.names)
-    for j, v in x.items():
-        X[j] = v.numerator * (L // v.denominator)
-    get = X.__getitem__
-    for cols, ints, b, sense in lp.rows:
-        lhs = sum(map(mul, ints, map(get, cols)))
-        bL = b * L
-        if lhs < bL or (sense == "==" and lhs != bL):
-            return False
-    ws = []
-    for i, y in duals.items():
-        if y != 0:
-            cols, ints, b, sense = lp.rows[i]
-            if sense == ">=" and y < 0:
-                return False
-            ws.append((cols, ints, b, y))
-    M = math.lcm(*(w.denominator for _, _, _, w in ws))
-    D = math.lcm(*(c.denominator for c in lp.objective))
-    S = [0] * len(lp.objective)
-    dual_obj = 0  # M * (dual objective)
-    for cols, ints, b, w in ws:
-        W = w.numerator * (M // w.denominator)
-        for j, a in zip(cols, ints):
-            S[j] += W * a
-        dual_obj += W * b
-    for c, s_j in zip(lp.objective, S):
-        if c.numerator * (D // c.denominator) * M < D * s_j:  # D*M*(reduced cost) < 0
-            return False
+    indptr, indices, coefs, rhs, eq = lp.csr()
+    amax = max(int(coefs.max()), -int(coefs.min())) if len(coefs) else 0
+    bmax = max(int(rhs.max()), -int(rhs.min())) if len(rhs) else 0
+    L = math.lcm(*(q for _, q in xs))
+    Xs = [p * (L // q) for p, q in xs]
+    longest = int(np.diff(indptr).max()) if len(rhs) else 0
+    xmax = max(Xs, default=0)
+    dt = _dtype(max(xmax * amax * longest, xmax, bmax * L, L))
+    X = np.zeros(len(lp.names), dtype=dt)
+    X[list(x)] = Xs
+    filled = indptr[:-1] < indptr[1:]  # the rows with an entry
+    lhs = np.zeros(len(rhs), dtype=dt)
+    if len(indices):
+        lhs[filled] = np.add.reduceat(coefs.astype(dt) * X[indices], indptr[:-1][filled])
+    bL = rhs.astype(dt) * L
+    if (lhs < bL).any() or (lhs[eq] != bL[eq]).any():
+        return False
+    ys = {i: (y.numerator, y.denominator) for i, y in duals.items()}
+    ys = {i: pq for i, pq in ys.items() if pq[0]}
+    negative = [i for i, (p, _) in ys.items() if p < 0]
+    if negative and not eq[negative].all():
+        return False
+    tight = np.fromiter(ys, dtype=np.int64, count=len(ys))
+    M = math.lcm(*(q for _, q in ys.values()))
+    Ws = [p * (M // q) for p, q in ys.values()]
+    D, C, cmax = lp.scaled_objective()
+    wmax = max(map(abs, Ws), default=0)
+    dt = _dtype(max(wmax * amax * len(Ws) * D, wmax, cmax * M, M, D))
+    S = np.zeros(len(C), dtype=dt)
+    lens = indptr[tight + 1] - indptr[tight]
+    at = np.arange(lens.sum()) + np.repeat(indptr[tight] - (np.cumsum(lens) - lens), lens)
+    np.add.at(S, indices[at], coefs[at].astype(dt) * np.repeat(np.array(Ws, dtype=dt), lens))
+    if (C.astype(dt) * M < D * S).any():  # D*M*(reduced cost) < 0
+        return False
     objective = lp.objective
     primal_obj = sum(  # D * L * (primal objective)
-        objective[j].numerator * (D // objective[j].denominator) * X[j] for j in x
+        objective[j].numerator * (D // objective[j].denominator) * Xj for j, Xj in zip(x, Xs)
     )
+    dual_obj = sum(W * int(rhs[i]) for i, W in zip(ys, Ws))  # M * (dual objective)
     return primal_obj * M == dual_obj * D * L
-
-
-def _csr_parts(rows: Sequence[Row]):
-    """``rows`` in CSR form, in floats for HiGHS: (indptr, indices, data, rhs)."""
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(row.cols) for row in rows], out=indptr[1:])
-    nnz = int(indptr[-1])
-    indices = np.fromiter(
-        chain.from_iterable(row.cols for row in rows), dtype=np.int64, count=nnz
-    )
-    data = np.fromiter(
-        chain.from_iterable(row.ints for row in rows), dtype=float, count=nnz
-    )
-    rhs = np.array([row.b for row in rows], dtype=float)
-    return indptr, indices, data, rhs
 
 
 def linprog(*args, **kwargs):
@@ -353,12 +530,13 @@ def linprog(*args, **kwargs):
 
 def _highs_solve(lp: LinearProgram):
     """Solve the LP's own HiGHS model: (model status, x, y, simplex
-    iterations), with y in ``lp.rows`` order; x and y are None unless the
-    status is optimal.
+    iterations), with y in row order; x and y are None unless the status is
+    optimal.
 
     The first call creates the model from every column and row and solves
     it with presolve. Each later call adds only the columns and rows
-    appended since, so dual simplex restarts from the last optimal basis.
+    appended since, handing HiGHS that slice of the CSR store, so dual
+    simplex restarts from the last optimal basis.
     """
     h = lp.model
     first = h is None
@@ -374,11 +552,15 @@ def _highs_solve(lp: LinearProgram):
             new, np.arange(ncols, len(lp.names)),
             np.array(lp.objective[ncols:], dtype=float),
         )
-    rows = lp.rows[nrows:]
-    if rows:  # b <= row <= b for '==', b <= row < inf for '>='
-        indptr, indices, data, rhs = _csr_parts(rows)
-        upper = np.array([b if row.sense == "==" else kHighsInf for row, b in zip(rows, rhs)])
-        h.addRows(len(rows), rhs, upper, len(data), indptr[:-1], indices, data)
+    indptr, indices, coefs, rhs, eq = lp.csr()
+    if len(rhs) > nrows:  # b <= row <= b for '==', b <= row < inf for '>='
+        start = int(indptr[nrows])
+        lower = rhs[nrows:].astype(float)
+        upper = np.where(eq[nrows:], lower, kHighsInf)
+        h.addRows(
+            len(lower), lower, upper, len(indices) - start, indptr[nrows:-1] - start,
+            indices[start:], coefs[start:].astype(float),
+        )
     h.run()
     if first:
         h.setOptionValue("presolve", "off")
@@ -407,9 +589,7 @@ def solve_lp(lp: LinearProgram, which: str = "LP", T: Optional[int] = None) -> L
     # A '>=' row's multiplier is nonnegative up to float noise: above
     # -1e-7 it rounds to 0 (no nonzero rational of denominator <= 10**6
     # lies that close to 0), below it the pair is not certified.
-    signs_ok = all(
-        lp.rows[i].sense != ">=" for i in np.flatnonzero(np.asarray(ys) <= -_FLOAT_EPS)
-    )
+    signs_ok = lp.csr()[4][np.asarray(ys) <= -_FLOAT_EPS].all()
     if not (signs_ok and _certify(lp, x, _round_support(ys))):
         log.debug("rounded optimum of %s not certified; exact basis solve", which)
         basis = lp.model.getBasis()
@@ -424,7 +604,7 @@ def solve_lp(lp: LinearProgram, which: str = "LP", T: Optional[int] = None) -> L
                 "the exact vertex of HiGHS's final basis is optimal"
             )
         x = pair[0]
-    x = {j: v for j, v in x.items() if v != 0}
+    x = {j: v for j, v in x.items() if v.numerator}
     L = math.lcm(*(v.denominator for v in x.values()))
     X = {j: v.numerator * (L // v.denominator) for j, v in x.items()}
     return LpSolution(
@@ -557,16 +737,6 @@ def build_and_solve_pclp(model: PcLpModel, penalties: Dict[object, Fraction]) ->
 
 # ---------------------------------------------------------------------------
 # column enumeration helpers
-
-
-def _lp_metric(inst: MetricInstance) -> Tuple[Callable[[object, object], int], int]:
-    """The integer metric LP1 and LP2 measure paths in, and its scale: a
-    path fits time t when its length is at most scale * t. Plain instances
-    use c (scale 1); service instances use twice the symmetric service
-    metric, 2c(u,v) + d_u + d_v (scale 2)."""
-    if inst.has_service:
-        return inst.service_doubled, 2
-    return inst.dist, 1
 
 
 class DrawTable(NamedTuple):
@@ -723,54 +893,135 @@ def _add_cover_rows(
         lp.add_row(cols, ints, 1, ">=")
 
 
+class ConfigGroup(NamedTuple):
+    """One vehicle group of a configuration LP: ``mult`` vehicles serving
+    ``clients`` (bit i of a mask is ``clients[i]``), ``first[i]`` the first
+    time they can serve ``clients[i]``, and the z columns in variable order:
+    column c is the client set ``masks[c]`` that a vehicle (for LP2, the
+    fleet) can cover by time ``times[c]``. The arrays are int64."""
+
+    mult: int
+    clients: Tuple
+    first: np.ndarray
+    masks: np.ndarray
+    times: np.ndarray
+
+
+class _ConfigNames(Sequence):
+    """The names of group gi's columns, each made when it is read: x[gi, v,
+    t] for each client v and t from its first time to T, then z[gi, C, t]
+    for each z column. ``xstart[i]`` is where client i's x columns begin,
+    and ``xstart[-1]`` is where the z columns do."""
+
+    def __init__(self, gi: int, group: ConfigGroup, xstart: List[int]):
+        self.gi, self.group, self.xstart = gi, group, xstart
+
+    def __len__(self) -> int:
+        return self.xstart[-1] + len(self.group.masks)
+
+    def __getitem__(self, k: int):
+        g, nx = self.group, self.xstart[-1]
+        if k < nx:
+            i = bisect_right(self.xstart, k) - 1
+            return ("x", self.gi, g.clients[i], int(g.first[i]) + k - self.xstart[i])
+        mask = int(g.masks[k - nx])
+        C = frozenset(v for b, v in enumerate(g.clients) if mask >> b & 1)
+        return ("z", self.gi, C, int(g.times[k - nx]))
+
+
+def _link_rows(
+    group: ConfigGroup, xstart: np.ndarray, z0: int, T: int, width: int
+) -> Tuple[np.ndarray, ...]:
+    """The CSR block (indptr, indices, coefs) of one group's link rows, for
+    each client in order and t = 1..T: the z columns at t that hold the
+    client, less its x columns up to t, at least 0 (one row, possibly empty,
+    per pair). ``width`` exceeds every column index."""
+    m, ts = len(group.clients), np.arange(1, T + 1)
+    held, zc = np.nonzero((group.masks >> np.arange(m)[:, None]) & 1)  # client, column
+    zrow = held * T + group.times[zc] - 1
+    xlen = np.clip(ts - group.first[:, None] + 1, 0, None).ravel()  # row (i, t): i-major
+    at = np.cumsum(xlen) - xlen
+    xcol = np.arange(xlen.sum()) + np.repeat(np.repeat(xstart, T) - at, xlen)
+    row = np.concatenate((np.repeat(np.arange(m * T), xlen), zrow))
+    col = np.concatenate((xcol, z0 + zc))
+    order = np.argsort(row * width + col)  # by row, then column: x before z
+    coefs = np.concatenate((np.full(len(xcol), -1), np.ones(len(zc), dtype=np.int64)))
+    indptr = np.zeros(m * T + 1, dtype=np.int64)
+    np.cumsum(xlen + np.bincount(zrow, minlength=m * T), out=indptr[1:])
+    return indptr, col[order], coefs[order]
+
+
 def _solve_config_lp(
-    inst: MetricInstance, T: int, which: str, groups: Sequence[Tuple[int, Dict, List]]
-) -> LpSolution:
-    """Build and solve a configuration LP over vehicle groups.
+    inst: MetricInstance, T: int, which: str, groups: Sequence[ConfigGroup]
+) -> Tuple[LpSolution, List[Tuple[int, int, int, Fraction]]]:
+    """Build and solve a configuration LP over vehicle groups; returns the
+    solution and its positive z columns as (group, mask, t, value).
 
-    Each group is ``(mult, first, columns)``: its number of vehicles,
-    ``first`` as for its x columns, and its z columns ``(C, t)``: sets C
-    of ``first``'s clients that a vehicle (for LP2, the fleet) can cover by
-    time t, in variable order. Rows: cover, then per group one
-    configuration per time and every client served by time t in the
-    configuration at t.
+    Per group the columns are the x block (client-major, t increasing) and
+    then the z columns, at cost 0. Rows: cover, then per group one
+    configuration per time (at most one column; times with none are left
+    out) and every client served by time t in the configuration at t. The
+    configuration and link rows go in as one CSR block per group, built
+    from the column masks, in the order, and with the entries, that one row
+    at a time would give.
     """
-    _guard_size(sum(len(columns) for _, _, columns in groups), COLUMN_CAP, "z columns")
+    _guard_size(sum(len(g.masks) for g in groups), COLUMN_CAP, "z columns")
     lp = LinearProgram()
-    blocks = []
-    for gi, (mult, first, columns) in enumerate(groups):
-        block = _add_assignment_vars(lp, inst, gi, mult, first, T)
-        z0 = lp.add_vars([("z", gi, C, t) for C, t in columns], [0] * len(columns))
-        at: List[List[int]] = [[] for _ in range(T + 1)]  # [t]: the z columns at t
-        holding = {v: [[] for _ in range(T + 1)] for v in block}  # [v][t]: those holding v
-        for j, (C, t) in enumerate(columns, z0):
-            at[t].append(j)
-            for v in C:
-                holding[v][t].append(j)
-        blocks.append((mult, block, at, holding))
-    _add_cover_rows(lp, inst, [(mult, block) for mult, block, _, _ in blocks], T, which)
-    for _, block, at, holding in blocks:
-        for zs in at[1:]:
-            if zs:
-                lp.add_row(zs, [1] * len(zs), 1, "<=")
-        for v, zs in holding.items():
-            for t in range(1, T + 1):
-                lp.add_row(*_link(_served(block, v, t), zs[t]))
-    return solve_lp(lp, which=which, T=T)
+    parts = []  # per group: x block, first x column per client, first z column
+    for gi, g in enumerate(groups):
+        lens = np.maximum(T + 1 - g.first, 0)
+        at = np.cumsum(lens) - lens
+        t = np.arange(lens.sum()) + np.repeat(g.first - at, lens)
+        w = np.array([g.mult * inst.weight(v) for v in g.clients], dtype=np.int64)
+        x0 = lp.add_vars(
+            _ConfigNames(gi, g, [*at.tolist(), int(lens.sum())]),
+            (np.repeat(w, lens) * t).tolist() + [0] * len(g.masks),
+        )
+        block = {v: (x0 + j, t0) for v, j, t0 in zip(g.clients, at.tolist(), g.first.tolist())}
+        parts.append((block, x0 + at, x0 + int(lens.sum())))
+    _add_cover_rows(lp, inst, [(g.mult, block) for g, (block, _, _) in zip(groups, parts)], T, which)
+    width = len(lp.names)
+    for g, (_, xstart, z0) in zip(groups, parts):
+        order = np.argsort(g.times, kind="stable")  # the columns at each t, increasing
+        per_t = np.bincount(g.times, minlength=T + 1)[1:]
+        per_t = per_t[per_t > 0]
+        indptr = np.zeros(len(per_t) + 1, dtype=np.int64)
+        np.cumsum(per_t, out=indptr[1:])
+        lp.add_rows(  # sum of the z columns at t <= 1, as its negation >= -1
+            indptr, z0 + order, np.full(len(order), -1),
+            np.full(len(per_t), -1), np.zeros(len(per_t), dtype=bool),
+        )
+        indptr, cols, coefs = _link_rows(g, xstart, z0, T, width)
+        rows = len(indptr) - 1
+        lp.add_rows(indptr, cols, coefs, np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=bool))
+    sol = solve_lp(lp, which=which, T=T)
+    L, X = sol.point
+    drawn = []
+    for gi, (g, (_, _, z0)) in enumerate(zip(groups, parts)):
+        for j, Xj in X.items():
+            if z0 <= j < z0 + len(g.masks):
+                drawn.append((gi, int(g.masks[j - z0]), int(g.times[j - z0]), Fraction(Xj, L)))
+    return sol, drawn
 
 
-def _draw_tables(sol: LpSolution, column: Callable) -> Dict[object, DrawTable]:
-    """Per key, the draw table of the positive z columns in rank order;
-    ``column(gi, C, t)`` gives a z column's (key, rank, item to draw)."""
-    drawn: Dict[object, List] = {}
-    for name, val in sol.values.items():
-        if name[0] == "z" and val > 0:
-            key, rank, item = column(*name[1:])
-            drawn.setdefault(key, []).append((rank, item, val))
+def _draw_tables(drawn: Sequence[Tuple], column: Callable) -> Dict[object, DrawTable]:
+    """Per key, the draw table of the positive z columns (group, mask, t,
+    value) in rank order; ``column(gi, mask, t)`` gives a z column's (key,
+    rank, item to draw)."""
+    by_key: Dict[object, List] = {}
+    for gi, mask, t, val in drawn:
+        key, rank, item = column(gi, mask, t)
+        by_key.setdefault(key, []).append((rank, item, val))
     return {
         key: draw_table([(item, val) for _, item, val in sorted(cols, key=lambda c: c[0])])
-        for key, cols in drawn.items()
+        for key, cols in by_key.items()
     }
+
+
+def _first_times(values: np.ndarray, scale: int) -> np.ndarray:
+    """max(1, ceil(value / scale)) of each value: the first time t whose
+    budget scale * t reaches it."""
+    return np.maximum(1, -(-values // scale))
 
 
 # ---------------------------------------------------------------------------
@@ -793,42 +1044,37 @@ def build_and_solve_lp1(inst: MetricInstance, T: int) -> LpSolution:
     if not _has_clients(inst, T, "LP1"):
         return LpSolution({}, ZERO, which="LP1", T=T)
     _guard_size(len(inst.clients), CLIENT_CAP, "clients")
-    clients = inst.clients
     groups = vehicle_groups(inst)
-    metric, scale = _lp_metric(inst)
+    plain, _, scale = without_service(inst)
     config_groups = []
-    orders = []  # per group: the cheapest visiting order of each client set
+    tables = []  # per group: its path table, by mask over its clients
     for r, mult in groups:
-        serveable = [v for v in clients if r in inst.depots_for(v)]
-        paths = inst.path_table(r, serveable, metric)
-        first = {v: max(1, -(-paths[frozenset({v})][0] // scale)) for v in serveable}
-        columns = [
-            (C, t)
-            for t in range(1, T + 1)
-            for C, (plen, _) in paths.items()
-            if C and plen <= scale * t
-        ]
-        config_groups.append((mult, first, columns))
-        orders.append({C: order for C, (_, order) in paths.items()})
+        serveable = tuple(v for v in inst.clients if r in inst.depots_for(v))
+        paths = plain.path_table(r, serveable, plain.dist)
+        fits = paths.values[1:] <= scale * np.arange(1, T + 1)[:, None]
+        times, masks = np.nonzero(fits)  # t-major, masks increasing
+        first = _first_times(paths.values[1 << np.arange(len(serveable))], scale)
+        config_groups.append(ConfigGroup(mult, serveable, first, masks + 1, times + 1))
+        tables.append(paths)
 
-    sol = _solve_config_lp(inst, T, "LP1", config_groups)
+    sol, drawn = _solve_config_lp(inst, T, "LP1", config_groups)
     node_pos = inst.node_pos
     slots_of = [slots for _, slots in group_slots(inst)]
     group_of = {s: gi for gi, slots in enumerate(slots_of) for s in slots}
-    items: Dict[Tuple[int, FrozenSet], Tuple[Tuple[int, Tour]]] = {}  # (slot, C) -> item
+    items: Dict[Tuple[int, int], Tuple[Tuple[int, Tour]]] = {}  # (slot, mask) -> item
 
-    def column(gi, C, t):
-        order = orders[gi][C]
-        if (slots_of[gi][0], C) not in items:  # one tour per column, one item per slot
-            tour = compile_tour(inst, groups[gi][0], order, metric)
-            items.update({(s, C): ((s, tour),) for s in slots_of[gi]})
-        return (gi, t), [node_pos[v] for v in order], C
+    def column(gi, mask, t):
+        order = tables[gi].entry(mask)[1]
+        if (slots_of[gi][0], mask) not in items:  # one tour per column, one item per slot
+            tour = compile_tour(inst, groups[gi][0], order, plain.dist)
+            items.update({(s, mask): ((s, tour),) for s in slots_of[gi]})
+        return (gi, t), [node_pos[v] for v in order], mask
 
-    by_group = _draw_tables(sol, column)
+    by_group = _draw_tables(drawn, column)
 
     def slot_table(s, t):
         table = by_group.get((group_of[s], t), EMPTY_DRAW)
-        return DrawTable(tuple(items[s, C] for C in table.items), table.cuts)
+        return DrawTable(tuple(items[s, mask] for mask in table.items), table.cuts)
 
     sol.meta["draws"] = {
         t: tuple(slot_table(s, t) for s in range(inst.k)) for t in range(1, T + 1)
@@ -844,11 +1090,12 @@ def build_and_solve_lp1(inst: MetricInstance, T: int) -> LpSolution:
 def bottleneck_cover_table(
     inst: MetricInstance,
     metric: Callable,
-) -> Tuple[Dict[FrozenSet, int], Callable[[FrozenSet], Tuple[Tuple, ...]]]:
+) -> Tuple[pathdp.SubsetMap, Callable[[FrozenSet], Tuple[Tuple, ...]]]:
     """The least, over k-vehicle covers of each client set U, of the max
-    path length, for every U that k vehicles can cover; and ``witness(U)``,
-    a tuple of k rooted paths covering U exactly, path i from
-    ``inst.roots[i]``, built only when asked for.
+    path length, for every U that k vehicles can cover, as a
+    :class:`pathdp.SubsetMap` over the clients (``values`` by mask); and
+    ``witness(U)``, a tuple of k rooted paths covering U exactly, path i
+    from ``inst.roots[i]``, built only when asked for.
 
     One :func:`pathdp.fleet` bottleneck split: over each depot group's
     vehicles, then across groups. The witness paths are laid into root slots
@@ -861,13 +1108,8 @@ def bottleneck_cover_table(
         (r, slots, inst.path_table(r, clients, metric)) for r, slots in group_slots(inst)
     ]
     best, witness = pathdp.fleet(clients, groups, max)
-    bit = inst.client_bit
-    values = {
-        frozenset(v for i, v in enumerate(clients) if msk >> i & 1): val
-        for msk, val in enumerate(best)
-        if val < pathdp.INF
-    }
-    return values, lambda U: witness(sum(map(bit.__getitem__, U)))
+    values = pathdp.SubsetMap(clients, np.array(best, dtype=np.int64), best.__getitem__)
+    return values, lambda U: witness(values.mask(U))
 
 
 def build_and_solve_lp2(inst: MetricInstance, T: int) -> LpSolution:
@@ -889,30 +1131,30 @@ def build_and_solve_lp2(inst: MetricInstance, T: int) -> LpSolution:
         return LpSolution({}, ZERO, which="LP2", T=T)
     _guard_size(len(inst.clients), CLIENT_CAP, "clients")
     clients = inst.clients
-    groups = vehicle_groups(inst)
-    metric, scale = _lp_metric(inst)
-    table, witness = bottleneck_cover_table(inst, metric)
-    first = {
-        v: max(1, -(-min(metric(r, v) for r, _ in groups) // scale)) for v in clients
-    }
-    columns = [
-        (U, t) for U, btl in table.items() if U for t in range(1, T + 1)
-        if btl <= scale * t
-    ]
-    sol = _solve_config_lp(inst, T, "LP2", [(1, first, columns)])
+    plain, _, scale = without_service(inst)
+    table, witness = bottleneck_cover_table(plain, plain.dist)
+    depots = [r for r, _ in vehicle_groups(inst)]
+    direct = [min(plain.dist(r, v) for r in depots) for v in clients]
+    fits = table.values[1:, None] <= scale * np.arange(1, T + 1)
+    masks, times = np.nonzero(fits)  # mask-major, t increasing
+    group = ConfigGroup(
+        1, clients, _first_times(np.array(direct, dtype=np.int64), scale), masks + 1, times + 1
+    )
+    sol, drawn = _solve_config_lp(inst, T, "LP2", [group])
     node_pos = inst.node_pos
-    tours: Dict[FrozenSet, Tuple[Tuple[int, Tour], ...]] = {}
+    tours: Dict[int, Tuple[Tuple[int, Tour], ...]] = {}  # by mask
 
-    def column(_, U, t):
-        if U not in tours:
-            tours[U] = tuple(
-                (slot, compile_tour(inst, inst.roots[slot], path[1:], metric))
+    def column(_, mask, t):
+        U = table.key(mask)
+        if mask not in tours:
+            tours[mask] = tuple(
+                (slot, compile_tour(inst, inst.roots[slot], path[1:], plain.dist))
                 for slot, path in enumerate(witness(U))
                 if len(path) > 1
             )
-        return t, sorted(node_pos[v] for v in U), tours[U]
+        return t, sorted(node_pos[v] for v in U), tours[mask]
 
-    by_time = _draw_tables(sol, column)
+    by_time = _draw_tables(drawn, column)
     sol.meta["draws"] = {t: (by_time.get(t, EMPTY_DRAW),) for t in range(1, T + 1)}
     sol.meta["leftovers"] = leftover_order(inst)
     return sol

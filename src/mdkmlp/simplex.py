@@ -34,15 +34,17 @@ def exact_simplex(
     pos = {j: k for k, j in enumerate(basic)}
     primal = []  # A[tight, basic] x_B = b[tight], by row
     dual = [({}, lp.objective[j]) for j in basic]  # its transpose = c_B
-    for r, i in enumerate(tight):
-        row = lp.rows[i]
+    indptr, indices, coefs, rhs = lp.csr()[:4]
+    starts, ends, bs = (a[tight].tolist() for a in (indptr[:-1], indptr[1:], rhs))
+    cols, ints = indices.tolist(), coefs.tolist()
+    for r, (s, e, b) in enumerate(zip(starts, ends, bs)):
         eq = {}
-        for j, a in zip(row.cols, row.ints):
+        for j, a in zip(cols[s:e], ints[s:e]):
             k = pos.get(j)
             if k is not None:
                 eq[k] = a
                 dual[k][0][r] = a
-        primal.append((eq, row.b))
+        primal.append((eq, b))
     xs, ys = _solve(primal), _solve(dual)
     if xs is None or ys is None:
         return None

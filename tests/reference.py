@@ -12,6 +12,12 @@ The two separation references (:func:`lp3_cuts`, :func:`pclp_cuts`) read an
 LP solution by variable name, in Fractions, and scale each min-cut network
 by the lcm of its own values' denominators; they share only the max-flow
 (:func:`mdkmlp.flows.min_cut`) with the separation they check.
+
+The subset DPs (:func:`held_karp`, :func:`min_paths`,
+:func:`min_latency_orders`, :func:`split`) are the pure-Python loops the
+package's numpy kernels replaced, kept as the reference for their values,
+orders, tie rule and key order; they take any exactly comparable lengths
+(ints or Fractions).
 """
 
 import itertools
@@ -284,3 +290,90 @@ def pclp_cuts(inst, root, sol):
         coeffs[("z", v)] = 1
         cuts.append((coeffs, ">=", 1))
     return cuts
+
+
+# ---------------------------------------------------------------------------
+# subset DPs, one state at a time
+
+INF = 10**18
+
+
+def split(first, rest, combine):
+    """Per mask, the least ``combine(first[sub], rest[mask ^ sub])`` over
+    its submasks, and the first minimizing ``sub`` in descending submask
+    order (INF and 0 where no combination is below INF)."""
+    full = len(first)
+    cur = [INF] * full
+    pick = [0] * full
+    for msk in range(full):
+        sub = msk
+        best, bestsub = INF, 0
+        while True:
+            val = combine(first[sub], rest[msk ^ sub])
+            if val < best:
+                best, bestsub = val, sub
+            if sub == 0:
+                break
+            sub = (sub - 1) & msk
+        cur[msk] = best
+        pick[msk] = bestsub
+    return cur, pick
+
+
+def held_karp(items, start, arc, close, mult):
+    """Each subset of items -> (least chain value, that chain from its end
+    item back to its lone first item), in mask order; a lone item i costs
+    start[i], adding j after i to a chain over mask costs arc[i][j] *
+    mult[mask], and a chain over mask ending at i is worth its cost plus
+    close[i] * mult[mask]. Ties go to the lowest index (strict < in index
+    order)."""
+    m = len(items)
+    full = 1 << m
+    cost = [[None] * m for _ in range(full)]
+    prev = [[None] * m for _ in range(full)]
+    for i in range(m):
+        cost[1 << i][i] = start[i]
+    out = {frozenset(): (0, ())}
+    for mask in range(1, full):
+        row, w = cost[mask], mult[mask]
+        best, end = None, None
+        for i, cur in enumerate(row):
+            if cur is None:
+                continue
+            val = cur + close[i] * w
+            if best is None or val < best:
+                best, end = val, i
+            for j in range(m):
+                nmask = mask | 1 << j
+                if nmask != mask:
+                    cand = cur + arc[i][j] * w
+                    if cost[nmask][j] is None or cand < cost[nmask][j]:
+                        cost[nmask][j], prev[nmask][j] = cand, i
+        chain, i, cmask = [], end, mask
+        while i is not None:
+            chain.append(items[i])
+            i, cmask = prev[cmask][i], cmask ^ (1 << i)
+        key = frozenset(items[i] for i in range(m) if mask >> i & 1)
+        out[key] = (best, tuple(chain))
+    return out
+
+
+def min_paths(root, items, length):
+    """Each subset -> (least rooted path length, its order root -> ...)."""
+    arc = [[length(u, v) if u != v else None for v in items] for u in items]
+    start = [length(root, v) for v in items]
+    table = held_karp(items, start, arc, [0] * len(items), [1] * (1 << len(items)))
+    return {C: (val, chain[::-1]) for C, (val, chain) in table.items()}
+
+
+def min_latency_orders(root, items, step, weight):
+    """Each subset -> (least weighted latency, its serving order)."""
+    m = len(items)
+    wts = [weight(v) for v in items]
+    suffix_weight = [0] * (1 << m)
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        suffix_weight[mask] = suffix_weight[mask ^ low] + wts[low.bit_length() - 1]
+    arc = [[step(v, u) if u != v else None for v in items] for u in items]
+    from_root = [step(root, v) for v in items]
+    return held_karp(items, [0] * m, arc, from_root, suffix_weight)

@@ -218,6 +218,20 @@ class TestOracle:
         res = json.loads(out)
         assert res["value"] == "4"
         assert res["table"] == ["0", "1", "3"]
+        assert "offset" not in res
+
+    def test_bnslb_service_offset_sums_to_value(self, capsys, tmp_path):
+        # the table is the service-free reduction's, halved; the offset adds
+        # sum w_v d_v / 2, so value = sum(table) + offset
+        p = tmp_path / "service.json"
+        p.write_text(FIX_A_WITH["service"])
+        code, out, _ = run(capsys, "oracle", "--what", "bnslb", "--input", str(p))
+        assert code == 0
+        res = json.loads(out)
+        assert res == {
+            "what": "bnslb", "value": "6", "table": ["0", "3/2", "4"], "offset": "1/2",
+        }
+        assert sum(map(Fraction, res["table"]), Fraction(res["offset"])) == Fraction(res["value"])
 
     def test_uncertified_lp_exits_3(self, capsys, monkeypatch, fixa_path):
         # neither the rounded optimum nor the vertex of HiGHS's basis certifies

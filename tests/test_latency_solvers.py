@@ -13,7 +13,7 @@ from reference import envelope_value
 from mdkmlp.concat_graph import lower_envelope, mu_star
 from mdkmlp import latency_solvers, lp_toolkit
 from mdkmlp.exact_oracles import bnslb, exact_kmlp
-from mdkmlp.instance import MetricInstance, evaluate_plan, time_horizon
+from mdkmlp.instance import MetricInstance, evaluate_plan, time_horizon, without_service
 from mdkmlp.lp_toolkit import (
     build_and_solve_lp1,
     build_and_solve_lp2,
@@ -595,7 +595,7 @@ def test_orientation_takes_the_smaller_weighted_latency():
         order = order[: rng.randint(1, len(order))]
         covered = sum(bit for bit in inst.client_bit.values() if rng.random() < 0.4)
         new = {v for v in order if not covered & inst.client_bit[v]}
-        lp_metric, _ = lp_toolkit._lp_metric(inst)
+        lp_metric = without_service(inst)[0].dist  # the metric LP1 and LP2 measure in
         for metric in (lp_metric, inst.dist):
             tour = lp_toolkit.compile_tour(inst, root, order, metric)
             assert (tour.fwd, tour.rev) == (tuple(order), tuple(order[::-1]))

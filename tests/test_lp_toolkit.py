@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -265,6 +266,68 @@ class TestCertify:
         xs[7] = -0.25
         x, verdict = self.sparse_case(xs, [1.0, 0.0])
         assert x[7] == F(-1, 4) and not verdict
+
+    def test_config_lp_pairs_agree_with_the_fraction_reference(self, monkeypatch):
+        """On LP1 and LP2 of the golden instances, the array certificate
+        accepts each rounded optimum and rejects one perturbation per branch
+        (negative x, a violated row, a negative dual on a '>=' row, a
+        negative reduced cost, a duality gap), always as the Fraction
+        reference does on the same dense pair."""
+        pairs, real = [], lp_toolkit._certify
+
+        def spy(lp, x, duals):
+            pairs.append((lp, dict(x), dict(duals)))
+            return real(lp, x, duals)
+
+        monkeypatch.setattr(lp_toolkit, "_certify", spy)
+        for _, inst in list(golden_instances())[:8]:
+            T = time_horizon(inst).T
+            build_and_solve_lp1(inst, T)
+            build_and_solve_lp2(inst, T)
+        assert len(pairs) >= 12
+        verdicts = set()
+        for lp, x, y in pairs:
+            objective = dict(zip(lp.names, lp.objective))
+            rows = [
+                ({lp.names[j]: a for j, a in zip(row.cols, row.ints)}, row.sense, row.b)
+                for row in lp.rows
+            ]
+            dense = lambda vec, n: [vec.get(i, ZERO) for i in range(n)]
+            ge = next(i for i, row in enumerate(lp.rows) if row.sense == ">=")
+            cases = {
+                "optimum": (x, y),
+                "negative x": ({**x, 0: F(-1, 3)}, y),
+                "violated row": ({j: v / 2 for j, v in x.items()}, y),
+                "negative dual": (x, {**y, ge: F(-1, 5)}),
+                "negative reduced cost": (x, {i: 3 * v for i, v in y.items()}),
+                "duality gap": ({**x, max(x): x[max(x)] + 1}, y),
+            }
+            for case, (x2, y2) in cases.items():
+                verdict = real(lp, x2, y2)
+                assert verdict == reference_certify(
+                    objective, rows, dense(x2, len(lp.names)), dense(y2, len(lp.rows))
+                ), case
+                verdicts.add((case, verdict))
+        assert ("optimum", True) in verdicts and ("optimum", False) not in verdicts
+        assert {case for case, v in verdicts if not v} >= set(cases) - {"optimum"}
+
+    def test_values_past_int64_use_exact_ints(self):
+        """min x + y with p x >= 1 and q y >= 1, p and q coprime near 2**32:
+        L = M = p q passes 2**63, so every scaled test runs on exact ints."""
+        p, q = 2**32 + 15, 2**32 + 17
+        objective = {"x": 1, "y": 1}
+        rows = [({"x": p}, ">=", 1), ({"y": q}, ">=", 1)]
+        lp = small_lp(objective, rows)
+        x, y = [F(1, p), F(1, q)], [F(1, p), F(1, q)]
+        assert _certify(lp, on_support(x), on_support(y))
+        for x2, y2 in (
+            ([F(1, p), F(1, q) - F(1, p * q)], y),  # row 2 violated
+            (x, [F(1, p), F(1, q) + F(1, p * q)]),  # y's reduced cost < 0
+            ([F(1, p), F(1, q) + F(1, p * q)], y),  # duality gap
+        ):
+            assert not _certify(lp, on_support(x2), on_support(y2))
+            assert not reference_certify(objective, rows, x2, y2)
+        assert solve_lp(lp).objective_value == F(1, p) + F(1, q)
 
     def test_solve_lp_returns_certified_fractional_optimum(self):
         objective, rows, x, _, _ = CERTIFY_CASES["non-integer coefficients"]
@@ -917,15 +980,41 @@ def _fraction_lp_metric(inst):
     return metric
 
 
+def _fraction_bottleneck(inst, metric):
+    """Per client set in mask order, the least over assignments of its
+    clients to the vehicles of the max path length, from the Fraction path
+    tables of tests/reference.py."""
+    clients, roots = inst.clients, inst.roots
+    paths = [reference.min_paths(r, clients, metric) for r in roots]
+    table = {}
+    for mask in range(1 << len(clients)):
+        U = [v for i, v in enumerate(clients) if mask >> i & 1]
+        table[frozenset(U)] = min(
+            max(paths[s][frozenset(v for v, a in zip(U, assign) if a == s)][0]
+                for s in range(len(roots)))
+            for assign in itertools.product(range(len(roots)), repeat=len(U))
+        )
+    return table
+
+
 def test_integer_lp_metric_gives_the_fraction_columns(monkeypatch):
-    # LP1 and LP2 test paths in the doubled service metric against 2t; the
-    # first times and column sets equal those of the Fraction metric tested
-    # against t.
+    # LP1 and LP2 test paths in the service-free reduction's metric, the
+    # doubled service metric, against 2t; the first times and column sets
+    # equal those of the Fraction metric tested against t.
     captured = []
     real = lp_toolkit._solve_config_lp
 
     def spy(inst, T, which, groups):
-        captured.append(groups)
+        captured.append([
+            (
+                dict(zip(g.clients, g.first.tolist())),
+                [
+                    (frozenset(v for b, v in enumerate(g.clients) if mask >> b & 1), t)
+                    for mask, t in zip(g.masks.tolist(), g.times.tolist())
+                ],
+            )
+            for g in groups
+        ])
         return real(inst, T, which, groups)
 
     monkeypatch.setattr(lp_toolkit, "_solve_config_lp", spy)
@@ -937,16 +1026,15 @@ def test_integer_lp_metric_gives_the_fraction_columns(monkeypatch):
         )
         T = time_horizon(inst).T
         metric = _fraction_lp_metric(inst)
-        _, scale = lp_toolkit._lp_metric(inst)
-        assert scale == (2 if inst.has_service else 1)
+        assert without_service(inst)[2] == (2 if inst.has_service else 1)
         groups = vehicle_groups(inst)
         captured.clear()
         build_and_solve_lp1(inst, T)
         build_and_solve_lp2(inst, T)
-        lp1_groups, [(_, first2, columns2)] = captured
-        for (r, _), (_, first, columns) in zip(groups, lp1_groups):
+        lp1_groups, [(first2, columns2)] = captured
+        for (r, _), (first, columns) in zip(groups, lp1_groups):
             serveable = [v for v in inst.clients if r in inst.depots_for(v)]
-            paths = pathdp.min_paths(r, serveable, metric)
+            paths = reference.min_paths(r, serveable, metric)
             assert first == {
                 v: max(1, math.ceil(paths[frozenset({v})][0])) for v in serveable
             }
@@ -956,7 +1044,7 @@ def test_integer_lp_metric_gives_the_fraction_columns(monkeypatch):
                 for C, (plen, _) in paths.items()
                 if C and plen <= t
             ]
-        table, _ = lp_toolkit.bottleneck_cover_table(inst, metric)
+        table = _fraction_bottleneck(inst, metric)
         assert first2 == {
             v: max(1, math.ceil(min(metric(r, v) for r, _ in groups)))
             for v in inst.clients
@@ -967,12 +1055,12 @@ def test_integer_lp_metric_gives_the_fraction_columns(monkeypatch):
 
 
 def test_one_path_table_per_instance_root_clients_and_metric(monkeypatch):
-    """LP1 and LP2's bottleneck cover table ask for path tables of the
-    instance's own metric, the bottleneck-stroll table for those of its
-    service-free reduction (the instance itself where it has no service);
-    each distinct (root, clients, metric) is built once per instance, and is
-    min_paths' table, key order included. Tables in any other metric are
-    not kept."""
+    """LP1, LP2's bottleneck cover table and the bottleneck-stroll table all
+    ask for path tables of the instance's service-free reduction (the
+    instance itself where it has no service), in its metric, so LP2 and
+    bnslb share theirs; each distinct (root, clients) is built once per
+    instance, and is min_paths' table, key order included. Tables in any
+    other metric are not kept."""
     real, calls = pathdp.min_paths, []
     monkeypatch.setattr(pathdp, "min_paths", lambda *a: calls.append(a) or real(*a))
     rng = random.Random(3)
@@ -982,26 +1070,19 @@ def test_one_path_table_per_instance_root_clients_and_metric(monkeypatch):
             service=kind == "service", allowed=kind == "allowed",
         )
         T = time_horizon(inst).T
-        metric, _ = lp_toolkit._lp_metric(inst)
         calls.clear()
         build_and_solve_lp1(inst, T)
         build_and_solve_lp2(inst, T)
         exact_oracles.bnslb(inst)
         plain = without_service(inst)[0]
         wanted = {
-            (inst, r, tuple(v for v in inst.clients if r in inst.depots_for(v)), metric)
-            for r in inst.depots
-        } | {
-            (owner, r, inst.clients, m)
-            for r in inst.depots for owner, m in ((inst, metric), (plain, plain.dist))
-        }
-        assert sorted((r, tuple(items)) for r, items, _ in calls) == sorted(
-            (r, items) for _, r, items, _ in wanted
-        )
-        for owner, r, items, m in wanted:
-            table = owner.path_table(r, list(items), m)
-            assert list(table.items()) == list(real(r, items, m).items())
-            assert owner.path_table(r, items, m) is table
+            (r, tuple(v for v in inst.clients if r in inst.depots_for(v))) for r in inst.depots
+        } | {(r, inst.clients) for r in inst.depots}
+        assert sorted((r, tuple(items)) for r, items, _ in calls) == sorted(wanted)
+        for r, items in wanted:
+            table = plain.path_table(r, list(items), plain.dist)
+            assert list(table.items()) == list(real(r, items, plain.dist).items())
+            assert plain.path_table(r, items, plain.dist) is table
         assert len(calls) == len(wanted)
     calls.clear()
     for _ in range(2):

@@ -5,6 +5,7 @@ from functools import reduce
 
 import pytest
 
+import reference
 from conftest import manhattan_points
 from mdkmlp import lp_toolkit
 from mdkmlp.instance import MetricInstance, group_slots
@@ -186,3 +187,52 @@ def test_bottleneck_cover_witnesses_are_slot_aligned():
         assert val == max(
             sum(inst.dist(u, v) for u, v in zip(route, route[1:])) for route in routes
         )
+
+
+def reference_inputs():
+    """Seeded (m, items, length, weight) inputs for m = 0..12: random
+    asymmetric lengths in a small span, and tie-heavy ones with every length
+    equal; weights 0..3. Fewer inputs at the larger m."""
+    rng = random.Random(39)
+    for m in range(13):
+        for trial in range(6 if m <= 8 else 1):
+            items = [f"c{i}" for i in range(m)]
+            span = 0 if trial % 3 == 0 else rng.choice([1, 3, 20])
+            d = {
+                (u, v): rng.randint(0, span) + (m > 0 and span == 0)
+                for u in ["r"] + items for v in items if u != v
+            }
+            w = {v: rng.randint(0, 3) for v in items}
+            yield m, items, (lambda u, v, d=d: d[u, v]), w.get
+
+
+def test_path_tables_equal_the_one_state_at_a_time_reference():
+    """Values, orders and key order of the numpy kernel equal the pure-Python
+    Held-Karp's, ties included."""
+    for m, items, length, weight in reference_inputs():
+        got = min_paths("r", items, length)
+        assert list(got.items()) == list(reference.min_paths("r", items, length).items()), m
+        got = min_latency_orders("r", items, length, weight)
+        want = reference.min_latency_orders("r", items, length, weight)
+        assert list(got.items()) == list(want.items()), m
+
+
+@pytest.mark.parametrize("combine", [max, operator.add])
+def test_split_equals_the_one_state_at_a_time_reference(combine):
+    """Values and picks (the first minimiser in descending submask order),
+    with INF entries and ties, for m = 0..12."""
+    rng = random.Random(40)
+    for m in range(13):
+        for _ in range(4 if m <= 8 else 1):
+            full = 1 << m
+            first = [INF if rng.random() < 0.2 else rng.randint(0, 3) for _ in range(full)]
+            rest = [INF if rng.random() < 0.2 else rng.randint(0, 3) for _ in range(full)]
+            assert split(first, rest, combine) == reference.split(first, rest, combine), m
+
+
+def test_non_integer_or_too_large_lengths_are_refused():
+    items = ["a", "b"]
+    with pytest.raises(TypeError, match="must be ints"):
+        min_paths("r", items, lambda u, v: 0.5)
+    with pytest.raises(ValueError, match="too large"):
+        min_paths("r", items, lambda u, v: INF)
