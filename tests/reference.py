@@ -18,6 +18,11 @@ The subset DPs (:func:`held_karp`, :func:`min_paths`,
 package's numpy kernels replaced, kept as the reference for their values,
 orders, tie rule and key order; they take any exactly comparable lengths
 (ints or Fractions).
+
+The pick references (:func:`bottleneck_picks`, :func:`orienteering_pick`)
+enumerate client sets with ``itertools.combinations`` and cheapest paths
+with ``itertools.permutations``, and state the oracles' tie rules on masks
+directly: bit i of a mask is the i-th item.
 """
 
 import itertools
@@ -290,6 +295,76 @@ def pclp_cuts(inst, root, sol):
         coeffs[("z", v)] = 1
         cuts.append((coeffs, ">=", 1))
     return cuts
+
+
+# ---------------------------------------------------------------------------
+# the oracles' picks among tied client sets
+
+
+def _cheapest_path(inst, root, part) -> int:
+    """The least length of a simple path from root through exactly ``part``."""
+    return min(
+        sum(inst.dist(u, v) for u, v in zip((root,) + order, order))
+        for order in itertools.permutations(part)
+    )
+
+
+def _sets(items):
+    """(mask, members) of every subset of items, smaller sets first."""
+    for size in range(len(items) + 1):
+        for idx in itertools.combinations(range(len(items)), size):
+            yield sum(1 << i for i in idx), tuple(items[i] for i in idx)
+
+
+def bottleneck_picks(inst):
+    """The client set behind each entry of the bottleneck-stroll table of a
+    service-free instance: for need l = 1..len(clients), (value, set).
+
+    A set's value is the least, over assignments of its clients to the
+    vehicles, of the longest vehicle path, each the cheapest path from its
+    root through its part. Per size the set of least value wins, a tie to
+    the lowest mask; need l takes the least over sizes >= l, a tie to the
+    larger size."""
+    clients, roots = inst.clients, inst.roots
+    path = {}
+
+    def cost(slot, part):
+        key = (roots[slot], frozenset(part))
+        if key not in path:
+            path[key] = _cheapest_path(inst, roots[slot], part)
+        return path[key]
+
+    per_size = {}
+    for mask, U in _sets(clients):
+        val = min(
+            max(
+                cost(slot, [v for v, a in zip(U, assign) if a == slot])
+                for slot in range(len(roots))
+            )
+            for assign in itertools.product(range(len(roots)), repeat=len(U))
+        )
+        if len(U) not in per_size or (val, mask) < per_size[len(U)][:2]:
+            per_size[len(U)] = (val, mask, frozenset(U))
+    picks = []
+    for need in range(1, len(clients) + 1):
+        size = min(range(need, len(clients) + 1), key=lambda s: (per_size[s][0], -s))
+        picks.append((per_size[size][0], per_size[size][2]))
+    return picks
+
+
+def orienteering_pick(inst, root, budget, rewards):
+    """(value, node set) of the rooted path of length <= budget that
+    collects the most reward: among the sets of largest reward, the lowest
+    mask over the nodes other than the root; the empty set when no set
+    collects a positive reward."""
+    items = [v for v in inst.nodes if v != root]
+    best = (Fraction(0), 0, frozenset())
+    for mask, C in _sets(items):
+        if C and _cheapest_path(inst, root, C) <= budget:
+            reward = sum((Fraction(rewards.get(v, 0)) for v in C), Fraction(0))
+            if reward > 0 and (-reward, mask) < (-best[0], best[1]):
+                best = (reward, mask, frozenset(C))
+    return best[0], best[2]
 
 
 # ---------------------------------------------------------------------------

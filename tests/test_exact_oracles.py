@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_instance
-from reference import exact_cover_cost
+from reference import bottleneck_picks, exact_cover_cost, orienteering_pick
 from mdkmlp.exact_oracles import (
     BnsTable,
     OracleGuardError,
@@ -45,6 +45,21 @@ def brute_bottleneck_strolls(inst):
             if best[ell] is None or cost < best[ell]:
                 best[ell] = cost
     return best[1:]
+
+
+def tie_heavy_instances():
+    """Instances with every off-diagonal cost equal, so that many client
+    sets tie: n = 3..7, k = 1..3 vehicles at distinct or shared depots."""
+    for n in range(3, 8):
+        for k in range(1, min(3, n - 1) + 1):
+            for shared in (False, True):
+                nodes = tuple(f"v{i}" for i in range(n))
+                c = 1 + n % 2
+                cost = tuple(tuple(0 if i == j else c for j in range(n)) for i in range(n))
+                roots = (nodes[0],) * k if shared else nodes[:k]
+                if shared and k == 1:
+                    continue
+                yield MetricInstance(nodes=nodes, roots=roots, cost=cost)
 
 
 class TestExactKmlp:
@@ -147,6 +162,24 @@ class TestBottleneckStroll:
             assert table.bnslb <= opt
 
 
+    def test_ties_go_to_the_lowest_mask_then_the_larger_size(self):
+        # per size the lowest mask of least bottleneck; across sizes that
+        # tie, the larger size
+        rng = random.Random(41)
+        cases = list(tie_heavy_instances()) + [
+            random_instance(rng, rng.randint(3, 6), rng.randint(1, 3), span=2)
+            for _ in range(8)
+        ]
+        for inst in cases:
+            table = bnslb(inst)
+            free = len(inst.root_set)
+            for need, (val, U) in enumerate(bottleneck_picks(inst), 1):
+                routes = table.witnesses[free + need - 1]
+                assert table.values[free + need - 1] == val, (inst.roots, need)
+                assert [route[0] for route in routes] == list(inst.roots)
+                assert {v for route in routes for v in route[1:]} == U, (inst.roots, need)
+
+
 class TestOrienteering:
     def test_fix_a_budget_one(self, fix_a):
         res = exact_orienteering(fix_a, "r", F(1), {"a": F(1), "b": F(1)})
@@ -162,6 +195,19 @@ class TestOrienteering:
         res = exact_orienteering(fix_a, "r", F(0), {"a": F(1), "b": F(1)})
         assert res.value == 0
         assert res.witness == ("r",)
+
+    def test_ties_go_to_the_first_mask_of_largest_reward(self):
+        rng = random.Random(42)
+        for inst in tie_heavy_instances():
+            c = inst.dist(*inst.nodes[:2])
+            for root in inst.nodes[:2]:
+                rewards = {v: rng.randint(0, 2) for v in inst.nodes if v != root}
+                for budget in (0, c, F(5 * c, 2), 4 * c):
+                    res = exact_orienteering(inst, root, budget, rewards)
+                    val, C = orienteering_pick(inst, root, budget, rewards)
+                    assert res.value == val
+                    assert res.witness[0] == root and set(res.witness[1:]) == C
+                    assert c * len(C) <= budget
 
     def test_nonzero_root_reward_rejected(self, fix_a):
         with pytest.raises(ValueError, match="root reward"):

@@ -4,12 +4,17 @@
 instances: plain, weighted, service-time, allowed-depot and shared-depot;
 n = 3 to 9 nodes; k = 1 to 3 vehicles. It keeps the exact optimum and the
 witness routes of `exact_kmlp`, and every b*_l with its witness path tuple
-of `bnslb`. A subset DP that visits submasks in another order, or breaks a
-tie another way, changes a witness even where the values stay the same.
-Every recorded witness is also checked on its own: the `exact_kmlp` routes
-score the optimum, and each b*_l witness covers at least l nodes with its
-longest path at b*_l, measured in c, or in d'/2 on a service instance
-(d' = 2c(u,v) + d_u + d_v, the metric of its service-free reduction).
+of `bnslb`. From the first root it also keeps `exact_orienteering` at three
+budgets and, where n <= 8, `exact_pc_paths` at three uniform penalties, each
+with its witness. A subset DP that visits submasks in another order, or
+breaks a tie another way, changes a witness even where the values stay the
+same. Every recorded witness is also checked on its own: the `exact_kmlp`
+routes score the optimum; each b*_l witness covers at least l nodes with
+its longest path at b*_l, measured in c, or in d'/2 on a service instance
+(d' = 2c(u,v) + d_u + d_v, the metric of its service-free reduction); an
+orienteering path fits its budget and collects its value; and a
+prize-collecting collection's length plus the penalties it leaves equals
+its value.
 
 Regenerate, only for an intended change of the oracles, with
 `PYTHONPATH=src:tests python tests/test_oracles_golden.py`.
@@ -49,11 +54,35 @@ def _routes(routes):
     return [list(route) for route in routes]
 
 
+def _length(inst, path):
+    return sum(inst.dist(u, v) for u, v in zip(path, path[1:]))
+
+
+def _far(inst):
+    """The first root's largest distance to a node: the scale of the
+    orienteering budgets and the prize-collecting penalties."""
+    return max(inst.dist(inst.roots[0], v) for v in inst.nodes)
+
+
+def _rewards(inst):
+    """Rewards 1, 2, 3, 1, ... by node index; the root's is 0."""
+    return {v: 1 + i % 3 for i, v in enumerate(inst.nodes) if v != inst.roots[0]}
+
+
+def _budgets(inst):
+    return (Fraction(_far(inst), 2), Fraction(_far(inst)), Fraction(2 * _far(inst)))
+
+
+def _penalties(inst):
+    return (Fraction(1), Fraction(_far(inst), 2), Fraction(2 * _far(inst)))
+
+
 def record():
     out = {}
     for label, inst in instances():
         opt = exact_oracles.exact_kmlp(inst)
         table = exact_oracles.bnslb(inst)
+        root = inst.roots[0]
         out[label] = {
             "opt": str(opt.value),
             "opt_routes": _routes(opt.witness.routes),
@@ -62,7 +91,20 @@ def record():
                 [str(val), _routes(routes)]
                 for val, routes in zip(table.values, table.witnesses)
             ],
+            "orienteering": [
+                [str(budget), str(res.value), list(res.witness)]
+                for budget in _budgets(inst)
+                for res in [exact_oracles.exact_orienteering(inst, root, budget, _rewards(inst))]
+            ],
         }
+        if inst.n <= 8:
+            out[label]["pc_paths"] = [
+                [str(pen), str(res.value), _routes(res.witness)]
+                for pen in _penalties(inst)
+                for res in [exact_oracles.exact_pc_paths(
+                    inst, root, {v: pen for v in inst.nodes if v != root}
+                )]
+            ]
     return out
 
 
@@ -90,6 +132,19 @@ def test_golden_witnesses_hold():
             assert Fraction(longest, scale) == Fraction(val), (label, ell)
         total = sum((Fraction(val) for val, _ in rec["bns"]), Fraction(shift, scale))
         assert Fraction(rec["bnslb"]) == total, label
+        root, rewards = inst.roots[0], _rewards(inst)
+        for budget, val, path in rec["orienteering"]:
+            assert path[0] == root and len(set(path)) == len(path), (label, budget)
+            assert _length(inst, path) <= Fraction(budget), (label, budget)
+            assert sum(rewards[v] for v in path[1:]) == Fraction(val), (label, budget)
+        for pen, val, paths in rec.get("pc_paths", ()):
+            served = [v for path in paths for v in path[1:]]
+            assert all(path[0] == root for path in paths), (label, pen)
+            assert len(set(served)) == len(served) and root not in served, (label, pen)
+            left = inst.n - 1 - len(served)
+            cost = sum(_length(inst, path) for path in paths)
+            assert cost + left * Fraction(pen) == Fraction(val), (label, pen)
+        assert ("pc_paths" in rec) == (inst.n <= 8), label
 
 
 if __name__ == "__main__":
