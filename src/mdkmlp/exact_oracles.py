@@ -3,9 +3,10 @@ strolls and their additive lower bound, orienteering, and prize-collecting
 path collections.
 
 Everything here is exhaustive subset dynamic programming on the integer
-metric, in plain ints (rational only where the caller's rewards,
-penalties or budgets are), guarded by hard size limits; results are
-returned as Fractions. Guards fail loudly rather than degrade to
+metric, over client sets held as int masks: the :mod:`pathdp` tables
+in exact numpy int64, the scans over them in Python ints, rational only
+where the caller's rewards, penalties or budgets are. Hard size limits
+guard every oracle, and results are returned as Fractions. Guards fail loudly rather than degrade to
 heuristics: an oracle must never silently stop being ground truth.
 The optimum and the bottleneck-stroll table run on the service-free
 reduction of :func:`instance.without_service` and map its values back.
@@ -14,7 +15,7 @@ reduction of :func:`instance.without_service` and map its values back.
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import pathdp
 from .instance import MetricInstance, RoutePlan, group_slots, without_service
@@ -100,20 +101,20 @@ def bnslb(inst: MetricInstance) -> BnsTable:
     """
     _guard_clients(inst)
     plain, shift, scale = without_service(inst)
-    # the least bottleneck over client sets of each size, with its set
-    table, witness = bottleneck_cover_table(plain, plain.dist)
-    best: Dict[int, Tuple[int, FrozenSet]] = {}
-    for U, val in table.items():
-        sz = len(U)
+    # per client-set size, the least bottleneck and its lowest mask
+    bottleneck, witness = bottleneck_cover_table(plain)
+    best: Dict[int, Tuple[int, int]] = {}
+    for mask, val in enumerate(bottleneck.tolist()):
+        sz = mask.bit_count()
         if sz not in best or val < best[sz][0]:
-            best[sz] = (val, U)
+            best[sz] = (val, mask)
     free = len(inst.root_set)
     trivial = tuple((r,) for r in inst.roots)
     values: List[Fraction] = []
     witnesses: List[Tuple[Tuple, ...]] = []
     # suffix-min so b*_l is the cheapest way to reach coverage >= l
-    by_need: Dict[int, Tuple[int, FrozenSet]] = {}
-    run: Optional[Tuple[int, FrozenSet]] = None
+    by_need: Dict[int, Tuple[int, int]] = {}
+    run: Optional[Tuple[int, int]] = None
     for sz in sorted(best, reverse=True):
         if run is None or best[sz][0] < run[0]:
             run = best[sz]
@@ -123,9 +124,9 @@ def bnslb(inst: MetricInstance) -> BnsTable:
             values.append(Fraction(0))
             witnesses.append(trivial)
             continue
-        val, U = by_need[ell - free]
+        val, mask = by_need[ell - free]
         values.append(Fraction(val, scale))
-        witnesses.append(witness(U))
+        witnesses.append(witness(mask))
     return BnsTable(tuple(values), tuple(witnesses), Fraction(shift, scale))
 
 
@@ -146,12 +147,12 @@ def exact_orienteering(
     theta = {v: Fraction(rewards.get(v, 0)) for v in items}
     paths = pathdp.min_paths(root, items, inst.dist)
     best_val, best_path = Fraction(0), (root,)
-    for C, (plen, order) in paths.items():
+    for mask, plen in enumerate(paths.values.tolist()):
         if plen > budget:
             continue
-        reward = sum((theta[v] for v in C), Fraction(0))
+        reward = sum((theta[v] for i, v in enumerate(items) if mask >> i & 1), Fraction(0))
         if reward > best_val:
-            best_val, best_path = reward, (root,) + order
+            best_val, best_path = reward, (root,) + paths.order(mask)
     return OracleResult(best_val, best_path)
 
 
@@ -161,7 +162,8 @@ def _path_cover_costs(
     """mc: exact-cover mask -> (min cost of a rooted path collection
     covering it, witness paths), over nodes other than the root."""
     items = [v for v in inst.nodes if v != root]
-    single, orders = pathdp.by_mask(items, pathdp.min_paths(root, items, inst.dist))
+    paths = pathdp.min_paths(root, items, inst.dist)
+    single = paths.values.tolist()
     mc: Dict[int, Tuple[int, List[Tuple]]] = {0: (0, [])}
     for msk in range(1, len(single)):
         low = msk & -msk  # pin the lowest set bit to one part: no double count
@@ -172,7 +174,7 @@ def _path_cover_costs(
                 rest = msk ^ sub
                 cand = single[sub] + mc[rest][0]
                 if best is None or cand < best[0]:
-                    best = (cand, mc[rest][1] + [(root,) + orders[sub]])
+                    best = (cand, mc[rest][1] + [(root,) + paths.order(sub)])
             sub = (sub - 1) & msk
         mc[msk] = best
     return mc, items

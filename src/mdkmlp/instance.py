@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from . import pathdp
 
@@ -216,19 +216,16 @@ class MetricInstance:
         return "plain"
 
     @cached_property
-    def _path_tables(self) -> Dict[Tuple, pathdp.Table]:
+    def _path_tables(self) -> Dict[Tuple, pathdp.PathTable]:
         return {}
 
-    def path_table(self, root: Node, items: Sequence[Node], metric: Callable) -> pathdp.Table:
-        """``pathdp.min_paths(root, items, metric)``, built once per instance
-        in this instance's own metrics and shared (callers must not change
-        it): LP1, LP2 and the bottleneck-stroll table ask for the same ones.
-        Keying by the method's function keeps the memo free of cycles."""
-        if getattr(metric, "__self__", None) is not self:
-            return pathdp.min_paths(root, items, metric)
-        key = (root, tuple(items), metric.__func__)
+    def path_table(self, root: Node, items: Sequence[Node]) -> pathdp.PathTable:
+        """``pathdp.min_paths(root, items, self.dist)``, built once per
+        instance and shared (callers must not change it): LP1, LP2 and the
+        bottleneck-stroll table ask for the same ones."""
+        key = (root, tuple(items))
         if key not in self._path_tables:
-            self._path_tables[key] = pathdp.min_paths(root, items, metric)
+            self._path_tables[key] = pathdp.min_paths(root, items, self.dist)
         return self._path_tables[key]
 
     # -- derived metrics ---------------------------------------------------

@@ -87,7 +87,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, count
 from operator import attrgetter
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -1050,7 +1050,7 @@ def build_and_solve_lp1(inst: MetricInstance, T: int) -> LpSolution:
     tables = []  # per group: its path table, by mask over its clients
     for r, mult in groups:
         serveable = tuple(v for v in inst.clients if r in inst.depots_for(v))
-        paths = plain.path_table(r, serveable, plain.dist)
+        paths = plain.path_table(r, serveable)
         fits = paths.values[1:] <= scale * np.arange(1, T + 1)[:, None]
         times, masks = np.nonzero(fits)  # t-major, masks increasing
         first = _first_times(paths.values[1 << np.arange(len(serveable))], scale)
@@ -1064,7 +1064,7 @@ def build_and_solve_lp1(inst: MetricInstance, T: int) -> LpSolution:
     items: Dict[Tuple[int, int], Tuple[Tuple[int, Tour]]] = {}  # (slot, mask) -> item
 
     def column(gi, mask, t):
-        order = tables[gi].entry(mask)[1]
+        order = tables[gi].order(mask)
         if (slots_of[gi][0], mask) not in items:  # one tour per column, one item per slot
             tour = compile_tour(inst, groups[gi][0], order, plain.dist)
             items.update({(s, mask): ((s, tour),) for s in slots_of[gi]})
@@ -1089,13 +1089,12 @@ def build_and_solve_lp1(inst: MetricInstance, T: int) -> LpSolution:
 
 def bottleneck_cover_table(
     inst: MetricInstance,
-    metric: Callable,
-) -> Tuple[pathdp.SubsetMap, Callable[[FrozenSet], Tuple[Tuple, ...]]]:
-    """The least, over k-vehicle covers of each client set U, of the max
-    path length, for every U that k vehicles can cover, as a
-    :class:`pathdp.SubsetMap` over the clients (``values`` by mask); and
-    ``witness(U)``, a tuple of k rooted paths covering U exactly, path i
-    from ``inst.roots[i]``, built only when asked for.
+) -> Tuple[np.ndarray, Callable[[int], Tuple[Tuple, ...]]]:
+    """The least, over k-vehicle covers of each client set, of the max
+    path length in ``inst.dist``, as an int64 array by mask over
+    ``inst.clients``; and ``witness(mask)``, a tuple of k rooted paths
+    covering the mask's clients exactly, path i from ``inst.roots[i]``,
+    built only when asked for.
 
     One :func:`pathdp.fleet` bottleneck split: over each depot group's
     vehicles, then across groups. The witness paths are laid into root slots
@@ -1104,12 +1103,9 @@ def bottleneck_cover_table(
     every depot's paths may take any client.
     """
     clients = inst.clients
-    groups = [
-        (r, slots, inst.path_table(r, clients, metric)) for r, slots in group_slots(inst)
-    ]
+    groups = [(r, slots, inst.path_table(r, clients)) for r, slots in group_slots(inst)]
     best, witness = pathdp.fleet(clients, groups, max)
-    values = pathdp.SubsetMap(clients, np.array(best, dtype=np.int64), best.__getitem__)
-    return values, lambda U: witness(values.mask(U))
+    return np.array(best, dtype=np.int64), witness
 
 
 def build_and_solve_lp2(inst: MetricInstance, T: int) -> LpSolution:
@@ -1132,10 +1128,10 @@ def build_and_solve_lp2(inst: MetricInstance, T: int) -> LpSolution:
     _guard_size(len(inst.clients), CLIENT_CAP, "clients")
     clients = inst.clients
     plain, _, scale = without_service(inst)
-    table, witness = bottleneck_cover_table(plain, plain.dist)
+    bottleneck, witness = bottleneck_cover_table(plain)
     depots = [r for r, _ in vehicle_groups(inst)]
     direct = [min(plain.dist(r, v) for r in depots) for v in clients]
-    fits = table.values[1:, None] <= scale * np.arange(1, T + 1)
+    fits = bottleneck[1:, None] <= scale * np.arange(1, T + 1)
     masks, times = np.nonzero(fits)  # mask-major, t increasing
     group = ConfigGroup(
         1, clients, _first_times(np.array(direct, dtype=np.int64), scale), masks + 1, times + 1
@@ -1145,14 +1141,14 @@ def build_and_solve_lp2(inst: MetricInstance, T: int) -> LpSolution:
     tours: Dict[int, Tuple[Tuple[int, Tour], ...]] = {}  # by mask
 
     def column(_, mask, t):
-        U = table.key(mask)
         if mask not in tours:
             tours[mask] = tuple(
                 (slot, compile_tour(inst, inst.roots[slot], path[1:], plain.dist))
-                for slot, path in enumerate(witness(U))
+                for slot, path in enumerate(witness(mask))
                 if len(path) > 1
             )
-        return t, sorted(node_pos[v] for v in U), tours[mask]
+        # clients are in node order, so the rank is sorted
+        return t, [node_pos[v] for i, v in enumerate(clients) if mask >> i & 1], tours[mask]
 
     by_time = _draw_tables(drawn, column)
     sol.meta["draws"] = {t: (by_time.get(t, EMPTY_DRAW),) for t in range(1, T + 1)}

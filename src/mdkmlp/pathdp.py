@@ -1,6 +1,7 @@
 """Held-Karp subset dynamic programs over rooted simple paths, and the one
 submask split that spreads a client set over a fleet of them.
 
+Client sets are int masks throughout: bit i of a mask is ``items[i]``.
 One kernel, `_held_karp` (Held & Karp 1962), grows a chain over each subset
 of a small item set one item at a time and keeps every subset's least chain.
 It runs on numpy int64 arrays indexed by mask, one popcount layer at a time,
@@ -10,16 +11,16 @@ lowest index: first the lowest end item, then the lowest item before each
 one. Its two cases are `min_paths`, the cheapest rooted simple path
 visiting exactly each subset (any endpoint), and `min_latency_orders`, the
 least weighted-latency serving order of each subset. Both return a
-:class:`SubsetMap`: the values by mask, with a subset's frozenset and its
-order built only when a caller reads them. `by_mask` indexes any table by
-client mask, and `split` combines two mask-indexed tables: with ``max`` for
-bottleneck covers, with ``operator.add`` for latency sums. It takes, per
-mask, the first minimiser in descending submask order, over index arrays of
-every (mask, submask) pair built once per item count, on first use.
-`fleet` is the one fold of `split` over a fleet's depot groups, and lays
-each witness route into its vehicle's root slot as it is made: of the
-vehicles that share a depot, the one added last takes the depot's first
-slot.
+:class:`PathTable`: the values by mask, and a subset's order built only
+when a caller asks for it. `split` combines two mask-indexed tables: with
+``max`` for bottleneck covers, with ``operator.add`` for latency sums. It
+takes, per mask, the first minimiser in descending submask order, over
+index arrays of every (mask, submask) pair built once per item count, on
+first use. `fleet` is the one fold of `split` over a fleet's depot groups,
+re-indexes a group's table over a part of the clients to masks over all of
+them, and lays each witness route into its vehicle's root slot as it is
+made: of the vehicles that share a depot, the one added last takes the
+depot's first slot.
 
 Lengths must be ints: the callers pass integer metrics. The DPs are exact
 in int64 because `_held_karp` first bounds every value it can form and
@@ -28,63 +29,25 @@ instance's latency sums far below it.
 """
 
 import operator
-from collections.abc import Mapping
-from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 INF = 10**18  # effectively infinite: above every path length of a guarded instance
-# client set -> (least value, optimal visiting order): what the path DPs return
-Table = Mapping[FrozenSet, Tuple[int, Tuple]]
 
 _UFUNCS = {max: np.maximum, operator.add: np.add}
 _SUBMASKS: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 _LAYERS: Dict[int, Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray, np.ndarray]]]] = {}
 
 
-class SubsetMap(Mapping):
-    """A frozenset-keyed view of a table kept by mask, bit i being
-    ``members[i]``: the masks of value below INF are the keys, each the set
-    of its members, and ``entry(mask)`` is what it maps to. ``values`` is
-    the int64 array by mask. Keys and entries are built only when read."""
+class PathTable(NamedTuple):
+    """A path DP's table over ``items``: ``values`` is the int64 array of
+    each subset's least value by mask, and ``order(mask)`` one optimal
+    visiting order of the mask's items, built when called."""
 
-    def __init__(self, members: Sequence, values: np.ndarray, entry: Callable[[int], object]):
-        self.members = tuple(members)
-        self.values = values
-        self.entry = entry
-        self._bit = {v: 1 << i for i, v in enumerate(self.members)}
-
-    def mask(self, C) -> int:
-        """The mask of a set of members (KeyError for any other node)."""
-        return sum(map(self._bit.__getitem__, C))
-
-    def key(self, mask: int) -> FrozenSet:
-        return frozenset(v for i, v in enumerate(self.members) if mask >> i & 1)
-
-    def __getitem__(self, C):
-        mask = self.mask(C)
-        if self.values[mask] >= INF:
-            raise KeyError(C)
-        return self.entry(mask)
-
-    def __iter__(self):
-        return map(self.key, np.flatnonzero(self.values < INF).tolist())
-
-    def __len__(self) -> int:
-        return int(np.count_nonzero(self.values < INF))
-
-
-class _Orders:
-    """``orders[mask]``, for masks over a superset of a :class:`SubsetMap`'s
-    members: the order of the table's entry at ``local[mask]``, None where
-    that is -1 or the entry has no value."""
-
-    def __init__(self, table: SubsetMap, local: Optional[np.ndarray]):
-        self.table, self.local = table, local  # local None: the same masks
-
-    def __getitem__(self, mask: int) -> Optional[Tuple]:
-        t = mask if self.local is None else int(self.local[mask])
-        return self.table.entry(t)[1] if t >= 0 and self.table.values[t] < INF else None
+    items: Tuple
+    values: np.ndarray
+    order: Callable[[int], Tuple]
 
 
 def _submasks(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -133,40 +96,32 @@ def split(
     return best.tolist(), pick.tolist()
 
 
-def by_mask(items: Sequence, table: Table) -> Tuple[List[int], Sequence[Optional[Tuple]]]:
-    """A table's values and orders indexed by mask, bit i being ``items[i]``;
-    a set missing from the table has value ``INF`` and order None."""
-    if isinstance(table, SubsetMap) and table.members == tuple(items):
-        return table.values.tolist(), _Orders(table, None)
-    if isinstance(table, SubsetMap) and set(table.members) <= set(items):
-        pos = {v: i for i, v in enumerate(items)}
-        to_full = np.zeros(1, dtype=np.int64)  # the table's masks as masks over items
-        for v in table.members:
-            to_full = np.concatenate((to_full, to_full + (1 << pos[v])))
-        values = np.full(1 << len(items), INF, dtype=np.int64)
-        values[to_full] = table.values
-        local = np.full(len(values), -1, dtype=np.int64)
-        local[to_full] = np.arange(len(to_full))
-        return values.tolist(), _Orders(table, local)
-    bit_of = {v: 1 << i for i, v in enumerate(items)}
-    values = [INF] * (1 << len(items))
-    orders: List[Optional[Tuple]] = [None] * len(values)
-    for C, (val, order) in table.items():
-        msk = sum(bit_of[v] for v in C)
-        values[msk], orders[msk] = val, order
-    return values, orders
+def _over(clients: Sequence, table: PathTable) -> Tuple[List[int], Callable[[int], Tuple]]:
+    """A table's values and orders by mask over ``clients``, which hold its
+    items: a mask with a client outside them has value ``INF``."""
+    if table.items == tuple(clients):
+        return table.values.tolist(), table.order
+    pos = {v: i for i, v in enumerate(clients)}
+    to_full = np.zeros(1, dtype=np.int64)  # the table's masks as masks over clients
+    for v in table.items:
+        to_full = np.concatenate((to_full, to_full + (1 << pos[v])))
+    values = np.full(1 << len(clients), INF, dtype=np.int64)
+    values[to_full] = table.values
+    local = np.zeros(len(values), dtype=np.int64)
+    local[to_full] = np.arange(len(to_full))
+    return values.tolist(), lambda mask: table.order(int(local[mask]))
 
 
 def fleet(
     clients: Sequence,
-    groups: Sequence[Tuple[Hashable, Sequence[int], Table]],
+    groups: Sequence[Tuple[Hashable, Sequence[int], PathTable]],
     combine: Callable[[int, int], int],
 ) -> Tuple[List[int], Callable[[int], Tuple[Tuple, ...]]]:
     """Split client sets over a fleet, one rooted path per vehicle.
 
     ``groups`` holds, per depot group, its root, its vehicles' slots in the
-    instance's roots and its single-path table over client sets (a set
-    missing from the table cannot be one vehicle's path). Bit i of a mask
+    instance's roots and its single-path table over some of the clients (a
+    set with any other client cannot be one vehicle's path). Bit i of a mask
     is ``clients[i]``. Returns ``best``, the least ``combine`` of the path
     values over every split of each mask (``INF`` where there is none), and
     ``witness(mask)``: for a mask of finite value, one route per slot,
@@ -180,7 +135,7 @@ def fleet(
     made = []  # per group: root, slots, order per mask, picks per added vehicle
     F, gpicks = None, []
     for root, slots, table in groups:
-        single, order = by_mask(clients, table)
+        single, order = _over(clients, table)
         best, picks = single, []
         for _ in range(1, len(slots)):
             best, pick = split(single, best, combine)
@@ -199,9 +154,9 @@ def fleet(
             mask ^= part
             root, slots, order, picks = made[gi]
             for slot, pick in zip(slots, reversed(picks)):
-                routes[slot] = (root,) + order[pick[part]]
+                routes[slot] = (root,) + order(pick[part])
                 part ^= pick[part]
-            routes[slots[-1]] = (root,) + order[part]
+            routes[slots[-1]] = (root,) + order(part)
         return tuple(routes)
 
     return F, witness
@@ -273,8 +228,8 @@ def _held_karp(
     return value, chain
 
 
-def min_paths(root, items: Sequence, length: Callable[[object, object], int]) -> SubsetMap:
-    """Map each subset of items to (min rooted-path length, optimal order).
+def min_paths(root, items: Sequence, length: Callable[[object, object], int]) -> PathTable:
+    """Each subset's least rooted-path length over items, and its order.
 
     length(u, v) may be asymmetric (directed service metric); paths are
     traversed root -> first -> ... -> last.
@@ -283,9 +238,7 @@ def min_paths(root, items: Sequence, length: Callable[[object, object], int]) ->
     arc = [[length(u, v) if u != v else 0 for v in items] for u in items]
     start = [length(root, v) for v in items]
     value, chain = _held_karp(start, arc, [0] * len(items), None)
-    return SubsetMap(
-        items, value, lambda mask: (int(value[mask]), tuple(items[i] for i in reversed(chain(mask))))
-    )
+    return PathTable(items, value, lambda mask: tuple(items[i] for i in reversed(chain(mask))))
 
 
 def min_latency_orders(
@@ -293,8 +246,8 @@ def min_latency_orders(
     items: Sequence,
     step: Callable[[object, object], int],
     weight: Callable[[object], int],
-) -> SubsetMap:
-    """Map each subset to (min total weighted latency, optimal serving order).
+) -> PathTable:
+    """Each subset's least total weighted latency, and its serving order.
 
     step(u, v) is the latency increment when moving from u to serving v
     (edge cost plus v's service time, as configured by the caller). The
@@ -307,6 +260,4 @@ def min_latency_orders(
     arc = [[step(v, u) if u != v else 0 for v in items] for u in items]
     from_root = [step(root, v) for v in items]
     value, chain = _held_karp([0] * len(items), arc, from_root, [weight(v) for v in items])
-    return SubsetMap(
-        items, value, lambda mask: (int(value[mask]), tuple(items[i] for i in chain(mask)))
-    )
+    return PathTable(items, value, lambda mask: tuple(items[i] for i in chain(mask)))

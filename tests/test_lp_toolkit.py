@@ -1059,8 +1059,8 @@ def test_one_path_table_per_instance_root_clients_and_metric(monkeypatch):
     ask for path tables of the instance's service-free reduction (the
     instance itself where it has no service), in its metric, so LP2 and
     bnslb share theirs; each distinct (root, clients) is built once per
-    instance, and is min_paths' table, key order included. Tables in any
-    other metric are not kept."""
+    instance, and is min_paths' table: its items, its values and the order
+    of every mask."""
     real, calls = pathdp.min_paths, []
     monkeypatch.setattr(pathdp, "min_paths", lambda *a: calls.append(a) or real(*a))
     rng = random.Random(3)
@@ -1080,11 +1080,12 @@ def test_one_path_table_per_instance_root_clients_and_metric(monkeypatch):
         } | {(r, inst.clients) for r in inst.depots}
         assert sorted((r, tuple(items)) for r, items, _ in calls) == sorted(wanted)
         for r, items in wanted:
-            table = plain.path_table(r, list(items), plain.dist)
-            assert list(table.items()) == list(real(r, items, plain.dist).items())
-            assert plain.path_table(r, items, plain.dist) is table
+            table = plain.path_table(r, list(items))
+            fresh = real(r, items, plain.dist)
+            assert table.items == fresh.items == items
+            assert table.values.tolist() == fresh.values.tolist()
+            assert [table.order(m) for m in range(1 << len(items))] == [
+                fresh.order(m) for m in range(1 << len(items))
+            ]
+            assert plain.path_table(r, items) is table
         assert len(calls) == len(wanted)
-    calls.clear()
-    for _ in range(2):
-        inst.path_table(inst.roots[0], inst.clients, lambda u, v: inst.dist(u, v))
-    assert len(calls) == 2

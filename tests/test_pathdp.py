@@ -3,13 +3,14 @@ import operator
 import random
 from functools import reduce
 
+import numpy as np
 import pytest
 
 import reference
 from conftest import manhattan_points
 from mdkmlp import lp_toolkit
 from mdkmlp.instance import MetricInstance, group_slots
-from mdkmlp.pathdp import INF, fleet, min_latency_orders, min_paths, split
+from mdkmlp.pathdp import INF, PathTable, fleet, min_latency_orders, min_paths, split
 
 
 def path_length(root, order, length):
@@ -34,9 +35,20 @@ def random_lengths(rng, m):
     return items, (lambda u, v: d[u, v]), wts.get
 
 
+def as_dict(table):
+    """A mask table as {client set: (value, order)}, in mask order, over the
+    sets of value below INF."""
+    return {
+        frozenset(v for i, v in enumerate(table.items) if mask >> i & 1): (val, table.order(mask))
+        for mask, val in enumerate(table.values.tolist())
+        if val < INF
+    }
+
+
 def check_against_permutations(table, items, value, tie_key):
     """Every subset maps to the least value over its orders, and its order
     is the optimal one that ``tie_key`` ranks first; the empty set is (0, ())."""
+    table = as_dict(table)
     assert table[frozenset()] == (0, ())
     assert len(table) == 1 << len(items)
     for size in range(1, len(items) + 1):
@@ -105,17 +117,23 @@ def test_split_matches_brute_force(combine):
         assert split(first, rest, combine) == brute_split(first, rest, combine)
 
 
-def random_table(rng, clients):
-    """A single-path table over subsets of clients: a random value and
-    visiting order per set, with some nonempty sets missing."""
+def random_table(rng, items):
+    """A single-path table over subsets of items: a random value and
+    visiting order per set, with some nonempty sets missing; as a dict of
+    client sets and as a mask table over items (INF where a set is missing)."""
     table = {frozenset(): (0, ())}
-    for size in range(1, len(clients) + 1):
-        for C in itertools.combinations(clients, size):
+    for size in range(1, len(items) + 1):
+        for C in itertools.combinations(items, size):
             if rng.random() < 0.8:
                 order = list(C)
                 rng.shuffle(order)
                 table[frozenset(C)] = (rng.randint(0, 5), tuple(order))
-    return table
+    keys = [
+        frozenset(v for i, v in enumerate(items) if mask >> i & 1)
+        for mask in range(1 << len(items))
+    ]
+    values = np.array([table[C][0] if C in table else INF for C in keys], dtype=np.int64)
+    return table, PathTable(tuple(items), values, lambda mask: table[keys[mask]][1])
 
 
 def brute_fleet(clients, tables, combine):
@@ -140,16 +158,23 @@ def brute_fleet(clients, tables, combine):
 @pytest.mark.parametrize("combine", [max, operator.add])
 @pytest.mark.parametrize("roots", ["abb", "aba", "aabb"])
 def test_fleet_matches_brute_force(combine, roots):
+    """Groups' mask tables over all the clients, in their order, or over a
+    random subset of them in a random order, which fleet re-indexes."""
     rng = random.Random(5)
-    for _ in range(6):
+    for trial in range(12):
         clients = [f"c{i}" for i in range(rng.randint(0, 4))]
-        tables = {r: random_table(rng, clients) for r in dict.fromkeys(roots)}
+        tables = {
+            r: random_table(
+                rng, clients if trial % 2 else rng.sample(clients, rng.randint(0, len(clients)))
+            )
+            for r in dict.fromkeys(roots)
+        }
         groups = [
-            (r, [i for i, rr in enumerate(roots) if rr == r], tables[r])
+            (r, [i for i, rr in enumerate(roots) if rr == r], tables[r][1])
             for r in dict.fromkeys(roots)
         ]
         best, witness = fleet(clients, groups, combine)
-        slot_tables = [tables[r] for r in roots]
+        slot_tables = [tables[r][0] for r in roots]
         assert best == brute_fleet(clients, slot_tables, combine)
         for msk, val in enumerate(best):
             if val >= INF:
@@ -177,10 +202,11 @@ def test_bottleneck_cover_witnesses_are_slot_aligned():
     )
     inst = MetricInstance(nodes=nodes, roots=("v0", "v1", "v0"), cost=cost)
     assert group_slots(inst) == [("v0", [0, 2]), ("v1", [1])]
-    table, witness = lp_toolkit.bottleneck_cover_table(inst, inst.dist)
+    table, witness = lp_toolkit.bottleneck_cover_table(inst)
     assert len(table) == 1 << len(inst.clients)
-    for U, val in table.items():
-        routes = witness(U)
+    for mask, val in enumerate(table.tolist()):
+        U = {v for i, v in enumerate(inst.clients) if mask >> i & 1}
+        routes = witness(mask)
         assert [route[0] for route in routes] == list(inst.roots)
         served = [v for route in routes for v in route[1:]]
         assert len(served) == len(U) and set(served) == U
@@ -210,9 +236,9 @@ def test_path_tables_equal_the_one_state_at_a_time_reference():
     """Values, orders and key order of the numpy kernel equal the pure-Python
     Held-Karp's, ties included."""
     for m, items, length, weight in reference_inputs():
-        got = min_paths("r", items, length)
+        got = as_dict(min_paths("r", items, length))
         assert list(got.items()) == list(reference.min_paths("r", items, length).items()), m
-        got = min_latency_orders("r", items, length, weight)
+        got = as_dict(min_latency_orders("r", items, length, weight))
         want = reference.min_latency_orders("r", items, length, weight)
         assert list(got.items()) == list(want.items()), m
 
