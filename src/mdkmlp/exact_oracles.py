@@ -3,11 +3,12 @@ strolls and their additive lower bound, orienteering, and prize-collecting
 path collections.
 
 Everything here is exhaustive subset dynamic programming on the integer
-metric, over client sets held as int masks: the :mod:`pathdp` tables
-in exact numpy int64, the scans over them in Python ints, rational only
-where the caller's rewards, penalties or budgets are. Hard size limits
-guard every oracle, and results are returned as Fractions. Guards fail loudly rather than degrade to
-heuristics: an oracle must never silently stop being ground truth.
+metric, over client sets held as int masks: the :mod:`pathdp` tables in
+exact numpy int64, the scans over them in Python ints, rational only where
+the caller's rewards, penalties or budgets are. Hard size limits guard
+every oracle, and results are returned as Fractions. Guards fail loudly
+rather than degrade to heuristics: an oracle must never silently stop
+being ground truth.
 The optimum and the bottleneck-stroll table run on the service-free
 reduction of :func:`instance.without_service` and map its values back.
 """
@@ -96,8 +97,8 @@ def bnslb(inst: MetricInstance) -> BnsTable:
     Roots are covered for free by trivial paths, and under the triangle
     inequality an optimal path never detours through a foreign root, so
     only the number of distinct clients covered matters beyond the roots.
-    Where client-set sizes tie at the least bottleneck, entry l keeps the
-    witness of the largest size. A service instance's is its reduction's.
+    Per size it keeps the lowest client mask of least bottleneck; where
+    sizes tie at the least bottleneck, entry l keeps the largest size. A service instance's is its reduction's.
     """
     _guard_clients(inst)
     plain, shift, scale = without_service(inst)
@@ -133,7 +134,9 @@ def bnslb(inst: MetricInstance) -> BnsTable:
 def exact_orienteering(
     inst: MetricInstance, root, budget, rewards: Dict
 ) -> OracleResult:
-    """Max reward of a rooted path of length <= budget (subset DP)."""
+    """Max reward of a rooted path of length <= budget (subset DP). Of the
+    node sets of max reward, the witness visits the one of lowest mask, bit
+    i being the i-th node other than the root."""
     if inst.n > 12:
         raise OracleGuardError(f"orienteering guard: n={inst.n} > 12")
     if root not in inst.nodes:

@@ -51,14 +51,11 @@ def tie_heavy_instances():
     """Instances with every off-diagonal cost equal, so that many client
     sets tie: n = 3..7, k = 1..3 vehicles at distinct or shared depots."""
     for n in range(3, 8):
+        nodes = tuple(f"v{i}" for i in range(n))
+        c = 1 + n % 2
+        cost = tuple(tuple(0 if i == j else c for j in range(n)) for i in range(n))
         for k in range(1, min(3, n - 1) + 1):
-            for shared in (False, True):
-                nodes = tuple(f"v{i}" for i in range(n))
-                c = 1 + n % 2
-                cost = tuple(tuple(0 if i == j else c for j in range(n)) for i in range(n))
-                roots = (nodes[0],) * k if shared else nodes[:k]
-                if shared and k == 1:
-                    continue
+            for roots in dict.fromkeys([nodes[:k], (nodes[0],) * k]):
                 yield MetricInstance(nodes=nodes, roots=roots, cost=cost)
 
 
