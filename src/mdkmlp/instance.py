@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Sequence, Tuple
 
 from . import pathdp
 
@@ -125,6 +125,23 @@ class MetricInstance:
         reach = 4 * n * top * sum(self.weights.get(v, 1) for v in self.nodes if v not in root_set)
         if reach >= pathdp.INF:
             raise ValueError(f"latency sums too large for exact oracles: {reach} >= {pathdp.INF}")
+        # evaluate_plan_detail's lookup, built here so that no evaluation
+        # builds it: per variant, client -> (node index, allowed depots or
+        # None, service time or 0, weight or 1)
+        visits = {}
+        for variant in VARIANTS:
+            timed, weighted = "service" in variant, "weighted" in variant
+            visits[variant] = {
+                v: (
+                    j,
+                    self.allowed_depots.get(v),
+                    self.service.get(v, 0) if timed else 0,
+                    self.weights.get(v, 1) if weighted else 1,
+                )
+                for j, v in enumerate(self.nodes)
+                if v not in root_set
+            }
+        object.__setattr__(self, "_visits", visits)
 
     # -- basic accessors ---------------------------------------------------
     #
@@ -216,17 +233,26 @@ class MetricInstance:
         return "plain"
 
     @cached_property
-    def _path_tables(self) -> Dict[Tuple, pathdp.PathTable]:
+    def _shared(self) -> Dict[Hashable, object]:
         return {}
+
+    def shared(self, key: Hashable, build: Callable[[], object]) -> object:
+        """``build()``, computed on the first call with `key` and returned by
+        every later one (callers must not change it): tables that several
+        bounds of one instance read, such as :meth:`path_table` and
+        ``lp_toolkit.bottleneck_cover_table``, are built once."""
+        if key not in self._shared:
+            self._shared[key] = build()
+        return self._shared[key]
 
     def path_table(self, root: Node, items: Sequence[Node]) -> pathdp.PathTable:
         """``pathdp.min_paths(root, items, self.dist)``, built once per
-        instance and shared (callers must not change it): LP1, LP2 and the
+        instance and shared (:meth:`shared`): LP1, LP2 and the
         bottleneck-stroll table ask for the same ones."""
-        key = (root, tuple(items))
-        if key not in self._path_tables:
-            self._path_tables[key] = pathdp.min_paths(root, items, self.dist)
-        return self._path_tables[key]
+        return self.shared(
+            ("path_table", root, tuple(items)),
+            lambda: pathdp.min_paths(root, items, self.dist),
+        )
 
     # -- derived metrics ---------------------------------------------------
 
@@ -379,42 +405,46 @@ def evaluate_plan_detail(
     clients already served on an earlier route are skipped (shortcutting can
     only shorten prefixes under the triangle inequality). Raises on uncovered
     clients or service from a disallowed depot.
+
+    It reads the instance's lookup for the plan's objective variant, built
+    when the instance was: client -> (node index, allowed depots or None,
+    service time, weight), the service time 0 and the weight 1 where the
+    variant counts none. A visited node costs one served test and one dict
+    read; only a node missing from the lookup is tested as a root (skipped)
+    or an unknown node (raised).
     """
     if len(plan.routes) != inst.k:
         raise ValueError(
             f"plan has {len(plan.routes)} routes for a {inst.k}-vehicle instance"
         )
-    variant = plan.objective_variant
-    # the service and allowed-depot lookups run only where the instance has any
-    service = inst.service if variant in ("service", "weighted+service") else None
-    allowed = inst.allowed_depots
+    visits = inst._visits[plan.objective_variant]
     served: Dict[Node, int] = {}
-    root_set, node_pos, cost = inst.root_set, inst.node_pos, inst.cost
+    total = 0
+    cost = inst.cost
     for i, (root, route) in enumerate(zip(inst.roots, plan.routes)):
         if not route or route[0] != root:
             raise ValueError(f"route {i} must start at its root {root!r}")
-        row = cost[node_pos[root]]
+        row = cost[inst.node_pos[root]]
         elapsed = 0
         for v in route[1:]:
-            if v in root_set or v in served:
+            if v in served:
                 continue
-            j = node_pos.get(v)
-            if j is None:
+            visit = visits.get(v)
+            if visit is None:
+                if v in inst.root_set:
+                    continue
                 raise ValueError(f"unknown node {v!r} in route {i}")
-            if allowed and root not in allowed.get(v, (root,)):
+            j, allowed, service, weight = visit
+            if allowed is not None and root not in allowed:
                 raise ValueError(f"node {v!r} served from disallowed depot {root!r}")
-            elapsed += row[j]
-            if service:
-                elapsed += service.get(v, 0)
+            elapsed += row[j] + service
             served[v] = elapsed
+            total += weight * elapsed
             row = cost[j]
     if len(served) != len(inst.clients):  # served holds clients only
         missing = [v for v in inst.clients if v not in served]
         raise ValueError(f"uncovered node(s): {missing!r}")
-    if variant in ("weighted", "weighted+service") and inst.weights:
-        weights = inst.weights
-        return Fraction(sum(weights.get(v, 1) * lat for v, lat in served.items())), served
-    return Fraction(sum(served.values())), served
+    return Fraction(total), served
 
 
 def evaluate_plan(inst: MetricInstance, plan: RoutePlan) -> Fraction:

@@ -22,20 +22,23 @@ corners, and meets its guarantee on every run. Only the configuration-LP
 roundings (``solve_multidepot``, ``round_lp2``) draw at random, and only
 they read a :class:`SolverConfig`.
 
-Orientation is decided once per tour, by :meth:`lp_toolkit.Tour.oriented`:
-a compiled tour holds, per client, w_v times its forward minus its reverse
-elapsed time, and is taken forward iff those gains over the clients not yet
-covered sum to at most 0, the cheaper direction with ties kept forward.
+Orientation is decided once per tour, by :meth:`lp_toolkit.Tour.oriented`,
+whose rule the configuration-LP roundings run inline: a compiled tour holds,
+per client, w_v times its forward minus its reverse elapsed time, and is
+taken forward iff those gains over the clients not yet covered sum to at
+most 0, the cheaper direction with ties kept forward.
 Coverage is an int mask over ``inst.clients``. The stitching roundings
 compile each tour in c as they take it. The configuration-LP roundings share
 one loop, :func:`_geometric_rounding`, over draw tables that were compiled
 when their LP was solved (``meta["draws"]``), with tours in the LP metric,
 which is doubled on service instances (doubling both directions' sums keeps
 their comparison). Each item of a table is a tuple of (slot, tour) pairs,
-one per vehicle for LP1 and the witness paths for LP2. One rule,
-:func:`_sample_from`, draws an item: one uniform per table, bisected among
-the table's float cuts, which is exact for every float, and so no draw
-reads the metric.
+one per vehicle for LP1 and the witness paths for LP2. A draw is one pass
+over those tables: one uniform per table, bisected among the table's float
+cuts, which is exact for every float; each drawn tour is oriented inline
+and appended to its slot's route. So no draw reads the metric or builds a
+table, a tour or the leftover order: all of that happens when the LP is
+solved.
 """
 
 import logging
@@ -399,47 +402,49 @@ def solve_kmlp_combinatorial(inst: MetricInstance) -> RoutePlan:
 # geometric-sampling rounding of the configuration LPs
 
 
-def _sample_from(table: lp_toolkit.DrawTable, rng: random.Random) -> Optional[object]:
-    """One draw from a sub-distribution (residual mass -> None): the first
-    item whose cumulative probability exceeds u = rng.random(), which is the
-    first whose float cut exceeds u (:class:`lp_toolkit.DrawTable`)."""
-    i = bisect_right(table.cuts, rng.random())
-    return table.items[i] if i < len(table.items) else None
-
-
 def _geometric_rounding(
     inst: MetricInstance, c: float, sol: lp_toolkit.LpSolution, rng: random.Random
 ) -> RoutePlan:
     """The loop both configuration-LP roundings share. Time point t_j is
     h * c**j, j = 0, 1, ..., from the offset h = c**u of one uniform u, and
     is computed when the loop reaches it. At each point it draws once from
-    every table of ``sol.meta["draws"][min(T, floor t_j)]``, in order, and
-    takes each drawn (slot, tour) pair, oriented against the clients covered
-    before it, until every client is covered. The points stop at j = N, D +
-    ceil(ln max(nT/``EPSILON``, e)) with t_D the first point at or above T;
-    the clients still uncovered then get direct visits from their home
-    slots."""
-    T, draws = sol.T, sol.meta["draws"]
-    h = c ** rng.random()
+    every table of ``sol.meta["draws"][min(T, floor t_j)]``, in order: one
+    uniform u, and the first item whose float cut exceeds u, or nothing past
+    the last cut (:class:`lp_toolkit.DrawTable`). It takes each drawn (slot,
+    tour) pair, oriented against the clients covered before it, until every
+    client is covered. The points stop at j = N, D + ceil(ln max(nT/
+    ``EPSILON``, e)) with t_D the first point at or above T; the clients
+    still uncovered then get direct visits from their home slots."""
+    T, draws, leftovers = sol.T, sol.meta["draws"], sol.meta["leftovers"]
     left = math.ceil(math.log(max(inst.n * T / _EPSILON, math.e)))  # points past T
-    tours: List[List[Tuple]] = [[] for _ in range(inst.k)]
-    covered, full = 0, (1 << len(inst.clients)) - 1
+    full = (1 << len(inst.clients)) - 1
+    uniform = rng.random
+    h = c ** uniform()
+    routes = [[r] for r in inst.roots]
+    covered = 0
     for j in count():
         tj = h * c**j
-        for table in draws[min(T, int(tj))]:
-            for slot, tour in _sample_from(table, rng) or ():
-                tours[slot].append(tour.oriented(covered))
-                covered |= tour.mask
+        past = tj >= T
+        for items, cuts in draws[T if past else int(tj)]:
+            i = bisect_right(cuts, uniform())
+            if i < len(items):
+                for slot, (fwd, rev, mask, gains) in items[i]:
+                    gain = 0
+                    for bit, g in gains:
+                        if not covered & bit:
+                            gain += g
+                    routes[slot] += fwd if gain <= 0 else rev
+                    covered |= mask
         if covered == full:
             break
-        if tj >= T:
+        if past:
             if not left:
-                for bit, slot, v in sol.meta["leftovers"]:
+                for bit, slot, v in leftovers:
                     if not covered & bit:
-                        tours[slot].append((v,))
+                        routes[slot].append(v)
                 break
             left -= 1
-    return _finalize_plan(inst, tours)
+    return RoutePlan(routes=tuple(map(tuple, routes)), objective_variant=inst.default_variant)
 
 
 def solve_multidepot(

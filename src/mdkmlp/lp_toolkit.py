@@ -770,7 +770,8 @@ class Tour(NamedTuple):
     def oriented(self, covered: int) -> Tuple:
         """The direction whose weighted elapsed-time sum over the clients
         not in `covered` is smaller (at most the 50/50 average the analyses
-        use), forward on a tie: the gains of those clients sum to <= 0."""
+        use), forward on a tie: the gains of those clients sum to <= 0.
+        ``latency_solvers._geometric_rounding`` runs this rule inline."""
         gain = 0
         for bit, g in self.gains:
             if not covered & bit:
@@ -1091,21 +1092,28 @@ def bottleneck_cover_table(
     inst: MetricInstance,
 ) -> Tuple[np.ndarray, Callable[[int], Tuple[Tuple, ...]]]:
     """The least, over k-vehicle covers of each client set, of the max
-    path length in ``inst.dist``, as an int64 array by mask over
+    path length in ``inst.dist``, as a read-only int64 array by mask over
     ``inst.clients``; and ``witness(mask)``, a tuple of k rooted paths
     covering the mask's clients exactly, path i from ``inst.roots[i]``,
     built only when asked for.
 
-    One :func:`pathdp.fleet` bottleneck split: over each depot group's
-    vehicles, then across groups. The witness paths are laid into root slots
-    as the split makes them; of the vehicles at one depot, the one added
-    last takes the depot's first slot. Allowed depots are not applied:
-    every depot's paths may take any client.
+    One :func:`pathdp.fleet` bottleneck split per instance, shared
+    (:meth:`MetricInstance.shared`), since LP2 and ``bnslb`` both read it:
+    over each depot group's vehicles, then across groups. The witness paths
+    are laid into root slots as the split makes them; of the vehicles at one
+    depot, the one added last takes the depot's first slot. Allowed depots
+    are not applied: every depot's paths may take any client.
     """
-    clients = inst.clients
-    groups = [(r, slots, inst.path_table(r, clients)) for r, slots in group_slots(inst)]
-    best, witness = pathdp.fleet(clients, groups, max)
-    return np.array(best, dtype=np.int64), witness
+
+    def split():
+        clients = inst.clients
+        groups = [(r, slots, inst.path_table(r, clients)) for r, slots in group_slots(inst)]
+        best, witness = pathdp.fleet(clients, groups, max)
+        values = np.array(best, dtype=np.int64)
+        values.flags.writeable = False
+        return values, witness
+
+    return inst.shared("bottleneck_cover_table", split)
 
 
 def build_and_solve_lp2(inst: MetricInstance, T: int) -> LpSolution:

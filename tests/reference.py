@@ -19,12 +19,18 @@ package's numpy kernels replaced, kept as the reference for their values,
 orders, tie rule and key order; they take any exactly comparable lengths
 (ints or Fractions).
 
+Two references are the package's earlier code, kept as it was: the plan
+evaluator before its per-instance lookup (:func:`evaluate_plan_detail`),
+and the draw rule that the configuration-LP roundings now run inline
+(:func:`sample_from`).
+
 The pick references (:func:`bottleneck_picks`, :func:`orienteering_pick`)
 enumerate client sets with ``itertools.combinations`` and cheapest paths
 with ``itertools.permutations``, and state the oracles' tie rules on masks
 directly: bit i of a mask is the i-th item.
 """
 
+import bisect
 import itertools
 import json
 import math
@@ -236,6 +242,58 @@ def plan_value(inst, routes, variant) -> Tuple[Fraction, dict]:
         raise ValueError(f"uncovered node(s): {missing!r}")
     weight = (lambda v: inst.weights.get(v, 1)) if "weighted" in variant else (lambda v: 1)
     return sum((weight(v) * t for v, t in served.items()), Fraction(0)), served
+
+
+def evaluate_plan_detail(inst, plan) -> Tuple[Fraction, dict]:
+    """The package's plan evaluator as it was before it read a per-instance
+    lookup, kept verbatim so that its values, latencies, exceptions and
+    messages are the reference for the current one: per visited node a root
+    test, a served test, a node index and an allowed-depot lookup."""
+    if len(plan.routes) != inst.k:
+        raise ValueError(
+            f"plan has {len(plan.routes)} routes for a {inst.k}-vehicle instance"
+        )
+    variant = plan.objective_variant
+    # the service and allowed-depot lookups run only where the instance has any
+    service = inst.service if variant in ("service", "weighted+service") else None
+    allowed = inst.allowed_depots
+    served = {}
+    root_set, node_pos, cost = inst.root_set, inst.node_pos, inst.cost
+    for i, (root, route) in enumerate(zip(inst.roots, plan.routes)):
+        if not route or route[0] != root:
+            raise ValueError(f"route {i} must start at its root {root!r}")
+        row = cost[node_pos[root]]
+        elapsed = 0
+        for v in route[1:]:
+            if v in root_set or v in served:
+                continue
+            j = node_pos.get(v)
+            if j is None:
+                raise ValueError(f"unknown node {v!r} in route {i}")
+            if allowed and root not in allowed.get(v, (root,)):
+                raise ValueError(f"node {v!r} served from disallowed depot {root!r}")
+            elapsed += row[j]
+            if service:
+                elapsed += service.get(v, 0)
+            served[v] = elapsed
+            row = cost[j]
+    if len(served) != len(inst.clients):  # served holds clients only
+        missing = [v for v in inst.clients if v not in served]
+        raise ValueError(f"uncovered node(s): {missing!r}")
+    if variant in ("weighted", "weighted+service") and inst.weights:
+        weights = inst.weights
+        return Fraction(sum(weights.get(v, 1) * lat for v, lat in served.items())), served
+    return Fraction(sum(served.values())), served
+
+
+def sample_from(table, rng):
+    """One draw from a draw table (items, cuts), a sub-distribution with its
+    residual mass drawn as None: the first item whose cumulative probability
+    exceeds u = rng.random(), which is the first whose float cut exceeds u.
+    The configuration-LP roundings draw by this rule, inline."""
+    items, cuts = table
+    i = bisect.bisect_right(cuts, rng.random())
+    return items[i] if i < len(items) else None
 
 
 def _violated(inst, root, arc_values, demands):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import FIX_A_JSON, FIX_B_JSON, random_instance
+import reference
 from reference import instance_to_json, plan_value
 from mdkmlp.instance import (
     VARIANTS,
@@ -255,6 +256,49 @@ class TestEvaluateAgainstReference:
             outcomes.add("value")
         expected = {"value", "plan", "route", "unknown", "uncovered"}
         assert outcomes >= expected | ({"node"} if family == "allowed" else set())
+
+
+    @pytest.mark.parametrize("depots", ("shared", "distinct", "mixed"))
+    @pytest.mark.parametrize("family", ("plain", "weights", "service", "allowed"))
+    def test_random_plans_match_the_previous_evaluator(self, family, depots):
+        """The same (value, latencies) pair as the evaluator before its
+        per-instance lookup (``reference.evaluate_plan_detail``), or the same
+        exception type and message; the plans include mid-route roots,
+        repeated clients and every rejection."""
+        rng = random.Random(f"evaluate/{family}/{depots}")
+        outcomes = set()
+        for i in range(300):
+            if i % 30 == 0:
+                opts = {} if family == "plain" else {family: True}
+                k = rng.randint(1, 2) if depots == "mixed" else rng.randint(1, 3)
+                inst = random_instance(
+                    rng, rng.randint(4, 7), k, single_depot=depots == "shared", **opts
+                )
+                if depots == "mixed":  # a shared depot beside distinct ones
+                    inst = dataclasses.replace(inst, roots=(inst.roots[0],) + inst.roots)
+            plan = RoutePlan(*_random_plan(rng, inst))
+            try:
+                want = reference.evaluate_plan_detail(inst, plan)
+            except Exception as exc:  # noqa: BLE001 - compared with the package's
+                with pytest.raises(type(exc)) as got:
+                    evaluate_plan_detail(inst, plan)
+                assert type(got.value) is type(exc) and str(got.value) == str(exc), plan
+                outcomes.add(str(exc).split()[0])
+                continue
+            total, latencies = evaluate_plan_detail(inst, plan)
+            assert (total, list(latencies.items())) == (want[0], list(want[1].items()))
+            assert type(total) is Fraction
+            outcomes.add("value")
+            inner = [v for route in plan.routes for v in route[1:]]
+            if set(inner) & inst.root_set:
+                outcomes.add("mid-route root")
+            if len(set(inner) - inst.root_set) < len([v for v in inner if v not in inst.root_set]):
+                outcomes.add("repeated client")
+        expected = {"value", "mid-route root", "repeated client"}
+        expected |= {"plan", "route", "unknown", "uncovered"}
+        if family == "allowed" and depots != "shared":
+            expected.add("node")
+        assert outcomes >= expected
 
 
 class TestTimeHorizon:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import random_instance
-from reference import envelope_value
+from reference import envelope_value, sample_from
 from mdkmlp.concat_graph import lower_envelope, mu_star
 from mdkmlp import latency_solvers, lp_toolkit
 from mdkmlp.exact_oracles import bnslb, exact_kmlp
@@ -27,7 +27,6 @@ from mdkmlp.latency_solvers import (
     SolverError,
     _combinatorial_points,
     _stitch_by_concat_graph,
-    _sample_from,
     bnslb_construction,
     round_lp2,
     solve_kmlp_combinatorial,
@@ -351,7 +350,7 @@ def _uniforms_of_a_draw(inst, sol, c, seed):
     left = set(inst.clients)
     for j in range(N + 1):
         for table in draws[min(T, int(h * c**j))]:
-            for _, tour in _sample_from(table, rng) or ():
+            for _, tour in sample_from(table, rng) or ():
                 left -= set(tour.fwd)
         if not left:
             return 1 + len(draws[1]) * (j + 1)
@@ -432,6 +431,40 @@ class TestRngConsumption:
                     assert all(isinstance(t, lp_toolkit.Tour) for i in table.items for _, t in i)
 
 
+def test_draws_do_no_one_time_work(monkeypatch):
+    """Everything a draw reads is built when its LP is solved: with the
+    tour compiler, the draw-table builder and the leftover order made to
+    raise afterwards, 50 seeds of each rounding still draw, and every plan
+    evaluates (or, for round_lp2 on allowed depots, fails with the known
+    disallowed-depot error of ROADMAP item 2)."""
+    rng = random.Random(17)
+    cases = []
+    for family in ("plain", "weights", "service", "allowed", "shared"):
+        opts = {} if family in ("plain", "shared") else {family: True}
+        inst = random_instance(rng, 7, 2, single_depot=family == "shared", **opts)
+        T = time_horizon(inst).T
+        sol1 = build_and_solve_lp1(inst, T)
+        cases.append((inst, lambda cfg, i=inst, s=sol1: solve_multidepot(i, cfg, lp1sol=s)))
+        if inst.default_variant == "plain":
+            sol2 = build_and_solve_lp2(inst, T)
+            cases.append((inst, lambda cfg, i=inst, s=sol2: round_lp2(i, s, cfg)))
+
+    def built_in_a_draw(*args, **kwargs):
+        raise AssertionError("a draw built what its LP solve should have")
+
+    for name in ("compile_tour", "draw_table", "leftover_order"):
+        monkeypatch.setattr(lp_toolkit, name, built_in_a_draw)
+    valued = 0
+    for inst, rounding in cases:
+        for seed in range(50):
+            plan = rounding(SolverConfig(seed=seed))
+            try:
+                valued += evaluate_plan(inst, plan) > 0
+            except ValueError as exc:
+                assert "disallowed depot" in str(exc) and inst.allowed_depots
+    assert len(cases) == 8 and valued >= 7 * 50
+
+
 class _StubRng:
     """Hands out the given values as rng.random() and counts the calls."""
 
@@ -483,22 +516,22 @@ class TestSampleFrom:
 
     def test_u_on_a_cumulative_value_picks_the_next_item(self):
         table = lp_toolkit.draw_table(self.TABLE)
-        assert _sample_from(table, _StubRng([0.0])) == "a"
-        assert _sample_from(table, _StubRng([0.25])) == "b"
-        assert _sample_from(table, _StubRng([math.nextafter(0.25, 0)])) == "a"
+        assert sample_from(table, _StubRng([0.0])) == "a"
+        assert sample_from(table, _StubRng([0.25])) == "b"
+        assert sample_from(table, _StubRng([math.nextafter(0.25, 0)])) == "a"
 
     def test_residual_mass_draws_nothing(self):
         table = lp_toolkit.draw_table(self.TABLE)
-        assert _sample_from(table, _StubRng([math.nextafter(0.75, 0)])) == "b"
-        assert _sample_from(table, _StubRng([0.75])) is None
-        assert _sample_from(table, _StubRng([math.nextafter(1.0, 0)])) is None
+        assert sample_from(table, _StubRng([math.nextafter(0.75, 0)])) == "b"
+        assert sample_from(table, _StubRng([0.75])) is None
+        assert sample_from(table, _StubRng([math.nextafter(1.0, 0)])) is None
 
     def test_empty_table_consumes_one_draw(self):
         rng, ref = random.Random(5), random.Random(5)
         stub = _StubRng([0.5])
-        assert _sample_from(lp_toolkit.EMPTY_DRAW, stub) is None
+        assert sample_from(lp_toolkit.EMPTY_DRAW, stub) is None
         assert stub.calls == 1
-        assert _sample_from(lp_toolkit.EMPTY_DRAW, rng) is None
+        assert sample_from(lp_toolkit.EMPTY_DRAW, rng) is None
         ref.random()
         assert rng.random() == ref.random()
 
@@ -518,7 +551,7 @@ class TestSampleFrom:
                     continue
                 ties += F(u) in cums
                 stub = _StubRng([u])
-                assert _sample_from(table, stub) == _reference_draw(weighted, F(u)), (weighted, u)
+                assert sample_from(table, stub) == _reference_draw(weighted, F(u)), (weighted, u)
                 assert stub.calls == 1
         assert ties > 0  # some u hit a cumulative value exactly
 

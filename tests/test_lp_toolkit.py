@@ -1089,3 +1089,31 @@ def test_one_path_table_per_instance_root_clients_and_metric(monkeypatch):
             ]
             assert plain.path_table(r, items) is table
         assert len(calls) == len(wanted)
+
+
+def test_one_bottleneck_split_per_instance(monkeypatch):
+    """LP2 and bnslb read one bottleneck cover table of the service-free
+    reduction: one pathdp.fleet split per instance, whose value array is
+    read-only and equal to a fresh split's."""
+    real, calls = pathdp.fleet, []
+    monkeypatch.setattr(pathdp, "fleet", lambda *a: calls.append(a) or real(*a))
+    rng = random.Random(4)
+    for kind in ("plain", "service", "allowed", "shared"):
+        inst = random_instance(
+            rng, 6, 2, single_depot=kind == "shared",
+            service=kind == "service", allowed=kind == "allowed",
+        )
+        calls.clear()
+        build_and_solve_lp2(inst, time_horizon(inst).T)
+        exact_oracles.bnslb(inst)
+        assert len(calls) == 1, kind
+        plain = without_service(inst)[0]
+        values, witness = lp_toolkit.bottleneck_cover_table(plain)
+        assert len(calls) == 1
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 1
+        fresh, fresh_witness = real(*calls[0])
+        full = (1 << len(plain.clients)) - 1
+        assert values.tolist() == fresh
+        assert [witness(m) for m in range(full + 1)] == [fresh_witness(m) for m in range(full + 1)]
