@@ -127,20 +127,20 @@ class MetricInstance:
             raise ValueError(f"latency sums too large for exact oracles: {reach} >= {pathdp.INF}")
         # evaluate_plan_detail's lookup, built here so that no evaluation
         # builds it: per variant, client -> (node index, allowed depots or
-        # None, service time or 0, weight or 1)
-        visits = {}
+        # None, service time or 0, weight or 1); variants that read the
+        # same service times and weights share one
+        visits, built = {}, {}
         for variant in VARIANTS:
-            timed, weighted = "service" in variant, "weighted" in variant
-            visits[variant] = {
-                v: (
-                    j,
-                    self.allowed_depots.get(v),
-                    self.service.get(v, 0) if timed else 0,
-                    self.weights.get(v, 1) if weighted else 1,
-                )
-                for j, v in enumerate(self.nodes)
-                if v not in root_set
-            }
+            service = self.service if "service" in variant else {}
+            weights = self.weights if "weighted" in variant else {}
+            key = (bool(service), bool(weights))
+            if key not in built:
+                built[key] = {
+                    v: (j, self.allowed_depots.get(v), service.get(v, 0), weights.get(v, 1))
+                    for j, v in enumerate(self.nodes)
+                    if v not in root_set
+                }
+            visits[variant] = built[key]
         object.__setattr__(self, "_visits", visits)
 
     # -- basic accessors ---------------------------------------------------
