@@ -1,22 +1,27 @@
-"""Golden record of the LPs that the configuration and bidirected builders solve.
+"""Golden record of the LPs that the model builders solve.
 
 `record()` builds LP1, LP2 and LP3 on FIX_A, FIX_B and a fixed set of random
 instances (plain, weighted, service-time and allowed-depot; shared and
-distinct depots; k = 1 to 3) at the nearest-neighbour horizon. For every LP
-that reaches `solve_lp` it keeps a digest of the model exactly as HiGHS sees
-it: the objective, then per row its sense, rhs and sorted (column index,
-coefficient) pairs, with `<=` rows flipped to `>=` and zero coefficients
-dropped. It also keeps the exact optimum and a digest of the solution by
-column index. Variable names are left out, so renaming a variable does not
-change the record, but another column order, row order or coefficient does;
-HiGHS may return another optimal vertex for a reordered model, which would
-change the rounded plans. LP3's rounds after the first follow the vertices
-of HiGHS's warm re-solves; the test that solves each model on a new HiGHS
-model pins everything that may not depend on them.
+distinct depots; k = 1 to 3) at the nearest-neighbour horizon. It also
+records the prize-collecting LPs of the `pc_tree_seed41.json` instances:
+every PC-LP solve of one `coverage_tree` walk, and of `pc_tree` at the
+penalties that golden fixes, grouped by `build_and_solve_pclp` call. For
+every LP that reaches `solve_lp` it keeps a digest of the model exactly as
+HiGHS sees it: the objective, then per row its sense, rhs and (column
+index, coefficient) pairs, with `<=` rows flipped to `>=` and zero
+coefficients dropped. It also keeps the exact optimum and a digest of the
+solution by column index. Variable names are left out, so renaming a
+variable does not change the record, but another column order, row order
+or coefficient does; HiGHS may return another optimal vertex for a
+reordered model, which would change the rounded plans and trees. Cut
+rounds after the first follow the vertices of HiGHS's warm re-solves; the
+test that solves each model on a new HiGHS model pins everything that may
+not depend on them.
 
-The rows are read from `lp.rows` at each `solve_lp` call, as HiGHS receives
-them: each row's integer coefficients, its columns in the order stored, so
-the record also pins that every row keeps its columns increasing.
+The rows are read from the row store `lp.csr()` at each `solve_lp` call,
+as HiGHS receives them: each row's integer coefficients, its columns in
+the order stored, so the record also pins that every row keeps its columns
+increasing.
 
 Regenerate, only for an intended change of the models, with
 `PYTHONPATH=src:tests python tests/test_lp_models_golden.py`.
@@ -31,8 +36,12 @@ from pathlib import Path
 from conftest import cold_highs_solves, random_instance
 from mdkmlp import lp_toolkit
 from mdkmlp.instance import MetricInstance, time_horizon
+from mdkmlp.pc_tree import coverage_tree, pc_tree
 
+F = Fraction
 GOLDEN = Path(__file__).parent / "golden" / "lp_models.json"
+PC_TREE_GOLDEN = Path(__file__).parent / "golden" / "pc_tree_seed41.json"
+PC_TREE_LAMBDAS = (F(0), F(3, 2), F(7))  # pc_tree's penalties lam * (i + 1)
 BUILDERS = (
     ("LP1", "build_and_solve_lp1"),
     ("LP2", "build_and_solve_lp2"),
@@ -80,8 +89,24 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:20]
 
 
-def _canonical_row(row):
-    return (row.sense, str(row.b), [(j, str(a)) for j, a in zip(row.cols, row.ints)])
+def _canonical_rows(lp):
+    indptr, indices, coefs, rhs, eq = (a.tolist() for a in lp.csr())
+    return [
+        ["==" if e else ">=", str(b), [[j, str(a)] for j, a in zip(indices[s:t], coefs[s:t])]]
+        for s, t, b, e in zip(indptr, indptr[1:], rhs, eq)
+    ]
+
+
+def pc_tree_instances():
+    """(label, instance, root) for each instance of the pc_tree golden; its
+    root is the argument of the instance's coverage_tree call."""
+    recs = json.loads(PC_TREE_GOLDEN.read_text(encoding="utf-8"))
+    starts = [i for i, rec in enumerate(recs) if "instance" in rec]
+    for n, i in enumerate(starts):
+        nodes, cost = recs[i]["instance"]
+        root = recs[i + 1]["arg"]
+        inst = MetricInstance(nodes=tuple(nodes), roots=(root,), cost=tuple(map(tuple, cost)))
+        yield f"pc_tree_seed41 {n}:n={len(nodes)}", inst, root
 
 
 def record():
@@ -90,7 +115,7 @@ def record():
 
     def logged_solve(lp, *args, **kwargs):
         index = {name: j for j, name in enumerate(lp.names)}
-        rows = [_canonical_row(row) for row in lp.rows]
+        rows = _canonical_rows(lp)
         model = json.dumps([[str(c) for c in lp.objective], rows])
         sol = real_solve(lp, *args, **kwargs)
         values = sorted((index[name], str(v)) for name, v in sol.values.items())
@@ -103,8 +128,23 @@ def record():
         })
         return sol
 
+    calls = []
+    real_pclp = lp_toolkit.build_and_solve_pclp
+
+    def logged_pclp(model, penalties):
+        models.clear()
+        sol = real_pclp(model, penalties)
+        calls.append({"value": str(sol.objective_value), "solves": list(models)})
+        return sol
+
+    def pclp_calls(run):
+        calls.clear()
+        run()
+        return list(calls)
+
     out = {}
     lp_toolkit.solve_lp = logged_solve
+    lp_toolkit.build_and_solve_pclp = logged_pclp
     try:
         for label, inst in instances():
             T = time_horizon(inst).T
@@ -117,8 +157,15 @@ def record():
                     value = f"{type(exc).__name__}: {exc}"
                 entry[which] = {"value": value, "solves": list(models)}
             out[label] = entry
+        for label, inst, root in pc_tree_instances():
+            entry = {"root": root, "coverage_tree": pclp_calls(lambda: coverage_tree(inst, root))}
+            for lam in PC_TREE_LAMBDAS:
+                pen = {v: lam * (i + 1) for i, v in enumerate(inst.clients)}
+                entry[f"pc_tree {lam}"] = pclp_calls(lambda: pc_tree(inst, root, pen))
+            out[label] = entry
     finally:
         lp_toolkit.solve_lp = real_solve
+        lp_toolkit.build_and_solve_pclp = real_pclp
     return out
 
 
@@ -126,25 +173,35 @@ def test_models_match_golden():
     assert record() == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
+def _first_model(solves):
+    return [{key: s[key] for key in ("cols", "rows", "model", "opt")} for s in solves[:1]]
+
+
 def test_linprog_fallback_differs_only_after_a_cut_round(cold_highs):
     # Each solve on a new HiGHS model, in place of warm re-solves. A warm
     # re-solve may stop at another optimal vertex and so separate other
     # cuts, but nothing before the first cut round may move: LP1 and LP2
-    # entirely, and LP3's optimum and first model.
+    # entirely, LP3's optimum and first model, every PC-LP optimum, and the
+    # first model of each fresh PC-LP model (a walk's first probe, and each
+    # pc_tree call).
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     fallback = record()
     assert fallback.keys() == golden.keys()
     for label, entry in golden.items():
         other = fallback[label]
+        if "root" in entry:
+            assert other.keys() == entry.keys(), label
+            for key, calls in entry.items():
+                if key == "root":
+                    continue
+                assert [c["value"] for c in other[key]] == [c["value"] for c in calls], label
+                assert _first_model(other[key][0]["solves"]) == _first_model(calls[0]["solves"])
+            continue
         assert (other["T"], other["LP1"], other["LP2"]) == (
             entry["T"], entry["LP1"], entry["LP2"]
         ), label
         assert other["LP3"]["value"] == entry["LP3"]["value"], label
-        first = [
-            [{key: s[key] for key in ("cols", "rows", "model", "opt")} for s in e["solves"][:1]]
-            for e in (other["LP3"], entry["LP3"])
-        ]
-        assert first[0] == first[1], label
+        assert _first_model(other["LP3"]["solves"]) == _first_model(entry["LP3"]["solves"]), label
 
 
 def test_linprog_fallback_same_pclp_optima(monkeypatch):
