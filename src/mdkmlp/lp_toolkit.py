@@ -32,17 +32,19 @@ Importing this module loads scipy's HiGHS extension module by its file
 part of scipy is imported. The binding needs scipy >= 1.15; without it the
 import raises ImportError.
 
-An LP's rows are one store of growable int64 arrays in CSR form (indptr,
-indices, coefficients, rhs and an ``==`` flag); :attr:`LinearProgram.rows`
-reads them back as :class:`Row` tuples, and a solve hands HiGHS the slice
-of rows added since its last solve. Rows enter by column index through
-:meth:`LinearProgram.add_row`, or as a whole CSR block through
-:meth:`~LinearProgram.add_rows`; :meth:`~LinearProgram.add_constraint` is
-the adapter by variable name. The builders lay their columns out in blocks
-(per depot group an x block, each client's columns in t order, so "served
-by t" is a slice, and LP3's z block arc-major) and emit every row as
-integer coefficients over increasing column indices; a row must be
-integer, and is stored as given. Only the
+An LP is built by column index only. Columns enter in blocks through
+:meth:`LinearProgram.add_vars`, each block with its names (kept for the
+solution's values) and its costs. Rows are one store of growable int64
+arrays in CSR form (indptr, indices, coefficients, rhs and an ``==`` flag),
+filled by :meth:`~LinearProgram.add_row` one row at a time, or as a whole
+CSR block by :meth:`~LinearProgram.add_rows`; a solve hands HiGHS the
+slice of rows added since its last solve, and :attr:`LinearProgram.rows`
+reads them back as :class:`Row` tuples. The builders lay their columns out
+in blocks (per depot group an x block, each client's columns in t order,
+so "served by t" is a slice; LP3's z block arc-major; the PC-LP's x block
+in arc order, then its z block) and emit every row as integer coefficients
+over increasing column indices; a row must be integer, and is stored as
+given. Only the
 objective may be rational (the PC-LP's penalties). The cut oracles
 separate on the certified integer point of the solution
 (:attr:`LpSolution.point`): the
@@ -235,17 +237,13 @@ class _Names(Sequence):
         return chain.from_iterable(self._blocks)
 
     def extend(self, names: Sequence) -> None:
-        if type(names) is list and self._blocks and type(self._blocks[-1]) is list:
-            self._blocks[-1].extend(names)
-            self._ends[-1] += len(names)
-        else:
-            self._blocks.append(list(names) if type(names) is list else names)
-            self._ends.append(len(self) + len(names))
+        self._ends.append(len(self) + len(names))
+        self._blocks.append(names)
 
 
 class LinearProgram:
-    """Named nonnegative variables, rational objective, growable integer
-    rows.
+    """Nonnegative columns by index, each with a name, a rational
+    objective, growable integer rows.
 
     The rows are one store of growable int64 arrays in CSR form: row i is
     ``sum(coefs[k] * x[indices[k]]) >= rhs[i]`` over k in ``indptr[i]`` ..
@@ -254,7 +252,6 @@ class LinearProgram:
     append), :attr:`rows` as :class:`Row` tuples."""
 
     def __init__(self):
-        self._index: Optional[Dict[object, int]] = {}  # name -> column; None: build on demand
         self.names = _Names()
         self.objective: List = []  # ints and Fractions
         self._indptr = array("q", [0])
@@ -262,7 +259,7 @@ class LinearProgram:
         self._coefs = array("q")
         self._rhs = array("q")
         self._eq = array("b")
-        self._row_set: set = set()  # rows[:_hashed], for spotting a repeated cut
+        self._row_set: set = set()  # keys of rows[:_hashed], for spotting a repeated cut
         self._hashed = 0
         self._scaled = None  # scaled_objective(), until the objective changes
         self.model = None  # the HiGHS model solve_lp keeps, once it has run
@@ -307,38 +304,12 @@ class LinearProgram:
             self._scaled = D, C, max(int(C.max(initial=0)), -int(C.min(initial=0)))
         return self._scaled
 
-    def _lookup(self) -> Dict[object, int]:
-        """The column of each name, built on first use after a lazy block."""
-        if self._index is None:
-            self._index = {name: j for j, name in enumerate(self.names)}
-            if len(self._index) != len(self.names):
-                raise ValueError("duplicate variable among the names added")
-        return self._index
-
-    def add_var(self, name, obj=0) -> int:
-        index = self._lookup()
-        if name in index:
-            raise ValueError(f"duplicate variable {name!r}")
-        idx = len(self.names)
-        index[name] = idx
-        self.names.extend([name])
-        self.objective.append(Fraction(obj))
-        self._scaled = None
-        return idx
-
     def add_vars(self, names: Sequence, costs: Sequence) -> int:
         """A column per name, at the int or Fraction cost beside it; returns
-        the first one's index, the others following it. ``names`` that is
-        not a list names its columns only when read, and must not repeat a
-        name."""
+        the first one's index, the others following it. ``names`` is kept as
+        given, and may be a sequence that makes each name only when it is
+        read; no name may repeat one already added."""
         first = len(self.names)
-        if type(names) is list:
-            index = self._lookup()
-            index.update(zip(names, count(first)))
-            if len(index) != first + len(names):
-                raise ValueError("duplicate variable among the names added")
-        else:
-            self._index = None
         self.names.extend(names)
         self.objective.extend(costs)
         self._scaled = None
@@ -393,23 +364,18 @@ class LinearProgram:
         self._rhs.frombytes(rhs.tobytes())
         self._eq.frombytes(eq.tobytes())
 
-    def add_constraint(self, coeffs: Dict[object, int], sense: str, rhs: int) -> None:
-        """:meth:`add_row` by variable name."""
-        index = self._lookup()
-        try:
-            pairs = sorted((index[name], c) for name, c in coeffs.items())
-        except KeyError as exc:
-            raise ValueError(
-                f"constraint references unknown variable {exc.args[0]!r}"
-            ) from None
-        self.add_row([j for j, _ in pairs], [c for _, c in pairs], rhs, sense)
+    def _row_key(self, i: int) -> Tuple[bytes, bytes, int, int]:
+        """Row i's slice of the store, hashable: equal exactly for equal
+        rows."""
+        s, e = self._indptr[i], self._indptr[i + 1]
+        return self._indices[s:e].tobytes(), self._coefs[s:e].tobytes(), self._rhs[i], self._eq[i]
 
     def add_cut(self, cols: Sequence[int], ints: Sequence[int], b: int, sense: str) -> bool:
         """:meth:`add_row`, unless the LP has that row already: False then."""
         n = len(self._rhs)
-        self._row_set.update(self._row_tuples(self._hashed, n))
+        self._row_set.update(map(self._row_key, range(self._hashed, n)))
         self.add_row(cols, ints, b, sense)
-        row = next(self._row_tuples(n, n + 1))
+        row = self._row_key(n)
         if row in self._row_set:
             end = self._indptr[n]
             del self._indptr[n + 1:], self._indices[end:], self._coefs[end:]
@@ -565,7 +531,7 @@ def _highs_solve(lp: LinearProgram):
     if first:
         h.setOptionValue("presolve", "off")
     status = h.getModelStatus()
-    iterations = h.getInfo().simplex_iteration_count
+    iterations = h.getInfoValue("simplex_iteration_count")[1]
     if status != HighsModelStatus.kOptimal:
         return status, None, None, iterations
     sol = h.getSolution()
@@ -686,19 +652,21 @@ def pclp_model(inst: MetricInstance, root) -> PcLpModel:
     if root not in inst.nodes:
         raise ValueError(f"unknown root {root!r}")
     others = [v for v in inst.nodes if v != root]
-    lp = LinearProgram()
     arcs = _arcs_avoiding(inst, root)
-    for a in arcs:
-        lp.add_var(("x", a), obj=inst.dist(*a))
-    z = {}
+    col = {a: j for j, a in enumerate(arcs)}  # x[a] is column col[a]
+    lp = LinearProgram()
+    lp.add_vars([("x", a) for a in arcs], [inst.dist(*a) for a in arcs])
+    z0 = lp.add_vars([("z", v) for v in others], [0] * len(others))
+    z = {v: z0 + i for i, v in enumerate(others)}
+    for j in z.values():
+        lp.add_row([j], [1], 1, "<=")
     for v in others:
-        z[v] = lp.add_var(("z", v))
-        lp.add_constraint({("z", v): 1}, "<=", 1)
-    for v in others:
-        inflow = {("x", (u, v)): 1 for u in inst.nodes if u != v}
-        outflow = {("x", (v, w)): -1 for w in inst.nodes if w != v and w != root}
-        lp.add_constraint({**inflow, **outflow}, ">=", 0)
-        lp.add_constraint({**inflow, ("z", v): 1}, ">=", 1)
+        into = [col[u, v] for u in inst.nodes if u != v]
+        degree = sorted([(j, 1) for j in into] + [
+            (col[v, w], -1) for w in inst.nodes if w != v and w != root
+        ])
+        lp.add_row([j for j, _ in degree], [a for _, a in degree], 0, ">=")
+        lp.add_row(into + [z[v]], [1] * (len(into) + 1), 1, ">=")
     return PcLpModel(inst, root, arcs, z, lp)
 
 

@@ -19,10 +19,13 @@ package's numpy kernels replaced, kept as the reference for their values,
 orders, tie rule and key order; they take any exactly comparable lengths
 (ints or Fractions).
 
-Two references are the package's earlier code, kept as it was: the plan
+Three references are the package's earlier code, kept as it was: the plan
 evaluator before its per-instance lookup (:func:`evaluate_plan_detail`),
-and the draw rule that the configuration-LP roundings now run inline
-(:func:`sample_from`).
+the draw rule that the configuration-LP roundings now run inline
+(:func:`sample_from`), and the LP adapter by variable name with the
+prize-collecting LP built through it (:class:`NamedLP`,
+:func:`pclp_model`), from before every LP was built by column index. The
+tests build their toy LPs through :class:`NamedLP`.
 
 The pick references (:func:`bottleneck_picks`, :func:`orienteering_pick`)
 enumerate client sets with ``itertools.combinations`` and cheapest paths
@@ -40,6 +43,7 @@ from typing import Tuple
 
 from mdkmlp import concat_graph, flows
 from mdkmlp.instance import vehicle_groups
+from mdkmlp.lp_toolkit import LinearProgram, PcLpModel
 
 
 def connectivity(D, x, y) -> int:
@@ -315,6 +319,47 @@ def _violated(inst, root, arc_values, demands):
         if Fraction(val, scale) < need:
             found.append((frozenset(w for w in inst.nodes if idx[w] not in side), v))
     return found
+
+
+class NamedLP(LinearProgram):
+    """A :class:`mdkmlp.lp_toolkit.LinearProgram` built by variable name."""
+
+    def add_var(self, name, obj=0) -> int:
+        if name in self.names:
+            raise ValueError(f"duplicate variable {name!r}")
+        return self.add_vars([name], [Fraction(obj)])
+
+    def add_constraint(self, coeffs, sense, rhs) -> None:
+        """:meth:`add_row` by variable name."""
+        index = {name: j for j, name in enumerate(self.names)}
+        try:
+            pairs = sorted((index[name], c) for name, c in coeffs.items())
+        except KeyError as exc:
+            raise ValueError(
+                f"constraint references unknown variable {exc.args[0]!r}"
+            ) from None
+        self.add_row([j for j, _ in pairs], [c for _, c in pairs], rhs, sense)
+
+
+def pclp_model(inst, root) -> PcLpModel:
+    """The prize-collecting LP of ``inst`` and ``root``, built by name."""
+    if root not in inst.nodes:
+        raise ValueError(f"unknown root {root!r}")
+    others = [v for v in inst.nodes if v != root]
+    lp = NamedLP()
+    arcs = [(u, v) for u in inst.nodes for v in inst.nodes if u != v and v != root]
+    for a in arcs:
+        lp.add_var(("x", a), obj=inst.dist(*a))
+    z = {}
+    for v in others:
+        z[v] = lp.add_var(("z", v))
+        lp.add_constraint({("z", v): 1}, "<=", 1)
+    for v in others:
+        inflow = {("x", (u, v)): 1 for u in inst.nodes if u != v}
+        outflow = {("x", (v, w)): -1 for w in inst.nodes if w != v and w != root}
+        lp.add_constraint({**inflow, **outflow}, ">=", 0)
+        lp.add_constraint({**inflow, ("z", v): 1}, ">=", 1)
+    return PcLpModel(inst, root, arcs, z, lp)
 
 
 def lp3_cuts(inst, T, sol):

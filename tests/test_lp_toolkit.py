@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import reference
+from reference import NamedLP
 from conftest import cold_highs_solves, random_instance
 from test_lp_models_golden import instances as golden_instances
 from mdkmlp import exact_oracles, lp_toolkit, pathdp
@@ -37,7 +38,7 @@ PC_TREE_GOLDEN = Path(__file__).parent / "golden" / "pc_tree_seed41.json"
 
 class TestSolveLp:
     def test_single_bound(self):
-        lp = LinearProgram()
+        lp = NamedLP()
         lp.add_var("x", obj=1)
         lp.add_constraint({"x": 1}, ">=", 3)
         sol = solve_lp(lp)
@@ -45,7 +46,7 @@ class TestSolveLp:
         assert sol.value("x") == 3
 
     def test_two_vars(self):
-        lp = LinearProgram()
+        lp = NamedLP()
         lp.add_var("x", obj=1)
         lp.add_var("y", obj=1)
         lp.add_constraint({"x": 1, "y": 1}, ">=", 2)
@@ -54,13 +55,13 @@ class TestSolveLp:
         assert sol.objective_value == 2
 
     def test_unbounded(self):
-        lp = LinearProgram()
+        lp = NamedLP()
         lp.add_var("x", obj=-1)
         with pytest.raises(LpUnboundedError):
             solve_lp(lp)
 
     def test_infeasible(self):
-        lp = LinearProgram()
+        lp = NamedLP()
         lp.add_var("x", obj=1)
         lp.add_constraint({"x": 1}, ">=", 2)
         lp.add_constraint({"x": 1}, "<=", 1)
@@ -68,7 +69,7 @@ class TestSolveLp:
             solve_lp(lp)
 
     def test_other_highs_status_raises(self):
-        lp = LinearProgram()
+        lp = NamedLP()
         lp.add_var("x", obj=1)
         lp.add_constraint({"x": 1}, ">=", 3)
         solve_lp(lp)
@@ -136,7 +137,7 @@ def reference_row(lp, coeffs, sense, rhs):
 
 
 def small_lp(objective, rows):
-    lp = LinearProgram()
+    lp = NamedLP()
     for name, c in objective.items():
         lp.add_var(name, obj=c)
     for coeffs, sense, rhs in rows:
@@ -460,7 +461,7 @@ class TestWarmModel:
 
     def test_columns_and_equalities_added_after_a_solve(self):
         # no builder adds a column after solving, but the model follows one
-        lp = LinearProgram()
+        lp = NamedLP()
         for name, cost in (("x", 1), ("y", 2)):
             lp.add_var(name, obj=cost)
         lp.add_constraint({"x": 2, "y": 2}, ">=", 3)
@@ -480,7 +481,7 @@ class TestRowRecord:
     its zero coefficients, and never divided through."""
 
     def lp(self):
-        lp = LinearProgram()
+        lp = NamedLP()
         lp.add_var("x", obj=1)
         lp.add_var("y", obj=1)
         return lp
@@ -532,7 +533,7 @@ class TestRowRecord:
         # the same random integer rows, in all three senses, by column index
         # through add_row and by name through add_constraint
         rng = random.Random(12)
-        by_name, by_index = LinearProgram(), LinearProgram()
+        by_name, by_index = NamedLP(), LinearProgram()
         names = [f"v{i}" for i in range(8)]
         for lp in (by_name, by_index):
             lp.add_vars(names, [1] * len(names))
@@ -550,6 +551,25 @@ class TestRowRecord:
             assert repr(by_index.rows[-1]) == repr(reference_row(by_name, coeffs, sense, rhs))
             assert 0 not in by_index.rows[-1].ints
         assert by_index.rows == by_name.rows and dropped > 50
+
+    def test_add_cut_refuses_exactly_the_rows_already_stored(self):
+        # rows that came in through add_row, add_rows and add_cut, in their
+        # stored form; a refused cut leaves the store as it was
+        lp = self.lp()
+        lp.add_row([0, 1], [2, 0], 3, "<=")  # stored as -2x >= -3
+        lp.add_rows(*(np.array(a, dtype=np.int64) for a in ([0, 2], [0, 1], [1, 1], [4])),
+                    np.array([True]))
+        assert lp.add_cut([1], [5], 0, ">=")
+        before = [a.copy() for a in lp.csr()]
+        for cut in (([0], [-2], -3, ">="), ([0], [2], 3, "<="), ([0, 1], [1, 1], 4, "=="),
+                    ([0, 1], [2, 0], 3, "<="), ([1], [5], 0, ">="), ([0, 1], [0, 5], 0, ">=")):
+            assert not lp.add_cut(*cut), cut
+            assert all(np.array_equal(a, b) for a, b in zip(lp.csr(), before))
+        for cut in (([0], [-2], -3, "=="), ([0], [-2], -2, ">="), ([1], [-2], -3, ">="),
+                    ([0], [-3], -3, ">="), ([0, 1], [1, 1], 4, ">="), ([0, 1], [1, 2], 4, "==")):
+            assert lp.add_cut(*cut), cut
+        assert len(lp.rows) == 3 + 6
+        assert not lp.add_cut([0, 1], [1, 2], 4, "==")
 
 
 def separation_instances():
@@ -620,14 +640,14 @@ class TestSeparation:
 
 class TestSolveWithCuts:
     def test_satisfied_oracle_is_identity(self):
-        lp = LinearProgram()
+        lp = NamedLP()
         lp.add_var("x", obj=1)
         lp.add_constraint({"x": 1}, ">=", 3)
         sol = solve_with_cuts(lp, lambda s: [])
         assert sol.objective_value == 3
 
     def test_repeated_cut_faults(self):
-        lp = LinearProgram()
+        lp = NamedLP()
         lp.add_var("x", obj=1)
         lp.add_constraint({"x": 1}, ">=", 3)
         with pytest.raises(LpError, match="no progress"):
@@ -749,7 +769,7 @@ class TestSizeGuards:
     def test_cut_limit(self, monkeypatch):
         # an oracle that always finds a new cut: x >= (current optimum) + 1
         monkeypatch.setattr(lp_toolkit, "MAX_CUTS", 2)
-        lp = LinearProgram()
+        lp = NamedLP()
         lp.add_var("x", obj=1)
         lp.add_constraint({"x": 1}, ">=", 0)
         with pytest.raises(LpError, match=r"^cut limit 2 exceeded for LP$"):
@@ -785,6 +805,52 @@ class TestPcLp:
             sol = build_and_solve_pclp(pclp_model(inst, root), pen)
             exact = exact_oracles.exact_pc_paths(inst, root, pen)
             assert sol.objective_value <= exact.value
+
+
+def test_pclp_model_equals_the_by_name_model():
+    """The PC-LP built by column index is the model the by-name builder
+    gives: the same CSR arrays, objective, names, arcs and z columns, for
+    every node as the root of instances with 2 to 8 nodes."""
+    rng = random.Random(43)
+    checked = 0
+    for n in range(2, 9):
+        for opts in ({}, {"weights": True}, {"service": True}):
+            inst = random_instance(rng, n, rng.randint(1, 2), **opts)
+            for root in inst.nodes:
+                got, want = pclp_model(inst, root), reference.pclp_model(inst, root)
+                for a, b in zip(got.lp.csr(), want.lp.csr()):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert got.lp.objective == want.lp.objective
+                assert list(got.lp.names) == list(want.lp.names)
+                assert (got.arcs, got.z) == (want.arcs, want.z)
+                checked += 1
+    assert checked == 3 * sum(range(2, 9))
+    with pytest.raises(ValueError, match="unknown root 'q'"):
+        pclp_model(inst, "q")
+
+
+def test_simplex_iterations_are_highs_info_count(monkeypatch):
+    # meta["simplex_iterations"] is read by name; it must be the count in
+    # HiGHS's info record after the solve, for every LP and every cut round
+    seen = {}
+    real = lp_toolkit.solve_lp
+
+    def checked(lp, which="LP", T=None):
+        sol = real(lp, which, T)
+        assert sol.meta["simplex_iterations"] == lp.model.getInfo().simplex_iteration_count
+        seen[which] = seen.get(which, 0) + 1
+        return sol
+
+    monkeypatch.setattr(lp_toolkit, "solve_lp", checked)
+    for inst in (random_instance(random.Random(0), 5, 1), random_instance(random.Random(5), 5, 2)):
+        T = time_horizon(inst).T
+        build_and_solve_lp1(inst, T)
+        build_and_solve_lp2(inst, T)
+        build_and_solve_lp3(inst, T)
+        model = pclp_model(inst, inst.roots[0])
+        for lam in (1, 4, 10):
+            build_and_solve_pclp(model, {v: F(lam) for v in inst.clients})
+    assert seen["LP1"] == seen["LP2"] == 2 and seen["LP3"] >= 4 and seen["PC-LP"] >= 6
 
 
 def golden_probe_sequences():

@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from conftest import random_instance
+from reference import NamedLP
 from mdkmlp import latency_solvers, lp_toolkit, pc_tree
 from mdkmlp.instance import time_horizon
 
@@ -51,7 +52,7 @@ def test_solve_lp_counters_match_the_input_rows():
         ({"y": 1, "z": 0}, "<=", 6),
         ({"x": 1, "y": -1, "z": 2}, "==", 1),
     ]
-    lp = lp_toolkit.LinearProgram()
+    lp = NamedLP()
     for name in names:
         lp.add_var(name, obj=1)
     for coeffs, sense, rhs in rows:
