@@ -287,13 +287,13 @@ def _solve_lp3_rounding(
 ) -> RoutePlan:
     what = "kmlp-lp" if split else "mlp-lp"
     require(inst, what)
+    if lp3sol is not None and lp3sol.which != "LP3":
+        raise SolverError(f"{what} needs a bidirected LP solution")
     root = inst.roots[0]
     k = inst.k
     if not inst.clients:
         return _finalize_plan(inst, [[] for _ in range(k)])
     if lp3sol is not None:
-        if lp3sol.which != "LP3":
-            raise SolverError(f"{what} needs a bidirected LP solution")
         T = lp3sol.T
         sol3 = lp3sol
     else:
@@ -462,13 +462,13 @@ def solve_multidepot(
     truncation slack); supports weights, allowed depots, and service times
     (via the symmetrized service metric). `lp1sol` lets many seeds reuse
     one solved LP."""
+    if lp1sol is not None and lp1sol.which != "LP1":
+        raise SolverError("solve_multidepot needs a per-vehicle LP solution")
     cfg = cfg or SolverConfig()
     rng = random.Random(cfg.seed)
     if not inst.clients:
         return _finalize_plan(inst, [[] for _ in range(inst.k)])
     if lp1sol is not None:
-        if lp1sol.which != "LP1":
-            raise SolverError("solve_multidepot needs a per-vehicle LP solution")
         sol1 = lp1sol
     else:
         sol1 = lp_toolkit.build_and_solve_lp1(inst, time_horizon(inst).T)

@@ -49,7 +49,10 @@ objective may be rational (the PC-LP's penalties). The cut oracles
 separate on the certified integer point of the solution
 (:attr:`LpSolution.point`): the
 min-cut capacities and demands are its entries, all at one common scale,
-and each cut goes in as an index row. The prize-collecting LP is a model
+and each cut goes in as an index row. That point is also the loop's one
+progress test (:func:`solve_with_cuts`): every stored row holds there, so
+a cut must fail there, checked in ints, or the loop raises "no progress";
+no store of earlier rows is kept. The prize-collecting LP is a model
 (:func:`pclp_model`) solved under any penalties
 (:func:`build_and_solve_pclp`): only the z costs change between solves,
 and the cuts of earlier solves stay valid and stay in the model, so a
@@ -80,6 +83,7 @@ import importlib.machinery
 import importlib.util
 import logging
 import math
+import operator
 import os
 import sys
 from array import array
@@ -143,6 +147,7 @@ _ROUND_DENOM = 10**6
 _INT = {int}
 _FLOAT_EPS = 1e-7
 _EXACT = 2**62  # int64 arithmetic only below this bound on every partial sum
+_HOLDS = {">=": operator.ge, "<=": operator.le, "==": operator.eq}  # a row's sense, as a test
 
 # quiet dual simplex; presolve goes off after the first solve
 _HIGHS_OPTIONS = (
@@ -259,8 +264,6 @@ class LinearProgram:
         self._coefs = array("q")
         self._rhs = array("q")
         self._eq = array("b")
-        self._row_set: set = set()  # keys of rows[:_hashed], for spotting a repeated cut
-        self._hashed = 0
         self._scaled = None  # scaled_objective(), until the objective changes
         self.model = None  # the HiGHS model solve_lp keeps, once it has run
 
@@ -363,27 +366,6 @@ class LinearProgram:
         self._coefs.frombytes(coefs.tobytes())
         self._rhs.frombytes(rhs.tobytes())
         self._eq.frombytes(eq.tobytes())
-
-    def _row_key(self, i: int) -> Tuple[bytes, bytes, int, int]:
-        """Row i's slice of the store, hashable: equal exactly for equal
-        rows."""
-        s, e = self._indptr[i], self._indptr[i + 1]
-        return self._indices[s:e].tobytes(), self._coefs[s:e].tobytes(), self._rhs[i], self._eq[i]
-
-    def add_cut(self, cols: Sequence[int], ints: Sequence[int], b: int, sense: str) -> bool:
-        """:meth:`add_row`, unless the LP has that row already: False then."""
-        n = len(self._rhs)
-        self._row_set.update(map(self._row_key, range(self._hashed, n)))
-        self.add_row(cols, ints, b, sense)
-        row = self._row_key(n)
-        if row in self._row_set:
-            end = self._indptr[n]
-            del self._indptr[n + 1:], self._indices[end:], self._coefs[end:]
-            del self._rhs[n:], self._eq[n:]
-            return False
-        self._row_set.add(row)
-        self._hashed = n + 1
-        return True
 
 
 @dataclass
@@ -590,7 +572,13 @@ def solve_with_cuts(
     which: str = "LP",
     T: Optional[int] = None,
 ) -> LpSolution:
-    """Solve, separate, add cuts, repeat until the oracle is satisfied."""
+    """Solve, separate, add cuts, repeat until the oracle is satisfied.
+
+    Every cut must fail at the certified optimum (L, X) it was separated
+    on: sum(a * X[j]) against b * L, in ints, under the cut's sense. A cut
+    that holds there cannot move the optimum, so it raises
+    :class:`LpError` ("no progress") before it is stored. Every stored row
+    holds at that point, so a repeated row can never go in."""
     added = 0
     for rnd in count(1):
         sol = solve_lp(lp, which=which, T=T)
@@ -601,11 +589,11 @@ def solve_with_cuts(
         )
         if not cuts:
             return sol
-        for cut in cuts:
-            if not lp.add_cut(*cut):
-                raise LpError(
-                    f"no progress: separation oracle repeated a {which} constraint"
-                )
+        L, X = sol.point
+        for cols, ints, b, sense in cuts:
+            if _HOLDS[sense](sum(a * X.get(j, 0) for j, a in zip(cols, ints)), b * L):
+                raise LpError(f"no progress: a {which} cut holds at the certified optimum")
+            lp.add_row(cols, ints, b, sense)
             added += 1
             if added > MAX_CUTS:
                 raise LpError(f"cut limit {MAX_CUTS} exceeded for {which}")
@@ -616,14 +604,20 @@ def _arcs_avoiding(inst: MetricInstance, root) -> List[Tuple]:
     return [(u, v) for u in inst.nodes for v in inst.nodes if u != v and v != root]
 
 
-def _cut_side(n: int, caps: Dict[Tuple[int, int], int], root: int, v: int, need: int):
-    """The nodes, by index, on root's side of a minimum root-v cut under
-    ``caps``, if its capacity is below ``need``; else None. No cut is
-    sought when ``need`` is not positive."""
+def _cut_arcs(
+    n: int, pairs: Sequence[Tuple[int, int]], caps: Dict[Tuple[int, int], int], root: int,
+    v: int, need: int,
+) -> Optional[List[int]]:
+    """The positions in ``pairs`` (arcs by node index) of the arcs leaving
+    root's side of a minimum root-v cut under ``caps``, if its capacity is
+    below ``need``; else None. No cut is sought when ``need`` is not
+    positive."""
     if need <= 0:
         return None
     val, side = flows.min_cut(n, caps, root, v)
-    return side if val < need else None
+    if val >= need:
+        return None
+    return [i for i, (a, b) in enumerate(pairs) if a in side and b not in side]
 
 
 # ---------------------------------------------------------------------------
@@ -694,9 +688,8 @@ def build_and_solve_pclp(model: PcLpModel, penalties: Dict[object, Fraction]) ->
         caps = {pairs[j]: val for j, val in X.items() if j < len(pairs)}
         cuts: List[Cut] = []
         for v, zv in z.items():
-            side = _cut_side(inst.n, caps, pos[root], pos[v], L - X.get(zv, 0))
-            if side is not None:
-                cols = [j for j, (a, b) in enumerate(pairs) if a in side and b not in side]
+            cols = _cut_arcs(inst.n, pairs, caps, pos[root], pos[v], L - X.get(zv, 0))
+            if cols is not None:
                 cuts.append((cols + [zv], [1] * (len(cols) + 1), 1, ">="))
         return cuts
 
@@ -1151,7 +1144,7 @@ def build_and_solve_lp3(inst: MetricInstance, T: int) -> LpSolution:
     pos = inst.node_pos
 
     lp = LinearProgram()
-    parts = []  # per group: root, vehicles, x block, arcs, z block
+    parts = []  # per group: root, vehicles, x block, arcs, arcs by node index, z block
     for gi, (r, mult) in enumerate(groups):
         arcs = _arcs_avoiding(inst, r)
         first = {v: max(1, ca(r, v)) for v in clients if r in inst.depots_for(v)}
@@ -1160,9 +1153,10 @@ def build_and_solve_lp3(inst: MetricInstance, T: int) -> LpSolution:
             [("z", gi, a, t) for a in arcs for t in range(1, T + 1)], [0] * (len(arcs) * T)
         )
         # arc-major: z[gi, arcs[i], t] is column zt[i] + t
-        parts.append((r, mult, block, arcs, range(z0 - 1, z0 - 1 + len(arcs) * T, T)))
-    _add_cover_rows(lp, inst, [(mult, block) for _, mult, block, _, _ in parts], T, "LP3")
-    for _, _, block, arcs, zt in parts:
+        pairs = [(pos[u], pos[v]) for u, v in arcs]
+        parts.append((r, mult, block, arcs, pairs, range(z0 - 1, z0 - 1 + len(arcs) * T, T)))
+    _add_cover_rows(lp, inst, [(mult, block) for _, mult, block, *_ in parts], T, "LP3")
+    for _, _, block, arcs, _, zt in parts:
         budget = [ca(*a) for a in arcs]
         degree = [
             [(j, 1 if a[1] == v else -1) for j, a in zip(zt, arcs) if v in a] for v in clients
@@ -1183,8 +1177,7 @@ def build_and_solve_lp3(inst: MetricInstance, T: int) -> LpSolution:
         # demand at t X[x[gi, v, tp]] summed over tp <= t
         _, X = sol.point
         cuts: List[Cut] = []
-        for r, _, block, arcs, zt in parts:
-            pairs = [(pos[u], pos[v]) for u, v in arcs]
+        for r, _, block, _, pairs, zt in parts:
             caps: List[Dict] = [{} for _ in range(T + 1)]  # caps[t]: arc -> X[z[gi, a, t]]
             for j, val in X.items():
                 if zt.start < j <= zt.stop:  # the z block
@@ -1196,11 +1189,9 @@ def build_and_solve_lp3(inst: MetricInstance, T: int) -> LpSolution:
             }
             for t in range(1, T + 1):
                 for v in block:
-                    side = _cut_side(inst.n, caps[t], pos[r], pos[v], covered[v][t])
-                    if side is not None:
-                        cuts.append(_link(_served(block, v, t), [
-                            j + t for j, (a, b) in zip(zt, pairs) if a in side and b not in side
-                        ]))
+                    crossing = _cut_arcs(inst.n, pairs, caps[t], pos[r], pos[v], covered[v][t])
+                    if crossing is not None:
+                        cuts.append(_link(_served(block, v, t), [zt[i] + t for i in crossing]))
         return cuts
 
     return solve_with_cuts(lp, oracle, which="LP3", T=T)

@@ -324,6 +324,22 @@ class TestRoundLp2:
             round_lp2(fix_b, sol, SolverConfig())
 
 
+@pytest.mark.parametrize("rounding, kind, wrong", [
+    (lambda inst, sol: solve_multidepot(inst, lp1sol=sol), "per-vehicle", build_and_solve_lp2),
+    (lambda inst, sol: solve_kmlp_lp(inst, lp3sol=sol), "bidirected", build_and_solve_lp2),
+    (lambda inst, sol: solve_mlp_lp(inst, lp3sol=sol), "bidirected", build_and_solve_lp1),
+    (round_lp2, "joint-configuration", build_and_solve_lp3),
+], ids=["multidepot", "kmlp-lp", "mlp-lp", "lp2-round"])
+def test_wrong_solution_kind_is_refused_without_clients(rounding, kind, wrong):
+    # the kind of the LP solution is checked before the client-free early
+    # return, so an empty instance refuses it too
+    inst = MetricInstance(nodes=("r",), roots=("r",), cost=((0,),))
+    sol = wrong(inst, time_horizon(inst).T)
+    assert sol.objective_value == 0
+    with pytest.raises(SolverError, match=f"needs a {kind} LP solution"):
+        rounding(inst, sol)
+
+
 class _CountingRng(random.Random):
     """random.Random that counts its random() calls."""
 

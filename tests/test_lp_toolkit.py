@@ -477,7 +477,7 @@ class TestWarmModel:
 
 
 class TestRowRecord:
-    """A row is kept once, in integers, as given: negated if ``<=``, without
+    """A row is kept in integers, as given: negated if ``<=``, without
     its zero coefficients, and never divided through."""
 
     def lp(self):
@@ -500,7 +500,6 @@ class TestRowRecord:
         lp.add_constraint({"x": 2}, ">=", 2)
         assert reference_row(lp, {"x": 1}, ">=", 1) not in lp.rows
         assert reference_row(lp, {"x": 2}, ">=", 2) in lp.rows
-        assert lp.add_cut((0,), (1,), 1, ">=")  # not a repeat of 2x >= 2
 
     def test_zero_coefficient_is_dropped(self):
         lp = self.lp()
@@ -523,7 +522,6 @@ class TestRowRecord:
             for add in (
                 lambda: lp.add_row((0, 1), ints, b, ">="),
                 lambda: lp.add_constraint(coeffs, "<=", b),
-                lambda: lp.add_cut((0, 1), ints, b, "=="),
             ):
                 with pytest.raises(ValueError, match="coefficients and right-hand side must be ints"):
                     add()
@@ -551,25 +549,6 @@ class TestRowRecord:
             assert repr(by_index.rows[-1]) == repr(reference_row(by_name, coeffs, sense, rhs))
             assert 0 not in by_index.rows[-1].ints
         assert by_index.rows == by_name.rows and dropped > 50
-
-    def test_add_cut_refuses_exactly_the_rows_already_stored(self):
-        # rows that came in through add_row, add_rows and add_cut, in their
-        # stored form; a refused cut leaves the store as it was
-        lp = self.lp()
-        lp.add_row([0, 1], [2, 0], 3, "<=")  # stored as -2x >= -3
-        lp.add_rows(*(np.array(a, dtype=np.int64) for a in ([0, 2], [0, 1], [1, 1], [4])),
-                    np.array([True]))
-        assert lp.add_cut([1], [5], 0, ">=")
-        before = [a.copy() for a in lp.csr()]
-        for cut in (([0], [-2], -3, ">="), ([0], [2], 3, "<="), ([0, 1], [1, 1], 4, "=="),
-                    ([0, 1], [2, 0], 3, "<="), ([1], [5], 0, ">="), ([0, 1], [0, 5], 0, ">=")):
-            assert not lp.add_cut(*cut), cut
-            assert all(np.array_equal(a, b) for a, b in zip(lp.csr(), before))
-        for cut in (([0], [-2], -3, "=="), ([0], [-2], -2, ">="), ([1], [-2], -3, ">="),
-                    ([0], [-3], -3, ">="), ([0, 1], [1, 1], 4, ">="), ([0, 1], [1, 2], 4, "==")):
-            assert lp.add_cut(*cut), cut
-        assert len(lp.rows) == 3 + 6
-        assert not lp.add_cut([0, 1], [1, 2], 4, "==")
 
 
 def separation_instances():
@@ -652,6 +631,26 @@ class TestSolveWithCuts:
         lp.add_constraint({"x": 1}, ">=", 3)
         with pytest.raises(LpError, match="no progress"):
             solve_with_cuts(lp, lambda s: [((0,), (1,), 3, ">=")])
+
+    def test_a_cut_that_holds_at_the_optimum_faults(self, monkeypatch):
+        # a new row each round, x >= 3 - round, but each holds at x = 3: the
+        # loop stops after its first solve, with nothing stored, well
+        # before the cut limit
+        monkeypatch.setattr(lp_toolkit, "MAX_CUTS", 5)
+        lp = NamedLP()
+        lp.add_var("x", obj=1)
+        lp.add_constraint({"x": 1}, ">=", 3)
+        before = [a.copy() for a in lp.csr()]
+        solves = []
+
+        def oracle(sol):
+            solves.append(sol.objective_value)
+            return [((0,), (1,), 3 - len(solves), ">=")]
+
+        with pytest.raises(LpError, match="no progress"):
+            solve_with_cuts(lp, oracle)
+        assert solves == [3]
+        assert all(np.array_equal(a, b) for a, b in zip(lp.csr(), before))
 
     def test_cuts_converge(self, fix_a):
         # the prize-collecting model converges through the min-cut oracle
