@@ -118,9 +118,9 @@ def random_instance(
     )
 
 
-def random_digraph(rng, max_nodes=6, max_w=5):
+def random_digraph(rng, max_nodes=6, max_w=5, min_nodes=2):
     """Random digraph with in-weight >= out-weight enforced by topping up."""
-    n = rng.randint(2, max_nodes)
+    n = rng.randint(min_nodes, max_nodes)
     nodes = tuple(f"n{i}" for i in range(n))
     r = nodes[0]
     arcs = {}

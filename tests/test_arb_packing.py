@@ -220,6 +220,19 @@ class TestProperties:
                     continue
                 assert covered(fam, r, u) >= min(K, connectivity(D, r, u))
 
+    def test_packing_depends_on_the_graph_only(self):
+        """Another insertion order of the arcs gives the same family, and
+        packing leaves the caller's digraph as it was."""
+        rng = random.Random(45)
+        for _ in range(30):
+            D, r = random_digraph(rng, max_nodes=8)
+            K = rng.randint(1, 5)
+            items = list(D.arcs.items())
+            fam = pack_arborescences(D, r, K)
+            assert list(D.arcs.items()) == items
+            rng.shuffle(items)
+            assert pack_arborescences(WeightedDigraph(D.nodes, dict(items)), r, K) == fam
+
 
 def _split(D, e, f, x):
     """D after moving x from e=(t,u), f=(u,v) onto (t,v)."""

@@ -1,10 +1,14 @@
 """Golden record of weighted arborescence packings.
 
-`record()` collects packing inputs (D, r, K) from two sources: 60 seeded
-`random_digraph`s with up to 8 nodes and K in 0..5, and every z'_t graph and
+`record()` collects packing inputs (D, r, K) from three sources: 60 seeded
+`random_digraph`s with up to 8 nodes and K in 0..5; every z'_t graph and
 PC-LP vertex graph that `mdkmlp bench --n 5 --k 2 --trials 2 --seed
-1028474078` hands to `pack_arborescences`. Each distinct input is kept once,
-in order of first use, with the members of its packing. The test packs every
+1028474078` hands to `pack_arborescences`; and 26 inputs whose repr order of
+the nodes differs from their list order (`_relabelled_inputs`): 6
+`random_digraph`s of 11-12 nodes, where 'n10' sorts before 'n2', 10 with
+int node ids drawn out of order, and 10 with a shuffled node tuple. Each
+distinct input is kept once, in order of first use, with the members of its
+packing. The test packs every
 recorded input again and compares the members, so a change to the splitting
 order, the repairs or the member order fails here even where the plans built
 from the packings stay the same.
@@ -56,6 +60,31 @@ def _bench_inputs():
     return seen
 
 
+def _relabelled_inputs():
+    """Inputs whose repr order of the nodes differs from their list order:
+    11-12 nodes named n0.. (so 'n10' sorts before 'n2'), int node ids drawn
+    out of order, and a shuffled node tuple."""
+    rng = random.Random(4507)
+    inputs = []
+    for _ in range(6):
+        D, r = random_digraph(rng, max_nodes=12, min_nodes=11)
+        inputs.append(_input(D, r, rng.randint(1, 5)))
+    for _ in range(10):
+        D, r = random_digraph(rng, max_nodes=12)
+        ids = dict(zip(D.nodes, rng.sample(range(1, 40), len(D.nodes))))
+        D = WeightedDigraph(
+            nodes=tuple(ids[v] for v in D.nodes),
+            arcs={(ids[u], ids[v]): w for (u, v), w in D.arcs.items()},
+        )
+        inputs.append(_input(D, ids[r], rng.randint(1, 5)))
+    for _ in range(10):
+        D, r = random_digraph(rng, max_nodes=10)
+        nodes = list(D.nodes)
+        rng.shuffle(nodes)
+        inputs.append(_input(WeightedDigraph(tuple(nodes), D.arcs), r, rng.randint(1, 5)))
+    return inputs
+
+
 def record():
     rng = random.Random(2031)
     inputs = []
@@ -63,6 +92,7 @@ def record():
         D, r = random_digraph(rng, max_nodes=8)
         inputs.append(_input(D, r, rng.randint(0, 5)))
     inputs += _bench_inputs()
+    inputs += _relabelled_inputs()
     cases, keys = [], set()
     for case in inputs:
         key = json.dumps(case, sort_keys=True)
