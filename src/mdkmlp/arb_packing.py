@@ -10,6 +10,15 @@ centered at the node of minimum protected connectivity until that node is
 isolated, recurses, and then undoes the splits one by one, repairing both
 the shortcut arc's capacity and the center node's coverage on the way back.
 
+:func:`pack_arborescences` numbers the nodes once, on entry, by sorting
+them on their reprs. From there to the returned family every state is on
+those numbers: arc weights keyed by pairs of ints, members as sets of such
+pairs. The numbering is also the tie order. Split pairs, shortcut users and
+trees lacking the center are taken in sorted arc order, and members are
+listed by size, then by sorted arcs; on these numbers that is the order of
+the arcs' node reprs, which the packing goldens pin. A tie between centers
+goes to the node listed first in ``D.nodes``.
+
 Every graph state of the construction is balanced: eulerianizing makes in =
 out at every node, and splitting (t,u),(u,v) into (t,v) keeps it so. In a
 balanced digraph d+(S) = d-(S) for every node set S, so the cut function is
@@ -27,11 +36,14 @@ unless no pair was protected.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from . import flows
 
 Arc = Tuple[object, object]
+Pair = Tuple[int, int]  # an arc on the nodes' numbers
+State = Dict[Pair, int]  # arc weights on the nodes' numbers
+Members = Dict[FrozenSet[Pair], int]  # member arc sets -> member weights
 
 
 class PackingError(Exception):
@@ -40,49 +52,26 @@ class PackingError(Exception):
 
 @dataclass
 class WeightedDigraph:
-    """Digraph with nonnegative integer arc weights; parallel arcs merged."""
+    """Digraph with nonnegative integer arc weights; zero weights dropped."""
 
     nodes: Tuple[object, ...]
     arcs: Dict[Arc, int] = field(default_factory=dict)
-    index: Dict[object, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.index = {v: i for i, v in enumerate(self.nodes)}
-        if len(self.index) != len(self.nodes):
+        known = set(self.nodes)
+        if len(known) != len(self.nodes):
             raise ValueError("duplicate nodes")
-        cleaned = {}
         for (u, v), w in self.arcs.items():
             if u == v:
                 raise ValueError(f"self-loop at {u!r}")
-            if u not in self.index or v not in self.index:
+            if u not in known or v not in known:
                 raise ValueError(f"arc ({u!r},{v!r}) uses unknown node")
             if not isinstance(w, int) or isinstance(w, bool) or w < 0:
                 raise ValueError(f"invalid weight on ({u!r},{v!r})")
-            if w > 0:
-                cleaned[(u, v)] = cleaned.get((u, v), 0) + w
-        self.arcs = cleaned
-
-    def copy(self) -> "WeightedDigraph":
-        return WeightedDigraph(nodes=self.nodes, arcs=dict(self.arcs))
-
-    def weight(self, a: Arc) -> int:
-        return self.arcs.get(a, 0)
-
-    def add_weight(self, a: Arc, delta: int) -> None:
-        _add_weight(self.arcs, a, delta)
-
-    def in_weight(self, u) -> int:
-        return sum(w for (a, b), w in self.arcs.items() if b == u)
-
-    def out_weight(self, u) -> int:
-        return sum(w for (a, b), w in self.arcs.items() if a == u)
+        self.arcs = {a: w for a, w in self.arcs.items() if w > 0}
 
 
-def _indexed(index: Dict[object, int], arcs: Dict[Arc, int]) -> Dict[Tuple[int, int], int]:
-    return {(index[u], index[v]): w for (u, v), w in arcs.items()}
-
-
-def all_pairs_connectivity(n: int, capacities: Dict[Tuple[int, int], int]) -> List[List[int]]:
+def all_pairs_connectivity(n: int, capacities: Dict[Pair, int]) -> List[List[int]]:
     """lam[a][b] = lambda(a,b) for every pair of nodes 0..n-1 of a balanced
     digraph, from a flow-equivalent tree built with one minimum cut per node
     with arcs, less one.
@@ -127,35 +116,31 @@ def all_pairs_connectivity(n: int, capacities: Dict[Tuple[int, int], int]) -> Li
 
 
 class _StateConnectivity:
-    """All-pairs lambda per graph state (arc weights) on fixed nodes, each
-    state's table computed once."""
+    """All-pairs lambda per graph state on nodes 0..n-1, each state's table
+    computed once."""
 
-    def __init__(self, index: Dict[object, int]):
-        self.index = index
-        self.tables: Dict[FrozenSet[Tuple[Arc, int]], List[List[int]]] = {}
+    def __init__(self, n: int):
+        self.n = n
+        self.tables: Dict[FrozenSet[Tuple[Pair, int]], List[List[int]]] = {}
 
-    def table(self, arcs: Dict[Arc, int]) -> List[List[int]]:
+    def table(self, arcs: State) -> List[List[int]]:
         key = frozenset(arcs.items())
         lam = self.tables.get(key)
         if lam is None:
-            lam = all_pairs_connectivity(len(self.index), _indexed(self.index, arcs))
-            self.tables[key] = lam
+            lam = self.tables[key] = all_pairs_connectivity(self.n, arcs)
         return lam
 
 
-def _split_arcs(arcs: Dict[Arc, int], e: Arc, f: Arc, x: int) -> Dict[Arc, int]:
-    """The arc weights after moving x from e=(t,u), f=(u,v) onto (t,v); the
-    pair only loses x when t = v."""
-    out = dict(arcs)
-    changes = [(e, -x), (f, -x)]
+def _split(arcs: State, e: Pair, f: Pair, x: int) -> None:
+    """Move x, in place, from e=(t,u), f=(u,v) onto (t,v); the pair only
+    loses x when t = v. A negative x undoes the split."""
+    _add_weight(arcs, e, -x)
+    _add_weight(arcs, f, -x)
     if e[0] != f[1]:
-        changes.append(((e[0], f[1]), x))
-    for a, delta in changes:
-        _add_weight(out, a, delta)
-    return out
+        _add_weight(arcs, (e[0], f[1]), x)
 
 
-def _add_weight(arcs: Dict[Arc, int], a: Arc, delta: int) -> None:
+def _add_weight(arcs: State, a: Pair, delta: int) -> None:
     w = arcs.get(a, 0) + delta
     if w < 0:
         raise PackingError(f"negative weight on {a!r}")
@@ -172,56 +157,52 @@ class ArbFamily:
     members: Tuple[Tuple[int, FrozenSet[Arc]], ...]
 
 
-def eulerianize(D: WeightedDigraph, r) -> WeightedDigraph:
-    """Balance every node by adding (u, r) arcs of weight in(u) - out(u);
-    a non-root node with in-weight below its out-weight is refused."""
-    if r not in D.nodes:
-        raise ValueError(f"unknown root {r!r}")
-    out = D.copy()
-    for u in D.nodes:
+def eulerianize(nodes: Sequence[object], arcs: State, r: int) -> State:
+    """The arc weights on ``nodes``, numbered by position, with every node
+    balanced by added (u, r) arcs of weight in(u) - out(u); a non-root node
+    with in-weight below its out-weight is refused, by name."""
+    inw, outw = [0] * len(nodes), [0] * len(nodes)
+    for (a, b), w in arcs.items():
+        outw[a] += w
+        inw[b] += w
+    out = dict(arcs)
+    for u, name in enumerate(nodes):
         if u == r:
             continue
-        deficit = D.in_weight(u) - D.out_weight(u)
-        if deficit < 0:
-            raise PackingError(
-                f"in-weight {D.in_weight(u)} < out-weight {D.out_weight(u)} at {u!r}"
-            )
-        if deficit > 0:
-            out.add_weight((u, r), deficit)
+        if inw[u] < outw[u]:
+            raise PackingError(f"in-weight {inw[u]} < out-weight {outw[u]} at {name!r}")
+        if inw[u] > outw[u]:
+            _add_weight(out, (u, r), inw[u] - outw[u])
     return out
 
 
 def max_splittable(
-    D: WeightedDigraph,
-    e: Arc,
-    f: Arc,
-    protect: Dict[Tuple[object, object], int],
+    n: int, arcs: State, e: Pair, f: Pair, protect: Dict[Pair, int],
     lam: Optional[_StateConnectivity] = None,
 ) -> int:
     """Largest x such that moving x from arcs e=(t,u), f=(u,v) onto (t,v)
-    keeps lambda(a,b) >= protect[(a,b)] for every protected pair.
+    keeps lambda(a,b) >= protect[(a,b)] for every protected pair of nodes
+    0..n-1.
 
     Cut capacities are non-increasing in x, so feasibility is monotone and a
-    binary search over [0, min(w_e, w_f)] is exact. D must be balanced when
-    a pair is protected; `lam` keeps the all-pairs tables of the probed
-    states, for a caller that probes many splits of one graph.
+    binary search over [0, min(w_e, w_f)] is exact. The arcs must be
+    balanced when a pair is protected; `lam` keeps the all-pairs tables of
+    the probed states, for a caller that probes many splits of one graph.
     """
     if e[1] != f[0]:
         raise ValueError("arcs do not share a middle node")
-    we, wf = D.weight(e), D.weight(f)
-    if we <= 0 or wf <= 0:
+    hi = min(arcs.get(e, 0), arcs.get(f, 0))
+    if hi <= 0:
         raise ValueError("both arcs must have positive weight")
-    hi = min(we, wf)
-    lam = _StateConnectivity(D.index) if lam is None else lam
-    needs = [
-        (D.index[a], D.index[b], need) for (a, b), need in protect.items() if need > 0
-    ]
+    if not protect:
+        return hi
+    lam = _StateConnectivity(n) if lam is None else lam
 
     def feasible(x: int) -> bool:
-        if x == 0 or not needs:
-            return True
-        table = lam.table(_split_arcs(D.arcs, e, f, x))
-        return all(table[a][b] >= need for a, b, need in needs)
+        state = dict(arcs)
+        _split(state, e, f, x)
+        table = lam.table(state)
+        return all(table[a][b] >= need for (a, b), need in protect.items())
 
     lo = 0
     while lo < hi:
@@ -238,76 +219,67 @@ def tree_nodes(F: Iterable[Arc], r) -> FrozenSet[object]:
     return frozenset((r,)).union(*F)
 
 
-def _arc_key(a: Arc) -> Tuple[str, str]:
-    return (repr(a[0]), repr(a[1]))
-
-
 def pack_arborescences(D: WeightedDigraph, r, K: int) -> ArbFamily:
     """Weighted packing: family (gamma_i, F_i), sum gamma = K, arc usage
     within capacity, coverage of u at least min(K, lambda_D(r,u)).
     """
     if not isinstance(K, int) or isinstance(K, bool) or K < 0:
         raise PackingError("K must be a nonnegative integer")
-    work = eulerianize(D, r)
+    if r not in D.nodes:
+        raise ValueError(f"unknown root {r!r}")
+    place = {v: p for p, v in enumerate(D.nodes)}
+    names = sorted(D.nodes, key=repr)
+    index = {v: i for i, v in enumerate(names)}
+    pos = [place[v] for v in names]
+    n, root = len(names), index[r]
+    arcs = eulerianize(names, {(index[u], index[v]): w for (u, v), w in D.arcs.items()}, root)
     if K == 0:
         return ArbFamily(members=())
 
-    order = work.index
-    lam = _StateConnectivity(order)
-    splits: List[Tuple[Arc, Arc, int, bool]] = []
-    remaining = [u for u in work.nodes if u != r]
+    lam = _StateConnectivity(n)
+    splits: List[Tuple[Pair, Pair, int]] = []
+    deg = [0] * n  # in-weight = out-weight, as every state is balanced
+    for (a, _), w in arcs.items():
+        deg[a] += w
 
     while True:
-        active = [u for u in remaining if work.out_weight(u) > 0]
+        active = [u for u in range(n) if u != root and deg[u] > 0]
         if not active:
             break
-        table = lam.table(work.arcs)
-        from_r = table[order[r]]
-        u = min(active, key=lambda nd: (min(K, from_r[order[nd]]), order[nd]))
-        protect = {}
-        for a in work.nodes:
-            for b in work.nodes:
-                if a == b or a == u or b == u:
-                    continue
-                need = min(K, table[order[a]][order[b]])
-                if need > 0:
-                    protect[(a, b)] = need
-        while work.out_weight(u) > 0:
-            out_arcs = sorted(
-                (a for a in work.arcs if a[0] == u), key=_arc_key
+        table = lam.table(arcs)
+        u = min(active, key=lambda v: (min(K, table[root][v]), pos[v]))
+        protect = {
+            (a, b): min(K, table[a][b])
+            for a in range(n)
+            for b in range(n)
+            if a != b and u not in (a, b) and table[a][b] > 0
+        }
+        while deg[u] > 0:
+            outs = sorted(a for a in arcs if a[0] == u)
+            ins = sorted(a for a in arcs if a[1] == u)
+            x, e, f = max(
+                ((max_splittable(n, arcs, e, f, protect, lam), e, f) for f in outs for e in ins),
+                key=lambda best: best[0],
             )
-            in_arcs = sorted((a for a in work.arcs if a[1] == u), key=_arc_key)
-            best: Optional[Tuple[int, Arc, Arc]] = None
-            for f in out_arcs:
-                for e in in_arcs:
-                    x = max_splittable(work, e, f, protect, lam)
-                    if best is None or x > best[0]:
-                        best = (x, e, f)
-            if best is None or best[0] == 0:
-                raise PackingError(f"no splittable pair at center {u!r}")
-            x, e, f = best
-            work.arcs = _split_arcs(work.arcs, e, f, x)
-            splits.append((e, f, x, e[0] == f[1]))
-        if work.in_weight(u) != 0:
-            raise PackingError(f"imbalance after exhausting {u!r}")
-        remaining.remove(u)
+            if x == 0:
+                raise PackingError(f"no splittable pair at center {names[u]!r}")
+            _split(arcs, e, f, x)
+            splits.append((e, f, x))
+            deg[u] -= x
+            if e[0] == f[1]:
+                deg[e[0]] -= x
+        if any(u in a for a in arcs):
+            raise PackingError(f"imbalance after exhausting {names[u]!r}")
 
-    members: Dict[FrozenSet[Arc], int] = {frozenset(): K}
-    for e, f, x, is_loop in reversed(splits):
-        t, u = e
-        v = f[1]
-        work.add_weight(e, x)
-        work.add_weight(f, x)
-        if not is_loop:
-            work.add_weight((t, v), -x)
-        _undo_split(work, r, K, members, e, f, x, is_loop, lam)
+    members: Members = {frozenset(): K}
+    for e, f, x in reversed(splits):
+        _split(arcs, e, f, -x)
+        _undo_split(arcs, root, K, members, e, f, lam)
 
     return ArbFamily(
         members=tuple(
-            sorted(
-                ((g, F) for F, g in members.items()),
-                key=lambda item: (len(item[1]), _member_key(item[1])),
-            )
+            (g, frozenset((names[a], names[b]) for a, b in F))
+            for F, g in sorted(members.items(), key=lambda item: (len(item[0]), sorted(item[0])))
         )
     )
 
@@ -333,13 +305,7 @@ def pack_scaled(
     return family
 
 
-def _member_key(F: FrozenSet[Arc]) -> Tuple[Tuple[str, str], ...]:
-    return tuple(sorted(map(_arc_key, F)))
-
-
-def _move(
-    members: Dict[FrozenSet[Arc], int], F: FrozenSet[Arc], G: FrozenSet[Arc], g: int
-) -> None:
+def _move(members: Members, F: FrozenSet[Pair], G: FrozenSet[Pair], g: int) -> None:
     """Move weight g of member F onto member G."""
     left = members[F] - g
     if left < 0:
@@ -352,26 +318,17 @@ def _move(
 
 
 def _undo_split(
-    work: WeightedDigraph,
-    r,
-    K: int,
-    members: Dict[FrozenSet[Arc], int],
-    e: Arc,
-    f: Arc,
-    x: int,
-    is_loop: bool,
-    lam: _StateConnectivity,
+    arcs: State, r: int, K: int, members: Members, e: Pair, f: Pair, lam: _StateConnectivity
 ) -> None:
     """Adjust the family, in place, after restoring one split in the working
-    graph."""
+    arcs."""
     t, u = e
     v = f[1]
-    if not is_loop:
+    if t != v:
         g_arc = (t, v)
-        excess = sum(g for F, g in members.items() if g_arc in F) - work.weight(g_arc)
+        excess = sum(g for F, g in members.items() if g_arc in F) - arcs.get(g_arc, 0)
         if excess > 0:
-            users = sorted((F for F in members if g_arc in F), key=_member_key)
-            for F in users:
+            for F in sorted((F for F in members if g_arc in F), key=sorted):
                 if excess <= 0:
                     break
                 take = min(members[F], excess)
@@ -380,16 +337,16 @@ def _undo_split(
             if excess > 0:
                 raise PackingError("could not repair shortcut capacity")
 
-    target = min(K, lam.table(work.arcs)[work.index[r]][work.index[u]])
+    target = min(K, lam.table(arcs)[r][u])
     coverage = sum(g for F, g in members.items() if u in tree_nodes(F, r))
     deficit = target - coverage
     if deficit > 0:
-        _augment_coverage(work, r, u, deficit, members)
+        _augment_coverage(arcs, r, u, deficit, members)
 
 
 def _replace_shortcut(
-    F: FrozenSet[Arc], g_arc: Arc, e: Arc, f: Arc, u, r
-) -> FrozenSet[Arc]:
+    F: FrozenSet[Pair], g_arc: Pair, e: Pair, f: Pair, u: int, r: int
+) -> FrozenSet[Pair]:
     """Swap the shortcut arc g=(t,v) in a tree for the split pair e,f."""
     nodes = tree_nodes(F, r)
     if u not in nodes:
@@ -408,13 +365,7 @@ def _replace_shortcut(
     return F - {g_arc, h} | {e, f}
 
 
-def _augment_coverage(
-    work: WeightedDigraph,
-    r,
-    u,
-    deficit: int,
-    members: Dict[FrozenSet[Arc], int],
-) -> None:
+def _augment_coverage(arcs: State, r: int, u: int, deficit: int, members: Members) -> None:
     """Add in-arcs of u to trees lacking u, in place, until the coverage
     target is met.
 
@@ -423,21 +374,18 @@ def _augment_coverage(
     The source reaches the arcs through one hub arc of capacity `deficit`,
     so a maximum flow moves exactly the deficit when the repair exists.
     """
-    usage: Dict[Arc, int] = {}
+    usage: Dict[Pair, int] = {}
     for F, g in members.items():
         for a in F:
             usage[a] = usage.get(a, 0) + g
-    in_arcs = sorted(
-        (a for a in work.arcs if a[1] == u and work.weight(a) > usage.get(a, 0)),
-        key=_arc_key,
-    )
-    trees = sorted((F for F in members if u not in tree_nodes(F, r)), key=_member_key)
+    in_arcs = sorted(a for a, w in arcs.items() if a[1] == u and w > usage.get(a, 0))
+    trees = sorted((F for F in members if u not in tree_nodes(F, r)), key=sorted)
     # layered network: source -> hub -> arcs -> trees -> sink
     n_nodes = 3 + len(in_arcs) + len(trees)
     SRC, HUB, SINK = 0, 1, n_nodes - 1
     caps: Dict[Tuple[int, int], int] = {(SRC, HUB): deficit}
     for i, a in enumerate(in_arcs):
-        caps[(HUB, 2 + i)] = work.weight(a) - usage.get(a, 0)
+        caps[(HUB, 2 + i)] = arcs[a] - usage.get(a, 0)
     for j, F in enumerate(trees):
         caps[(2 + len(in_arcs) + j, SINK)] = members[F]
         nodesF = tree_nodes(F, r)
@@ -447,7 +395,7 @@ def _augment_coverage(
     value, flow = flows.max_flow_assignment(n_nodes, caps, SRC, SINK)
     if value < deficit:
         raise PackingError(
-            f"coverage repair for {u!r} short by {deficit - value}"
+            f"coverage repair for node {u} short by {deficit - value}"
         )
     for j, F in enumerate(trees):
         for i, a in enumerate(in_arcs):

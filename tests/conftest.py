@@ -128,11 +128,10 @@ def random_digraph(rng, max_nodes=6, max_w=5, min_nodes=2):
         for v in nodes:
             if u != v and rng.random() < 0.45:
                 arcs[(u, v)] = rng.randint(1, max_w)
-    D = WeightedDigraph(nodes=nodes, arcs=arcs)
-    for u in nodes:
-        if u == r:
-            continue
-        deficit = D.out_weight(u) - D.in_weight(u)
+    for u in nodes[1:]:
+        deficit = sum(w for a, w in arcs.items() if a[0] == u) - sum(
+            w for a, w in arcs.items() if a[1] == u
+        )
         if deficit > 0:
             arcs[(r, u)] = arcs.get((r, u), 0) + deficit
     return WeightedDigraph(nodes=nodes, arcs=arcs), r

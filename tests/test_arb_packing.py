@@ -16,8 +16,19 @@ from mdkmlp.arb_packing import (
 )
 
 
-def _indexed(D):
-    return {(D.index[u], D.index[v]): w for (u, v), w in D.arcs.items()}
+def _numbered(D):
+    """D's arc weights on its nodes' positions in D.nodes."""
+    index = {v: i for i, v in enumerate(D.nodes)}
+    return {(index[u], index[v]): w for (u, v), w in D.arcs.items()}
+
+
+def _balance(n, arcs):
+    """in-weight - out-weight of each node 0..n-1."""
+    excess = [0] * n
+    for (u, v), w in arcs.items():
+        excess[u] -= w
+        excess[v] += w
+    return excess
 
 
 class TestConnectivity:
@@ -48,69 +59,51 @@ class TestConnectivity:
         pairs = 0
         for _ in range(100):
             D, _ = random_digraph(rng, max_nodes=8, max_w=9)
-            caps = _indexed(D)
-            for x in D.nodes:
-                for y in D.nodes:
+            caps = _numbered(D)
+            for i, x in enumerate(D.nodes):
+                for j, y in enumerate(D.nodes):
                     if x != y:
-                        flow = flows.max_flow_value(len(D.nodes), caps, D.index[x], D.index[y])
+                        flow = flows.max_flow_value(len(D.nodes), caps, i, j)
                         assert connectivity(D, x, y) == flow
                         pairs += 1
         assert pairs > 1000
 
 
 class TestEulerianize:
+    """Int states: node i is the i-th name, r = 0."""
+
     def test_single_imbalance(self):
-        D = WeightedDigraph(nodes=("r", "u"), arcs={("r", "u"): 2})
-        out = eulerianize(D, "r")
-        assert out.weight(("u", "r")) == 2
-        for nd in out.nodes:
-            assert out.in_weight(nd) == out.out_weight(nd)
+        out = eulerianize(("r", "u"), {(0, 1): 2}, 0)
+        assert out[(1, 0)] == 2
+        assert _balance(2, out) == [0, 0]
 
     def test_eulerian_unchanged(self):
-        D = WeightedDigraph(
-            nodes=("r", "u"), arcs={("r", "u"): 3, ("u", "r"): 3}
-        )
-        out = eulerianize(D, "r")
-        assert out.arcs == D.arcs
+        arcs = {(0, 1): 3, (1, 0): 3}
+        assert eulerianize(("r", "u"), arcs, 0) == arcs
 
     def test_hypothesis_violation_reported(self):
-        D = WeightedDigraph(
-            nodes=("r", "u", "v"), arcs={("r", "u"): 1, ("u", "v"): 3}
-        )
         with pytest.raises(PackingError, match="'u'"):
-            eulerianize(D, "r")
+            eulerianize(("r", "u", "v"), {(0, 1): 1, (1, 2): 3}, 0)
 
 
 class TestMaxSplittable:
+    """Int states on nodes r, u, v = 0, 1, 2."""
+
     def test_triangle_preserving_connectivity(self):
-        D = WeightedDigraph(
-            nodes=("r", "u", "v"),
-            arcs={("r", "u"): 1, ("u", "v"): 1, ("v", "r"): 1},
-        )
-        x = max_splittable(D, ("r", "u"), ("u", "v"), {("r", "v"): 1})
-        assert x == 1
+        arcs = {(0, 1): 1, (1, 2): 1, (2, 0): 1}
+        assert max_splittable(3, arcs, (0, 1), (1, 2), {(0, 2): 1}) == 1
 
     def test_empty_protection_takes_all(self):
-        D = WeightedDigraph(
-            nodes=("r", "u", "v"),
-            arcs={("r", "u"): 2, ("u", "v"): 3, ("v", "r"): 2},
-        )
-        assert max_splittable(D, ("r", "u"), ("u", "v"), {}) == 2
+        arcs = {(0, 1): 2, (1, 2): 3, (2, 0): 2}
+        assert max_splittable(3, arcs, (0, 1), (1, 2), {}) == 2
 
     def test_zero_weight_arc_rejected(self):
-        D = WeightedDigraph(
-            nodes=("r", "u", "v"), arcs={("r", "u"): 1, ("v", "r"): 1}
-        )
         with pytest.raises(ValueError):
-            max_splittable(D, ("r", "u"), ("u", "v"), {})
+            max_splittable(3, {(0, 1): 1, (2, 0): 1}, (0, 1), (1, 2), {})
 
     def test_mismatched_middle_rejected(self):
-        D = WeightedDigraph(
-            nodes=("r", "u", "v"),
-            arcs={("r", "u"): 1, ("v", "r"): 1},
-        )
         with pytest.raises(ValueError, match="middle"):
-            max_splittable(D, ("r", "u"), ("v", "r"), {})
+            max_splittable(3, {(0, 1): 1, (2, 0): 1}, (0, 1), (2, 0), {})
 
 
 class TestPackArborescences:
@@ -234,57 +227,55 @@ class TestProperties:
             assert pack_arborescences(WeightedDigraph(D.nodes, dict(items)), r, K) == fam
 
 
-def _split(D, e, f, x):
-    """D after moving x from e=(t,u), f=(u,v) onto (t,v)."""
-    out = D.copy()
-    out.add_weight(e, -x)
-    out.add_weight(f, -x)
-    if e[0] != f[1]:
-        out.add_weight((e[0], f[1]), x)
-    return out
+def _split(arcs, e, f, x):
+    """The arc weights after moving x from e=(t,u), f=(u,v) onto (t,v)."""
+    out = dict(arcs)
+    for a, delta in ((e, -x), (f, -x), ((e[0], f[1]), x)):
+        if a[0] != a[1]:
+            out[a] = out.get(a, 0) + delta
+    return {a: w for a, w in out.items() if w}
 
 
 def _balanced_states(rng, graphs):
-    """Eulerianized random digraphs, each followed by the states of up to
-    four random splits, which keep every node balanced."""
+    """(n, arcs): eulerianized random digraphs, each followed by the states
+    of up to four random splits, which keep every node balanced."""
     for _ in range(graphs):
         D, r = random_digraph(rng, max_nodes=8)
-        work = eulerianize(D, r)
-        yield work
+        n = len(D.nodes)
+        work = eulerianize(D.nodes, _numbered(D), D.nodes.index(r))
+        yield n, work
         for _ in range(4):
-            u = rng.choice(work.nodes)
-            ins = sorted(a for a in work.arcs if a[1] == u)
-            outs = sorted(a for a in work.arcs if a[0] == u)
+            u = rng.randrange(n)
+            ins = sorted(a for a in work if a[1] == u)
+            outs = sorted(a for a in work if a[0] == u)
             if not ins or not outs:
                 continue
             e, f = rng.choice(ins), rng.choice(outs)
-            work = _split(work, e, f, rng.randint(1, min(work.weight(e), work.weight(f))))
-            yield work
+            work = _split(work, e, f, rng.randint(1, min(work[e], work[f])))
+            yield n, work
 
 
 class TestAllPairsConnectivity:
     def test_equals_pairwise_connectivity(self):
         rng = random.Random(61)
         states = pairs = 0
-        for D in _balanced_states(rng, 200):
-            caps = _indexed(D)
-            lam = all_pairs_connectivity(len(D.nodes), caps)
-            for a, i in D.index.items():
-                for b, j in D.index.items():
-                    if a != b:
-                        assert lam[i][j] == flows.max_flow_value(len(D.nodes), caps, i, j)
+        for n, caps in _balanced_states(rng, 200):
+            assert _balance(n, caps) == [0] * n
+            lam = all_pairs_connectivity(n, caps)
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        assert lam[i][j] == flows.max_flow_value(n, caps, i, j)
                         pairs += 1
             states += 1
         assert states > 400 and pairs > 10000
 
     def test_unbalanced_digraph_rejected(self):
-        D = WeightedDigraph(
-            nodes=("r", "u", "v"), arcs={("r", "u"): 2, ("u", "v"): 1, ("v", "r"): 1}
-        )
+        arcs = {(0, 1): 2, (1, 2): 1, (2, 0): 1}
         with pytest.raises(PackingError, match="not balanced"):
-            all_pairs_connectivity(len(D.nodes), _indexed(D))
+            all_pairs_connectivity(3, arcs)
         with pytest.raises(PackingError, match="not balanced"):
-            max_splittable(D, ("r", "u"), ("u", "v"), {("r", "v"): 1})
+            max_splittable(3, arcs, (0, 1), (1, 2), {(0, 2): 1})
 
 
 class TestWorkCount:
