@@ -1,5 +1,10 @@
 """LP core with a cutting-plane loop, plus the four model builders.
 
+Every LP here is a covering LP, min c.x subject to Ax >= b and x >= 0,
+with A and b integer: a row has one form, ``sum(a * x[j]) >= b``, and a
+builder writes an upper bound, such as the PC-LP's z <= 1, as its negation.
+So every dual of an optimal pair is nonnegative.
+
 Solving strategy: HiGHS (dual simplex) finds the optimum in floats, the
 result is rounded to small rationals, and a primal/dual pair is verified
 exactly (feasibility, reduced costs, strong duality). Only the entries of
@@ -35,16 +40,16 @@ import raises ImportError.
 An LP is built by column index only. Columns enter in blocks through
 :meth:`LinearProgram.add_vars`, each block with its names (kept for the
 solution's values) and its costs. Rows are one store of growable int64
-arrays in CSR form (indptr, indices, coefficients, rhs and an ``==`` flag),
-filled by :meth:`~LinearProgram.add_row` one row at a time, or as a whole
-CSR block by :meth:`~LinearProgram.add_rows`; a solve hands HiGHS the
-slice of rows added since its last solve, and :attr:`LinearProgram.rows`
-reads them back as :class:`Row` tuples. The builders lay their columns out
-in blocks (per depot group an x block, each client's columns in t order,
-so "served by t" is a slice; LP3's z block arc-major; the PC-LP's x block
-in arc order, then its z block) and emit every row as integer coefficients
-over increasing column indices; a row must be integer, and is stored as
-given. Only the
+arrays in CSR form (indptr, indices, coefficients and rhs), filled by
+:meth:`~LinearProgram.add_row` one row at a time, or as a whole CSR block
+by :meth:`~LinearProgram.add_rows`; a solve hands HiGHS the slice of rows
+added since its last solve, each as b <= row < inf, and
+:attr:`LinearProgram.rows` reads them back as :class:`Row` tuples. The
+builders lay their columns out in blocks (per depot group an x block, each
+client's columns in t order, so "served by t" is a slice; LP3's z block
+arc-major; the PC-LP's x block in arc order, then its z block) and emit
+every row as a ``>=`` row of integer coefficients over increasing column
+indices; a row must be integer, and is stored as given. Only the
 objective may be rational (the PC-LP's penalties). The cut oracles
 separate on the certified integer point of the solution
 (:attr:`LpSolution.point`): the
@@ -83,7 +88,6 @@ import importlib.machinery
 import importlib.util
 import logging
 import math
-import operator
 import os
 import sys
 from array import array
@@ -147,7 +151,6 @@ _ROUND_DENOM = 10**6
 _INT = {int}
 _FLOAT_EPS = 1e-7
 _EXACT = 2**62  # int64 arithmetic only below this bound on every partial sum
-_HOLDS = {">=": operator.ge, "<=": operator.le, "==": operator.eq}  # a row's sense, as a test
 
 # quiet dual simplex; presolve goes off after the first solve
 _HIGHS_OPTIONS = (
@@ -180,14 +183,12 @@ class EnumerationCapError(LpError):
 
 
 class Row(NamedTuple):
-    """A constraint in integers: ``sum(ints[i] * x[cols[i]]) >= b`` (or
-    ``== b``), ``cols`` sorted, zero coefficients dropped, a ``<=`` row
-    negated."""
+    """A constraint in integers: ``sum(ints[i] * x[cols[i]]) >= b``, ``cols``
+    sorted, zero coefficients dropped."""
 
     cols: Tuple[int, ...]
     ints: Tuple[int, ...]
     b: int
-    sense: str
 
 
 class Rows(Sequence):
@@ -248,13 +249,13 @@ class _Names(Sequence):
 
 class LinearProgram:
     """Nonnegative columns by index, each with a name, a rational
-    objective, growable integer rows.
+    objective, growable integer ``>=`` rows.
 
     The rows are one store of growable int64 arrays in CSR form: row i is
     ``sum(coefs[k] * x[indices[k]]) >= rhs[i]`` over k in ``indptr[i]`` ..
-    ``indptr[i + 1]``, or ``== rhs[i]`` where ``eq[i]``. :meth:`csr` gives
-    them as numpy arrays (views: a caller must not keep them past a row
-    append), :attr:`rows` as :class:`Row` tuples."""
+    ``indptr[i + 1]``; no row has another form. :meth:`csr` gives them as
+    numpy arrays (views: a caller must not keep them past a row append),
+    :attr:`rows` as :class:`Row` tuples."""
 
     def __init__(self):
         self.names = _Names()
@@ -263,7 +264,6 @@ class LinearProgram:
         self._indices = array("q")
         self._coefs = array("q")
         self._rhs = array("q")
-        self._eq = array("b")
         self._scaled = None  # scaled_objective(), until the objective changes
         self.model = None  # the HiGHS model solve_lp keeps, once it has run
 
@@ -272,12 +272,11 @@ class LinearProgram:
         return Rows(self)
 
     def csr(self) -> Tuple[np.ndarray, ...]:
-        """(indptr, indices, coefs, rhs, eq): the rows as numpy views of the
-        store, int64 but ``eq`` bool."""
-        return (
-            *(np.frombuffer(a, dtype=np.int64)
-              for a in (self._indptr, self._indices, self._coefs, self._rhs)),
-            np.frombuffer(self._eq, dtype=bool),
+        """(indptr, indices, coefs, rhs): the rows as int64 numpy views of
+        the store."""
+        return tuple(
+            np.frombuffer(a, dtype=np.int64)
+            for a in (self._indptr, self._indices, self._coefs, self._rhs)
         )
 
     def _row_tuples(self, start: int, stop: int):
@@ -288,9 +287,9 @@ class LinearProgram:
         cols = self._indices[ptr[0]:ptr[-1]].tolist()
         ints = self._coefs[ptr[0]:ptr[-1]].tolist()
         base = ptr[0]
-        for k, (b, eq) in enumerate(zip(self._rhs[start:stop], self._eq[start:stop])):
+        for k, b in enumerate(self._rhs[start:stop]):
             s, e = ptr[k] - base, ptr[k + 1] - base
-            yield Row(tuple(cols[s:e]), tuple(ints[s:e]), b, "==" if eq else ">=")
+            yield Row(tuple(cols[s:e]), tuple(ints[s:e]), b)
 
     def scaled_objective(self) -> Tuple[int, np.ndarray, int]:
         """(D, C, max |C|): D the lcm of the objective's denominators, and C
@@ -330,42 +329,36 @@ class LinearProgram:
                 np.array([float(self.objective[j]) for j in costs]),
             )
 
-    def add_row(self, cols: Sequence[int], ints: Sequence[int], b: int, sense: str) -> None:
-        """Append the row ``sum(ints[i] * x[cols[i]]) sense b``, ``cols``
-        increasing; the coefficients and ``b`` must be ints of 64 bits."""
-        if sense not in (">=", "<=", "=="):
-            raise ValueError(f"unknown sense {sense!r}")
+    def add_row(self, cols: Sequence[int], ints: Sequence[int], b: int) -> None:
+        """Append the row ``sum(ints[i] * x[cols[i]]) >= b``, ``cols``
+        increasing; the coefficients and ``b`` must be ints of 64 bits. Zero
+        coefficients are dropped; an upper bound goes in negated."""
         if type(b) is not int or not set(map(type, ints)) <= _INT:
             raise ValueError("a row's coefficients and right-hand side must be ints")
         if 0 in ints:
             kept = [(j, a) for j, a in zip(cols, ints) if a]
             cols, ints = [j for j, _ in kept], [a for _, a in kept]
-        if sense == "<=":
-            ints, b = [-a for a in ints], -b
         # converted before anything is stored: a value past 64 bits raises
         cols, ints, b = array("q", cols), array("q", ints), array("q", (b,))
         self._indices += cols
         self._coefs += ints
         self._indptr.append(len(self._indices))
         self._rhs += b
-        self._eq.append(sense == "==")
 
     def add_rows(self, indptr: np.ndarray, indices: np.ndarray, coefs: np.ndarray,
-                 rhs: np.ndarray, eq: np.ndarray) -> None:
-        """Append a block of rows in CSR form: int64 arrays, ``eq`` bool,
-        ``indptr`` from 0; each row's columns increasing, with no zero
-        coefficient, and the row is ``>= rhs`` or, where ``eq``, ``== rhs``."""
-        if {a.dtype for a in (indptr, indices, coefs, rhs)} != {np.dtype(np.int64)} or (
-            eq.dtype != bool
-        ):
-            raise ValueError("a row block is int64 arrays and a bool eq")
+                 rhs: np.ndarray) -> None:
+        """Append a block of ``>=`` rows in CSR form: int64 arrays,
+        ``indptr`` from 0; row i is ``sum(coefs[k] * x[indices[k]]) >=
+        rhs[i]`` over its k, its columns increasing, with no zero
+        coefficient. A refused block stores nothing."""
+        if {a.dtype for a in (indptr, indices, coefs, rhs)} != {np.dtype(np.int64)}:
+            raise ValueError("a row block is int64 arrays")
         if not coefs.all():
             raise ValueError("a row block has a zero coefficient")
         self._indptr.frombytes((indptr[1:] + len(self._indices)).tobytes())
         self._indices.frombytes(indices.tobytes())
         self._coefs.frombytes(coefs.tobytes())
         self._rhs.frombytes(rhs.tobytes())
-        self._eq.frombytes(eq.tobytes())
 
 
 @dataclass
@@ -410,12 +403,13 @@ def _certify(
     support (column or row index -> value; every other entry is 0), on
     scaled integer arrays.
 
-    The rows are integer. With L the lcm of the denominators of x, X = L*x;
-    with M the lcm of the denominators of y, W = M*y; D is the lcm of the
-    objective's denominators, C = D*c. Every test below is the Fraction test
-    (primal feasibility of every row, y >= 0 on '>=' rows, reduced cost >= 0
-    of every column, strong duality) multiplied through by a positive
-    integer, so the two accept the same pairs. Row sums A X and column sums
+    The rows are integer, and every row is a ``>=`` row, so the dual test
+    is y >= 0 on every row: any negative dual fails. With L the lcm of the
+    denominators of x, X = L*x; with M the lcm of the denominators of y, W
+    = M*y; D is the lcm of the objective's denominators, C = D*c. Every test
+    below is the Fraction test (primal feasibility of every row, y >= 0,
+    reduced cost >= 0 of every column, strong duality) multiplied through
+    by a positive integer, so the two accept the same pairs. Row sums A X and column sums
     A^T W run in int64 only where a bound proves that no partial sum
     reaches 2**62: max X times the largest row 1-norm (bounded by max |a|
     times the longest row), max W times max |a| times the rows with a dual.
@@ -424,7 +418,7 @@ def _certify(
     xs = [(v.numerator, v.denominator) for v in x.values()]
     if any(p < 0 for p, _ in xs):
         return False
-    indptr, indices, coefs, rhs, eq = lp.csr()
+    indptr, indices, coefs, rhs = lp.csr()
     amax = max(int(coefs.max()), -int(coefs.min())) if len(coefs) else 0
     bmax = max(int(rhs.max()), -int(rhs.min())) if len(rhs) else 0
     L = math.lcm(*(q for _, q in xs))
@@ -439,18 +433,17 @@ def _certify(
     if len(indices):
         lhs[filled] = np.add.reduceat(coefs.astype(dt) * X[indices], indptr[:-1][filled])
     bL = rhs.astype(dt) * L
-    if (lhs < bL).any() or (lhs[eq] != bL[eq]).any():
+    if (lhs < bL).any():
         return False
     ys = {i: (y.numerator, y.denominator) for i, y in duals.items()}
     ys = {i: pq for i, pq in ys.items() if pq[0]}
-    negative = [i for i, (p, _) in ys.items() if p < 0]
-    if negative and not eq[negative].all():
+    if any(p < 0 for p, _ in ys.values()):
         return False
     tight = np.fromiter(ys, dtype=np.int64, count=len(ys))
     M = math.lcm(*(q for _, q in ys.values()))
     Ws = [p * (M // q) for p, q in ys.values()]
     D, C, cmax = lp.scaled_objective()
-    wmax = max(map(abs, Ws), default=0)
+    wmax = max(Ws, default=0)
     dt = _dtype(max(wmax * amax * len(Ws) * D, wmax, cmax * M, M, D))
     S = np.zeros(len(C), dtype=dt)
     lens = indptr[tight + 1] - indptr[tight]
@@ -500,14 +493,13 @@ def _highs_solve(lp: LinearProgram):
             new, np.arange(ncols, len(lp.names)),
             np.array(lp.objective[ncols:], dtype=float),
         )
-    indptr, indices, coefs, rhs, eq = lp.csr()
-    if len(rhs) > nrows:  # b <= row <= b for '==', b <= row < inf for '>='
+    indptr, indices, coefs, rhs = lp.csr()
+    if len(rhs) > nrows:  # b <= row < inf
         start = int(indptr[nrows])
         lower = rhs[nrows:].astype(float)
-        upper = np.where(eq[nrows:], lower, kHighsInf)
         h.addRows(
-            len(lower), lower, upper, len(indices) - start, indptr[nrows:-1] - start,
-            indices[start:], coefs[start:].astype(float),
+            len(lower), lower, np.full(len(lower), kHighsInf), len(indices) - start,
+            indptr[nrows:-1] - start, indices[start:], coefs[start:].astype(float),
         )
     h.run()
     if first:
@@ -534,10 +526,10 @@ def solve_lp(lp: LinearProgram, which: str = "LP", T: Optional[int] = None) -> L
     if status != HighsModelStatus.kOptimal:
         raise LpError(f"{which}: HiGHS stopped with model status {status.name}")
     x = _round_support(xs)
-    # A '>=' row's multiplier is nonnegative up to float noise: above
-    # -1e-7 it rounds to 0 (no nonzero rational of denominator <= 10**6
-    # lies that close to 0), below it the pair is not certified.
-    signs_ok = lp.csr()[4][np.asarray(ys) <= -_FLOAT_EPS].all()
+    # A row's multiplier is nonnegative up to float noise: above -1e-7 it
+    # rounds to 0 (no nonzero rational of denominator <= 10**6 lies that
+    # close to 0), below it the pair is not certified.
+    signs_ok = not (np.asarray(ys) <= -_FLOAT_EPS).any()
     if not (signs_ok and _certify(lp, x, _round_support(ys))):
         log.debug("rounded optimum of %s not certified; exact basis solve", which)
         basis = lp.model.getBasis()
@@ -562,8 +554,8 @@ def solve_lp(lp: LinearProgram, which: str = "LP", T: Optional[int] = None) -> L
     )
 
 
-# A cut is a row for :meth:`LinearProgram.add_row`: (cols, ints, b, sense).
-Cut = Tuple[Sequence[int], Sequence[int], int, str]
+# A cut is a row for :meth:`LinearProgram.add_row`: (cols, ints, b).
+Cut = Tuple[Sequence[int], Sequence[int], int]
 
 
 def solve_with_cuts(
@@ -574,9 +566,9 @@ def solve_with_cuts(
 ) -> LpSolution:
     """Solve, separate, add cuts, repeat until the oracle is satisfied.
 
-    Every cut must fail at the certified optimum (L, X) it was separated
-    on: sum(a * X[j]) against b * L, in ints, under the cut's sense. A cut
-    that holds there cannot move the optimum, so it raises
+    A cut is a ``>=`` row like every other, and must fail at the certified
+    optimum (L, X) it was separated on: sum(a * X[j]) < b * L, in ints. A
+    cut that holds there cannot move the optimum, so it raises
     :class:`LpError` ("no progress") before it is stored. Every stored row
     holds at that point, so a repeated row can never go in."""
     added = 0
@@ -590,10 +582,10 @@ def solve_with_cuts(
         if not cuts:
             return sol
         L, X = sol.point
-        for cols, ints, b, sense in cuts:
-            if _HOLDS[sense](sum(a * X.get(j, 0) for j, a in zip(cols, ints)), b * L):
+        for cols, ints, b in cuts:
+            if sum(a * X.get(j, 0) for j, a in zip(cols, ints)) >= b * L:
                 raise LpError(f"no progress: a {which} cut holds at the certified optimum")
-            lp.add_row(cols, ints, b, sense)
+            lp.add_row(cols, ints, b)
             added += 1
             if added > MAX_CUTS:
                 raise LpError(f"cut limit {MAX_CUTS} exceeded for {which}")
@@ -627,8 +619,9 @@ def _cut_arcs(
 class PcLpModel(NamedTuple):
     """The bidirected prize-collecting LP of one instance and root, without
     its penalties: x[a] for every arc a not into the root, z[v] (v left
-    uncovered, z <= 1) for every other node, and per node a degree row and
-    a cover row. ``z`` maps each node to its z column."""
+    uncovered, z <= 1, stored as -z >= -1) for every other node, and per
+    node a degree row and a cover row. ``z`` maps each node to its z
+    column."""
 
     inst: MetricInstance
     root: object
@@ -653,14 +646,14 @@ def pclp_model(inst: MetricInstance, root) -> PcLpModel:
     z0 = lp.add_vars([("z", v) for v in others], [0] * len(others))
     z = {v: z0 + i for i, v in enumerate(others)}
     for j in z.values():
-        lp.add_row([j], [1], 1, "<=")
+        lp.add_row([j], [-1], -1)
     for v in others:
         into = [col[u, v] for u in inst.nodes if u != v]
         degree = sorted([(j, 1) for j in into] + [
             (col[v, w], -1) for w in inst.nodes if w != v and w != root
         ])
-        lp.add_row([j for j, _ in degree], [a for _, a in degree], 0, ">=")
-        lp.add_row(into + [z[v]], [1] * (len(into) + 1), 1, ">=")
+        lp.add_row([j for j, _ in degree], [a for _, a in degree], 0)
+        lp.add_row(into + [z[v]], [1] * (len(into) + 1), 1)
     return PcLpModel(inst, root, arcs, z, lp)
 
 
@@ -690,7 +683,7 @@ def build_and_solve_pclp(model: PcLpModel, penalties: Dict[object, Fraction]) ->
         for v, zv in z.items():
             cols = _cut_arcs(inst.n, pairs, caps, pos[root], pos[v], L - X.get(zv, 0))
             if cols is not None:
-                cuts.append((cols + [zv], [1] * (len(cols) + 1), 1, ">="))
+                cuts.append((cols + [zv], [1] * (len(cols) + 1), 1))
         return cuts
 
     return solve_with_cuts(lp, oracle, which="PC-LP")
@@ -786,10 +779,13 @@ def draw_table(weighted: Sequence[Tuple[object, Fraction]]) -> DrawTable:
 
 
 # ---------------------------------------------------------------------------
-# time-indexed rows shared by LP1, LP2 and LP3
+# time-indexed columns and rows
 #
 # x[gi, v, t] says that a vehicle of group gi serves client v at time t; it
 # exists from the first time ``first[v]`` the group can reach v up to T.
+# The configuration LPs build their x blocks as arrays (_solve_config_lp);
+# LP1, LP2 and LP3 share only _add_cover_rows and _served, while
+# _add_assignment_vars and _link are LP3's alone.
 
 
 def _guard_size(count: int, cap: int, what: str) -> None:
@@ -834,7 +830,7 @@ def _served(block: Dict[object, Tuple[int, int]], v, t: int) -> range:
 def _link(served: range, zcols: Sequence[int]) -> Cut:
     """The row sum(z over zcols) - sum(x over served) >= 0: a covering row
     pays for what its group has served. The x block precedes the z block."""
-    return (*served, *zcols), (-1,) * len(served) + (1,) * len(zcols), 0, ">="
+    return (*served, *zcols), (-1,) * len(served) + (1,) * len(zcols), 0
 
 
 def _add_cover_rows(
@@ -852,7 +848,7 @@ def _add_cover_rows(
                 ints.extend([mult] * len(served))
         if not cols:
             raise LpInfeasibleError(f"{which} infeasible: {v!r} unreachable within T={T}")
-        lp.add_row(cols, ints, 1, ">=")
+        lp.add_row(cols, ints, 1)
 
 
 class ConfigGroup(NamedTuple):
@@ -950,12 +946,10 @@ def _solve_config_lp(
         indptr = np.zeros(len(per_t) + 1, dtype=np.int64)
         np.cumsum(per_t, out=indptr[1:])
         lp.add_rows(  # sum of the z columns at t <= 1, as its negation >= -1
-            indptr, z0 + order, np.full(len(order), -1),
-            np.full(len(per_t), -1), np.zeros(len(per_t), dtype=bool),
+            indptr, z0 + order, np.full(len(order), -1), np.full(len(per_t), -1)
         )
         indptr, cols, coefs = _link_rows(g, xstart, z0, T, width)
-        rows = len(indptr) - 1
-        lp.add_rows(indptr, cols, coefs, np.zeros(rows, dtype=np.int64), np.zeros(rows, dtype=bool))
+        lp.add_rows(indptr, cols, coefs, np.zeros(len(indptr) - 1, dtype=np.int64))
     sol = solve_lp(lp, which=which, T=T)
     L, X = sol.point
     drawn = []
@@ -1157,17 +1151,17 @@ def build_and_solve_lp3(inst: MetricInstance, T: int) -> LpSolution:
         parts.append((r, mult, block, arcs, pairs, range(z0 - 1, z0 - 1 + len(arcs) * T, T)))
     _add_cover_rows(lp, inst, [(mult, block) for _, mult, block, *_ in parts], T, "LP3")
     for _, _, block, arcs, _, zt in parts:
-        budget = [ca(*a) for a in arcs]
+        budget = [-ca(*a) for a in arcs]
         degree = [
             [(j, 1 if a[1] == v else -1) for j, a in zip(zt, arcs) if v in a] for v in clients
         ]
         into = {v: [j for j, a in zip(zt, arcs) if a[1] == v] for v in block}
         for t in range(1, T + 1):
-            # length budget
-            lp.add_row([j + t for j in zt], budget, t, "<=")
+            # length budget: sum of c_a z[a, t] <= t, as its negation
+            lp.add_row([j + t for j in zt], budget, -t)
             # degree: into each client at least as much as out of it
             for terms in degree:
-                lp.add_row([j + t for j, _ in terms], [a for _, a in terms], 0, ">=")
+                lp.add_row([j + t for j, _ in terms], [a for _, a in terms], 0)
             # singleton cuts up front to cut down separation rounds
             for v in block:
                 lp.add_row(*_link(_served(block, v, t), [j + t for j in into[v]]))

@@ -34,7 +34,7 @@ def exact_simplex(
     pos = {j: k for k, j in enumerate(basic)}
     primal = []  # A[tight, basic] x_B = b[tight], by row
     dual = [({}, lp.objective[j]) for j in basic]  # its transpose = c_B
-    indptr, indices, coefs, rhs = lp.csr()[:4]
+    indptr, indices, coefs, rhs = lp.csr()
     starts, ends, bs = (a[tight].tolist() for a in (indptr[:-1], indptr[1:], rhs))
     cols, ints = indices.tolist(), coefs.tolist()
     for r, (s, e, b) in enumerate(zip(starts, ends, bs)):

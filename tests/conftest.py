@@ -1,5 +1,7 @@
 """Shared fixtures: the two reference instances and random-instance factories."""
 
+import faulthandler
+import os
 import random
 
 import pytest
@@ -7,6 +9,31 @@ import pytest
 from mdkmlp import lp_toolkit
 from mdkmlp.arb_packing import WeightedDigraph
 from mdkmlp.instance import MetricInstance
+
+# A test that runs this long has hung: no test here takes more than a few
+# seconds, so the guard dumps every thread's stack and ends the run.
+HANG_SECONDS = 120
+_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # a copy of stderr as the run found it: while a test runs, pytest
+    # captures fd 2, and what it captured is lost when the guard ends the run
+    config.stash[_STDERR] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR])
+
+
+@pytest.fixture(autouse=True)
+def hang_guard(request):
+    faulthandler.dump_traceback_later(
+        HANG_SECONDS, exit=True, file=request.config.stash[_STDERR]
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
 
 # FIX-A: three nodes on a line at 0, 1, 3; one depot at 0.
 FIX_A_JSON = (

@@ -330,7 +330,10 @@ class NamedLP(LinearProgram):
         return self.add_vars([name], [Fraction(obj)])
 
     def add_constraint(self, coeffs, sense, rhs) -> None:
-        """:meth:`add_row` by variable name."""
+        """:meth:`add_row` by variable name: ``sense`` is ``">="``, or
+        ``"<="`` for the row that goes in negated."""
+        if sense not in (">=", "<="):
+            raise ValueError(f"unknown sense {sense!r}")
         index = {name: j for j, name in enumerate(self.names)}
         try:
             pairs = sorted((index[name], c) for name, c in coeffs.items())
@@ -338,7 +341,9 @@ class NamedLP(LinearProgram):
             raise ValueError(
                 f"constraint references unknown variable {exc.args[0]!r}"
             ) from None
-        self.add_row([j for j, _ in pairs], [c for _, c in pairs], rhs, sense)
+        if sense == "<=":
+            pairs, rhs = [(j, -c) for j, c in pairs], -rhs
+        self.add_row([j for j, _ in pairs], [c for _, c in pairs], rhs)
 
 
 def pclp_model(inst, root) -> PcLpModel:
@@ -363,10 +368,10 @@ def pclp_model(inst, root) -> PcLpModel:
 
 
 def lp3_cuts(inst, T, sol):
-    """The cuts LP3's separation adds at ``sol``, as (coeffs by name, sense,
-    rhs): per depot group and t = 1..T, for each client v the group may
-    serve, a set S holding v whose entering z[gi, a, t] sum to less than
-    the group's x[gi, v, tp] over tp <= t."""
+    """The cuts LP3's separation adds at ``sol``, as (coeffs by name, rhs)
+    of ``>=`` rows: per depot group and t = 1..T, for each client v the
+    group may serve, a set S holding v whose entering z[gi, a, t] sum to
+    less than the group's x[gi, v, tp] over tp <= t."""
     ca = inst.service_directed if inst.has_service else inst.dist
     cuts = []
     for gi, (r, _) in enumerate(vehicle_groups(inst)):
@@ -381,14 +386,14 @@ def lp3_cuts(inst, T, sol):
             for S, v in _violated(inst, r, zvals, demands):
                 coeffs = {("z", gi, (a, b), t): 1 for a, b in arcs if a not in S and b in S}
                 coeffs.update({("x", gi, v, tp): -1 for tp in range(first[v], t + 1)})
-                cuts.append((coeffs, ">=", 0))
+                cuts.append((coeffs, 0))
     return cuts
 
 
 def pclp_cuts(inst, root, sol):
-    """The cuts the prize-collecting LP's separation adds at ``sol``: for
-    each node v but the root, a set S holding v whose entering x[a] sum to
-    less than 1 - z[v]."""
+    """The cuts the prize-collecting LP's separation adds at ``sol``, as
+    (coeffs by name, rhs) of ``>=`` rows: for each node v but the root, a
+    set S holding v whose entering x[a] sum to less than 1 - z[v]."""
     arcs = [(u, v) for u in inst.nodes for v in inst.nodes if u != v and v != root]
     xvals = {a: sol.value(("x", a)) for a in arcs}
     demands = [(v, 1 - sol.value(("z", v))) for v in inst.nodes if v != root]
@@ -396,7 +401,7 @@ def pclp_cuts(inst, root, sol):
     for S, v in _violated(inst, root, xvals, demands):
         coeffs = {("x", (a, b)): 1 for a, b in arcs if a not in S and b in S}
         coeffs[("z", v)] = 1
-        cuts.append((coeffs, ">=", 1))
+        cuts.append((coeffs, 1))
     return cuts
 
 

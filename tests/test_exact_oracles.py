@@ -59,6 +59,15 @@ def tie_heavy_instances():
                 yield MetricInstance(nodes=nodes, roots=roots, cost=cost)
 
 
+def line_instance(n):
+    """n nodes v0..v{n-1} at 0..n-1 on a line, one depot at v0."""
+    return MetricInstance(
+        nodes=tuple(f"v{i}" for i in range(n)),
+        roots=("v0",),
+        cost=tuple(tuple(abs(i - j) for j in range(n)) for i in range(n)),
+    )
+
+
 class TestExactKmlp:
     def test_fix_a(self, fix_a):
         res = exact_kmlp(fix_a)
@@ -77,15 +86,13 @@ class TestExactKmlp:
         assert res.witness.routes == (("r",),)
 
     def test_guard_trips_loudly(self):
-        n = 12
-        cost = tuple(
-            tuple(abs(i - j) for j in range(n)) for i in range(n)
-        )
-        inst = MetricInstance(
-            nodes=tuple(f"v{i}" for i in range(n)), roots=("v0",), cost=cost
-        )
-        with pytest.raises(OracleGuardError, match="clients"):
-            exact_kmlp(inst)
+        # 9 clients, the limit, answer: the vehicle visits them in line order
+        assert exact_kmlp(line_instance(10)).value == sum(range(1, 10))
+        for n in (11, 12):
+            with pytest.raises(
+                OracleGuardError, match=rf"^exact oracle guard: {n - 1} clients > limit 9$"
+            ):
+                exact_kmlp(line_instance(n))
 
     def test_witness_reaches_value(self):
         rng = random.Random(11)
@@ -101,6 +108,15 @@ class TestExactKmlp:
 
 
 class TestBottleneckStroll:
+    def test_guard_boundary(self):
+        # 9 clients answer, b*_l = l - 1; 10 clients trip the guard
+        table = bnslb(line_instance(10))
+        assert table.values == tuple(F(l) for l in range(10))
+        with pytest.raises(
+            OracleGuardError, match=r"^exact oracle guard: 10 clients > limit 9$"
+        ):
+            bnslb(line_instance(11))
+
     def test_fix_a_values(self, fix_a):
         table = bnslb(fix_a)
         assert (table.values[0], table.witnesses[0]) == (0, (("r",),))
@@ -211,13 +227,12 @@ class TestOrienteering:
             exact_orienteering(fix_a, "r", F(1), {"r": F(1)})
 
     def test_guard(self):
-        n = 13
-        cost = tuple(tuple(abs(i - j) for j in range(n)) for i in range(n))
-        inst = MetricInstance(
-            nodes=tuple(f"v{i}" for i in range(n)), roots=("v0",), cost=cost
-        )
-        with pytest.raises(OracleGuardError, match="orienteering"):
-            exact_orienteering(inst, "v0", F(1), {})
+        # n = 12, the limit, answers: budget 3 reaches v1, v2 and v3
+        rewards = {f"v{i}": 1 for i in range(1, 12)}
+        res = exact_orienteering(line_instance(12), "v0", 3, rewards)
+        assert (res.value, res.witness) == (3, ("v0", "v1", "v2", "v3"))
+        with pytest.raises(OracleGuardError, match=r"^orienteering guard: n=13 > 12$"):
+            exact_orienteering(line_instance(13), "v0", F(1), {})
 
 
 class TestPcPaths:

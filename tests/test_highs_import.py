@@ -20,8 +20,8 @@ SOLVE = """
 from mdkmlp.lp_toolkit import LinearProgram, solve_lp
 lp = LinearProgram()
 lp.add_vars(["x", "y"], [1, 1])
-lp.add_row([0, 1], [1, 2], 2, ">=")
-lp.add_row([0, 1], [2, 1], 2, ">=")
+lp.add_row([0, 1], [1, 2], 2)
+lp.add_row([0, 1], [2, 1], 2)
 sol = solve_lp(lp)
 out["value"] = str(sol.objective_value)
 out["x"] = [str(sol.value("x")), str(sol.value("y"))]

@@ -7,16 +7,19 @@ records the prize-collecting LPs of the `pc_tree_seed41.json` instances:
 every PC-LP solve of one `coverage_tree` walk, and of `pc_tree` at the
 penalties that golden fixes, grouped by `build_and_solve_pclp` call. For
 every LP that reaches `solve_lp` it keeps a digest of the model exactly as
-HiGHS sees it: the objective, then per row its sense, rhs and (column
-index, coefficient) pairs, with `<=` rows flipped to `>=` and zero
-coefficients dropped. It also keeps the exact optimum and a digest of the
-solution by column index. Variable names are left out, so renaming a
-variable does not change the record, but another column order, row order
-or coefficient does; HiGHS may return another optimal vertex for a
-reordered model, which would change the rounded plans and trees. Cut
-rounds after the first follow the vertices of HiGHS's warm re-solves; the
-test that solves each model on a new HiGHS model pins everything that may
-not depend on them.
+HiGHS sees it: the objective, then per row the tag `">="`, its rhs and
+(column index, coefficient) pairs, zero coefficients dropped. Every row of
+`LinearProgram` is a `>=` row, and a builder writes an upper bound negated,
+so the tag carries no information; it stays because the digests were
+recorded when a row could also be `==` or `<=` (stored negated), and
+dropping it would change every digest of models that did not change. It
+also keeps the exact optimum and a digest of the solution by column index.
+Variable names are left out, so renaming a variable does not change the
+record, but another column order, row order or coefficient does; HiGHS
+may return another optimal vertex for a reordered model, which would
+change the rounded plans and trees. Cut rounds after the first follow the
+vertices of HiGHS's warm re-solves; the test that solves each model on a
+new HiGHS model pins everything that may not depend on them.
 
 The rows are read from the row store `lp.csr()` at each `solve_lp` call,
 as HiGHS receives them: each row's integer coefficients, its columns in
@@ -90,10 +93,10 @@ def _digest(text: str) -> str:
 
 
 def _canonical_rows(lp):
-    indptr, indices, coefs, rhs, eq = (a.tolist() for a in lp.csr())
+    indptr, indices, coefs, rhs = (a.tolist() for a in lp.csr())
     return [
-        ["==" if e else ">=", str(b), [[j, str(a)] for j, a in zip(indices[s:t], coefs[s:t])]]
-        for s, t, b, e in zip(indptr, indptr[1:], rhs, eq)
+        [">=", str(b), [[j, str(a)] for j, a in zip(indices[s:t], coefs[s:t])]]
+        for s, t, b in zip(indptr, indptr[1:], rhs)
     ]
 
 

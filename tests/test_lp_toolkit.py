@@ -102,19 +102,14 @@ def reference_certify(objective, rows, x, duals):
     canon = []
     for coeffs, sense, rhs in rows:
         sign = -1 if sense == "<=" else 1
-        canon.append((
-            {name: sign * F(c) for name, c in coeffs.items()},
-            "==" if sense == "==" else ">=",
-            sign * F(rhs),
-        ))
-    for (coeffs, sense, rhs), _ in zip(canon, duals):
-        lhs = sum(c * value[name] for name, c in coeffs.items())
-        if lhs < rhs or (sense == "==" and lhs != rhs):
+        canon.append(({name: sign * F(c) for name, c in coeffs.items()}, sign * F(rhs)))
+    for (coeffs, rhs), _ in zip(canon, duals):
+        if sum(c * value[name] for name, c in coeffs.items()) < rhs:
             return False
     reduced = {name: F(c) for name, c in objective.items()}
     dual_obj = ZERO
-    for (coeffs, sense, rhs), y in zip(canon, duals):
-        if sense == ">=" and y < 0:
+    for (coeffs, rhs), y in zip(canon, duals):
+        if y < 0:
             return False
         for name, c in coeffs.items():
             reduced[name] -= y * c
@@ -124,16 +119,12 @@ def reference_certify(objective, rows, x, duals):
     return sum(F(c) * value[name] for name, c in objective.items()) == dual_obj
 
 
-def reference_row(lp, coeffs, sense, rhs):
-    """The stored form of an integer row: columns increasing, zero
-    coefficients dropped, a ``<=`` row negated."""
+def reference_row(lp, coeffs, rhs):
+    """The stored form of the integer row ``coeffs >= rhs``: columns
+    increasing, zero coefficients dropped."""
     index = {name: j for j, name in enumerate(lp.names)}
     terms = sorted((index[name], c) for name, c in coeffs.items() if c != 0)
-    s = -1 if sense == "<=" else 1
-    return lp_toolkit.Row(
-        tuple(j for j, _ in terms), tuple(s * c for _, c in terms), s * rhs,
-        ">=" if sense == "<=" else sense,
-    )
+    return lp_toolkit.Row(tuple(j for j, _ in terms), tuple(c for _, c in terms), rhs)
 
 
 def small_lp(objective, rows):
@@ -150,20 +141,12 @@ def small_lp(objective, rows):
 # "non-integer" cases are LPs written with fractional coefficients, each row
 # multiplied through to integers; their points and duals stay fractional.
 CERTIFY_CASES = {
-    "optimal pair, negative dual on an == row": (
-        {"x": 1, "y": 2},
-        [({"x": 1, "y": 1}, ">=", 2), ({"x": 1, "y": -1}, "==", 0)],
-        [1, 1], [F(3, 2), F(-1, 2)], True,
-    ),
     "negative x": (
         {"x": 1, "y": 1}, [({"x": 1, "y": 1}, ">=", 1)],
         [-1, 2], [1], False,
     ),
     "violated >= row": (
         {"x": 1}, [({"x": 1}, ">=", 2)], [1], [F(1, 2)], False,
-    ),
-    "violated == row, lhs above rhs": (
-        {"x": -1}, [({"x": 1}, "==", 2)], [3], [F(-3, 2)], False,
     ),
     "violated <= row": (
         {"x": -1}, [({"x": 1}, "<=", 2)], [3], [F(3, 2)], False,
@@ -186,9 +169,9 @@ CERTIFY_CASES = {
         {"x": 1, "y": 1}, [({"x": 2, "y": 3}, ">=", 5)],
         [0, F(5, 3) - F(1, 10**6)], [F(1, 3)], False,
     ),
-    "non-integer ==, <= rows and objective": (
+    "non-integer >=, <= rows and objective": (
         {"x": F(1, 7), "y": F(2, 5)},
-        [({"x": 8, "y": 3}, "==", 14), ({"x": 2}, "<=", 3)],
+        [({"x": 8, "y": 3}, ">=", 14), ({"x": 2}, "<=", 3)],
         [F(3, 2), F(2, 3)], [F(2, 15), F(97, 210)], True,
     ),
 }
@@ -271,9 +254,9 @@ class TestCertify:
     def test_config_lp_pairs_agree_with_the_fraction_reference(self, monkeypatch):
         """On LP1 and LP2 of the golden instances, the array certificate
         accepts each rounded optimum and rejects one perturbation per branch
-        (negative x, a violated row, a negative dual on a '>=' row, a
-        negative reduced cost, a duality gap), always as the Fraction
-        reference does on the same dense pair."""
+        (negative x, a violated row, a negative dual, a negative reduced
+        cost, a duality gap), always as the Fraction reference does on the
+        same dense pair."""
         pairs, real = [], lp_toolkit._certify
 
         def spy(lp, x, duals):
@@ -290,16 +273,15 @@ class TestCertify:
         for lp, x, y in pairs:
             objective = dict(zip(lp.names, lp.objective))
             rows = [
-                ({lp.names[j]: a for j, a in zip(row.cols, row.ints)}, row.sense, row.b)
+                ({lp.names[j]: a for j, a in zip(row.cols, row.ints)}, ">=", row.b)
                 for row in lp.rows
             ]
             dense = lambda vec, n: [vec.get(i, ZERO) for i in range(n)]
-            ge = next(i for i, row in enumerate(lp.rows) if row.sense == ">=")
             cases = {
                 "optimum": (x, y),
                 "negative x": ({**x, 0: F(-1, 3)}, y),
                 "violated row": ({j: v / 2 for j, v in x.items()}, y),
-                "negative dual": (x, {**y, ge: F(-1, 5)}),
+                "negative dual": (x, {**y, 0: F(-1, 5)}),
                 "negative reduced cost": (x, {i: 3 * v for i, v in y.items()}),
                 "duality gap": ({**x, max(x): x[max(x)] + 1}, y),
             }
@@ -354,7 +336,7 @@ class TestExactFallback:
         T = time_horizon(fix_a).T
         lp3 = build_and_solve_lp3(fix_a, T).objective_value
         lp1 = build_and_solve_lp1(fix_a, T).objective_value
-        objective, rows, _, _, _ = CERTIFY_CASES["non-integer ==, <= rows and objective"]
+        objective, rows, _, _, _ = CERTIFY_CASES["non-integer >=, <= rows and objective"]
         small = solve_lp(small_lp(objective, rows)).objective_value
         rounded = lp_toolkit._round_support
         # every rounded guess is off by 1/7 on its support
@@ -385,8 +367,8 @@ class TestExactFallback:
         # x + y >= 2 and 2x + 2y >= 4 tight, x and y basic
         lp = LinearProgram()
         lp.add_vars(["x", "y"], [1, 1])
-        lp.add_row([0, 1], [1, 1], 2, ">=")
-        lp.add_row([0, 1], [2, 2], 4, ">=")
+        lp.add_row([0, 1], [1, 1], 2)
+        lp.add_row([0, 1], [2, 2], 4)
         assert lp_toolkit.exact_simplex(lp, [0, 1], [0, 1]) is None
         assert lp_toolkit.exact_simplex(lp, [0], [0, 1]) is None
         x, y = lp_toolkit.exact_simplex(lp, [0], [1])
@@ -395,8 +377,7 @@ class TestExactFallback:
 
 def assert_model_mirrors(lp):
     """The LP's HiGHS model holds exactly its columns and rows: x >= 0 with
-    the float objective, the matrix of `lp.rows`, and b <= row (<= b for
-    '==')."""
+    the float objective, the matrix of `lp.rows`, and b <= row < inf."""
     h = lp.model
     assert (h.getNumRow(), h.getNumCol()) == (len(lp.rows), len(lp.names))
     model = h.getLp()
@@ -416,9 +397,7 @@ def assert_model_mirrors(lp):
             want[i, j] = float(a)
     assert np.array_equal(got, want)
     assert list(model.row_lower_) == [float(row.b) for row in lp.rows]
-    assert list(model.row_upper_) == [
-        float(row.b) if row.sense == "==" else math.inf for row in lp.rows
-    ]
+    assert list(model.row_upper_) == [math.inf] * len(lp.rows)
     assert list(model.col_cost_) == [float(c) for c in lp.objective]
     assert list(model.col_lower_) == [0.0] * len(lp.names)
     assert list(model.col_upper_) == [math.inf] * len(lp.names)
@@ -459,7 +438,7 @@ class TestWarmModel:
         build = lambda: build_and_solve_pclp(pclp_model(inst, inst.roots[0]), pen)
         assert self.mirrored_rounds(monkeypatch, build) >= 3
 
-    def test_columns_and_equalities_added_after_a_solve(self):
+    def test_columns_and_rows_added_after_a_solve(self):
         # no builder adds a column after solving, but the model follows one
         lp = NamedLP()
         for name, cost in (("x", 1), ("y", 2)):
@@ -467,7 +446,7 @@ class TestWarmModel:
         lp.add_constraint({"x": 2, "y": 2}, ">=", 3)
         assert solve_lp(lp).objective_value == F(3, 2)
         lp.add_var("w", obj=F(1, 3))
-        lp.add_constraint({"x": 1, "w": -1}, "==", 0)
+        lp.add_constraint({"w": 1, "x": -1}, ">=", 0)
         lp.add_constraint({"x": 4}, "<=", 5)
         sol = solve_lp(lp)
         assert_model_mirrors(lp)
@@ -477,8 +456,9 @@ class TestWarmModel:
 
 
 class TestRowRecord:
-    """A row is kept in integers, as given: negated if ``<=``, without
-    its zero coefficients, and never divided through."""
+    """A row is kept in integers, as given: without its zero coefficients,
+    and never divided through. The by-name adapter hands a ``<=`` row over
+    negated."""
 
     def lp(self):
         lp = NamedLP()
@@ -489,24 +469,22 @@ class TestRowRecord:
     def test_le_row_is_its_negated_ge_row(self):
         lp = self.lp()
         lp.add_constraint({"x": 2, "y": 1}, "<=", 6)
-        assert reference_row(lp, {"x": -2, "y": -1}, ">=", -6) in lp.rows
-        assert reference_row(lp, {"x": 2, "y": 1}, ">=", 6) not in lp.rows
-        lp = self.lp()
-        lp.add_constraint({"x": -2, "y": -1}, ">=", -6)
-        assert reference_row(lp, {"x": 2, "y": 1}, "<=", 6) in lp.rows
+        assert lp.rows == [reference_row(lp, {"x": -2, "y": -1}, -6)]
+        negated = self.lp()
+        negated.add_constraint({"x": -2, "y": -1}, ">=", -6)
+        assert negated.rows == lp.rows
 
     def test_scaled_multiples_are_different_rows(self):
         lp = self.lp()
         lp.add_constraint({"x": 2}, ">=", 2)
-        assert reference_row(lp, {"x": 1}, ">=", 1) not in lp.rows
-        assert reference_row(lp, {"x": 2}, ">=", 2) in lp.rows
+        assert reference_row(lp, {"x": 1}, 1) not in lp.rows
+        assert reference_row(lp, {"x": 2}, 2) in lp.rows
 
     def test_zero_coefficient_is_dropped(self):
         lp = self.lp()
         lp.add_constraint({"x": 1, "y": 0}, ">=", 1)
-        assert reference_row(lp, {"x": 1}, ">=", 1) in lp.rows
+        assert reference_row(lp, {"x": 1}, 1) in lp.rows
         assert len(lp.rows[0][0]) == 1
-        assert reference_row(lp, {"x": 1}, "==", 1) not in lp.rows
 
     def test_unknown_variable_fails_even_with_coefficient_zero(self):
         with pytest.raises(ValueError, match="unknown variable 'q'"):
@@ -520,7 +498,7 @@ class TestRowRecord:
                         ((1, 1), F(3)), ((1, 1), 1.0)):
             coeffs = dict(zip(("x", "y"), ints))
             for add in (
-                lambda: lp.add_row((0, 1), ints, b, ">="),
+                lambda: lp.add_row((0, 1), ints, b),
                 lambda: lp.add_constraint(coeffs, "<=", b),
             ):
                 with pytest.raises(ValueError, match="coefficients and right-hand side must be ints"):
@@ -528,8 +506,8 @@ class TestRowRecord:
         assert lp.rows == []
 
     def test_add_row_gives_the_add_constraint_row(self):
-        # the same random integer rows, in all three senses, by column index
-        # through add_row and by name through add_constraint
+        # the same random integer rows by column index through add_row and
+        # by name through add_constraint, a "<=" row negated for add_row
         rng = random.Random(12)
         by_name, by_index = NamedLP(), LinearProgram()
         names = [f"v{i}" for i in range(8)]
@@ -537,18 +515,51 @@ class TestRowRecord:
             lp.add_vars(names, [1] * len(names))
         dropped = 0
         for _ in range(400):
-            sense = rng.choice((">=", "<=", "=="))
+            sign = rng.choice((1, -1))
             cols = sorted(rng.sample(range(8), rng.randint(0, 8)))
             coefs = [rng.randint(-3, 3) for _ in cols]
             rhs = rng.randint(-5, 5)
             dropped += coefs.count(0)
             coeffs = dict(zip((names[j] for j in cols), coefs))
-            by_name.add_constraint(coeffs, sense, rhs)
-            by_index.add_row(cols, coefs, rhs, sense)
+            by_name.add_constraint(coeffs, ">=" if sign > 0 else "<=", rhs)
+            by_index.add_row(cols, [sign * a for a in coefs], sign * rhs)
+            want = {name: sign * c for name, c in coeffs.items()}
             assert repr(by_index.rows[-1]) == repr(by_name.rows[-1])
-            assert repr(by_index.rows[-1]) == repr(reference_row(by_name, coeffs, sense, rhs))
+            assert repr(by_index.rows[-1]) == repr(reference_row(by_name, want, sign * rhs))
             assert 0 not in by_index.rows[-1].ints
         assert by_index.rows == by_name.rows and dropped > 50
+
+    def test_add_rows_appends_a_block_or_nothing(self):
+        # a CSR block gives the rows that add_row gives one at a time, after
+        # the rows already stored; a block with an array that is not int64,
+        # or with a zero coefficient, is refused before anything is stored
+        lp, by_row = LinearProgram(), LinearProgram()
+        for each in (lp, by_row):
+            each.add_vars(["x", "y"], [1, 1])
+            each.add_row([0], [2], 1)
+        block = [
+            np.array(a, dtype=np.int64) for a in ([0, 2, 2, 3], [0, 1, 1], [1, -3, 4], [5, -1, 0])
+        ]
+        lp.add_rows(*block)
+        for cols, ints, b in (([0, 1], [1, -3], 5), ([], [], -1), ([1], [4], 0)):
+            by_row.add_row(cols, ints, b)
+        assert all(np.array_equal(a, b) for a, b in zip(lp.csr(), by_row.csr()))
+        assert len(lp.csr()) == 4 and lp.rows == by_row.rows
+        before = [a.copy() for a in lp.csr()]
+        for i in range(4):
+            for dtype in (np.int32, float):
+                bad = block[:i] + [block[i].astype(dtype)] + block[i + 1:]
+                with pytest.raises(ValueError, match="^a row block is int64 arrays$"):
+                    lp.add_rows(*bad)
+        with pytest.raises(ValueError, match="^a row block has a zero coefficient$"):
+            lp.add_rows(block[0], block[1], np.array([1, 0, 4]), block[3])
+        assert all(np.array_equal(a, b) for a, b in zip(lp.csr(), before))
+
+    def test_equality_row_is_refused_by_name(self):
+        lp = self.lp()
+        with pytest.raises(ValueError, match="unknown sense '=='"):
+            lp.add_constraint({"x": 1}, "==", 1)
+        assert lp.rows == []
 
 
 def separation_instances():
@@ -578,9 +589,8 @@ class TestSeparation:
             def both(sol):
                 cuts = oracle(sol)
                 want = [reference_row(lp, *cut) for cut in reference_cuts(sol)]
-                assert [(tuple(cols), tuple(ints), b, sense) for cols, ints, b, sense in cuts] == [
-                    (row.cols, row.ints, row.b, row.sense) for row in want
-                ]
+                got = [lp_toolkit.Row(tuple(cols), tuple(ints), b) for cols, ints, b in cuts]
+                assert got == want
                 rounds.append(len(cuts))
                 return cuts
 
@@ -630,7 +640,7 @@ class TestSolveWithCuts:
         lp.add_var("x", obj=1)
         lp.add_constraint({"x": 1}, ">=", 3)
         with pytest.raises(LpError, match="no progress"):
-            solve_with_cuts(lp, lambda s: [((0,), (1,), 3, ">=")])
+            solve_with_cuts(lp, lambda s: [((0,), (1,), 3)])
 
     def test_a_cut_that_holds_at_the_optimum_faults(self, monkeypatch):
         # a new row each round, x >= 3 - round, but each holds at x = 3: the
@@ -645,7 +655,7 @@ class TestSolveWithCuts:
 
         def oracle(sol):
             solves.append(sol.objective_value)
-            return [((0,), (1,), 3 - len(solves), ">=")]
+            return [((0,), (1,), 3 - len(solves))]
 
         with pytest.raises(LpError, match="no progress"):
             solve_with_cuts(lp, oracle)
@@ -773,7 +783,7 @@ class TestSizeGuards:
         lp.add_constraint({"x": 1}, ">=", 0)
         with pytest.raises(LpError, match=r"^cut limit 2 exceeded for LP$"):
             solve_with_cuts(
-                lp, lambda s: [((0,), (1,), int(s.objective_value) + 1, ">=")]
+                lp, lambda s: [((0,), (1,), int(s.objective_value) + 1)]
             )
         assert len(lp.rows) == 4  # the third cut went in, then the guard tripped
 

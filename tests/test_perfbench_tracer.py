@@ -50,7 +50,7 @@ def test_solve_lp_counters_match_the_input_rows():
     rows = [
         ({"x": 1, "y": 1}, ">=", 2),
         ({"y": 1, "z": 0}, "<=", 6),
-        ({"x": 1, "y": -1, "z": 2}, "==", 1),
+        ({"x": 1, "y": -1, "z": 2}, ">=", 1),
     ]
     lp = NamedLP()
     for name in names:
