@@ -19,7 +19,7 @@ from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from . import pathdp
-from .instance import MetricInstance, RoutePlan, group_slots, without_service
+from .instance import MetricInstance, RoutePlan, without_service
 from .lp_toolkit import bottleneck_cover_table
 
 # Size guard of every exhaustive oracle: the subset DPs grow as 3^clients.
@@ -77,15 +77,12 @@ def exact_kmlp(inst: MetricInstance) -> OracleResult:
     """
     _guard_clients(inst)
     plain, shift, scale = without_service(inst)
-    clients = plain.clients
     groups = [
-        (r, slots, pathdp.min_latency_orders(
-            r, [v for v in clients if r in plain.depots_for(v)], plain.dist, plain.weight
-        ))
-        for r, slots in group_slots(plain)
+        (g.root, g.slots, pathdp.min_latency_orders(g.root, g.clients, plain.dist, plain.weight))
+        for g in plain.groups
     ]
     # every client has an allowed depot, so the full mask has a finite value
-    best, witness = pathdp.fleet(clients, groups, add)
+    best, witness = pathdp.fleet(plain.clients, groups, add)
     full = len(best) - 1
     plan = RoutePlan(routes=witness(full), objective_variant=inst.default_variant)
     return OracleResult(Fraction(best[full] + shift, scale), plan)

@@ -13,13 +13,23 @@ import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, Hashable, List, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, NamedTuple, Sequence, Tuple
 
 from . import pathdp
 
 Node = Hashable
 
 VARIANTS = ("plain", "weighted", "service", "weighted+service")
+
+
+class DepotGroup(NamedTuple):
+    """The vehicles at one depot: ``slots`` are their indices in the
+    instance's ``roots``, and ``clients`` the clients (in client order)
+    whose allowed depots include ``root``."""
+
+    root: Node
+    slots: Tuple[int, ...]
+    clients: Tuple[Node, ...]
 
 
 @dataclass(frozen=True)
@@ -208,10 +218,29 @@ class MetricInstance:
     def depots_for(self, v: Node) -> Tuple[Node, ...]:
         return self.allowed_depots.get(v, self.depots)
 
+    @cached_property
+    def groups(self) -> Tuple[DepotGroup, ...]:
+        """The vehicles grouped by depot, in ``depots`` order: how per-group
+        results (LP columns, DP splits) map back to the route slots.
+
+        Vehicles at the same depot are interchangeable, and every LP here is
+        convex and symmetric under permuting them, so an optimal solution
+        exists with equal per-vehicle values within a group; sharing
+        variables across a group is exact and shrinks the LPs by a factor of
+        up to k."""
+        return tuple(
+            DepotGroup(
+                r,
+                tuple(i for i, s in enumerate(self.roots) if s == r),
+                tuple(v for v in self.clients if r in self.depots_for(v)),
+            )
+            for r in self.depots
+        )
+
     def home_slot(self, v: Node) -> int:
         """The first slot of v's nearest allowed depot; of equally near
         depots, the one that comes first in ``roots``."""
-        return min((self.dist(r, v), self.roots.index(r)) for r in self.depots_for(v))[1]
+        return min((self.dist(d, v), self.roots.index(d)) for d in self.depots_for(v))[1]
 
     @cached_property
     def has_weights(self) -> bool:
@@ -288,30 +317,6 @@ def without_service(inst: MetricInstance) -> Tuple[MetricInstance, int, int]:
     reduction, with shift 0 and scale 1. Callers share the one copy, and so
     its path tables."""
     return inst._without_service if inst.has_service else (inst, 0, 1)
-
-
-def vehicle_groups(inst: MetricInstance) -> List[Tuple[Node, int]]:
-    """Vehicles grouped by shared depot: [(root, multiplicity)], stable order.
-
-    Vehicles at the same depot are interchangeable, and every LP here is
-    convex and symmetric under permuting them, so an optimal solution exists
-    with equal per-vehicle values within a group; sharing variables across a
-    group is exact and shrinks the LPs by a factor of up to k.
-    """
-    groups: Dict[Node, int] = {}
-    for r in inst.roots:
-        groups[r] = groups.get(r, 0) + 1
-    return list(groups.items())
-
-
-def group_slots(inst: MetricInstance) -> List[Tuple[Node, List[int]]]:
-    """For each group of :func:`vehicle_groups`, in order, its root and the
-    indices of its vehicles in ``inst.roots``: how per-group results (LP
-    columns, DP splits) map back to the instance's route slots."""
-    return [
-        (r, [i for i, rr in enumerate(inst.roots) if rr == r])
-        for r, _ in vehicle_groups(inst)
-    ]
 
 
 @dataclass(frozen=True)

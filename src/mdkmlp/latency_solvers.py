@@ -55,7 +55,7 @@ from .arb_packing import pack_scaled, tree_nodes
 # no call here: perfbench/tracer.py checks that it rebinds this copy
 from .arb_packing import pack_arborescences  # noqa: F401
 from .exact_oracles import BnsTable
-from .instance import MetricInstance, RoutePlan, time_horizon, vehicle_groups, without_service
+from .instance import MetricInstance, RoutePlan, time_horizon, without_service
 from .pc_tree import RootedTree, coverage_tree
 
 log = logging.getLogger("mdkmlp.solvers")
@@ -263,25 +263,6 @@ def _stitch_by_concat_graph(
 # bidirected-LP rounding (single depot)
 
 
-def _aggregate_lp3(inst: MetricInstance, sol) -> Tuple[Dict, Dict]:
-    """x'_{v,t} and z'_{a,t} summed over vehicles; z' grouped by t, as
-    zprime[t][a]."""
-    groups = vehicle_groups(inst)
-    xprime: Dict[Tuple[object, int], Fraction] = {}
-    zprime: Dict[int, Dict[Tuple, Fraction]] = {}
-    for name, val in sol.values.items():
-        if name[0] == "x":
-            _, gi, v, t = name
-            mult = groups[gi][1]
-            key = (v, t)
-            xprime[key] = xprime.get(key, ZERO) + mult * val
-        elif name[0] == "z":
-            _, gi, a, t = name
-            at = zprime.setdefault(t, {})
-            at[a] = at.get(a, ZERO) + groups[gi][1] * val
-    return xprime, zprime
-
-
 def _solve_lp3_rounding(
     inst: MetricInstance, split: bool, lp3sol: Optional[lp_toolkit.LpSolution]
 ) -> RoutePlan:
@@ -299,12 +280,16 @@ def _solve_lp3_rounding(
     else:
         T = time_horizon(inst).T
         sol3 = lp_toolkit.build_and_solve_lp3(inst, T)
-    xprime, zprime = _aggregate_lp3(inst, sol3)
-    # S_t holds the root and every node with x'_{v,t'} > 0 for some t' <= t
+    # both roundings refuse distinct depots, so LP3 has one group, of k
+    # vehicles: z'_{a,t} = k z[0, a, t], grouped by t as zprime[t][a], and
+    # S_t holds the root and every node with x[0, v, t'] > 0 for some t' <= t
+    zprime: Dict[int, Dict[Tuple, Fraction]] = {}
     first_served = {root: 0}
-    for (v, t), val in xprime.items():
-        if val > 0 and t < first_served.get(v, T + 1):
-            first_served[v] = t
+    for (kind, _, key, t), val in sol3.values.items():
+        if kind == "z":
+            zprime.setdefault(t, {})[key] = k * val
+        elif val > 0 and t < first_served.get(key, T + 1):
+            first_served[key] = t
 
     points: List[Tuple[int, Fraction, object]] = [(1, ZERO, None)]
     fam_cache: Dict = {}

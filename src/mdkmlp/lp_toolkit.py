@@ -102,7 +102,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import flows, pathdp
-from .instance import MetricInstance, group_slots, vehicle_groups, without_service
+from .instance import MetricInstance, without_service
 from .simplex import exact_simplex
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -783,9 +783,9 @@ def draw_table(weighted: Sequence[Tuple[object, Fraction]]) -> DrawTable:
 #
 # x[gi, v, t] says that a vehicle of group gi serves client v at time t; it
 # exists from the first time ``first[v]`` the group can reach v up to T.
-# The configuration LPs build their x blocks as arrays (_solve_config_lp);
-# LP1, LP2 and LP3 share only _add_cover_rows and _served, while
-# _add_assignment_vars and _link are LP3's alone.
+# LP1, LP2 and LP3 share the per-group column builder (_add_group), the
+# cover rows (_add_cover_rows) and the served-by-t ranges (_served); only
+# the link rows (_link) are LP3's.
 
 
 def _guard_size(count: int, cap: int, what: str) -> None:
@@ -804,20 +804,6 @@ def _has_clients(inst: MetricInstance, T: int, which: str) -> bool:
     if T < 1:
         raise LpInfeasibleError(f"{which} infeasible: T < 1 with clients present")
     return True
-
-
-def _add_assignment_vars(
-    lp: LinearProgram, inst: MetricInstance, gi: int, mult: int, first: Dict, T: int
-) -> Dict[object, Tuple[int, int]]:
-    """x[gi, v, t] for every v in ``first`` and first[v] <= t <= T, at cost
-    mult * w_v * t. Returns v -> (j, first[v]), x[gi, v, t] being column
-    j + t - first[v]."""
-    block = {}
-    for v, t0 in first.items():
-        ts = range(t0, T + 1)
-        w = mult * inst.weight(v)
-        block[v] = (lp.add_vars([("x", gi, v, t) for t in ts], [w * t for t in ts]), t0)
-    return block
 
 
 def _served(block: Dict[object, Tuple[int, int]], v, t: int) -> range:
@@ -852,11 +838,12 @@ def _add_cover_rows(
 
 
 class ConfigGroup(NamedTuple):
-    """One vehicle group of a configuration LP: ``mult`` vehicles serving
+    """One vehicle group of a time-indexed LP: ``mult`` vehicles serving
     ``clients`` (bit i of a mask is ``clients[i]``), ``first[i]`` the first
-    time they can serve ``clients[i]``, and the z columns in variable order:
-    column c is the client set ``masks[c]`` that a vehicle (for LP2, the
-    fleet) can cover by time ``times[c]``. The arrays are int64."""
+    time they can serve ``clients[i]``, and the configuration LP's z columns
+    in variable order: column c is the client set ``masks[c]`` that a
+    vehicle (for LP2, the fleet) can cover by time ``times[c]``. The arrays
+    are int64; LP3's masks and times are empty."""
 
     mult: int
     clients: Tuple
@@ -909,6 +896,25 @@ def _link_rows(
     return indptr, col[order], coefs[order]
 
 
+def _add_group(
+    lp: LinearProgram, inst: MetricInstance, gi: int, g: ConfigGroup, T: int
+) -> Tuple[Dict[object, Tuple[int, int]], np.ndarray, int]:
+    """Group gi's columns: its x block, client-major with t increasing, at
+    cost mult * w_v * t, then its z columns at cost 0. Returns the block as
+    v -> (j, first[v]), x[gi, v, t] being column j + t - first[v]; each
+    client's first x column; and the first z column."""
+    lens = np.maximum(T + 1 - g.first, 0)
+    at = np.cumsum(lens) - lens
+    t = np.arange(lens.sum()) + np.repeat(g.first - at, lens)
+    w = np.array([g.mult * inst.weight(v) for v in g.clients], dtype=np.int64)
+    x0 = lp.add_vars(
+        _ConfigNames(gi, g, [*at.tolist(), int(lens.sum())]),
+        (np.repeat(w, lens) * t).tolist() + [0] * len(g.masks),
+    )
+    block = {v: (x0 + j, t0) for v, j, t0 in zip(g.clients, at.tolist(), g.first.tolist())}
+    return block, x0 + at, x0 + int(lens.sum())
+
+
 def _solve_config_lp(
     inst: MetricInstance, T: int, which: str, groups: Sequence[ConfigGroup]
 ) -> Tuple[LpSolution, List[Tuple[int, int, int, Fraction]]]:
@@ -925,18 +931,8 @@ def _solve_config_lp(
     """
     _guard_size(sum(len(g.masks) for g in groups), COLUMN_CAP, "z columns")
     lp = LinearProgram()
-    parts = []  # per group: x block, first x column per client, first z column
-    for gi, g in enumerate(groups):
-        lens = np.maximum(T + 1 - g.first, 0)
-        at = np.cumsum(lens) - lens
-        t = np.arange(lens.sum()) + np.repeat(g.first - at, lens)
-        w = np.array([g.mult * inst.weight(v) for v in g.clients], dtype=np.int64)
-        x0 = lp.add_vars(
-            _ConfigNames(gi, g, [*at.tolist(), int(lens.sum())]),
-            (np.repeat(w, lens) * t).tolist() + [0] * len(g.masks),
-        )
-        block = {v: (x0 + j, t0) for v, j, t0 in zip(g.clients, at.tolist(), g.first.tolist())}
-        parts.append((block, x0 + at, x0 + int(lens.sum())))
+    # per group: x block, first x column per client, first z column
+    parts = [_add_group(lp, inst, gi, g, T) for gi, g in enumerate(groups)]
     _add_cover_rows(lp, inst, [(g.mult, block) for g, (block, _, _) in zip(groups, parts)], T, which)
     width = len(lp.names)
     for g, (_, xstart, z0) in zip(groups, parts):
@@ -1000,30 +996,28 @@ def build_and_solve_lp1(inst: MetricInstance, T: int) -> LpSolution:
     if not _has_clients(inst, T, "LP1"):
         return LpSolution({}, ZERO, which="LP1", T=T)
     _guard_size(len(inst.clients), CLIENT_CAP, "clients")
-    groups = vehicle_groups(inst)
+    groups = inst.groups
     plain, _, scale = without_service(inst)
     config_groups = []
     tables = []  # per group: its path table, by mask over its clients
-    for r, mult in groups:
-        serveable = tuple(v for v in inst.clients if r in inst.depots_for(v))
-        paths = plain.path_table(r, serveable)
+    for g in groups:
+        paths = plain.path_table(g.root, g.clients)
         fits = paths.values[1:] <= scale * np.arange(1, T + 1)[:, None]
         times, masks = np.nonzero(fits)  # t-major, masks increasing
-        first = _first_times(paths.values[1 << np.arange(len(serveable))], scale)
-        config_groups.append(ConfigGroup(mult, serveable, first, masks + 1, times + 1))
+        first = _first_times(paths.values[1 << np.arange(len(g.clients))], scale)
+        config_groups.append(ConfigGroup(len(g.slots), g.clients, first, masks + 1, times + 1))
         tables.append(paths)
 
     sol, drawn = _solve_config_lp(inst, T, "LP1", config_groups)
     node_pos = inst.node_pos
-    slots_of = [slots for _, slots in group_slots(inst)]
-    group_of = {s: gi for gi, slots in enumerate(slots_of) for s in slots}
+    group_of = {s: gi for gi, g in enumerate(groups) for s in g.slots}
     items: Dict[Tuple[int, int], Tuple[Tuple[int, Tour]]] = {}  # (slot, mask) -> item
 
     def column(gi, mask, t):
-        order = tables[gi].order(mask)
-        if (slots_of[gi][0], mask) not in items:  # one tour per column, one item per slot
-            tour = compile_tour(inst, groups[gi][0], order, plain.dist)
-            items.update({(s, mask): ((s, tour),) for s in slots_of[gi]})
+        g, order = groups[gi], tables[gi].order(mask)
+        if (g.slots[0], mask) not in items:  # one tour per column, one item per slot
+            tour = compile_tour(inst, g.root, order, plain.dist)
+            items.update({(s, mask): ((s, tour),) for s in g.slots})
         return (gi, t), [node_pos[v] for v in order], mask
 
     by_group = _draw_tables(drawn, column)
@@ -1057,12 +1051,14 @@ def bottleneck_cover_table(
     over each depot group's vehicles, then across groups. The witness paths
     are laid into root slots as the split makes them; of the vehicles at one
     depot, the one added last takes the depot's first slot. Allowed depots
-    are not applied: every depot's paths may take any client.
+    are not applied: every group's paths may take any client of
+    ``inst.clients``. This is ROADMAP item 2's defect; its fix is to hand
+    each group ``g.clients`` here.
     """
 
     def split():
         clients = inst.clients
-        groups = [(r, slots, inst.path_table(r, clients)) for r, slots in group_slots(inst)]
+        groups = [(g.root, g.slots, inst.path_table(g.root, clients)) for g in inst.groups]
         best, witness = pathdp.fleet(clients, groups, max)
         values = np.array(best, dtype=np.int64)
         values.flags.writeable = False
@@ -1092,8 +1088,7 @@ def build_and_solve_lp2(inst: MetricInstance, T: int) -> LpSolution:
     clients = inst.clients
     plain, _, scale = without_service(inst)
     bottleneck, witness = bottleneck_cover_table(plain)
-    depots = [r for r, _ in vehicle_groups(inst)]
-    direct = [min(plain.dist(r, v) for r in depots) for v in clients]
+    direct = [min(plain.dist(r, v) for r in inst.depots) for v in clients]
     fits = bottleneck[1:, None] <= scale * np.arange(1, T + 1)
     masks, times = np.nonzero(fits)  # mask-major, t increasing
     group = ConfigGroup(
@@ -1133,22 +1128,23 @@ def build_and_solve_lp3(inst: MetricInstance, T: int) -> LpSolution:
     if not _has_clients(inst, T, "LP3"):
         return LpSolution({}, ZERO, which="LP3", T=T)
     clients = inst.clients
-    groups = vehicle_groups(inst)
     ca = inst.service_directed if inst.has_service else inst.dist
     pos = inst.node_pos
+    no_z = np.zeros(0, dtype=np.int64)
 
     lp = LinearProgram()
     parts = []  # per group: root, vehicles, x block, arcs, arcs by node index, z block
-    for gi, (r, mult) in enumerate(groups):
+    for gi, (r, slots, serveable) in enumerate(inst.groups):
+        first = np.array([max(1, ca(r, v)) for v in serveable], dtype=np.int64)
+        g = ConfigGroup(len(slots), serveable, first, no_z, no_z)
+        block, _, z0 = _add_group(lp, inst, gi, g, T)
         arcs = _arcs_avoiding(inst, r)
-        first = {v: max(1, ca(r, v)) for v in clients if r in inst.depots_for(v)}
-        block = _add_assignment_vars(lp, inst, gi, mult, first, T)
-        z0 = lp.add_vars(
+        lp.add_vars(
             [("z", gi, a, t) for a in arcs for t in range(1, T + 1)], [0] * (len(arcs) * T)
         )
         # arc-major: z[gi, arcs[i], t] is column zt[i] + t
         pairs = [(pos[u], pos[v]) for u, v in arcs]
-        parts.append((r, mult, block, arcs, pairs, range(z0 - 1, z0 - 1 + len(arcs) * T, T)))
+        parts.append((r, g.mult, block, arcs, pairs, range(z0 - 1, z0 - 1 + len(arcs) * T, T)))
     _add_cover_rows(lp, inst, [(mult, block) for _, mult, block, *_ in parts], T, "LP3")
     for _, _, block, arcs, _, zt in parts:
         budget = [-ca(*a) for a in arcs]

@@ -42,7 +42,6 @@ from fractions import Fraction
 from typing import Tuple
 
 from mdkmlp import concat_graph, flows
-from mdkmlp.instance import vehicle_groups
 from mdkmlp.lp_toolkit import LinearProgram, PcLpModel
 
 
@@ -374,7 +373,7 @@ def lp3_cuts(inst, T, sol):
     less than the group's x[gi, v, tp] over tp <= t."""
     ca = inst.service_directed if inst.has_service else inst.dist
     cuts = []
-    for gi, (r, _) in enumerate(vehicle_groups(inst)):
+    for gi, r in enumerate(dict.fromkeys(inst.roots)):  # depots, first slots first
         arcs = [(u, v) for u in inst.nodes for v in inst.nodes if u != v and v != r]
         first = {v: max(1, ca(r, v)) for v in inst.clients if r in inst.depots_for(v)}
         for t in range(1, T + 1):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -256,6 +257,20 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--what", "opt", "--input", big_path)
         assert code == 4
         assert "guard" in err
+
+    def test_pc_paths_guard_exits_4(self, capsys, tmp_path):
+        # a line of n nodes with the depot at its end: n = 8, the limit,
+        # answers with one path of cost 7; n = 9 is past the guard
+        def line(n):
+            p = tmp_path / f"line{n}.json"
+            cost = [[abs(i - j) for j in range(n)] for i in range(n)]
+            p.write_text(json.dumps({"nodes": list(range(n)), "roots": [0], "costs": cost}))
+            return run(capsys, "oracle", "--what", "pc-paths", "--input", str(p), "--penalty", "2")
+
+        code, out, _ = line(8)
+        assert code == 0
+        assert json.loads(out) == {"what": "pc-paths", "value": "7", "paths": [list(range(8))]}
+        assert line(9) == (4, "", "error: prize-collecting guard: n=9 > 8\n")
 
     def test_lp_values(self, capsys, fixb_path):
         for what, expect in (("lp1", "2"), ("lp2", "2"), ("lp3", "2")):
@@ -633,6 +648,29 @@ class TestBench:
                 float(cost / F(row["bnslb"]))
             )
         assert "inst" in err  # text table goes to stderr
+
+    def test_euclid_line(self, capsys):
+        code, out, _ = run(
+            capsys, "bench", "--n", "5", "--k", "2", "--trials", "3",
+            "--seed", "4", "--metric", "euclid-line",
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["metric"] == "euclid-line" and len(report["rows"]) == 3
+        for row in report["rows"]:
+            assert all(row[name] is not None for name in cli.BOUNDS)
+            for entry in row["algs"].values():
+                assert F(entry["cost"]) >= F(row["opt"])
+
+    def test_euclid_line_instances_are_line_metrics(self):
+        # on a line, the farthest two of any three points are as far apart
+        # as the other two distances together
+        rng = random.Random(47)
+        for _ in range(20):
+            inst = cli._gen_instance(rng.randint(3, 8), rng.randint(1, 3), "euclid-line", rng)
+            for u, v, w in itertools.combinations(inst.nodes, 3):
+                a, b, c = sorted((inst.dist(u, v), inst.dist(v, w), inst.dist(u, w)))
+                assert c == a + b, (u, v, w)
 
     def test_k1_chain_on_every_row(self, capsys):
         code, out, _ = run(

@@ -254,6 +254,15 @@ class TestPcPaths:
         with pytest.raises(ValueError, match="negative"):
             exact_pc_paths(fix_a, "r", {"a": F(-1)})
 
+    def test_guard(self):
+        # n = 8, the limit, answers: one path through all 7 nodes costs 7,
+        # less than their penalties of 2 each
+        inst = line_instance(8)
+        res = exact_pc_paths(inst, "v0", {v: F(2) for v in inst.nodes[1:]})
+        assert (res.value, res.witness) == (7, (inst.nodes,))
+        with pytest.raises(OracleGuardError, match=r"^prize-collecting guard: n=9 > 8$"):
+            exact_pc_paths(line_instance(9), "v0", {})
+
     def test_dominates_tree_relaxation(self):
         rng = random.Random(17)
         for _ in range(10):

@@ -9,12 +9,14 @@ import reference
 from reference import instance_to_json, plan_value
 from mdkmlp.instance import (
     VARIANTS,
+    DepotGroup,
     MetricInstance,
     RoutePlan,
     evaluate_plan,
     evaluate_plan_detail,
     parse_instance,
     time_horizon,
+    without_service,
 )
 
 
@@ -350,7 +352,7 @@ class TestDerivedValues:
     """Derived values are computed once per instance, outside its fields."""
 
     CACHED = (
-        "node_pos", "root_set", "clients", "client_bit", "depots",
+        "node_pos", "root_set", "clients", "client_bit", "depots", "groups",
         "has_weights", "has_service", "default_variant",
     )
 
@@ -386,6 +388,8 @@ class TestDerivedValues:
         assert b.has_service and not a.has_service
         assert b.default_variant == "service" and a.default_variant == "plain"
         assert b.depots == ("r1",) and a.depots == ("r1", "r2")
+        assert b.groups == (("r1", (0,), ("a", "b", "r2")),)
+        assert a.groups == (("r1", (0,), ("a", "b")), ("r2", (1,), ("a", "b")))
         assert b.client_bit == {"a": 1, "b": 2, "r2": 4} and a.client_bit == {"a": 1, "b": 2}
         c = dataclasses.replace(a, nodes=("r2", "b", "a", "r1"), cost=(
             (0, 1, 3, 4), (1, 0, 2, 3), (3, 2, 0, 1), (4, 3, 1, 0)))
@@ -418,3 +422,60 @@ class TestDerivedValues:
                         assert inst.service_doubled(u, v) <= (
                             inst.service_doubled(u, w) + inst.service_doubled(w, v)
                         )
+
+
+def _derived_groups(inst):
+    """(root, slots, clients) per depot, from the fields alone: depots in
+    the order of their first slots, and the clients whose allowed depots
+    (all roots where none are given) hold the depot."""
+    groups = []
+    for i, r in enumerate(inst.roots):
+        if r not in inst.roots[:i]:
+            slots = tuple(j for j in range(i, inst.k) if inst.roots[j] == r)
+            clients = tuple(
+                v for v in inst.nodes
+                if v not in inst.roots and r in inst.allowed_depots.get(v, inst.roots)
+            )
+            groups.append((r, slots, clients))
+    return groups
+
+
+class TestDepotGroups:
+    def test_random_families(self):
+        rng = random.Random(47)
+        seen = set()
+        for i in range(60):
+            k = rng.randint(1, 3)
+            inst = random_instance(
+                rng, rng.randint(k, 8), k, single_depot=i % 3 == 0,
+                weights=i % 2 == 0, service=i % 4 < 2, allowed=True,
+            )
+            assert all(isinstance(g, DepotGroup) for g in inst.groups)
+            assert list(inst.groups) == _derived_groups(inst)
+            plain = without_service(inst)[0]
+            assert list(plain.groups) == _derived_groups(plain) == list(inst.groups)
+            seen.add((
+                len(inst.groups) > 1,
+                any(len(g.slots) > 1 for g in inst.groups),
+                any(g.clients != inst.clients for g in inst.groups),
+                plain is not inst,
+            ))
+        # single and several depots, shared slots, restricted clients, and
+        # service copies all occur
+        assert {s[0] for s in seen} == {s[1] for s in seen} == {True, False}
+        assert any(s[2] for s in seen) and any(s[3] for s in seen)
+
+    def test_shared_depots(self):
+        # roots (a, b, a), b the only depot allowed to serve "b"
+        inst = MetricInstance(
+            nodes=("r1", "a", "b", "r2"),
+            roots=("r2", "r1", "r2"),
+            cost=((0, 1, 3, 4), (1, 0, 2, 3), (3, 2, 0, 1), (4, 3, 1, 0)),
+            service={"a": 1, "b": 2},
+            allowed_depots={"b": ("r1",)},
+        )
+        expected = [("r2", (0, 2), ("a",)), ("r1", (1,), ("a", "b"))]
+        assert list(inst.groups) == _derived_groups(inst) == expected
+        plain = without_service(inst)[0]
+        assert plain is not inst and plain.cost != inst.cost
+        assert list(plain.groups) == expected

@@ -14,7 +14,7 @@ from reference import NamedLP
 from conftest import cold_highs_solves, random_instance
 from test_lp_models_golden import instances as golden_instances
 from mdkmlp import exact_oracles, lp_toolkit, pathdp
-from mdkmlp.instance import MetricInstance, time_horizon, vehicle_groups, without_service
+from mdkmlp.instance import MetricInstance, time_horizon, without_service
 from mdkmlp.lp_toolkit import (
     ZERO,
     EnumerationCapError,
@@ -700,12 +700,17 @@ class TestSolveWithCuts:
 
 
 class TestSizeGuards:
-    """Each guard fails loudly with its exact message; the limits are
-    lowered so that the tiny fixtures reach them."""
+    """Each guard admits a count equal to its limit and fails loudly, with
+    its exact message, one past it; the limits are lowered so that the tiny
+    fixtures reach them."""
 
     def test_lp1_caps(self, monkeypatch, fix_a):
         # T = 3: {a} from t = 1, {a, b} and {b} from t = 3
         T = time_horizon(fix_a).T
+        value = build_and_solve_lp1(fix_a, T).objective_value
+        monkeypatch.setattr(lp_toolkit, "COLUMN_CAP", 5)  # each count at its cap builds
+        monkeypatch.setattr(lp_toolkit, "CLIENT_CAP", 2)
+        assert build_and_solve_lp1(fix_a, T).objective_value == value
         monkeypatch.setattr(lp_toolkit, "COLUMN_CAP", 4)
         with pytest.raises(
             EnumerationCapError,
@@ -722,6 +727,10 @@ class TestSizeGuards:
     def test_lp2_caps(self, monkeypatch, fix_b):
         # T = 1: the fleet covers {a}, {b} and {a, b} by t = 1
         T = time_horizon(fix_b).T
+        value = build_and_solve_lp2(fix_b, T).objective_value
+        monkeypatch.setattr(lp_toolkit, "COLUMN_CAP", 3)  # each count at its cap builds
+        monkeypatch.setattr(lp_toolkit, "CLIENT_CAP", 2)
+        assert build_and_solve_lp2(fix_b, T).objective_value == value
         monkeypatch.setattr(lp_toolkit, "COLUMN_CAP", 2)
         with pytest.raises(
             EnumerationCapError,
@@ -1102,12 +1111,12 @@ def test_integer_lp_metric_gives_the_fraction_columns(monkeypatch):
         T = time_horizon(inst).T
         metric = _fraction_lp_metric(inst)
         assert without_service(inst)[2] == (2 if inst.has_service else 1)
-        groups = vehicle_groups(inst)
+        depots = list(dict.fromkeys(inst.roots))
         captured.clear()
         build_and_solve_lp1(inst, T)
         build_and_solve_lp2(inst, T)
         lp1_groups, [(first2, columns2)] = captured
-        for (r, _), (first, columns) in zip(groups, lp1_groups):
+        for r, (first, columns) in zip(depots, lp1_groups):
             serveable = [v for v in inst.clients if r in inst.depots_for(v)]
             paths = reference.min_paths(r, serveable, metric)
             assert first == {
@@ -1121,7 +1130,7 @@ def test_integer_lp_metric_gives_the_fraction_columns(monkeypatch):
             ]
         table = _fraction_bottleneck(inst, metric)
         assert first2 == {
-            v: max(1, math.ceil(min(metric(r, v) for r, _ in groups)))
+            v: max(1, math.ceil(min(metric(r, v) for r in depots)))
             for v in inst.clients
         }
         assert columns2 == [

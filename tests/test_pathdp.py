@@ -9,7 +9,7 @@ import pytest
 import reference
 from conftest import manhattan_points
 from mdkmlp import lp_toolkit
-from mdkmlp.instance import MetricInstance, group_slots
+from mdkmlp.instance import MetricInstance
 from mdkmlp.pathdp import INF, PathTable, fleet, min_latency_orders, min_paths, split
 
 
@@ -201,7 +201,7 @@ def test_bottleneck_cover_witnesses_are_slot_aligned():
         tuple(abs(p[0] - q[0]) + abs(p[1] - q[1]) for q in pts) for p in pts
     )
     inst = MetricInstance(nodes=nodes, roots=("v0", "v1", "v0"), cost=cost)
-    assert group_slots(inst) == [("v0", [0, 2]), ("v1", [1])]
+    assert [g[:2] for g in inst.groups] == [("v0", (0, 2)), ("v1", (1,))]
     table, witness = lp_toolkit.bottleneck_cover_table(inst)
     assert len(table) == 1 << len(inst.clients)
     for mask, val in enumerate(table.tolist()):
