@@ -25,12 +25,14 @@ balanced digraph d+(S) = d-(S) for every node set S, so the cut function is
 symmetric and lambda(a,b) = lambda(b,a). Gusfield's flow-equivalent tree
 ("Very simple methods for all pairs network flow analysis", SIAM J. Comput.
 1990) then gives lambda for every ordered pair from at most n - 1 minimum
-cuts (:func:`all_pairs_connectivity`, which refuses an unbalanced digraph).
-One packing keeps these tables by graph state, and four steps read them:
-the center choice, the protected pairs, the feasibility probes of a split,
-and the coverage target of an undone split. Undoing only revisits states
-of the splitting phase, whose tables the probes have already computed
-unless no pair was protected.
+cuts (:func:`all_pairs_connectivity`, which fills the matrix as the tree
+grows and refuses an unbalanced digraph). One packing keeps these tables
+by graph state, and four steps read them: the center choice, the protected
+pairs, the feasibility probes of a split, and the coverage target of an
+undone split. By symmetry each unordered pair is protected, and probed,
+once, as (a, b) with a < b. Undoing only revisits states of the splitting
+phase, whose tables the probes have already computed unless no pair was
+protected.
 """
 
 import math
@@ -77,9 +79,12 @@ def all_pairs_connectivity(n: int, capacities: Dict[Pair, int]) -> List[List[int
     with arcs, less one.
 
     Balance makes lambda symmetric, so Gusfield's tree for undirected graphs
-    applies: node s hangs below p[s], the tree arc carries lambda(s, p[s]),
-    and lambda(a,b) is the smallest arc on the tree path from a to b. A node
-    without arcs has lambda 0 to every other and stays out of the tree.
+    applies: node s hangs below t = p[s] by f = lambda(s, t), and
+    lambda(a,b) is the smallest arc on the tree path from a to b. The matrix
+    fills as the tree grows: when s gets its cut it is a leaf below t among
+    the nodes taken so far (re-parenting moves only later ones), so
+    lambda(s,i) is f for i = t, else min(f, lambda(t,i)). A node without
+    arcs has lambda 0 to every other and stays out of the tree.
     """
     excess = [0] * n
     for (u, v), w in capacities.items():
@@ -90,28 +95,16 @@ def all_pairs_connectivity(n: int, capacities: Dict[Pair, int]) -> List[List[int
         raise PackingError(f"digraph is not balanced at node {bad}")
     live = sorted({u for u, _ in capacities})
     parent = {s: live[0] for s in live}
-    value = {}
+    lam = [[0] * n for _ in range(n)]
     for j, s in enumerate(live[1:], 2):
         t = parent[s]
-        value[s], side = flows.min_cut(n, capacities, s, t)
+        f, side = flows.min_cut(n, capacities, s, t)
         for i in live[j:]:
             if i in side and parent[i] == t:
                 parent[i] = s
-    adj: Dict[int, List[Tuple[int, int]]] = {s: [] for s in live}
-    for s in live[1:]:
-        adj[s].append((parent[s], value[s]))
-        adj[parent[s]].append((s, value[s]))
-    lam = [[0] * n for _ in range(n)]
-    for a in live:
-        row = lam[a]
-        stack = [(a, -1, None)]
-        while stack:
-            b, prev, low = stack.pop()
-            for c, w in adj[b]:
-                if c != prev:
-                    cw = w if low is None else min(low, w)
-                    row[c] = cw
-                    stack.append((c, b, cw))
+        row, trow = lam[s], lam[t]
+        for i in live[:j - 1]:
+            row[i] = lam[i][s] = f if i == t else min(f, trow[i])
     return lam
 
 
@@ -251,8 +244,8 @@ def pack_arborescences(D: WeightedDigraph, r, K: int) -> ArbFamily:
         protect = {
             (a, b): min(K, table[a][b])
             for a in range(n)
-            for b in range(n)
-            if a != b and u not in (a, b) and table[a][b] > 0
+            for b in range(a + 1, n)
+            if u not in (a, b) and table[a][b] > 0
         }
         while deg[u] > 0:
             outs = sorted(a for a in arcs if a[0] == u)

@@ -4,9 +4,9 @@ Every flow in this package runs through one dense Edmonds-Karp. LP cut
 separation and the flow-equivalent trees of arborescence packing take a
 minimum cut (:func:`min_cut`), and the coverage repair of a packing takes
 the per-arc flow of an assignment network (:func:`max_flow_assignment`);
-:func:`max_flow_value` gives the value alone. Graphs
-are tiny (rarely more than ten nodes), so the dense residual matrix is both
-simple and fast enough.
+:func:`max_flow_value` gives the value alone. A cut's side is the reach of
+the flow's last, failing search. Graphs are tiny (rarely more than ten
+nodes), so the dense residual matrix is both simple and fast enough.
 """
 
 from collections import deque
@@ -28,7 +28,7 @@ def max_flow_assignment(
     not contain opposite arc pairs (true for the layered assignment networks
     this is used on).
     """
-    value, res = _edmonds_karp(n, capacities, s, t)
+    value, res, _ = _edmonds_karp(n, capacities, s, t)
     flow = {
         (u, v): w - res[u][v]
         for (u, v), w in capacities.items()
@@ -44,27 +44,19 @@ def min_cut(
 
     Edmonds-Karp: BFS augmenting paths on a dense residual matrix. The number
     of augmentations is O(V*E) regardless of capacity magnitudes, so large
-    integer weights (scaled LP solutions) are fine.
+    integer weights (scaled LP solutions) are fine. The side is the reach of
+    the last search, which finds no augmenting path: the smallest source
+    side of any minimum cut.
     """
-    value, res = _edmonds_karp(n, capacities, s, t)
-    # residual BFS gives the source side of a minimum cut
-    side = {s}
-    queue = deque([s])
-    rng = range(n)
-    while queue:
-        u = queue.popleft()
-        row = res[u]
-        for v in rng:
-            if v not in side and row[v] > 0:
-                side.add(v)
-                queue.append(v)
+    value, _, side = _edmonds_karp(n, capacities, s, t)
     return value, side
 
 
 def _edmonds_karp(
     n: int, capacities: Dict[Tuple[int, int], int], s: int, t: int
-) -> Tuple[int, List[List[int]]]:
-    """The maximum s-t flow value and the final residual matrix."""
+) -> Tuple[int, List[List[int]], Set[int]]:
+    """The maximum s-t flow value, the final residual matrix, and the nodes
+    that the final search, which does not reach t, reached from s."""
     if s == t:
         raise ValueError("source and sink must differ")
     res = [[0] * n for _ in range(n)]
@@ -88,7 +80,7 @@ def _edmonds_karp(
                     parent[v] = u
                     queue.append(v)
         if parent[t] < 0:
-            break
+            return flow, res, {v for v in rng if parent[v] >= 0}
         bottleneck = None
         v = t
         while v != s:
@@ -103,4 +95,3 @@ def _edmonds_karp(
             res[v][u] += bottleneck
             v = u
         flow += bottleneck
-    return flow, res

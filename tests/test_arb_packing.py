@@ -129,6 +129,36 @@ class TestPackArborescences:
         assert fam.members == ()
         assert verify_packing(D, "r", 0, fam).ok
 
+    @pytest.mark.parametrize(
+        "nodes, arcs, message",
+        [
+            (("r", "u", "r"), {}, "duplicate nodes"),
+            (("r", "u"), {("u", "u"): 1}, "self-loop at 'u'"),
+            (("r", "u"), {("r", "x"): 1}, "arc ('r','x') uses unknown node"),
+            (("r", "u"), {("r", "u"): -1}, "invalid weight on ('r','u')"),
+            (("r", "u"), {("r", "u"): True}, "invalid weight on ('r','u')"),
+            (("r", "u"), {("r", "u"): 1.0}, "invalid weight on ('r','u')"),
+        ],
+        ids=["duplicate-nodes", "self-loop", "unknown-node", "negative", "bool", "float"],
+    )
+    def test_digraph_refusal(self, nodes, arcs, message):
+        with pytest.raises(ValueError) as exc:
+            WeightedDigraph(nodes=nodes, arcs=arcs)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("K", [-1, True, False, 1.0])
+    def test_k_must_be_a_nonnegative_int(self, K):
+        D = WeightedDigraph(nodes=("r", "u"), arcs={("r", "u"): 2})
+        with pytest.raises(PackingError) as exc:
+            pack_arborescences(D, "r", K)
+        assert str(exc.value) == "K must be a nonnegative integer"
+
+    def test_unknown_root_refused(self):
+        D = WeightedDigraph(nodes=("r", "u"), arcs={("r", "u"): 2})
+        with pytest.raises(ValueError) as exc:
+            pack_arborescences(D, "x", 1)
+        assert str(exc.value) == "unknown root 'x'"
+
 
 class TestVerifyPacking:
     def test_round_trip_passes(self):

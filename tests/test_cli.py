@@ -391,8 +391,18 @@ class TestMalformedInput:
                 "latency sums too large for exact oracles: "
                 "48000000000000000024 >= 1000000000000000000",
             ),
+            (
+                ("oracle", "--what", "opt"),
+                '{"nodes":["r","a"],"roots":["r"],"costs":[[0,2],[2,0]],'
+                '"allowed_depots":{"a":["a"]}}',
+                "allowed depot 'a' of 'a' is not a root",
+            ),
+            (("oracle", "--what", "opt"), '["r","a"]', "instance JSON must be an object"),
         ],
-        ids=["ids-read-the-same", "latency-sums-reach-inf"],
+        ids=[
+            "ids-read-the-same", "latency-sums-reach-inf", "depot-not-a-root",
+            "json-not-an-object",
+        ],
     )
     def test_instance_refused_before_solving_exits_2(
         self, capsys, tmp_path, argv, instance, message

@@ -102,6 +102,50 @@ class TestParse:
         assert str(exc.value) == message
 
 
+class TestRefusals:
+    """Each refusal of outside input, with its exact message: the fields
+    of a one-client instance with one field replaced, or JSON text."""
+
+    FIELDS = dict(nodes=("r", "a"), roots=("r",), cost=((0, 2), (2, 0)))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(nodes=(), roots=(), cost=()), "instance needs at least one node"),
+            (dict(roots=()), "at least one root required"),
+            (dict(roots=("x",)), "root 'x' not among nodes"),
+            (dict(cost=((0, 2),)), "cost matrix must be square over the node list"),
+            (dict(cost=((0, -2), (-2, 0))), "negative cost"),
+            (dict(cost=((1, 2), (2, 0))), "nonzero diagonal at 'r'"),
+            (dict(weights={"x": 2}), "weight for unknown node 'x'"),
+            (dict(weights={"a": -1}), "invalid weight for 'a'"),
+            (dict(weights={"r": 2}), "root 'r' must have weight 1"),
+            (dict(service={"x": 1}), "service time for unknown node 'x'"),
+            (dict(service={"a": 1.5}), "invalid service time for 'a'"),
+            (dict(service={"r": 1}), "root 'r' must have service time 0"),
+            (dict(allowed_depots={"x": ("r",)}), "allowed depots for unknown node 'x'"),
+            (dict(allowed_depots={"a": ()}), "empty allowed-depot set for 'a'"),
+            (dict(allowed_depots={"a": ("a",)}), "allowed depot 'a' of 'a' is not a root"),
+            ('["r", "a"]', "instance JSON must be an object"),
+            ('{"nodes": ["r"], "roots": ["r"]}', "missing required field 'costs'"),
+        ],
+        ids=[
+            "no-nodes", "no-roots", "root-not-a-node", "non-square-costs", "negative-cost",
+            "nonzero-diagonal", "weight-unknown-node", "weight-invalid", "weight-at-root",
+            "service-unknown-node", "service-invalid", "service-at-root",
+            "depots-unknown-node", "depots-empty", "depot-not-a-root",
+            "json-not-an-object", "json-missing-field",
+        ],
+    )
+    def test_refusal(self, change, message):
+        with pytest.raises(ValueError) as exc:
+            if isinstance(change, str):
+                parse_instance(change)
+            else:
+                MetricInstance(**{**self.FIELDS, **change})
+        assert str(exc.value) == message
+
+
 class TestEvaluate:
     def test_fix_a_plain(self, fix_a):
         plan = RoutePlan(routes=(("r", "a", "b"),))

@@ -312,6 +312,35 @@ class TestCertify:
             assert not reference_certify(objective, rows, x2, y2)
         assert solve_lp(lp).objective_value == F(1, p) + F(1, q)
 
+    def test_objective_past_int64_is_scaled_to_exact_ints(self, monkeypatch):
+        """Costs 1/p for five primes near 10**5 and covering rows x_i +
+        x_{i+1} >= 1 around a 5-cycle: the lcm-scaled objective passes
+        2**63, so it is kept as exact ints. The rounded duals (denominators
+        up to 10**6) are rejected and the exact vertex of HiGHS' basis, x =
+        1/2 everywhere, is accepted, each as the Fraction reference
+        judges it."""
+        primes = [99991, 99989, 99971, 99961, 99929]
+        objective = {f"x{i}": F(1, p) for i, p in enumerate(primes)}
+        rows = [({f"x{i}": 1, f"x{(i + 1) % 5}": 1}, ">=", 1) for i in range(5)]
+        lp = small_lp(objective, rows)
+        D, C, cmax = lp.scaled_objective()
+        assert C.dtype == object and cmax > 2**63
+        assert D == math.prod(primes) and list(C) == [D // p for p in primes]
+        certified, real = [], lp_toolkit._certify
+
+        def spy(lp, x, duals):
+            certified.append((dict(x), dict(duals), real(lp, x, duals)))
+            return certified[-1][2]
+
+        monkeypatch.setattr(lp_toolkit, "_certify", spy)
+        sol = solve_lp(lp)
+        assert sol.objective_value == sum(objective.values()) / 2
+        assert [sol.value(name) for name in objective] == [F(1, 2)] * 5
+        dense = lambda vec: [vec.get(i, ZERO) for i in range(5)]
+        assert [verdict for _, _, verdict in certified] == [False, True]
+        for x, y, verdict in certified:
+            assert reference_certify(objective, rows, dense(x), dense(y)) is verdict
+
     def test_solve_lp_returns_certified_fractional_optimum(self):
         objective, rows, x, _, _ = CERTIFY_CASES["non-integer coefficients"]
         sol = solve_lp(small_lp(objective, rows))
